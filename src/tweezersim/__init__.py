@@ -1,7 +1,6 @@
 """tweezersim: pulse-level simulation and analysis of ancilla-based
 readout, loss detection, and algorithmic cooling for tweezer-trapped atoms."""
 
-from ._compat import BACKEND
 from .analysis import (
     DetectionResult,
     DoubleGaussianFit,

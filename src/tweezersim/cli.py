@@ -7,8 +7,7 @@ validated config so the run can be reproduced bit-exactly.
 
 Flags: --config PATH, --seed U64, --threads N, --out DIR, --dump-config.
 Environment overrides (lower precedence than flags): TWEEZERSIM_SEED,
-TWEEZERSIM_THREADS, TWEEZERSIM_OUT, and TWEEZERSIM_BACKEND=numpy for the
-pure-numpy kernel path.
+TWEEZERSIM_THREADS, TWEEZERSIM_OUT.
 
 Exit codes: 0 ok, 2 config validation, 3 numerical guard, 4 I/O.
 """
@@ -25,7 +24,6 @@ import time
 import numpy as np
 
 from . import __version__
-from ._compat import BACKEND
 from .analysis import (
     aggregate_signals,
     fit_double_gaussian_with_offset,
@@ -45,7 +43,7 @@ from .config import (
     load_config,
 )
 from .dynamics import QuasiStatic, sideband_rabi
-from .errors import NumericsError, TweezersimError, ValidationError
+from .errors import NumericsError, StepSizeError, TweezersimError, ValidationError
 from .protocols import (
     SidebandSpectrum,
     calibrate_phase,
@@ -96,7 +94,6 @@ class RunReport:
         self.payload = {
             "artifact": "tweezersim",
             "version": __version__,
-            "backend": BACKEND,
             "command": command,
             "seed": seed,
             "workers": workers,
@@ -609,8 +606,12 @@ def main(argv=None) -> int:
         return 2
     except NumericsError as exc:
         module = _origin_module(exc)
+        hint = ""
+        if isinstance(exc, StepSizeError):  # noisy pulses take dt from this key
+            steps = config["protocol"]["steps_per_pulse"]
+            hint = f"; increase protocol.steps_per_pulse (now {steps})"
         print(
-            f"numerical error ({type(exc).__name__} in {module}): {exc}", file=sys.stderr
+            f"numerical error ({type(exc).__name__} in {module}): {exc}{hint}", file=sys.stderr
         )
         return 3
     except TweezersimError as exc:

@@ -364,53 +364,56 @@ def build_hamiltonian(
     return h
 
 
-def _run_kernel(amps_flat, pulse, trap, realization, mode, n_max, guards=True):
+def _run_kernel(
+    amps0, pulse, trap, trap_series, freq_series, ampf_series, dt, mode, n_max, guards=True
+):
+    """Guarded kernel call: propagate flat amplitudes amps0 through a pulse.
+
+    1-d series (one trajectory) return the final flat amplitudes; 2-d
+    series (n_traj, n_steps) return (n_traj, dim), each row evolved from
+    amps0. Raises StepSizeError when dt * max|H| > 0.1 in any trajectory
+    of more than one step. With guards on, raises TruncationError when
+    amps0 populates a truncation edge the drive couples out of space, or
+    when any trajectory moves more than TRUNCATION_LEAK_TOL into the top
+    Fock level.
+    """
     pg, pe, coup, singles, edges = _pair_tables(pulse, trap.eta, n_max, mode)
     static, nvec, zvec = _static_vectors(pulse, n_max)
-    ampf = _amp_factor(pulse, realization)
 
     if guards and edges.size:
-        edge_pop = float(np.sum(np.abs(amps_flat[edges]) ** 2))
+        edge_pop = float(np.sum(np.abs(amps0[edges]) ** 2))
         if edge_pop > TRUNCATION_LEAK_TOL:
             raise TruncationError(
                 f"population {edge_pop:.3e} at the truncation edge would couple "
                 f"past n_max = {n_max}; increase n_max"
             )
-    if realization.n_steps > 1:
+    if trap_series.shape[-1] > 1:
         # piecewise-constant approximation in play: enforce the step bound
         bound = (
             abs(pulse.detuning)
-            + n_max * float(np.max(np.abs(realization.trap_frequency), initial=0.0))
-            + 0.5 * float(np.max(np.abs(realization.laser_frequency), initial=0.0))
-            + (np.max(np.abs(coup), initial=0.0) * float(np.max(np.abs(ampf))))
+            + n_max * np.max(np.abs(trap_series), axis=-1, initial=0.0)
+            + 0.5 * np.max(np.abs(freq_series), axis=-1, initial=0.0)
+            + np.max(np.abs(coup), initial=0.0) * np.max(np.abs(ampf_series), axis=-1)
         )
-        if bound * realization.dt > 0.1:
-            raise StepSizeError(
-                f"dt * max|H| = {bound * realization.dt:.3f} rad exceeds 0.1; reduce dt"
+        worst = float(np.max(bound)) * dt
+        if worst > 0.1:
+            raise StepSizeError(f"dt * max|H| = {worst:.3f} rad exceeds 0.1; reduce dt")
+    args = (pg, pe, coup, singles, static, nvec, zvec, trap_series, freq_series, ampf_series, dt)
+    if trap_series.ndim == 1:
+        out = kernels.evolve_blocks(amps0.copy(), *args)
+    else:
+        out = np.empty((trap_series.shape[0], amps0.size), dtype=np.complex128)
+        kernels.evolve_blocks_batch(amps0, *args, out)
+    if guards:
+        top = [n_max, 2 * n_max + 1]
+        top_before = float(np.sum(np.abs(amps0[top]) ** 2))
+        leak = float(np.max(np.sum(np.abs(out[..., top]) ** 2, axis=-1))) - top_before
+        if leak > TRUNCATION_LEAK_TOL:
+            raise TruncationError(
+                f"pulse moved {leak:.3e} population into the top "
+                f"Fock level n = {n_max}; increase n_max"
             )
-    m = n_max + 1
-    top_before = float(np.sum(np.abs(amps_flat[[m - 1, 2 * m - 1]]) ** 2))
-    kernels.evolve_blocks(
-        amps_flat,
-        pg,
-        pe,
-        coup,
-        singles,
-        static,
-        nvec,
-        zvec,
-        np.ascontiguousarray(realization.trap_frequency),
-        np.ascontiguousarray(realization.laser_frequency),
-        np.ascontiguousarray(ampf),
-        realization.dt,
-    )
-    top_after = float(np.sum(np.abs(amps_flat[[m - 1, 2 * m - 1]]) ** 2))
-    if guards and top_after - top_before > TRUNCATION_LEAK_TOL:
-        raise TruncationError(
-            f"pulse moved {top_after - top_before:.3e} population into the top "
-            f"Fock level n = {n_max}; increase n_max"
-        )
-    return amps_flat
+    return out
 
 
 def evolve(
@@ -436,8 +439,9 @@ def evolve(
         raise ValidationError(
             f"realization duration {realization.duration} != pulse duration {pulse.duration}"
         )
-    amps = state.amps.reshape(-1).copy()
-    _run_kernel(amps, pulse, trap, realization, mode, state.n_max)
+    r = realization
+    series = (r.trap_frequency, r.laser_frequency, _amp_factor(pulse, r), r.dt)
+    amps = _run_kernel(state.amps.reshape(-1), pulse, trap, *series, mode, state.n_max)
     out = HybridAtomState(amps.reshape(2, -1))
     if abs(out.norm_sq() - 1.0) > NORM_TOL:
         raise NumericsError(f"evolution norm drift {out.norm_sq() - 1.0:.3e}")
@@ -452,14 +456,14 @@ def propagator(
     n_max: int = DEFAULT_N_MAX,
 ) -> np.ndarray:
     """Full (2(n_max+1))^2 propagator matrix, for tests and diagnostics."""
-    if realization is None:
-        realization = NoiseRealization.zeros(pulse.duration)
+    r = realization if realization is not None else NoiseRealization.zeros(pulse.duration)
+    series = (r.trap_frequency, r.laser_frequency, _amp_factor(pulse, r), r.dt)
     dim = 2 * (n_max + 1)
     u = np.zeros((dim, dim), dtype=np.complex128)
     for col in range(dim):
         amps = np.zeros(dim, dtype=np.complex128)
         amps[col] = 1.0
-        u[:, col] = _run_kernel(amps, pulse, trap, realization, mode, n_max, guards=False)
+        u[:, col] = _run_kernel(amps, pulse, trap, *series, mode, n_max, guards=False)
     return u
 
 
@@ -479,31 +483,20 @@ def evolve_batch(
     multiplicative factor (rabi + d_rabi) / rabi. Returns final flat
     amplitudes of shape (n_traj, 2 * (n_max + 1)).
     """
-    pg, pe, coup, singles, edges = _pair_tables(pulse, trap.eta, state.n_max, mode)
-    static, nvec, zvec = _static_vectors(pulse, state.n_max)
-    amps0 = state.amps.reshape(-1).astype(np.complex128)
-    if edges.size:
-        edge_pop = float(np.sum(np.abs(amps0[edges]) ** 2))
-        if edge_pop > TRUNCATION_LEAK_TOL:
-            raise TruncationError("initial population at the truncation edge")
-    n_traj = realizations_trap.shape[0]
-    out = np.empty((n_traj, amps0.size), dtype=np.complex128)
-    kernels.evolve_blocks_batch(
-        amps0,
-        pg,
-        pe,
-        coup,
-        singles,
-        static,
-        nvec,
-        zvec,
-        np.ascontiguousarray(realizations_trap),
-        np.ascontiguousarray(realizations_freq),
-        np.ascontiguousarray(realizations_ampf),
+    if state.lost:
+        raise ValidationError("cannot evolve a lost atom")
+    state.check_norm()
+    return _run_kernel(
+        state.amps.reshape(-1).astype(np.complex128),
+        pulse,
+        trap,
+        realizations_trap,
+        realizations_freq,
+        realizations_ampf,
         dt,
-        out,
+        mode,
+        state.n_max,
     )
-    return out
 
 
 def load_psd_csv(path, convention: str = "frequency") -> SpectralDensity:

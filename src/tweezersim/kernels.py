@@ -1,133 +1,111 @@
-"""Hot numerical kernels: piecewise-constant block propagation.
+"""Hot numerical kernel: piecewise-constant block propagation.
 
 Every drive considered here (carrier, red/blue sideband, free) couples
-disjoint pairs of basis states, so the Hamiltonian is block-diagonal in
-2x2 blocks plus uncoupled singletons. Each time step applies the exact
-2x2 matrix exponential per block, which keeps the propagator unitary to
-machine precision.
+disjoint pairs of basis states that stay fixed for the whole pulse, so
+the Hamiltonian is block-diagonal in 2x2 blocks plus uncoupled
+singletons. Per step a pair's exact propagator is
 
-Kernels are numba-compiled unless TWEEZERSIM_BACKEND=numpy; the
-uncompiled functions are the fallback path and are exported with a
-``_py`` suffix for equivalence tests and benchmarks.
+    exp(-i a dt) * [[alpha, -conj(beta)], [beta, conj(alpha)]],
+    alpha = cos(r dt) + i h sinc,  beta = -i c sinc,  sinc = sin(r dt) / r,
+
+with a and h the mean and half-difference of the pair's diagonal, c the
+coupling <e|H|g> and r = sqrt(|c|^2 + h^2) (sinc = 0 when r = 0). The
+SU(2) parts of all steps are computed at once and multiplied in time
+order by a pairwise tree, log2(steps) levels deep; the phases commute
+and are applied once as exp(-i dt sum a). Singletons only pick up
+exp(-i dt sum d). There is no Python loop over time steps.
 """
 
 import numpy as np
 
-from ._compat import BACKEND, USE_NUMBA, njit
+__all__ = ["evolve_blocks", "evolve_blocks_batch"]
 
-__all__ = [
-    "BACKEND",
-    "USE_NUMBA",
-    "evolve_blocks",
-    "evolve_blocks_py",
-    "evolve_blocks_batch",
-    "evolve_blocks_batch_py",
-]
+#: Trajectories are processed in chunks of at most this many
+#: (trajectory, step, pair) elements, which caps the temporaries.
+_CHUNK_ELEMENTS = 1 << 15
 
 
-def _evolve_blocks_impl(
-    amps,
-    pair_g,
-    pair_e,
-    coup,
-    singles,
-    static_diag,
-    nvec,
-    zvec,
-    trap_series,
-    freq_series,
-    amp_factor,
-    dt,
-):
-    """Propagate flat amplitudes in place through all time steps.
+def _propagate(amps0, pair_g, pair_e, coup, singles, static_diag, nvec, zvec, trap, freq, ampf, dt):
+    """Final amplitudes (n_traj, dim) for series of shape (n_traj, n_steps).
 
     Per step i the block Hamiltonian entries are
-        diag(s) = static_diag[s] + dwt(i) * nvec[s] + 0.5 * fdot(i) * zvec[s]
-        <e|H|g> = coup[p] * amp_factor[i]
-    and exp(-i H dt) is applied in closed form.
+        diag(s) = static_diag[s] + trap[i] * nvec[s] + 0.5 * freq[i] * zvec[s]
+        <e|H|g> = coup[p] * ampf[i]
+    Every trajectory starts from the flat amplitudes amps0 (dim,).
     """
-    n_steps = trap_series.shape[0]
-    n_pairs = pair_g.shape[0]
-    n_singles = singles.shape[0]
-    for i in range(n_steps):
-        dwt = trap_series[i]
-        half_fdot = 0.5 * freq_series[i]
-        af = amp_factor[i]
-        for p in range(n_pairs):
-            g = pair_g[p]
-            e = pair_e[p]
-            dg = static_diag[g] + dwt * nvec[g] + half_fdot * zvec[g]
-            de = static_diag[e] + dwt * nvec[e] + half_fdot * zvec[e]
-            c = coup[p] * af
-            a = 0.5 * (dg + de)
-            h = 0.5 * (de - dg)
-            r = np.sqrt(c.real * c.real + c.imag * c.imag + h * h)
-            ph = np.exp(-1j * a * dt)
-            pg = amps[g]
-            pe = amps[e]
-            if r == 0.0:
-                amps[g] = ph * pg
-                amps[e] = ph * pe
-                continue
-            cos_ = np.cos(r * dt)
-            sin_ = np.sin(r * dt)
-            # (v.sigma) with v = (Re c, Im c, -h) / r in the (g, e) basis
-            sg = (c.conjugate() * pe - h * pg) / r
-            se = (c * pg + h * pe) / r
-            amps[g] = ph * (cos_ * pg - 1j * sin_ * sg)
-            amps[e] = ph * (cos_ * pe - 1j * sin_ * se)
-        for s in range(n_singles):
-            idx = singles[s]
-            d = static_diag[idx] + dwt * nvec[idx] + half_fdot * zvec[idx]
-            amps[idx] *= np.exp(-1j * d * dt)
+    n_steps = trap.shape[1]
+    g, e = pair_g, pair_e
+    # half-difference h of each pair's diagonal; updates run in place (and
+    # del drops buffers early) to keep the chunk's temporaries few
+    h = trap[:, :, None] * (0.5 * (nvec[e] - nvec[g]))
+    h += freq[:, :, None] * (0.25 * (zvec[e] - zvec[g]))
+    h += 0.5 * (static_diag[e] - static_diag[g])
+    r = ampf[:, :, None] ** 2 * (coup.real**2 + coup.imag**2)
+    r += h * h
+    np.sqrt(r, out=r)
+    sinc = r * dt  # one buffer: r dt, then sin(r dt), then sin(r dt) / r
+    alpha = np.empty(r.shape, dtype=np.complex128)
+    np.cos(sinc, out=alpha.real)
+    np.sin(sinc, out=sinc)
+    np.divide(sinc, r, out=sinc, where=r > 0.0)  # r = 0 leaves sin(0) = 0
+    del r
+    np.multiply(h, sinc, out=alpha.imag)
+    del h
+    sinc *= ampf[:, :, None]
+    beta = sinc * (-1j * coup)
+    del sinc
+    # time-ordered product, later @ earlier, over neighbouring steps per
+    # level; an odd last step passes through (a product with the identity)
+    while alpha.shape[1] > 1:
+        n_even = alpha.shape[1] - alpha.shape[1] % 2
+        a1, b1 = alpha[:, 1:n_even:2], beta[:, 1:n_even:2]  # later
+        a2, b2 = alpha[:, 0:n_even:2], beta[:, 0:n_even:2]  # earlier
+        a = a1 * a2
+        a -= b1.conj() * b2
+        b = b1 * a2
+        b += a1.conj() * b2
+        if n_even < alpha.shape[1]:
+            a = np.concatenate([a, alpha[:, -1:]], axis=1)
+            b = np.concatenate([b, beta[:, -1:]], axis=1)
+        alpha, beta = a, b
+    alpha, beta = alpha[:, 0], beta[:, 0]
+
+    trap_sum = trap.sum(axis=1)[:, None]
+    half_freq_sum = 0.5 * freq.sum(axis=1)[:, None]
+    a_sum = (
+        n_steps * 0.5 * (static_diag[g] + static_diag[e])
+        + trap_sum * 0.5 * (nvec[g] + nvec[e])
+        + half_freq_sum * 0.5 * (zvec[g] + zvec[e])
+    )
+    phase = np.exp(-1j * dt * a_sum)
+    pg, pe = amps0[g], amps0[e]
+    out = np.tile(amps0, (trap.shape[0], 1))
+    out[:, g] = phase * (alpha * pg - beta.conj() * pe)
+    out[:, e] = phase * (beta * pg + alpha.conj() * pe)
+    d_sum = n_steps * static_diag[singles] + trap_sum * nvec[singles] + half_freq_sum * zvec[singles]
+    out[:, singles] *= np.exp(-1j * dt * d_sum)
+    return out
+
+
+def evolve_blocks(
+    amps, pair_g, pair_e, coup, singles, static_diag, nvec, zvec,
+    trap_series, freq_series, amp_factor, dt,
+):
+    """Propagate flat amplitudes in place through all time steps."""
+    series = (trap_series[None], freq_series[None], amp_factor[None])
+    amps[:] = _propagate(amps, pair_g, pair_e, coup, singles, static_diag, nvec, zvec, *series, dt)[0]
     return amps
 
 
-evolve_blocks_py = _evolve_blocks_impl
-evolve_blocks = njit(cache=True)(_evolve_blocks_impl) if USE_NUMBA else _evolve_blocks_impl
-
-
-def _make_batch(step_fn):
-    def _evolve_blocks_batch_impl(
-        amps0,
-        pair_g,
-        pair_e,
-        coup,
-        singles,
-        static_diag,
-        nvec,
-        zvec,
-        trap_2d,
-        freq_2d,
-        ampf_2d,
-        dt,
-        out,
-    ):
-        """Evolve one shared initial state under many noise realizations."""
-        for t in range(out.shape[0]):
-            amps = amps0.copy()
-            step_fn(
-                amps,
-                pair_g,
-                pair_e,
-                coup,
-                singles,
-                static_diag,
-                nvec,
-                zvec,
-                trap_2d[t],
-                freq_2d[t],
-                ampf_2d[t],
-                dt,
-            )
-            out[t] = amps
-        return out
-
-    return _evolve_blocks_batch_impl
-
-
-evolve_blocks_batch_py = _make_batch(evolve_blocks_py)
-if USE_NUMBA:
-    evolve_blocks_batch = njit(cache=True)(_make_batch(evolve_blocks))
-else:
-    evolve_blocks_batch = evolve_blocks_batch_py
+def evolve_blocks_batch(
+    amps0, pair_g, pair_e, coup, singles, static_diag, nvec, zvec,
+    trap_2d, freq_2d, ampf_2d, dt, out,
+):
+    """Evolve one shared initial state under many noise realizations (rows)."""
+    blocks = (pair_g, pair_e, coup, singles, static_diag, nvec, zvec)
+    n_traj, n_steps = trap_2d.shape
+    chunk = max(1, _CHUNK_ELEMENTS // max(1, n_steps * pair_g.shape[0]))
+    for start in range(0, n_traj, chunk):
+        rows = slice(start, start + chunk)
+        out[rows] = _propagate(amps0, *blocks, trap_2d[rows], freq_2d[rows], ampf_2d[rows], dt)
+    return out

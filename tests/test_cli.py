@@ -321,6 +321,24 @@ class TestCliRuns:
         code = main(["simulate", "--config", path, "--out", str(tmp_path / "o")])
         assert code == 2  # dt too coarse for the PSD content is a config problem
 
+    def test_step_size_error_names_config_key(self, tmp_path, capsys):
+        # three steps per shelving pulse are far too coarse for the drive
+        path = _write_config(
+            tmp_path,
+            protocol={
+                "kind": "loss_detection",
+                "shots": 2,
+                "steps_per_pulse": 3,
+                "analyzer_phases_rad": [0.0],
+            },
+            noise={"trap_frequency": {"kind": "quasi_static", "sigma_hz": 1.0}},
+        )
+        code = main(["simulate", "--config", path, "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "StepSizeError" in err
+        assert "increase protocol.steps_per_pulse (now 3)" in err
+
     def test_read_shots_csv_roundtrip(self, tmp_path):
         path = _write_config(
             tmp_path, seed=13, protocol={"kind": "repeated_readout", "shots": 20, "n_cyc": 2}

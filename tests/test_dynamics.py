@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from tweezersim import kernels
 from tweezersim.dynamics import (
     NoiseModel,
     NoiseRealization,
@@ -377,31 +376,6 @@ class TestPsdCsv:
 
 
 class TestKernelsBackend:
-    def test_python_fallback_matches_active_backend(self):
-        rng = np.random.default_rng(11)
-        m = 6
-        amps = rng.normal(size=2 * m) + 1j * rng.normal(size=2 * m)
-        amps /= np.linalg.norm(amps)
-        pair_g = np.array([0, 1, 2], dtype=np.int64)
-        pair_e = np.array([m + 1, m + 2, m + 3], dtype=np.int64)
-        coup = (rng.normal(size=3) + 1j * rng.normal(size=3)).astype(np.complex128) * 1e3
-        singles = np.array([i for i in range(2 * m) if i not in set(pair_g) | set(pair_e)], dtype=np.int64)
-        static = rng.normal(size=2 * m) * 100
-        nvec = np.tile(np.arange(m, dtype=float), 2)
-        zvec = np.concatenate([-np.ones(m), np.ones(m)])
-        n_steps = 50
-        trap = rng.normal(size=n_steps) * 50
-        freq = rng.normal(size=n_steps) * 50
-        ampf = 1 + rng.normal(size=n_steps) * 0.01
-        dt = 1e-5
-        a1 = kernels.evolve_blocks(
-            amps.copy(), pair_g, pair_e, coup, singles, static, nvec, zvec, trap, freq, ampf, dt
-        )
-        a2 = kernels.evolve_blocks_py(
-            amps.copy(), pair_g, pair_e, coup, singles, static, nvec, zvec, trap, freq, ampf, dt
-        )
-        np.testing.assert_allclose(a1, a2, rtol=0, atol=1e-14)
-
     def test_batch_matches_sequential(self):
         pulse = PulseSpec.bsb_pi(ETA, RABI)
         model = NoiseModel(trap_frequency=QuasiStatic(0.05 * ETA * RABI))
@@ -421,3 +395,40 @@ class TestKernelsBackend:
         for i, r in enumerate(reals):
             seq = evolve(state, pulse, TRAP, r, mode="two-level")
             np.testing.assert_allclose(batch[i], seq.amps.reshape(-1), atol=1e-12)
+
+
+class TestEvolveBatchGuards:
+    """evolve_batch trips the same guards as evolve."""
+
+    @staticmethod
+    def _batch(state, pulse, trap_rows):
+        zeros = np.zeros_like(trap_rows)
+        return evolve_batch(
+            state, pulse, TRAP, trap_rows, zeros, np.ones_like(zeros), pulse.duration / trap_rows.shape[1]
+        )
+
+    def test_step_size_guard(self):
+        pulse = PulseSpec.bsb_pi(ETA, RABI)
+        trap_rows = np.zeros((3, 2))
+        trap_rows[1] = 1e7  # one coarse trajectory is enough
+        with pytest.raises(StepSizeError):
+            self._batch(prepare_state(ElectronicLevel.DOWN, 0, n_max=4), pulse, trap_rows)
+
+    def test_truncation_edge_guard(self):
+        pulse = PulseSpec.bsb_pi(ETA, RABI)
+        with pytest.raises(TruncationError):
+            self._batch(prepare_state(ElectronicLevel.DOWN, 4, n_max=4), pulse, np.zeros((3, 100)))
+
+    def test_rejects_lost_atom(self):
+        pulse = PulseSpec.bsb_pi(ETA, RABI)
+        with pytest.raises(ValidationError):
+            self._batch(HybridAtomState.absent(4), pulse, np.zeros((3, 100)))
+
+    def test_top_level_leak_guard(self):
+        # (down, 3) -> (up, 4): a blue-sideband pi pulse fills the top level
+        pulse = PulseSpec(PulseKind.BLUE_SIDEBAND, rabi=RABI, duration=np.pi / sideband_rabi(3, 4, ETA, RABI))
+        state = prepare_state(ElectronicLevel.DOWN, 3, n_max=4)
+        with pytest.raises(TruncationError, match="top Fock level"):
+            evolve(state, pulse, TRAP)
+        with pytest.raises(TruncationError, match="top Fock level"):
+            self._batch(state, pulse, np.zeros((3, 100)))
