@@ -4,9 +4,13 @@ Sideband spectra are fit with weighted least squares: the heating
 (positive-detuning) peak with a plain Gaussian, the cooling peak with a
 profile likelihood over its amplitude a1 where the background offset d
 is a nuisance parameter re-minimized at every a1, and the 1-sigma
-interval is the Delta-chi2 <= 1 region. Weights use binomial standard
-errors with an Agresti-Coull floor so p = 0 or 1 points keep finite
-weight.
+interval is the Delta-chi2 <= 1 region. Gaussian fits run bounded
+trust-region least squares (scipy.optimize.least_squares) on the
+weighted residuals with analytic Jacobians; their covariance is the
+Gauss-Newton (J^T W J)^-1. The model is linear in a1, so the profile
+chi2 is an exact parabola and the interval endpoints are its
+closed-form roots. Weights use binomial standard errors with an
+Agresti-Coull floor so p = 0 or 1 points keep finite weight.
 
 Detection fidelity follows F = P1*F1 + (1-P1)*F0 with the threshold
 optimized against F, either on samples (candidates at sample midpoints)
@@ -20,7 +24,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import least_squares
 from scipy.stats import norm
 
 from .errors import (
@@ -90,21 +94,23 @@ class DoubleGaussianFit:
 
 @dataclass
 class TemperatureEstimate:
-    """Mean occupation nbar with asymmetric 1-sigma confidence interval."""
+    """Mean occupation nbar with asymmetric 1-sigma confidence interval,
+    plus the blue-peak fit and cooling-peak profile it was built from."""
 
     nbar: float
     nbar_ci: tuple
     ratio: float
     ratio_ci: tuple
-    method: str
+    blue: GaussianPeakFit
+    profile: ProfileLikelihoodResult
 
 
 @dataclass
 class DetectionResult:
     """Threshold-optimized detection fidelity at prior P1.
 
-    F = P1*F1 + (1-P1)*F0 holds exactly by construction. orientation is
-    +1 when present-class signals lie above the threshold.
+    F = P1*F1 + (1-P1)*F0 must hold to 1e-12 (ValidationError otherwise).
+    orientation is +1 when present-class signals lie above the threshold.
     """
 
     threshold: float
@@ -116,7 +122,11 @@ class DetectionResult:
     orientation: int = 1
 
     def __post_init__(self):
-        assert abs(self.fidelity - (self.p1 * self.f1 + (1 - self.p1) * self.f0)) < 1e-12
+        expected = self.p1 * self.f1 + (1 - self.p1) * self.f0
+        if not abs(self.fidelity - expected) < 1e-12:
+            raise ValidationError(
+                f"fidelity {self.fidelity!r} != P1*F1 + (1-P1)*F0 = {expected!r}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -178,35 +188,24 @@ def _gaussian(f, height, center, width):
     return height * np.exp(-((f - center) ** 2) / (2.0 * width**2))
 
 
-def _weighted_chi2(y, model, se):
-    r = (y - model) / se
-    return float(np.dot(r, r))
+def _gaussian_jac(f, height, center, width):
+    """Columns d/d(height, center, width) of _gaussian."""
+    shape = np.exp(-((f - center) ** 2) / (2.0 * width**2))
+    slope = height * shape * (f - center) / width**2
+    return np.column_stack([shape, slope, slope * (f - center) / width])
 
 
-def _chi2_covariance(fun, params, scale=1e-5):
-    """Covariance from the numerical Hessian of chi2/2 at the optimum."""
-    n = len(params)
-    h = np.abs(params) * scale + 1e-12
-    hess = np.zeros((n, n))
-    f0 = fun(params)
-    for i in range(n):
-        for j in range(i, n):
-            pp = np.array(params, dtype=float)
-            pp[i] += h[i]
-            pp[j] += h[j]
-            fpp = fun(pp)
-            pp[j] -= 2 * h[j]
-            fpm = fun(pp)
-            pp[i] -= 2 * h[i]
-            fmm = fun(pp)
-            pp[j] += 2 * h[j]
-            fmp = fun(pp)
-            hess[i, j] = hess[j, i] = (fpp - fpm - fmp + fmm) / (4 * h[i] * h[j])
-    try:
-        cov = np.linalg.inv(hess / 2.0)
-    except np.linalg.LinAlgError:
-        cov = np.linalg.pinv(hess / 2.0)
-    return cov
+def _double_gaussian(f, a_blue, a_red, center, width, offset):
+    return _gaussian(f, a_blue, center, width) + _gaussian(f, a_red, -center, width) + offset
+
+
+def _double_gaussian_jac(f, a_blue, a_red, center, width, offset):
+    """Columns d/d(a_blue, a_red, center, width, offset) of _double_gaussian."""
+    blue = _gaussian_jac(f, a_blue, center, width)
+    red = _gaussian_jac(f, a_red, -center, width)
+    return np.column_stack(
+        [blue[:, 0], red[:, 0], blue[:, 1] - red[:, 1], blue[:, 2] + red[:, 2], np.ones_like(f)]
+    )
 
 
 def _fwhm_width_guess(f, p, base, spacing, span):
@@ -227,54 +226,50 @@ def _fwhm_width_guess(f, p, base, spacing, span):
     return min(max(fwhm / 2.355, spacing / 2.0), span)
 
 
-def _simplex_fit(chi2_fun, x0, bounds):
-    """Bounded Nelder-Mead on internally rescaled parameters.
+def _weighted_fit(model, jac, f, p, se, shots, starts, bounds):
+    """Bounded weighted least-squares fit of model(f, *x) to p.
 
-    Parameters are normalized to order one (mixing Hz-scale centers with
-    probability-scale heights otherwise defeats the absolute simplex
-    tolerances).
+    Minimizes chi2 = sum w (model - p)^2 with the analytic Jacobian,
+    keeping the best converged fit over the starting points: strongly
+    mis-specified lineshapes (coherent sidelobes under a Gaussian model)
+    create local minima, and a small width-scan of starts keeps the fit
+    on the main peak. With per-point shot counts the weights are then
+    re-evaluated at the fitted model and the fit is repeated from its
+    optimum. Returns (x, chi2, covariance); the covariance is
+    (J^T W J)^-1 times the n/(n-k) small-sample factor that compensates
+    the data-estimated weights. Raises FitConvergenceError when no start
+    converges within MAX_FIT_ITERATIONS evaluations.
     """
-    scales = np.array(
-        [max(abs(x), 0.05 * (hi - lo), 1e-12) for x, (lo, hi) in zip(x0, bounds)]
-    )
-    res = minimize(
-        lambda u: chi2_fun(u * scales),
-        np.asarray(x0) / scales,
-        method="Nelder-Mead",
-        bounds=[(lo / s, hi / s) for (lo, hi), s in zip(bounds, scales)],
-        options={
-            "maxiter": MAX_FIT_ITERATIONS,
-            "maxfev": MAX_FIT_ITERATIONS,
-            "xatol": 1e-9,
-            "fatol": 1e-12,
-        },
-    )
-    if not res.success:
-        raise FitConvergenceError(f"simplex did not converge: {res.message}")
-    res.x = res.x * scales
-    return res
+    lo, hi = np.array(bounds, dtype=float).T
 
+    def best_fit(w, starts):
+        sw = np.sqrt(w)
+        best = None
+        for x0 in starts:
+            res = least_squares(
+                lambda x: sw * (model(f, *x) - p),
+                np.clip(x0, lo, hi),
+                jac=lambda x: sw[:, None] * jac(f, *x),
+                bounds=(lo, hi),
+                max_nfev=MAX_FIT_ITERATIONS,
+                ftol=1e-12,  # polish far below the statistical errors
+                xtol=1e-12,
+                gtol=1e-12,
+            )
+            if res.status > 0 and (best is None or res.cost < best.cost):
+                best = res
+        if best is None:
+            raise FitConvergenceError(
+                f"no least-squares start converged within {MAX_FIT_ITERATIONS} evaluations"
+            )
+        return best
 
-def _simplex_fit_multistart(chi2_fun, starts, bounds):
-    """Best converged simplex over several initial guesses.
-
-    Strongly mis-specified lineshapes (coherent sidelobes under a
-    Gaussian model) create local minima; a small width-scan of starting
-    points keeps the fit on the main peak.
-    """
-    best = None
-    last_error = None
-    for x0 in starts:
-        try:
-            res = _simplex_fit(chi2_fun, x0, bounds)
-        except FitConvergenceError as exc:
-            last_error = exc
-            continue
-        if best is None or res.fun < best.fun:
-            best = res
-    if best is None:
-        raise last_error
-    return best
+    res = best_fit(1.0 / se**2, starts)
+    if shots is not None:  # reweight at the model, refit
+        res = best_fit(1.0 / _model_reweight(se, shots, model(f, *res.x)) ** 2, [res.x])
+    n, k = res.jac.shape
+    cov = np.linalg.pinv(res.jac.T @ res.jac) * n / max(n - k, 1)
+    return res.x, 2.0 * res.cost, cov
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +279,14 @@ def _simplex_fit_multistart(chi2_fun, starts, bounds):
 def fit_heating_sideband(spectrum) -> GaussianPeakFit:
     """Weighted least-squares Gaussian fit of the heating (blue) peak.
 
-    Uses the positive-detuning points, a moment-based initial guess, a
-    bounded Nelder-Mead refinement, and one model-based reweighting pass
-    (binomial errors re-evaluated at the fitted curve) to remove the
-    low bias of measured-count weights. Raises DegenerateWidthError when
-    no peak stands above the noise or the width collapses below the grid
-    spacing, FitConvergenceError past the iteration cap.
+    Uses the positive-detuning points, a moment-based initial guess
+    (with a small width scan), a bounded trust-region least-squares
+    refinement with the analytic Jacobian, and one model-based
+    reweighting pass (binomial errors re-evaluated at the fitted curve)
+    to remove the low bias of measured-count weights. Raises
+    DegenerateWidthError when no peak stands above the noise or the
+    width collapses below the grid spacing, FitConvergenceError past the
+    iteration cap.
     """
     f, p, se, shots = _spectrum_arrays(spectrum)
     mask = f > 0
@@ -315,133 +312,67 @@ def fit_heating_sideband(spectrum) -> GaussianPeakFit:
         np.array([h0, mu0, s0])
         for s0 in (sig0, max(sig0 / 2, spacing / 2), min(2 * sig0, span))
     ]
-    w = 1.0 / se**2
-    chi2 = None
-    for _ in range(2):  # fit, reweight at the model, refit
-
-        def chi2(params, w=w):
-            return float(np.sum(w * (p - _gaussian(f, *params)) ** 2))
-
-        res = _simplex_fit_multistart(chi2, starts, bounds)
-        starts = [res.x]
-        if shots is None:
-            break
-        w = 1.0 / _model_reweight(se, shots, _gaussian(f, *res.x)) ** 2
-
-    height, center, width = res.x
+    x, chi2, cov = _weighted_fit(_gaussian, _gaussian_jac, f, p, se, shots, starts, bounds)
+    height, center, width = x
     if width < spacing:
         raise DegenerateWidthError(
             f"fitted width {width:.3g} Hz below the grid spacing {spacing:.3g} Hz"
         )
-    # n/(n-k) small-sample factor compensates the data-estimated weights
-    cov = _chi2_covariance(chi2, res.x) * f.size / max(f.size - 3, 1)
     return GaussianPeakFit(
         height=float(height),
         center_hz=float(center),
         width_hz=float(width),
-        chi2=float(res.fun),
+        chi2=float(chi2),
         covariance=cov,
         stderr=np.sqrt(np.clip(np.diag(cov), 0, None)),
     )
 
 
-def profile_likelihood_cooling_peak(
-    spectrum,
-    blue_fit: GaussianPeakFit,
-    n_grid: int = 400,
-    refine_tol: float = 1e-7,
-) -> ProfileLikelihoodResult:
+def profile_likelihood_cooling_peak(spectrum, blue_fit: GaussianPeakFit) -> ProfileLikelihoodResult:
     """Cooling-peak amplitude with a Delta-chi2 <= 1 confidence interval.
 
     The cooling peak is constrained to the mirrored blue-peak geometry
-    (center at -center_hz, same width). For every scanned amplitude a1
-    the background offset d is re-minimized in closed form (weighted
-    mean of the shape-subtracted residuals); the interval is located on
-    the scan grid and polished by bisection well past the 1e-4 absolute
-    contract.
+    (center at -center_hz, same width). For every amplitude a1 the
+    background offset d is re-minimized in closed form (weighted mean of
+    the shape-subtracted residuals), so the profile chi2 is the exact
+    parabola c2 * (a1 - a_unc)^2 + const with a_unc = c1 / c2. The
+    estimate is a_unc clipped to [0, 1]; the Delta-chi2 = 1 endpoints are
+    the parabola's roots a_unc +/- sqrt(1 / c2 + (a_hat - a_unc)^2). The
+    interval is one-sided (ci_lo = 0) when the lower root is <= 0 and
+    unbounded above (ci_hi = inf) when the upper root is >= 1.
     """
     f, p, se, shots = _spectrum_arrays(spectrum)
     g_red = _gaussian(f, 1.0, -blue_fit.center_hz, blue_fit.width_hz)
     blue_curve = _gaussian(f, blue_fit.height, blue_fit.center_hz, blue_fit.width_hz)
     resid = p - blue_curve
 
-    w = 1.0 / se**2
-    for _ in range(2):  # profile, reweight at the model, re-profile
+    def profile(w):
+        """(a_unc, a_hat, c2, offset at a_hat) for weights w."""
         wsum = float(np.sum(w))
-
-        def chi2_at(a1, w=w, wsum=wsum):
-            d = float(np.sum(w * (resid - a1 * g_red))) / wsum
-            r = resid - a1 * g_red - d
-            return float(np.sum(w * r * r)), d
-
-        # the model is linear in a1, so the profile is an exact parabola;
-        # still scan per the stated procedure and use the curvature as stderr
         c2 = float(np.sum(w * g_red**2) - np.sum(w * g_red) ** 2 / wsum)
         if c2 <= 0:
             raise ValidationError("cooling-peak shape carries no weight on this grid")
-        stderr = 1.0 / math.sqrt(c2)
         c1 = float(np.sum(w * resid * g_red) - np.sum(w * resid) * np.sum(w * g_red) / wsum)
-        a_unconstrained = c1 / c2
-        a_hat = min(max(a_unconstrained, 0.0), 1.0)
-        if shots is None:
-            break
-        d_hat = chi2_at(a_hat)[1]
-        model = blue_curve + a_hat * g_red + d_hat
-        w = 1.0 / _model_reweight(se, shots, model) ** 2
-    hi_edge = min(1.0, 3.0 * a_hat + 5.0 * stderr)
-    grid = np.linspace(0.0, max(hi_edge, 10.0 * stderr if a_hat == 0 else hi_edge), n_grid)
-    chi2_grid = np.array([chi2_at(a)[0] for a in grid])
-    i_min = int(np.argmin(chi2_grid))
-    if chi2_grid[i_min] > chi2_at(a_hat)[0]:
-        a_min = a_hat
-    else:
-        a_min = float(grid[i_min])
-        a_min = a_hat if abs(chi2_at(a_hat)[0] - chi2_grid[i_min]) < 1e-12 else a_min
-    chi2_min, d_min = chi2_at(a_hat)
+        a_unc = c1 / c2
+        a_hat = min(max(a_unc, 0.0), 1.0)
+        return a_unc, a_hat, c2, float(np.sum(w * (resid - a_hat * g_red))) / wsum
 
-    def delta(a1):
-        return chi2_at(a1)[0] - chi2_min
-
-    def bisect(lo, hi):
-        # delta(lo) - 1 and delta(hi) - 1 have opposite signs
-        flo = delta(lo) - 1.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            fmid = delta(mid) - 1.0
-            if abs(hi - lo) < refine_tol:
-                break
-            if (fmid > 0) == (flo > 0):
-                lo, flo = mid, fmid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    one_sided = False
-    if delta(0.0) <= 1.0:
-        ci_lo = 0.0
-        one_sided = True
-    else:
-        ci_lo = bisect(0.0, a_hat)
-
-    unbounded_above = False
-    if delta(1.0) <= 1.0:
-        ci_hi = math.inf
-        unbounded_above = True
-    else:
-        hi_bracket = a_hat
-        step = max(stderr, 1e-6)
-        while delta(hi_bracket) <= 1.0:
-            hi_bracket = min(hi_bracket + step, 1.0)
-            step *= 2
-        ci_hi = bisect(a_hat, hi_bracket)
-
+    w = 1.0 / se**2
+    a_unc, a_hat, c2, d_hat = profile(w)
+    if shots is not None:  # reweight at the model, re-profile
+        w = 1.0 / _model_reweight(se, shots, blue_curve + a_hat * g_red + d_hat) ** 2
+        a_unc, a_hat, c2, d_hat = profile(w)
+    r = resid - a_hat * g_red - d_hat
+    half = math.sqrt(1.0 / c2 + (a_hat - a_unc) ** 2)
+    ci_lo, ci_hi = a_unc - half, a_unc + half
+    one_sided, unbounded_above = ci_lo <= 0.0, ci_hi >= 1.0
     return ProfileLikelihoodResult(
         a_red=float(a_hat),
-        ci_lo=float(ci_lo),
-        ci_hi=float(ci_hi),
-        offset=float(d_min),
-        chi2_min=float(chi2_min),
-        stderr=float(stderr),
+        ci_lo=0.0 if one_sided else float(ci_lo),
+        ci_hi=math.inf if unbounded_above else float(ci_hi),
+        offset=float(d_hat),
+        chi2_min=float(np.sum(w * r * r)),
+        stderr=float(1.0 / math.sqrt(c2)),
         one_sided=one_sided,
         unbounded_above=unbounded_above,
     )
@@ -463,30 +394,18 @@ def ratio_from_nbar(nbar: float) -> float:
     return nbar / (nbar + 1.0)
 
 
-def temperature_from_spectrum(spectrum, method: str = "profile-likelihood") -> TemperatureEstimate:
-    """Full thermometry pipeline: blue-peak fit, cooling-peak estimate, nbar.
+def temperature_from_spectrum(spectrum) -> TemperatureEstimate:
+    """Full thermometry pipeline: blue-peak fit, cooling-peak profile, nbar.
 
     The blue-height uncertainty is propagated into the ratio interval in
-    quadrature with the profile-likelihood amplitude interval.
+    quadrature with the profile-likelihood amplitude interval. The
+    estimate carries the blue fit and the profile it was built from.
     """
     blue = fit_heating_sideband(spectrum)
-    if method == "profile-likelihood":
-        prof = profile_likelihood_cooling_peak(spectrum, blue)
-        a1, lo, hi = prof.a_red, prof.ci_lo, prof.ci_hi
-    elif method == "least-squares":
-        fit = fit_double_gaussian_with_offset(spectrum)
-        a1 = fit.a_red
-        sig = fit.stderr[1] if fit.stderr is not None else 0.0
-        lo, hi = max(a1 - sig, 0.0), a1 + sig
-        blue = GaussianPeakFit(fit.a_blue, fit.center_hz, fit.width_hz, fit.chi2,
-                               stderr=np.array([fit.stderr[0] if fit.stderr is not None else 0.0]))
-    else:
-        raise ValidationError(f"unknown thermometry method {method!r}")
-
+    prof = profile_likelihood_cooling_peak(spectrum, blue)
     ab = blue.height
-    sab = float(blue.stderr[0]) if blue.stderr is not None else 0.0
-    r_hat = a1 / ab
-    blue_term = r_hat * sab / ab  # blue-height error mapped to the ratio
+    r_hat = prof.a_red / ab
+    blue_term = r_hat * float(blue.stderr[0]) / ab  # blue-height error mapped to the ratio
 
     def widen(endpoint, side):
         if math.isinf(endpoint):
@@ -494,8 +413,8 @@ def temperature_from_spectrum(spectrum, method: str = "profile-likelihood") -> T
         half = abs(endpoint / ab - r_hat)
         return r_hat + side * math.sqrt(half**2 + blue_term**2)
 
-    r_lo = max(widen(lo, -1), 0.0)
-    r_hi = widen(hi, +1)
+    r_lo = max(widen(prof.ci_lo, -1), 0.0)
+    r_hi = widen(prof.ci_hi, +1)
     if r_hat >= 1.0:
         raise ValidationError(f"fitted ratio {r_hat} >= 1: not a thermal spectrum")
     nbar = nbar_from_ratio(r_hat)
@@ -506,7 +425,8 @@ def temperature_from_spectrum(spectrum, method: str = "profile-likelihood") -> T
         nbar_ci=(nbar_lo, nbar_hi),
         ratio=r_hat,
         ratio_ci=(r_lo, r_hi),
-        method=method,
+        blue=blue,
+        profile=prof,
     )
 
 
@@ -531,10 +451,6 @@ def fit_double_gaussian_with_offset(spectrum) -> DoubleGaussianFit:
     hr0 = max(float(np.max(p[~pos]) - d0), 0.0)
     sig0 = _fwhm_width_guess(f[pos], p[pos], d0, spacing, float(f[-1] - f[0]))
 
-    def model(params):
-        ab, ar, mu, sig, d = params
-        return _gaussian(f, ab, mu, sig) + _gaussian(f, ar, -mu, sig) + d
-
     bounds = [
         (0.0, 2.0),
         (0.0, 2.0),
@@ -546,32 +462,21 @@ def fit_double_gaussian_with_offset(spectrum) -> DoubleGaussianFit:
         np.array([hb0, hr0, mu0, s0, d0])
         for s0 in (sig0, max(sig0 / 2, spacing / 2), min(2 * sig0, float(f[-1] - f[0])))
     ]
-    w = 1.0 / se**2
-    chi2 = None
-    for _ in range(2):  # fit, reweight at the model, refit
-
-        def chi2(params, w=w):
-            return float(np.sum(w * (p - model(params)) ** 2))
-
-        res = _simplex_fit_multistart(chi2, starts, bounds)
-        starts = [res.x]
-        if shots is None:
-            break
-        w = 1.0 / _model_reweight(se, shots, model(res.x)) ** 2
-
-    ab, ar, mu, sig, d = res.x
+    x, chi2, cov = _weighted_fit(
+        _double_gaussian, _double_gaussian_jac, f, p, se, shots, starts, bounds
+    )
+    ab, ar, mu, sig, d = x
     if sig < spacing:
         raise DegenerateWidthError(
             f"fitted width {sig:.3g} Hz below the grid spacing {spacing:.3g} Hz"
         )
-    cov = _chi2_covariance(chi2, res.x) * f.size / max(f.size - 5, 1)
     return DoubleGaussianFit(
         a_blue=float(ab),
         a_red=float(ar),
         center_hz=float(mu),
         width_hz=float(sig),
         offset=float(d),
-        chi2=float(res.fun),
+        chi2=float(chi2),
         covariance=cov,
         stderr=np.sqrt(np.clip(np.diag(cov), 0, None)),
     )

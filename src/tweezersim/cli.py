@@ -27,10 +27,8 @@ from . import __version__
 from .analysis import (
     aggregate_signals,
     fit_double_gaussian_with_offset,
-    fit_heating_sideband,
     nonthermal_correction,
     optimize_threshold,
-    profile_likelihood_cooling_peak,
     temperature_from_spectrum,
 )
 from .config import (
@@ -382,9 +380,8 @@ def cmd_fit(config, out_dir, workers, report):
                "stderr_model": "agresti-coull floor, one model-reweight pass",
                "t12": t12}
     if sec["mode"] == "baseline":
-        blue = fit_heating_sideband(spectrum)
-        prof = profile_likelihood_cooling_peak(spectrum, blue)
         est = temperature_from_spectrum(spectrum)
+        blue, prof = est.blue, est.profile
         payload.update(
             {
                 "blue_fit": {
@@ -570,6 +567,26 @@ def _resolve_config_path(name):
     raise FileNotFoundError(f"config file not found: {name}")
 
 
+def _int_override(flag, value, env, minimum):
+    """The flag's value, else the environment variable's, as an int >= minimum.
+
+    None when neither is set; a ValidationError naming the flag or the
+    variable otherwise.
+    """
+    name = flag
+    if value is None and os.environ.get(env):
+        name, value = env, os.environ[env]
+    if value is None:
+        return None
+    try:
+        value = int(value)
+    except ValueError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+    if value < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -585,15 +602,10 @@ def main(argv=None) -> int:
         path = _resolve_config_path(args.config)
         config = load_config(path)
         config["_base_dir"] = os.path.dirname(os.path.abspath(path))
-        seed = args.seed
-        if seed is None and os.environ.get("TWEEZERSIM_SEED"):
-            seed = int(os.environ["TWEEZERSIM_SEED"])
+        seed = _int_override("--seed", args.seed, "TWEEZERSIM_SEED", minimum=0)
         if seed is not None:
-            config["seed"] = int(seed)
-        workers = args.threads
-        if workers is None and os.environ.get("TWEEZERSIM_THREADS"):
-            workers = int(os.environ["TWEEZERSIM_THREADS"])
-        workers = int(workers) if workers else 1
+            config["seed"] = seed
+        workers = _int_override("--threads", args.threads, "TWEEZERSIM_THREADS", minimum=1) or 1
         out_dir = args.out or os.environ.get("TWEEZERSIM_OUT") or config["output"]["dir"]
         os.makedirs(out_dir, exist_ok=True)
         report = RunReport(args.command, _echo_config(config), config["seed"], workers)

@@ -369,10 +369,11 @@ def _run_kernel(
 ):
     """Guarded kernel call: propagate flat amplitudes amps0 through a pulse.
 
-    1-d series (one trajectory) return the final flat amplitudes; 2-d
-    series (n_traj, n_steps) return (n_traj, dim), each row evolved from
-    amps0. Raises StepSizeError when dt * max|H| > 0.1 in any trajectory
-    of more than one step. With guards on, raises TruncationError when
+    1-d series (one trajectory) return the final flat amplitudes, or
+    with guards off the final columns when amps0 is (dim, k); 2-d series
+    (n_traj, n_steps) return (n_traj, dim), each row evolved from amps0.
+    Raises StepSizeError when dt * max|H| > 0.1 in any trajectory of
+    more than one step. With guards on, raises TruncationError when
     amps0 populates a truncation edge the drive couples out of space, or
     when any trajectory moves more than TRUNCATION_LEAK_TOL into the top
     Fock level.
@@ -458,13 +459,8 @@ def propagator(
     """Full (2(n_max+1))^2 propagator matrix, for tests and diagnostics."""
     r = realization if realization is not None else NoiseRealization.zeros(pulse.duration)
     series = (r.trap_frequency, r.laser_frequency, _amp_factor(pulse, r), r.dt)
-    dim = 2 * (n_max + 1)
-    u = np.zeros((dim, dim), dtype=np.complex128)
-    for col in range(dim):
-        amps = np.zeros(dim, dtype=np.complex128)
-        amps[col] = 1.0
-        u[:, col] = _run_kernel(amps, pulse, trap, *series, mode, n_max, guards=False)
-    return u
+    identity = np.eye(2 * (n_max + 1), dtype=np.complex128)
+    return _run_kernel(identity, pulse, trap, *series, mode, n_max, guards=False)
 
 
 def evolve_batch(

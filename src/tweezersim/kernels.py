@@ -26,12 +26,14 @@ _CHUNK_ELEMENTS = 1 << 15
 
 
 def _propagate(amps0, pair_g, pair_e, coup, singles, static_diag, nvec, zvec, trap, freq, ampf, dt):
-    """Final amplitudes (n_traj, dim) for series of shape (n_traj, n_steps).
+    """Final amplitudes (n_traj, *amps0.shape) for series of shape (n_traj, n_steps).
 
     Per step i the block Hamiltonian entries are
         diag(s) = static_diag[s] + trap[i] * nvec[s] + 0.5 * freq[i] * zvec[s]
         <e|H|g> = coup[p] * ampf[i]
-    Every trajectory starts from the flat amplitudes amps0 (dim,).
+    Every trajectory starts from the flat amplitudes amps0, of shape
+    (dim,) or (dim, k) for k initial states at once (the columns); the
+    propagation is linear, so the per-step factors are computed once.
     """
     n_steps = trap.shape[1]
     g, e = pair_g, pair_e
@@ -78,12 +80,17 @@ def _propagate(amps0, pair_g, pair_e, coup, singles, static_diag, nvec, zvec, tr
         + half_freq_sum * 0.5 * (zvec[g] + zvec[e])
     )
     phase = np.exp(-1j * dt * a_sum)
+    d_sum = n_steps * static_diag[singles] + trap_sum * nvec[singles] + half_freq_sum * zvec[singles]
+    single_phase = np.exp(-1j * dt * d_sum)
+    if amps0.ndim == 2:  # columns of initial states share every factor
+        alpha, beta, phase, single_phase = (
+            x[..., None] for x in (alpha, beta, phase, single_phase)
+        )
     pg, pe = amps0[g], amps0[e]
-    out = np.tile(amps0, (trap.shape[0], 1))
+    out = np.repeat(amps0[None], trap.shape[0], axis=0)
     out[:, g] = phase * (alpha * pg - beta.conj() * pe)
     out[:, e] = phase * (beta * pg + alpha.conj() * pe)
-    d_sum = n_steps * static_diag[singles] + trap_sum * nvec[singles] + half_freq_sum * zvec[singles]
-    out[:, singles] *= np.exp(-1j * dt * d_sum)
+    out[:, singles] *= single_phase
     return out
 
 
@@ -91,7 +98,7 @@ def evolve_blocks(
     amps, pair_g, pair_e, coup, singles, static_diag, nvec, zvec,
     trap_series, freq_series, amp_factor, dt,
 ):
-    """Propagate flat amplitudes in place through all time steps."""
+    """Propagate flat amplitudes (dim,) or columns (dim, k) in place through all time steps."""
     series = (trap_series[None], freq_series[None], amp_factor[None])
     amps[:] = _propagate(amps, pair_g, pair_e, coup, singles, static_diag, nvec, zvec, *series, dt)[0]
     return amps

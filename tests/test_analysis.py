@@ -5,6 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tweezersim.analysis import (
+    DetectionResult,
+    _double_gaussian,
+    _double_gaussian_jac,
+    _gaussian,
+    _gaussian_jac,
     agresti_coull_stderr,
     aggregate_signals,
     fit_double_gaussian_with_offset,
@@ -32,6 +37,64 @@ def _noiseless_spectrum(a_blue=0.8, a_red=0.0, center=35e3, width=2e3, offset=0.
         stderr=np.full(f.size, stderr),
         shots=np.zeros(f.size),
     )
+
+
+def _profile_chi2(spec, blue):
+    """Oracle chi2(a1) of the cooling-peak profile with the offset
+    re-minimized in closed form, on the spectrum's own stderr weights."""
+    f = spec.detuning_hz
+    w = 1.0 / spec.stderr**2
+    g = np.exp(-((f + blue.center_hz) ** 2) / (2 * blue.width_hz**2))
+    y = spec.p_exc - blue.height * np.exp(-((f - blue.center_hz) ** 2) / (2 * blue.width_hz**2))
+
+    def chi2(a1):
+        d = np.sum(w * (y - a1 * g)) / np.sum(w)
+        return np.sum(w * (y - a1 * g - d) ** 2)
+
+    return chi2
+
+
+def _assert_jacobian_matches_central_differences(fun, jac, x, rel_step=1e-6):
+    cols = []
+    for i in range(x.size):
+        h = rel_step * max(abs(x[i]), 1.0)
+        up, down = x.copy(), x.copy()
+        up[i] += h
+        down[i] -= h
+        cols.append((fun(*up) - fun(*down)) / (2 * h))
+    fd = np.column_stack(cols)
+    # entries far below their column's scale carry only difference roundoff
+    scale = np.abs(fd).max(axis=0)
+    np.testing.assert_allclose(jac(*x) / scale, fd / scale, rtol=1e-6, atol=1e-8)
+
+
+class TestAnalyticJacobians:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_gaussian_jacobian_matches_central_differences(self, seed):
+        rng = np.random.default_rng(seed)
+        f = np.linspace(28e3, 42e3, 15)
+        x = np.array([rng.uniform(0.1, 2.0), rng.uniform(30e3, 40e3), rng.uniform(1e3, 4e3)])
+        _assert_jacobian_matches_central_differences(
+            lambda *q: _gaussian(f, *q), lambda *q: _gaussian_jac(f, *q), x
+        )
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_double_gaussian_jacobian_matches_central_differences(self, seed):
+        rng = np.random.default_rng(seed)
+        side = np.linspace(28e3, 42e3, 15)
+        f = np.concatenate([-side[::-1], side])
+        x = np.array(
+            [
+                rng.uniform(0.1, 2.0),
+                rng.uniform(0.0, 2.0),
+                rng.uniform(30e3, 40e3),
+                rng.uniform(1e3, 4e3),
+                rng.uniform(0.0, 1.0),
+            ]
+        )
+        _assert_jacobian_matches_central_differences(
+            lambda *q: _double_gaussian(f, *q), lambda *q: _double_gaussian_jac(f, *q), x
+        )
 
 
 class TestHeatingFit:
@@ -102,17 +165,7 @@ class TestProfileLikelihood:
         spec = make_gaussian_spectrum(0.05, rng)
         blue = fit_heating_sideband(spec)
         prof = profile_likelihood_cooling_peak(spec, blue)
-
-        f = spec.detuning_hz
-        w = 1.0 / spec.stderr**2
-        g = np.exp(-((f + blue.center_hz) ** 2) / (2 * blue.width_hz**2))
-        y = spec.p_exc - blue.height * np.exp(
-            -((f - blue.center_hz) ** 2) / (2 * blue.width_hz**2)
-        )
-
-        def chi2(a1):
-            d = np.sum(w * (y - a1 * g)) / np.sum(w)
-            return np.sum(w * (y - a1 * g - d) ** 2)
+        chi2 = _profile_chi2(spec, blue)
 
         a_grid = prof.a_red + np.linspace(-1.5, 1.5, 9) * prof.stderr
         a_grid = a_grid[a_grid >= 0]
@@ -123,6 +176,39 @@ class TestProfileLikelihood:
         # same construction the estimator used (measured-weight oracle
         # is a cruder weighting, so only require monotone enclosure)
         assert prof.ci_lo <= prof.a_red <= prof.ci_hi
+
+    def test_endpoints_sit_on_unit_delta_chi2_with_fixed_weights(self):
+        # without shot counts the weights stay fixed, so the oracle profile
+        # is the estimator's own and its Delta-chi2 = 1 level is exact
+        rng = np.random.default_rng(17)
+        kinds = set()
+        for nbar in (0.0, 0.002, 0.05, 0.3) * 3:
+            noisy = make_gaussian_spectrum(nbar, rng)
+            spec = SidebandSpectrum(
+                detuning_hz=noisy.detuning_hz,
+                p_exc=noisy.p_exc,
+                stderr=agresti_coull_stderr(noisy.p_exc, noisy.shots),
+                shots=np.zeros(noisy.p_exc.size),
+            )
+            blue = fit_heating_sideband(spec)
+            prof = profile_likelihood_cooling_peak(spec, blue)
+            chi2 = _profile_chi2(spec, blue)
+            assert prof.chi2_min == pytest.approx(chi2(prof.a_red), rel=1e-12)
+
+            def delta(a1):
+                return chi2(a1) - prof.chi2_min
+
+            if prof.one_sided:
+                assert prof.ci_lo == 0.0
+                assert delta(0.0) <= 1.0
+            else:
+                assert delta(prof.ci_lo) == pytest.approx(1.0, abs=1e-9)
+            if prof.unbounded_above:
+                assert delta(1.0) <= 1.0
+            else:
+                assert delta(prof.ci_hi) == pytest.approx(1.0, abs=1e-9)
+            kinds.add(prof.one_sided)
+        assert kinds == {True, False}
 
     def test_interval_brackets_truth_typically(self):
         rng = np.random.default_rng(11)
@@ -265,6 +351,10 @@ class TestThresholds:
     def test_degenerate_prior_warns(self):
         with pytest.warns(UserWarning):
             optimize_threshold(np.array([1.0]), np.array([0.0]), p1=1.0)
+
+    def test_inconsistent_result_raises_validation_error(self):
+        with pytest.raises(ValidationError, match="P1"):
+            DetectionResult(threshold=0.0, fidelity=0.9, f1=0.8, f0=0.6, p1=0.5)
 
     def test_tie_breaks_toward_lower_threshold(self):
         res = optimize_threshold(np.array([2.0, 3.0]), np.array([0.0, 1.0]), p1=0.5)

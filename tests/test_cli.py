@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from tweezersim import analysis, cli
 from tweezersim.cli import main, read_shots_csv, read_spectrum_csv
 from tweezersim.config import (
     DEFAULT_CONFIG,
@@ -132,6 +133,30 @@ class TestCliRuns:
         assert main(["simulate", "--config", path, "--seed", "99", "--out", str(out)]) == 0
         assert json.loads((out / "report.json").read_text())["seed"] == 99
 
+    @pytest.mark.parametrize(
+        "flags, env, name",
+        [
+            (["--seed", "-3"], {}, "--seed"),
+            ([], {"TWEEZERSIM_SEED": "xyz"}, "TWEEZERSIM_SEED"),
+            ([], {"TWEEZERSIM_SEED": "-1"}, "TWEEZERSIM_SEED"),
+            (["--threads", "0"], {}, "--threads"),
+            (["--threads", "-2"], {}, "--threads"),
+            ([], {"TWEEZERSIM_THREADS": "0"}, "TWEEZERSIM_THREADS"),
+            ([], {"TWEEZERSIM_THREADS": "two"}, "TWEEZERSIM_THREADS"),
+        ],
+    )
+    def test_bad_seed_or_threads_exit_2(self, tmp_path, monkeypatch, capsys, flags, env, name):
+        for var in ("TWEEZERSIM_SEED", "TWEEZERSIM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        path = _write_config(
+            tmp_path, protocol={"kind": "repeated_readout", "shots": 5, "n_cyc": 1}
+        )
+        argv = ["simulate", "--config", path, "--out", str(tmp_path / "o"), *flags]
+        assert main(argv) == 2
+        assert name in capsys.readouterr().err
+
     def test_byte_identical_reruns(self, tmp_path):
         path = _write_config(
             tmp_path, seed=21, protocol={"kind": "repeated_readout", "shots": 40, "n_cyc": 2}
@@ -191,6 +216,34 @@ class TestCliRuns:
         # q = 1/3 for nbar = 0.5
         assert fit["nbar"] == pytest.approx(0.5, abs=0.08)
         assert fit["nonthermal_correction_bound"] > 0
+
+    def test_fit_baseline_fits_once(self, tmp_path, monkeypatch):
+        path = _write_config(tmp_path, seed=8, spectrum={"nbar": 0.5, "shots_per_point": 800})
+        out = tmp_path / "spec"
+        assert main(["spectrum", "--config", path, "--out", str(out)]) == 0
+        spectrum = read_spectrum_csv(str(out / "spectrum.csv"))
+        est = analysis.temperature_from_spectrum(spectrum)
+        calls = []
+        for name in ("fit_heating_sideband", "profile_likelihood_cooling_peak"):
+
+            def counted(*args, fn=getattr(analysis, name), name=name):
+                calls.append(name)
+                return fn(*args)
+
+            monkeypatch.setattr(analysis, name, counted)
+            monkeypatch.setattr(cli, name, counted, raising=False)  # a direct import too
+        fit_cfg = _write_config(
+            tmp_path, name="fitcfg.json", fit={"input_csv": str(out / "spectrum.csv")}
+        )
+        assert main(["fit", "--config", fit_cfg, "--out", str(tmp_path / "fit")]) == 0
+        assert sorted(calls) == ["fit_heating_sideband", "profile_likelihood_cooling_peak"]
+        fit = json.loads((tmp_path / "fit" / "fit.json").read_text())
+        assert fit["blue_fit"]["height"] == est.blue.height
+        assert fit["blue_fit"]["stderr"] == est.blue.stderr.tolist()
+        assert fit["cooling_peak"]["a_red"] == est.profile.a_red
+        assert fit["cooling_peak"]["ci"][0] == est.profile.ci_lo
+        assert fit["nbar"] == est.nbar
+        assert fit["ratio_ci"] == list(est.ratio_ci)
 
     def test_fit_one_sided_interval_on_peakless_spectrum(self, tmp_path):
         path = _write_config(

@@ -18,6 +18,8 @@ from tweezersim.dynamics import (
     sample_noise,
     sideband_rabi,
     spectroscopy_pi_duration,
+    _amp_factor,
+    _run_kernel,
 )
 from tweezersim.errors import (
     StepSizeError,
@@ -249,6 +251,26 @@ class TestEvolve:
         pulse = PulseSpec.bsb_pi(ETA, RABI)
         u = propagator(pulse, TRAP, r, mode="rwa-ladder", n_max=6)
         np.testing.assert_allclose(u.conj().T @ u, np.eye(14), atol=1e-9)
+
+    def test_propagator_matches_per_column_construction(self):
+        # one kernel pass over the identity columns equals evolving each
+        # basis state on its own
+        model = NoiseModel(
+            trap_frequency=QuasiStatic(0.05 * ETA * RABI),
+            laser_frequency=SpectralDensity(np.array([0.0, 5e3]), np.array([2e3, 2e3])),
+        )
+        r = sample_noise(model, T_PI, T_PI / 2001, seed=4)
+        pulse = PulseSpec.bsb_pi(ETA, RABI)
+        series = (r.trap_frequency, r.laser_frequency, _amp_factor(pulse, r), r.dt)
+        for mode in ("rwa-ladder", "two-level"):
+            u = propagator(pulse, TRAP, r, mode=mode, n_max=6)
+            cols = np.column_stack(
+                [
+                    _run_kernel(basis, pulse, TRAP, *series, mode, 6, guards=False)
+                    for basis in np.eye(14, dtype=np.complex128)
+                ]
+            )
+            np.testing.assert_allclose(u, cols, rtol=0, atol=1e-12)
 
     @given(
         st.floats(-2.0, 2.0),
