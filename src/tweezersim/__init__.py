@@ -24,25 +24,26 @@ from .dynamics import (
     SpectralDensity,
     build_hamiltonian,
     evolve,
+    evolve_rows,
     load_psd_csv,
     propagator,
     sample_noise,
     sideband_rabi,
 )
 from .gates import (
-    AtomPair,
     GateErrorSpec,
     ImagingSpec,
-    ShotRecord,
+    PairBatch,
     apply_cz,
-    apply_local_z,
-    apply_rotation,
     calibrate_imaging,
-    image,
+    image_ancilla,
+    local_z,
     pushout,
+    rotate,
 )
 from .protocols import (
     ProtocolConfig,
+    ShotTable,
     SidebandSpectrum,
     calibrate_phase,
     run_algorithmic_cooling,

@@ -20,6 +20,7 @@ import math
 import os
 import sys
 import time
+from collections import Counter
 
 import numpy as np
 
@@ -42,7 +43,9 @@ from .config import (
 )
 from .dynamics import QuasiStatic, sideband_rabi
 from .errors import NumericsError, StepSizeError, TweezersimError, ValidationError
+from .gates import EVENT_KINDS
 from .protocols import (
+    RNG_SCHEME,
     SidebandSpectrum,
     calibrate_phase,
     run_algorithmic_cooling,
@@ -112,7 +115,7 @@ class RunReport:
 
 
 # ---------------------------------------------------------------------------
-# shot records -> CSV
+# shot tables -> CSV
 
 SHOT_HEADER = [
     "scenario",
@@ -127,26 +130,23 @@ SHOT_HEADER = [
 ]
 
 
-def shot_rows(records):
+def shot_rows(table):
     """One row per shot per round; `aux` carries the analyzer phase for
     loss detection and the initial Fock number for cooling."""
-    for rec in records:
-        aux = rec.extra.get("phase", rec.extra.get("n_init", ""))
-        n_rounds = max(len(rec.signals), 1)
-        for rnd in range(n_rounds):
-            signal = rec.signals[rnd] if rnd < len(rec.signals) else float("nan")
-            label = rec.ancilla_labels[rnd] if rnd < len(rec.ancilla_labels) else ""
-            yield (
-                rec.scenario,
-                rec.shot,
-                rnd,
-                signal,
-                label,
-                rec.data_label,
-                rec.data_n,
-                int(rec.data_lost),
-                aux,
-            )
+    aux = [""] * len(table.shot) if table.aux is None else table.aux.tolist()
+    data_n = [None if n < 0 else n for n in table.data_n.tolist()]
+    signals, labels = table.signals.tolist(), table.ancilla_labels.tolist()
+    rows = zip(
+        table.scenario.tolist(), table.shot.tolist(), signals, labels,
+        table.data_label.tolist(), data_n, table.data_lost.tolist(), aux,
+    )
+    for scenario, shot, sig, lab, data_label, n, lost, extra in rows:
+        for rnd, (signal, label) in enumerate(zip(sig, lab)):
+            yield (scenario, shot, rnd, signal, label, data_label, n, int(lost), extra)
+
+
+def _event_counts(events):
+    return {kind: int(events.get(kind, 0)) for kind in EVENT_KINDS}
 
 
 # ---------------------------------------------------------------------------
@@ -160,11 +160,11 @@ def cmd_simulate(config, out_dir, workers, report):
         return cmd_spectrum(config, out_dir, workers, report)
     pconf = build_protocol(config, base_dir, workers)
     if kind == "repeated_readout":
-        records = run_repeated_readout(pconf)
-        results = _readout_summary(records, pconf)
+        table = run_repeated_readout(pconf)
+        results = _readout_summary(table, pconf)
     elif kind == "loss_detection":
-        records, fringe = run_loss_detection(pconf)
-        results = _loss_summary(records, fringe, pconf)
+        table, fringe = run_loss_detection(pconf)
+        results = _loss_summary(table, fringe, pconf)
         fringe_rows = []
         for scenario, (phis, up, err) in fringe.items():
             for k in range(phis.size):
@@ -173,8 +173,7 @@ def cmd_simulate(config, out_dir, workers, report):
         write_csv(fpath, ["scenario", "phase_rad", "p_up", "stderr", "shots"], fringe_rows)
         report.add_output(fpath)
     elif kind == "algorithmic_cooling":
-        records, summary = run_algorithmic_cooling(pconf)
-        results = summary
+        table, results = run_algorithmic_cooling(pconf)
     elif kind == "phase_calibration":
         table = calibrate_phase(pconf)
         rows = []
@@ -191,20 +190,17 @@ def cmd_simulate(config, out_dir, workers, report):
     else:
         raise ValidationError(f"protocol.kind {kind!r} is not runnable here")
     path = os.path.join(out_dir, "shots.csv")
-    write_csv(path, SHOT_HEADER, shot_rows(records))
+    write_csv(path, SHOT_HEADER, shot_rows(table))
     report.add_output(path)
+    results["events"] = _event_counts(table.events)
+    results["rng_scheme"] = RNG_SCHEME
     report.payload["results"] = results
 
 
-def _signal_matrix(records, scenario):
-    sig = [r.signals for r in records if r.scenario == scenario]
-    return np.asarray(sig, dtype=float)
-
-
-def _readout_summary(records, pconf):
+def _readout_summary(table, pconf):
     out = {"protocol": "repeated_readout", "shots": pconf.shots, "n_cyc": pconf.n_cyc}
-    present = _signal_matrix(records, "present")
-    absent = _signal_matrix(records, "absent")
+    present = table.signals[table.scenario == "present"]
+    absent = table.signals[table.scenario == "absent"]
     if present.size and absent.size:
         fids = {}
         for p1 in pconf.p1_priors:
@@ -224,19 +220,15 @@ def _readout_summary(records, pconf):
     return out
 
 
-def _loss_summary(records, fringe, pconf):
+def _loss_summary(table, fringe, pconf):
     out = {"protocol": "loss_detection", "shots": pconf.shots}
-    present = np.array([r.signals[0] for r in records if r.scenario == "present"])
-    absent = np.array([r.signals[0] for r in records if r.scenario == "absent"])
+    is_present = table.scenario == "present"
+    present = table.signals[is_present, 0]
+    absent = table.signals[table.scenario == "absent", 0]
     if present.size and absent.size and np.isfinite(present).all():
         res = optimize_threshold(present, absent, 0.5, n_cyc=1)
         out["detection_fidelity_p1_0.5"] = res.fidelity
-        dark = [
-            r.ancilla_labels[0] != "down"
-            for r in records
-            if r.scenario == "present"
-        ]
-        out["present_dark_fraction"] = float(np.mean(dark))
+        out["present_dark_fraction"] = float(np.mean(table.ancilla_labels[is_present, 0] != "down"))
     out["fringe_offsets"] = {
         scenario: float(vals[1].mean()) for scenario, vals in fringe.items()
     }
@@ -486,12 +478,14 @@ def cmd_detect(config, out_dir, workers, report):
 def cmd_cool(config, out_dir, workers, report):
     base_dir = config.get("_base_dir", ".")
     rows = []
+    events = Counter()
     for nbar in cooling_nbar_list(config):
         cfg_i = json.loads(json.dumps(config))
         cfg_i["protocol"]["kind"] = "algorithmic_cooling"
         cfg_i["protocol"]["data_nbar"] = nbar
         pconf = build_protocol(cfg_i, base_dir, workers)
-        _, summary = run_algorithmic_cooling(pconf)
+        table, summary = run_algorithmic_cooling(pconf)
+        events += table.events
         q = nbar / (nbar + 1.0)
         # one-quantum-removal reference on a ladder deep enough that the
         # truncation cannot shift it: equals 1 - q^2
@@ -528,7 +522,9 @@ def cmd_cool(config, out_dir, workers, report):
         rows,
     )
     report.add_output(path)
-    report.payload["results"] = {"points": len(rows)}
+    report.payload["results"] = {
+        "points": len(rows), "events": _event_counts(events), "rng_scheme": RNG_SCHEME,
+    }
 
 
 COMMANDS = {

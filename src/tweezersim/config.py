@@ -139,15 +139,40 @@ def _merge(defaults, raw):
     return out
 
 
+#: Integer protocol keys and their smallest allowed values.
+_PROTOCOL_INT_MINIMA = {"shots": 1, "n_cyc": 1, "n_max": 2, "steps_per_pulse": 1}
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_protocol(sec: dict):
+    """Type and range of the protocol keys the shot engine sizes its work by."""
+    for key, minimum in _PROTOCOL_INT_MINIMA.items():
+        value = sec[key]
+        if not (_is_number(value) and isinstance(value, int) and value >= minimum):
+            raise ValidationError(f"protocol.{key} must be an integer >= {minimum}, got {value!r}")
+    value = sec["data_nbar"]
+    if not (_is_number(value) and value >= 0):
+        raise ValidationError(f"protocol.data_nbar must be a number >= 0, got {value!r}")
+    value = sec["ancilla_absent_prob"]
+    if not (_is_number(value) and 0 <= value <= 1):
+        raise ValidationError(f"protocol.ancilla_absent_prob must be in [0, 1], got {value!r}")
+
+
 def validate_config(raw: dict) -> dict:
-    """Merge a raw config over the defaults, rejecting unknown keys."""
+    """Merge a raw config over the defaults, rejecting unknown keys and
+    bad protocol sizes."""
     if not isinstance(raw, dict):
         raise ValidationError("config root must be a JSON object")
     schema = copy.deepcopy(DEFAULT_CONFIG)
     for channel in ("trap_frequency", "laser_frequency", "laser_amplitude"):
         schema["noise"][channel] = _NOISE_CHANNEL_SCHEMA
     _check_keys(raw, schema)
-    return _merge(DEFAULT_CONFIG, raw)
+    merged = _merge(DEFAULT_CONFIG, raw)
+    _check_protocol(merged["protocol"])
+    return merged
 
 
 def load_config(path: str) -> dict:

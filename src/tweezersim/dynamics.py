@@ -275,11 +275,11 @@ def _index(level: int, n: int, n_levels_m: int) -> int:
 
 
 def _pair_tables(pulse: PulseSpec, eta: float, n_max: int, mode: str):
-    """Coupled-pair indices, couplings, and the out-of-space edge states."""
+    """Coupled-pair indices, couplings, and the uncoupled single states."""
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
     m = n_max + 1
-    pairs_g, pairs_e, coup, edges = [], [], [], []
+    pairs_g, pairs_e, coup = [], [], []
     if pulse.kind is PulseKind.FREE:
         pass
     elif mode == "two-level":
@@ -298,13 +298,11 @@ def _pair_tables(pulse: PulseSpec, eta: float, n_max: int, mode: str):
             pairs_g.append(_index(0, n, m))
             pairs_e.append(_index(1, n + 1, m))
             coup.append(1j * np.exp(1j * pulse.phase) * sideband_rabi(n, n + 1, eta, pulse.rabi) / 2.0)
-        edges.append(_index(0, n_max, m))  # (down, n_max) would couple out of space
     elif pulse.kind is PulseKind.RED_SIDEBAND:
         for n in range(1, m):
             pairs_g.append(_index(0, n, m))
             pairs_e.append(_index(1, n - 1, m))
             coup.append(1j * np.exp(1j * pulse.phase) * sideband_rabi(n, n - 1, eta, pulse.rabi) / 2.0)
-        edges.append(_index(1, n_max, m))  # (up, n_max) would couple out of space
     paired = set(pairs_g) | set(pairs_e)
     singles = np.array([i for i in range(2 * m) if i not in paired], dtype=np.int64)
     return (
@@ -312,8 +310,16 @@ def _pair_tables(pulse: PulseSpec, eta: float, n_max: int, mode: str):
         np.array(pairs_e, dtype=np.int64),
         np.array(coup, dtype=np.complex128),
         singles,
-        np.array(edges, dtype=np.int64),
     )
+
+
+def _edges(pulse: PulseSpec, n_max: int, mode: str) -> list:
+    """Flat indices of the states the drive would couple past n_max."""
+    if mode == "rwa-ladder" and pulse.kind is PulseKind.BLUE_SIDEBAND:
+        return [_index(0, n_max, n_max + 1)]  # (down, n_max)
+    if mode == "rwa-ladder" and pulse.kind is PulseKind.RED_SIDEBAND:
+        return [_index(1, n_max, n_max + 1)]  # (up, n_max)
+    return []
 
 
 def _static_vectors(pulse: PulseSpec, n_max: int):
@@ -348,7 +354,7 @@ def build_hamiltonian(
     """
     if t < 0 or t > realization.duration * (1 + 1e-12):
         raise ValidationError(f"t = {t} outside [0, {realization.duration}]")
-    pg, pe, coup, _, _ = _pair_tables(pulse, trap.eta, n_max, mode)
+    pg, pe, coup, _ = _pair_tables(pulse, trap.eta, n_max, mode)
     static, nvec, zvec = _static_vectors(pulse, n_max)
     i = min(int(t / realization.dt), realization.n_steps - 1)
     diag = (
@@ -364,30 +370,27 @@ def build_hamiltonian(
     return h
 
 
+def _series(pulse: PulseSpec, r: NoiseRealization):
+    """Kernel series of one realization: trap, frequency, amplitude factor, dt."""
+    return r.trap_frequency, r.laser_frequency, _amp_factor(pulse, r), r.dt
+
+
 def _run_kernel(
     amps0, pulse, trap, trap_series, freq_series, ampf_series, dt, mode, n_max, guards=True
 ):
     """Guarded kernel call: propagate flat amplitudes amps0 through a pulse.
 
-    1-d series (one trajectory) return the final flat amplitudes, or
-    with guards off the final columns when amps0 is (dim, k); 2-d series
-    (n_traj, n_steps) return (n_traj, dim), each row evolved from amps0.
-    Raises StepSizeError when dt * max|H| > 0.1 in any trajectory of
-    more than one step. With guards on, raises TruncationError when
-    amps0 populates a truncation edge the drive couples out of space, or
-    when any trajectory moves more than TRUNCATION_LEAK_TOL into the top
-    Fock level.
+    amps0 has shape (dim,) or (dim, k). 1-d series (one trajectory)
+    return amps0 evolved; 2-d series (n_traj, n_steps) with a flat amps0
+    return (n_traj, dim), each row evolved from amps0. Raises
+    StepSizeError when dt * max|H| > 0.1 in any trajectory of more than
+    one step. With guards on, applies _check_truncation to every
+    trajectory, taking the k columns as one state (the levels of a
+    spectator partner atom).
     """
-    pg, pe, coup, singles, edges = _pair_tables(pulse, trap.eta, n_max, mode)
+    pg, pe, coup, singles = _pair_tables(pulse, trap.eta, n_max, mode)
     static, nvec, zvec = _static_vectors(pulse, n_max)
 
-    if guards and edges.size:
-        edge_pop = float(np.sum(np.abs(amps0[edges]) ** 2))
-        if edge_pop > TRUNCATION_LEAK_TOL:
-            raise TruncationError(
-                f"population {edge_pop:.3e} at the truncation edge would couple "
-                f"past n_max = {n_max}; increase n_max"
-            )
     if trap_series.shape[-1] > 1:
         # piecewise-constant approximation in play: enforce the step bound
         bound = (
@@ -406,15 +409,36 @@ def _run_kernel(
         out = np.empty((trap_series.shape[0], amps0.size), dtype=np.complex128)
         kernels.evolve_blocks_batch(amps0, *args, out)
     if guards:
-        top = [n_max, 2 * n_max + 1]
-        top_before = float(np.sum(np.abs(amps0[top]) ** 2))
-        leak = float(np.max(np.sum(np.abs(out[..., top]) ** 2, axis=-1))) - top_before
-        if leak > TRUNCATION_LEAK_TOL:
-            raise TruncationError(
-                f"pulse moved {leak:.3e} population into the top "
-                f"Fock level n = {n_max}; increase n_max"
-            )
+        before = amps0.reshape(1, amps0.shape[0], -1)
+        _check_truncation(before, out.reshape((-1,) + before.shape[1:]), pulse, n_max, mode)
     return out
+
+
+def _check_truncation(before, after, pulse, n_max, mode):
+    """Truncation guards on rows of states before and after a pulse.
+
+    before and after have shape (rows, dim, k), k columns per row (a
+    partner atom's levels); before may have a single row shared by all.
+    Raises TruncationError when a row populates a truncation edge the
+    drive couples out of space, or when a pulse moves more than
+    TRUNCATION_LEAK_TOL of a row's population into the top Fock level.
+    """
+    def pop(a, idx):
+        return (np.abs(a[:, idx]) ** 2).sum(axis=(1, 2))
+
+    edge_pop = float(np.max(pop(before, _edges(pulse, n_max, mode)), initial=0.0))
+    if edge_pop > TRUNCATION_LEAK_TOL:
+        raise TruncationError(
+            f"population {edge_pop:.3e} at the truncation edge would couple "
+            f"past n_max = {n_max}; increase n_max"
+        )
+    top = [n_max, 2 * n_max + 1]
+    leak = float(np.max(pop(after, top) - pop(before, top)))
+    if leak > TRUNCATION_LEAK_TOL:
+        raise TruncationError(
+            f"pulse moved {leak:.3e} population into the top "
+            f"Fock level n = {n_max}; increase n_max"
+        )
 
 
 def evolve(
@@ -440,9 +464,9 @@ def evolve(
         raise ValidationError(
             f"realization duration {realization.duration} != pulse duration {pulse.duration}"
         )
-    r = realization
-    series = (r.trap_frequency, r.laser_frequency, _amp_factor(pulse, r), r.dt)
-    amps = _run_kernel(state.amps.reshape(-1), pulse, trap, *series, mode, state.n_max)
+    amps = _run_kernel(
+        state.amps.reshape(-1), pulse, trap, *_series(pulse, realization), mode, state.n_max
+    )
     out = HybridAtomState(amps.reshape(2, -1))
     if abs(out.norm_sq() - 1.0) > NORM_TOL:
         raise NumericsError(f"evolution norm drift {out.norm_sq() - 1.0:.3e}")
@@ -458,9 +482,8 @@ def propagator(
 ) -> np.ndarray:
     """Full (2(n_max+1))^2 propagator matrix, for tests and diagnostics."""
     r = realization if realization is not None else NoiseRealization.zeros(pulse.duration)
-    series = (r.trap_frequency, r.laser_frequency, _amp_factor(pulse, r), r.dt)
     identity = np.eye(2 * (n_max + 1), dtype=np.complex128)
-    return _run_kernel(identity, pulse, trap, *series, mode, n_max, guards=False)
+    return _run_kernel(identity, pulse, trap, *_series(pulse, r), mode, n_max, guards=False)
 
 
 def evolve_batch(
@@ -493,6 +516,44 @@ def evolve_batch(
         mode,
         state.n_max,
     )
+
+
+def evolve_rows(
+    amps: np.ndarray,
+    pulse: PulseSpec,
+    trap: TrapSpec,
+    noise: NoiseModel = None,
+    steps: int = DEFAULT_STEPS_PER_PULSE,
+    rng=None,
+    mode: str = "rwa-ladder",
+) -> np.ndarray:
+    """Evolve one state per row, each under its own noise realization.
+
+    amps has shape (rows, 2 * (n_max + 1), k): flat (level, n)
+    amplitudes with k spectator columns (a partner atom's levels) that
+    the pulse does not touch; each row has norm 1. With noise None the
+    pulse is noiseless and every row shares one exact step; otherwise a
+    realization of `steps` steps is drawn from rng for each row, in row
+    order. The step-size, truncation and norm guards apply per row.
+    """
+    n_max = amps.shape[1] // 2 - 1
+    norm_sq = np.sum(np.abs(amps) ** 2, axis=(1, 2))
+    if np.any(np.abs(norm_sq - 1.0) > NORM_TOL):
+        raise ValidationError("every row must have norm 1")
+    if noise is None:
+        out = propagator(pulse, trap, None, mode, n_max) @ amps
+        _check_truncation(amps, out, pulse, n_max, mode)
+    else:
+        dt = pulse.duration / steps
+        out = np.stack([
+            _run_kernel(a, pulse, trap, *_series(pulse, sample_noise(noise, pulse.duration, dt, rng)),
+                        mode, n_max)
+            for a in amps
+        ])
+    drift = float(np.max(np.abs(np.sum(np.abs(out) ** 2, axis=(1, 2)) - 1.0), initial=0.0))
+    if drift > NORM_TOL:
+        raise NumericsError(f"evolution norm drift {drift:.3e}")
+    return out
 
 
 def load_psd_csv(path, convention: str = "frequency") -> SpectralDensity:

@@ -3,10 +3,16 @@
 Gates act on the electronic subspace and are the identity on motion.
 Single-qubit rotations follow R(theta, phi) = exp(-i theta/2 (cos(phi)
 sigma_x + sin(phi) sigma_y)); the CZ applies the phase -1 on the joint
-(up, up) electronic component. Two-atom operations run on an AtomPair
-that stays in product form whenever one partner is in an electronic
-eigenstate and promotes to a joint tensor only when the entangling gate
-genuinely entangles; imaging collapses it back.
+(up, up) electronic component.
+
+Every operation acts on a PairBatch: a chunk of data + ancilla pairs
+held as one complex array psi[shot, data_level, data_n, anc_level] plus
+a loss mask per atom. The ancilla has no motional axis: it is always
+prepared at n = 0 and no operation touches its motion. A gate is one
+masked matrix product over the chunk, and a measurement projects and
+renormalizes. Losing an atom follows one rule: the environment
+projectively measures the lost atom (data: level and n; ancilla:
+level), the partner keeps its conditional state, and the mask flips.
 
 Measurement signals are normal-distributed (bright for a ground-state
 atom, dark for clock-state, lost, or absent atoms); the distributions
@@ -17,15 +23,27 @@ detection fidelity.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .analysis import optimize_threshold_analytic
 from .errors import NumericsError, TruncationError, ValidationError
-from .states import ElectronicLevel, HybridAtomState
 
-_DEFINITE_TOL = 1e-12  # population threshold for treating a state as a Z eigenstate
+_IDENTITY = np.eye(2)
+
+#: Stochastic events counted in PairBatch.events, in report order.
+EVENT_KINDS = (
+    "cz_leakage_data",
+    "cz_leakage_anc",
+    "cz_z_error_data",
+    "cz_z_error_anc",
+    "cz_skipped",
+    "imaging_loss",
+    "unshelved_loss",
+    "heating_jump",
+)
 
 
 @dataclass(frozen=True)
@@ -80,420 +98,311 @@ class ImagingSpec:
 
 
 @dataclass
-class ShotRecord:
-    """Classical outcomes of one Monte Carlo trial."""
+class PairBatch:
+    """A chunk of data + ancilla pairs.
 
-    scenario: str
-    shot: int
-    signals: list = field(default_factory=list)
-    ancilla_labels: list = field(default_factory=list)
-    events: list = field(default_factory=list)
-    data_lost: bool = False
-    data_label: str = None
-    data_n: int = None
-    extra: dict = field(default_factory=dict)
-
-
-def rotation_matrix(theta: float, phi: float) -> np.ndarray:
-    """R(theta, phi) in the (down, up) ordering."""
-    c = np.cos(theta / 2.0)
-    s = np.sin(theta / 2.0)
-    return np.array(
-        [[c, -1j * s * np.exp(1j * phi)], [-1j * s * np.exp(-1j * phi), c]],
-        dtype=np.complex128,
-    )
-
-
-def _z_definite_level(state: HybridAtomState):
-    """The electronic level the state definitely occupies, else None."""
-    if state.lost:
-        return None
-    p_down = state.population(ElectronicLevel.DOWN)
-    if p_down >= 1.0 - _DEFINITE_TOL:
-        return ElectronicLevel.DOWN
-    if p_down <= _DEFINITE_TOL:
-        return ElectronicLevel.UP
-    return None
-
-
-def _collapse_electronic(state: HybridAtomState, level: ElectronicLevel):
-    keep = int(level)
-    p = state.population(level)
-    if p <= 0:
-        raise NumericsError("cannot collapse onto an unoccupied level")
-    amps = np.zeros_like(state.amps)
-    amps[keep] = state.amps[keep] / np.sqrt(p)
-    state.amps = amps
-    return state
-
-
-@dataclass
-class AtomPair:
-    """Data + ancilla pair, product by default, joint when entangled.
-
-    The joint tensor is indexed (data_level, data_n, anc_level, anc_n).
-    Electronic gates and the measurement channels below keep the pair
-    product whenever physics allows, so most protocol shots never build
-    the joint tensor.
+    ``psi`` has shape (shots, 2, n_max + 1, 2), indexed (shot,
+    data_level, data_n, anc_level) with levels ordered (DOWN, UP); each
+    row is normalized. ``data_lost`` and ``anc_lost`` mark lost or
+    absent atoms, whose axes hold a definite basis state that no
+    operation touches. ``rng`` drives every stochastic branch;
+    ``errors`` is None for ideal gates, and ``jitter`` holds each shot's
+    constant rotation jitter.
     """
 
-    data: HybridAtomState
-    anc: HybridAtomState
-    joint: np.ndarray = None
-    events: list = field(default_factory=list)
+    psi: np.ndarray
+    data_lost: np.ndarray
+    anc_lost: np.ndarray
+    rng: np.random.Generator = None
+    errors: GateErrorSpec = None
+    jitter: np.ndarray = None
+    events: Counter = field(default_factory=Counter)
+
+    @classmethod
+    def prepare(cls, data, anc, data_lost=False, anc_lost=False, rng=None, errors=None):
+        """Product pairs from data amplitudes (shots, 2, n_max + 1) and
+        ancilla (down, up) amplitudes, shared (2,) or per shot (shots, 2)."""
+        data = np.asarray(data, dtype=np.complex128)
+        shots = data.shape[0]
+        anc = np.broadcast_to(np.asarray(anc, dtype=np.complex128), (shots, 2))
+        jitter = None
+        if errors is not None and errors.sq_over_rotation_sigma > 0 and not errors.per_gate_jitter:
+            jitter = rng.normal(0.0, errors.sq_over_rotation_sigma, shots)
+        return cls(
+            psi=data[..., None] * anc[:, None, None, :],
+            data_lost=np.array(np.broadcast_to(data_lost, shots)),
+            anc_lost=np.array(np.broadcast_to(anc_lost, shots)),
+            rng=rng,
+            errors=errors,
+            jitter=jitter,
+        )
 
     @property
-    def is_product(self) -> bool:
-        return self.joint is None
+    def size(self) -> int:
+        return self.psi.shape[0]
 
-    def ensure_joint(self):
-        if self.joint is None:
-            if self.data.lost or self.anc.lost:
-                raise ValidationError("cannot entangle a lost atom")
-            self.joint = np.einsum("ln,km->lnkm", self.data.amps, self.anc.amps)
-        return self.joint
+    @property
+    def n_max(self) -> int:
+        return self.psi.shape[2] - 1
 
-    def apply_electronic(self, which: str, mat: np.ndarray):
-        """Apply a 2x2 electronic operator (x identity on motion) to one atom."""
-        if which not in ("data", "anc"):
-            raise ValidationError(f"which must be 'data' or 'anc', got {which!r}")
-        if self.joint is None:
-            state = self.data if which == "data" else self.anc
-            if not state.lost:
-                state.amps = mat @ state.amps
-        elif which == "data":
-            self.joint = np.einsum("al,lnkm->ankm", mat, self.joint)
-        else:
-            self.joint = np.einsum("bk,lnkm->lnbm", mat, self.joint)
-        return self
+    def lost(self, which: str) -> np.ndarray:
+        """The loss mask of one atom ('data' or 'anc'), writable in place."""
+        if which == "data":
+            return self.data_lost
+        if which == "anc":
+            return self.anc_lost
+        raise ValidationError(f"which must be 'data' or 'anc', got {which!r}")
 
-    def apply_data_motional(self, mat4: np.ndarray):
-        """Apply a (level, n) unitary to the data atom (shape (2,M,2,M))."""
-        if self.joint is None:
-            if not self.data.lost:
-                m = self.data.n_max + 1
-                self.data.amps = (
-                    mat4.reshape(2 * m, 2 * m) @ self.data.amps.reshape(-1)
-                ).reshape(2, m)
-        else:
-            self.joint = np.einsum("aoln,lnkm->aokm", mat4, self.joint)
-        return self
-
-    def split_after_anc_collapse(self, level: ElectronicLevel):
-        """Factor the joint tensor after the ancilla collapsed to `level`."""
-        if self.joint is None:
-            _collapse_electronic(self.anc, level)
-            return self
-        t = self.joint[:, :, int(level), :]
-        norm = np.linalg.norm(t)
-        if norm <= 0:
-            raise NumericsError("collapse onto an unoccupied ancilla level")
-        t = t / norm
-        m = t.shape[1]
-        u, s, vh = np.linalg.svd(t.reshape(2 * m, m), full_matrices=False)
-        if s.size > 1 and s[1] > 1e-9:
-            raise NumericsError(
-                "ancilla collapse left residual data-ancilla motional entanglement"
-            )
-        self.data.amps = (u[:, 0] * s[0]).reshape(2, m)
-        anc_amps = np.zeros((2, m), dtype=np.complex128)
-        anc_amps[int(level)] = vh[0]
-        self.anc.amps = anc_amps
-        self.joint = None
-        return self
-
-    def anc_electronic_populations(self) -> np.ndarray:
-        if self.anc.lost:
-            return np.zeros(2)
-        if self.joint is None:
-            return np.sum(np.abs(self.anc.amps) ** 2, axis=1)
-        return np.sum(np.abs(self.joint) ** 2, axis=(0, 1, 3))
-
-    def measure_data(self, rng):
-        """Projective (level, n) measurement of the data atom.
-
-        Collapses the data atom onto the sampled basis state and, for an
-        entangled pair, leaves the ancilla in the conditional state.
-        """
-        if self.data.lost:
-            return None
-        if self.joint is None:
-            return projective_measure(self.data, rng)
-        probs = np.sum(np.abs(self.joint) ** 2, axis=(2, 3))
-        flat = probs.reshape(-1)
-        idx = int(rng.choice(flat.size, p=flat / flat.sum()))
-        level, n = divmod(idx, probs.shape[1])
-        anc_flat = self.joint[level, n]
-        self.anc.amps = anc_flat / np.linalg.norm(anc_flat)
-        amps = np.zeros_like(self.data.amps)
-        amps[level, n] = 1.0
-        self.data.amps = amps
-        self.joint = None
-        return ElectronicLevel(level), int(n)
-
-    def data_electronic_populations(self) -> np.ndarray:
-        if self.data.lost:
-            return np.zeros(2)
-        if self.joint is None:
-            return np.sum(np.abs(self.data.amps) ** 2, axis=1)
-        return np.sum(np.abs(self.joint) ** 2, axis=(1, 2, 3))
+    def populations(self, which: str) -> np.ndarray:
+        """Electronic (down, up) populations of one atom, shape (shots, 2)."""
+        self.lost(which)  # rejects an unknown atom name
+        return np.einsum("blnk->bl" if which == "data" else "blnk->bk", _abs2(self.psi))
 
 
-def projective_measure(state: HybridAtomState, rng):
-    """Sample a (level, n) projective outcome and collapse the state."""
-    if state.lost:
-        return None
-    probs = np.abs(state.amps) ** 2
-    flat = probs.reshape(-1)
-    idx = int(rng.choice(flat.size, p=flat / flat.sum()))
-    level, n = divmod(idx, probs.shape[1])
-    amps = np.zeros_like(state.amps)
-    amps[level, n] = 1.0
-    state.amps = amps
-    return ElectronicLevel(level), int(n)
+def rotation_matrix(theta, phi) -> np.ndarray:
+    """R(theta, phi) in the (down, up) ordering; shape (..., 2, 2) for array arguments."""
+    c = np.cos(np.multiply(theta, 0.5))
+    s = -1j * np.sin(np.multiply(theta, 0.5))
+    e = np.exp(1j * np.asarray(phi, dtype=float))
+    mat = np.empty(np.broadcast_shapes(c.shape, e.shape) + (2, 2), dtype=np.complex128)
+    mat[..., 0, 0] = c
+    mat[..., 0, 1] = s * e
+    mat[..., 1, 0] = s * e.conj()
+    mat[..., 1, 1] = c
+    return mat
+
+
+def level_labels(level, lost) -> np.ndarray:
+    """'down'/'up' per measured level (0/1), 'lost' where the atom was lost."""
+    return np.where(lost, "lost", np.where(level == 0, "down", "up"))
+
+
+def _abs2(a: np.ndarray) -> np.ndarray:
+    return a.real**2 + a.imag**2
+
+
+def _project(batch: PairBatch, rows, outcome, probs, shape):
+    """Collapse the selected rows onto their outcome and renormalize.
+
+    probs (shots, k) holds each row's outcome probabilities and outcome
+    one index into it per row; psi is multiplied by the projector scaled
+    by 1/sqrt(p), reshaped to `shape` to broadcast against psi.
+    """
+    rows = np.flatnonzero(rows)
+    if not rows.size:
+        return
+    p = probs[rows, outcome[rows]]
+    if np.any(p <= 0):
+        raise NumericsError("a measurement emptied the state")
+    scale = np.ones_like(probs)
+    scale[rows] = 0.0
+    scale[rows, outcome[rows]] = 1.0 / np.sqrt(p)
+    batch.psi *= scale.reshape(shape)
+
+
+def _sample(p, rng) -> np.ndarray:
+    """One index per row of the unnormalized probabilities p (rows, k)."""
+    cdf = np.cumsum(p, axis=1)
+    u = rng.random(p.shape[0]) * cdf[:, -1]
+    return np.minimum(np.sum(cdf <= u[:, None], axis=1), p.shape[1] - 1)
 
 
 # ---------------------------------------------------------------------------
 # gate operations
 
 
-def apply_rotation(
-    state: HybridAtomState,
-    phase: float,
-    angle: float,
-    errors: GateErrorSpec = None,
-    rng=None,
-    shot_jitter: float = None,
-):
-    """Electronic rotation R(angle, phase), identity on motion.
+def apply_electronic(batch: PairBatch, which: str, mat) -> PairBatch:
+    """Apply a 2x2 electronic operator, shared (2, 2) or per shot
+    (shots, 2, 2), to one atom of every pair in which it is present."""
+    mat = np.where(batch.lost(which)[:, None, None], _IDENTITY, mat)  # a lost atom is left alone
+    b, m = batch.size, batch.n_max + 1
+    if which == "data":  # psi'[s, l, n, k] = mat[s, l, j] psi[s, j, n, k]
+        batch.psi = (mat @ batch.psi.reshape(b, 2, 2 * m)).reshape(b, 2, m, 2)
+    else:  # psi'[s, l, n, k] = mat[s, k, j] psi[s, l, n, j]
+        batch.psi = (batch.psi.reshape(b, 2 * m, 2) @ mat.transpose(0, 2, 1)).reshape(b, 2, m, 2)
+    return batch
 
-    With an error spec the angle picks up Gaussian jitter: the
-    shot-constant value when provided, or a fresh draw per gate.
+
+def apply_data_unitary(batch: PairBatch, u4: np.ndarray) -> PairBatch:
+    """Apply a (level, n) unitary of shape (2, M, 2, M) to every present data atom."""
+    on = ~batch.data_lost
+    batch.psi[on] = np.einsum("xyln,blnk->bxyk", u4, batch.psi[on])
+    return batch
+
+
+def rotate(batch: PairBatch, which: str, phase, angle) -> PairBatch:
+    """Electronic rotation R(angle, phase) of one atom, identity on motion.
+
+    phase and angle are scalars or one value per shot. With gate errors
+    the angle picks up Gaussian jitter: the shot-constant value, or a
+    fresh draw per gate with per_gate_jitter.
     """
-    if state.lost:
-        return state
-    angle = angle + _rotation_jitter(errors, rng, shot_jitter)
-    state.amps = rotation_matrix(angle, phase) @ state.amps
-    return state
+    errors = batch.errors
+    if errors is not None and errors.sq_over_rotation_sigma > 0:
+        if errors.per_gate_jitter:
+            angle = angle + batch.rng.normal(0.0, errors.sq_over_rotation_sigma, batch.size)
+        else:
+            angle = angle + batch.jitter
+    return apply_electronic(batch, which, rotation_matrix(angle, phase))
 
 
-def _rotation_jitter(errors, rng, shot_jitter):
-    if errors is None or errors.sq_over_rotation_sigma == 0.0:
-        return 0.0
-    if shot_jitter is not None and not errors.per_gate_jitter:
-        return shot_jitter
-    if rng is None:
-        raise ValidationError("rotation jitter needs an rng")
-    return rng.normal(0.0, errors.sq_over_rotation_sigma)
+def local_z(batch: PairBatch, which: str, phi) -> PairBatch:
+    """Multiply one atom's up-level amplitudes by exp(i phi), phi a scalar
+    or one value per shot; exact and error-free."""
+    up = np.where(batch.lost(which), 1.0, np.exp(1j * np.asarray(phi, dtype=float)))
+    if which == "data":
+        batch.psi[:, 1] *= up[:, None, None]
+    else:
+        batch.psi[..., 1] *= up[:, None, None]
+    return batch
 
 
-def pair_rotation(
-    pair: AtomPair,
-    which: str,
-    phase: float,
-    angle: float,
-    errors: GateErrorSpec = None,
-    rng=None,
-    shot_jitter: float = None,
-):
-    angle = angle + _rotation_jitter(errors, rng, shot_jitter)
-    if pair.joint is None:
-        target = pair.data if which == "data" else pair.anc
-        if target.lost:
-            return pair
-    return pair.apply_electronic(which, rotation_matrix(angle, phase))
+def apply_cz(batch: PairBatch) -> PairBatch:
+    """CZ on every pair: phase -1 on (up, up), identity on motion.
 
-
-def apply_local_z(state: HybridAtomState, phi: float):
-    """Multiply the up-level amplitudes by exp(i phi); exact and error-free."""
-    if state.lost:
-        return state
-    state.amps[int(ElectronicLevel.UP)] *= np.exp(1j * phi)
-    return state
-
-
-def pair_local_z(pair: AtomPair, which: str, phi: float):
-    mat = np.diag([1.0, np.exp(1j * phi)]).astype(np.complex128)
-    if pair.joint is None:
-        target = pair.data if which == "data" else pair.anc
-        if target.lost:
-            return pair
-    return pair.apply_electronic(which, mat)
-
-
-def apply_cz(pair: AtomPair, errors: GateErrorSpec = None, rng=None) -> AtomPair:
-    """CZ on the pair: phase -1 on (up, up), identity on motion.
-
-    Vacuous (and errorless) when either atom is lost or absent. Error
+    Skipped (and errorless) for a pair missing either atom. Error
     branches follow the ideal gate: a Z on a uniformly chosen atom with
     cz_phase_error_prob, or loss of a uniformly chosen atom (leakage via
     the Rydberg label) with cz_loss_prob.
     """
-    if pair.data.lost or pair.anc.lost:
-        pair.events.append("cz_skipped_lost_atom")
-        return pair
-    _apply_cz_ideal(pair)
+    on = ~(batch.data_lost | batch.anc_lost)
+    batch.events["cz_skipped"] += int(np.count_nonzero(~on))
+    batch.psi[:, 1, :, 1] *= np.where(on, -1.0, 1.0)[:, None]
+    errors = batch.errors
     if errors is None:
-        return pair
-    if rng is None:
-        raise ValidationError("stochastic CZ errors need an rng")
-    u = rng.uniform()
-    victim = "data" if rng.uniform() < 0.5 else "anc"
-    if u < errors.cz_loss_prob:
-        # leakage: population routed through the Rydberg label becomes loss
-        if pair.joint is not None:
-            level = _born_anc_level(pair, rng) if victim == "anc" else None
-            if victim == "anc":
-                pair.split_after_anc_collapse(level)
-            else:
-                _collapse_joint_data_loss(pair, rng)
-        (pair.data if victim == "data" else pair.anc).mark_lost()
-        pair.events.append(f"cz_leakage_loss_{victim}")
-    elif u < errors.cz_loss_prob + errors.cz_phase_error_prob:
-        pair_local_z(pair, victim, np.pi)
-        pair.events.append(f"cz_z_error_{victim}")
-    return pair
-
-
-def _apply_cz_ideal(pair: AtomPair):
-    if pair.joint is not None:
-        pair.joint[1, :, 1, :] *= -1.0
-        return pair
-    data_level = _z_definite_level(pair.data)
-    anc_level = _z_definite_level(pair.anc)
-    if data_level == ElectronicLevel.DOWN or anc_level == ElectronicLevel.DOWN:
-        return pair  # no (up, up) component
-    if data_level == ElectronicLevel.UP:
-        return pair.apply_electronic("anc", np.diag([1.0, -1.0]).astype(np.complex128))
-    if anc_level == ElectronicLevel.UP:
-        return pair.apply_electronic("data", np.diag([1.0, -1.0]).astype(np.complex128))
-    pair.ensure_joint()
-    pair.joint[1, :, 1, :] *= -1.0
-    return pair
-
-
-def _born_anc_level(pair: AtomPair, rng) -> ElectronicLevel:
-    pops = pair.anc_electronic_populations()
-    total = pops.sum()
-    if total <= 0:
-        raise NumericsError("ancilla carries no population")
-    return (
-        ElectronicLevel.DOWN
-        if rng.uniform() < pops[0] / total
-        else ElectronicLevel.UP
-    )
-
-
-def _collapse_joint_data_loss(pair: AtomPair, rng):
-    """Losing the data atom measures nothing on the ancilla's phase; trace
-    it out by projecting the data electronic state first (the environment
-    learns the leaked atom's branch)."""
-    pops = pair.data_electronic_populations()
-    level = ElectronicLevel.DOWN if rng.uniform() < pops[0] / pops.sum() else ElectronicLevel.UP
-    t = pair.joint[int(level), :, :, :]
-    norm = np.linalg.norm(t)
-    t = t / norm
-    m = t.shape[0]
-    u, s, vh = np.linalg.svd(t.reshape(m, 2 * m), full_matrices=False)
-    if s.size > 1 and s[1] > 1e-9:
-        raise NumericsError("data loss left residual motional entanglement")
-    pair.anc.amps = (vh[0] * s[0]).reshape(2, m)
-    data_amps = np.zeros((2, m), dtype=np.complex128)
-    data_amps[int(level)] = u[:, 0]
-    pair.data.amps = data_amps
-    pair.joint = None
+        return batch
+    u = batch.rng.random(batch.size)
+    hit_data = batch.rng.random(batch.size) < 0.5
+    leak = on & (u < errors.cz_loss_prob)
+    z_error = on & ~leak & (u < errors.cz_loss_prob + errors.cz_phase_error_prob)
+    if not (leak.any() or z_error.any()):
+        return batch
+    for which, hit in (("data", hit_data), ("anc", ~hit_data)):
+        local_z(batch, which, np.where(z_error & hit, np.pi, 0.0))
+        lose(batch, which, leak & hit)
+        batch.events[f"cz_z_error_{which}"] += int(np.count_nonzero(z_error & hit))
+        batch.events[f"cz_leakage_{which}"] += int(np.count_nonzero(leak & hit))
+    return batch
 
 
 # ---------------------------------------------------------------------------
-# measurement channels
+# measurement and loss
 
 
-def image(state: HybridAtomState, spec: ImagingSpec, rng):
-    """Fast imaging of one atom: (signal, state).
+def project_level(batch: PairBatch, which: str, rows) -> np.ndarray:
+    """Born-rule measurement of one atom's electronic level in the selected
+    pairs, collapsing onto it with motion untouched.
 
-    Born rule on the electronic populations: a ground-state atom is
-    bright (and survives minus bright_loss_prob), a clock-state atom is
-    dark; lost or absent atoms draw dark signals. Projection collapses
-    the electronic state and leaves motion untouched.
+    Returns the level per shot (0 down, 1 up); unselected shots keep
+    their state and their entry is meaningless.
     """
-    if state.lost:
-        return float(rng.normal(spec.dark_mean, spec.dark_std)), state
-    p_down = state.population(ElectronicLevel.DOWN)
-    if rng.uniform() < p_down:
-        _collapse_electronic(state, ElectronicLevel.DOWN)
-        signal = float(rng.normal(spec.bright_mean, spec.bright_std))
-        if rng.uniform() < spec.bright_loss_prob:
-            state.mark_lost()
+    pops = batch.populations(which)
+    level = (batch.rng.random(batch.size) * pops.sum(axis=1) >= pops[:, 0]).astype(np.intp)
+    shape = (batch.size, 2, 1, 1) if which == "data" else (batch.size, 1, 1, 2)
+    _project(batch, rows, level, pops, shape)
+    return level
+
+
+def measure_data(batch: PairBatch, rows=None):
+    """Projective (level, n) measurement of the data atom in the selected
+    pairs (default: every pair with a data atom).
+
+    The ancilla keeps its conditional state. Returns (level, n) per shot;
+    entries of unselected shots are meaningless.
+    """
+    if rows is None:
+        rows = ~batch.data_lost
+    probs = np.einsum("blnk->bln", _abs2(batch.psi)).reshape(batch.size, -1)
+    index = _sample(probs, batch.rng)
+    _project(batch, rows, index, probs, (batch.size, 2, batch.n_max + 1, 1))
+    level, n = np.divmod(index, batch.n_max + 1)
+    return level, n
+
+
+def lose(batch: PairBatch, which: str, rows) -> PairBatch:
+    """Lose one atom of the selected pairs.
+
+    The environment projectively measures the lost atom (data: level and
+    n; ancilla: level), the partner keeps its conditional state, and the
+    atom's mask flips. Atoms already lost are left alone.
+    """
+    mask = batch.lost(which)
+    rows = rows & ~mask
+    if not rows.any():
+        return batch
+    if which == "data":
+        measure_data(batch, rows)
     else:
-        _collapse_electronic(state, ElectronicLevel.UP)
-        signal = float(rng.normal(spec.dark_mean, spec.dark_std))
-    return signal, state
+        project_level(batch, "anc", rows)
+    mask[rows] = True
+    return batch
 
 
-def image_pair_ancilla(pair: AtomPair, spec: ImagingSpec, rng):
-    """Image the ancilla of a (possibly entangled) pair."""
-    if pair.anc.lost:
-        return float(rng.normal(spec.dark_mean, spec.dark_std)), pair
-    level = _born_anc_level(pair, rng)
-    pair.split_after_anc_collapse(level)
-    if level == ElectronicLevel.DOWN:
-        signal = float(rng.normal(spec.bright_mean, spec.bright_std))
-        if rng.uniform() < spec.bright_loss_prob:
-            pair.anc.mark_lost()
-    else:
-        signal = float(rng.normal(spec.dark_mean, spec.dark_std))
-    return signal, pair
+def _scatter(batch: PairBatch, which: str, loss_prob: float, event: str) -> np.ndarray:
+    """Resonant light on one atom: project its level; ground-state atoms
+    scatter and are lost with loss_prob. Returns the bright mask."""
+    present = ~batch.lost(which)
+    bright = present & (project_level(batch, which, present) == 0)
+    gone = bright & (batch.rng.random(batch.size) < loss_prob)
+    lose(batch, which, gone)
+    batch.events[event] += int(np.count_nonzero(gone))
+    return bright
 
 
-def expose_to_imaging(state: HybridAtomState, spec: ImagingSpec, rng):
-    """Collateral action of the global imaging light on a non-target atom.
+def image_ancilla(batch: PairBatch, spec: ImagingSpec):
+    """Fast imaging of every ancilla: (signals, labels).
+
+    Born rule on the electronic populations: a ground-state ancilla is
+    bright (and survives minus bright_loss_prob), a clock-state ancilla
+    is dark; lost or absent ancillas draw dark signals. Projection
+    collapses the electronic state and leaves the data conditional
+    state. The label is the detected level; an ancilla removed by the
+    imaging light still counts as 'down', and only one lost before
+    imaging is 'lost'.
+    """
+    lost_before = batch.anc_lost.copy()
+    bright = _scatter(batch, "anc", spec.bright_loss_prob, "imaging_loss")
+    z = batch.rng.standard_normal(batch.size)
+    signals = np.where(
+        bright, spec.bright_mean + spec.bright_std * z, spec.dark_mean + spec.dark_std * z
+    )
+    return signals, level_labels(np.where(bright, 0, 1), lost_before)
+
+
+def expose_to_imaging(batch: PairBatch, spec: ImagingSpec) -> PairBatch:
+    """Collateral action of the global imaging light on the data atoms.
 
     Residual ground-state population scatters: it is projected out and
     lost with unshelved_loss_prob; clock-state population is dark and
     survives with its motional coherence intact.
     """
-    if state.lost:
-        return state
-    p_down = state.population(ElectronicLevel.DOWN)
-    if rng.uniform() < p_down:
-        _collapse_electronic(state, ElectronicLevel.DOWN)
-        if rng.uniform() < spec.unshelved_loss_prob:
-            state.mark_lost()
-    else:
-        _collapse_electronic(state, ElectronicLevel.UP)
-    return state
+    _scatter(batch, "data", spec.unshelved_loss_prob, "unshelved_loss")
+    return batch
 
 
-def heating_jump(state: HybridAtomState, rng, probability: float):
-    """Phenomenological per-round heating: one quantum up with the given
-    probability (amplitudes shifted up the ladder)."""
-    if state.lost or probability <= 0.0:
-        return state
-    if rng.uniform() >= probability:
-        return state
-    top = state.population(n=state.n_max)
-    if top > 1e-6:
-        raise TruncationError("heating jump would push population past n_max")
-    state.amps[:, 1:] = state.amps[:, :-1]
-    state.amps[:, 0] = 0.0
-    norm = np.sqrt(state.norm_sq())
-    if norm <= 0:
-        raise NumericsError("heating jump emptied the state")
-    state.amps /= norm
-    return state
-
-
-def pushout(state: HybridAtomState, rng):
+def pushout(batch: PairBatch, which: str = "data") -> PairBatch:
     """Resonant removal of ground-state population: Born-rule branch to
     loss for the ground state, survival collapsed to the clock manifold."""
-    if state.lost:
-        return state
-    p_down = state.population(ElectronicLevel.DOWN)
-    if rng.uniform() < p_down:
-        state.mark_lost()
-    else:
-        _collapse_electronic(state, ElectronicLevel.UP)
-    return state
+    _scatter(batch, which, 1.0, "pushout_loss")
+    return batch
+
+
+def heating_jump(batch: PairBatch, probability: float) -> PairBatch:
+    """Phenomenological per-round heating: each present data atom moves
+    one quantum up with the given probability."""
+    if probability <= 0.0:
+        return batch
+    jump = np.flatnonzero(~batch.data_lost & (batch.rng.random(batch.size) < probability))
+    if not jump.size:
+        return batch
+    top = np.einsum("blk->b", _abs2(batch.psi[jump, :, -1]))
+    if np.max(top) > 1e-6:
+        raise TruncationError("heating jump would push population past n_max")
+    batch.psi[jump, :, 1:] = batch.psi[jump, :, :-1]
+    batch.psi[jump, :, 0] = 0.0
+    batch.psi[jump] /= np.sqrt(1.0 - top)[:, None, None, None]
+    batch.events["heating_jump"] += int(jump.size)
+    return batch
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,13 @@
 
 Three protocols run over the gate layer: repeated ancilla-based
 readout, coherence-preserving loss detection with motional shelving,
-and algorithmic cooling. Per-shot randomness comes from a documented
-counter scheme, rng = PCG64(SeedSequence(master_seed, spawn_key)), where
-the spawn key identifies (scenario index, [phase index,] shot index);
-results are therefore independent of worker count and execution order.
+and algorithmic cooling. Shots run in chunks of CHUNK_SHOTS. A chunk is
+one PairBatch (see gates.py) that every gate, measurement and pulse
+updates at once, and it draws all its randomness from its own stream,
+PCG64(SeedSequence(seed, spawn_key=(scenario index, [phase index,]
+chunk index))). The chunk size is a constant, so results do not depend
+on the worker count or on the order in which the worker threads run
+the chunks.
 
 The ancilla-flip block (a CNOT up to calibrated phases) decomposes as
 local Z on the data, X^(1/2) on the ancilla, CZ, and a second X^(1/2)
@@ -20,8 +23,9 @@ convention of this gate set.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -30,33 +34,33 @@ from .dynamics import (
     NoiseModel,
     PulseKind,
     PulseSpec,
-    evolve,
-    sample_noise,
+    evolve_rows,
     sideband_rabi,
     spectroscopy_pi_duration,
 )
 from .errors import ValidationError
 from .gates import (
-    AtomPair,
     GateErrorSpec,
-    HybridAtomState,
     ImagingSpec,
-    ShotRecord,
+    PairBatch,
     apply_cz,
-    apply_rotation,
+    apply_data_unitary,
     calibrate_imaging,
     expose_to_imaging,
     heating_jump,
-    image_pair_ancilla,
-    pair_local_z,
-    pair_rotation,
+    image_ancilla,
+    level_labels,
+    local_z,
+    measure_data,
+    project_level,
+    rotate,
 )
 from .states import (
     DEFAULT_N_MAX,
     ElectronicLevel,
     ThermalSpec,
     TrapSpec,
-    prepare_state,
+    thermal_distribution,
 )
 
 SCENARIOS = ("present", "absent")
@@ -68,10 +72,24 @@ PROTOCOL_KINDS = (
     "sideband_scan",
 )
 
+#: Shots per chunk. A constant, so that no output depends on the worker
+#: count; one chunk's arrays stay near a megabyte at the default n_max.
+CHUNK_SHOTS = 1024
+RNG_SCHEME = (
+    "PCG64(SeedSequence(seed, spawn_key=(scenario, [phase,] chunk))), "
+    f"one stream per chunk of {CHUNK_SHOTS} shots"
+)
+
 #: Ancilla end states of the cooling circuit (fixed phase convention):
 #: data initially in the motional ground state -> ANC_PLUS, else ANC_MINUS.
 ANC_PLUS = np.array([1.0, 1.0j]) / np.sqrt(2.0)  # (down, up) amplitudes
 ANC_MINUS = np.array([1.0, -1.0j]) / np.sqrt(2.0)
+
+_ELECTRONIC = {
+    "up": np.array([0.0, 1.0]),
+    "down": np.array([1.0, 0.0]),
+    "plus": np.array([1.0, 1.0]) / np.sqrt(2.0),
+}
 
 DEFAULT_TRAP = TrapSpec(
     omega_t=2 * np.pi * 35e3,
@@ -152,103 +170,134 @@ class ProtocolConfig:
             raise ValidationError("workers must be >= 1")
 
 
-@dataclass
-class ShotContext:
-    """Per-shot randomness and the shot-constant rotation jitter."""
 
-    rng: np.random.Generator
-    errors: GateErrorSpec = None
-    rotation_jitter: float = 0.0
+
+@dataclass
+class ShotTable:
+    """Classical outcomes, one row per (scenario, [phase,] shot).
+
+    ``signals`` and ``ancilla_labels`` have one column per imaging round
+    (NaN signals where nothing was imaged); ``data_n`` is -1 where no
+    Fock number was read out. ``aux`` is the analyzer phase (loss
+    detection), the initial Fock number (cooling) or None; ``events``
+    counts the stochastic events by kind (gates.EVENT_KINDS).
+    """
+
+    scenario: np.ndarray
+    shot: np.ndarray
+    signals: np.ndarray
+    ancilla_labels: np.ndarray
+    data_label: np.ndarray
+    data_n: np.ndarray
+    data_lost: np.ndarray
+    aux: np.ndarray = None
+    events: Counter = field(default_factory=Counter)
 
     @classmethod
-    def fresh(cls, rng, errors):
-        jitter = 0.0
-        if errors is not None and errors.sq_over_rotation_sigma > 0 and not errors.per_gate_jitter:
-            jitter = float(rng.normal(0.0, errors.sq_over_rotation_sigma))
-        return cls(rng=rng, errors=errors, rotation_jitter=jitter)
+    def concat(cls, tables) -> "ShotTable":
+        if len(tables) == 1:
+            return tables[0]
+        cols = {
+            f.name: None if tables[0].aux is None and f.name == "aux"
+            else np.concatenate([getattr(t, f.name) for t in tables])
+            for f in fields(cls)
+            if f.name != "events"
+        }
+        return cls(**cols, events=sum((t.events for t in tables), Counter()))
 
 
-def shot_rng(master_seed: int, *spawn_key: int) -> np.random.Generator:
-    """Deterministic per-trial generator from the master seed and indices."""
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=tuple(spawn_key))
-    return np.random.Generator(np.random.PCG64(ss))
+def _run_chunks(config: ProtocolConfig, chunk, *key) -> ShotTable:
+    """chunk(rng, shots) -> ShotTable for every chunk of config.shots shots,
+    each with its own stream keyed by (*key, chunk index), on
+    config.workers threads; the tables are joined in shot order."""
+    n_chunks = -(-config.shots // CHUNK_SHOTS)
+
+    def run(c):
+        ss = np.random.SeedSequence(config.seed, spawn_key=(*key, c))
+        shots = np.arange(c * CHUNK_SHOTS, min((c + 1) * CHUNK_SHOTS, config.shots))
+        return chunk(np.random.Generator(np.random.PCG64(ss)), shots)
+
+    if config.workers <= 1 or n_chunks == 1:
+        return ShotTable.concat([run(c) for c in range(n_chunks)])
+    with ThreadPoolExecutor(max_workers=min(config.workers, n_chunks)) as ex:
+        return ShotTable.concat(list(ex.map(run, range(n_chunks))))
 
 
-def _map_shots(fn, n_shots: int, workers: int):
-    if workers <= 1:
-        return [fn(i) for i in range(n_shots)]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, range(n_shots)))
+def _data_amps(electronic, n, n_max: int) -> np.ndarray:
+    """Data amplitudes (shots, 2, n_max + 1): one electronic state in Fock state n per shot."""
+    amps = np.zeros((n.size, 2, n_max + 1), dtype=np.complex128)
+    amps[np.arange(n.size), :, n] = electronic
+    return amps
 
 
-def _electronic_label(state: HybridAtomState) -> str:
-    if state.lost:
-        return "lost"
-    return "down" if state.population(ElectronicLevel.DOWN) > 0.5 else "up"
-
-
-def _image_and_label(pair: AtomPair, imaging: ImagingSpec, rng):
-    """Image the ancilla and label the detected branch.
-
-    An ancilla removed by the imaging light after scattering still counts
-    as detected in the ground state; only an atom lost before imaging is
-    labeled lost.
-    """
-    lost_before = pair.anc.lost
-    signal, pair = image_pair_ancilla(pair, imaging, rng)
-    if lost_before:
-        label = "lost"
-    elif pair.anc.lost:
-        label = "down"  # bright branch, then removed by the imaging light
-    else:
-        label = _electronic_label(pair.anc)
-    return signal, label, pair
-
-
-def _born_motional_n(state: HybridAtomState, rng) -> int:
-    p = state.motional_distribution()
-    p = p / p.sum()
-    return int(rng.choice(p.size, p=p))
-
-
-def _prepare_data(config: ProtocolConfig, rng) -> HybridAtomState:
-    psi = {
-        "up": np.array([0.0, 1.0]),
-        "down": np.array([1.0, 0.0]),
-        "plus": np.array([1.0, 1.0]) / np.sqrt(2.0),
-    }.get(config.data_psi)
-    if psi is None:
-        raise ValidationError(f"unknown data_psi {config.data_psi!r}")
+def _initial_n(config: ProtocolConfig, rng, size: int) -> np.ndarray:
+    """Fock numbers drawn from the thermal distribution at data_nbar."""
     if config.data_nbar > 0:
-        motional = ThermalSpec(nbar=config.data_nbar, n_max=config.n_max)
-        return prepare_state(psi, motional, n_max=config.n_max, rng=rng)
-    return prepare_state(psi, 0, n_max=config.n_max)
+        p = thermal_distribution(ThermalSpec(nbar=config.data_nbar, n_max=config.n_max))
+        return rng.choice(config.n_max + 1, p=p, size=size)
+    return np.zeros(size, dtype=np.intp)
 
 
-def _fresh_ancilla(config: ProtocolConfig, rng, level=ElectronicLevel.UP) -> HybridAtomState:
-    if config.ancilla_absent_prob > 0 and rng.uniform() < config.ancilla_absent_prob:
-        return HybridAtomState.absent(config.n_max)
-    return prepare_state(level, 0, n_max=config.n_max)
+def _new_pairs(config: ProtocolConfig, rng, shots, present: bool, anc_level) -> PairBatch:
+    """Fresh pairs: the configured data state (an absent data atom sits in
+    (up, 0), masked) and a ground-state-motion ancilla at anc_level that
+    is absent with ancilla_absent_prob."""
+    if present:
+        electronic = _ELECTRONIC.get(config.data_psi)
+        if electronic is None:
+            raise ValidationError(f"unknown data_psi {config.data_psi!r}")
+        data = _data_amps(electronic, _initial_n(config, rng, shots.size), config.n_max)
+    else:
+        data = _data_amps(_ELECTRONIC["up"], np.zeros(shots.size, dtype=np.intp), config.n_max)
+    return PairBatch.prepare(
+        data,
+        np.eye(2)[int(anc_level)],
+        data_lost=not present,
+        anc_lost=rng.random(shots.size) < config.ancilla_absent_prob,
+        rng=rng,
+        errors=config.gate_errors,
+    )
+
+
+def _fresh_ancilla(batch: PairBatch, config: ProtocolConfig, level) -> PairBatch:
+    """Replace every imaged (level-definite) ancilla by a fresh one at level."""
+    data = batch.psi.sum(axis=3)  # one anc level is empty: the data's state
+    batch.psi = data[..., None] * np.eye(2)[int(level)]
+    batch.anc_lost = batch.rng.random(batch.size) < config.ancilla_absent_prob
+    return batch
+
+
+def _evolve_data(batch: PairBatch, pulse: PulseSpec, config: ProtocolConfig) -> PairBatch:
+    """Drive every present data atom through a pulse, each under its own
+    noise realization; the ancilla levels are spectators."""
+    on = ~batch.data_lost
+    if on.any():
+        amps = batch.psi[on].reshape(-1, 2 * (config.n_max + 1), 2)
+        out = evolve_rows(
+            amps, pulse, config.trap, config.noise, config.steps_per_pulse, batch.rng
+        )
+        batch.psi[on] = out.reshape(-1, 2, config.n_max + 1, 2)
+    return batch
 
 
 # ---------------------------------------------------------------------------
 # circuit blocks
 
 
-def cnot_block(pair: AtomPair, ctx: ShotContext, comp_phase: float = np.pi,
-               local_z_phase: float = 0.0, entangle: bool = True) -> AtomPair:
+def cnot_block(batch: PairBatch, comp_phase=np.pi, local_z_phase: float = 0.0,
+               entangle: bool = True) -> PairBatch:
     """Ancilla-flip block: Z_local(data), X^(1/2)(anc), CZ, X^(1/2)(anc, phase).
 
     comp_phase = pi is the calibrated point of this gate set: it flips
     the ancilla when the data atom is present (in the clock state) and
-    returns it unchanged when the data atom is absent.
+    returns it unchanged when the data atom is absent. comp_phase may
+    hold one value per shot.
     """
-    pair_local_z(pair, "data", local_z_phase)
-    pair_rotation(pair, "anc", 0.0, np.pi / 2, ctx.errors, ctx.rng, ctx.rotation_jitter)
+    local_z(batch, "data", local_z_phase)
+    rotate(batch, "anc", 0.0, np.pi / 2)
     if entangle:
-        apply_cz(pair, ctx.errors, ctx.rng)
-    pair_rotation(pair, "anc", comp_phase, np.pi / 2, ctx.errors, ctx.rng, ctx.rotation_jitter)
-    return pair
+        apply_cz(batch)
+    return rotate(batch, "anc", comp_phase, np.pi / 2)
 
 
 def ideal_rsb_map(n_max: int) -> np.ndarray:
@@ -264,26 +313,22 @@ def ideal_rsb_map(n_max: int) -> np.ndarray:
     return u
 
 
-def cooling_circuit(pair: AtomPair, ctx: ShotContext, rsb_map: np.ndarray = None) -> AtomPair:
-    """Six-gate algorithmic-cooling sequence.
+def cooling_gates(batch: PairBatch) -> PairBatch:
+    """The five gates that follow the red-sideband pi pulse on the data in
+    the six-gate algorithmic-cooling sequence.
 
-    RSB pi on the data (selective), X^(1/2) on the ancilla (selective),
-    CZ, global X^(-1/2), CZ, global X^(-1/2). Data and ancilla both start
-    in the ground electronic state; ideally the data ends in the clock
-    state with one motional quantum removed and the ancilla ends in
-    ANC_PLUS/ANC_MINUS according to the data's initial motional state.
+    X^(1/2) on the ancilla (selective), CZ, global X^(-1/2), CZ, global
+    X^(-1/2). Data and ancilla both start in the ground electronic
+    state; ideally the data ends in the clock state with one motional
+    quantum removed and the ancilla ends in ANC_PLUS/ANC_MINUS according
+    to the data's initial motional state.
     """
-    if rsb_map is None:
-        rsb_map = ideal_rsb_map(pair.data.n_max)
-    pair.apply_data_motional(rsb_map)
-    pair_rotation(pair, "anc", 0.0, np.pi / 2, ctx.errors, ctx.rng, ctx.rotation_jitter)
-    apply_cz(pair, ctx.errors, ctx.rng)
-    for which in ("data", "anc"):
-        pair_rotation(pair, which, 0.0, -np.pi / 2, ctx.errors, ctx.rng, ctx.rotation_jitter)
-    apply_cz(pair, ctx.errors, ctx.rng)
-    for which in ("data", "anc"):
-        pair_rotation(pair, which, 0.0, -np.pi / 2, ctx.errors, ctx.rng, ctx.rotation_jitter)
-    return pair
+    rotate(batch, "anc", 0.0, np.pi / 2)
+    for _ in range(2):
+        apply_cz(batch)
+        for which in ("data", "anc"):
+            rotate(batch, which, 0.0, -np.pi / 2)
+    return batch
 
 
 def _shelving_pulse(config: ProtocolConfig) -> PulseSpec:
@@ -303,57 +348,42 @@ def _shelving_pulse(config: ProtocolConfig) -> PulseSpec:
     return PulseSpec(PulseKind.BLUE_SIDEBAND, rabi=config.rabi, duration=duration)
 
 
-def _apply_shelving(state: HybridAtomState, config: ProtocolConfig, rng, invert: bool):
-    pulse = _shelving_pulse(config)
-    if invert:
-        pulse = replace(pulse, phase=pulse.phase + np.pi)
-    realization = None
-    if config.noise is not None:
-        dt = pulse.duration / config.steps_per_pulse
-        realization = sample_noise(config.noise, pulse.duration, dt, rng)
-    return evolve(state, pulse, config.trap, realization)
-
-
 # ---------------------------------------------------------------------------
 # protocol runners
 
 
-def run_repeated_readout(config: ProtocolConfig) -> list:
+def run_repeated_readout(config: ProtocolConfig) -> ShotTable:
     """Repeated ancilla-based presence readout.
 
     Per shot and scenario: the data atom (clock state if present) is kept
     while a fresh clock-state ancilla is brought in each round, flipped
     conditionally by the CNOT block, and imaged. Signals are recorded per
-    round; the data atom state carries across rounds.
+    round; the data atom state carries across rounds and is read out
+    projectively at the end.
     """
-    records = []
-    for scenario in config.scenarios:
-        s_idx = SCENARIOS.index(scenario)
+    imaging = config.imaging
 
-        def one_shot(i, scenario=scenario, s_idx=s_idx):
-            rng = shot_rng(config.seed, s_idx, i)
-            ctx = ShotContext.fresh(rng, config.gate_errors)
-            if scenario == "present":
-                data = _prepare_data(config, rng)
-            else:
-                data = HybridAtomState.absent(config.n_max)
-            rec = ShotRecord(scenario=scenario, shot=i)
-            for _ in range(config.n_cyc):
-                anc = _fresh_ancilla(config, rng)
-                pair = AtomPair(data=data, anc=anc)
-                cnot_block(pair, ctx, config.comp_phase, config.local_z_phase)
-                signal, label, pair = _image_and_label(pair, config.imaging, rng)
-                heating_jump(data, rng, config.imaging.data_heating_quanta_per_round)
-                rec.signals.append(signal)
-                rec.ancilla_labels.append(label)
-                rec.events.extend(pair.events)
-            rec.data_lost = data.lost
-            rec.data_label = _electronic_label(data)
-            rec.data_n = None if data.lost else _born_motional_n(data, rng)
-            return rec
+    def chunk(rng, shots, scenario):
+        batch = _new_pairs(config, rng, shots, scenario == "present", ElectronicLevel.UP)
+        signals = np.empty((shots.size, config.n_cyc))
+        labels = np.empty((shots.size, config.n_cyc), dtype="<U5")
+        for rnd in range(config.n_cyc):
+            if rnd:
+                _fresh_ancilla(batch, config, ElectronicLevel.UP)
+            cnot_block(batch, config.comp_phase, config.local_z_phase)
+            signals[:, rnd], labels[:, rnd] = image_ancilla(batch, imaging)
+            heating_jump(batch, imaging.data_heating_quanta_per_round)
+        level, n = measure_data(batch)
+        return ShotTable(
+            np.full(shots.size, scenario), shots, signals, labels,
+            level_labels(level, batch.data_lost), np.where(batch.data_lost, -1, n),
+            batch.data_lost, events=batch.events,
+        )
 
-        records.extend(_map_shots(one_shot, config.shots, config.workers))
-    return records
+    return ShotTable.concat([
+        _run_chunks(config, lambda rng, shots, s=s: chunk(rng, shots, s), SCENARIOS.index(s))
+        for s in config.scenarios
+    ])
 
 
 def run_loss_detection(config: ProtocolConfig, analyzer_phases=None, reference: bool = False):
@@ -368,143 +398,109 @@ def run_loss_detection(config: ProtocolConfig, analyzer_phases=None, reference: 
     With reference=True the entangling gate and the imaging exposure are
     skipped (drive blocked), giving the idle-sequence fringe.
 
-    Returns (records, fringe) where fringe maps scenario -> (phases,
+    Returns (table, fringe) where fringe maps scenario -> (phases,
     up-fraction, stderr).
     """
     if analyzer_phases is None:
         analyzer_phases = config.analyzer_phases
     analyzer_phases = np.asarray(analyzer_phases, dtype=float)
-    records = []
+    shelve = _shelving_pulse(config)
+    unshelve = replace(shelve, phase=shelve.phase + np.pi)
+
+    def chunk(rng, shots, scenario, phi):
+        batch = _new_pairs(config, rng, shots, scenario == "present", ElectronicLevel.UP)
+        _evolve_data(batch, shelve, config)
+        cnot_block(batch, config.comp_phase, config.local_z_phase, entangle=not reference)
+        if reference:
+            signals = np.full(shots.size, np.nan)
+            anc_up = batch.populations("anc")[:, 0] <= 0.5
+            labels = level_labels(anc_up.astype(int), batch.anc_lost)
+        else:
+            signals, labels = image_ancilla(batch, config.imaging)
+            expose_to_imaging(batch, config.imaging)
+        _evolve_data(batch, unshelve, config)
+        rotate(batch, "data", phi, np.pi / 2)
+        level = project_level(batch, "data", ~batch.data_lost)
+        return ShotTable(
+            np.full(shots.size, scenario), shots, signals[:, None], labels[:, None],
+            level_labels(level, batch.data_lost), np.full(shots.size, -1),
+            batch.data_lost, np.full(shots.size, phi), batch.events,
+        )
+
+    tables = []
     fringe = {}
     for scenario in config.scenarios:
-        s_idx = SCENARIOS.index(scenario)
         up_fraction = np.zeros(analyzer_phases.size)
         for k, phi in enumerate(analyzer_phases):
-
-            def one_shot(i, scenario=scenario, s_idx=s_idx, k=k, phi=phi):
-                rng = shot_rng(config.seed, s_idx, k, i)
-                ctx = ShotContext.fresh(rng, config.gate_errors)
-                if scenario == "present":
-                    data = _prepare_data(config, rng)
-                    data = _apply_shelving(data, config, rng, invert=False)
-                else:
-                    data = HybridAtomState.absent(config.n_max)
-                anc = _fresh_ancilla(config, rng)
-                pair = AtomPair(data=data, anc=anc)
-                cnot_block(
-                    pair, ctx, config.comp_phase, config.local_z_phase,
-                    entangle=not reference,
-                )
-                rec = ShotRecord(scenario=scenario, shot=i, extra={"phase": float(phi)})
-                data = pair.data
-                if reference:
-                    signal, label = float("nan"), _electronic_label(pair.anc)
-                else:
-                    signal, label, pair = _image_and_label(pair, config.imaging, rng)
-                    data = pair.data
-                    if not data.lost:
-                        expose_to_imaging(data, config.imaging, rng)
-                rec.signals.append(signal)
-                rec.ancilla_labels.append(label)
-                rec.events.extend(pair.events)
-                if not data.lost:
-                    data = _apply_shelving(data, config, rng, invert=True)
-                    apply_rotation(data, phi, np.pi / 2, ctx.errors, rng, ctx.rotation_jitter)
-                    p_down = data.population(ElectronicLevel.DOWN)
-                    level = (
-                        ElectronicLevel.DOWN if rng.uniform() < p_down else ElectronicLevel.UP
-                    )
-                    rec.data_label = "down" if level == ElectronicLevel.DOWN else "up"
-                else:
-                    rec.data_label = "lost"
-                rec.data_lost = data.lost
-                return rec
-
-            batch = _map_shots(one_shot, config.shots, config.workers)
-            records.extend(batch)
-            up_fraction[k] = np.mean([r.data_label == "up" for r in batch])
+            table = _run_chunks(
+                config, lambda rng, shots, s=scenario, p=phi: chunk(rng, shots, s, p),
+                SCENARIOS.index(scenario), k,
+            )
+            up_fraction[k] = np.mean(table.data_label == "up")
+            tables.append(table)
         stderr = np.sqrt(np.clip(up_fraction * (1 - up_fraction), 1e-12, None) / config.shots)
         fringe[scenario] = (analyzer_phases.copy(), up_fraction, stderr)
-    return records, fringe
+    return ShotTable.concat(tables), fringe
 
 
 def run_algorithmic_cooling(config: ProtocolConfig):
     """One round of algorithmic cooling on a thermal data atom.
 
-    Returns (records, summary); the summary holds the measured
+    Returns (table, summary); the summary holds the measured
     ground-state fraction, the fraction conditioned on the correct
     (clock) electronic state, the wrong-state fraction, and the ideal
-    one-quantum-removal reference for the configured nbar.
+    one-quantum-removal reference for the configured nbar. The table's
+    ancilla label is 'plus'/'minus' by the ancilla's overlap with
+    ANC_PLUS after the data readout.
     """
-    rsb = ideal_rsb_map(config.n_max) if config.ideal_cooling_rsb else None
+    rsb_map = ideal_rsb_map(config.n_max) if config.ideal_cooling_rsb else None
     omega10 = sideband_rabi(1, 0, config.trap.eta, config.rabi)
+    rsb_pulse = PulseSpec(PulseKind.RED_SIDEBAND, rabi=config.rabi, duration=np.pi / omega10)
 
-    def one_shot(i):
-        rng = shot_rng(config.seed, 0, i)
-        ctx = ShotContext.fresh(rng, config.gate_errors)
-        motional = (
-            ThermalSpec(nbar=config.data_nbar, n_max=config.n_max)
-            if config.data_nbar > 0
-            else 0
+    def chunk(rng, shots):
+        n_init = _initial_n(config, rng, shots.size)
+        batch = PairBatch.prepare(
+            _data_amps(_ELECTRONIC["down"], n_init, config.n_max),
+            _ELECTRONIC["down"],
+            anc_lost=rng.random(shots.size) < config.ancilla_absent_prob,
+            rng=rng,
+            errors=config.gate_errors,
         )
-        data = prepare_state(ElectronicLevel.DOWN, motional, n_max=config.n_max, rng=rng)
-        n_init = int(np.argmax(data.motional_distribution()))  # Fock-definite
-        anc = _fresh_ancilla(config, rng, level=ElectronicLevel.DOWN)
-        pair = AtomPair(data=data, anc=anc)
-        if rsb is not None:
-            cooling_circuit(pair, ctx, rsb)
+        if rsb_map is not None:
+            apply_data_unitary(batch, rsb_map)
         else:
-            if not data.lost:
-                pulse = PulseSpec(
-                    PulseKind.RED_SIDEBAND, rabi=config.rabi, duration=np.pi / omega10
-                )
-                realization = None
-                if config.noise is not None:
-                    dt = pulse.duration / config.steps_per_pulse
-                    realization = sample_noise(config.noise, pulse.duration, dt, rng)
-                pair.data.amps = evolve(data, pulse, config.trap, realization).amps
-            cooling_circuit(pair, ctx, np.eye(2 * (config.n_max + 1)).reshape(
-                2, config.n_max + 1, 2, config.n_max + 1
-            ))
-        rec = ShotRecord(scenario="present", shot=i, extra={"n_init": n_init})
-        rec.events.extend(pair.events)
-        outcome = pair.measure_data(rng)
-        data, anc = pair.data, pair.anc
-        rec.data_lost = data.lost
-        if outcome is None:
-            rec.data_label, rec.data_n = "lost", None
-        else:
-            level, n_f = outcome
-            rec.data_label = "down" if level == ElectronicLevel.DOWN else "up"
-            rec.data_n = n_f
-        if not anc.lost:
-            # reduced electronic overlap with the plus-convention state
-            vec = np.conjugate(ANC_PLUS) @ anc.amps
-            overlap_plus = float(np.sum(np.abs(vec) ** 2))
-            rec.ancilla_labels.append("plus" if overlap_plus > 0.5 else "minus")
-            rec.extra["anc_overlap_plus"] = overlap_plus
-        else:
-            rec.ancilla_labels.append("lost")
-        return rec
+            _evolve_data(batch, rsb_pulse, config)
+        cooling_gates(batch)
+        level, n = measure_data(batch)
+        anc = batch.psi.sum(axis=(1, 2))  # the data is in one basis state now
+        plus = np.abs(anc @ np.conjugate(ANC_PLUS)) ** 2 > 0.5
+        anc_labels = np.where(batch.anc_lost, "lost", np.where(plus, "plus", "minus"))
+        return ShotTable(
+            np.full(shots.size, "present"), shots, np.full((shots.size, 1), np.nan),
+            anc_labels[:, None], level_labels(level, batch.data_lost),
+            np.where(batch.data_lost, -1, n), batch.data_lost, n_init, batch.events,
+        )
 
-    records = _map_shots(one_shot, config.shots, config.workers)
-    kept = [r for r in records if not r.data_lost]
-    n_up = [r for r in kept if r.data_label == "up"]
+    table = _run_chunks(config, chunk, 0)
+    kept = ~table.data_lost
+    n_kept = int(np.count_nonzero(kept))
+    up = kept & (table.data_label == "up")
+    ground = table.data_n == 0
     q = config.data_nbar / (config.data_nbar + 1.0)
     summary = {
         "shots": config.shots,
-        "survivors": len(kept),
-        "ground_state_fraction": float(np.mean([r.data_n == 0 for r in kept])) if kept else 0.0,
+        "survivors": n_kept,
+        "ground_state_fraction": float(np.mean(ground[kept])) if n_kept else 0.0,
         "ground_state_fraction_correct_state": (
-            float(np.mean([r.data_n == 0 for r in n_up])) if n_up else 0.0
+            float(np.mean(ground[up])) if up.any() else 0.0
         ),
-        "wrong_state_fraction": float(np.mean([r.data_label == "down" for r in kept]))
-        if kept
+        "wrong_state_fraction": float(np.mean(table.data_label[kept] == "down"))
+        if n_kept
         else 0.0,
         "ideal_ground_state_fraction": 1.0 - q**2,
         "initial_ground_state_fraction": 1.0 - q,
     }
-    return records, summary
+    return table, summary
 
 
 def calibrate_phase(config: ProtocolConfig, phases=None):
@@ -512,33 +508,22 @@ def calibrate_phase(config: ProtocolConfig, phases=None):
 
     Returns a dict with the scanned phases, the ancilla ground-state
     population per scenario, and the largest deviation of the data-atom
-    state across the scan (zero for an ideal local-Z implementation).
+    reduced state across the scan (zero for an ideal local-Z
+    implementation).
     """
     if phases is None:
         phases = config.analyzer_phases
     phases = np.asarray(phases, dtype=float)
+    data = _data_amps(_ELECTRONIC["up"], np.zeros(phases.size, dtype=np.intp), config.n_max)
     p_down = {}
     data_dev = 0.0
     for scenario in config.scenarios:
-        vals = np.zeros(phases.size)
-        ref_amps = None
-        for k, phi in enumerate(phases):
-            if scenario == "present":
-                data = prepare_state(ElectronicLevel.UP, 0, n_max=config.n_max)
-            else:
-                data = HybridAtomState.absent(config.n_max)
-            anc = prepare_state(ElectronicLevel.UP, 0, n_max=config.n_max)
-            pair = AtomPair(data=data, anc=anc)
-            ctx = ShotContext(rng=None, errors=None)
-            cnot_block(pair, ctx, comp_phase=phi, local_z_phase=config.local_z_phase)
-            pops = pair.anc_electronic_populations()
-            vals[k] = pops[0]
-            if scenario == "present":
-                if ref_amps is None:
-                    ref_amps = pair.data.amps.copy()
-                else:
-                    data_dev = max(data_dev, float(np.max(np.abs(pair.data.amps - ref_amps))))
-        p_down[scenario] = vals
+        batch = PairBatch.prepare(data, _ELECTRONIC["up"], data_lost=scenario == "absent")
+        cnot_block(batch, comp_phase=phases, local_z_phase=config.local_z_phase)
+        p_down[scenario] = batch.populations("anc")[:, 0]
+        if scenario == "present":
+            rho = np.einsum("blnk,bmok->blnmo", batch.psi, batch.psi.conj())
+            data_dev = float(np.max(np.abs(rho - rho[0])))
     return {"phases": phases, "p_down": p_down, "data_state_deviation": data_dev}
 
 

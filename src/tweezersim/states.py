@@ -179,9 +179,6 @@ class HybridAtomState:
     def copy(self) -> "HybridAtomState":
         return HybridAtomState(self.amps.copy(), lost=self.lost)
 
-    def mark_lost(self):
-        self.lost = True
-
     @classmethod
     def absent(cls, n_max: int = DEFAULT_N_MAX) -> "HybridAtomState":
         """Placeholder for an empty trap site; behaves like a lost atom."""

@@ -201,9 +201,9 @@ def test_07_repeated_readout_fidelity_growth():
     t0 = time.monotonic()
     shots = 100_000
     cfg = ProtocolConfig(kind="repeated_readout", shots=shots, n_cyc=4, seed=700)
-    records = run_repeated_readout(cfg)
-    present = np.array([r.signals for r in records if r.scenario == "present"])
-    absent = np.array([r.signals for r in records if r.scenario == "absent"])
+    table = run_repeated_readout(cfg)
+    present = table.signals[table.scenario == "present"]
+    absent = table.signals[table.scenario == "absent"]
     res1 = optimize_threshold(
         aggregate_signals(present, 1), aggregate_signals(absent, 1), 0.5, n_cyc=1
     )
@@ -241,15 +241,10 @@ def test_08_loss_detection_histogram_structure():
         data_psi="down",  # full transduction exercised: every atom must shelve
         shelving_transfer_fidelity=0.92,
     )
-    records, _ = run_loss_detection(cfg, analyzer_phases=[0.0])
-    present = [r for r in records if r.scenario == "present"]
-    absent = [r for r in records if r.scenario == "absent"]
-    sub_peak = float(np.mean([r.ancilla_labels[0] != "down" for r in present]))
-    res = optimize_threshold(
-        np.array([r.signals[0] for r in present]),
-        np.array([r.signals[0] for r in absent]),
-        0.5,
-    )
+    table, _ = run_loss_detection(cfg, analyzer_phases=[0.0])
+    present = table.scenario == "present"
+    sub_peak = float(np.mean(table.ancilla_labels[present, 0] != "down"))
+    res = optimize_threshold(table.signals[present, 0], table.signals[~present, 0], 0.5)
     elapsed = time.monotonic() - t0
     ok = 0.06 <= sub_peak <= 0.10 and 0.85 <= res.fidelity <= 0.91
     assert _report(

@@ -157,6 +157,55 @@ class TestCliRuns:
         assert main(argv) == 2
         assert name in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("shots", "abc"),
+            ("n_cyc", 2.5),
+            ("data_nbar", -1),
+            ("ancilla_absent_prob", 1.5),
+            ("steps_per_pulse", 0),
+            ("shots", True),
+            ("n_max", 1),
+        ],
+    )
+    def test_bad_protocol_value_exit_2(self, tmp_path, capsys, key, value):
+        protocol = {"kind": "repeated_readout", "shots": 5, "n_cyc": 1, key: value}
+        path = _write_config(tmp_path, protocol=protocol)
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert f"protocol.{key}" in capsys.readouterr().err
+
+    def test_events_zero_without_gate_errors_or_losses(self, tmp_path):
+        path = _write_config(
+            tmp_path,
+            protocol={"kind": "repeated_readout", "shots": 300, "n_cyc": 3,
+                      "scenarios": ["present"]},
+            gates={"enabled": False},
+            imaging={"bright_loss_prob": 0.0, "data_heating_quanta_per_round": 0.0},
+        )
+        out = tmp_path / "ev0"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 0
+        results = json.loads((out / "report.json").read_text())["results"]
+        assert results["events"] == {kind: 0 for kind in results["events"]}
+        assert len(results["events"]) == 8
+        assert "PCG64" in results["rng_scheme"] and "\n" not in results["rng_scheme"]
+
+    def test_events_count_every_leakage(self, tmp_path):
+        shots, n_cyc = 200, 3
+        path = _write_config(
+            tmp_path,
+            protocol={"kind": "repeated_readout", "shots": shots, "n_cyc": n_cyc},
+            gates={"cz_loss_prob": 1.0, "cz_phase_error_prob": 0.0},
+        )
+        out = tmp_path / "ev1"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 0
+        events = json.loads((out / "report.json").read_text())["results"]["events"]
+        leaks = events["cz_leakage_data"] + events["cz_leakage_anc"]
+        # one leakage per applied CZ; the absent scenario skips every CZ
+        assert leaks + events["cz_skipped"] == 2 * shots * n_cyc
+        assert leaks >= shots
+        assert events["cz_z_error_data"] == events["cz_z_error_anc"] == 0
+
     def test_byte_identical_reruns(self, tmp_path):
         path = _write_config(
             tmp_path, seed=21, protocol={"kind": "repeated_readout", "shots": 40, "n_cyc": 2}

@@ -14,6 +14,7 @@ from tweezersim.dynamics import (
     build_hamiltonian,
     evolve,
     evolve_batch,
+    evolve_rows,
     propagator,
     sample_noise,
     sideband_rabi,
@@ -454,3 +455,57 @@ class TestEvolveBatchGuards:
             evolve(state, pulse, TRAP)
         with pytest.raises(TruncationError, match="top Fock level"):
             self._batch(state, pulse, np.zeros((3, 100)))
+
+
+class TestEvolveRows:
+    """evolve_rows: one state per row, each row guarded on its own."""
+
+    N_MAX = 4
+
+    def _rows(self, *states):
+        # (rows, dim, 2): each data state beside a spectator ancilla level
+        rows = np.zeros((len(states), 2 * (self.N_MAX + 1), 2), dtype=complex)
+        for k, (state, anc) in enumerate(states):
+            rows[k, :, anc] = state.amps.reshape(-1)
+        return rows
+
+    def test_matches_evolve_per_row(self):
+        pulse = PulseSpec.bsb_pi(ETA, RABI)
+        model = NoiseModel(trap_frequency=QuasiStatic(2 * np.pi * 175.0))
+        states = [prepare_state(np.array([0.6, 0.8j]), n, n_max=self.N_MAX) for n in (0, 1, 2)]
+        rows = self._rows(*zip(states, (0, 1, 0)))
+        out = evolve_rows(rows, pulse, TRAP, model, 200, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        for k, (state, anc) in enumerate(zip(states, (0, 1, 0))):
+            r = sample_noise(model, pulse.duration, pulse.duration / 200, rng)
+            ref = evolve(state, pulse, TRAP, r).amps.reshape(-1)
+            np.testing.assert_allclose(out[k, :, anc], ref, atol=1e-12)
+            assert np.all(out[k, :, 1 - anc] == 0)
+        quiet = evolve_rows(rows, pulse, TRAP)
+        for k, state in enumerate(states):
+            ref = evolve(state, pulse, TRAP).amps.reshape(-1)
+            np.testing.assert_allclose(quiet[k].sum(axis=1), ref, atol=1e-12)
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_truncation_edge_guard_per_row(self, noisy):
+        pulse = PulseSpec.bsb_pi(ETA, RABI)
+        model = NoiseModel(trap_frequency=QuasiStatic(1.0)) if noisy else None
+        ok = prepare_state(ElectronicLevel.DOWN, 0, n_max=self.N_MAX)
+        edge = prepare_state(ElectronicLevel.DOWN, self.N_MAX, n_max=self.N_MAX)
+        evolve_rows(self._rows((ok, 0), (ok, 1)), pulse, TRAP, model, 100, np.random.default_rng(1))
+        with pytest.raises(TruncationError):
+            evolve_rows(self._rows((ok, 0), (edge, 1)), pulse, TRAP, model, 100,
+                        np.random.default_rng(1))
+
+    def test_step_size_guard(self):
+        pulse = PulseSpec.bsb_pi(ETA, RABI)
+        ok = prepare_state(ElectronicLevel.DOWN, 0, n_max=self.N_MAX)
+        with pytest.raises(StepSizeError):
+            evolve_rows(self._rows((ok, 0)), pulse, TRAP, NoiseModel(trap_frequency=QuasiStatic(1.0)),
+                        2, np.random.default_rng(1))
+
+    def test_rejects_unnormalized_row(self):
+        pulse = PulseSpec.bsb_pi(ETA, RABI)
+        rows = self._rows((prepare_state(ElectronicLevel.DOWN, 0, n_max=self.N_MAX), 0))
+        with pytest.raises(ValidationError):
+            evolve_rows(2 * rows, pulse, TRAP)

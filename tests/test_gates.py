@@ -2,242 +2,265 @@ import numpy as np
 import pytest
 
 from tweezersim.analysis import optimize_threshold, optimize_threshold_analytic
-from tweezersim.errors import ValidationError
+from tweezersim.errors import TruncationError, ValidationError
 from tweezersim.gates import (
-    AtomPair,
     GateErrorSpec,
     ImagingSpec,
+    PairBatch,
     apply_cz,
-    apply_local_z,
-    apply_rotation,
     calibrate_imaging,
     expose_to_imaging,
     heating_jump,
-    image,
-    image_pair_ancilla,
-    pair_rotation,
-    projective_measure,
+    image_ancilla,
+    local_z,
+    lose,
+    measure_data,
     pushout,
+    rotate,
     rotation_matrix,
 )
-from tweezersim.states import ElectronicLevel, HybridAtomState, prepare_state
 
 N_MAX = 4
+M = N_MAX + 1
+DOWN = np.array([1.0, 0.0])
+UP = np.array([0.0, 1.0])
+PLUS = np.array([1.0, 1.0]) / np.sqrt(2)
 
 
-def _pair(data_level=ElectronicLevel.UP, anc_level=ElectronicLevel.UP):
-    return AtomPair(
-        data=prepare_state(data_level, 0, n_max=N_MAX),
-        anc=prepare_state(anc_level, 0, n_max=N_MAX),
+def _data(electronic, motional=0, shots=1):
+    """Data amplitudes (shots, 2, M) of one product state (electronic x motional)."""
+    if np.ndim(motional) == 0:
+        motional = np.eye(M)[motional]
+    return np.broadcast_to(np.outer(electronic, motional), (shots, 2, M))
+
+
+def _batch(data=UP, anc=UP, shots=1, data_lost=False, anc_lost=False, motional=0, **kw):
+    return PairBatch.prepare(
+        _data(data, motional, shots), anc, data_lost=data_lost, anc_lost=anc_lost, **kw
     )
 
 
-def _kron_state(pair):
-    """Joint-space vector oracle from a product pair."""
-    return np.kron(pair.data.amps.reshape(-1), pair.anc.amps.reshape(-1))
+def _kron_state(data, anc):
+    """Joint-space vector oracle, index (data_level, data_n, anc_level)."""
+    return np.kron(np.asarray(data).reshape(-1), anc)
 
 
-def _kron_cz(n_max):
-    m = n_max + 1
-    diag = np.ones((2, m, 2, m))
-    diag[1, :, 1, :] = -1.0
+def _kron_cz():
+    diag = np.ones((2, M, 2))
+    diag[1, :, 1] = -1.0
     return np.diag(diag.reshape(-1))
+
+
+def _random_rows(rng, shots):
+    psi = rng.normal(size=(shots, 2, M, 2)) + 1j * rng.normal(size=(shots, 2, M, 2))
+    return psi / np.linalg.norm(psi.reshape(shots, -1), axis=1)[:, None, None, None]
 
 
 class TestRotations:
     def test_pi_flip(self):
-        s = prepare_state(ElectronicLevel.DOWN, 0, n_max=N_MAX)
-        apply_rotation(s, 0.0, np.pi)
-        assert s.population(ElectronicLevel.UP) == pytest.approx(1.0, abs=1e-12)
+        b = _batch(data=DOWN)
+        rotate(b, "data", 0.0, np.pi)
+        assert b.populations("data")[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_half_then_inverse_is_identity(self):
-        s = prepare_state(np.array([0.6, 0.8]), 2, n_max=N_MAX)
-        ref = s.amps.copy()
-        apply_rotation(s, 0.0, np.pi / 2)
-        apply_rotation(s, 0.0, -np.pi / 2)
-        np.testing.assert_allclose(s.amps, ref, atol=1e-12)
+        b = _batch(data=np.array([0.6, 0.8]), motional=2)
+        ref = b.psi.copy()
+        rotate(b, "data", 0.0, np.pi / 2)
+        rotate(b, "data", 0.0, -np.pi / 2)
+        np.testing.assert_allclose(b.psi, ref, atol=1e-12)
 
     def test_unitary_any_axis(self):
         for theta, phi in [(0.3, 0.0), (np.pi / 2, 1.1), (2.2, 4.0)]:
             r = rotation_matrix(theta, phi)
             np.testing.assert_allclose(r @ r.conj().T, np.eye(2), atol=1e-14)
+        thetas, phis = np.array([0.3, 2.2]), np.array([0.0, 4.0])
+        stacked = rotation_matrix(thetas, phis)
+        for k in range(2):
+            np.testing.assert_array_equal(stacked[k], rotation_matrix(thetas[k], phis[k]))
 
     def test_virtual_z_composition_matches_matrix_oracle(self):
         # rotation sandwich with offset phases equals the 2x2 product oracle
         theta, phi1, phi2 = np.pi / 2, 0.4, 1.7
         oracle = rotation_matrix(theta, phi2) @ rotation_matrix(theta, phi1)
-        s = prepare_state(ElectronicLevel.DOWN, 0, n_max=N_MAX)
-        apply_rotation(s, phi1, theta)
-        apply_rotation(s, phi2, theta)
-        np.testing.assert_allclose(s.amps[:, 0], oracle @ np.array([1.0, 0.0]), atol=1e-12)
+        b = _batch(data=DOWN)
+        rotate(b, "data", phi1, theta)
+        rotate(b, "data", phi2, theta)
+        np.testing.assert_allclose(b.psi[0, :, 0, 1], oracle @ DOWN, atol=1e-12)
+
+    def test_per_shot_phases_match_one_shot_at_a_time(self):
+        phases = np.linspace(0.0, 2 * np.pi, 7)
+        b = _batch(anc=PLUS, shots=phases.size)
+        rotate(b, "anc", phases, np.pi / 3)
+        for k, phi in enumerate(phases):
+            one = _batch(anc=PLUS)
+            rotate(one, "anc", phi, np.pi / 3)
+            np.testing.assert_allclose(b.psi[k], one.psi[0], atol=1e-14)
 
     def test_shot_jitter_is_reused(self):
         errors = GateErrorSpec(sq_over_rotation_sigma=0.1)
-        rng = np.random.default_rng(0)
-        s1 = prepare_state(ElectronicLevel.DOWN, 0, n_max=N_MAX)
-        apply_rotation(s1, 0.0, np.pi, errors=errors, rng=rng, shot_jitter=0.05)
-        s2 = prepare_state(ElectronicLevel.DOWN, 0, n_max=N_MAX)
-        apply_rotation(s2, 0.0, np.pi + 0.05)
-        np.testing.assert_allclose(s1.amps, s2.amps, atol=1e-12)
+        b1 = _batch(data=DOWN, shots=3, rng=np.random.default_rng(0), errors=errors)
+        rotate(b1, "data", 0.0, np.pi)
+        rotate(b1, "data", 0.0, np.pi)
+        b2 = _batch(data=DOWN, shots=3)
+        rotate(b2, "data", 0.0, 2 * (np.pi + b1.jitter))
+        np.testing.assert_allclose(b1.psi, b2.psi, atol=1e-12)
+
+    def test_lost_atom_untouched(self):
+        b = _batch(data=DOWN, shots=2, data_lost=np.array([True, False]))
+        rotate(b, "data", 0.0, np.pi)
+        assert b.populations("data")[0, 0] == 1.0
+        assert b.populations("data")[1, 1] == pytest.approx(1.0, abs=1e-12)
+
+    def test_unknown_atom_rejected(self):
+        with pytest.raises(ValidationError):
+            rotate(_batch(), "both", 0.0, np.pi)
 
 
 class TestLocalZ:
     def test_identity_at_zero(self):
-        s = prepare_state(np.array([1, 1]) / np.sqrt(2), 0, n_max=N_MAX)
-        ref = s.amps.copy()
-        apply_local_z(s, 0.0)
-        np.testing.assert_array_equal(s.amps, ref)
+        b = _batch(data=PLUS)
+        ref = b.psi.copy()
+        local_z(b, "data", 0.0)
+        np.testing.assert_array_equal(b.psi, ref)
 
     def test_pi_flips_superposition_sign(self):
-        s = prepare_state(np.array([1, 1]) / np.sqrt(2), 0, n_max=N_MAX)
-        apply_local_z(s, np.pi)
-        assert s.amps[1, 0] == pytest.approx(-1 / np.sqrt(2), abs=1e-12)
-        assert s.amps[0, 0] == pytest.approx(1 / np.sqrt(2), abs=1e-12)
+        b = _batch(data=PLUS, anc=DOWN)
+        local_z(b, "data", np.pi)
+        assert b.psi[0, 1, 0, 0] == pytest.approx(-1 / np.sqrt(2), abs=1e-12)
+        assert b.psi[0, 0, 0, 0] == pytest.approx(1 / np.sqrt(2), abs=1e-12)
 
     def test_phase_additivity(self):
-        s1 = prepare_state(np.array([0.6, 0.8j]), 1, n_max=N_MAX)
-        s2 = s1.copy()
-        apply_local_z(s1, 0.7)
-        apply_local_z(s1, 1.1)
-        apply_local_z(s2, 1.8)
-        np.testing.assert_allclose(s1.amps, s2.amps, atol=1e-12)
+        b1 = _batch(data=np.array([0.6, 0.8j]), anc=PLUS, motional=1)
+        b2 = _batch(data=np.array([0.6, 0.8j]), anc=PLUS, motional=1)
+        for which in ("data", "anc"):
+            local_z(b1, which, 0.7)
+            local_z(b1, which, 1.1)
+            local_z(b2, which, 1.8)
+        np.testing.assert_allclose(b1.psi, b2.psi, atol=1e-12)
 
 
 class TestCZ:
     @pytest.mark.parametrize(
         "levels,sign",
-        [
-            ((ElectronicLevel.DOWN, ElectronicLevel.DOWN), 1),
-            ((ElectronicLevel.DOWN, ElectronicLevel.UP), 1),
-            ((ElectronicLevel.UP, ElectronicLevel.DOWN), 1),
-            ((ElectronicLevel.UP, ElectronicLevel.UP), -1),
-        ],
+        [((DOWN, DOWN), 1), ((DOWN, UP), 1), ((UP, DOWN), 1), ((UP, UP), -1)],
     )
     def test_truth_table(self, levels, sign):
-        pair = _pair(*levels)
-        ref = _kron_state(pair)
-        apply_cz(pair)
-        assert pair.is_product
-        np.testing.assert_allclose(_kron_state(pair), sign * ref, atol=1e-12)
+        b = _batch(*levels)
+        ref = _kron_state(_data(levels[0]), levels[1])
+        apply_cz(b)
+        np.testing.assert_allclose(b.psi[0].reshape(-1), sign * ref, atol=1e-12)
 
     def test_entangling_matches_kron_oracle(self):
-        pair = AtomPair(
-            data=prepare_state(np.array([0.6, 0.8]), 0, n_max=N_MAX),
-            anc=prepare_state(np.array([1, 1j]) / np.sqrt(2), 1, n_max=N_MAX),
-        )
-        oracle = _kron_cz(N_MAX) @ _kron_state(pair)
-        apply_cz(pair)
-        assert not pair.is_product
-        np.testing.assert_allclose(pair.joint.reshape(-1), oracle, atol=1e-12)
+        anc = np.array([1, 1j]) / np.sqrt(2)
+        b = _batch(data=np.array([0.6, 0.8]), anc=anc)
+        oracle = _kron_cz() @ _kron_state(_data(np.array([0.6, 0.8])), anc)
+        apply_cz(b)
+        np.testing.assert_allclose(b.psi[0].reshape(-1), oracle, atol=1e-12)
+
+    def test_entangled_rows_match_kron_oracle(self):
+        # general joint states, one oracle product per row
+        psi = _random_rows(np.random.default_rng(3), 6)
+        b = PairBatch(psi.copy(), np.zeros(6, bool), np.zeros(6, bool))
+        apply_cz(b)
+        for k in range(6):
+            np.testing.assert_allclose(b.psi[k].reshape(-1), _kron_cz() @ psi[k].reshape(-1), atol=1e-12)
 
     def test_certain_loss_parameter(self):
         errors = GateErrorSpec(cz_phase_error_prob=0.0, cz_loss_prob=1.0)
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            pair = _pair()
-            apply_cz(pair, errors, rng)
-            assert pair.data.lost or pair.anc.lost
+        b = _batch(shots=20, rng=np.random.default_rng(5), errors=errors)
+        apply_cz(b)
+        assert np.all(b.data_lost ^ b.anc_lost)
+        assert b.events["cz_leakage_data"] + b.events["cz_leakage_anc"] == 20
 
     def test_vacuous_on_lost_atom(self):
-        pair = AtomPair(
-            data=HybridAtomState.absent(N_MAX),
-            anc=prepare_state(np.array([1, 1]) / np.sqrt(2), 0, n_max=N_MAX),
-        )
-        ref = pair.anc.amps.copy()
-        apply_cz(
-            pair,
-            GateErrorSpec(cz_phase_error_prob=0.0, cz_loss_prob=1.0),
-            np.random.default_rng(0),
-        )
-        np.testing.assert_array_equal(pair.anc.amps, ref)
-        assert "cz_skipped_lost_atom" in pair.events
+        b = _batch(anc=PLUS, data_lost=True, rng=np.random.default_rng(0),
+                   errors=GateErrorSpec(cz_phase_error_prob=0.0, cz_loss_prob=1.0))
+        ref = b.psi.copy()
+        apply_cz(b)
+        np.testing.assert_array_equal(b.psi, ref)
+        assert not b.anc_lost[0]
+        assert b.events["cz_skipped"] == 1
 
     def test_z_error_branch_flags_event(self):
         errors = GateErrorSpec(cz_phase_error_prob=1.0, cz_loss_prob=0.0)
-        pair = _pair()
-        apply_cz(pair, errors, np.random.default_rng(1))
-        assert any(e.startswith("cz_z_error") for e in pair.events)
+        b = _batch(shots=10, rng=np.random.default_rng(1), errors=errors)
+        apply_cz(b)
+        assert b.events["cz_z_error_data"] + b.events["cz_z_error_anc"] == 10
 
 
 class TestCNOTSandwich:
     """CZ sandwiched by compensated pi/2 rotations, against a 4x4 oracle."""
 
-    def _block(self, pair, phi):
-        pair_rotation(pair, "anc", 0.0, np.pi / 2)
-        apply_cz(pair)
-        pair_rotation(pair, "anc", phi, np.pi / 2)
+    def _block(self, b, phi):
+        rotate(b, "anc", 0.0, np.pi / 2)
+        apply_cz(b)
+        rotate(b, "anc", phi, np.pi / 2)
 
     def test_phase_scan_sinusoid(self):
         phis = np.linspace(0, 2 * np.pi, 25)
-        p_present = []
-        p_absent = []
-        for phi in phis:
-            pair = _pair()
-            self._block(pair, phi)
-            p_present.append(pair.anc_electronic_populations()[0])
-            pair = AtomPair(data=HybridAtomState.absent(N_MAX), anc=prepare_state(ElectronicLevel.UP, 0, n_max=N_MAX))
-            self._block(pair, phi)
-            p_absent.append(pair.anc_electronic_populations()[0])
-        np.testing.assert_allclose(p_present, np.sin(phis / 2) ** 2, atol=1e-10)
-        np.testing.assert_allclose(p_absent, np.cos(phis / 2) ** 2, atol=1e-10)
+        present = _batch(shots=phis.size)
+        self._block(present, phis)
+        absent = _batch(shots=phis.size, data_lost=True)
+        self._block(absent, phis)
+        np.testing.assert_allclose(present.populations("anc")[:, 0], np.sin(phis / 2) ** 2, atol=1e-10)
+        np.testing.assert_allclose(absent.populations("anc")[:, 0], np.cos(phis / 2) ** 2, atol=1e-10)
 
     def test_oracle_4x4(self):
         # electronic-subspace matrix product for the data-present block
         phi = 1.3
         r = rotation_matrix(np.pi / 2, 0.0)
         r2 = rotation_matrix(np.pi / 2, phi)
-        cz = np.diag([1.0, 1.0, 1.0, -1.0])  # (dd, da, ud, uu) ordering (data, anc)
+        cz = np.diag([1.0, 1.0, 1.0, -1.0])  # (dd, du, ud, uu) ordering (data, anc)
         block = np.kron(np.eye(2), r2) @ cz @ np.kron(np.eye(2), r)
-        psi0 = np.kron([0, 1], [0, 1])  # both up
-        out = block @ psi0
-        pair = _pair()
-        self._block(pair, phi)
-        got = np.kron(pair.data.amps[:, 0], pair.anc.amps[:, 0])
-        np.testing.assert_allclose(got, out, atol=1e-10)
+        out = block @ np.kron(UP, UP)
+        b = _batch()
+        self._block(b, phi)
+        np.testing.assert_allclose(b.psi[0, :, 0, :].reshape(-1), out, atol=1e-10)
 
     def test_full_cnot_maps_basis_correctly(self):
         # calibrated phase pi: (data up, anc up) -> anc down; absent -> anc up
-        pair = _pair()
-        self._block(pair, np.pi)
-        assert pair.anc_electronic_populations()[0] == pytest.approx(1.0, abs=1e-10)
-        pair = AtomPair(
-            data=HybridAtomState.absent(N_MAX),
-            anc=prepare_state(ElectronicLevel.UP, 0, n_max=N_MAX),
-        )
-        self._block(pair, np.pi)
-        assert pair.anc_electronic_populations()[1] == pytest.approx(1.0, abs=1e-10)
+        b = _batch()
+        self._block(b, np.pi)
+        assert b.populations("anc")[0, 0] == pytest.approx(1.0, abs=1e-10)
+        b = _batch(data_lost=True)
+        self._block(b, np.pi)
+        assert b.populations("anc")[0, 1] == pytest.approx(1.0, abs=1e-10)
 
 
 class TestImaging:
     SPEC = ImagingSpec(bright_mean=4.0, dark_mean=0.0, bright_loss_prob=0.0)
 
     def test_absent_atom_draws_dark(self):
-        rng = np.random.default_rng(2)
-        sig = np.array(
-            [image(HybridAtomState.absent(N_MAX), self.SPEC, rng)[0] for _ in range(4000)]
-        )
+        b = _batch(shots=4000, anc_lost=True, rng=np.random.default_rng(2))
+        sig, labels = image_ancilla(b, self.SPEC)
         assert sig.mean() == pytest.approx(0.0, abs=0.06)
         assert sig.std() == pytest.approx(1.0, rel=0.05)
+        assert set(labels) == {"lost"}
 
     def test_down_atom_survives_bright(self):
-        rng = np.random.default_rng(3)
-        s = prepare_state(ElectronicLevel.DOWN, 0, n_max=N_MAX)
-        sig, s = image(s, self.SPEC, rng)
-        assert not s.lost
-        assert s.population(ElectronicLevel.DOWN) == pytest.approx(1.0)
-        assert sig > 1.0
+        b = _batch(anc=DOWN, rng=np.random.default_rng(3))
+        sig, labels = image_ancilla(b, self.SPEC)
+        assert not b.anc_lost[0]
+        assert b.populations("anc")[0, 0] == pytest.approx(1.0)
+        assert sig[0] > 1.0
+        assert labels[0] == "down"
+
+    def test_bright_loss_still_labels_down(self):
+        spec = ImagingSpec(bright_mean=4.0, bright_loss_prob=1.0)
+        b = _batch(anc=DOWN, shots=5, rng=np.random.default_rng(3))
+        _, labels = image_ancilla(b, spec)
+        assert b.anc_lost.all() and set(labels) == {"down"}
+        assert b.events["imaging_loss"] == 5
 
     def test_projection_collapses_electronic_only(self):
-        rng = np.random.default_rng(4)
-        mot = np.array([1, 1j]) / np.sqrt(2)
-        counts = {"down": 0, "up": 0}
-        for _ in range(2000):
-            s = prepare_state(np.array([0.6, 0.8]), mot, n_max=N_MAX)
-            _, s = image(s, self.SPEC, rng)
-            label = "down" if s.population(ElectronicLevel.DOWN) > 0.5 else "up"
-            counts[label] += 1
-            np.testing.assert_allclose(s.motional_distribution()[:2], [0.5, 0.5], atol=1e-12)
-        assert counts["down"] / 2000 == pytest.approx(0.36, abs=3 * np.sqrt(0.36 * 0.64 / 2000))
+        shots = 2000
+        mot = np.array([1, 1j, 0, 0, 0]) / np.sqrt(2)
+        b = _batch(data=UP, anc=np.array([0.6, 0.8]), motional=mot, shots=shots,
+                   rng=np.random.default_rng(4))
+        _, labels = image_ancilla(b, self.SPEC)
+        np.testing.assert_allclose(np.abs(b.psi.sum(axis=3)[:, 1]), np.abs(mot) * np.ones((shots, 1)), atol=1e-12)
+        down = np.mean(labels == "down")
+        assert down == pytest.approx(0.36, abs=3 * np.sqrt(0.36 * 0.64 / shots))
 
     def test_calibrated_fidelity_roundtrip(self):
         spec = calibrate_imaging(target_fidelity=0.90, p1=0.5, bright_loss_prob=0.0)
@@ -264,66 +287,98 @@ class TestImaging:
         assert res.threshold == pytest.approx(mid, abs=1e-9)
 
     def test_pair_imaging_collapses_entanglement(self):
-        rng = np.random.default_rng(11)
-        pair = AtomPair(
-            data=prepare_state(np.array([0.6, 0.8]), 0, n_max=N_MAX),
-            anc=prepare_state(ElectronicLevel.UP, 0, n_max=N_MAX),
-        )
-        pair_rotation(pair, "anc", 0.0, np.pi / 2)
-        apply_cz(pair)
-        assert not pair.is_product
-        _, pair = image_pair_ancilla(pair, self.SPEC, rng)
-        assert pair.is_product
-        assert pair.data.norm_sq() == pytest.approx(1.0, abs=1e-10)
+        b = _batch(data=np.array([0.6, 0.8]), shots=50, rng=np.random.default_rng(11))
+        rotate(b, "anc", 0.0, np.pi / 2)
+        apply_cz(b)
+        assert np.linalg.matrix_rank(b.psi[0].reshape(2 * M, 2), tol=1e-9) == 2
+        image_ancilla(b, self.SPEC)
+        for row in b.psi:
+            assert np.linalg.matrix_rank(row.reshape(2 * M, 2), tol=1e-9) == 1
+            assert np.linalg.norm(row) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestLossRule:
+    def test_data_loss_keeps_ancilla_conditional_state(self):
+        # data motion entangled with the ancilla: each (level, n) outcome
+        # leaves the ancilla in the matching conditional state
+        rng = np.random.default_rng(21)
+        psi = _random_rows(rng, 1)
+        shots = 20000
+        b = PairBatch(np.repeat(psi, shots, axis=0), np.zeros(shots, bool),
+                      np.zeros(shots, bool), rng=rng)
+        lose(b, "data", np.ones(shots, bool))
+        assert b.data_lost.all() and not b.anc_lost.any()
+        flat = b.psi.reshape(shots, 2 * M, 2)
+        outcome = np.argmax(np.sum(np.abs(flat) ** 2, axis=2), axis=1)
+        for row, k in zip(flat[:50], outcome[:50]):
+            cond = psi[0].reshape(2 * M, 2)[k]
+            assert abs(np.vdot(cond / np.linalg.norm(cond), row[k])) == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(row) == pytest.approx(1.0, abs=1e-12)
+        born = np.sum(np.abs(psi[0].reshape(2 * M, 2)) ** 2, axis=1)
+        freq = np.bincount(outcome, minlength=2 * M) / shots
+        np.testing.assert_allclose(freq, born, atol=4 * np.sqrt(0.25 / shots))
+
+    def test_ancilla_loss_measures_its_level(self):
+        rng = np.random.default_rng(22)
+        psi = _random_rows(rng, 1)
+        b = PairBatch(np.repeat(psi, 8, axis=0), np.zeros(8, bool), np.zeros(8, bool), rng=rng)
+        lose(b, "anc", np.ones(8, bool))
+        pops = b.populations("anc")
+        assert b.anc_lost.all()
+        assert np.all(np.isclose(pops.max(axis=1), 1.0, atol=1e-12))
+        for row, k in zip(b.psi, pops.argmax(axis=1)):
+            cond = psi[0][..., k]
+            assert abs(np.vdot(cond / np.linalg.norm(cond), row[..., k])) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestChannels:
     def test_pushout_removes_down(self):
-        rng = np.random.default_rng(6)
-        s = prepare_state(ElectronicLevel.DOWN, 0, n_max=N_MAX)
-        pushout(s, rng)
-        assert s.lost
+        b = _batch(data=DOWN, rng=np.random.default_rng(6))
+        pushout(b)
+        assert b.data_lost[0]
 
     def test_pushout_keeps_up(self):
-        rng = np.random.default_rng(6)
-        s = prepare_state(ElectronicLevel.UP, 2, n_max=N_MAX)
-        pushout(s, rng)
-        assert not s.lost
-        assert s.population(ElectronicLevel.UP, 2) == pytest.approx(1.0)
+        b = _batch(data=UP, motional=2, rng=np.random.default_rng(6))
+        pushout(b)
+        assert not b.data_lost[0]
+        assert abs(b.psi[0, 1, 2, 1]) == pytest.approx(1.0)
 
     def test_pushout_born_statistics(self):
-        rng = np.random.default_rng(7)
         shots = 100_000
-        survived = 0
-        for _ in range(shots):
-            s = prepare_state(np.array([1, 1]) / np.sqrt(2), 0, n_max=N_MAX)
-            pushout(s, rng)
-            survived += not s.lost
+        b = _batch(data=PLUS, shots=shots, rng=np.random.default_rng(7))
+        pushout(b)
         sigma = np.sqrt(0.25 / shots)
-        assert survived / shots == pytest.approx(0.5, abs=3 * sigma)
+        assert np.mean(~b.data_lost) == pytest.approx(0.5, abs=3 * sigma)
 
     def test_expose_removes_unshelved_population(self):
         spec = ImagingSpec(bright_mean=4.0, unshelved_loss_prob=1.0)
-        rng = np.random.default_rng(9)
-        lost = 0
         shots = 5000
-        for _ in range(shots):
-            s = prepare_state(np.array([np.sqrt(0.2), np.sqrt(0.8)]), 0, n_max=N_MAX)
-            expose_to_imaging(s, spec, rng)
-            lost += s.lost
-        assert lost / shots == pytest.approx(0.2, abs=3 * np.sqrt(0.2 * 0.8 / shots))
+        mot = np.array([1, 0, 1j, 0, 0]) / np.sqrt(2)
+        b = _batch(data=np.array([np.sqrt(0.2), np.sqrt(0.8)]), motional=mot, shots=shots,
+                   rng=np.random.default_rng(9))
+        expose_to_imaging(b, spec)
+        lost = np.mean(b.data_lost)
+        assert lost == pytest.approx(0.2, abs=3 * np.sqrt(0.2 * 0.8 / shots))
+        assert b.events["unshelved_loss"] == np.count_nonzero(b.data_lost)
+        # survivors keep their motional coherence
+        np.testing.assert_allclose(b.psi[~b.data_lost][:, 1, :, 1], np.tile(mot, (shots - b.data_lost.sum(), 1)), atol=1e-12)
 
     def test_heating_jump_shifts_up(self):
-        rng = np.random.default_rng(10)
-        s = prepare_state(ElectronicLevel.UP, 1, n_max=N_MAX)
-        heating_jump(s, rng, probability=1.0)
-        assert s.population(n=2) == pytest.approx(1.0)
+        b = _batch(data=UP, motional=1, rng=np.random.default_rng(10))
+        heating_jump(b, probability=1.0)
+        assert abs(b.psi[0, 1, 2, 1]) == pytest.approx(1.0)
+        assert b.events["heating_jump"] == 1
+
+    def test_heating_jump_guards_truncation(self):
+        b = _batch(data=UP, motional=N_MAX, rng=np.random.default_rng(10))
+        with pytest.raises(TruncationError):
+            heating_jump(b, probability=1.0)
 
     def test_projective_measure_collapses(self):
-        rng = np.random.default_rng(12)
-        s = prepare_state(np.array([1, 1]) / np.sqrt(2), np.array([1, 1]) / np.sqrt(2), n_max=N_MAX)
-        level, n = projective_measure(s, rng)
-        assert s.population(level, n) == pytest.approx(1.0)
+        b = _batch(data=PLUS, motional=np.array([1, 1, 0, 0, 0]) / np.sqrt(2),
+                   rng=np.random.default_rng(12))
+        level, n = measure_data(b)
+        assert abs(b.psi[0, level[0], n[0], 1]) == pytest.approx(1.0)
 
 
 class TestSpecValidation:

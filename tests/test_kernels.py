@@ -70,7 +70,7 @@ def _random_state(rng, dim):
 def _tables(kind, mode, n_max=6):
     """Kernel block tables of a detuned, phase-shifted pulse."""
     pulse = PulseSpec(kind, rabi=RABI, duration=T_PI, detuning=0.3 * ETA * RABI, phase=0.7)
-    pg, pe, coup, singles, _ = _pair_tables(pulse, ETA, n_max, mode)
+    pg, pe, coup, singles = _pair_tables(pulse, ETA, n_max, mode)
     return (pg, pe, coup, singles, *_static_vectors(pulse, n_max))
 
 
@@ -141,7 +141,7 @@ def test_zero_coupling_block_takes_phase_only_branch():
     # still rotates the pair's phase
     rng = np.random.default_rng(8)
     pulse = PulseSpec(PulseKind.CARRIER, rabi=0.0, duration=T_PI)
-    pg, pe, coup, singles, _ = _pair_tables(pulse, ETA, 3, "rwa-ladder")
+    pg, pe, coup, singles = _pair_tables(pulse, ETA, 3, "rwa-ladder")
     assert not np.any(coup)
     tables = (pg, pe, coup, singles, *_static_vectors(pulse, 3))
     amps = _random_state(rng, 8)

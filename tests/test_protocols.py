@@ -4,19 +4,20 @@ from scipy.linalg import expm
 
 from tweezersim.dynamics import sideband_rabi
 from tweezersim.gates import (
-    AtomPair,
     GateErrorSpec,
     ImagingSpec,
+    PairBatch,
+    apply_data_unitary,
     rotation_matrix,
 )
 from tweezersim.protocols import (
     ANC_MINUS,
     ANC_PLUS,
+    CHUNK_SHOTS,
     DEFAULT_TRAP,
     ProtocolConfig,
-    ShotContext,
     calibrate_phase,
-    cooling_circuit,
+    cooling_gates,
     ideal_rsb_map,
     run_algorithmic_cooling,
     run_loss_detection,
@@ -25,10 +26,7 @@ from tweezersim.protocols import (
     simulate_sideband_spectrum,
 )
 from tweezersim.states import (
-    ElectronicLevel,
-    HybridAtomState,
     ThermalSpec,
-    prepare_state,
     remove_one_quantum,
     thermal_distribution,
 )
@@ -55,25 +53,35 @@ def _ideal_config(kind, **kw):
     return ProtocolConfig(**defaults)
 
 
+def _columns(table):
+    """Every column of a shot table, for exact comparisons."""
+    cols = [table.scenario, table.shot, table.signals, table.ancilla_labels,
+            table.data_label, table.data_n, table.data_lost]
+    return cols + ([] if table.aux is None else [table.aux])
+
+
+def _assert_tables_equal(a, b):
+    for x, y in zip(_columns(a), _columns(b)):
+        np.testing.assert_array_equal(x, y)
+    assert a.events == b.events
+
+
 class TestRepeatedReadout:
     def test_ideal_present_bright_absent_dark(self):
         cfg = _ideal_config("repeated_readout", shots=50, n_cyc=3)
-        records = run_repeated_readout(cfg)
-        for rec in records:
-            labels = set(rec.ancilla_labels)
-            if rec.scenario == "present":
-                assert labels == {"down"}
-                assert all(s > 50 for s in rec.signals)
-            else:
-                assert labels == {"up"}
-                assert all(s < 50 for s in rec.signals)
+        table = run_repeated_readout(cfg)
+        present = table.scenario == "present"
+        assert set(table.ancilla_labels[present].ravel()) == {"down"}
+        assert np.all(table.signals[present] > 50)
+        assert set(table.ancilla_labels[~present].ravel()) == {"up"}
+        assert np.all(table.signals[~present] < 50)
 
     def test_aggregated_separation_grows_sqrt_n(self):
         # sum-of-normals oracle on the ideal-gate signal model
         cfg = _ideal_config("repeated_readout", shots=800, n_cyc=4)
-        records = run_repeated_readout(cfg)
-        present = np.array([r.signals for r in records if r.scenario == "present"])
-        absent = np.array([r.signals for r in records if r.scenario == "absent"])
+        table = run_repeated_readout(cfg)
+        present = table.signals[table.scenario == "present"]
+        absent = table.signals[table.scenario == "absent"]
         for n in (1, 4):
             sep = present[:, :n].sum(axis=1).mean() - absent[:, :n].sum(axis=1).mean()
             pooled = np.sqrt(present[:, :n].sum(axis=1).var() + absent[:, :n].sum(axis=1).var())
@@ -83,30 +91,26 @@ class TestRepeatedReadout:
 
     def test_seed_determinism_across_workers(self):
         base = dict(kind="repeated_readout", shots=40, n_cyc=2, seed=7, n_max=N_MAX)
-        runs = []
-        for workers in (1, 4):
-            cfg = ProtocolConfig(workers=workers, **base)
-            recs = run_repeated_readout(cfg)
-            runs.append([(r.scenario, r.shot, tuple(r.signals), r.data_label) for r in recs])
-        assert runs[0] == runs[1]
+        runs = [
+            run_repeated_readout(ProtocolConfig(workers=workers, **base)) for workers in (1, 4)
+        ]
+        _assert_tables_equal(*runs)
 
     def test_data_atom_minimally_perturbed(self):
         cfg = _ideal_config("repeated_readout", shots=30, n_cyc=4)
-        records = run_repeated_readout(cfg)
-        for rec in records:
-            if rec.scenario == "present":
-                assert rec.data_label == "up"
-                assert rec.data_n == 0
+        table = run_repeated_readout(cfg)
+        present = table.scenario == "present"
+        assert set(table.data_label[present]) == {"up"}
+        assert set(table.data_n[present]) == {0}
 
 
 class TestLossDetection:
     def test_ideal_plus_state_full_fidelity(self):
         cfg = _ideal_config("loss_detection", shots=60, data_psi="plus")
-        records, fringe = run_loss_detection(cfg, analyzer_phases=[0.0, np.pi / 2])
-        present = [r for r in records if r.scenario == "present"]
-        assert all(r.ancilla_labels[0] == "down" for r in present)
-        absent = [r for r in records if r.scenario == "absent"]
-        assert all(r.ancilla_labels[0] == "up" for r in absent)
+        table, fringe = run_loss_detection(cfg, analyzer_phases=[0.0, np.pi / 2])
+        present = table.scenario == "present"
+        assert set(table.ancilla_labels[present, 0]) == {"down"}
+        assert set(table.ancilla_labels[~present, 0]) == {"up"}
 
     def test_ideal_fringe_contrast_one(self):
         cfg = _ideal_config("loss_detection", shots=400, data_psi="plus")
@@ -129,14 +133,16 @@ class TestLossDetection:
                 data_heating_quanta_per_round=0.0,
             ),
         )
-        records, _ = run_loss_detection(cfg, analyzer_phases=[0.0])
-        present = [r for r in records if r.scenario == "present"]
-        dark_frac = np.mean([r.ancilla_labels[0] == "up" for r in present])
-        sigma = np.sqrt(0.1 * 0.9 / len(present))
+        table, _ = run_loss_detection(cfg, analyzer_phases=[0.0])
+        present = table.scenario == "present"
+        n_present = np.count_nonzero(present)
+        dark_frac = np.mean(table.ancilla_labels[present, 0] == "up")
+        sigma = np.sqrt(0.1 * 0.9 / n_present)
         assert dark_frac == pytest.approx(0.10, abs=4 * sigma)
         # every shelving failure is removed by the imaging light
-        lost = [r for r in present if r.data_label == "lost"]
-        assert len(lost) == pytest.approx(0.10 * len(present), abs=4 * sigma * len(present))
+        lost = np.count_nonzero(table.data_label[present] == "lost")
+        assert lost == pytest.approx(0.10 * n_present, abs=4 * sigma * n_present)
+        assert table.events["unshelved_loss"] == lost
 
     def test_reference_fringe_has_larger_offset(self):
         kw = dict(
@@ -163,61 +169,52 @@ class TestLossDetection:
 
 
 class TestAlgorithmicCooling:
-    def _ideal_pair(self, n_init):
-        return AtomPair(
-            data=prepare_state(ElectronicLevel.DOWN, n_init, n_max=N_MAX),
-            anc=prepare_state(ElectronicLevel.DOWN, 0, n_max=N_MAX),
-        )
+    def _cooled_pair(self, n_init):
+        # data (down, n_init), ancilla down; the ideal RSB then the five gates
+        data = np.zeros((1, 2, N_MAX + 1))
+        data[0, 0, n_init] = 1.0
+        batch = PairBatch.prepare(data, np.array([1.0, 0.0]))
+        apply_data_unitary(batch, ideal_rsb_map(N_MAX))
+        return cooling_gates(batch)
 
     def test_hot_atom_cooled_one_quantum(self):
-        pair = self._ideal_pair(1)
-        cooling_circuit(pair, ShotContext(rng=None, errors=None))
-        assert pair.is_product
-        assert pair.data.population(ElectronicLevel.UP, 0) == pytest.approx(1.0, abs=1e-10)
-        vec = np.conjugate(ANC_MINUS) @ pair.anc.amps
-        assert np.sum(np.abs(vec) ** 2) == pytest.approx(1.0, abs=1e-10)
+        batch = self._cooled_pair(1)
+        assert abs(batch.psi[0, 1, 0, :] @ ANC_MINUS.conj()) ** 2 == pytest.approx(1.0, abs=1e-10)
 
     def test_cold_atom_untouched(self):
-        pair = self._ideal_pair(0)
-        cooling_circuit(pair, ShotContext(rng=None, errors=None))
-        assert pair.data.population(ElectronicLevel.UP, 0) == pytest.approx(1.0, abs=1e-10)
-        vec = np.conjugate(ANC_PLUS) @ pair.anc.amps
-        assert np.sum(np.abs(vec) ** 2) == pytest.approx(1.0, abs=1e-10)
+        batch = self._cooled_pair(0)
+        assert abs(batch.psi[0, 1, 0, :] @ ANC_PLUS.conj()) ** 2 == pytest.approx(1.0, abs=1e-10)
 
     def test_final_ancilla_states_orthogonal(self):
         assert abs(np.vdot(ANC_PLUS, ANC_MINUS)) < 1e-12
 
     @pytest.mark.parametrize("n_init", [0, 1, 2, 4])
     def test_matches_joint_space_matrix_oracle(self, n_init):
-        # independent oracle: full kron-space matrix product of the circuit
+        # independent oracle: full kron-space matrix product of the circuit,
+        # index (data_level, data_n, anc_level); the ancilla has no motion
         m = N_MAX + 1
         dim = 2 * m
-        r_half = np.kron(rotation_matrix(np.pi / 2, 0.0), np.eye(m))
-        r_minus = np.kron(rotation_matrix(-np.pi / 2, 0.0), np.eye(m))
-        cz = np.ones((2, m, 2, m))
-        cz[1, :, 1, :] = -1.0
+        r_half = rotation_matrix(np.pi / 2, 0.0)
+        r_minus_data = np.kron(rotation_matrix(-np.pi / 2, 0.0), np.eye(m))
+        r_minus_anc = rotation_matrix(-np.pi / 2, 0.0)
+        cz = np.ones((2, m, 2))
+        cz[1, :, 1] = -1.0
         cz = np.diag(cz.reshape(-1))
         rsb = ideal_rsb_map(N_MAX).reshape(dim, dim)
-        ident = np.eye(dim)
         u = (
-            np.kron(r_minus, r_minus)
+            np.kron(r_minus_data, r_minus_anc)
             @ cz
-            @ np.kron(r_minus, r_minus)
+            @ np.kron(r_minus_data, r_minus_anc)
             @ cz
-            @ np.kron(ident, r_half)
-            @ np.kron(rsb, ident)
+            @ np.kron(np.eye(dim), r_half)
+            @ np.kron(rsb, np.eye(2))
         )
-        psi0 = np.zeros(dim * dim, dtype=complex)
         data0 = np.zeros(dim)
         data0[n_init] = 1.0  # (down, n_init)
-        anc0 = np.zeros(dim)
-        anc0[0] = 1.0  # (down, 0)
-        psi0 = np.kron(data0, anc0).astype(complex)
+        psi0 = np.kron(data0, [1.0, 0.0]).astype(complex)  # ancilla down
         oracle = u @ psi0
 
-        pair = self._ideal_pair(n_init)
-        cooling_circuit(pair, ShotContext(rng=None, errors=None))
-        got = np.kron(pair.data.amps.reshape(-1), pair.anc.amps.reshape(-1))
+        got = self._cooled_pair(n_init).psi[0].reshape(-1)
         fidelity = abs(np.vdot(oracle, got)) ** 2
         assert fidelity == pytest.approx(1.0, abs=1e-10)
 
@@ -231,10 +228,9 @@ class TestAlgorithmicCooling:
 
     def test_ancilla_label_correlates_with_initial_motion(self):
         cfg = _ideal_config("algorithmic_cooling", shots=500, data_nbar=1.0)
-        records, _ = run_algorithmic_cooling(cfg)
-        for rec in records:
-            expected = "plus" if rec.extra["n_init"] == 0 else "minus"
-            assert rec.ancilla_labels[0] == expected
+        table, _ = run_algorithmic_cooling(cfg)
+        expected = np.where(table.aux == 0, "plus", "minus")
+        np.testing.assert_array_equal(table.ancilla_labels[:, 0], expected)
 
     def test_monotonicity_on_thermal_inputs(self):
         for nbar in (0.0, 0.1, 0.5, 1.0, 2.0):
@@ -245,12 +241,59 @@ class TestAlgorithmicCooling:
                 assert out[0] > p[0]
 
 
+class TestNonIdealCooling:
+    def test_data_loss_after_entangling_red_sideband(self):
+        # the pulsed red sideband leaves each electronic level at another n,
+        # so the gates entangle data motion with the ancilla; losing the
+        # data atom then must still leave a valid ancilla state
+        cfg = ProtocolConfig(kind="algorithmic_cooling", shots=4000, seed=3,
+                             data_nbar=0.5, ideal_cooling_rsb=False)
+        table, summary = run_algorithmic_cooling(cfg)
+        lost = table.data_lost
+        assert summary["survivors"] == cfg.shots - np.count_nonzero(lost)
+        assert set(table.data_label[lost]) <= {"lost"}
+        assert np.all(table.data_n[lost] == -1) and np.all(table.data_n[~lost] >= 0)
+
+    def test_frequent_leakage(self):
+        cfg = ProtocolConfig(kind="algorithmic_cooling", shots=200, seed=3, data_nbar=0.5,
+                             ideal_cooling_rsb=False,
+                             gate_errors=GateErrorSpec(cz_loss_prob=0.3))
+        table, _ = run_algorithmic_cooling(cfg)
+        leaks = table.events["cz_leakage_data"] + table.events["cz_leakage_anc"]
+        applied = 2 * cfg.shots - table.events["cz_skipped"]
+        assert leaks == pytest.approx(0.3 * applied, abs=4 * np.sqrt(0.21 * applied))
+        assert np.count_nonzero(table.data_lost) == table.events["cz_leakage_data"]
+
+
+class TestChunkDeterminism:
+    """Outputs do not depend on the worker count, over three chunks."""
+
+    @pytest.mark.parametrize(
+        "kind", ["repeated_readout", "loss_detection", "algorithmic_cooling"]
+    )
+    def test_one_and_three_workers_agree(self, kind):
+        shots = 2 * CHUNK_SHOTS + 37
+        base = dict(kind=kind, shots=shots, seed=31, n_max=N_MAX, n_cyc=2,
+                    ancilla_absent_prob=0.1, data_nbar=1.0 if kind == "algorithmic_cooling" else 0.0)
+        runs = []
+        for workers in (1, 3):
+            cfg = ProtocolConfig(workers=workers, **base)
+            if kind == "repeated_readout":
+                runs.append(run_repeated_readout(cfg))
+            elif kind == "loss_detection":
+                runs.append(run_loss_detection(cfg, analyzer_phases=[0.0, 1.0])[0])
+            else:
+                runs.append(run_algorithmic_cooling(cfg)[0])
+        assert len(set(runs[0].shot.tolist())) == shots
+        _assert_tables_equal(*runs)
+
+
 class TestLossDetectionJointOracle:
     def test_unitary_part_matches_kron_oracle(self):
         # shelve -> CNOT block on the joint space, against a direct
         # matrix product with independently built operators
-        from tweezersim.dynamics import PulseKind, PulseSpec, evolve, propagator
-        from tweezersim.gates import apply_cz, pair_rotation
+        from tweezersim.dynamics import PulseKind, PulseSpec, propagator
+        from tweezersim.protocols import _evolve_data, cnot_block
 
         n_max = 4
         m = n_max + 1
@@ -260,30 +303,25 @@ class TestLossDetectionJointOracle:
         pulse = PulseSpec(PulseKind.BLUE_SIDEBAND, rabi=rabi, duration=np.pi / omega01)
         shelve = propagator(pulse, DEFAULT_TRAP, n_max=n_max)
 
-        cz = np.ones((2, m, 2, m))
-        cz[1, :, 1, :] = -1.0
+        cz = np.ones((2, m, 2))
+        cz[1, :, 1] = -1.0
         cz = np.diag(cz.reshape(-1))
-        r1 = np.kron(rotation_matrix(np.pi / 2, 0.0), np.eye(m))
-        r2 = np.kron(rotation_matrix(np.pi / 2, np.pi), np.eye(m))
+        r1 = rotation_matrix(np.pi / 2, 0.0)
+        r2 = rotation_matrix(np.pi / 2, np.pi)
         ident = np.eye(dim)
-        oracle_u = np.kron(ident, r2) @ cz @ np.kron(ident, r1) @ np.kron(shelve, ident)
+        oracle_u = np.kron(ident, r2) @ cz @ np.kron(ident, r1) @ np.kron(shelve, np.eye(2))
 
-        data = prepare_state(np.array([1, 1]) / np.sqrt(2), 0, n_max=n_max)
-        anc = prepare_state(ElectronicLevel.UP, 0, n_max=n_max)
-        psi0 = np.kron(data.amps.reshape(-1), anc.amps.reshape(-1))
-        oracle = oracle_u @ psi0
+        data = np.zeros((1, 2, m), dtype=complex)
+        data[0, :, 0] = np.array([1, 1]) / np.sqrt(2)
+        up = np.array([0.0, 1.0])
+        oracle = oracle_u @ np.kron(data[0].reshape(-1), up)
 
-        data = evolve(data, pulse, DEFAULT_TRAP)
-        pair = AtomPair(data=data, anc=anc)
-        pair_rotation(pair, "anc", 0.0, np.pi / 2)
-        apply_cz(pair)
-        pair_rotation(pair, "anc", np.pi, np.pi / 2)
-        got = (
-            pair.joint.reshape(-1)
-            if not pair.is_product
-            else np.kron(pair.data.amps.reshape(-1), pair.anc.amps.reshape(-1))
-        )
-        fidelity = abs(np.vdot(oracle, got)) ** 2
+        cfg = ProtocolConfig(kind="loss_detection", n_max=n_max, gate_errors=None,
+                             imaging=IDEAL_IMAGING, rabi=rabi)
+        batch = PairBatch.prepare(data, up)
+        _evolve_data(batch, pulse, cfg)
+        cnot_block(batch)
+        fidelity = abs(np.vdot(oracle, batch.psi[0].reshape(-1))) ** 2
         assert fidelity == pytest.approx(1.0, abs=1e-10)
 
 
@@ -292,10 +330,8 @@ class TestCooledSpectrumPipeline:
         # ideal cooling at nbar = 1, then a sampled sideband scan and the
         # double-Gaussian fit recover the one-quantum-removal fraction
         cfg = _ideal_config("algorithmic_cooling", shots=20000, data_nbar=1.0)
-        records, summary = run_algorithmic_cooling(cfg)
-        counts = np.zeros(cfg.n_max + 1)
-        for rec in records:
-            counts[rec.data_n] += 1
+        table, summary = run_algorithmic_cooling(cfg)
+        counts = np.bincount(table.data_n, minlength=cfg.n_max + 1)
         measured_dist = counts / counts.sum()
 
         rng = np.random.default_rng(14)
