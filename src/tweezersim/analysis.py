@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import least_squares
+from scipy.special import ndtr
 from scipy.stats import norm
 
 from .errors import (
@@ -583,8 +584,9 @@ def optimize_threshold_analytic(
     cands = sorted(set(float(r) for r in roots if lo <= r <= hi) | {lo, hi})
 
     def fidelity(x):
-        f1 = 1.0 - norm.cdf(x, bright_mean, bright_std)
-        f0 = norm.cdf(x, dark_mean, dark_std)
+        # ndtr is what norm.cdf evaluates, without its per-call overhead
+        f1 = 1.0 - ndtr((x - bright_mean) / bright_std)
+        f0 = ndtr((x - dark_mean) / dark_std)
         return p1 * f1 + (1 - p1) * f0, f1, f0
 
     best_x, (best_f, best_f1, best_f0) = cands[0], fidelity(cands[0])

@@ -142,28 +142,69 @@ def _merge(defaults, raw):
 #: Integer protocol keys and their smallest allowed values.
 _PROTOCOL_INT_MINIMA = {"shots": 1, "n_cyc": 1, "n_max": 2, "steps_per_pulse": 1}
 
+#: Number keys: dotted key -> (allowed interval, null allowed).
+_NUMBER_KEYS = {
+    "protocol.data_nbar": ("[0, inf)", False),
+    "protocol.ancilla_absent_prob": ("[0, 1]", False),
+    "gates.cz_phase_error_prob": ("[0, 1]", False),
+    "gates.cz_loss_prob": ("[0, 1]", False),
+    "gates.sq_over_rotation_sigma_rad": ("[0, inf)", False),
+    "imaging.target_single_round_fidelity": ("(0.5, 1)", False),
+    "imaging.bright_mean": ("(-inf, inf)", True),
+    "imaging.dark_mean": ("(-inf, inf)", False),
+    "imaging.bright_std": ("(0, inf)", False),
+    "imaging.dark_std": ("(0, inf)", False),
+    "imaging.bright_loss_prob": ("[0, 1]", False),
+    "imaging.unshelved_loss_prob": ("[0, 1]", False),
+    "imaging.data_heating_quanta_per_round": ("[0, 1]", False),
+}
+
+_BOOL_KEYS = ("gates.enabled", "gates.per_gate_jitter")
+
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _check_protocol(sec: dict):
-    """Type and range of the protocol keys the shot engine sizes its work by."""
+def _in_interval(value, interval: str) -> bool:
+    lo, hi = (float(x) for x in interval[1:-1].split(","))
+    above = lo < value if interval[0] == "(" else lo <= value
+    below = value < hi if interval[-1] == ")" else value <= hi
+    return above and below
+
+
+def _check_values(merged: dict):
+    """Type and range of the protocol sizes and of the number and flag keys."""
+    for section in ("protocol", "gates", "imaging"):
+        if not isinstance(merged[section], dict):
+            raise ValidationError(f"{section} must be an object, got {merged[section]!r}")
+    protocol = merged["protocol"]
     for key, minimum in _PROTOCOL_INT_MINIMA.items():
-        value = sec[key]
+        value = protocol[key]
         if not (_is_number(value) and isinstance(value, int) and value >= minimum):
             raise ValidationError(f"protocol.{key} must be an integer >= {minimum}, got {value!r}")
-    value = sec["data_nbar"]
-    if not (_is_number(value) and value >= 0):
-        raise ValidationError(f"protocol.data_nbar must be a number >= 0, got {value!r}")
-    value = sec["ancilla_absent_prob"]
-    if not (_is_number(value) and 0 <= value <= 1):
-        raise ValidationError(f"protocol.ancilla_absent_prob must be in [0, 1], got {value!r}")
+    for dotted, (interval, nullable) in _NUMBER_KEYS.items():
+        section, key = dotted.split(".")
+        value = merged[section][key]
+        if value is None and nullable:
+            continue
+        if not (_is_number(value) and _in_interval(value, interval)):
+            null = " or null" if nullable else ""
+            raise ValidationError(f"{dotted} must be a number in {interval}{null}, got {value!r}")
+    for dotted in _BOOL_KEYS:
+        section, key = dotted.split(".")
+        if not isinstance(merged[section][key], bool):
+            raise ValidationError(f"{dotted} must be true or false, got {merged[section][key]!r}")
+    gates, imaging = merged["gates"], merged["imaging"]
+    if gates["cz_phase_error_prob"] + gates["cz_loss_prob"] > 1:
+        raise ValidationError("gates.cz_phase_error_prob + gates.cz_loss_prob must be <= 1")
+    if imaging["bright_mean"] is not None and imaging["bright_mean"] <= imaging["dark_mean"]:
+        raise ValidationError("imaging.bright_mean must exceed imaging.dark_mean")
 
 
 def validate_config(raw: dict) -> dict:
     """Merge a raw config over the defaults, rejecting unknown keys and
-    bad protocol sizes."""
+    bad protocol sizes, numbers and flags."""
     if not isinstance(raw, dict):
         raise ValidationError("config root must be a JSON object")
     schema = copy.deepcopy(DEFAULT_CONFIG)
@@ -171,7 +212,7 @@ def validate_config(raw: dict) -> dict:
         schema["noise"][channel] = _NOISE_CHANNEL_SCHEMA
     _check_keys(raw, schema)
     merged = _merge(DEFAULT_CONFIG, raw)
-    _check_protocol(merged["protocol"])
+    _check_values(merged)
     return merged
 
 

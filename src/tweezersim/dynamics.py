@@ -26,6 +26,7 @@ reference restarts at every pulse.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -274,8 +275,18 @@ def _index(level: int, n: int, n_levels_m: int) -> int:
     return level * n_levels_m + n
 
 
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=256)
 def _pair_tables(pulse: PulseSpec, eta: float, n_max: int, mode: str):
-    """Coupled-pair indices, couplings, and the uncoupled single states."""
+    """Coupled-pair indices, couplings, and the uncoupled single states.
+
+    Computed once per (pulse, eta, n_max, mode); the arrays are read-only.
+    """
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
     m = n_max + 1
@@ -305,7 +316,7 @@ def _pair_tables(pulse: PulseSpec, eta: float, n_max: int, mode: str):
             coup.append(1j * np.exp(1j * pulse.phase) * sideband_rabi(n, n - 1, eta, pulse.rabi) / 2.0)
     paired = set(pairs_g) | set(pairs_e)
     singles = np.array([i for i in range(2 * m) if i not in paired], dtype=np.int64)
-    return (
+    return _read_only(
         np.array(pairs_g, dtype=np.int64),
         np.array(pairs_e, dtype=np.int64),
         np.array(coup, dtype=np.complex128),
@@ -322,15 +333,16 @@ def _edges(pulse: PulseSpec, n_max: int, mode: str) -> list:
     return []
 
 
+@functools.lru_cache(maxsize=256)
 def _static_vectors(pulse: PulseSpec, n_max: int):
-    """Static diagonal (detuning), Fock-number and sigma_z weight vectors."""
+    """Static diagonal (detuning), Fock-number and sigma_z weight vectors (read-only)."""
     m = n_max + 1
     nvec = np.tile(np.arange(m, dtype=float), 2)
     zvec = np.concatenate([-np.ones(m), np.ones(m)])
     static = np.zeros(2 * m)
     if pulse.kind is not PulseKind.FREE:
         static[m:] = -pulse.detuning  # up manifold offset in the drive frame
-    return static, nvec, zvec
+    return _read_only(static, nvec, zvec)
 
 
 def _amp_factor(pulse: PulseSpec, realization: NoiseRealization) -> np.ndarray:
@@ -381,8 +393,9 @@ def _run_kernel(
     """Guarded kernel call: propagate flat amplitudes amps0 through a pulse.
 
     amps0 has shape (dim,) or (dim, k). 1-d series (one trajectory)
-    return amps0 evolved; 2-d series (n_traj, n_steps) with a flat amps0
-    return (n_traj, dim), each row evolved from amps0. Raises
+    return amps0 evolved; 2-d series (n_traj, n_steps) return
+    (n_traj, *amps0.shape), each row evolved from amps0, or, when amps0
+    has shape (n_traj, dim, k), each row from its own state. Raises
     StepSizeError when dt * max|H| > 0.1 in any trajectory of more than
     one step. With guards on, applies _check_truncation to every
     trajectory, taking the k columns as one state (the levels of a
@@ -406,10 +419,11 @@ def _run_kernel(
     if trap_series.ndim == 1:
         out = kernels.evolve_blocks(amps0.copy(), *args)
     else:
-        out = np.empty((trap_series.shape[0], amps0.size), dtype=np.complex128)
+        shape = amps0.shape if amps0.ndim == 3 else (trap_series.shape[0],) + amps0.shape
+        out = np.empty(shape, dtype=np.complex128)
         kernels.evolve_blocks_batch(amps0, *args, out)
     if guards:
-        before = amps0.reshape(1, amps0.shape[0], -1)
+        before = amps0 if amps0.ndim == 3 else amps0.reshape(1, amps0.shape[0], -1)
         _check_truncation(before, out.reshape((-1,) + before.shape[1:]), pulse, n_max, mode)
     return out
 
@@ -532,9 +546,13 @@ def evolve_rows(
     amps has shape (rows, 2 * (n_max + 1), k): flat (level, n)
     amplitudes with k spectator columns (a partner atom's levels) that
     the pulse does not touch; each row has norm 1. With noise None the
-    pulse is noiseless and every row shares one exact step; otherwise a
-    realization of `steps` steps is drawn from rng for each row, in row
-    order. The step-size, truncation and norm guards apply per row.
+    pulse is noiseless and every row shares one exact step. Otherwise a
+    realization is drawn from rng for each row, in row order, and the
+    rows run through the kernel a chunk at a time. Without a
+    SpectralDensity channel each row's H is constant over the pulse, so
+    its realization has one exact step and `steps` is not used; with
+    one, it has `steps` steps. The step-size, truncation and norm
+    guards apply per row.
     """
     n_max = amps.shape[1] // 2 - 1
     norm_sq = np.sum(np.abs(amps) ** 2, axis=(1, 2))
@@ -544,12 +562,19 @@ def evolve_rows(
         out = propagator(pulse, trap, None, mode, n_max) @ amps
         _check_truncation(amps, out, pulse, n_max, mode)
     else:
+        if noise.f_max() == 0:  # no SpectralDensity channel: H is constant
+            steps = 1
         dt = pulse.duration / steps
-        out = np.stack([
-            _run_kernel(a, pulse, trap, *_series(pulse, sample_noise(noise, pulse.duration, dt, rng)),
-                        mode, n_max)
-            for a in amps
-        ])
+        out = np.empty(amps.shape, dtype=np.complex128)
+        n_pairs = _pair_tables(pulse, trap.eta, n_max, mode)[0].size
+        per_call = kernels._rows_per_chunk(steps, n_pairs)
+        for start in range(0, amps.shape[0], per_call):
+            rows = slice(start, start + per_call)
+            realizations = [sample_noise(noise, pulse.duration, dt, rng) for _ in amps[rows]]
+            trap_2d, freq_2d, ampf_2d = (
+                np.stack(series) for series in zip(*(_series(pulse, r)[:3] for r in realizations))
+            )
+            out[rows] = _run_kernel(amps[rows], pulse, trap, trap_2d, freq_2d, ampf_2d, dt, mode, n_max)
     drift = float(np.max(np.abs(np.sum(np.abs(out) ** 2, axis=(1, 2)) - 1.0), initial=0.0))
     if drift > NORM_TOL:
         raise NumericsError(f"evolution norm drift {drift:.3e}")

@@ -32,7 +32,8 @@ def _propagate(amps0, pair_g, pair_e, coup, singles, static_diag, nvec, zvec, tr
         diag(s) = static_diag[s] + trap[i] * nvec[s] + 0.5 * freq[i] * zvec[s]
         <e|H|g> = coup[p] * ampf[i]
     Every trajectory starts from the flat amplitudes amps0, of shape
-    (dim,) or (dim, k) for k initial states at once (the columns); the
+    (dim,) or (dim, k) for k initial states at once (the columns), or
+    from its own amplitudes when amps0 has shape (n_traj, dim, k); the
     propagation is linear, so the per-step factors are computed once.
     """
     n_steps = trap.shape[1]
@@ -82,12 +83,15 @@ def _propagate(amps0, pair_g, pair_e, coup, singles, static_diag, nvec, zvec, tr
     phase = np.exp(-1j * dt * a_sum)
     d_sum = n_steps * static_diag[singles] + trap_sum * nvec[singles] + half_freq_sum * zvec[singles]
     single_phase = np.exp(-1j * dt * d_sum)
-    if amps0.ndim == 2:  # columns of initial states share every factor
+    if amps0.ndim == 3:  # one initial state per trajectory
+        out = amps0.astype(np.complex128)
+    else:
+        out = np.repeat(amps0[None], trap.shape[0], axis=0)
+    if out.ndim == 3:  # columns of initial states share every factor
         alpha, beta, phase, single_phase = (
             x[..., None] for x in (alpha, beta, phase, single_phase)
         )
-    pg, pe = amps0[g], amps0[e]
-    out = np.repeat(amps0[None], trap.shape[0], axis=0)
+    pg, pe = out[:, g], out[:, e]
     out[:, g] = phase * (alpha * pg - beta.conj() * pe)
     out[:, e] = phase * (beta * pg + alpha.conj() * pe)
     out[:, singles] *= single_phase
@@ -104,15 +108,23 @@ def evolve_blocks(
     return amps
 
 
+def _rows_per_chunk(n_steps, n_pairs):
+    """Trajectories per chunk of at most _CHUNK_ELEMENTS (trajectory, step, pair) elements."""
+    return max(1, _CHUNK_ELEMENTS // max(1, n_steps * n_pairs))
+
+
 def evolve_blocks_batch(
     amps0, pair_g, pair_e, coup, singles, static_diag, nvec, zvec,
     trap_2d, freq_2d, ampf_2d, dt, out,
 ):
-    """Evolve one shared initial state under many noise realizations (rows)."""
+    """Evolve many noise realizations (rows) from one shared initial state,
+    amps0 of shape (dim,) or (dim, k), or from one per row, amps0 of
+    shape (rows, dim, k)."""
     blocks = (pair_g, pair_e, coup, singles, static_diag, nvec, zvec)
     n_traj, n_steps = trap_2d.shape
-    chunk = max(1, _CHUNK_ELEMENTS // max(1, n_steps * pair_g.shape[0]))
+    chunk = _rows_per_chunk(n_steps, pair_g.shape[0])
     for start in range(0, n_traj, chunk):
         rows = slice(start, start + chunk)
-        out[rows] = _propagate(amps0, *blocks, trap_2d[rows], freq_2d[rows], ampf_2d[rows], dt)
+        a0 = amps0[rows] if amps0.ndim == 3 else amps0
+        out[rows] = _propagate(a0, *blocks, trap_2d[rows], freq_2d[rows], ampf_2d[rows], dt)
     return out

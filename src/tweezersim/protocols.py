@@ -206,21 +206,28 @@ class ShotTable:
         return cls(**cols, events=sum((t.events for t in tables), Counter()))
 
 
-def _run_chunks(config: ProtocolConfig, chunk, *key) -> ShotTable:
-    """chunk(rng, shots) -> ShotTable for every chunk of config.shots shots,
-    each with its own stream keyed by (*key, chunk index), on
-    config.workers threads; the tables are joined in shot order."""
-    n_chunks = -(-config.shots // CHUNK_SHOTS)
+def _run_chunks(config: ProtocolConfig, jobs) -> list:
+    """One ShotTable per job of (chunk, key), its chunks joined in shot order.
 
-    def run(c):
+    chunk(rng, shots) -> ShotTable runs one chunk of config.shots shots
+    with its own stream keyed by (*key, chunk index). Every (job, chunk)
+    unit runs on one pool of config.workers threads.
+    """
+    n_chunks = -(-config.shots // CHUNK_SHOTS)
+    units = [(chunk, key, c) for chunk, key in jobs for c in range(n_chunks)]
+
+    def run(unit):
+        chunk, key, c = unit
         ss = np.random.SeedSequence(config.seed, spawn_key=(*key, c))
         shots = np.arange(c * CHUNK_SHOTS, min((c + 1) * CHUNK_SHOTS, config.shots))
         return chunk(np.random.Generator(np.random.PCG64(ss)), shots)
 
-    if config.workers <= 1 or n_chunks == 1:
-        return ShotTable.concat([run(c) for c in range(n_chunks)])
-    with ThreadPoolExecutor(max_workers=min(config.workers, n_chunks)) as ex:
-        return ShotTable.concat(list(ex.map(run, range(n_chunks))))
+    if config.workers <= 1 or len(units) == 1:
+        tables = [run(u) for u in units]
+    else:
+        with ThreadPoolExecutor(max_workers=min(config.workers, len(units))) as ex:
+            tables = list(ex.map(run, units))
+    return [ShotTable.concat(tables[j : j + n_chunks]) for j in range(0, len(tables), n_chunks)]
 
 
 def _data_amps(electronic, n, n_max: int) -> np.ndarray:
@@ -380,10 +387,10 @@ def run_repeated_readout(config: ProtocolConfig) -> ShotTable:
             batch.data_lost, events=batch.events,
         )
 
-    return ShotTable.concat([
-        _run_chunks(config, lambda rng, shots, s=s: chunk(rng, shots, s), SCENARIOS.index(s))
+    return ShotTable.concat(_run_chunks(config, [
+        (lambda rng, shots, s=s: chunk(rng, shots, s), (SCENARIOS.index(s),))
         for s in config.scenarios
-    ])
+    ]))
 
 
 def run_loss_detection(config: ProtocolConfig, analyzer_phases=None, reference: bool = False):
@@ -427,17 +434,15 @@ def run_loss_detection(config: ProtocolConfig, analyzer_phases=None, reference: 
             batch.data_lost, np.full(shots.size, phi), batch.events,
         )
 
-    tables = []
+    tables = _run_chunks(config, [
+        (lambda rng, shots, s=scenario, p=phi: chunk(rng, shots, s, p), (SCENARIOS.index(scenario), k))
+        for scenario in config.scenarios
+        for k, phi in enumerate(analyzer_phases)
+    ])
     fringe = {}
-    for scenario in config.scenarios:
-        up_fraction = np.zeros(analyzer_phases.size)
-        for k, phi in enumerate(analyzer_phases):
-            table = _run_chunks(
-                config, lambda rng, shots, s=scenario, p=phi: chunk(rng, shots, s, p),
-                SCENARIOS.index(scenario), k,
-            )
-            up_fraction[k] = np.mean(table.data_label == "up")
-            tables.append(table)
+    for i, scenario in enumerate(config.scenarios):
+        per_phase = tables[i * analyzer_phases.size : (i + 1) * analyzer_phases.size]
+        up_fraction = np.array([np.mean(t.data_label == "up") for t in per_phase])
         stderr = np.sqrt(np.clip(up_fraction * (1 - up_fraction), 1e-12, None) / config.shots)
         fringe[scenario] = (analyzer_phases.copy(), up_fraction, stderr)
     return ShotTable.concat(tables), fringe
@@ -481,7 +486,7 @@ def run_algorithmic_cooling(config: ProtocolConfig):
             np.where(batch.data_lost, -1, n), batch.data_lost, n_init, batch.events,
         )
 
-    table = _run_chunks(config, chunk, 0)
+    (table,) = _run_chunks(config, [(chunk, (0,))])
     kept = ~table.data_lost
     n_kept = int(np.count_nonzero(kept))
     up = kept & (table.data_label == "up")

@@ -324,6 +324,24 @@ class TestThresholds:
         assert res.threshold == pytest.approx(2.0, abs=1e-9)
         assert res.fidelity == pytest.approx(0.977249868, abs=1e-6)
 
+    def test_analytic_cdf_is_bit_identical_to_norm_cdf(self):
+        # the closed-form normal CDF (scipy.special.ndtr) returns exactly
+        # the bits of scipy.stats.norm.cdf at every threshold it picks
+        from scipy.stats import norm
+
+        for bright_mean in (0.5, 1.0, 2.5, 4.0, 8.0):
+            for bright_std in (0.5, 1.0, 2.0):
+                for dark_mean in (0.0, -1.3):
+                    for dark_std in (0.7, 1.0, 1.5):
+                        for p1 in (0.1, 0.5, 0.9):
+                            res = optimize_threshold_analytic(
+                                bright_mean, bright_std, dark_mean, dark_std, p1
+                            )
+                            x = res.threshold
+                            assert res.f1 == 1.0 - norm.cdf(x, bright_mean, bright_std)
+                            assert res.f0 == norm.cdf(x, dark_mean, dark_std)
+                            assert res.fidelity == p1 * res.f1 + (1 - p1) * res.f0
+
     def test_perfectly_separated_samples(self):
         res = optimize_threshold(np.array([10.0, 11.0, 12.0]), np.array([0.0, 1.0]), p1=0.5)
         assert res.fidelity == 1.0

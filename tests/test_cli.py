@@ -175,6 +175,35 @@ class TestCliRuns:
         assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2
         assert f"protocol.{key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("gates.enabled", "yes"),
+            ("gates.cz_phase_error_prob", -0.1),
+            ("gates.cz_loss_prob", "x"),
+            ("gates.sq_over_rotation_sigma_rad", -1),
+            ("gates.per_gate_jitter", 1),
+            ("imaging.target_single_round_fidelity", 2),
+            ("imaging.target_single_round_fidelity", 0.5),
+            ("imaging.bright_mean", "high"),
+            ("imaging.bright_mean", -1.0),
+            ("imaging.dark_mean", None),
+            ("imaging.bright_std", 0),
+            ("imaging.dark_std", "1"),
+            ("imaging.bright_loss_prob", 1.5),
+            ("imaging.unshelved_loss_prob", True),
+            ("imaging.data_heating_quanta_per_round", -0.01),
+        ],
+    )
+    def test_bad_gates_or_imaging_value_exit_2(self, tmp_path, capsys, key, value):
+        section, name = key.split(".")
+        path = _write_config(
+            tmp_path, protocol={"kind": "repeated_readout", "shots": 5, "n_cyc": 1},
+            **{section: {name: value}},
+        )
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert key in capsys.readouterr().err
+
     def test_events_zero_without_gate_errors_or_losses(self, tmp_path):
         path = _write_config(
             tmp_path,
@@ -424,7 +453,8 @@ class TestCliRuns:
         assert code == 2  # dt too coarse for the PSD content is a config problem
 
     def test_step_size_error_names_config_key(self, tmp_path, capsys):
-        # three steps per shelving pulse are far too coarse for the drive
+        # three steps per shelving pulse are far too coarse for the drive;
+        # a PSD channel keeps H time-dependent, so the step bound applies
         path = _write_config(
             tmp_path,
             protocol={
@@ -433,7 +463,8 @@ class TestCliRuns:
                 "steps_per_pulse": 3,
                 "analyzer_phases_rad": [0.0],
             },
-            noise={"trap_frequency": {"kind": "quasi_static", "sigma_hz": 1.0}},
+            noise={"laser_frequency": {"kind": "psd", "frequencies_hz": [0.0, 100.0],
+                                       "values": [1.0, 1.0]}},
         )
         code = main(["simulate", "--config", path, "--out", str(tmp_path / "o")])
         assert code == 3

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from tweezersim import kernels
 from tweezersim.dynamics import (
     NoiseModel,
     NoiseRealization,
@@ -498,11 +499,67 @@ class TestEvolveRows:
                         np.random.default_rng(1))
 
     def test_step_size_guard(self):
+        # a PSD channel keeps H time-dependent, so the steps are
+        # piecewise-constant and the bound applies (two steps of 0.35 ms
+        # are fine enough for 100 Hz noise, far too coarse for the drive)
         pulse = PulseSpec.bsb_pi(ETA, RABI)
         ok = prepare_state(ElectronicLevel.DOWN, 0, n_max=self.N_MAX)
+        low_band = SpectralDensity(np.array([0.0, 100.0]), np.array([1.0, 1.0]))
         with pytest.raises(StepSizeError):
-            evolve_rows(self._rows((ok, 0)), pulse, TRAP, NoiseModel(trap_frequency=QuasiStatic(1.0)),
+            evolve_rows(self._rows((ok, 0)), pulse, TRAP, NoiseModel(laser_frequency=low_band),
                         2, np.random.default_rng(1))
+
+    def test_constant_h_is_exact_at_any_step_count(self):
+        # quasi-static channels only: one exact step per row whatever
+        # `steps` says, with one draw per channel and row in row order
+        pulse = PulseSpec(PulseKind.BLUE_SIDEBAND, rabi=RABI, duration=T_PI,
+                          detuning=0.1 * ETA * RABI, phase=0.4)
+        model = NoiseModel(
+            trap_frequency=QuasiStatic(2 * np.pi * 175.0),
+            laser_frequency=QuasiStatic(2 * np.pi * 300.0),
+            laser_amplitude=QuasiStatic(0.05 * RABI),
+        )
+        states = [prepare_state(np.array([0.6, 0.8j]), n, n_max=self.N_MAX) for n in (0, 1, 2, 1)]
+        rows = self._rows(*zip(states, (0, 1, 0, 1)))
+        ref_rng = np.random.default_rng(17)
+        want = []
+        for row in rows:
+            r = sample_noise(model, pulse.duration, pulse.duration, ref_rng)
+            h = build_hamiltonian(pulse, TRAP, r, 0.0, n_max=self.N_MAX)
+            want.append(expm(-1j * pulse.duration * h) @ row)
+        states_after = []
+        for steps in (1, 3, 2000):
+            rng = np.random.default_rng(17)
+            out = evolve_rows(rows, pulse, TRAP, model, steps, rng)
+            np.testing.assert_allclose(out, np.stack(want), rtol=0, atol=1e-12)
+            states_after.append(rng.bit_generator.state)
+        assert states_after[0] == states_after[1] == states_after[2] == ref_rng.bit_generator.state
+
+    def test_psd_rows_across_chunks_match_evolve_per_row(self):
+        # a PSD channel keeps `steps` steps; the rows run a kernel chunk
+        # at a time, each from its own initial state
+        pulse = PulseSpec.bsb_pi(ETA, RABI)
+        model = NoiseModel(
+            trap_frequency=QuasiStatic(2 * np.pi * 175.0),
+            laser_frequency=SpectralDensity(np.array([0.0, 2e3]), np.array([2e3, 2e3])),
+        )
+        steps = 400
+        chunk = kernels._CHUNK_ELEMENTS // (steps * self.N_MAX)  # N_MAX blue-sideband pairs
+        rng = np.random.default_rng(3)
+        states = [
+            prepare_state(np.exp(1j * rng.uniform(0, 2 * np.pi, 2)) * [0.6, 0.8], rng.integers(0, 3),
+                          n_max=self.N_MAX)
+            for _ in range(2 * chunk + 5)
+        ]
+        anc = rng.integers(0, 2, len(states))
+        out = evolve_rows(self._rows(*zip(states, anc)), pulse, TRAP, model, steps,
+                          np.random.default_rng(4))
+        ref_rng = np.random.default_rng(4)
+        for k, state in enumerate(states):
+            r = sample_noise(model, pulse.duration, pulse.duration / steps, ref_rng)
+            ref = evolve(state, pulse, TRAP, r).amps.reshape(-1)
+            np.testing.assert_allclose(out[k, :, anc[k]], ref, rtol=0, atol=1e-12)
+            assert np.all(out[k, :, 1 - anc[k]] == 0)
 
     def test_rejects_unnormalized_row(self):
         pulse = PulseSpec.bsb_pi(ETA, RABI)

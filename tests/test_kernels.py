@@ -173,3 +173,54 @@ def test_batch_spanning_several_chunks_matches_oracle_and_single_calls():
         single = _batch(amps0, tables, trap[t : t + 1], freq[t : t + 1], ampf[t : t + 1], dt)
         np.testing.assert_array_equal(got[t], single[0])
     np.testing.assert_allclose(np.linalg.norm(got, axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+def _random_rows(rng, n_traj, dim, k=2):
+    """Per-row initial states (n_traj, dim, k), each column normalized."""
+    return np.stack([np.stack([_random_state(rng, dim) for _ in range(k)], axis=1) for _ in range(n_traj)])
+
+
+@pytest.mark.parametrize("kind, mode", PULSE_CASES)
+def test_per_row_initial_states_match_oracle(kind, mode):
+    rng = np.random.default_rng([9, PULSE_CASES.index((kind, mode))])
+    tables = _tables(kind, mode)
+    amps0 = _random_rows(rng, 5, 14)
+    trap, freq, ampf = _series(rng, 5, 200)
+    dt = T_PI / 200
+    got = kernels.evolve_blocks_batch(amps0, *tables, trap, freq, ampf, dt, np.empty_like(amps0))
+    for t in range(5):
+        for col in range(2):
+            want = evolve_blocks_scalar(amps0[t, :, col].copy(), *tables, trap[t], freq[t], ampf[t], dt)
+            np.testing.assert_allclose(got[t, :, col], want, rtol=0, atol=ATOL)
+
+
+def test_per_row_batch_spanning_several_chunks_matches_oracle_and_single_calls():
+    rng = np.random.default_rng(22)
+    tables = _tables(PulseKind.BLUE_SIDEBAND, "rwa-ladder")
+    n_steps = 501
+    chunk = kernels._CHUNK_ELEMENTS // (n_steps * tables[0].size)
+    n_traj = 2 * chunk + 3  # two full chunks and a partial one
+    amps0 = _random_rows(rng, n_traj, 14)
+    trap, freq, ampf = _series(rng, n_traj, n_steps)
+    dt = T_PI / n_steps
+    got = kernels.evolve_blocks_batch(amps0, *tables, trap, freq, ampf, dt, np.empty_like(amps0))
+    for t in (0, chunk - 1, chunk, 2 * chunk, n_traj - 1):
+        for col in range(2):
+            want = evolve_blocks_scalar(amps0[t, :, col].copy(), *tables, trap[t], freq[t], ampf[t], dt)
+            np.testing.assert_allclose(got[t, :, col], want, rtol=0, atol=ATOL)
+        rows = slice(t, t + 1)
+        single = kernels.evolve_blocks_batch(
+            amps0[rows], *tables, trap[rows], freq[rows], ampf[rows], dt, np.empty_like(amps0[rows])
+        )
+        np.testing.assert_array_equal(got[t], single[0])
+    np.testing.assert_allclose(np.linalg.norm(got, axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+def test_pair_tables_are_cached_read_only():
+    pulse = PulseSpec(PulseKind.BLUE_SIDEBAND, rabi=RABI, duration=T_PI, phase=0.7)
+    first = (*_pair_tables(pulse, ETA, 6, "rwa-ladder"), *_static_vectors(pulse, 6))
+    again = (*_pair_tables(pulse, ETA, 6, "rwa-ladder"), *_static_vectors(pulse, 6))
+    assert all(a is b for a, b in zip(first, again))
+    for a in first:
+        with pytest.raises(ValueError):
+            a[...] = 0

@@ -288,6 +288,23 @@ class TestChunkDeterminism:
         _assert_tables_equal(*runs)
 
 
+    def test_loss_detection_runs_on_one_pool(self, monkeypatch):
+        from tweezersim import protocols
+
+        pools = []
+
+        class CountingPool(protocols.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(protocols, "ThreadPoolExecutor", CountingPool)
+        cfg = ProtocolConfig(kind="loss_detection", shots=CHUNK_SHOTS + 5, seed=4, n_max=N_MAX,
+                             workers=2)
+        run_loss_detection(cfg, analyzer_phases=[0.0, 1.0, 2.0])
+        assert len(pools) == 1  # 2 scenarios x 3 phases x 2 chunks share it
+
+
 class TestLossDetectionJointOracle:
     def test_unitary_part_matches_kron_oracle(self):
         # shelve -> CNOT block on the joint space, against a direct
