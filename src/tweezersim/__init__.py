@@ -23,7 +23,6 @@ from .dynamics import (
     QuasiStatic,
     SpectralDensity,
     build_hamiltonian,
-    evolve,
     evolve_rows,
     load_psd_csv,
     propagator,

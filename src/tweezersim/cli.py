@@ -85,8 +85,7 @@ def write_csv(path, header, rows):
 
 def write_json(path, payload):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 class RunReport:

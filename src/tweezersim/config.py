@@ -120,6 +120,10 @@ DEFAULT_CONFIG = {
 }
 
 
+#: Every accepted key: the defaults, with each noise channel's keys spelled out.
+_SCHEMA = {**DEFAULT_CONFIG, "noise": dict.fromkeys(DEFAULT_CONFIG["noise"], _NOISE_CHANNEL_SCHEMA)}
+
+
 def _check_keys(raw, schema, path=""):
     for key, value in raw.items():
         here = f"{path}.{key}" if path else key
@@ -144,6 +148,11 @@ _PROTOCOL_INT_MINIMA = {"shots": 1, "n_cyc": 1, "n_max": 2, "steps_per_pulse": 1
 
 #: Number keys: dotted key -> (allowed interval, null allowed).
 _NUMBER_KEYS = {
+    "trap.frequency_hz": ("(0, inf)", False),
+    "trap.mass_amu": ("(0, inf)", False),
+    "trap.wavelength_nm": ("(0, inf)", False),
+    "trap.eta": ("(0, inf)", True),
+    "pulse.rabi_hz": ("(0, inf)", False),
     "protocol.data_nbar": ("[0, inf)", False),
     "protocol.ancilla_absent_prob": ("[0, 1]", False),
     "gates.cz_phase_error_prob": ("[0, 1]", False),
@@ -175,7 +184,7 @@ def _in_interval(value, interval: str) -> bool:
 
 def _check_values(merged: dict):
     """Type and range of the protocol sizes and of the number and flag keys."""
-    for section in ("protocol", "gates", "imaging"):
+    for section in ("trap", "pulse", "protocol", "gates", "imaging"):
         if not isinstance(merged[section], dict):
             raise ValidationError(f"{section} must be an object, got {merged[section]!r}")
     protocol = merged["protocol"]
@@ -207,10 +216,7 @@ def validate_config(raw: dict) -> dict:
     bad protocol sizes, numbers and flags."""
     if not isinstance(raw, dict):
         raise ValidationError("config root must be a JSON object")
-    schema = copy.deepcopy(DEFAULT_CONFIG)
-    for channel in ("trap_frequency", "laser_frequency", "laser_amplitude"):
-        schema["noise"][channel] = _NOISE_CHANNEL_SCHEMA
-    _check_keys(raw, schema)
+    _check_keys(raw, _SCHEMA)
     merged = _merge(DEFAULT_CONFIG, raw)
     _check_values(merged)
     return merged
@@ -235,9 +241,6 @@ def dump_default_config() -> str:
 
 def build_trap(config: dict) -> TrapSpec:
     sec = config["trap"]
-    for key in ("frequency_hz", "mass_amu", "wavelength_nm"):
-        if not isinstance(sec[key], (int, float)) or sec[key] <= 0:
-            raise ValidationError(f"trap.{key} must be a positive number")
     return TrapSpec(
         omega_t=TWO_PI * sec["frequency_hz"],
         mass=sec["mass_amu"] * 1.66053906892e-27,
@@ -254,8 +257,8 @@ def _build_channel(sec, name, base_dir):
         return None
     if kind == "quasi_static":
         sigma = sec.get("sigma_hz", 0.0)
-        if sigma is None or sigma < 0:
-            raise ValidationError(f"noise.{name}.sigma_hz must be >= 0")
+        if not (_is_number(sigma) and _in_interval(sigma, "[0, inf)")):
+            raise ValidationError(f"noise.{name}.sigma_hz must be a number >= 0, got {sigma!r}")
         return QuasiStatic(sigma=TWO_PI * sigma) if sigma > 0 else None
     if kind == "psd":
         convention = sec.get("convention", "frequency") or "frequency"

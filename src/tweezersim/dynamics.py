@@ -361,7 +361,7 @@ def build_hamiltonian(
 ) -> np.ndarray:
     """Dense Hermitian operator at time t (hbar = 1 units).
 
-    Diagnostic and test entry point; `evolve` applies the same blocks
+    Diagnostic and test entry point; the kernel applies the same blocks
     directly without assembling the matrix.
     """
     if t < 0 or t > realization.duration * (1 + 1e-12):
@@ -383,63 +383,65 @@ def build_hamiltonian(
 
 
 def _series(pulse: PulseSpec, r: NoiseRealization):
-    """Kernel series of one realization: trap, frequency, amplitude factor, dt."""
-    return r.trap_frequency, r.laser_frequency, _amp_factor(pulse, r), r.dt
+    """Kernel series of one realization: trap, frequency, amplitude factor."""
+    return r.trap_frequency, r.laser_frequency, _amp_factor(pulse, r)
 
 
 def _run_kernel(
     amps0, pulse, trap, trap_series, freq_series, ampf_series, dt, mode, n_max, guards=True
 ):
-    """Guarded kernel call: propagate flat amplitudes amps0 through a pulse.
+    """Guarded kernel call: propagate rows of flat amplitudes through a pulse.
 
-    amps0 has shape (dim,) or (dim, k). 1-d series (one trajectory)
-    return amps0 evolved; 2-d series (n_traj, n_steps) return
-    (n_traj, *amps0.shape), each row evolved from amps0, or, when amps0
-    has shape (n_traj, dim, k), each row from its own state. Raises
-    StepSizeError when dt * max|H| > 0.1 in any trajectory of more than
-    one step. With guards on, applies _check_truncation to every
-    trajectory, taking the k columns as one state (the levels of a
-    spectator partner atom).
+    The series have shape (rows, n_steps), one noise realization per
+    row. amps0 has shape (rows, dim, k), row t evolving under
+    realization t, or (1, dim, k) for one state shared by every row; the
+    k columns are one state (the levels of a spectator partner atom).
+    Returns (rows, dim, k). Raises StepSizeError when dt * max|H| > 0.1
+    in any row of more than one step; with guards on, applies
+    _check_guards.
     """
     pg, pe, coup, singles = _pair_tables(pulse, trap.eta, n_max, mode)
     static, nvec, zvec = _static_vectors(pulse, n_max)
 
-    if trap_series.shape[-1] > 1:
+    if trap_series.shape[1] > 1:
         # piecewise-constant approximation in play: enforce the step bound
         bound = (
             abs(pulse.detuning)
-            + n_max * np.max(np.abs(trap_series), axis=-1, initial=0.0)
-            + 0.5 * np.max(np.abs(freq_series), axis=-1, initial=0.0)
-            + np.max(np.abs(coup), initial=0.0) * np.max(np.abs(ampf_series), axis=-1)
+            + n_max * np.max(np.abs(trap_series), axis=1, initial=0.0)
+            + 0.5 * np.max(np.abs(freq_series), axis=1, initial=0.0)
+            + np.max(np.abs(coup), initial=0.0) * np.max(np.abs(ampf_series), axis=1)
         )
         worst = float(np.max(bound)) * dt
         if worst > 0.1:
             raise StepSizeError(f"dt * max|H| = {worst:.3f} rad exceeds 0.1; reduce dt")
-    args = (pg, pe, coup, singles, static, nvec, zvec, trap_series, freq_series, ampf_series, dt)
-    if trap_series.ndim == 1:
-        out = kernels.evolve_blocks(amps0.copy(), *args)
-    else:
-        shape = amps0.shape if amps0.ndim == 3 else (trap_series.shape[0],) + amps0.shape
-        out = np.empty(shape, dtype=np.complex128)
-        kernels.evolve_blocks_batch(amps0, *args, out)
+    shape = (trap_series.shape[0],) + amps0.shape[1:]
+    out = np.empty(shape, dtype=np.complex128)
+    kernels.evolve_blocks_batch(
+        np.broadcast_to(amps0, shape), pg, pe, coup, singles, static, nvec, zvec,
+        trap_series, freq_series, ampf_series, dt, out,
+    )
     if guards:
-        before = amps0 if amps0.ndim == 3 else amps0.reshape(1, amps0.shape[0], -1)
-        _check_truncation(before, out.reshape((-1,) + before.shape[1:]), pulse, n_max, mode)
+        _check_guards(amps0, out, pulse, n_max, mode)
     return out
 
 
-def _check_truncation(before, after, pulse, n_max, mode):
-    """Truncation guards on rows of states before and after a pulse.
+def _check_guards(before, after, pulse, n_max, mode):
+    """Norm and truncation guards on rows of states before and after a pulse.
 
     before and after have shape (rows, dim, k), k columns per row (a
     partner atom's levels); before may have a single row shared by all.
-    Raises TruncationError when a row populates a truncation edge the
-    drive couples out of space, or when a pulse moves more than
-    TRUNCATION_LEAK_TOL of a row's population into the top Fock level.
+    Raises ValidationError when a row enters without norm 1,
+    TruncationError when a row populates a truncation edge the drive
+    couples out of space or when a pulse moves more than
+    TRUNCATION_LEAK_TOL of a row's population into the top Fock level,
+    and NumericsError when a row leaves with its norm off by more than
+    NORM_TOL.
     """
     def pop(a, idx):
         return (np.abs(a[:, idx]) ** 2).sum(axis=(1, 2))
 
+    if np.any(np.abs(pop(before, slice(None)) - 1.0) > NORM_TOL):
+        raise ValidationError("every row must have norm 1")
     edge_pop = float(np.max(pop(before, _edges(pulse, n_max, mode)), initial=0.0))
     if edge_pop > TRUNCATION_LEAK_TOL:
         raise TruncationError(
@@ -453,38 +455,9 @@ def _check_truncation(before, after, pulse, n_max, mode):
             f"pulse moved {leak:.3e} population into the top "
             f"Fock level n = {n_max}; increase n_max"
         )
-
-
-def evolve(
-    state: HybridAtomState,
-    pulse: PulseSpec,
-    trap: TrapSpec,
-    realization: NoiseRealization = None,
-    mode: str = "rwa-ladder",
-) -> HybridAtomState:
-    """Apply the time-ordered pulse propagator to a state.
-
-    With no realization the pulse is noiseless and is applied in a single
-    exact step. Norm is preserved within 1e-10 per operation.
-    """
-    if state.lost:
-        raise ValidationError("cannot evolve a lost atom")
-    state.check_norm()
-    if pulse.duration == 0:
-        return state.copy()
-    if realization is None:
-        realization = NoiseRealization.zeros(pulse.duration)
-    if abs(realization.duration - pulse.duration) > 1e-9 * max(pulse.duration, 1e-300):
-        raise ValidationError(
-            f"realization duration {realization.duration} != pulse duration {pulse.duration}"
-        )
-    amps = _run_kernel(
-        state.amps.reshape(-1), pulse, trap, *_series(pulse, realization), mode, state.n_max
-    )
-    out = HybridAtomState(amps.reshape(2, -1))
-    if abs(out.norm_sq() - 1.0) > NORM_TOL:
-        raise NumericsError(f"evolution norm drift {out.norm_sq() - 1.0:.3e}")
-    return out
+    drift = float(np.max(np.abs(pop(after, slice(None)) - 1.0)))
+    if not drift <= NORM_TOL:  # a NaN drift fails too
+        raise NumericsError(f"evolution norm drift {drift:.3e}")
 
 
 def propagator(
@@ -496,8 +469,9 @@ def propagator(
 ) -> np.ndarray:
     """Full (2(n_max+1))^2 propagator matrix, for tests and diagnostics."""
     r = realization if realization is not None else NoiseRealization.zeros(pulse.duration)
-    identity = np.eye(2 * (n_max + 1), dtype=np.complex128)
-    return _run_kernel(identity, pulse, trap, *_series(pulse, r), mode, n_max, guards=False)
+    identity = np.eye(2 * (n_max + 1), dtype=np.complex128)[None]
+    series = (x[None] for x in _series(pulse, r))
+    return _run_kernel(identity, pulse, trap, *series, r.dt, mode, n_max, guards=False)[0]
 
 
 def evolve_batch(
@@ -516,11 +490,8 @@ def evolve_batch(
     multiplicative factor (rabi + d_rabi) / rabi. Returns final flat
     amplitudes of shape (n_traj, 2 * (n_max + 1)).
     """
-    if state.lost:
-        raise ValidationError("cannot evolve a lost atom")
-    state.check_norm()
-    return _run_kernel(
-        state.amps.reshape(-1).astype(np.complex128),
+    out = _run_kernel(
+        state.amps.reshape(1, -1, 1),
         pulse,
         trap,
         realizations_trap,
@@ -528,8 +499,9 @@ def evolve_batch(
         realizations_ampf,
         dt,
         mode,
-        state.n_max,
+        state.amps.shape[1] - 1,
     )
+    return out.reshape(out.shape[:2])
 
 
 def evolve_rows(
@@ -555,29 +527,23 @@ def evolve_rows(
     guards apply per row.
     """
     n_max = amps.shape[1] // 2 - 1
-    norm_sq = np.sum(np.abs(amps) ** 2, axis=(1, 2))
-    if np.any(np.abs(norm_sq - 1.0) > NORM_TOL):
-        raise ValidationError("every row must have norm 1")
     if noise is None:
         out = propagator(pulse, trap, None, mode, n_max) @ amps
-        _check_truncation(amps, out, pulse, n_max, mode)
-    else:
-        if noise.f_max() == 0:  # no SpectralDensity channel: H is constant
-            steps = 1
-        dt = pulse.duration / steps
-        out = np.empty(amps.shape, dtype=np.complex128)
-        n_pairs = _pair_tables(pulse, trap.eta, n_max, mode)[0].size
-        per_call = kernels._rows_per_chunk(steps, n_pairs)
-        for start in range(0, amps.shape[0], per_call):
-            rows = slice(start, start + per_call)
-            realizations = [sample_noise(noise, pulse.duration, dt, rng) for _ in amps[rows]]
-            trap_2d, freq_2d, ampf_2d = (
-                np.stack(series) for series in zip(*(_series(pulse, r)[:3] for r in realizations))
-            )
-            out[rows] = _run_kernel(amps[rows], pulse, trap, trap_2d, freq_2d, ampf_2d, dt, mode, n_max)
-    drift = float(np.max(np.abs(np.sum(np.abs(out) ** 2, axis=(1, 2)) - 1.0), initial=0.0))
-    if drift > NORM_TOL:
-        raise NumericsError(f"evolution norm drift {drift:.3e}")
+        _check_guards(amps, out, pulse, n_max, mode)
+        return out
+    if noise.f_max() == 0:  # no SpectralDensity channel: H is constant
+        steps = 1
+    dt = pulse.duration / steps
+    out = np.empty(amps.shape, dtype=np.complex128)
+    n_pairs = _pair_tables(pulse, trap.eta, n_max, mode)[0].size
+    per_call = kernels._rows_per_chunk(steps, n_pairs)
+    for start in range(0, amps.shape[0], per_call):
+        rows = slice(start, start + per_call)
+        realizations = [sample_noise(noise, pulse.duration, dt, rng) for _ in amps[rows]]
+        trap_2d, freq_2d, ampf_2d = (
+            np.stack(series) for series in zip(*(_series(pulse, r) for r in realizations))
+        )
+        out[rows] = _run_kernel(amps[rows], pulse, trap, trap_2d, freq_2d, ampf_2d, dt, mode, n_max)
     return out
 
 

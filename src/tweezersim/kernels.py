@@ -18,7 +18,7 @@ exp(-i dt sum d). There is no Python loop over time steps.
 
 import numpy as np
 
-__all__ = ["evolve_blocks", "evolve_blocks_batch"]
+__all__ = ["evolve_blocks_batch"]
 
 #: Trajectories are processed in chunks of at most this many
 #: (trajectory, step, pair) elements, which caps the temporaries.
@@ -26,15 +26,14 @@ _CHUNK_ELEMENTS = 1 << 15
 
 
 def _propagate(amps0, pair_g, pair_e, coup, singles, static_diag, nvec, zvec, trap, freq, ampf, dt):
-    """Final amplitudes (n_traj, *amps0.shape) for series of shape (n_traj, n_steps).
+    """Final amplitudes (n_traj, dim, k) for series of shape (n_traj, n_steps).
 
     Per step i the block Hamiltonian entries are
         diag(s) = static_diag[s] + trap[i] * nvec[s] + 0.5 * freq[i] * zvec[s]
         <e|H|g> = coup[p] * ampf[i]
-    Every trajectory starts from the flat amplitudes amps0, of shape
-    (dim,) or (dim, k) for k initial states at once (the columns), or
-    from its own amplitudes when amps0 has shape (n_traj, dim, k); the
-    propagation is linear, so the per-step factors are computed once.
+    Trajectory t starts from the flat amplitudes amps0[t], of shape
+    (dim, k) for k initial states at once (the columns); the propagation
+    is linear, so the columns share every per-step factor.
     """
     n_steps = trap.shape[1]
     g, e = pair_g, pair_e
@@ -83,29 +82,13 @@ def _propagate(amps0, pair_g, pair_e, coup, singles, static_diag, nvec, zvec, tr
     phase = np.exp(-1j * dt * a_sum)
     d_sum = n_steps * static_diag[singles] + trap_sum * nvec[singles] + half_freq_sum * zvec[singles]
     single_phase = np.exp(-1j * dt * d_sum)
-    if amps0.ndim == 3:  # one initial state per trajectory
-        out = amps0.astype(np.complex128)
-    else:
-        out = np.repeat(amps0[None], trap.shape[0], axis=0)
-    if out.ndim == 3:  # columns of initial states share every factor
-        alpha, beta, phase, single_phase = (
-            x[..., None] for x in (alpha, beta, phase, single_phase)
-        )
+    out = amps0.astype(np.complex128, order="C")
+    alpha, beta, phase, single_phase = (x[..., None] for x in (alpha, beta, phase, single_phase))
     pg, pe = out[:, g], out[:, e]
     out[:, g] = phase * (alpha * pg - beta.conj() * pe)
     out[:, e] = phase * (beta * pg + alpha.conj() * pe)
     out[:, singles] *= single_phase
     return out
-
-
-def evolve_blocks(
-    amps, pair_g, pair_e, coup, singles, static_diag, nvec, zvec,
-    trap_series, freq_series, amp_factor, dt,
-):
-    """Propagate flat amplitudes (dim,) or columns (dim, k) in place through all time steps."""
-    series = (trap_series[None], freq_series[None], amp_factor[None])
-    amps[:] = _propagate(amps, pair_g, pair_e, coup, singles, static_diag, nvec, zvec, *series, dt)[0]
-    return amps
 
 
 def _rows_per_chunk(n_steps, n_pairs):
@@ -117,14 +100,13 @@ def evolve_blocks_batch(
     amps0, pair_g, pair_e, coup, singles, static_diag, nvec, zvec,
     trap_2d, freq_2d, ampf_2d, dt, out,
 ):
-    """Evolve many noise realizations (rows) from one shared initial state,
-    amps0 of shape (dim,) or (dim, k), or from one per row, amps0 of
-    shape (rows, dim, k)."""
+    """Evolve many noise realizations (rows), each from its own initial
+    state: amps0[t] of shape (dim, k) for row t of the (rows, n_steps)
+    series. Rows that share a state pass a broadcast amps0."""
     blocks = (pair_g, pair_e, coup, singles, static_diag, nvec, zvec)
     n_traj, n_steps = trap_2d.shape
     chunk = _rows_per_chunk(n_steps, pair_g.shape[0])
     for start in range(0, n_traj, chunk):
         rows = slice(start, start + chunk)
-        a0 = amps0[rows] if amps0.ndim == 3 else amps0
-        out[rows] = _propagate(a0, *blocks, trap_2d[rows], freq_2d[rows], ampf_2d[rows], dt)
+        out[rows] = _propagate(amps0[rows], *blocks, trap_2d[rows], freq_2d[rows], ampf_2d[rows], dt)
     return out

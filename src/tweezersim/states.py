@@ -2,9 +2,7 @@
 
 The simulation unit is a single atom with two long-lived electronic
 levels (optical-qubit ground and clock states) tensored with a truncated
-harmonic-oscillator Fock ladder, plus a classical ``lost`` flag. A third
-electronic label exists purely for bookkeeping of leakage events, which
-are converted to loss immediately.
+harmonic-oscillator Fock ladder.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ class ElectronicLevel(enum.IntEnum):
 
     DOWN = 0  # ground state, bright to fast imaging
     UP = 1  # clock state, dark to fast imaging
-    RYDBERG = 2  # transient leakage label only; never holds amplitude
 
 
 @dataclass(frozen=True)
@@ -129,15 +126,12 @@ def remove_one_quantum(dist: np.ndarray) -> np.ndarray:
 
 @dataclass
 class HybridAtomState:
-    """Pure state over (electronic level, Fock number) plus a lost flag.
+    """Pure state over (electronic level, Fock number).
 
-    ``amps`` has shape (2, n_max + 1), rows ordered (DOWN, UP). When
-    ``lost`` is set the amplitudes are meaningless and ignored by every
-    operation.
+    ``amps`` has shape (2, n_max + 1), rows ordered (DOWN, UP), and norm 1.
     """
 
     amps: np.ndarray
-    lost: bool = False
 
     def __post_init__(self):
         self.amps = np.asarray(self.amps, dtype=np.complex128)
@@ -145,48 +139,12 @@ class HybridAtomState:
             raise ValidationError(
                 f"amps must have shape (2, n_max+1) with n_max >= 2, got {self.amps.shape}"
             )
-        if not self.lost:
-            self.check_norm()
-
-    @property
-    def n_max(self) -> int:
-        return self.amps.shape[1] - 1
-
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.amps) ** 2))
-
-    def check_norm(self):
-        if abs(self.norm_sq() - 1.0) > NORM_TOL:
-            raise ValidationError(f"state norm^2 = {self.norm_sq()}, expected 1")
-
-    def population(self, level: ElectronicLevel = None, n: int = None) -> float:
-        if self.lost:
-            return 0.0
-        a = self.amps
-        if level is not None:
-            a = a[int(level)][None, :]
-        p = np.abs(a) ** 2
-        if n is not None:
-            p = p[:, n]
-        return float(np.sum(p))
-
-    def motional_distribution(self) -> np.ndarray:
-        """Motional populations marginalized over the electronic level."""
-        if self.lost:
-            return np.zeros(self.n_max + 1)
-        return np.sum(np.abs(self.amps) ** 2, axis=0)
-
-    def copy(self) -> "HybridAtomState":
-        return HybridAtomState(self.amps.copy(), lost=self.lost)
-
-    @classmethod
-    def absent(cls, n_max: int = DEFAULT_N_MAX) -> "HybridAtomState":
-        """Placeholder for an empty trap site; behaves like a lost atom."""
-        amps = np.zeros((2, n_max + 1), dtype=np.complex128)
-        return cls(amps, lost=True)
+        norm_sq = float(np.sum(np.abs(self.amps) ** 2))
+        if abs(norm_sq - 1.0) > NORM_TOL:
+            raise ValidationError(f"state norm^2 = {norm_sq}, expected 1")
 
 
-def prepare_state(level, motional, n_max: int = DEFAULT_N_MAX, rng=None) -> HybridAtomState:
+def prepare_state(level, motional, n_max: int = DEFAULT_N_MAX) -> HybridAtomState:
     """Build a product state (electronic) x (motional).
 
     Parameters
@@ -194,17 +152,12 @@ def prepare_state(level, motional, n_max: int = DEFAULT_N_MAX, rng=None) -> Hybr
     level : ElectronicLevel or length-2 complex sequence
         Electronic level, or normalized (down, up) amplitudes for an
         electronic superposition.
-    motional : int, ThermalSpec, or complex sequence
-        Fock number, a thermal distribution to sample one Fock state from
-        (trajectory mode, requires ``rng``), or normalized motional
-        amplitudes.
+    motional : int or complex sequence
+        Fock number, or normalized motional amplitudes.
     """
-    if isinstance(level, ElectronicLevel) or isinstance(level, int):
-        level = ElectronicLevel(level)
-        if level == ElectronicLevel.RYDBERG:
-            raise ValidationError("cannot prepare population in the leakage label")
+    if isinstance(level, int):
         evec = np.zeros(2, dtype=np.complex128)
-        evec[int(level)] = 1.0
+        evec[ElectronicLevel(level)] = 1.0
     else:
         evec = np.asarray(level, dtype=np.complex128)
         if evec.shape != (2,):
@@ -212,16 +165,7 @@ def prepare_state(level, motional, n_max: int = DEFAULT_N_MAX, rng=None) -> Hybr
         if abs(np.sum(np.abs(evec) ** 2) - 1.0) > NORM_TOL:
             raise ValidationError("electronic amplitudes must be normalized")
 
-    if isinstance(motional, ThermalSpec):
-        if motional.n_max != n_max:
-            raise ValidationError("ThermalSpec n_max must match the state n_max")
-        if rng is None:
-            raise ValidationError("sampling a thermal state requires rng")
-        p = thermal_distribution(motional)
-        n = int(rng.choice(motional.n_max + 1, p=p))
-        mvec = np.zeros(n_max + 1, dtype=np.complex128)
-        mvec[n] = 1.0
-    elif isinstance(motional, (int, np.integer)):
+    if isinstance(motional, (int, np.integer)):
         if motional < 0:
             raise ValidationError(f"Fock number must be >= 0, got {motional}")
         if motional > n_max:

@@ -193,13 +193,25 @@ class TestCliRuns:
             ("imaging.bright_loss_prob", 1.5),
             ("imaging.unshelved_loss_prob", True),
             ("imaging.data_heating_quanta_per_round", -0.01),
+            ("trap.frequency_hz", 0),
+            ("trap.mass_amu", "88"),
+            ("trap.wavelength_nm", -698.0),
+            ("trap.eta", "x"),
+            ("trap.eta", 0.0),
+            ("pulse.rabi_hz", "x"),
+            ("pulse.rabi_hz", -5),
+            ("noise.trap_frequency.sigma_hz", "x"),
+            ("noise.laser_amplitude.sigma_hz", -1.0),
+            ("noise.laser_frequency.sigma_hz", float("inf")),
         ],
     )
     def test_bad_gates_or_imaging_value_exit_2(self, tmp_path, capsys, key, value):
-        section, name = key.split(".")
+        section, *path_in_section = key.split(".")
+        for name in reversed(path_in_section):
+            value = {name: value}
         path = _write_config(
             tmp_path, protocol={"kind": "repeated_readout", "shots": 5, "n_cyc": 1},
-            **{section: {name: value}},
+            **{section: value},
         )
         assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2
         assert key in capsys.readouterr().err

@@ -13,7 +13,6 @@ from tweezersim.dynamics import (
     QuasiStatic,
     SpectralDensity,
     build_hamiltonian,
-    evolve,
     evolve_batch,
     evolve_rows,
     propagator,
@@ -24,16 +23,29 @@ from tweezersim.dynamics import (
     _run_kernel,
 )
 from tweezersim.errors import (
+    NumericsError,
     StepSizeError,
     TruncationError,
     ValidationError,
 )
-from tweezersim.states import ElectronicLevel, HybridAtomState, TrapSpec, prepare_state
+from tweezersim.states import ElectronicLevel, TrapSpec, prepare_state
 
 ETA = 0.36
 RABI = 2 * np.pi * 2e3
 TRAP = TrapSpec(omega_t=2 * np.pi * 35e3, mass=88 * 1.66053906892e-27, k=2 * np.pi / 698e-9, eta=ETA)
 T_PI = np.pi / (ETA * RABI)
+
+
+def evolve_one(state, pulse, trap, realization=None, mode="rwa-ladder"):
+    """Final (2, n_max + 1) amplitudes of one state under one realization
+    (noiseless in one exact step when None), as one row of evolve_batch."""
+    r = realization if realization is not None else NoiseRealization.zeros(pulse.duration)
+    series = (x[None] for x in (r.trap_frequency, r.laser_frequency, _amp_factor(pulse, r)))
+    return evolve_batch(state, pulse, trap, *series, r.dt, mode)[0].reshape(2, -1)
+
+
+def population(amps, level, n):
+    return abs(amps[int(level), n]) ** 2
 
 
 def displacement_matrix_element(n_from, n_to, eta, dim=64):
@@ -197,10 +209,10 @@ class TestBuildHamiltonian:
 class TestEvolve:
     def test_noiseless_bsb_pi_two_level(self):
         state = prepare_state(ElectronicLevel.DOWN, 0, n_max=4)
-        out = evolve(state, PulseSpec.bsb_pi(ETA, RABI), TRAP, mode="two-level")
-        assert out.population(ElectronicLevel.UP, 1) == pytest.approx(1.0, abs=1e-9)
+        out = evolve_one(state, PulseSpec.bsb_pi(ETA, RABI), TRAP, mode="two-level")
+        assert population(out, ElectronicLevel.UP, 1) == pytest.approx(1.0, abs=1e-9)
         # documented global phase: (down,0) -> +(up,1)
-        assert out.amps[1, 1] == pytest.approx(1.0, abs=1e-9)
+        assert out[1, 1] == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("delta_frac", [-1.5, -0.4, 0.0, 0.3, 0.8, 2.0])
     @pytest.mark.parametrize("dur_frac", [0.31, 1.0, 2.7])
@@ -212,10 +224,10 @@ class TestEvolve:
             PulseKind.BLUE_SIDEBAND, rabi=RABI, duration=duration, detuning=delta
         )
         state = prepare_state(ElectronicLevel.DOWN, 0, n_max=4)
-        out = evolve(state, pulse, TRAP, mode="two-level")
+        out = evolve_one(state, pulse, TRAP, mode="two-level")
         w_eff = np.sqrt(w**2 + delta**2)
         expected = w**2 / w_eff**2 * np.sin(w_eff * duration / 2) ** 2
-        assert out.population(ElectronicLevel.UP, 1) == pytest.approx(expected, abs=1e-8)
+        assert population(out, ElectronicLevel.UP, 1) == pytest.approx(expected, abs=1e-8)
 
     def test_carrier_pi_pulse_laguerre_reduction(self):
         # pulse timed as pi for n=0 only partially transfers n=1 at eta=0.36
@@ -223,26 +235,26 @@ class TestEvolve:
         om0 = sideband_rabi(0, 0, ETA, RABI)
         duration = np.pi / om0
         pulse = PulseSpec(PulseKind.CARRIER, rabi=RABI, duration=duration)
-        out0 = evolve(prepare_state(ElectronicLevel.DOWN, 0, n_max=6), pulse, TRAP)
-        assert out0.population(ElectronicLevel.UP, 0) == pytest.approx(1.0, abs=1e-9)
-        out1 = evolve(prepare_state(ElectronicLevel.DOWN, 1, n_max=6), pulse, TRAP)
+        out0 = evolve_one(prepare_state(ElectronicLevel.DOWN, 0, n_max=6), pulse, TRAP)
+        assert population(out0, ElectronicLevel.UP, 0) == pytest.approx(1.0, abs=1e-9)
+        out1 = evolve_one(prepare_state(ElectronicLevel.DOWN, 1, n_max=6), pulse, TRAP)
         expected = np.sin((1 - x) * np.pi / 2) ** 2  # L_1(x)/L_0(x) = 1 - x
-        assert out1.population(ElectronicLevel.UP, 1) == pytest.approx(expected, abs=1e-9)
-        assert out1.population(ElectronicLevel.UP, 1) < 0.97
+        assert population(out1, ElectronicLevel.UP, 1) == pytest.approx(expected, abs=1e-9)
+        assert population(out1, ElectronicLevel.UP, 1) < 0.97
 
     def test_rsb_has_no_effect_on_ground_state(self):
         pulse = PulseSpec(
             PulseKind.RED_SIDEBAND, rabi=RABI, duration=np.pi / sideband_rabi(0, 1, ETA, RABI)
         )
-        out = evolve(prepare_state(ElectronicLevel.DOWN, 0, n_max=6), pulse, TRAP)
-        assert out.population(ElectronicLevel.DOWN, 0) == pytest.approx(1.0, abs=1e-12)
+        out = evolve_one(prepare_state(ElectronicLevel.DOWN, 0, n_max=6), pulse, TRAP)
+        assert population(out, ElectronicLevel.DOWN, 0) == pytest.approx(1.0, abs=1e-12)
 
     def test_rsb_pi_removes_one_quantum(self):
         pulse = PulseSpec(
             PulseKind.RED_SIDEBAND, rabi=RABI, duration=np.pi / sideband_rabi(1, 0, ETA, RABI)
         )
-        out = evolve(prepare_state(ElectronicLevel.DOWN, 1, n_max=6), pulse, TRAP)
-        assert out.population(ElectronicLevel.UP, 0) == pytest.approx(1.0, abs=1e-9)
+        out = evolve_one(prepare_state(ElectronicLevel.DOWN, 1, n_max=6), pulse, TRAP)
+        assert population(out, ElectronicLevel.UP, 0) == pytest.approx(1.0, abs=1e-9)
 
     def test_propagator_unitarity_with_noise(self):
         model = NoiseModel(
@@ -263,12 +275,12 @@ class TestEvolve:
         )
         r = sample_noise(model, T_PI, T_PI / 2001, seed=4)
         pulse = PulseSpec.bsb_pi(ETA, RABI)
-        series = (r.trap_frequency, r.laser_frequency, _amp_factor(pulse, r), r.dt)
+        series = (r.trap_frequency[None], r.laser_frequency[None], _amp_factor(pulse, r)[None], r.dt)
         for mode in ("rwa-ladder", "two-level"):
             u = propagator(pulse, TRAP, r, mode=mode, n_max=6)
             cols = np.column_stack(
                 [
-                    _run_kernel(basis, pulse, TRAP, *series, mode, 6, guards=False)
+                    _run_kernel(basis[None, :, None], pulse, TRAP, *series, mode, 6, guards=False)[0, :, 0]
                     for basis in np.eye(14, dtype=np.complex128)
                 ]
             )
@@ -289,8 +301,8 @@ class TestEvolve:
             phase=phase,
         )
         state = prepare_state(np.array([0.6, 0.8]), 0, n_max=5)
-        out = evolve(state, pulse, TRAP)
-        assert out.norm_sq() == pytest.approx(1.0, abs=1e-10)
+        out = evolve_one(state, pulse, TRAP)
+        assert np.sum(np.abs(out) ** 2) == pytest.approx(1.0, abs=1e-10)
 
     def test_step_size_guard(self):
         pulse = PulseSpec.bsb_pi(ETA, RABI)
@@ -302,13 +314,13 @@ class TestEvolve:
             laser_amplitude=np.zeros(2),
         )
         with pytest.raises(StepSizeError):
-            evolve(prepare_state(ElectronicLevel.DOWN, 0, n_max=4), pulse, TRAP, r)
+            evolve_one(prepare_state(ElectronicLevel.DOWN, 0, n_max=4), pulse, TRAP, r)
 
     def test_truncation_edge_guard(self):
         pulse = PulseSpec.bsb_pi(ETA, RABI)
         state = prepare_state(ElectronicLevel.DOWN, 4, n_max=4)
         with pytest.raises(TruncationError):
-            evolve(state, pulse, TRAP)
+            evolve_one(state, pulse, TRAP)
 
     def test_convergence_under_dt_halving(self):
         # smooth deterministic laser-frequency modulation, resolved by the
@@ -328,28 +340,21 @@ class TestEvolve:
             )
 
         state = prepare_state(ElectronicLevel.DOWN, 0, n_max=4)
-        p1 = evolve(state, pulse, TRAP, realization(2000)).population(ElectronicLevel.UP, 1)
-        p2 = evolve(state, pulse, TRAP, realization(4000)).population(ElectronicLevel.UP, 1)
+        p1 = population(evolve_one(state, pulse, TRAP, realization(2000)), ElectronicLevel.UP, 1)
+        p2 = population(evolve_one(state, pulse, TRAP, realization(4000)), ElectronicLevel.UP, 1)
         assert abs(p1 - p2) < 1e-8
-
-    def test_rejects_lost_atom(self):
-        from tweezersim.states import HybridAtomState
-
-        with pytest.raises(ValidationError):
-            evolve(HybridAtomState.absent(4), PulseSpec.bsb_pi(ETA, RABI), TRAP)
 
     def test_spectroscopy_pi_duration_saturates_transfer(self):
         dur = spectroscopy_pi_duration(ETA, RABI)
         pulse = PulseSpec(PulseKind.BLUE_SIDEBAND, rabi=RABI, duration=dur)
-        out = evolve(prepare_state(ElectronicLevel.DOWN, 0, n_max=6), pulse, TRAP)
-        assert out.population(ElectronicLevel.UP, 1) == pytest.approx(1.0, abs=1e-10)
+        out = evolve_one(prepare_state(ElectronicLevel.DOWN, 0, n_max=6), pulse, TRAP)
+        assert population(out, ElectronicLevel.UP, 1) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestPerturbativeConsistency:
     def test_quasi_static_trap_noise_matches_sigma2_i0(self):
         # trajectory average under shot-constant trap noise at
         # sigma/(eta rabi) = 0.1 agrees with sigma^2 I(0) within 3 SE
-        from tweezersim.dynamics import evolve_batch
         from tweezersim.response import ResponseQuery, infidelity, response_function
 
         sigma = 0.1 * ETA * RABI
@@ -417,12 +422,12 @@ class TestKernelsBackend:
             mode="two-level",
         )
         for i, r in enumerate(reals):
-            seq = evolve(state, pulse, TRAP, r, mode="two-level")
-            np.testing.assert_allclose(batch[i], seq.amps.reshape(-1), atol=1e-12)
+            seq = evolve_one(state, pulse, TRAP, r, mode="two-level")
+            np.testing.assert_allclose(batch[i], seq.reshape(-1), atol=1e-12)
 
 
 class TestEvolveBatchGuards:
-    """evolve_batch trips the same guards as evolve."""
+    """evolve_batch trips the step-size, truncation and norm guards."""
 
     @staticmethod
     def _batch(state, pulse, trap_rows):
@@ -443,19 +448,38 @@ class TestEvolveBatchGuards:
         with pytest.raises(TruncationError):
             self._batch(prepare_state(ElectronicLevel.DOWN, 4, n_max=4), pulse, np.zeros((3, 100)))
 
-    def test_rejects_lost_atom(self):
-        pulse = PulseSpec.bsb_pi(ETA, RABI)
-        with pytest.raises(ValidationError):
-            self._batch(HybridAtomState.absent(4), pulse, np.zeros((3, 100)))
-
     def test_top_level_leak_guard(self):
         # (down, 3) -> (up, 4): a blue-sideband pi pulse fills the top level
         pulse = PulseSpec(PulseKind.BLUE_SIDEBAND, rabi=RABI, duration=np.pi / sideband_rabi(3, 4, ETA, RABI))
         state = prepare_state(ElectronicLevel.DOWN, 3, n_max=4)
         with pytest.raises(TruncationError, match="top Fock level"):
-            evolve(state, pulse, TRAP)
+            evolve_one(state, pulse, TRAP)
         with pytest.raises(TruncationError, match="top Fock level"):
             self._batch(state, pulse, np.zeros((3, 100)))
+
+    @pytest.mark.parametrize("scale", [1.001, np.nan])
+    def test_norm_drift_guard(self, monkeypatch, scale):
+        # a kernel that scales every amplitude (or overflows to NaN) trips
+        # the output norm check of evolve_batch and of both evolve_rows
+        # branches
+        real = kernels.evolve_blocks_batch
+
+        def leaky(*args):
+            out = real(*args)
+            out *= scale  # in place: out is the caller's buffer
+            return out
+
+        monkeypatch.setattr(kernels, "evolve_blocks_batch", leaky)
+        pulse = PulseSpec.bsb_pi(ETA, RABI)
+        state = prepare_state(ElectronicLevel.DOWN, 0, n_max=4)
+        with pytest.raises(NumericsError, match="norm drift"):
+            self._batch(state, pulse, np.zeros((3, 100)))
+        rows = state.amps.reshape(1, -1, 1)
+        with pytest.raises(NumericsError, match="norm drift"):
+            evolve_rows(rows, pulse, TRAP)
+        model = NoiseModel(trap_frequency=QuasiStatic(2 * np.pi * 175.0))
+        with pytest.raises(NumericsError, match="norm drift"):
+            evolve_rows(rows, pulse, TRAP, model, 100, np.random.default_rng(1))
 
 
 class TestEvolveRows:
@@ -479,12 +503,12 @@ class TestEvolveRows:
         rng = np.random.default_rng(5)
         for k, (state, anc) in enumerate(zip(states, (0, 1, 0))):
             r = sample_noise(model, pulse.duration, pulse.duration / 200, rng)
-            ref = evolve(state, pulse, TRAP, r).amps.reshape(-1)
+            ref = evolve_one(state, pulse, TRAP, r).reshape(-1)
             np.testing.assert_allclose(out[k, :, anc], ref, atol=1e-12)
             assert np.all(out[k, :, 1 - anc] == 0)
         quiet = evolve_rows(rows, pulse, TRAP)
         for k, state in enumerate(states):
-            ref = evolve(state, pulse, TRAP).amps.reshape(-1)
+            ref = evolve_one(state, pulse, TRAP).reshape(-1)
             np.testing.assert_allclose(quiet[k].sum(axis=1), ref, atol=1e-12)
 
     @pytest.mark.parametrize("noisy", [False, True])
@@ -557,7 +581,7 @@ class TestEvolveRows:
         ref_rng = np.random.default_rng(4)
         for k, state in enumerate(states):
             r = sample_noise(model, pulse.duration, pulse.duration / steps, ref_rng)
-            ref = evolve(state, pulse, TRAP, r).amps.reshape(-1)
+            ref = evolve_one(state, pulse, TRAP, r).reshape(-1)
             np.testing.assert_allclose(out[k, :, anc[k]], ref, rtol=0, atol=1e-12)
             assert np.all(out[k, :, 1 - anc[k]] == 0)
 

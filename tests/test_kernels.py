@@ -89,8 +89,10 @@ def _oracle_batch(amps0, tables, trap, freq, ampf, dt):
 
 
 def _batch(amps0, tables, trap, freq, ampf, dt):
-    out = np.empty((trap.shape[0], amps0.size), dtype=np.complex128)
-    return kernels.evolve_blocks_batch(amps0, *tables, trap, freq, ampf, dt, out)
+    """Every row of the series from one shared flat state amps0."""
+    rows = np.broadcast_to(amps0[None, :, None], (trap.shape[0], amps0.size, 1))
+    out = np.empty(rows.shape, dtype=np.complex128)
+    return kernels.evolve_blocks_batch(rows, *tables, trap, freq, ampf, dt, out)[:, :, 0]
 
 
 # two-level mode is defined for the blue sideband and free evolution only
@@ -113,9 +115,7 @@ def test_single_trajectory_matches_oracle(kind, mode, n_steps):
     trap, freq, ampf = _series(rng, 1, n_steps)
     dt = T_PI / n_steps
     want = evolve_blocks_scalar(amps.copy(), *tables, trap[0], freq[0], ampf[0], dt)
-    got = amps.copy()
-    returned = kernels.evolve_blocks(got, *tables, trap[0], freq[0], ampf[0], dt)
-    assert returned is got  # in place
+    got = _batch(amps, tables, trap, freq, ampf, dt)[0]
     np.testing.assert_allclose(got, want, rtol=0, atol=ATOL)
     assert np.linalg.norm(got) == pytest.approx(1.0, abs=1e-12)
 
@@ -151,7 +151,7 @@ def test_zero_coupling_block_takes_phase_only_branch():
     ampf = _amp_factor(pulse, NoiseRealization.zeros(T_PI, n_steps))
     dt = T_PI / n_steps
     want = evolve_blocks_scalar(amps.copy(), *tables, trap, freq, ampf, dt)
-    got = kernels.evolve_blocks(amps.copy(), *tables, trap, freq, ampf, dt)
+    got = _batch(amps, tables, trap[None], freq[None], ampf[None], dt)[0]
     np.testing.assert_allclose(got, want, rtol=0, atol=ATOL)
     np.testing.assert_allclose(np.abs(got), np.abs(amps), rtol=0, atol=ATOL)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from tweezersim.dynamics import sideband_rabi
+from tweezersim.dynamics import NoiseModel, QuasiStatic, SpectralDensity, sideband_rabi
 from tweezersim.gates import (
     GateErrorSpec,
     ImagingSpec,
@@ -16,6 +16,7 @@ from tweezersim.protocols import (
     CHUNK_SHOTS,
     DEFAULT_TRAP,
     ProtocolConfig,
+    _initial_n,
     calibrate_phase,
     cooling_gates,
     ideal_rsb_map,
@@ -265,16 +266,44 @@ class TestNonIdealCooling:
         assert np.count_nonzero(table.data_lost) == table.events["cz_leakage_data"]
 
 
+class TestInitialN:
+    def test_thermal_sampling_statistics(self):
+        config = ProtocolConfig(kind="algorithmic_cooling", n_max=12, data_nbar=1.0)
+        p0_expected = thermal_distribution(ThermalSpec(nbar=1.0, n_max=12))[0]
+        shots = 100_000
+        hits = np.count_nonzero(_initial_n(config, np.random.default_rng(7), shots) == 0)
+        sigma = np.sqrt(p0_expected * (1 - p0_expected) / shots)
+        assert hits / shots == pytest.approx(p0_expected, abs=3 * sigma)
+
+
 class TestChunkDeterminism:
     """Outputs do not depend on the worker count, over three chunks."""
 
     @pytest.mark.parametrize(
-        "kind", ["repeated_readout", "loss_detection", "algorithmic_cooling"]
+        "kind, extra",
+        [
+            pytest.param("repeated_readout", {}, id="repeated_readout"),
+            pytest.param("loss_detection", {}, id="loss_detection"),
+            pytest.param("algorithmic_cooling", {}, id="algorithmic_cooling"),
+            # the noisy shelving pulse: one exact step per row, then
+            # `steps_per_pulse` steps under a low-band laser PSD
+            pytest.param("loss_detection",
+                         {"noise": NoiseModel(trap_frequency=QuasiStatic(2 * np.pi * 175.0))},
+                         id="loss_detection-quasi_static_trap"),
+            pytest.param("loss_detection",
+                         {"noise": NoiseModel(laser_frequency=SpectralDensity(
+                             np.array([0.0, 100.0]), np.array([2e3, 2e3]))),
+                          "steps_per_pulse": 50},
+                         id="loss_detection-psd_laser"),
+            pytest.param("algorithmic_cooling", {"ideal_cooling_rsb": False},
+                         id="algorithmic_cooling-nonideal_rsb"),
+        ],
     )
-    def test_one_and_three_workers_agree(self, kind):
+    def test_one_and_three_workers_agree(self, kind, extra):
         shots = 2 * CHUNK_SHOTS + 37
         base = dict(kind=kind, shots=shots, seed=31, n_max=N_MAX, n_cyc=2,
-                    ancilla_absent_prob=0.1, data_nbar=1.0 if kind == "algorithmic_cooling" else 0.0)
+                    ancilla_absent_prob=0.1, data_nbar=1.0 if kind == "algorithmic_cooling" else 0.0,
+                    **extra)
         runs = []
         for workers in (1, 3):
             cfg = ProtocolConfig(workers=workers, **base)
