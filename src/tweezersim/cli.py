@@ -15,6 +15,7 @@ Exit codes: 0 ok, 2 config validation, 3 numerical guard, 4 I/O.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -53,12 +54,7 @@ from .protocols import (
     run_repeated_readout,
     simulate_sideband_spectrum,
 )
-from .response import (
-    ResponseQuery,
-    budget,
-    response_function,
-    response_numeric,
-)
+from .response import ResponseQuery, budget, response_function
 from .states import ThermalSpec, remove_one_quantum, thermal_distribution
 
 FLOAT_FMT = "%.17g"
@@ -173,7 +169,7 @@ def cmd_simulate(config, out_dir, workers, report):
         report.add_output(fpath)
     elif kind == "algorithmic_cooling":
         table, results = run_algorithmic_cooling(pconf)
-    elif kind == "phase_calibration":
+    else:  # phase_calibration
         table = calibrate_phase(pconf)
         rows = []
         for k, phi in enumerate(table["phases"]):
@@ -186,8 +182,6 @@ def cmd_simulate(config, out_dir, workers, report):
             "data_state_deviation": table["data_state_deviation"]
         }
         return
-    else:
-        raise ValidationError(f"protocol.kind {kind!r} is not runnable here")
     path = os.path.join(out_dir, "shots.csv")
     write_csv(path, SHOT_HEADER, shot_rows(table))
     report.add_output(path)
@@ -240,13 +234,9 @@ def cmd_response(config, out_dir, workers, report):
     trap = build_trap(config)
     rabi = TWO_PI * config["pulse"]["rabi_hz"]
     if sec["grid_kind"] == "log":
-        grid = np.logspace(
-            math.log10(sec["f_min_hz"]), math.log10(sec["f_max_hz"]), int(sec["points"])
-        )
-    elif sec["grid_kind"] == "linear":
-        grid = np.linspace(sec["f_min_hz"], sec["f_max_hz"], int(sec["points"]))
+        grid = np.logspace(math.log10(sec["f_min_hz"]), math.log10(sec["f_max_hz"]), sec["points"])
     else:
-        raise ValidationError("response.grid_kind must be 'log' or 'linear'")
+        grid = np.linspace(sec["f_min_hz"], sec["f_max_hz"], sec["points"])
     query = ResponseQuery(
         eta=trap.eta,
         rabi=rabi,
@@ -254,11 +244,7 @@ def cmd_response(config, out_dir, workers, report):
         channel=sec["channel"],
         duration=sec["duration_s"],
     )
-    rf = (
-        response_numeric(query)
-        if sec["method"] == "numeric"
-        else response_function(query, method=sec["method"])
-    )
+    rf = response_function(query, method=sec["method"])
     noise = build_noise(config, config.get("_base_dir", "."))
     channel_spec = noise.channel(sec["channel"])
     rows = []
@@ -302,7 +288,7 @@ def _spectrum_grid(config, trap):
         # main lobe of the pi-pulse line at the configured drive
         omega01 = sideband_rabi(0, 1, trap.eta, TWO_PI * config["pulse"]["rabi_hz"])
         span = 1.75 * omega01 / TWO_PI
-    side = np.linspace(f_trap - span, f_trap + span, int(sec["points_per_side"]))
+    side = np.linspace(f_trap - span, f_trap + span, sec["points_per_side"])
     return np.concatenate([-side[::-1], side])
 
 
@@ -337,20 +323,24 @@ def cmd_spectrum(config, out_dir, workers, report):
 
 
 def read_spectrum_csv(path) -> SidebandSpectrum:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        for line in fh:
-            parts = line.strip().split(",")
-            if len(parts) >= 3:
-                rows.append([float(v) for v in parts[:4]])
-    if not rows:
-        raise ValidationError(f"no spectrum rows in {path}")
-    arr = np.asarray(rows)
-    shots = arr[:, 3] if arr.shape[1] > 3 else np.zeros(arr.shape[0])
-    return SidebandSpectrum(
-        detuning_hz=arr[:, 0], p_exc=arr[:, 1], stderr=arr[:, 2], shots=shots
-    )
+    """The spectrum in a spectrum.csv written by `spectrum`."""
+    try:
+        rows = []
+        with open(path, "r", encoding="utf-8") as fh:
+            fh.readline()  # header
+            for line in fh:
+                parts = line.strip().split(",")
+                if len(parts) >= 3:
+                    rows.append([float(v) for v in parts[:4]])
+        if not rows:
+            raise ValidationError("no spectrum rows")
+        arr = np.asarray(rows)
+        shots = arr[:, 3] if arr.shape[1] > 3 else np.zeros(arr.shape[0])
+        return SidebandSpectrum(
+            detuning_hz=arr[:, 0], p_exc=arr[:, 1], stderr=arr[:, 2], shots=shots
+        )
+    except (ValueError, ValidationError) as exc:
+        raise ValidationError(f"fit.input_csv: {path} is not a spectrum CSV: {exc}") from None
 
 
 def cmd_fit(config, out_dir, workers, report):
@@ -396,7 +386,7 @@ def cmd_fit(config, out_dir, workers, report):
                 "nonthermal_correction_bound": nonthermal_correction(min(est.ratio, 0.999), t12),
             }
         )
-    elif sec["mode"] == "cooled":
+    else:  # cooled
         fit = fit_double_gaussian_with_offset(spectrum)
         payload.update(
             {
@@ -417,8 +407,6 @@ def cmd_fit(config, out_dir, workers, report):
                 ),
             }
         )
-    else:
-        raise ValidationError("fit.mode must be 'baseline' or 'cooled'")
     fpath = os.path.join(out_dir, "fit.json")
     write_json(fpath, payload)
     report.add_output(fpath)
@@ -428,23 +416,26 @@ def cmd_fit(config, out_dir, workers, report):
 def read_shots_csv(path):
     """signals per (scenario, shot) from a shots.csv written by simulate."""
     per_key = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        idx = {name: header.index(name) for name in ("scenario", "shot", "round", "signal")}
-        for line in fh:
-            parts = line.rstrip("\n").split(",")
-            key = (parts[idx["scenario"]], int(parts[idx["shot"]]))
-            per_key.setdefault(key, []).append(
-                (int(parts[idx["round"]]), float(parts[idx["signal"]]))
-            )
-    out = {}
-    for (scenario, shot), vals in per_key.items():
-        vals.sort()
-        out.setdefault(scenario, {})[shot] = [v for _, v in vals]
-    matrices = {}
-    for scenario, shots in out.items():
-        matrices[scenario] = np.asarray([shots[k] for k in sorted(shots)], dtype=float)
-    return matrices
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().strip().split(",")
+            idx = {name: header.index(name) for name in ("scenario", "shot", "round", "signal")}
+            for line in fh:
+                parts = line.rstrip("\n").split(",")
+                key = (parts[idx["scenario"]], int(parts[idx["shot"]]))
+                per_key.setdefault(key, []).append(
+                    (int(parts[idx["round"]]), float(parts[idx["signal"]]))
+                )
+        out = {}
+        for (scenario, shot), vals in per_key.items():
+            vals.sort()
+            out.setdefault(scenario, {})[shot] = [v for _, v in vals]
+        return {
+            scenario: np.asarray([shots[k] for k in sorted(shots)], dtype=float)
+            for scenario, shots in out.items()
+        }
+    except (ValueError, IndexError) as exc:
+        raise ValidationError(f"detect.input_csv: {path} is not a shots CSV: {exc}") from None
 
 
 def cmd_detect(config, out_dir, workers, report):
@@ -457,16 +448,18 @@ def cmd_detect(config, out_dir, workers, report):
         path = os.path.join(config.get("_base_dir", "."), path)
     matrices = read_shots_csv(path)
     if "present" not in matrices or "absent" not in matrices:
-        raise ValidationError("shots CSV must contain present and absent scenarios")
+        raise ValidationError("detect.input_csv must hold present and absent scenarios")
+    try:
+        sums = {
+            n: [aggregate_signals(matrices[s], n) for s in ("present", "absent")]
+            for n in sec["n_cyc_list"]
+        }
+    except ValidationError as exc:
+        raise ValidationError(f"detect.n_cyc_list: {exc}") from None
     rows = []
     for p1 in config["protocol"]["p1_priors"]:
         for n in sec["n_cyc_list"]:
-            res = optimize_threshold(
-                aggregate_signals(matrices["present"], int(n)),
-                aggregate_signals(matrices["absent"], int(n)),
-                float(p1),
-                n_cyc=int(n),
-            )
+            res = optimize_threshold(*sums[n], p1, n_cyc=n)
             rows.append((p1, n, res.threshold, res.fidelity, res.f1, res.f0))
     path = os.path.join(out_dir, "detect.csv")
     write_csv(path, ["p1", "n_cyc", "threshold", "fidelity", "f1", "f0"], rows)
@@ -475,15 +468,15 @@ def cmd_detect(config, out_dir, workers, report):
 
 
 def cmd_cool(config, out_dir, workers, report):
-    base_dir = config.get("_base_dir", ".")
+    pconf = dataclasses.replace(
+        build_protocol(config, config.get("_base_dir", "."), workers),
+        kind="algorithmic_cooling",
+        data_psi=config["protocol"]["data_psi"],  # null: the cooling default
+    )
     rows = []
     events = Counter()
     for nbar in cooling_nbar_list(config):
-        cfg_i = json.loads(json.dumps(config))
-        cfg_i["protocol"]["kind"] = "algorithmic_cooling"
-        cfg_i["protocol"]["data_nbar"] = nbar
-        pconf = build_protocol(cfg_i, base_dir, workers)
-        table, summary = run_algorithmic_cooling(pconf)
+        table, summary = run_algorithmic_cooling(dataclasses.replace(pconf, data_nbar=nbar))
         events += table.events
         q = nbar / (nbar + 1.0)
         # one-quantum-removal reference on a ladder deep enough that the

@@ -1,7 +1,8 @@
 """JSON run-configuration schema, validation, and object builders.
 
-Configs are plain JSON with fixed sections; unknown keys are rejected
-with a dotted path to the offender, and physical quantities carry the
+Configs are plain JSON with fixed sections. One table, ``_KEYS``, holds
+every key's default and rule; unknown keys and values outside their
+rule are rejected with the dotted key, and physical quantities carry the
 unit in the key name (*_hz, *_s, *_rad, *_amu, *_nm). Frequencies are
 ordinary frequencies in Hz at this boundary and are converted to
 angular units internally.
@@ -9,216 +10,196 @@ angular units internally.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
+import operator
 import os
 
 import numpy as np
 
-from .dynamics import NoiseModel, QuasiStatic, SpectralDensity, load_psd_csv
+from .dynamics import CHANNELS, NoiseModel, QuasiStatic, SpectralDensity, load_psd_csv
 from .errors import ValidationError
 from .gates import GateErrorSpec, ImagingSpec, calibrate_imaging
-from .protocols import ProtocolConfig
+from .protocols import PROTOCOL_KINDS, SCENARIOS, ProtocolConfig
 from .states import TrapSpec
 
 TWO_PI = 2.0 * math.pi
 
-_NOISE_CHANNEL_SCHEMA = {
-    "kind": "quasi_static",  # "quasi_static" | "psd" | "off"
-    "sigma_hz": 0.0,
-    "csv": None,
-    "frequencies_hz": None,
-    "values": None,
-    "convention": "frequency",  # laser_frequency only: "frequency" | "phase"
+#: Every config key: dotted key -> (default, rule). ``noise.*.<key>`` is a
+#: key of each noise channel. A rule is an interval string for a number,
+#: ("int", minimum), a tuple of allowed strings, str, bool, dict (a noise
+#: channel), or a one-item list giving the rule of each entry of a
+#: non-empty list. A key may be null exactly when its default is null.
+_KEYS = {
+    "seed": (12345, ("int", 0)),
+    "trap.frequency_hz": (35e3, "(0, inf)"),
+    "trap.mass_amu": (88.0, "(0, inf)"),
+    "trap.wavelength_nm": (698.0, "(0, inf)"),
+    "trap.eta": (None, "(0, inf)"),  # derived from the trap when omitted
+    "pulse.rabi_hz": (2000.0, "(0, inf)"),
+    "noise.trap_frequency": (None, dict),
+    "noise.laser_frequency": (None, dict),
+    "noise.laser_amplitude": (None, dict),
+    "noise.*.kind": ("quasi_static", ("quasi_static", "psd", "off")),
+    "noise.*.sigma_hz": (0.0, "[0, inf)"),
+    "noise.*.csv": (None, str),
+    "noise.*.frequencies_hz": (None, ["[0, inf)"]),
+    "noise.*.values": (None, ["[0, inf)"]),
+    # the phase convention applies to laser_frequency only
+    "noise.*.convention": ("frequency", ("frequency", "phase")),
+    "gates.enabled": (True, bool),
+    "gates.cz_phase_error_prob": (0.006, "[0, 1]"),
+    "gates.cz_loss_prob": (0.002, "[0, 1]"),
+    "gates.sq_over_rotation_sigma_rad": (0.02, "[0, inf)"),
+    "gates.per_gate_jitter": (False, bool),
+    "imaging.target_single_round_fidelity": (0.90, "(0.5, 1)"),
+    "imaging.bright_mean": (None, "(-inf, inf)"),  # calibrated from the target when omitted
+    "imaging.dark_mean": (0.0, "(-inf, inf)"),
+    "imaging.bright_std": (1.0, "(0, inf)"),
+    "imaging.dark_std": (1.0, "(0, inf)"),
+    "imaging.bright_loss_prob": (0.5, "[0, 1]"),
+    "imaging.unshelved_loss_prob": (0.9, "[0, 1]"),
+    "imaging.data_heating_quanta_per_round": (0.008, "[0, 1]"),
+    "protocol.kind": ("repeated_readout", PROTOCOL_KINDS),
+    "protocol.shots": (1000, ("int", 1)),
+    "protocol.n_cyc": (4, ("int", 1)),
+    "protocol.p1_priors": ([0.5, 0.9], ["[0, 1]"]),
+    "protocol.scenarios": (list(SCENARIOS), [SCENARIOS]),
+    # Fock truncation; a modeling choice, keep >= 12 for q <= 0.7
+    "protocol.n_max": (12, ("int", 2)),
+    "protocol.data_psi": (None, ("up", "down", "plus")),
+    "protocol.data_nbar": (0.002, "[0, inf)"),
+    "protocol.nbar_list": (None, ["[0, inf)"]),
+    "protocol.p0_list": (None, ["(0, 1]"]),
+    "protocol.shelving_transfer_fidelity": (None, "(0, 1]"),
+    "protocol.steps_per_pulse": (2000, ("int", 1)),
+    "protocol.analyzer_phases_rad": (None, ["(-inf, inf)"]),
+    "protocol.comp_phase_rad": (math.pi, "(-inf, inf)"),
+    "protocol.local_z_phase_rad": (0.0, "(-inf, inf)"),
+    "protocol.ancilla_absent_prob": (0.0, "[0, 1]"),
+    "protocol.ideal_cooling_rsb": (True, bool),
+    "response.channel": ("trap_frequency", CHANNELS),
+    "response.method": ("closed-form", ("closed-form", "numeric")),
+    "response.grid_kind": ("log", ("log", "linear")),
+    "response.f_min_hz": (10.0, "[0, inf)"),
+    "response.f_max_hz": (10e3, "(0, inf)"),
+    "response.points": (50, ("int", 1)),
+    "response.duration_s": (None, "(0, inf)"),
+    "spectrum.nbar": (0.5, "[0, inf)"),
+    "spectrum.after_cooling": (False, bool),
+    # null -> the scan covers the main lobe of the pi-pulse line,
+    # 1.75 * Omega_01 / (2 pi); staying inside the first coherent
+    # sidelobe keeps the Gaussian peak model faithful
+    "spectrum.detuning_span_hz": (None, "(0, inf)"),
+    "spectrum.points_per_side": (11, ("int", 1)),
+    "spectrum.shots_per_point": (300, ("int", 1)),
+    "spectrum.wrong_state_fraction": (0.0, "[0, 1]"),
+    "spectrum.include_carrier": (False, bool),
+    "fit.input_csv": (None, str),
+    "fit.mode": ("baseline", ("baseline", "cooled")),
+    "detect.input_csv": (None, str),
+    "detect.n_cyc_list": ([1, 2, 3, 4], [("int", 1)]),
+    "output.dir": ("out", str),
 }
-
-DEFAULT_CONFIG = {
-    "seed": 12345,
-    "trap": {
-        "frequency_hz": 35e3,
-        "mass_amu": 88.0,
-        "wavelength_nm": 698.0,
-        "eta": None,  # derived from the trap when omitted
-    },
-    "pulse": {
-        "rabi_hz": 2000.0,
-    },
-    "noise": {
-        "trap_frequency": None,
-        "laser_frequency": None,
-        "laser_amplitude": None,
-    },
-    "gates": {
-        "enabled": True,
-        "cz_phase_error_prob": 0.006,
-        "cz_loss_prob": 0.002,
-        "sq_over_rotation_sigma_rad": 0.02,
-        "per_gate_jitter": False,
-    },
-    "imaging": {
-        "target_single_round_fidelity": 0.90,
-        "bright_mean": None,  # calibrated from the target when omitted
-        "dark_mean": 0.0,
-        "bright_std": 1.0,
-        "dark_std": 1.0,
-        "bright_loss_prob": 0.5,
-        "unshelved_loss_prob": 0.9,
-        "data_heating_quanta_per_round": 0.008,
-    },
-    "protocol": {
-        "kind": "repeated_readout",
-        "shots": 1000,
-        "n_cyc": 4,
-        "p1_priors": [0.5, 0.9],
-        "scenarios": ["present", "absent"],
-        "n_max": 12,  # Fock truncation; a modeling choice, keep >= 12 for q <= 0.7
-        "data_psi": None,
-        "data_nbar": 0.002,
-        "nbar_list": None,
-        "p0_list": None,
-        "shelving_transfer_fidelity": None,
-        "steps_per_pulse": 2000,
-        "analyzer_phases_rad": None,
-        "comp_phase_rad": math.pi,
-        "local_z_phase_rad": 0.0,
-        "ancilla_absent_prob": 0.0,
-        "ideal_cooling_rsb": True,
-    },
-    "response": {
-        "channel": "trap_frequency",
-        "method": "closed-form",
-        "grid_kind": "log",
-        "f_min_hz": 10.0,
-        "f_max_hz": 10e3,
-        "points": 50,
-        "duration_s": None,
-    },
-    "spectrum": {
-        "nbar": 0.5,
-        "after_cooling": False,
-        # null -> the scan covers the main lobe of the pi-pulse line,
-        # 1.75 * Omega_01 / (2 pi); staying inside the first coherent
-        # sidelobe keeps the Gaussian peak model faithful
-        "detuning_span_hz": None,
-        "points_per_side": 11,
-        "shots_per_point": 300,
-        "wrong_state_fraction": 0.0,
-        "include_carrier": False,
-    },
-    "fit": {
-        "input_csv": None,
-        "mode": "baseline",  # "baseline" | "cooled"
-    },
-    "detect": {
-        "input_csv": None,
-        "n_cyc_list": [1, 2, 3, 4],
-    },
-    "output": {
-        "dir": "out",
-    },
-}
-
-
-#: Every accepted key: the defaults, with each noise channel's keys spelled out.
-_SCHEMA = {**DEFAULT_CONFIG, "noise": dict.fromkeys(DEFAULT_CONFIG["noise"], _NOISE_CHANNEL_SCHEMA)}
-
-
-def _check_keys(raw, schema, path=""):
-    for key, value in raw.items():
-        here = f"{path}.{key}" if path else key
-        if key not in schema:
-            raise ValidationError(f"unknown config key: {here}")
-        if isinstance(schema[key], dict) and isinstance(value, dict):
-            _check_keys(value, schema[key], here)
-
-
-def _merge(defaults, raw):
-    out = copy.deepcopy(defaults)
-    for key, value in raw.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], value)
-        else:
-            out[key] = value
-    return out
-
-
-#: Integer protocol keys and their smallest allowed values.
-_PROTOCOL_INT_MINIMA = {"shots": 1, "n_cyc": 1, "n_max": 2, "steps_per_pulse": 1}
-
-#: Number keys: dotted key -> (allowed interval, null allowed).
-_NUMBER_KEYS = {
-    "trap.frequency_hz": ("(0, inf)", False),
-    "trap.mass_amu": ("(0, inf)", False),
-    "trap.wavelength_nm": ("(0, inf)", False),
-    "trap.eta": ("(0, inf)", True),
-    "pulse.rabi_hz": ("(0, inf)", False),
-    "protocol.data_nbar": ("[0, inf)", False),
-    "protocol.ancilla_absent_prob": ("[0, 1]", False),
-    "gates.cz_phase_error_prob": ("[0, 1]", False),
-    "gates.cz_loss_prob": ("[0, 1]", False),
-    "gates.sq_over_rotation_sigma_rad": ("[0, inf)", False),
-    "imaging.target_single_round_fidelity": ("(0.5, 1)", False),
-    "imaging.bright_mean": ("(-inf, inf)", True),
-    "imaging.dark_mean": ("(-inf, inf)", False),
-    "imaging.bright_std": ("(0, inf)", False),
-    "imaging.dark_std": ("(0, inf)", False),
-    "imaging.bright_loss_prob": ("[0, 1]", False),
-    "imaging.unshelved_loss_prob": ("[0, 1]", False),
-    "imaging.data_heating_quanta_per_round": ("[0, 1]", False),
-}
-
-_BOOL_KEYS = ("gates.enabled", "gates.per_gate_jitter")
 
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _in_interval(value, interval: str) -> bool:
-    lo, hi = (float(x) for x in interval[1:-1].split(","))
-    above = lo < value if interval[0] == "(" else lo <= value
-    below = value < hi if interval[-1] == ")" else value <= hi
-    return above and below
+def _compile(rule):
+    """(test, description) of one rule of the table."""
+    if isinstance(rule, list):
+        test, what = _compile(rule[0])
+        each = f"a non-empty list, each entry {what}"
+        return (lambda v: isinstance(v, list) and len(v) > 0 and all(map(test, v))), each
+    if isinstance(rule, str):
+        lo, hi = (float(x) for x in rule[1:-1].split(","))
+        above = operator.lt if rule[0] == "(" else operator.le
+        below = operator.lt if rule[-1] == ")" else operator.le
+        return (lambda v: _is_number(v) and above(lo, v) and below(v, hi)), f"a number in {rule}"
+    if rule in (str, bool, dict):
+        what = {str: "a string", bool: "true or false", dict: "an object"}[rule]
+        return (lambda v: isinstance(v, rule)), what
+    if rule[0] == "int":
+        what = f"an integer >= {rule[1]}"
+        return (lambda v: _is_number(v) and isinstance(v, int) and v >= rule[1]), what
+    return (lambda v: isinstance(v, str) and v in rule), "one of " + ", ".join(rule)
 
 
-def _check_values(merged: dict):
-    """Type and range of the protocol sizes and of the number and flag keys."""
-    for section in ("trap", "pulse", "protocol", "gates", "imaging"):
-        if not isinstance(merged[section], dict):
-            raise ValidationError(f"{section} must be an object, got {merged[section]!r}")
-    protocol = merged["protocol"]
-    for key, minimum in _PROTOCOL_INT_MINIMA.items():
-        value = protocol[key]
-        if not (_is_number(value) and isinstance(value, int) and value >= minimum):
-            raise ValidationError(f"protocol.{key} must be an integer >= {minimum}, got {value!r}")
-    for dotted, (interval, nullable) in _NUMBER_KEYS.items():
-        section, key = dotted.split(".")
-        value = merged[section][key]
-        if value is None and nullable:
-            continue
-        if not (_is_number(value) and _in_interval(value, interval)):
-            null = " or null" if nullable else ""
-            raise ValidationError(f"{dotted} must be a number in {interval}{null}, got {value!r}")
-    for dotted in _BOOL_KEYS:
-        section, key = dotted.split(".")
-        if not isinstance(merged[section][key], bool):
-            raise ValidationError(f"{dotted} must be true or false, got {merged[section][key]!r}")
-    gates, imaging = merged["gates"], merged["imaging"]
-    if gates["cz_phase_error_prob"] + gates["cz_loss_prob"] > 1:
-        raise ValidationError("gates.cz_phase_error_prob + gates.cz_loss_prob must be <= 1")
-    if imaging["bright_mean"] is not None and imaging["bright_mean"] <= imaging["dark_mean"]:
-        raise ValidationError("imaging.bright_mean must exceed imaging.dark_mean")
+#: dotted key -> (null allowed, test, description), compiled once.
+_RULES = {key: (default is None, *_compile(rule)) for key, (default, rule) in _KEYS.items()}
+
+
+def _nest(flat):
+    out = {}
+    for dotted, value in flat.items():
+        *sections, key = dotted.split(".")
+        node = out
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[key] = value
+    return out
+
+
+DEFAULT_CONFIG = _nest({k: d for k, (d, _) in _KEYS.items() if ".*." not in k})
+_CHANNEL_DEFAULTS = {k.split(".")[-1]: d for k, (d, _) in _KEYS.items() if ".*." in k}
+
+
+def _check(dotted, value, rule_key=None):
+    """The value, checked against the rule of its key; a noise channel's
+    keys are checked against the ``noise.*`` rules."""
+    try:
+        nullable, test, what = _RULES[rule_key or dotted]
+    except KeyError:
+        raise ValidationError(f"unknown config key: {dotted}") from None
+    if value is None and nullable:
+        return value
+    if not test(value):
+        null = " or null" if nullable else ""
+        raise ValidationError(f"{dotted} must be {what}{null}, got {value!r}")
+    if isinstance(value, dict):
+        prefix = dotted.rsplit(".", 1)[0] + ".*."
+        for key, entry in value.items():
+            _check(f"{dotted}.{key}", entry, prefix + key)
+    return value
+
+
+def _merge(defaults, raw, path):
+    """The defaults with the raw values laid over them, each value checked."""
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{path} must be an object, got {raw!r}")
+    prefix = f"{path}." if path else ""
+    for key in raw:
+        if key not in defaults:
+            raise ValidationError(f"unknown config key: {prefix}{key}")
+    out = {}
+    for key, default in defaults.items():
+        here = prefix + key
+        if isinstance(default, dict):
+            out[key] = _merge(default, raw.get(key, {}), here)
+        elif key in raw:
+            out[key] = _check(here, raw[key])
+        else:  # a copy, so that callers may change the merged lists
+            out[key] = list(default) if isinstance(default, list) else default
+    return out
 
 
 def validate_config(raw: dict) -> dict:
     """Merge a raw config over the defaults, rejecting unknown keys and
-    bad protocol sizes, numbers and flags."""
+    values outside their key's rule, then check the cross-key rules."""
     if not isinstance(raw, dict):
         raise ValidationError("config root must be a JSON object")
-    _check_keys(raw, _SCHEMA)
-    merged = _merge(DEFAULT_CONFIG, raw)
-    _check_values(merged)
+    merged = _merge(DEFAULT_CONFIG, raw, "")
+    gates, imaging, response = merged["gates"], merged["imaging"], merged["response"]
+    if gates["cz_phase_error_prob"] + gates["cz_loss_prob"] > 1:
+        raise ValidationError("gates.cz_phase_error_prob + gates.cz_loss_prob must be <= 1")
+    if imaging["bright_mean"] is not None and imaging["bright_mean"] <= imaging["dark_mean"]:
+        raise ValidationError("imaging.bright_mean must exceed imaging.dark_mean")
+    if response["grid_kind"] == "log" and response["f_min_hz"] <= 0:
+        raise ValidationError("response.f_min_hz must be > 0 on a log grid")
+    if response["f_min_hz"] >= response["f_max_hz"]:
+        raise ValidationError("response.f_min_hz must be below response.f_max_hz")
     return merged
 
 
@@ -252,43 +233,36 @@ def build_trap(config: dict) -> TrapSpec:
 def _build_channel(sec, name, base_dir):
     if sec is None:
         return None
-    kind = sec.get("kind", "quasi_static")
-    if kind == "off":
+    sec = {**_CHANNEL_DEFAULTS, **sec}
+    if sec["kind"] == "off":
         return None
-    if kind == "quasi_static":
-        sigma = sec.get("sigma_hz", 0.0)
-        if not (_is_number(sigma) and _in_interval(sigma, "[0, inf)")):
-            raise ValidationError(f"noise.{name}.sigma_hz must be a number >= 0, got {sigma!r}")
-        return QuasiStatic(sigma=TWO_PI * sigma) if sigma > 0 else None
-    if kind == "psd":
-        convention = sec.get("convention", "frequency") or "frequency"
-        if name != "laser_frequency" and convention != "frequency":
-            raise ValidationError(
-                f"noise.{name}.convention: the phase convention applies to laser_frequency only"
-            )
-        if sec.get("csv"):
+    if sec["kind"] == "quasi_static":
+        return QuasiStatic(sigma=TWO_PI * sec["sigma_hz"]) if sec["sigma_hz"] > 0 else None
+    convention = sec["convention"]
+    if name != "laser_frequency" and convention != "frequency":
+        raise ValidationError(
+            f"noise.{name}.convention: the phase convention applies to laser_frequency only"
+        )
+    try:
+        if sec["csv"]:
             path = sec["csv"]
             if not os.path.isabs(path):
                 path = os.path.join(base_dir, path)
             return load_psd_csv(path, convention=convention)
-        freqs, vals = sec.get("frequencies_hz"), sec.get("values")
-        if freqs is None or vals is None:
-            raise ValidationError(f"noise.{name}: psd needs csv or frequencies_hz/values")
-        f = np.asarray(freqs, dtype=float)
-        s = np.asarray(vals, dtype=float)
+        if sec["frequencies_hz"] is None or sec["values"] is None:
+            raise ValidationError("psd needs csv or frequencies_hz/values")
+        f = np.asarray(sec["frequencies_hz"], dtype=float)
+        s = np.asarray(sec["values"], dtype=float)
         if convention == "phase":
             s = (TWO_PI * f) ** 2 * s
         return SpectralDensity(f, s)
-    raise ValidationError(f"noise.{name}.kind must be quasi_static, psd, or off")
+    except ValidationError as exc:
+        raise ValidationError(f"noise.{name}: {exc}") from None
 
 
 def build_noise(config: dict, base_dir: str = ".") -> NoiseModel:
     sec = config["noise"]
-    return NoiseModel(
-        trap_frequency=_build_channel(sec["trap_frequency"], "trap_frequency", base_dir),
-        laser_frequency=_build_channel(sec["laser_frequency"], "laser_frequency", base_dir),
-        laser_amplitude=_build_channel(sec["laser_amplitude"], "laser_amplitude", base_dir),
-    )
+    return NoiseModel(**{name: _build_channel(sec[name], name, base_dir) for name in CHANNELS})
 
 
 def build_gate_errors(config: dict):
@@ -305,56 +279,36 @@ def build_gate_errors(config: dict):
 
 def build_imaging(config: dict) -> ImagingSpec:
     sec = config["imaging"]
-    common = dict(
-        bright_loss_prob=sec["bright_loss_prob"],
-        unshelved_loss_prob=sec["unshelved_loss_prob"],
-        data_heating_quanta_per_round=sec["data_heating_quanta_per_round"],
-    )
+    common = {k: sec[k] for k in ("bright_loss_prob", "unshelved_loss_prob",
+                                  "data_heating_quanta_per_round", "dark_mean", "dark_std",
+                                  "bright_std")}
     if sec["bright_mean"] is not None:
-        return ImagingSpec(
-            bright_mean=sec["bright_mean"],
-            dark_mean=sec["dark_mean"],
-            bright_std=sec["bright_std"],
-            dark_std=sec["dark_std"],
-            **common,
-        )
+        return ImagingSpec(bright_mean=sec["bright_mean"], **common)
     return calibrate_imaging(
-        target_fidelity=sec["target_single_round_fidelity"],
-        p1=0.5,
-        dark_mean=sec["dark_mean"],
-        dark_std=sec["dark_std"],
-        bright_std=sec["bright_std"],
-        **common,
+        target_fidelity=sec["target_single_round_fidelity"], p1=0.5, **common
     )
 
 
 def build_protocol(config: dict, base_dir: str = ".", workers: int = 1) -> ProtocolConfig:
     sec = config["protocol"]
     noise = build_noise(config, base_dir)
-    if all(noise.channel(c) is None for c in ("trap_frequency", "laser_frequency", "laser_amplitude")):
+    if all(noise.channel(c) is None for c in CHANNELS):
         noise = None
     analyzer = sec["analyzer_phases_rad"]
+    same_name = ("kind", "shots", "n_cyc", "n_max", "data_psi", "data_nbar", "steps_per_pulse",
+                 "shelving_transfer_fidelity", "ancilla_absent_prob", "ideal_cooling_rsb")
     kwargs = dict(
-        kind=sec["kind"],
-        shots=sec["shots"],
+        {k: sec[k] for k in same_name},
         seed=config["seed"],
-        n_cyc=sec["n_cyc"],
         p1_priors=tuple(sec["p1_priors"]),
         scenarios=tuple(sec["scenarios"]),
-        n_max=sec["n_max"],
-        data_psi=sec["data_psi"],
-        data_nbar=sec["data_nbar"],
         gate_errors=build_gate_errors(config),
         imaging=build_imaging(config),
         trap=build_trap(config),
         rabi=TWO_PI * config["pulse"]["rabi_hz"],
         noise=noise,
-        shelving_transfer_fidelity=sec["shelving_transfer_fidelity"],
-        steps_per_pulse=sec["steps_per_pulse"],
         comp_phase=sec["comp_phase_rad"],
         local_z_phase=sec["local_z_phase_rad"],
-        ancilla_absent_prob=sec["ancilla_absent_prob"],
-        ideal_cooling_rsb=sec["ideal_cooling_rsb"],
         workers=workers,
     )
     if analyzer is not None:
@@ -369,10 +323,5 @@ def cooling_nbar_list(config: dict):
     if sec["nbar_list"]:
         return [float(v) for v in sec["nbar_list"]]
     if sec["p0_list"]:
-        out = []
-        for p0 in sec["p0_list"]:
-            if not 0.0 < p0 <= 1.0:
-                raise ValidationError("protocol.p0_list entries must be in (0, 1]")
-            out.append((1.0 - p0) / p0)
-        return out
+        return [(1.0 - p0) / p0 for p0 in sec["p0_list"]]
     return [float(sec["data_nbar"])]

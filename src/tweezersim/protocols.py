@@ -145,7 +145,6 @@ class ProtocolConfig:
     local_z_phase: float = 0.0
     ancilla_absent_prob: float = 0.0
     ideal_cooling_rsb: bool = True
-    include_carrier_in_scan: bool = False
     workers: int = 1
 
     def __post_init__(self):

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from tweezersim import analysis, cli
+from tweezersim import analysis, cli, config
 from tweezersim.cli import main, read_shots_csv, read_spectrum_csv
 from tweezersim.config import (
     DEFAULT_CONFIG,
@@ -13,6 +13,7 @@ from tweezersim.config import (
     build_protocol,
     build_trap,
     cooling_nbar_list,
+    dump_default_config,
     validate_config,
 )
 from tweezersim.errors import ValidationError
@@ -23,6 +24,23 @@ def _write_config(tmp_path, name="cfg.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def _bad_value(rule):
+    """A value that breaks the rule: a string where a number, flag or
+    choice belongs, a number where a string or an object belongs, and an
+    empty list where a list belongs."""
+    if isinstance(rule, list):
+        return []
+    return 5 if rule in (str, dict) else "x"
+
+
+#: One bad value per key of the table; a noise channel's keys are set on
+#: laser_frequency.
+_TABLE_CASES = [
+    pytest.param(name, _bad_value(rule), id=f"{name}-rule")
+    for name, rule in ((k.replace("*", "laser_frequency"), r) for k, (_, r) in config._KEYS.items())
+]
 
 
 class TestConfigValidation:
@@ -49,6 +67,16 @@ class TestConfigValidation:
         assert imaging.bright_mean > imaging.dark_mean
         pconf = build_protocol(cfg)
         assert pconf.shots == DEFAULT_CONFIG["protocol"]["shots"]
+
+    def test_table_defaults_and_presets_validate(self):
+        for key, (default, _) in config._KEYS.items():
+            if default is not None:
+                assert config._check(key, default) is default
+        assert validate_config(json.loads(dump_default_config())) == DEFAULT_CONFIG
+        presets = os.path.join(os.path.dirname(cli.__file__), "presets")
+        for name in ("fig2", "fig3", "fig4"):
+            with open(os.path.join(presets, name + ".json")) as fh:
+                validate_config(json.load(fh))
 
     def test_p0_list_to_nbar(self):
         cfg = validate_config({"protocol": {"p0_list": [0.5, 0.9]}})
@@ -203,18 +231,71 @@ class TestCliRuns:
             ("noise.trap_frequency.sigma_hz", "x"),
             ("noise.laser_amplitude.sigma_hz", -1.0),
             ("noise.laser_frequency.sigma_hz", float("inf")),
+            ("noise.trap_frequency", 5),
+            ("noise.laser_frequency.convention", None),
+            ("noise.laser_frequency.frequencies_hz", "x"),
+            ("noise.laser_frequency", {"kind": "psd", "frequencies_hz": [0.0], "values": [1.0]}),
+            ("noise.laser_frequency", {"kind": "psd", "frequencies_hz": [1.0, 0.0],
+                                       "values": [1.0, 1.0]}),
+            ("noise.laser_frequency", {"kind": "psd"}),
+            ("noise.trap_frequency", {"kind": "psd", "convention": "phase",
+                                      "frequencies_hz": [0.0, 1.0], "values": [1.0, 1.0]}),
+            ("seed", "x"),
+            ("seed", -1),
+            ("seed", 1.5),
+            ("protocol.nbar_list", [-1]),
+            ("protocol.p0_list", [0.0]),
+            ("protocol.ideal_cooling_rsb", "x"),
+            ("protocol.scenarios", []),
+            ("protocol.scenarios", ["both"]),
+            ("protocol.analyzer_phases_rad", []),
+            ("protocol.data_psi", "sideways"),
+            ("response.f_min_hz", -1),
+            ("response.points", 0),
+            ("spectrum.points_per_side", 0),
+            ("spectrum.shots_per_point", 0),
+            ("spectrum.shots_per_point", 1.5),
+            ("spectrum.after_cooling", "x"),
+            ("detect.input_csv", 5),
+            # cross-key rules
+            ("gates.cz_phase_error_prob", 0.999),
+            ("response.f_min_hz", 0.0),  # on the default log grid
+            ("response.f_min_hz", 1e4),  # not below f_max_hz
+            # input CSVs of the wrong shape, written by the test
+            ("detect.input_csv", "no_scenario.csv"),
+            ("fit.input_csv", "shots.csv"),
+            *_TABLE_CASES,
         ],
     )
     def test_bad_gates_or_imaging_value_exit_2(self, tmp_path, capsys, key, value):
-        section, *path_in_section = key.split(".")
-        for name in reversed(path_in_section):
-            value = {name: value}
-        path = _write_config(
-            tmp_path, protocol={"kind": "repeated_readout", "shots": 5, "n_cyc": 1},
-            **{section: value},
+        (tmp_path / "no_scenario.csv").write_text("shot,round,signal\n0,0,1.5\n")
+        (tmp_path / "shots.csv").write_text(
+            ",".join(cli.SHOT_HEADER) + "\npresent,0,0,1.5,up,up,0,0,\n"
         )
-        assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        cfg = {"protocol": {"kind": "repeated_readout", "shots": 5, "n_cyc": 1}}
+        *sections, name = key.split(".")
+        node = cfg
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[name] = value
+        path = _write_config(tmp_path, **cfg)
+        command = sections[0] if sections and sections[0] in ("fit", "detect") else "simulate"
+        assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
         assert key in capsys.readouterr().err
+
+    def test_detect_n_cyc_beyond_recorded_rounds_exit_2(self, tmp_path, capsys):
+        sim_cfg = _write_config(
+            tmp_path, protocol={"kind": "repeated_readout", "shots": 5, "n_cyc": 1}
+        )
+        assert main(["simulate", "--config", sim_cfg, "--out", str(tmp_path / "sim")]) == 0
+        det_cfg = _write_config(
+            tmp_path, name="det.json",
+            detect={"input_csv": str(tmp_path / "sim" / "shots.csv"), "n_cyc_list": [1, 9]},
+        )
+        assert main(["detect", "--config", det_cfg, "--out", str(tmp_path / "det")]) == 2
+        assert "detect.n_cyc_list: n = 9 outside the recorded round count 1" in (
+            capsys.readouterr().err
+        )
 
     def test_events_zero_without_gate_errors_or_losses(self, tmp_path):
         path = _write_config(
