@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
 import sys
 import time
 from collections import Counter
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -42,7 +44,7 @@ from .config import (
     dump_default_config,
     load_config,
 )
-from .dynamics import QuasiStatic, sideband_rabi
+from .dynamics import SpectralDensity, sideband_rabi
 from .errors import NumericsError, StepSizeError, TweezersimError, ValidationError
 from .gates import EVENT_KINDS
 from .protocols import (
@@ -58,25 +60,26 @@ from .response import ResponseQuery, budget, response_function
 from .states import ThermalSpec, remove_one_quantum, thermal_distribution
 
 FLOAT_FMT = "%.17g"
+WRITE_BLOCK_ROWS = 4096
+READ_BLOCK_BYTES = 1 << 20
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        return FLOAT_FMT % value
-    if isinstance(value, (np.floating,)):
-        return FLOAT_FMT % float(value)
-    return str(value)
-
-
-def write_csv(path, header, rows):
+def write_csv(path, header, columns):
+    """A CSV of equal-length columns of float, int, bool or str: floats at
+    17 significant digits (nan as `nan`), bools as 0/1. Rows are formatted
+    and written in blocks, so memory does not grow with the table."""
+    columns = [np.asarray(c) for c in columns]
+    n_rows = len(columns[0]) if columns else 0
+    if any(len(c) != n_rows for c in columns):
+        raise ValueError(f"write_csv: columns of unequal length for {path}")
+    kinds = [c.dtype.kind for c in columns]
+    row = ",".join(FLOAT_FMT if k == "f" else "%d" if k in "biu" else "%s" for k in kinds) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for lo in range(0, n_rows, WRITE_BLOCK_ROWS):
+            block = [c[lo : lo + WRITE_BLOCK_ROWS].tolist() for c in columns]
+            cells = tuple(chain.from_iterable(zip(*block)))  # row by row
+            fh.write((row * len(block[0])) % cells)
 
 
 def write_json(path, payload):
@@ -112,32 +115,23 @@ class RunReport:
 # ---------------------------------------------------------------------------
 # shot tables -> CSV
 
-SHOT_HEADER = [
-    "scenario",
-    "shot",
-    "round",
-    "signal",
-    "ancilla_label",
-    "data_label",
-    "data_n",
-    "data_lost",
-    "aux",
-]
+SHOT_HEADER = ["scenario", "shot", "round", "signal", "ancilla_label", "data_label", "data_n",
+               "data_lost", "aux"]
 
 
-def shot_rows(table):
-    """One row per shot per round; `aux` carries the analyzer phase for
-    loss detection and the initial Fock number for cooling."""
-    aux = [""] * len(table.shot) if table.aux is None else table.aux.tolist()
-    data_n = [None if n < 0 else n for n in table.data_n.tolist()]
-    signals, labels = table.signals.tolist(), table.ancilla_labels.tolist()
-    rows = zip(
-        table.scenario.tolist(), table.shot.tolist(), signals, labels,
-        table.data_label.tolist(), data_n, table.data_lost.tolist(), aux,
-    )
-    for scenario, shot, sig, lab, data_label, n, lost, extra in rows:
-        for rnd, (signal, label) in enumerate(zip(sig, lab)):
-            yield (scenario, shot, rnd, signal, label, data_label, n, int(lost), extra)
+def shot_columns(table):
+    """The SHOT_HEADER columns, one row per shot per round; `aux` carries
+    the analyzer phase for loss detection and the initial Fock number for
+    cooling, and `data_n` is empty where no Fock number was read out."""
+    shots, rounds = table.signals.shape
+    data_n = np.where(table.data_n < 0, "", table.data_n.astype(str))
+    aux = np.full(shots, "") if table.aux is None else table.aux
+    per_row = functools.partial(np.repeat, repeats=rounds)
+    return [
+        per_row(table.scenario), per_row(table.shot), np.tile(np.arange(rounds), shots),
+        table.signals.ravel(), table.ancilla_labels.ravel(), per_row(table.data_label),
+        per_row(data_n), per_row(table.data_lost), per_row(aux),
+    ]
 
 
 def _event_counts(events):
@@ -160,30 +154,24 @@ def cmd_simulate(config, out_dir, workers, report):
     elif kind == "loss_detection":
         table, fringe = run_loss_detection(pconf)
         results = _loss_summary(table, fringe, pconf)
-        fringe_rows = []
-        for scenario, (phis, up, err) in fringe.items():
-            for k in range(phis.size):
-                fringe_rows.append((scenario, phis[k], up[k], err[k], pconf.shots))
+        phis, up, err = (np.concatenate(c) for c in zip(*fringe.values()))
+        scenarios = np.repeat(list(fringe), [v[0].size for v in fringe.values()])
         fpath = os.path.join(out_dir, "fringe.csv")
-        write_csv(fpath, ["scenario", "phase_rad", "p_up", "stderr", "shots"], fringe_rows)
+        write_csv(fpath, ["scenario", "phase_rad", "p_up", "stderr", "shots"],
+                  [scenarios, phis, up, err, np.full(phis.size, pconf.shots)])
         report.add_output(fpath)
     elif kind == "algorithmic_cooling":
         table, results = run_algorithmic_cooling(pconf)
     else:  # phase_calibration
         table = calibrate_phase(pconf)
-        rows = []
-        for k, phi in enumerate(table["phases"]):
-            row = [phi] + [table["p_down"][s][k] for s in pconf.scenarios]
-            rows.append(row)
         path = os.path.join(out_dir, "phase_calibration.csv")
-        write_csv(path, ["phase_rad"] + [f"p_down_{s}" for s in pconf.scenarios], rows)
+        write_csv(path, ["phase_rad"] + [f"p_down_{s}" for s in pconf.scenarios],
+                  [table["phases"]] + [table["p_down"][s] for s in pconf.scenarios])
         report.add_output(path)
-        report.payload["results"] = {
-            "data_state_deviation": table["data_state_deviation"]
-        }
+        report.payload["results"] = {"data_state_deviation": table["data_state_deviation"]}
         return
     path = os.path.join(out_dir, "shots.csv")
-    write_csv(path, SHOT_HEADER, shot_rows(table))
+    write_csv(path, SHOT_HEADER, shot_columns(table))
     report.add_output(path)
     results["events"] = _event_counts(table.events)
     results["rng_scheme"] = RNG_SCHEME
@@ -247,21 +235,17 @@ def cmd_response(config, out_dir, workers, report):
     rf = response_function(query, method=sec["method"])
     noise = build_noise(config, config.get("_base_dir", "."))
     channel_spec = noise.channel(sec["channel"])
-    rows = []
-    if isinstance(channel_spec, QuasiStatic) or channel_spec is None:
-        for f, i_val in zip(rf.frequencies_hz, rf.values):
-            rows.append((f, i_val))
-        header = ["frequency_hz", "response_s2"]
-    else:
+    columns = [rf.frequencies_hz, rf.values]
+    header = ["frequency_hz", "response_s2"]
+    if isinstance(channel_spec, SpectralDensity):
         s_interp = np.interp(
             rf.frequencies_hz, channel_spec.frequencies_hz, channel_spec.values,
             left=0.0, right=0.0,
         )
-        for f, i_val, s in zip(rf.frequencies_hz, rf.values, s_interp):
-            rows.append((f, i_val, s, s * i_val))
-        header = ["frequency_hz", "response_s2", "psd", "psd_times_response"]
+        columns += [s_interp, s_interp * rf.values]
+        header += ["psd", "psd_times_response"]
     path = os.path.join(out_dir, "response.csv")
-    write_csv(path, header, rows)
+    write_csv(path, header, columns)
     report.add_output(path)
     b = budget(noise, {sec["channel"]: rf})
     payload = {
@@ -292,6 +276,9 @@ def _spectrum_grid(config, trap):
     return np.concatenate([-side[::-1], side])
 
 
+SPECTRUM_HEADER = ["detuning_hz", "p_exc", "stderr", "shots"]
+
+
 def cmd_spectrum(config, out_dir, workers, report):
     del workers
     sec = config["spectrum"]
@@ -311,9 +298,9 @@ def cmd_spectrum(config, out_dir, workers, report):
         include_carrier=sec["include_carrier"],
         wrong_state_fraction=sec["wrong_state_fraction"],
     )
-    rows = zip(spectrum.detuning_hz, spectrum.p_exc, spectrum.stderr, spectrum.shots)
     path = os.path.join(out_dir, "spectrum.csv")
-    write_csv(path, ["detuning_hz", "p_exc", "stderr", "shots"], rows)
+    write_csv(path, SPECTRUM_HEADER,
+              [spectrum.detuning_hz, spectrum.p_exc, spectrum.stderr, spectrum.shots])
     report.add_output(path)
     report.payload["results"] = {
         "nbar": sec["nbar"],
@@ -322,22 +309,49 @@ def cmd_spectrum(config, out_dir, workers, report):
     }
 
 
+def _read_columns(path, types, optional=()):
+    """Columns of a CSV by header name, each converted by its type (int,
+    float or str) into an array; an optional name may be missing from the
+    header. Every line must hold one cell per header name."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        missing = [name for name in types if name not in header and name not in optional]
+        if missing:
+            raise ValueError(f"no {', '.join(missing)} column in the header")
+        width = len(header)
+        wanted = {name: header.index(name) for name in types if name in header}
+        blocks = {name: [np.array([], dtype=types[name])] for name in wanted}
+        while lines := fh.readlines(READ_BLOCK_BYTES):
+            if set(map(str.count, lines, repeat(","))) != {width - 1}:
+                raise ValueError(f"a row does not have the header's {width} cells")
+            cells = "".join(lines).replace("\n", ",").split(",")
+            for name, j in wanted.items():
+                column = cells[j :: width][: len(lines)]
+                kind = types[name]
+                blocks[name].append(
+                    np.array(column) if kind is str
+                    else np.fromiter(map(kind, column), dtype=kind, count=len(column))
+                )
+    return {name: np.concatenate(parts) for name, parts in blocks.items()}
+
+
+def _input_csv(config, section):
+    """The section's input_csv path, taken relative to the config file."""
+    if not config[section]["input_csv"]:
+        raise ValidationError(f"{section}.input_csv is required")
+    return os.path.join(config.get("_base_dir", "."), config[section]["input_csv"])
+
+
 def read_spectrum_csv(path) -> SidebandSpectrum:
-    """The spectrum in a spectrum.csv written by `spectrum`."""
+    """The spectrum in a spectrum.csv written by `spectrum`; a missing
+    `shots` column reads as zeros."""
     try:
-        rows = []
-        with open(path, "r", encoding="utf-8") as fh:
-            fh.readline()  # header
-            for line in fh:
-                parts = line.strip().split(",")
-                if len(parts) >= 3:
-                    rows.append([float(v) for v in parts[:4]])
-        if not rows:
+        cols = _read_columns(path, dict.fromkeys(SPECTRUM_HEADER, float), optional=("shots",))
+        if not cols["p_exc"].size:
             raise ValidationError("no spectrum rows")
-        arr = np.asarray(rows)
-        shots = arr[:, 3] if arr.shape[1] > 3 else np.zeros(arr.shape[0])
         return SidebandSpectrum(
-            detuning_hz=arr[:, 0], p_exc=arr[:, 1], stderr=arr[:, 2], shots=shots
+            detuning_hz=cols["detuning_hz"], p_exc=cols["p_exc"], stderr=cols["stderr"],
+            shots=cols.get("shots", np.zeros(cols["p_exc"].size)),
         )
     except (ValueError, ValidationError) as exc:
         raise ValidationError(f"fit.input_csv: {path} is not a spectrum CSV: {exc}") from None
@@ -346,12 +360,7 @@ def read_spectrum_csv(path) -> SidebandSpectrum:
 def cmd_fit(config, out_dir, workers, report):
     del workers
     sec = config["fit"]
-    if not sec["input_csv"]:
-        raise ValidationError("fit.input_csv is required")
-    path = sec["input_csv"]
-    if not os.path.isabs(path):
-        path = os.path.join(config.get("_base_dir", "."), path)
-    spectrum = read_spectrum_csv(path)
+    spectrum = read_spectrum_csv(_input_csv(config, "fit"))
     trap = build_trap(config)
     rabi = TWO_PI * config["pulse"]["rabi_hz"]
     t12 = math.sin(
@@ -414,39 +423,35 @@ def cmd_fit(config, out_dir, workers, report):
 
 
 def read_shots_csv(path):
-    """signals per (scenario, shot) from a shots.csv written by simulate."""
-    per_key = {}
+    """Signals per scenario from a shots.csv written by simulate, as a
+    (shots, rounds) matrix in shot order. Every (scenario, shot, round)
+    must have exactly one row, so a loss-detection file, whose shot
+    numbers restart for every analyzer phase, is rejected."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip().split(",")
-            idx = {name: header.index(name) for name in ("scenario", "shot", "round", "signal")}
-            for line in fh:
-                parts = line.rstrip("\n").split(",")
-                key = (parts[idx["scenario"]], int(parts[idx["shot"]]))
-                per_key.setdefault(key, []).append(
-                    (int(parts[idx["round"]]), float(parts[idx["signal"]]))
-                )
+        cols = _read_columns(path, {"scenario": str, "shot": int, "round": int, "signal": float})
+        names, code = np.unique(cols["scenario"], return_inverse=True)
         out = {}
-        for (scenario, shot), vals in per_key.items():
-            vals.sort()
-            out.setdefault(scenario, {})[shot] = [v for _, v in vals]
-        return {
-            scenario: np.asarray([shots[k] for k in sorted(shots)], dtype=float)
-            for scenario, shots in out.items()
-        }
-    except (ValueError, IndexError) as exc:
+        for k, name in enumerate(names.tolist()):
+            mine = code == k
+            shots, shot_index = np.unique(cols["shot"][mine], return_inverse=True)
+            rnd = cols["round"][mine]
+            n_rounds = int(rnd.max()) + 1
+            cell = shot_index * n_rounds + rnd
+            if rnd.min() < 0 or cell.size != shots.size * n_rounds or np.bincount(cell).max() > 1:
+                raise ValueError(f"scenario {name} has {cell.size} rows for {shots.size} shots "
+                                 f"x {n_rounds} rounds, not one per (scenario, shot, round)")
+            matrix = np.empty(cell.size)
+            matrix[cell] = cols["signal"][mine]
+            out[name] = matrix.reshape(shots.size, n_rounds)
+        return out
+    except ValueError as exc:
         raise ValidationError(f"detect.input_csv: {path} is not a shots CSV: {exc}") from None
 
 
 def cmd_detect(config, out_dir, workers, report):
     del workers
     sec = config["detect"]
-    if not sec["input_csv"]:
-        raise ValidationError("detect.input_csv is required")
-    path = sec["input_csv"]
-    if not os.path.isabs(path):
-        path = os.path.join(config.get("_base_dir", "."), path)
-    matrices = read_shots_csv(path)
+    matrices = read_shots_csv(_input_csv(config, "detect"))
     if "present" not in matrices or "absent" not in matrices:
         raise ValidationError("detect.input_csv must hold present and absent scenarios")
     try:
@@ -462,7 +467,7 @@ def cmd_detect(config, out_dir, workers, report):
             res = optimize_threshold(*sums[n], p1, n_cyc=n)
             rows.append((p1, n, res.threshold, res.fidelity, res.f1, res.f0))
     path = os.path.join(out_dir, "detect.csv")
-    write_csv(path, ["p1", "n_cyc", "threshold", "fidelity", "f1", "f0"], rows)
+    write_csv(path, ["p1", "n_cyc", "threshold", "fidelity", "f1", "f0"], zip(*rows))
     report.add_output(path)
     report.payload["results"] = {"rows": len(rows)}
 
@@ -473,49 +478,30 @@ def cmd_cool(config, out_dir, workers, report):
         kind="algorithmic_cooling",
         data_psi=config["protocol"]["data_psi"],  # null: the cooling default
     )
-    rows = []
-    events = Counter()
-    for nbar in cooling_nbar_list(config):
-        table, summary = run_algorithmic_cooling(dataclasses.replace(pconf, data_nbar=nbar))
+    nbar = np.array(cooling_nbar_list(config))
+    events, summaries = Counter(), []
+    for value in nbar.tolist():
+        table, summary = run_algorithmic_cooling(dataclasses.replace(pconf, data_nbar=value))
         events += table.events
-        q = nbar / (nbar + 1.0)
-        # one-quantum-removal reference on a ladder deep enough that the
-        # truncation cannot shift it: equals 1 - q^2
-        ideal = remove_one_quantum(
-            thermal_distribution(ThermalSpec(nbar=nbar, n_max=400))
-        )[0]
-        meas = summary["ground_state_fraction"]
-        stderr = math.sqrt(max(meas * (1 - meas), 1e-12) / summary["shots"])
-        rows.append(
-            (
-                nbar,
-                1.0 - q,
-                ideal,
-                meas,
-                summary["ground_state_fraction_correct_state"],
-                summary["wrong_state_fraction"],
-                summary["shots"],
-                stderr,
-            )
-        )
-    path = os.path.join(out_dir, "cool.csv")
-    write_csv(
-        path,
-        [
-            "nbar_init",
-            "p0_init",
-            "p0_ideal",  # one-quantum-removal reference
-            "p0_measured",
-            "p0_measured_correct_state",
-            "wrong_state_fraction",
-            "shots",
-            "stderr",
-        ],
-        rows,
+        summaries.append(summary)
+    meas, correct, wrong, shots = (
+        np.array([summary[key] for summary in summaries])
+        for key in ("ground_state_fraction", "ground_state_fraction_correct_state",
+                    "wrong_state_fraction", "shots")
     )
+    # p0_ideal, the one-quantum-removal reference, on a ladder deep enough
+    # that the truncation cannot shift it: equals 1 - q^2
+    ideal = [remove_one_quantum(thermal_distribution(ThermalSpec(nbar=v, n_max=400)))[0]
+             for v in nbar.tolist()]
+    stderr = np.sqrt(np.maximum(meas * (1 - meas), 1e-12) / shots)
+    path = os.path.join(out_dir, "cool.csv")
+    header = ["nbar_init", "p0_init", "p0_ideal", "p0_measured", "p0_measured_correct_state",
+              "wrong_state_fraction", "shots", "stderr"]
+    write_csv(path, header, [nbar, 1.0 - nbar / (nbar + 1.0), ideal, meas, correct, wrong,
+                             shots, stderr])
     report.add_output(path)
     report.payload["results"] = {
-        "points": len(rows), "events": _event_counts(events), "rng_scheme": RNG_SCHEME,
+        "points": int(nbar.size), "events": _event_counts(events), "rng_scheme": RNG_SCHEME,
     }
 
 

@@ -200,7 +200,30 @@ def validate_config(raw: dict) -> dict:
         raise ValidationError("response.f_min_hz must be > 0 on a log grid")
     if response["f_min_hz"] >= response["f_max_hz"]:
         raise ValidationError("response.f_min_hz must be below response.f_max_hz")
+    for name, sec in merged["noise"].items():
+        if sec is not None and sec.get("kind", _CHANNEL_DEFAULTS["kind"]) == "psd":
+            _check_psd(name, {**_CHANNEL_DEFAULTS, **sec})
     return merged
+
+
+def _check_psd(name, sec):
+    """The rules of a psd channel that span its keys. A PSD given as a
+    `csv` file is read, and checked, only when the channel is built."""
+    key, f, s = f"noise.{name}.", sec["frequencies_hz"], sec["values"]
+    if name != "laser_frequency" and sec["convention"] != "frequency":
+        problem = "convention: the phase convention applies to laser_frequency only"
+    elif sec["csv"]:
+        return
+    elif f is None or s is None:
+        problem = f"frequencies_hz and {key}values are required without {key}csv"
+    elif len(f) < 2 or len(s) != len(f):
+        problem = (f"frequencies_hz and {key}values need equal lengths of at least 2, "
+                   f"got {len(f)} and {len(s)}")
+    elif any(b <= a for a, b in zip(f, f[1:])):
+        problem = f"frequencies_hz must be strictly increasing, got {f}"
+    else:
+        return
+    raise ValidationError(f"{key}{problem} for kind psd")
 
 
 def load_config(path: str) -> dict:
@@ -239,25 +262,16 @@ def _build_channel(sec, name, base_dir):
     if sec["kind"] == "quasi_static":
         return QuasiStatic(sigma=TWO_PI * sec["sigma_hz"]) if sec["sigma_hz"] > 0 else None
     convention = sec["convention"]
-    if name != "laser_frequency" and convention != "frequency":
-        raise ValidationError(
-            f"noise.{name}.convention: the phase convention applies to laser_frequency only"
-        )
-    try:
-        if sec["csv"]:
-            path = sec["csv"]
-            if not os.path.isabs(path):
-                path = os.path.join(base_dir, path)
-            return load_psd_csv(path, convention=convention)
-        if sec["frequencies_hz"] is None or sec["values"] is None:
-            raise ValidationError("psd needs csv or frequencies_hz/values")
-        f = np.asarray(sec["frequencies_hz"], dtype=float)
-        s = np.asarray(sec["values"], dtype=float)
-        if convention == "phase":
-            s = (TWO_PI * f) ** 2 * s
-        return SpectralDensity(f, s)
-    except ValidationError as exc:
-        raise ValidationError(f"noise.{name}: {exc}") from None
+    if sec["csv"]:
+        try:
+            return load_psd_csv(os.path.join(base_dir, sec["csv"]), convention=convention)
+        except ValidationError as exc:
+            raise ValidationError(f"noise.{name}.csv: {exc}") from None
+    f = np.asarray(sec["frequencies_hz"], dtype=float)
+    s = np.asarray(sec["values"], dtype=float)
+    if convention == "phase":
+        s = (TWO_PI * f) ** 2 * s
+    return SpectralDensity(f, s)
 
 
 def build_noise(config: dict, base_dir: str = ".") -> NoiseModel:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -17,6 +18,7 @@ from tweezersim.config import (
     validate_config,
 )
 from tweezersim.errors import ValidationError
+from tweezersim.protocols import ShotTable
 
 
 def _write_config(tmp_path, name="cfg.json", **overrides):
@@ -240,6 +242,16 @@ class TestCliRuns:
             ("noise.laser_frequency", {"kind": "psd"}),
             ("noise.trap_frequency", {"kind": "psd", "convention": "phase",
                                       "frequencies_hz": [0.0, 1.0], "values": [1.0, 1.0]}),
+            ("noise.laser_amplitude", {"kind": "psd", "convention": "phase", "csv": "psd.csv"}),
+            ("noise.laser_frequency", {"kind": "psd", "frequencies_hz": [0.0, 1.0]}),
+            ("noise.laser_frequency", {"kind": "psd", "values": [1.0, 1.0]}),
+            ("noise.laser_frequency", {"kind": "psd", "frequencies_hz": [0.0, 1.0, 2.0],
+                                       "values": [1.0, 1.0]}),
+            ("noise.laser_frequency", {"kind": "psd", "frequencies_hz": [1.0, 1.0],
+                                       "values": [1.0, 1.0]}),
+            ("noise.laser_frequency", {"kind": "psd", "frequencies_hz": [0.0, 1.0],
+                                       "values": [1.0, -1.0]}),
+            ("noise.laser_frequency", {"kind": "psd", "csv": "psd_descending.csv"}),
             ("seed", "x"),
             ("seed", -1),
             ("seed", 1.5),
@@ -272,6 +284,8 @@ class TestCliRuns:
         (tmp_path / "shots.csv").write_text(
             ",".join(cli.SHOT_HEADER) + "\npresent,0,0,1.5,up,up,0,0,\n"
         )
+        (tmp_path / "psd.csv").write_text("0,1\n1,1\n")
+        (tmp_path / "psd_descending.csv").write_text("1,1\n0,1\n")
         cfg = {"protocol": {"kind": "repeated_readout", "shots": 5, "n_cyc": 1}}
         *sections, name = key.split(".")
         node = cfg
@@ -282,6 +296,11 @@ class TestCliRuns:
         command = sections[0] if sections and sections[0] in ("fit", "detect") else "simulate"
         assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
         assert key in capsys.readouterr().err
+        # a PSD csv file is read only when the channel is built, which spectrum never does
+        read_when_built = isinstance(value, dict) and value.get("csv") == "psd_descending.csv"
+        if key.startswith("noise.") and not read_when_built:
+            assert main(["spectrum", "--config", path, "--out", str(tmp_path / "s")]) == 2
+            assert key in capsys.readouterr().err
 
     def test_detect_n_cyc_beyond_recorded_rounds_exit_2(self, tmp_path, capsys):
         sim_cfg = _write_config(
@@ -574,3 +593,133 @@ class TestCliRuns:
         matrices = read_shots_csv(str(out / "shots.csv"))
         assert matrices["present"].shape == (20, 2)
         assert matrices["absent"].shape == (20, 2)
+
+
+def _reference_cell(value) -> str:
+    """The per-cell formatter the columnar writer replaced: floats at 17
+    significant digits, nan as `nan`, None as an empty cell."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return "nan" if math.isnan(value) else "%.17g" % value
+    if isinstance(value, np.floating):
+        return "%.17g" % float(value)
+    return str(value)
+
+
+def _reference_csv(header, rows) -> bytes:
+    lines = [",".join(header)] + [",".join(map(_reference_cell, row)) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _reference_shot_rows(table):
+    """One row per shot per round, as the row-at-a-time writer built them."""
+    aux = [""] * len(table.shot) if table.aux is None else table.aux.tolist()
+    data_n = [None if n < 0 else n for n in table.data_n.tolist()]
+    rows = zip(
+        table.scenario.tolist(), table.shot.tolist(), table.signals.tolist(),
+        table.ancilla_labels.tolist(), table.data_label.tolist(), data_n,
+        table.data_lost.tolist(), aux,
+    )
+    for scenario, shot, sig, lab, data_label, n, lost, extra in rows:
+        for rnd, (signal, label) in enumerate(zip(sig, lab)):
+            yield (scenario, shot, rnd, signal, label, data_label, n, int(lost), extra)
+
+
+def _random_table(seed, shots, rounds, aux_kind):
+    rng = np.random.default_rng(seed)
+    signals = rng.normal(size=(shots, rounds)) * 10.0 ** rng.integers(-8, 9, (shots, rounds))
+    signals[rng.random((shots, rounds)) < 0.2] = np.nan
+    signals.flat[:3] = [0.1, -0.0, np.inf][: signals.size]
+    data_n = rng.integers(-1, 15, shots)
+    aux = {
+        None: None,
+        "float": rng.choice([0.0, np.pi / 2, 1e-300, -2.5], shots),
+        "int": rng.integers(0, 30, shots),
+    }[aux_kind]
+    return ShotTable(
+        scenario=rng.choice(["present", "absent"], shots),
+        shot=np.arange(shots),
+        signals=signals,
+        ancilla_labels=rng.choice(["up", "down", "lost"], (shots, rounds)),
+        data_label=rng.choice(["up", "down", "lost"], shots),
+        data_n=data_n,
+        data_lost=data_n < 0,
+        aux=aux,
+    )
+
+
+class TestCsvIO:
+    @pytest.mark.parametrize("aux_kind", [None, "float", "int"])
+    @pytest.mark.parametrize("shots, rounds", [(0, 2), (7, 1), (1500, 3)])
+    def test_shot_csv_matches_row_writer(self, tmp_path, shots, rounds, aux_kind):
+        table = _random_table(shots + rounds, shots, rounds, aux_kind)
+        if shots == 1500:  # more rows than one write block
+            assert shots * rounds > cli.WRITE_BLOCK_ROWS
+        path = tmp_path / "shots.csv"
+        cli.write_csv(path, cli.SHOT_HEADER, cli.shot_columns(table))
+        assert path.read_bytes() == _reference_csv(cli.SHOT_HEADER, _reference_shot_rows(table))
+
+    def test_mixed_columns_match_row_writer(self, tmp_path):
+        rows = [
+            (0.5, 1, "a", np.float64(0.1), float("nan"), 10000),
+            (1, 2, "bb", np.float64(-1e-300), float("inf"), 3),
+            (0.9, 3, "", np.float64(2.0 / 3.0), 0.0, 0),
+        ]
+        header = ["p1", "n", "label", "x", "y", "shots"]
+        path = tmp_path / "mixed.csv"
+        cli.write_csv(path, header, zip(*rows))
+        assert path.read_bytes() == _reference_csv(header, rows)
+
+    def test_reader_inverts_writer_in_any_row_order(self, tmp_path, monkeypatch):
+        table = _random_table(3, 1500, 3, None)
+        path = tmp_path / "shots.csv"
+        cli.write_csv(path, cli.SHOT_HEADER, cli.shot_columns(table))
+        header, *lines = path.read_text().splitlines(keepends=True)
+        np.random.default_rng(4).shuffle(lines)
+        shuffled = tmp_path / "shuffled.csv"
+        shuffled.write_text(header + "".join(lines))
+        monkeypatch.setattr(cli, "READ_BLOCK_BYTES", 1000)  # many read blocks
+        for source in (path, shuffled):
+            matrices = read_shots_csv(str(source))
+            assert sorted(matrices) == ["absent", "present"]
+            for name, matrix in matrices.items():
+                np.testing.assert_array_equal(matrix, table.signals[table.scenario == name])
+
+    @pytest.mark.parametrize(
+        "rows, reason",
+        [
+            (["present,1,0,1.5,up,up,0,0"], "a row does not have the header's 9 cells"),
+            (["present,0,0,2.5,up,up,0,0,"], "not one per (scenario, shot, round)"),
+            (["present,1,1,2.5,up,up,0,0,"], "not one per (scenario, shot, round)"),
+        ],
+        ids=["ragged-row", "repeated-cell", "missing-round"],
+    )
+    def test_detect_rejects_malformed_shots_csv(self, tmp_path, capsys, rows, reason):
+        lines = [",".join(cli.SHOT_HEADER), "present,0,0,1.5,up,up,0,0,",
+                 "absent,0,0,0.5,up,up,0,0,", *rows]
+        (tmp_path / "shots.csv").write_text("\n".join(lines) + "\n")
+        path = _write_config(tmp_path, detect={"input_csv": "shots.csv", "n_cyc_list": [1]})
+        assert main(["detect", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "detect.input_csv" in err and reason in err
+
+    def test_detect_rejects_loss_detection_shots(self, tmp_path, capsys):
+        # loss detection restarts shot numbers for every analyzer phase
+        cfg = json.loads(open(cli._resolve_config_path("fig3")).read())
+        cfg["protocol"]["shots"] = 20
+        sim = tmp_path / "fig3.json"
+        sim.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(sim), "--out", str(tmp_path / "sim")]) == 0
+        det = _write_config(tmp_path, name="det.json",
+                            detect={"input_csv": "sim/shots.csv", "n_cyc_list": [1]})
+        assert main(["detect", "--config", det, "--out", str(tmp_path / "det")]) == 2
+        err = capsys.readouterr().err
+        assert "detect.input_csv" in err and "not one per (scenario, shot, round)" in err
+
+    def test_spectrum_without_shots_column_reads_zeros(self, tmp_path):
+        path = tmp_path / "spectrum.csv"
+        path.write_text("detuning_hz,p_exc,stderr\n-1.5,0.25,0.01\n1.5,0.5,0.02\n")
+        spectrum = read_spectrum_csv(str(path))
+        np.testing.assert_array_equal(spectrum.detuning_hz, [-1.5, 1.5])
+        np.testing.assert_array_equal(spectrum.shots, [0.0, 0.0])
