@@ -575,7 +575,6 @@ def main(argv=None) -> int:
             raise ValidationError("--config is required")
         path = _resolve_config_path(args.config)
         config = load_config(path)
-        config["_base_dir"] = os.path.dirname(os.path.abspath(path))
         seed = _int_override("--seed", args.seed, "TWEEZERSIM_SEED", minimum=0)
         if seed is not None:
             config["seed"] = seed

@@ -208,7 +208,7 @@ def validate_config(raw: dict) -> dict:
 
 def _check_psd(name, sec):
     """The rules of a psd channel that span its keys. A PSD given as a
-    `csv` file is read, and checked, only when the channel is built."""
+    `csv` file is checked when load_config reads it."""
     key, f, s = f"noise.{name}.", sec["frequencies_hz"], sec["values"]
     if name != "laser_frequency" and sec["convention"] != "frequency":
         problem = "convention: the phase convention applies to laser_frequency only"
@@ -227,12 +227,19 @@ def _check_psd(name, sec):
 
 
 def load_config(path: str) -> dict:
+    """The validated config of a JSON file, with its directory as
+    ``_base_dir`` and its noise model as ``_noise``. Building the model
+    reads every PSD `csv` file, so a missing or bad one stops every
+    subcommand."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"config is not valid JSON: {exc}") from exc
-    return validate_config(raw)
+    config = validate_config(raw)
+    config["_base_dir"] = os.path.dirname(os.path.abspath(path))
+    config["_noise"] = build_noise(config, config["_base_dir"])
+    return config
 
 
 def dump_default_config() -> str:
@@ -267,6 +274,8 @@ def _build_channel(sec, name, base_dir):
             return load_psd_csv(os.path.join(base_dir, sec["csv"]), convention=convention)
         except ValidationError as exc:
             raise ValidationError(f"noise.{name}.csv: {exc}") from None
+        except OSError as exc:
+            raise OSError(f"noise.{name}.csv: {exc}") from exc
     f = np.asarray(sec["frequencies_hz"], dtype=float)
     s = np.asarray(sec["values"], dtype=float)
     if convention == "phase":
@@ -275,6 +284,10 @@ def _build_channel(sec, name, base_dir):
 
 
 def build_noise(config: dict, base_dir: str = ".") -> NoiseModel:
+    """The noise model; PSD `csv` paths are relative to base_dir. A config
+    from load_config carries its model already."""
+    if "_noise" in config:
+        return config["_noise"]
     sec = config["noise"]
     return NoiseModel(**{name: _build_channel(sec[name], name, base_dir) for name in CHANNELS})
 

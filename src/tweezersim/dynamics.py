@@ -186,30 +186,32 @@ class NoiseRealization:
         return cls(dt=duration / n_steps, trap_frequency=z, laser_frequency=z.copy(), laser_amplitude=z.copy())
 
 
-def _synthesize_psd_series(psd: SpectralDensity, duration: float, times: np.ndarray, rng) -> np.ndarray:
-    """Random-phase harmonic synthesis of a series with the given PSD.
+@functools.lru_cache(maxsize=4)
+def _psd_basis(n_steps: int, n_bins: int) -> np.ndarray:
+    """Read-only (2 n_bins, n_steps) array of cos, then sin, of 2 pi f_k t_i.
 
-    Bins of width df = 1 / (PSD_OVERSAMPLE * duration) at midpoint
-    frequencies get fixed amplitudes sqrt(2 S df) and independent uniform
-    phases, so the ensemble periodogram converges to S(f) and the
-    ensemble variance equals the integrated PSD.
+    f_k t_i = (2k + 1)(2i + 1) / (4 PSD_OVERSAMPLE n_steps) depends on the
+    grid shape alone; the integer numerator is reduced modulo the period
+    first, so every angle lies in [0, 2 pi). The step bound keeps n_bins
+    below 0.4 n_steps, and the cache holds at most four bases.
     """
-    df = 1.0 / (PSD_OVERSAMPLE * duration)
-    n_bins = int(math.ceil(psd.f_max / df))
-    f_k = (np.arange(n_bins) + 0.5) * df
-    s_k = np.interp(f_k, psd.frequencies_hz, psd.values, left=0.0, right=0.0)
-    amps = np.sqrt(2.0 * s_k * df)
-    phases = rng.uniform(0.0, 2.0 * np.pi, n_bins)
-    return np.cos(2.0 * np.pi * np.outer(times, f_k) + phases) @ amps
+    period = 4 * PSD_OVERSAMPLE * n_steps
+    theta = np.outer(2 * np.arange(n_bins) + 1, 2 * np.arange(n_steps) + 1) % period * (2.0 * np.pi / period)
+    return _read_only(np.concatenate([np.cos(theta), np.sin(theta)]))[0]
 
 
-def sample_noise(model: NoiseModel, duration: float, dt: float, seed) -> NoiseRealization:
-    """Draw one noise realization for a pulse of the given duration.
+def sample_noise_rows(model: NoiseModel, duration: float, dt: float, rows: int, rng) -> tuple:
+    """Trap-frequency, laser-frequency and laser-amplitude series of `rows`
+    realizations, each (rows, n_steps), sampled at step midpoints.
 
-    QuasiStatic channels become shot-constant Gaussian draws; tabulated
-    PSDs are synthesized spectrally. Channels are drawn in the fixed
-    order trap_frequency, laser_frequency, laser_amplitude so the result
-    is reproducible from the seed alone.
+    rng is a Generator, drawn from, or a seed for a new one. Row r is what
+    the r-th of `rows` successive sample_noise calls on it returns: each
+    row draws its channels in CHANNELS order. QuasiStatic channels are
+    shot-constant Gaussian draws. A SpectralDensity uses random-phase
+    harmonic synthesis: bins of width df = 1 / (PSD_OVERSAMPLE * duration)
+    at midpoint frequencies get amplitudes sqrt(2 S df) and uniform phases,
+    so the ensemble periodogram converges to S(f). With the cached basis a
+    channel's rows are one matrix product.
     """
     if duration <= 0:
         raise ValidationError(f"duration must be > 0, got {duration}")
@@ -223,26 +225,36 @@ def sample_noise(model: NoiseModel, duration: float, dt: float, seed) -> NoiseRe
         raise ValidationError(
             f"dt = {dt} too coarse for PSD content up to {f_max} Hz; need dt <= {1.0 / (20.0 * f_max)}"
         )
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    times = (np.arange(n_steps) + 0.5) * dt
-    series = {}
+    rng = np.random.default_rng(rng)
+    df = 1.0 / (PSD_OVERSAMPLE * duration)
+    amps, draw = {}, {}
     for name in CHANNELS:
-        ch = model.channel(name)
-        if ch is None:
-            series[name] = np.zeros(n_steps)
-        elif isinstance(ch, QuasiStatic):
-            series[name] = np.full(n_steps, rng.normal(0.0, ch.sigma))
+        ch = getattr(model, name)
+        if isinstance(ch, QuasiStatic):
+            draw[name] = functools.partial(rng.normal, 0.0, ch.sigma, 1)
         elif isinstance(ch, SpectralDensity):
-            series[name] = _synthesize_psd_series(ch, duration, times, rng)
-        else:
+            f_k = (np.arange(int(math.ceil(ch.f_max / df))) + 0.5) * df
+            amps[name] = np.sqrt(2.0 * np.interp(f_k, ch.frequencies_hz, ch.values, left=0.0, right=0.0) * df)
+            draw[name] = functools.partial(rng.uniform, 0.0, 2.0 * np.pi, f_k.size)
+        elif ch is not None:
             raise ValidationError(f"unsupported channel spec {type(ch).__name__}")
-    return NoiseRealization(
-        dt=dt,
-        trap_frequency=series["trap_frequency"],
-        laser_frequency=series["laser_frequency"],
-        laser_amplitude=series["laser_amplitude"],
-        seed=seed,
-    )
+    per_row = [[d() for d in draw.values()] for _ in range(rows)]
+    series = {}
+    for name, drawn in zip(draw, zip(*per_row)):
+        drawn = np.stack(drawn)  # (rows, 1) values or (rows, n_bins) phases
+        if name in amps:
+            a = amps[name]
+            coef = np.concatenate([a * np.cos(drawn), -a * np.sin(drawn)], axis=1)
+            series[name] = coef @ _psd_basis(n_steps, a.size)
+        else:
+            series[name] = np.repeat(drawn, n_steps, axis=1)
+    return tuple(series[name] if name in series else np.zeros((rows, n_steps)) for name in CHANNELS)
+
+
+def sample_noise(model: NoiseModel, duration: float, dt: float, seed) -> NoiseRealization:
+    """One noise realization: the one-row case of sample_noise_rows."""
+    trap, freq, amp = (s[0] for s in sample_noise_rows(model, duration, dt, 1, seed))
+    return NoiseRealization(dt=dt, trap_frequency=trap, laser_frequency=freq, laser_amplitude=amp, seed=seed)
 
 
 def sideband_rabi(n_from: int, n_to: int, eta: float, rabi: float) -> float:
@@ -345,10 +357,11 @@ def _static_vectors(pulse: PulseSpec, n_max: int):
     return _read_only(static, nvec, zvec)
 
 
-def _amp_factor(pulse: PulseSpec, realization: NoiseRealization) -> np.ndarray:
+def _amp_factor(pulse: PulseSpec, laser_amplitude: np.ndarray) -> np.ndarray:
+    """Coupling factor (rabi + d_rabi) / rabi of an amplitude-noise series."""
     if pulse.rabi > 0:
-        return 1.0 + realization.laser_amplitude / pulse.rabi
-    return np.ones(realization.n_steps)
+        return 1.0 + laser_amplitude / pulse.rabi
+    return np.ones(laser_amplitude.shape)
 
 
 def build_hamiltonian(
@@ -375,16 +388,11 @@ def build_hamiltonian(
         + 0.5 * realization.laser_frequency[i] * zvec
     )
     h = np.diag(diag.astype(np.complex128))
-    af = _amp_factor(pulse, realization)[i]
+    af = _amp_factor(pulse, realization.laser_amplitude)[i]
     for g, e, c in zip(pg, pe, coup):
         h[e, g] = c * af
         h[g, e] = np.conj(c * af)
     return h
-
-
-def _series(pulse: PulseSpec, r: NoiseRealization):
-    """Kernel series of one realization: trap, frequency, amplitude factor."""
-    return r.trap_frequency, r.laser_frequency, _amp_factor(pulse, r)
 
 
 def _run_kernel(
@@ -470,7 +478,7 @@ def propagator(
     """Full (2(n_max+1))^2 propagator matrix, for tests and diagnostics."""
     r = realization if realization is not None else NoiseRealization.zeros(pulse.duration)
     identity = np.eye(2 * (n_max + 1), dtype=np.complex128)[None]
-    series = (x[None] for x in _series(pulse, r))
+    series = (x[None] for x in (r.trap_frequency, r.laser_frequency, _amp_factor(pulse, r.laser_amplitude)))
     return _run_kernel(identity, pulse, trap, *series, r.dt, mode, n_max, guards=False)[0]
 
 
@@ -518,9 +526,10 @@ def evolve_rows(
     amps has shape (rows, 2 * (n_max + 1), k): flat (level, n)
     amplitudes with k spectator columns (a partner atom's levels) that
     the pulse does not touch; each row has norm 1. With noise None the
-    pulse is noiseless and every row shares one exact step. Otherwise a
-    realization is drawn from rng for each row, in row order, and the
-    rows run through the kernel a chunk at a time. Without a
+    pulse is noiseless and every row shares one exact step. Otherwise the
+    rows run through the kernel a chunk at a time, and each chunk draws
+    its rows' realizations from rng with one sample_noise_rows call, in
+    row order. Without a
     SpectralDensity channel each row's H is constant over the pulse, so
     its realization has one exact step and `steps` is not used; with
     one, it has `steps` steps. The step-size, truncation and norm
@@ -537,13 +546,13 @@ def evolve_rows(
     out = np.empty(amps.shape, dtype=np.complex128)
     n_pairs = _pair_tables(pulse, trap.eta, n_max, mode)[0].size
     per_call = kernels._rows_per_chunk(steps, n_pairs)
+    rng = np.random.default_rng(rng)
     for start in range(0, amps.shape[0], per_call):
-        rows = slice(start, start + per_call)
-        realizations = [sample_noise(noise, pulse.duration, dt, rng) for _ in amps[rows]]
-        trap_2d, freq_2d, ampf_2d = (
-            np.stack(series) for series in zip(*(_series(pulse, r) for r in realizations))
+        rows = amps[start:start + per_call]
+        trap_2d, freq_2d, amp_2d = sample_noise_rows(noise, pulse.duration, dt, rows.shape[0], rng)
+        out[start:start + per_call] = _run_kernel(
+            rows, pulse, trap, trap_2d, freq_2d, _amp_factor(pulse, amp_2d), dt, mode, n_max
         )
-        out[rows] = _run_kernel(amps[rows], pulse, trap, trap_2d, freq_2d, ampf_2d, dt, mode, n_max)
     return out
 
 

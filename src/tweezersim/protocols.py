@@ -623,29 +623,3 @@ def simulate_sideband_spectrum(
         eta=trap.eta,
         side="both",
     )
-
-
-def sideband_peak_ratio(dist, trap: TrapSpec = None, rabi: float = 2 * np.pi * 2e3,
-                        duration: float = None) -> float:
-    """Exact resonant-ladder ratio of cooling to heating peak heights.
-
-    Sums the on-resonance transfers of each sideband family; the flat
-    far-detuned tail of the opposite sideband is excluded, matching what
-    a peak fit above a floating background measures. For a thermal
-    distribution this ratio equals the Boltzmann ratio q identically.
-    """
-    if trap is None:
-        trap = DEFAULT_TRAP
-    dist = np.asarray(dist, dtype=float)
-    n_max = dist.size - 1
-    if duration is None:
-        duration = spectroscopy_pi_duration(trap.eta, rabi)
-    e_red = sum(
-        dist[n] * detuned_transfer(sideband_rabi(n, n - 1, trap.eta, rabi), 0.0, duration)
-        for n in range(1, n_max + 1)
-    )
-    e_blue = sum(
-        dist[n] * detuned_transfer(sideband_rabi(n, n + 1, trap.eta, rabi), 0.0, duration)
-        for n in range(n_max)
-    )
-    return float(e_red / e_blue)

@@ -1,8 +1,10 @@
-"""Shared synthetic-spectrum generators for analysis and acceptance tests."""
+"""Shared synthetic-spectrum generators and the sideband peak-ratio
+oracle for analysis, protocol and acceptance tests."""
 
 import numpy as np
 
-from tweezersim.protocols import SidebandSpectrum
+from tweezersim.dynamics import sideband_rabi, spectroscopy_pi_duration
+from tweezersim.protocols import DEFAULT_TRAP, SidebandSpectrum, detuned_transfer
 
 
 def gaussian_model(f, a_blue, a_red, center, width, offset):
@@ -40,3 +42,28 @@ def make_gaussian_spectrum(
         stderr=stderr,
         shots=np.full(f.size, shots_per_point),
     )
+
+
+def sideband_peak_ratio(dist, trap=None, rabi=2 * np.pi * 2e3, duration=None):
+    """Exact resonant-ladder ratio of cooling to heating peak heights.
+
+    Sums the on-resonance transfers of each sideband family; the flat
+    far-detuned tail of the opposite sideband is excluded, matching what
+    a peak fit above a floating background measures. For a thermal
+    distribution this ratio equals the Boltzmann ratio q identically.
+    """
+    if trap is None:
+        trap = DEFAULT_TRAP
+    dist = np.asarray(dist, dtype=float)
+    n_max = dist.size - 1
+    if duration is None:
+        duration = spectroscopy_pi_duration(trap.eta, rabi)
+    e_red = sum(
+        dist[n] * detuned_transfer(sideband_rabi(n, n - 1, trap.eta, rabi), 0.0, duration)
+        for n in range(1, n_max + 1)
+    )
+    e_blue = sum(
+        dist[n] * detuned_transfer(sideband_rabi(n, n + 1, trap.eta, rabi), 0.0, duration)
+        for n in range(n_max)
+    )
+    return float(e_red / e_blue)

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import make_gaussian_spectrum
+from conftest import make_gaussian_spectrum, sideband_peak_ratio
 
 from tweezersim.analysis import (
     aggregate_signals,
@@ -33,7 +33,6 @@ from tweezersim.protocols import (
     run_algorithmic_cooling,
     run_loss_detection,
     run_repeated_readout,
-    sideband_peak_ratio,
 )
 from tweezersim.response import (
     ResponseQuery,

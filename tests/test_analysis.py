@@ -294,7 +294,8 @@ class TestNonthermalCorrection:
         # treating a one-quantum-removed distribution as thermal
         # overestimates p0 by at most r^(3/2)(1-t12) + O(r^2)
         from tweezersim.dynamics import sideband_rabi
-        from tweezersim.protocols import DEFAULT_TRAP, sideband_peak_ratio
+        from conftest import sideband_peak_ratio
+        from tweezersim.protocols import DEFAULT_TRAP
         from tweezersim.states import ThermalSpec, remove_one_quantum, thermal_distribution
 
         eta, rabi = DEFAULT_TRAP.eta, 2 * np.pi * 2e3

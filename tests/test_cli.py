@@ -15,6 +15,7 @@ from tweezersim.config import (
     build_trap,
     cooling_nbar_list,
     dump_default_config,
+    load_config,
     validate_config,
 )
 from tweezersim.errors import ValidationError
@@ -101,6 +102,17 @@ class TestConfigValidation:
         noise = build_noise(cfg)
         assert noise.laser_frequency.f_max == 1000.0
 
+    def test_psd_csv_read_at_load(self, tmp_path):
+        (tmp_path / "psd.csv").write_text("f_hz,s\n100,2\n1000,3\n")
+        raw = {"noise": {"laser_frequency": {"kind": "psd", "csv": "psd.csv", "convention": "phase"}}}
+        cfg = load_config(_write_config(tmp_path, **raw))
+        psd = cfg["_noise"].laser_frequency
+        np.testing.assert_allclose(psd.values, (2 * np.pi * np.array([100.0, 1000.0])) ** 2 * [2, 3])
+        assert build_noise(cfg).laser_frequency is psd
+        # a config that did not come from a file reads the csv when built
+        built = build_noise(validate_config(raw), str(tmp_path)).laser_frequency
+        np.testing.assert_array_equal(built.values, psd.values)
+
     def test_phase_convention_weighting(self):
         cfg = validate_config(
             {
@@ -137,6 +149,13 @@ class TestCliRuns:
 
     def test_missing_config_exit_4(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 4
+
+    @pytest.mark.parametrize("command", ["simulate", "spectrum", "fit", "detect"])
+    def test_missing_psd_csv_exit_4_names_key(self, tmp_path, capsys, command):
+        # every subcommand reads a psd channel's csv file at load
+        path = _write_config(tmp_path, noise={"laser_frequency": {"kind": "psd", "csv": "nope.csv"}})
+        assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 4
+        assert "noise.laser_frequency.csv" in capsys.readouterr().err
 
     def test_simulate_writes_outputs_and_report(self, tmp_path):
         path = _write_config(
@@ -296,9 +315,7 @@ class TestCliRuns:
         command = sections[0] if sections and sections[0] in ("fit", "detect") else "simulate"
         assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
         assert key in capsys.readouterr().err
-        # a PSD csv file is read only when the channel is built, which spectrum never does
-        read_when_built = isinstance(value, dict) and value.get("csv") == "psd_descending.csv"
-        if key.startswith("noise.") and not read_when_built:
+        if key.startswith("noise."):
             assert main(["spectrum", "--config", path, "--out", str(tmp_path / "s")]) == 2
             assert key in capsys.readouterr().err
 

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from tweezersim import kernels
+from tweezersim import dynamics, kernels
 from tweezersim.dynamics import (
+    PSD_OVERSAMPLE,
     NoiseModel,
     NoiseRealization,
     PulseKind,
@@ -17,9 +18,11 @@ from tweezersim.dynamics import (
     evolve_rows,
     propagator,
     sample_noise,
+    sample_noise_rows,
     sideband_rabi,
     spectroscopy_pi_duration,
     _amp_factor,
+    _psd_basis,
     _run_kernel,
 )
 from tweezersim.errors import (
@@ -40,8 +43,19 @@ def evolve_one(state, pulse, trap, realization=None, mode="rwa-ladder"):
     """Final (2, n_max + 1) amplitudes of one state under one realization
     (noiseless in one exact step when None), as one row of evolve_batch."""
     r = realization if realization is not None else NoiseRealization.zeros(pulse.duration)
-    series = (x[None] for x in (r.trap_frequency, r.laser_frequency, _amp_factor(pulse, r)))
+    ampf = _amp_factor(pulse, r.laser_amplitude)
+    series = (x[None] for x in (r.trap_frequency, r.laser_frequency, ampf))
     return evolve_batch(state, pulse, trap, *series, r.dt, mode)[0].reshape(2, -1)
+
+
+def harmonic_synthesis(psd, duration, n_steps, rng):
+    """Reference random-phase synthesis: one cosine per (step, bin)."""
+    df = 1.0 / (PSD_OVERSAMPLE * duration)
+    f_k = (np.arange(int(np.ceil(psd.f_max / df))) + 0.5) * df
+    amps = np.sqrt(2.0 * np.interp(f_k, psd.frequencies_hz, psd.values, left=0.0, right=0.0) * df)
+    phases = rng.uniform(0.0, 2.0 * np.pi, f_k.size)
+    times = (np.arange(n_steps) + 0.5) * (duration / n_steps)
+    return np.cos(2.0 * np.pi * np.outer(times, f_k) + phases) @ amps
 
 
 def population(amps, level, n):
@@ -149,6 +163,51 @@ class TestSampleNoise:
         assert np.mean(acc[interior]) == pytest.approx(s0, rel=0.1)
         beyond = freqs > 1.6 * f_max
         assert np.mean(acc[beyond]) < 0.02 * s0
+
+    @pytest.mark.parametrize(
+        "n_steps, f_max_hz",
+        [
+            (2000, 5e3),
+            (2001, 5e3),
+            (2000, 0.9 / (PSD_OVERSAMPLE * T_PI)),  # one bin
+            (2000, 2000 / (20 * T_PI)),  # bins at the dt bound, 0.4 n_steps
+            (2001, 2001 / (20 * T_PI)),
+        ],
+    )
+    def test_synthesis_matches_cosine_oracle(self, n_steps, f_max_hz):
+        psd = SpectralDensity(np.array([0.0, f_max_hz]), np.array([2e3, 1e3]))
+        series = sample_noise(NoiseModel(laser_frequency=psd), T_PI, T_PI / n_steps, seed=7).laser_frequency
+        want = harmonic_synthesis(psd, T_PI, n_steps, np.random.default_rng(7))
+        scale = np.max(np.abs(want))
+        assert scale > 0
+        np.testing.assert_allclose(series, want, rtol=0, atol=1e-12 * scale)
+
+    def test_rows_match_successive_draws(self):
+        # row r is the r-th of successive draws; each row draws its
+        # channels in the order trap, laser frequency, laser amplitude
+        psd = SpectralDensity(np.array([0.0, 5e3]), np.array([2e3, 2e3]))
+        model = NoiseModel(trap_frequency=QuasiStatic(100.0), laser_frequency=psd,
+                           laser_amplitude=QuasiStatic(30.0))
+        rng = np.random.default_rng(11)
+        trap, freq, amp = sample_noise_rows(model, T_PI, T_PI / 400, 5, rng)
+        ref = np.random.default_rng(11)
+        for row in range(5):
+            np.testing.assert_array_equal(trap[row], np.full(400, ref.normal(0.0, 100.0)))
+            want = harmonic_synthesis(psd, T_PI, 400, ref)
+            np.testing.assert_allclose(freq[row], want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+            np.testing.assert_array_equal(amp[row], np.full(400, ref.normal(0.0, 30.0)))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_basis_is_read_only_and_cache_bounded(self):
+        psd = SpectralDensity(np.array([0.0, 5e3]), np.array([1.0, 1.0]))
+        for n_steps in range(100, 140):
+            sample_noise(NoiseModel(trap_frequency=psd), T_PI, T_PI / n_steps, seed=0)
+            info = _psd_basis.cache_info()
+            assert info.currsize <= info.maxsize
+        basis = _psd_basis(139, 3)
+        assert basis.shape == (6, 139) and not basis.flags.writeable
+        with pytest.raises(ValueError):
+            basis[0, 0] = 1.0
 
     def test_rejects_coarse_dt(self):
         psd = SpectralDensity(np.array([0.0, 10e3]), np.array([1.0, 1.0]))
@@ -275,7 +334,8 @@ class TestEvolve:
         )
         r = sample_noise(model, T_PI, T_PI / 2001, seed=4)
         pulse = PulseSpec.bsb_pi(ETA, RABI)
-        series = (r.trap_frequency[None], r.laser_frequency[None], _amp_factor(pulse, r)[None], r.dt)
+        ampf = _amp_factor(pulse, r.laser_amplitude)
+        series = (r.trap_frequency[None], r.laser_frequency[None], ampf[None], r.dt)
         for mode in ("rwa-ladder", "two-level"):
             u = propagator(pulse, TRAP, r, mode=mode, n_max=6)
             cols = np.column_stack(
@@ -559,7 +619,7 @@ class TestEvolveRows:
             states_after.append(rng.bit_generator.state)
         assert states_after[0] == states_after[1] == states_after[2] == ref_rng.bit_generator.state
 
-    def test_psd_rows_across_chunks_match_evolve_per_row(self):
+    def test_psd_rows_across_chunks_match_evolve_per_row(self, monkeypatch):
         # a PSD channel keeps `steps` steps; the rows run a kernel chunk
         # at a time, each from its own initial state
         pulse = PulseSpec.bsb_pi(ETA, RABI)
@@ -576,14 +636,24 @@ class TestEvolveRows:
             for _ in range(2 * chunk + 5)
         ]
         anc = rng.integers(0, 2, len(states))
-        out = evolve_rows(self._rows(*zip(states, anc)), pulse, TRAP, model, steps,
-                          np.random.default_rng(4))
+        calls = []
+
+        def counted(model, duration, dt, rows, rng):
+            calls.append(rows)
+            return sample_noise_rows(model, duration, dt, rows, rng)
+
+        monkeypatch.setattr(dynamics, "sample_noise_rows", counted)
+        rng_after = np.random.default_rng(4)
+        out = evolve_rows(self._rows(*zip(states, anc)), pulse, TRAP, model, steps, rng_after)
+        monkeypatch.undo()
+        assert calls == [chunk, chunk, 5]  # one draw of a chunk's rows per kernel call
         ref_rng = np.random.default_rng(4)
         for k, state in enumerate(states):
             r = sample_noise(model, pulse.duration, pulse.duration / steps, ref_rng)
             ref = evolve_one(state, pulse, TRAP, r).reshape(-1)
             np.testing.assert_allclose(out[k, :, anc[k]], ref, rtol=0, atol=1e-12)
             assert np.all(out[k, :, 1 - anc[k]] == 0)
+        assert rng_after.bit_generator.state == ref_rng.bit_generator.state
 
     def test_rejects_unnormalized_row(self):
         pulse = PulseSpec.bsb_pi(ETA, RABI)

@@ -1,7 +1,11 @@
+import json
+
 import numpy as np
 import pytest
+from conftest import sideband_peak_ratio
 from scipy.linalg import expm
 
+from tweezersim.cli import main
 from tweezersim.dynamics import NoiseModel, QuasiStatic, SpectralDensity, sideband_rabi
 from tweezersim.gates import (
     GateErrorSpec,
@@ -23,7 +27,6 @@ from tweezersim.protocols import (
     run_algorithmic_cooling,
     run_loss_detection,
     run_repeated_readout,
-    sideband_peak_ratio,
     simulate_sideband_spectrum,
 )
 from tweezersim.states import (
@@ -316,6 +319,24 @@ class TestChunkDeterminism:
         assert len(set(runs[0].shot.tolist())) == shots
         _assert_tables_equal(*runs)
 
+
+    def test_loss_detection_psd_cli_bytes_independent_of_threads(self, tmp_path):
+        # two chunks per (scenario, phase) unit, each drawing its rows'
+        # PSD realizations with one synthesis call per kernel chunk
+        cfg = {
+            "noise": {"laser_frequency": {"kind": "psd", "frequencies_hz": [0.0, 100.0],
+                                          "values": [2e3, 2e3]}},
+            "protocol": {"kind": "loss_detection", "shots": CHUNK_SHOTS + 6, "n_max": N_MAX,
+                         "steps_per_pulse": 50, "analyzer_phases_rad": [0.0, 1.0]},
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        outs = [tmp_path / f"threads{n}" for n in (1, 2)]
+        for n, out in zip((1, 2), outs):
+            argv = ["simulate", "--config", str(path), "--seed", "9", "--threads", str(n), "--out", str(out)]
+            assert main(argv) == 0
+        for name in ("shots.csv", "fringe.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_loss_detection_runs_on_one_pool(self, monkeypatch):
         from tweezersim import protocols
