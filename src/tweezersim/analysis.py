@@ -4,12 +4,15 @@ Sideband spectra are fit with weighted least squares: the heating
 (positive-detuning) peak with a plain Gaussian, the cooling peak with a
 profile likelihood over its amplitude a1 where the background offset d
 is a nuisance parameter re-minimized at every a1, and the 1-sigma
-interval is the Delta-chi2 <= 1 region. Gaussian fits run bounded
-trust-region least squares (scipy.optimize.least_squares) on the
+interval is the Delta-chi2 <= 1 region. Both Gaussian models are
+linear in their heights and offset, so the Gaussian fits start from the
+best node of a (center, width) grid where those are solved in closed
+form (variable projection), then polish it with one bounded
+trust-region least-squares run (scipy.optimize.least_squares) on the
 weighted residuals with analytic Jacobians; their covariance is the
-Gauss-Newton (J^T W J)^-1. The model is linear in a1, so the profile
-chi2 is an exact parabola and the interval endpoints are its
-closed-form roots. Weights use binomial standard errors with an
+Gauss-Newton (J^T W J)^-1. The cooling-peak model is linear in a1, so
+the profile chi2 is an exact parabola and the interval endpoints are
+its closed-form roots. Weights use binomial standard errors with an
 Agresti-Coull floor so p = 0 or 1 points keep finite weight.
 
 Detection fidelity follows F = P1*F1 + (1-P1)*F0 with the threshold
@@ -26,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import least_squares
 from scipy.special import ndtr
-from scipy.stats import norm
 
 from .errors import (
     DegenerateWidthError,
@@ -35,6 +37,7 @@ from .errors import (
 )
 
 MAX_FIT_ITERATIONS = 4000
+GRID_NODES = 15  # per axis of the (center, width) start grid
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +146,13 @@ def agresti_coull_stderr(p, shots):
     return np.sqrt(p_tilde * (1.0 - p_tilde) / (shots + 1.0))
 
 
+def binomial_stderr(p, shots):
+    """Binomial standard error sqrt(p (1 - p) / shots), with p (1 - p)
+    floored at 1e-12 so p = 0 or 1 keeps a positive error."""
+    p = np.asarray(p, dtype=float)
+    return np.sqrt(np.maximum(p * (1 - p), 1e-12) / shots)
+
+
 def _spectrum_arrays(spectrum):
     """Coerce a SidebandSpectrum-like object or array tuple to arrays.
 
@@ -209,68 +219,75 @@ def _double_gaussian_jac(f, a_blue, a_red, center, width, offset):
     )
 
 
-def _fwhm_width_guess(f, p, base, spacing, span):
-    """Width guess from the half-maximum crossings around the main peak.
-
-    Robust against sidelobes and broad baselines that spoil a moment
-    estimate.
-    """
-    i_pk = int(np.argmax(p))
-    half = base + (p[i_pk] - base) / 2.0
-    left = i_pk
-    while left > 0 and p[left - 1] > half:
-        left -= 1
-    right = i_pk
-    while right < p.size - 1 and p[right + 1] > half:
-        right += 1
-    fwhm = max(float(f[right] - f[left]), spacing)
-    return min(max(fwhm / 2.355, spacing / 2.0), span)
+def _spacing(f):
+    """Smallest gap between distinct detunings (a detuning may repeat)."""
+    return float(np.min(np.diff(np.unique(f))))
 
 
-def _weighted_fit(model, jac, f, p, se, shots, starts, bounds):
-    """Bounded weighted least-squares fit of model(f, *x) to p.
+def _sorted_points(spectrum, f_min=-math.inf):
+    """(f, p, stderr, shots) of the points with f > f_min, sorted by f."""
+    f, p, se, shots = _spectrum_arrays(spectrum)
+    keep = np.flatnonzero(f > f_min)
+    keep = keep[np.argsort(f[keep])]
+    return f[keep], p[keep], se[keep], None if shots is None else shots[keep]
 
-    Minimizes chi2 = sum w (model - p)^2 with the analytic Jacobian,
-    keeping the best converged fit over the starting points: strongly
-    mis-specified lineshapes (coherent sidelobes under a Gaussian model)
-    create local minima, and a small width-scan of starts keeps the fit
-    on the main peak. With per-point shot counts the weights are then
-    re-evaluated at the fitted model and the fit is repeated from its
-    optimum. Returns (x, chi2, covariance); the covariance is
+
+def _fit_peaks(model, jac, f, p, se, shots, lin, bounds):
+    """Bounded weighted least-squares fit of model(f, *x) to points sorted by f.
+
+    model is linear in x[lin] (heights and offset) with no other term;
+    the other two parameters are center and width. Coherent sidelobes
+    under a Gaussian model make local minima, so the fit starts from the
+    best node of a grid over (center, width), where x[lin] is solved in
+    closed form and clipped to its bounds. One least_squares run polishes
+    it; with shot counts, one more runs at weights re-evaluated at the
+    model. Returns (x, chi2, covariance, stderr); the covariance is
     (J^T W J)^-1 times the n/(n-k) small-sample factor that compensates
-    the data-estimated weights. Raises FitConvergenceError when no start
-    converges within MAX_FIT_ITERATIONS evaluations.
+    the data-estimated weights.
     """
     lo, hi = np.array(bounds, dtype=float).T
+    i_center, i_width = np.setdiff1d(np.arange(lo.size), lin)
+    grid = np.zeros((GRID_NODES**2, lo.size))
+    grid[:, i_center] = np.repeat(np.linspace(lo[i_center], hi[i_center], GRID_NODES), GRID_NODES)
+    grid[:, i_width] = np.tile(np.geomspace(lo[i_width], hi[i_width], GRID_NODES), GRID_NODES)
+    sw = 1.0 / se
+    basis = []  # (nodes, points) model columns at unit height, weighted
+    for j in lin:
+        x = [float(i == j) for i in range(lo.size)]
+        x[i_center], x[i_width] = grid[:, i_center, None], grid[:, i_width, None]
+        basis.append(np.broadcast_to(model(f, *x), (grid.shape[0], f.size)) * sw)
+    basis = np.stack(basis, axis=-1)
+    heights = np.clip(np.linalg.pinv(basis) @ (sw * p), lo[lin], hi[lin])
+    best = np.argmin(np.sum((np.einsum("gnl,gl->gn", basis, heights) - sw * p) ** 2, axis=1))
+    x0 = grid[best]
+    x0[lin] = heights[best]
 
-    def best_fit(w, starts):
-        sw = np.sqrt(w)
-        best = None
-        for x0 in starts:
-            res = least_squares(
-                lambda x: sw * (model(f, *x) - p),
-                np.clip(x0, lo, hi),
-                jac=lambda x: sw[:, None] * jac(f, *x),
-                bounds=(lo, hi),
-                max_nfev=MAX_FIT_ITERATIONS,
-                ftol=1e-12,  # polish far below the statistical errors
-                xtol=1e-12,
-                gtol=1e-12,
-            )
-            if res.status > 0 and (best is None or res.cost < best.cost):
-                best = res
-        if best is None:
+    def polish(x0, sw):
+        res = least_squares(
+            lambda x: sw * (model(f, *x) - p),
+            x0,
+            jac=lambda x: sw[:, None] * jac(f, *x),
+            bounds=(lo, hi),
+            max_nfev=MAX_FIT_ITERATIONS,
+            ftol=1e-12, xtol=1e-12, gtol=1e-12,  # far below the statistical errors
+        )
+        if res.status <= 0:
             raise FitConvergenceError(
-                f"no least-squares start converged within {MAX_FIT_ITERATIONS} evaluations"
+                f"least squares did not converge within {MAX_FIT_ITERATIONS} evaluations"
             )
-        return best
+        return res
 
-    res = best_fit(1.0 / se**2, starts)
+    res = polish(x0, sw)
     if shots is not None:  # reweight at the model, refit
-        res = best_fit(1.0 / _model_reweight(se, shots, model(f, *res.x)) ** 2, [res.x])
+        res = polish(res.x, 1.0 / _model_reweight(se, shots, model(f, *res.x)))
+    spacing = _spacing(f)
+    if res.x[i_width] < spacing:
+        raise DegenerateWidthError(
+            f"fitted width {res.x[i_width]:.3g} Hz below the grid spacing {spacing:.3g} Hz"
+        )
     n, k = res.jac.shape
     cov = np.linalg.pinv(res.jac.T @ res.jac) * n / max(n - k, 1)
-    return res.x, 2.0 * res.cost, cov
+    return res.x, 2.0 * res.cost, cov, np.sqrt(np.clip(np.diag(cov), 0, None))
 
 
 # ---------------------------------------------------------------------------
@@ -280,53 +297,23 @@ def _weighted_fit(model, jac, f, p, se, shots, starts, bounds):
 def fit_heating_sideband(spectrum) -> GaussianPeakFit:
     """Weighted least-squares Gaussian fit of the heating (blue) peak.
 
-    Uses the positive-detuning points, a moment-based initial guess
-    (with a small width scan), a bounded trust-region least-squares
-    refinement with the analytic Jacobian, and one model-based
+    Fits the positive-detuning points from a (center, width) grid start
+    with one bounded trust-region refinement and one model-based
     reweighting pass (binomial errors re-evaluated at the fitted curve)
-    to remove the low bias of measured-count weights. Raises
-    DegenerateWidthError when no peak stands above the noise or the
-    width collapses below the grid spacing, FitConvergenceError past the
-    iteration cap.
+    to remove the low bias of measured-count weights; see _fit_peaks.
+    Raises DegenerateWidthError when no peak stands above the noise or
+    the width collapses below the grid spacing, FitConvergenceError past
+    the iteration cap.
     """
-    f, p, se, shots = _spectrum_arrays(spectrum)
-    mask = f > 0
-    f, p, se = f[mask], p[mask], se[mask]
-    shots = shots[mask] if shots is not None else None
-    if f.size < 5:
-        raise ValidationError("need at least 5 points spanning the heating peak")
-    order = np.argsort(f)
-    f, p, se = f[order], p[order], se[order]
-    shots = shots[order] if shots is not None else None
-    spacing = float(np.min(np.diff(f)))
-    span = float(f[-1] - f[0])
-
-    base = float(np.min(p))
-    h0 = float(np.max(p) - base)
-    if h0 < 3.0 * float(np.median(se)):
+    f, p, se, shots = _sorted_points(spectrum, f_min=0.0)
+    if np.unique(f).size < 5:
+        raise ValidationError("need at least 5 detunings spanning the heating peak")
+    if np.max(p) - np.min(p) < 3.0 * float(np.median(se)):
         raise DegenerateWidthError("no peak resolvable above the noise floor")
-    mu0 = float(f[np.argmax(p)])
-    sig0 = _fwhm_width_guess(f, p, base, spacing, span)
-
-    bounds = [(0.0, 2.0), (f[0], f[-1]), (spacing / 4.0, 2.0 * span)]
-    starts = [
-        np.array([h0, mu0, s0])
-        for s0 in (sig0, max(sig0 / 2, spacing / 2), min(2 * sig0, span))
-    ]
-    x, chi2, cov = _weighted_fit(_gaussian, _gaussian_jac, f, p, se, shots, starts, bounds)
-    height, center, width = x
-    if width < spacing:
-        raise DegenerateWidthError(
-            f"fitted width {width:.3g} Hz below the grid spacing {spacing:.3g} Hz"
-        )
-    return GaussianPeakFit(
-        height=float(height),
-        center_hz=float(center),
-        width_hz=float(width),
-        chi2=float(chi2),
-        covariance=cov,
-        stderr=np.sqrt(np.clip(np.diag(cov), 0, None)),
-    )
+    spacing = _spacing(f)
+    bounds = [(0.0, 2.0), (f[0], f[-1]), (spacing / 4.0, 2.0 * float(f[-1] - f[0]))]
+    x, chi2, cov, stderr = _fit_peaks(_gaussian, _gaussian_jac, f, p, se, shots, [0], bounds)
+    return GaussianPeakFit(*x.tolist(), float(chi2), cov, stderr)  # x in field order
 
 
 def profile_likelihood_cooling_peak(spectrum, blue_fit: GaussianPeakFit) -> ProfileLikelihoodResult:
@@ -434,24 +421,13 @@ def temperature_from_spectrum(spectrum) -> TemperatureEstimate:
 def fit_double_gaussian_with_offset(spectrum) -> DoubleGaussianFit:
     """Simultaneous fit of both sidebands: two same-width Gaussians at
     +/- center plus a global offset reflecting wrong-electronic-state
-    population."""
-    f, p, se, shots = _spectrum_arrays(spectrum)
+    population; fitted like the heating peak (see _fit_peaks)."""
+    f, p, se, shots = _sorted_points(spectrum)
     if not (np.any(f > 0) and np.any(f < 0)):
         raise ValidationError("spectrum must span both sidebands")
-    order = np.argsort(f)
-    f, p, se = f[order], p[order], se[order]
-    shots = shots[order] if shots is not None else None
-    spacing = float(np.min(np.diff(f)))
-
-    pos = f > 0
-    d0 = float(np.min(p))
-    hb0 = float(np.max(p[pos]) - d0)
-    if hb0 < 3.0 * float(np.median(se)):
+    if np.max(p[f > 0]) - np.min(p) < 3.0 * float(np.median(se)):
         raise DegenerateWidthError("no heating peak resolvable above the noise floor")
-    mu0 = float(f[pos][np.argmax(p[pos])])
-    hr0 = max(float(np.max(p[~pos]) - d0), 0.0)
-    sig0 = _fwhm_width_guess(f[pos], p[pos], d0, spacing, float(f[-1] - f[0]))
-
+    spacing = _spacing(f)
     bounds = [
         (0.0, 2.0),
         (0.0, 2.0),
@@ -459,28 +435,10 @@ def fit_double_gaussian_with_offset(spectrum) -> DoubleGaussianFit:
         (spacing / 4.0, float(f[-1] - f[0])),
         (0.0, 1.0),
     ]
-    starts = [
-        np.array([hb0, hr0, mu0, s0, d0])
-        for s0 in (sig0, max(sig0 / 2, spacing / 2), min(2 * sig0, float(f[-1] - f[0])))
-    ]
-    x, chi2, cov = _weighted_fit(
-        _double_gaussian, _double_gaussian_jac, f, p, se, shots, starts, bounds
+    x, chi2, cov, stderr = _fit_peaks(
+        _double_gaussian, _double_gaussian_jac, f, p, se, shots, [0, 1, 4], bounds
     )
-    ab, ar, mu, sig, d = x
-    if sig < spacing:
-        raise DegenerateWidthError(
-            f"fitted width {sig:.3g} Hz below the grid spacing {spacing:.3g} Hz"
-        )
-    return DoubleGaussianFit(
-        a_blue=float(ab),
-        a_red=float(ar),
-        center_hz=float(mu),
-        width_hz=float(sig),
-        offset=float(d),
-        chi2=float(chi2),
-        covariance=cov,
-        stderr=np.sqrt(np.clip(np.diag(cov), 0, None)),
-    )
+    return DoubleGaussianFit(*x.tolist(), float(chi2), cov, stderr)  # x in field order
 
 
 def nonthermal_correction(r_est: float, t12: float) -> float:
@@ -626,7 +584,12 @@ def aggregate_signals(signals, n: int, mode: str = "sum", imaging=None) -> np.nd
     if imaging is None:
         raise ValidationError("llr aggregation needs the imaging signal model")
     s = arr[:, :n]
-    llr = norm.logpdf(s, imaging.bright_mean, imaging.bright_std) - norm.logpdf(
+    llr = _norm_logpdf(s, imaging.bright_mean, imaging.bright_std) - _norm_logpdf(
         s, imaging.dark_mean, imaging.dark_std
     )
     return llr.sum(axis=1)
+
+
+def _norm_logpdf(x, mean, std):
+    """scipy.stats.norm.logpdf, without importing that slow-to-load module."""
+    return -(((x - mean) / std) ** 2) / 2.0 - math.log(math.sqrt(2.0 * math.pi)) - math.log(std)

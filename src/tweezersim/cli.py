@@ -30,6 +30,7 @@ import numpy as np
 from . import __version__
 from .analysis import (
     aggregate_signals,
+    binomial_stderr,
     fit_double_gaussian_with_offset,
     nonthermal_correction,
     optimize_threshold,
@@ -440,6 +441,8 @@ def read_shots_csv(path):
             if rnd.min() < 0 or cell.size != shots.size * n_rounds or np.bincount(cell).max() > 1:
                 raise ValueError(f"scenario {name} has {cell.size} rows for {shots.size} shots "
                                  f"x {n_rounds} rounds, not one per (scenario, shot, round)")
+            if not np.all(np.isfinite(cols["signal"][mine])):
+                raise ValueError(f"scenario {name} has a non-finite signal")
             matrix = np.empty(cell.size)
             matrix[cell] = cols["signal"][mine]
             out[name] = matrix.reshape(shots.size, n_rounds)
@@ -493,12 +496,11 @@ def cmd_cool(config, out_dir, workers, report):
     # that the truncation cannot shift it: equals 1 - q^2
     ideal = [remove_one_quantum(thermal_distribution(ThermalSpec(nbar=v, n_max=400)))[0]
              for v in nbar.tolist()]
-    stderr = np.sqrt(np.maximum(meas * (1 - meas), 1e-12) / shots)
     path = os.path.join(out_dir, "cool.csv")
     header = ["nbar_init", "p0_init", "p0_ideal", "p0_measured", "p0_measured_correct_state",
               "wrong_state_fraction", "shots", "stderr"]
     write_csv(path, header, [nbar, 1.0 - nbar / (nbar + 1.0), ideal, meas, correct, wrong,
-                             shots, stderr])
+                             shots, binomial_stderr(meas, shots)])
     report.add_output(path)
     report.payload["results"] = {
         "points": int(nbar.size), "events": _event_counts(events), "rng_scheme": RNG_SCHEME,

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
+from .analysis import binomial_stderr
 from .dynamics import (
     DEFAULT_STEPS_PER_PULSE,
     NoiseModel,
@@ -116,6 +117,8 @@ class SidebandSpectrum:
         self.p_exc = np.asarray(self.p_exc, dtype=float)
         self.stderr = np.asarray(self.stderr, dtype=float)
         self.shots = np.asarray(self.shots)
+        if not all(np.all(np.isfinite(a)) for a in (self.detuning_hz, self.p_exc, self.stderr)):
+            raise ValidationError("detuning_hz, p_exc and stderr must be finite")
         if np.any(self.p_exc < 0) or np.any(self.p_exc > 1):
             raise ValidationError("excitation probabilities must lie in [0, 1]")
 
@@ -442,7 +445,7 @@ def run_loss_detection(config: ProtocolConfig, analyzer_phases=None, reference: 
     for i, scenario in enumerate(config.scenarios):
         per_phase = tables[i * analyzer_phases.size : (i + 1) * analyzer_phases.size]
         up_fraction = np.array([np.mean(t.data_label == "up") for t in per_phase])
-        stderr = np.sqrt(np.clip(up_fraction * (1 - up_fraction), 1e-12, None) / config.shots)
+        stderr = binomial_stderr(up_fraction, config.shots)
         fringe[scenario] = (analyzer_phases.copy(), up_fraction, stderr)
     return ShotTable.concat(tables), fringe
 
@@ -611,7 +614,7 @@ def simulate_sideband_spectrum(
             raise ValidationError("binomial sampling requires an rng")
         counts = rng.binomial(shots_per_point, p_exc)
         measured = counts / shots_per_point
-        stderr = np.sqrt(np.clip(measured * (1 - measured), 1e-12, None) / shots_per_point)
+        stderr = binomial_stderr(measured, shots_per_point)
         shots = np.full(p_exc.size, shots_per_point)
     return SidebandSpectrum(
         detuning_hz=detunings_hz,

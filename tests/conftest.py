@@ -67,3 +67,54 @@ def sideband_peak_ratio(dist, trap=None, rabi=2 * np.pi * 2e3, duration=None):
         for n in range(n_max)
     )
     return float(e_red / e_blue)
+
+
+def multistart_reference_fit(spectrum, double=False):
+    """Reference for the two sideband fits: the width-scan multistart they
+    used before the grid start. Three bounded least-squares starts (at the
+    FWHM width guess, half and twice it) keep the best converged fit, which
+    is refit once at model-reweighted errors. Returns the parameter vector
+    of fit_double_gaussian_with_offset (double) or fit_heating_sideband."""
+    from scipy.optimize import least_squares
+
+    from tweezersim import analysis
+
+    f, p, se, shots = analysis._spectrum_arrays(spectrum)
+    keep = np.argsort(f) if double else np.flatnonzero(f > 0)[np.argsort(f[f > 0])]
+    f, p, se = f[keep], p[keep], se[keep]
+    shots = None if shots is None else shots[keep]
+    spacing, span = np.min(np.diff(f)), f[-1] - f[0]
+    pos, base = f > 0, np.min(p)
+    i_pk = int(np.argmax(np.where(pos, p, -np.inf)))
+    half = base + (p[i_pk] - base) / 2.0
+    left = right = i_pk
+    while left > 0 and pos[left - 1] and p[left - 1] > half:
+        left -= 1
+    while right < p.size - 1 and p[right + 1] > half:
+        right += 1
+    sig0 = min(max(max(f[right] - f[left], spacing) / 2.355, spacing / 2.0), span)
+    widths = (sig0, max(sig0 / 2, spacing / 2), min(2 * sig0, span))
+    if double:
+        model, jac = analysis._double_gaussian, analysis._double_gaussian_jac
+        bounds = [(0, 2), (0, 2), (spacing, f[-1]), (spacing / 4, span), (0, 1)]
+        hr0 = max(np.max(p[~pos]) - base, 0.0)
+        starts = [[p[i_pk] - base, hr0, f[i_pk], s0, base] for s0 in widths]
+    else:
+        model, jac = analysis._gaussian, analysis._gaussian_jac
+        bounds = [(0, 2), (f[0], f[-1]), (spacing / 4, 2 * span)]
+        starts = [[p[i_pk] - base, f[i_pk], s0] for s0 in widths]
+    lo, hi = np.array(bounds, dtype=float).T
+
+    def best_fit(w, starts):
+        fits = [
+            least_squares(lambda x: np.sqrt(w) * (model(f, *x) - p), np.clip(x0, lo, hi),
+                          jac=lambda x: np.sqrt(w)[:, None] * jac(f, *x), bounds=(lo, hi),
+                          max_nfev=4000, ftol=1e-12, xtol=1e-12, gtol=1e-12)
+            for x0 in starts
+        ]
+        return min((res for res in fits if res.status > 0), key=lambda res: res.cost).x
+
+    x = best_fit(1.0 / se**2, starts)
+    if shots is not None:
+        x = best_fit(1.0 / analysis._model_reweight(se, shots, model(f, *x)) ** 2, [x])
+    return x

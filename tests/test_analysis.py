@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from conftest import gaussian_model, make_gaussian_spectrum
+from conftest import gaussian_model, make_gaussian_spectrum, multistart_reference_fit
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tweezersim import analysis
 from tweezersim.analysis import (
     DetectionResult,
     _double_gaussian,
@@ -12,6 +13,7 @@ from tweezersim.analysis import (
     _gaussian_jac,
     agresti_coull_stderr,
     aggregate_signals,
+    binomial_stderr,
     fit_double_gaussian_with_offset,
     fit_heating_sideband,
     nbar_from_ratio,
@@ -23,7 +25,9 @@ from tweezersim.analysis import (
     temperature_from_spectrum,
 )
 from tweezersim.errors import DegenerateWidthError, ValidationError
-from tweezersim.protocols import SidebandSpectrum
+from tweezersim.dynamics import sideband_rabi
+from tweezersim.protocols import DEFAULT_TRAP, SidebandSpectrum, simulate_sideband_spectrum
+from tweezersim.states import ThermalSpec, remove_one_quantum, thermal_distribution
 
 
 def _noiseless_spectrum(a_blue=0.8, a_red=0.0, center=35e3, width=2e3, offset=0.0,
@@ -37,6 +41,27 @@ def _noiseless_spectrum(a_blue=0.8, a_red=0.0, center=35e3, width=2e3, offset=0.
         stderr=np.full(f.size, stderr),
         shots=np.zeros(f.size),
     )
+
+
+def _simulated_spectrum(nbar, cooled, half_span_hz, points_per_side, rng):
+    """Binomially sampled spectrum of a thermal (or one-quantum-removed)
+    distribution at the CLI's default drive, on a grid centered on the
+    trap frequency."""
+    dist = thermal_distribution(ThermalSpec(nbar=nbar, n_max=20))
+    if cooled:
+        dist = remove_one_quantum(dist)
+    f_trap = DEFAULT_TRAP.omega_t / (2 * np.pi)
+    side = np.linspace(f_trap - half_span_hz, f_trap + half_span_hz, points_per_side)
+    return simulate_sideband_spectrum(
+        dist, np.concatenate([-side[::-1], side]), rabi=2 * np.pi * 2e3, shots_per_point=300,
+        rng=rng,
+    )
+
+
+# Omega_01 / 2 pi at the CLI's default drive, and the full width of the
+# 0 <-> 1 pi-pulse line's main lobe, whose first zeros sit at +/- sqrt(3) Omega_01
+OMEGA01_HZ = sideband_rabi(0, 1, DEFAULT_TRAP.eta, 2 * np.pi * 2e3) / (2 * np.pi)
+MAIN_LOBE_HZ = 2 * np.sqrt(3) * OMEGA01_HZ
 
 
 def _profile_chi2(spec, blue):
@@ -136,6 +161,67 @@ class TestHeatingFit:
         spec = _noiseless_spectrum(n_side=3)
         with pytest.raises(ValidationError):
             fit_heating_sideband(spec)
+        f = np.repeat([-35e3, 35e3], 6)  # six points, one detuning per side
+        spec = SidebandSpectrum(f, np.full(12, 0.5), np.full(12, 0.01), np.zeros(12))
+        with pytest.raises(ValidationError):
+            fit_heating_sideband(spec)
+
+
+class TestGridStart:
+    def test_matches_multistart_reference(self):
+        # the grid start reaches the width-scan multistart's optimum
+        rng = np.random.default_rng(5)
+        specs = [make_gaussian_spectrum(nbar, rng) for nbar in (0.0, 0.002, 0.05, 0.3) * 3]
+        specs += [make_gaussian_spectrum(0.3, rng, shots_per_point=400, offset=0.073)
+                  for _ in range(3)]
+        specs += [_simulated_spectrum(0.5, cooled, 1.75 * OMEGA01_HZ, 11, rng)
+                  for cooled in (False, True) * 3]  # the CLI's default grid
+        for spec in specs:
+            blue = fit_heating_sideband(spec)
+            both = fit_double_gaussian_with_offset(spec)
+            for x, ref, stderr in (
+                ([blue.height, blue.center_hz, blue.width_hz],
+                 multistart_reference_fit(spec), blue.stderr),
+                ([both.a_blue, both.a_red, both.center_hz, both.width_hz, both.offset],
+                 multistart_reference_fit(spec, double=True), both.stderr),
+            ):
+                assert np.all(np.abs(np.array(x) - ref) <= 1e-3 * stderr)
+
+    @pytest.mark.parametrize("lobes, points", [(4, 31), (5, 41)])
+    @pytest.mark.parametrize("nbar", [0.002, 0.3])
+    @pytest.mark.parametrize("cooled", [False, True])
+    def test_fits_stay_on_the_main_lobe(self, lobes, points, nbar, cooled):
+        # each side spans several sinc^2 sidelobes, local minima of a Gaussian fit
+        rng = np.random.default_rng(lobes + int(1000 * nbar) + 7 * cooled)
+        spec = _simulated_spectrum(nbar, cooled, lobes * MAIN_LOBE_HZ / 2, points, rng)
+        f_trap = DEFAULT_TRAP.omega_t / (2 * np.pi)
+        for fit in (fit_heating_sideband, fit_double_gaussian_with_offset):
+            assert abs(fit(spec).center_hz - f_trap) <= 0.15 * MAIN_LOBE_HZ
+
+    def test_repeated_detuning_is_fitted(self):
+        spec = _noiseless_spectrum(a_blue=0.8, a_red=0.2)
+        spec = SidebandSpectrum(*(np.append(a, a[-3]) for a in (
+            spec.detuning_hz, spec.p_exc, spec.stderr, spec.shots)))
+        for fit in (fit_heating_sideband, fit_double_gaussian_with_offset):
+            assert fit(spec).center_hz == pytest.approx(35e3, rel=1e-6)
+
+    def test_each_fit_runs_least_squares_at_most_twice(self, monkeypatch):
+        calls = []
+
+        def counted(*args, fn=analysis.least_squares, **kwargs):
+            calls.append(1)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "least_squares", counted)
+        spec = make_gaussian_spectrum(0.3, np.random.default_rng(2))
+        for fit, spectrum, runs in (
+            (fit_heating_sideband, spec, 2),  # grid start, then the reweighted refit
+            (fit_double_gaussian_with_offset, spec, 2),
+            (fit_heating_sideband, _noiseless_spectrum(), 1),  # no counts: no reweighting
+        ):
+            calls.clear()
+            fit(spectrum)
+            assert len(calls) == runs
 
 
 class TestProfileLikelihood:
@@ -403,6 +489,10 @@ class TestAggregation:
         llr = aggregate_signals(sig, 3, mode="llr", imaging=Spec)
         total = aggregate_signals(sig, 3)
         assert np.all(np.argsort(llr) == np.argsort(total))
+        from scipy.stats import norm
+
+        ref = norm.logpdf(sig, 3.0, 1.0) - norm.logpdf(sig, 0.0, 1.0)
+        np.testing.assert_allclose(llr, ref.sum(axis=1), rtol=1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
@@ -436,3 +526,9 @@ class TestAgrestiCoull:
     def test_matches_binomial_at_moderate_p(self):
         se = agresti_coull_stderr(0.5, 400)
         assert se == pytest.approx(np.sqrt(0.25 / 400), rel=0.01)
+
+
+class TestBinomialStderr:
+    def test_formula_and_floor(self):
+        se = binomial_stderr(np.array([0.0, 0.25, 1.0]), 400)
+        np.testing.assert_array_equal(se, np.sqrt(np.array([1e-12, 0.1875, 1e-12]) / 400))

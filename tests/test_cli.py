@@ -1,10 +1,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import tweezersim
 from tweezersim import analysis, cli, config
 from tweezersim.cli import main, read_shots_csv, read_spectrum_csv
 from tweezersim.config import (
@@ -403,6 +406,15 @@ class TestCliRuns:
         assert float(first[0]) == 0.0
         assert float(first[1]) == pytest.approx(1.0 / w**2, rel=1e-12)
 
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats dominates start-up; a fresh interpreter shows what the CLI loads
+        src = os.path.dirname(os.path.dirname(tweezersim.__file__))
+        code = "import sys, tweezersim.cli; print('scipy.stats' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.strip() == "False"
+
     def test_spectrum_fit_roundtrip(self, tmp_path):
         path = _write_config(
             tmp_path,
@@ -690,6 +702,7 @@ class TestCsvIO:
 
     def test_reader_inverts_writer_in_any_row_order(self, tmp_path, monkeypatch):
         table = _random_table(3, 1500, 3, None)
+        table.signals[~np.isfinite(table.signals)] = 0.5  # the reader rejects non-finite ones
         path = tmp_path / "shots.csv"
         cli.write_csv(path, cli.SHOT_HEADER, cli.shot_columns(table))
         header, *lines = path.read_text().splitlines(keepends=True)
@@ -709,8 +722,9 @@ class TestCsvIO:
             (["present,1,0,1.5,up,up,0,0"], "a row does not have the header's 9 cells"),
             (["present,0,0,2.5,up,up,0,0,"], "not one per (scenario, shot, round)"),
             (["present,1,1,2.5,up,up,0,0,"], "not one per (scenario, shot, round)"),
+            (["present,1,0,nan,up,up,0,0,"], "non-finite signal"),
         ],
-        ids=["ragged-row", "repeated-cell", "missing-round"],
+        ids=["ragged-row", "repeated-cell", "missing-round", "nan-signal"],
     )
     def test_detect_rejects_malformed_shots_csv(self, tmp_path, capsys, rows, reason):
         lines = [",".join(cli.SHOT_HEADER), "present,0,0,1.5,up,up,0,0,",
@@ -720,6 +734,21 @@ class TestCsvIO:
         assert main(["detect", "--config", path, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "detect.input_csv" in err and reason in err
+
+    @pytest.mark.parametrize("row", [6, 17], ids=["cooling-side", "heating-side"])
+    def test_fit_rejects_nan_spectrum_cell(self, tmp_path, capsys, row):
+        # rows 1-11 hold the negative detunings, 12-22 the positive ones
+        path = _write_config(tmp_path, seed=3)
+        assert main(["spectrum", "--config", path, "--out", str(tmp_path / "spec")]) == 0
+        lines = (tmp_path / "spec" / "spectrum.csv").read_text().splitlines()
+        cells = lines[row].split(",")
+        cells[1] = "nan"
+        lines[row] = ",".join(cells)
+        (tmp_path / "spectrum.csv").write_text("\n".join(lines) + "\n")
+        fit = _write_config(tmp_path, name="fit.json", fit={"input_csv": "spectrum.csv"})
+        assert main(["fit", "--config", fit, "--out", str(tmp_path / "fit")]) == 2
+        err = capsys.readouterr().err
+        assert "fit.input_csv" in err and "must be finite" in err
 
     def test_detect_rejects_loss_detection_shots(self, tmp_path, capsys):
         # loss detection restarts shot numbers for every analyzer phase
