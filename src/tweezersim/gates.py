@@ -8,11 +8,13 @@ sigma_x + sin(phi) sigma_y)); the CZ applies the phase -1 on the joint
 Every operation acts on a PairBatch: a chunk of data + ancilla pairs
 held as one complex array psi[shot, data_level, data_n, anc_level] plus
 a loss mask per atom. The ancilla has no motional axis: it is always
-prepared at n = 0 and no operation touches its motion. A gate is one
-masked matrix product over the chunk, and a measurement projects and
-renormalizes. Losing an atom follows one rule: the environment
-projectively measures the lost atom (data: level and n; ancilla:
-level), the partner keeps its conditional state, and the mask flips.
+prepared at n = 0 and no operation touches its motion. Operations
+update psi in place: a gate mixes one atom's two level slices with
+coefficients per shot (``cnot_block`` fuses its four gates into one
+pass), and a measurement projects and renormalizes. Losing an atom
+follows one rule: the environment projectively measures the lost atom
+(data: level and n; ancilla: level), the partner keeps its conditional
+state, and the mask flips.
 
 Measurement signals are normal-distributed (bright for a ground-state
 atom, dark for clock-state, lost, or absent atoms); the distributions
@@ -30,8 +32,6 @@ import numpy as np
 
 from .analysis import optimize_threshold_analytic
 from .errors import NumericsError, TruncationError, ValidationError
-
-_IDENTITY = np.eye(2)
 
 #: Stochastic events counted in PairBatch.events, in report order.
 EVENT_KINDS = (
@@ -155,20 +155,22 @@ class PairBatch:
 
     def populations(self, which: str) -> np.ndarray:
         """Electronic (down, up) populations of one atom, shape (shots, 2)."""
+        m = 2 * self.psi.shape[2]  # (n, anc level) entries per data level
+        if which == "data":
+            return _norm2(self.psi, (self.size, 2, 2 * m), "bi")
         self.lost(which)  # rejects an unknown atom name
-        return np.einsum("blnk->bl" if which == "data" else "blnk->bk", _abs2(self.psi))
+        return _norm2(self.psi, (self.size, m, 4), "bj").reshape(-1, 2, 2).sum(axis=2)
 
 
 def rotation_matrix(theta, phi) -> np.ndarray:
     """R(theta, phi) in the (down, up) ordering; shape (..., 2, 2) for array arguments."""
-    c = np.cos(np.multiply(theta, 0.5))
-    s = -1j * np.sin(np.multiply(theta, 0.5))
+    half = np.multiply(theta, 0.5)
+    s = -1j * np.sin(half)
     e = np.exp(1j * np.asarray(phi, dtype=float))
-    mat = np.empty(np.broadcast_shapes(c.shape, e.shape) + (2, 2), dtype=np.complex128)
-    mat[..., 0, 0] = c
+    mat = np.empty(np.broadcast(s, e).shape + (2, 2), dtype=np.complex128)
+    mat[..., 0, 0] = mat[..., 1, 1] = np.cos(half)
     mat[..., 0, 1] = s * e
     mat[..., 1, 0] = s * e.conj()
-    mat[..., 1, 1] = c
     return mat
 
 
@@ -177,8 +179,11 @@ def level_labels(level, lost) -> np.ndarray:
     return np.where(lost, "lost", np.where(level == 0, "down", "up"))
 
 
-def _abs2(a: np.ndarray) -> np.ndarray:
-    return a.real**2 + a.imag**2
+def _norm2(a: np.ndarray, shape, out: str) -> np.ndarray:
+    """Sums of |a|^2 over a's real and imaginary parts viewed as shape
+    (b, i, j), out the einsum output; allocates nothing of a's size."""
+    x = a.view(np.float64).reshape(shape)
+    return np.einsum(f"bij,bij->{out}", x, x)
 
 
 def _project(batch: PairBatch, rows, outcome, probs, shape):
@@ -211,16 +216,15 @@ def _sample(p, rng) -> np.ndarray:
 # gate operations
 
 
-def apply_electronic(batch: PairBatch, which: str, mat) -> PairBatch:
-    """Apply a 2x2 electronic operator, shared (2, 2) or per shot
-    (shots, 2, 2), to one atom of every pair in which it is present."""
-    mat = np.where(batch.lost(which)[:, None, None], _IDENTITY, mat)  # a lost atom is left alone
-    b, m = batch.size, batch.n_max + 1
-    if which == "data":  # psi'[s, l, n, k] = mat[s, l, j] psi[s, j, n, k]
-        batch.psi = (mat @ batch.psi.reshape(b, 2, 2 * m)).reshape(b, 2, m, 2)
-    else:  # psi'[s, l, n, k] = mat[s, k, j] psi[s, l, n, j]
-        batch.psi = (batch.psi.reshape(b, 2 * m, 2) @ mat.transpose(0, 2, 1)).reshape(b, 2, m, 2)
-    return batch
+def _mix(psi: np.ndarray, which: str, m) -> None:
+    """(a0, a1) <- (m00 a0 + m01 a1, m10 a0 + m11 a1) in place on one atom's
+    level slices of psi; each m[i, j] broadcasts against a slice."""
+    a0, a1 = (psi[:, 0], psi[:, 1]) if which == "data" else (psi[..., 0], psi[..., 1])
+    t = a0 * m[1, 0]
+    a0 *= m[0, 0]
+    a0 += a1 * m[0, 1]
+    a1 *= m[1, 1]
+    a1 += t
 
 
 def apply_data_unitary(batch: PairBatch, u4: np.ndarray) -> PairBatch:
@@ -230,6 +234,15 @@ def apply_data_unitary(batch: PairBatch, u4: np.ndarray) -> PairBatch:
     return batch
 
 
+def _rotation(batch: PairBatch, which: str, phase, angle) -> np.ndarray:
+    """R(angle + jitter, phase) per shot, shape (2, 2, shots); angle 0 where lost."""
+    errors = batch.errors
+    if errors is not None and errors.sq_over_rotation_sigma > 0:
+        angle = angle + (batch.rng.normal(0.0, errors.sq_over_rotation_sigma, batch.size)
+                         if errors.per_gate_jitter else batch.jitter)
+    return rotation_matrix(np.where(batch.lost(which), 0.0, angle), phase).transpose(1, 2, 0)
+
+
 def rotate(batch: PairBatch, which: str, phase, angle) -> PairBatch:
     """Electronic rotation R(angle, phase) of one atom, identity on motion.
 
@@ -237,24 +250,43 @@ def rotate(batch: PairBatch, which: str, phase, angle) -> PairBatch:
     the angle picks up Gaussian jitter: the shot-constant value, or a
     fresh draw per gate with per_gate_jitter.
     """
-    errors = batch.errors
-    if errors is not None and errors.sq_over_rotation_sigma > 0:
-        if errors.per_gate_jitter:
-            angle = angle + batch.rng.normal(0.0, errors.sq_over_rotation_sigma, batch.size)
-        else:
-            angle = angle + batch.jitter
-    return apply_electronic(batch, which, rotation_matrix(angle, phase))
+    _mix(batch.psi, which, _rotation(batch, which, phase, angle)[..., None, None])
+    return batch
 
 
 def local_z(batch: PairBatch, which: str, phi) -> PairBatch:
     """Multiply one atom's up-level amplitudes by exp(i phi), phi a scalar
     or one value per shot; exact and error-free."""
     up = np.where(batch.lost(which), 1.0, np.exp(1j * np.asarray(phi, dtype=float)))
-    if which == "data":
-        batch.psi[:, 1] *= up[:, None, None]
-    else:
-        batch.psi[..., 1] *= up[:, None, None]
+    up_level = batch.psi[:, 1] if which == "data" else batch.psi[..., 1]
+    up_level *= up[:, None, None]
     return batch
+
+
+def _cz_branches(batch: PairBatch, d: np.ndarray) -> dict:
+    """Fold the CZ and its Z errors into the diagonal factors d[anc level,
+    shot, data level]; draw and count its error branches (see apply_cz).
+    Returns the leaked rows per atom to lose, empty if no branch fired."""
+    on = ~(batch.data_lost | batch.anc_lost)
+    batch.events["cz_skipped"] += int(np.count_nonzero(~on))
+    d[1, :, 1] *= np.where(on, -1.0, 1.0)
+    errors = batch.errors
+    if errors is None:
+        return {}
+    u = batch.rng.random(batch.size)
+    hit_data = batch.rng.random(batch.size) < 0.5
+    fired = on & (u < errors.cz_loss_prob + errors.cz_phase_error_prob)
+    if not fired.any():
+        return {}
+    leak = fired & (u < errors.cz_loss_prob)
+    z_error = fired & ~leak
+    leaks = {}
+    for which, hit, up in (("data", hit_data, d[:, :, 1]), ("anc", ~hit_data, d[1].T)):
+        up *= np.where(z_error & hit, -1.0, 1.0)  # up: the factors on this atom's up level
+        leaks[which] = leak & hit
+        batch.events[f"cz_z_error_{which}"] += int(np.count_nonzero(z_error & hit))
+        batch.events[f"cz_leakage_{which}"] += int(np.count_nonzero(leaks[which]))
+    return leaks
 
 
 def apply_cz(batch: PairBatch) -> PairBatch:
@@ -265,23 +297,40 @@ def apply_cz(batch: PairBatch) -> PairBatch:
     cz_phase_error_prob, or loss of a uniformly chosen atom (leakage via
     the Rydberg label) with cz_loss_prob.
     """
-    on = ~(batch.data_lost | batch.anc_lost)
-    batch.events["cz_skipped"] += int(np.count_nonzero(~on))
-    batch.psi[:, 1, :, 1] *= np.where(on, -1.0, 1.0)[:, None]
-    errors = batch.errors
-    if errors is None:
-        return batch
-    u = batch.rng.random(batch.size)
-    hit_data = batch.rng.random(batch.size) < 0.5
-    leak = on & (u < errors.cz_loss_prob)
-    z_error = on & ~leak & (u < errors.cz_loss_prob + errors.cz_phase_error_prob)
-    if not (leak.any() or z_error.any()):
-        return batch
-    for which, hit in (("data", hit_data), ("anc", ~hit_data)):
-        local_z(batch, which, np.where(z_error & hit, np.pi, 0.0))
-        lose(batch, which, leak & hit)
-        batch.events[f"cz_z_error_{which}"] += int(np.count_nonzero(z_error & hit))
-        batch.events[f"cz_leakage_{which}"] += int(np.count_nonzero(leak & hit))
+    d = np.ones((2, batch.size, 2), dtype=np.complex128)
+    leaks = _cz_branches(batch, d)
+    batch.psi *= d.transpose(1, 2, 0)[:, :, None, :]
+    for which, rows in leaks.items():
+        lose(batch, which, rows)
+    return batch
+
+
+def cnot_block(batch: PairBatch, comp_phase=np.pi, local_z_phase: float = 0.0,
+               entangle: bool = True) -> PairBatch:
+    """Ancilla-flip block: Z_local(data), X^(1/2)(anc), CZ, X^(1/2)(anc, phase).
+
+    comp_phase = pi (the calibrated point) flips the ancilla when the data
+    atom is present (in the clock state) and leaves it when the data atom
+    is absent; it may hold one value per shot. entangle=False drops the CZ.
+    One pass over psi applies R2 diag(d[:, s, l]) R1 to the ancilla of
+    shot s at data level l; d holds the local Z, the CZ sign and the Z
+    errors. A pair that leaks gets diag(d) R1 first, then loses its atom.
+    """
+    psi, r1 = batch.psi, _rotation(batch, "anc", 0.0, np.pi / 2)  # r1[i, j, shot]
+    d = np.ones((2, batch.size, 2), dtype=np.complex128)  # [anc level, shot, data level]
+    d[:, :, 1] = np.where(batch.data_lost, 1.0, np.exp(1j * local_z_phase))
+    leaks = _cz_branches(batch, d) if entangle else {}
+    half = r1[..., None] * d[:, None]  # diag(d) R1, [i, j, shot, data level]
+    if leaks and (rows := np.flatnonzero(leaks["data"] | leaks["anc"])).size:
+        sub = psi[rows]
+        _mix(sub, "anc", half[:, :, rows, :, None])
+        psi[rows] = sub
+        for which, mask in leaks.items():
+            lose(batch, which, mask)
+        half[:, :, rows] = np.eye(2)[:, :, None, None]
+    r2 = _rotation(batch, "anc", comp_phase, np.pi / 2)
+    full = r2[:, 0, None, :, None] * half[0] + r2[:, 1, None, :, None] * half[1]
+    _mix(psi, "anc", full[..., None])
     return batch
 
 
@@ -312,7 +361,7 @@ def measure_data(batch: PairBatch, rows=None):
     """
     if rows is None:
         rows = ~batch.data_lost
-    probs = np.einsum("blnk->bln", _abs2(batch.psi)).reshape(batch.size, -1)
+    probs = _norm2(batch.psi, (batch.size, 2 * (batch.n_max + 1), 4), "bi")
     index = _sample(probs, batch.rng)
     _project(batch, rows, index, probs, (batch.size, 2, batch.n_max + 1, 1))
     level, n = np.divmod(index, batch.n_max + 1)
@@ -395,7 +444,7 @@ def heating_jump(batch: PairBatch, probability: float) -> PairBatch:
     jump = np.flatnonzero(~batch.data_lost & (batch.rng.random(batch.size) < probability))
     if not jump.size:
         return batch
-    top = np.einsum("blk->b", _abs2(batch.psi[jump, :, -1]))
+    top = _norm2(batch.psi[jump, :, -1], (jump.size, 1, 8), "b")
     if np.max(top) > 1e-6:
         raise TruncationError("heating jump would push population past n_max")
     batch.psi[jump, :, 1:] = batch.psi[jump, :, :-1]

@@ -47,11 +47,11 @@ from .gates import (
     apply_cz,
     apply_data_unitary,
     calibrate_imaging,
+    cnot_block,
     expose_to_imaging,
     heating_jump,
     image_ancilla,
     level_labels,
-    local_z,
     measure_data,
     project_level,
     rotate,
@@ -117,10 +117,15 @@ class SidebandSpectrum:
         self.p_exc = np.asarray(self.p_exc, dtype=float)
         self.stderr = np.asarray(self.stderr, dtype=float)
         self.shots = np.asarray(self.shots)
-        if not all(np.all(np.isfinite(a)) for a in (self.detuning_hz, self.p_exc, self.stderr)):
-            raise ValidationError("detuning_hz, p_exc and stderr must be finite")
+        columns = (self.detuning_hz, self.p_exc, self.stderr, self.shots)
+        if not all(np.all(np.isfinite(a)) for a in columns):
+            raise ValidationError("detuning_hz, p_exc, stderr and shots must be finite")
         if np.any(self.p_exc < 0) or np.any(self.p_exc > 1):
             raise ValidationError("excitation probabilities must lie in [0, 1]")
+        if not np.all(self.stderr > 0):
+            raise ValidationError("stderr must be positive on every row")
+        if not np.all((self.shots >= 0) & (self.shots == np.floor(self.shots))):
+            raise ValidationError("shots must be integers >= 0")
 
 
 @dataclass
@@ -270,8 +275,9 @@ def _new_pairs(config: ProtocolConfig, rng, shots, present: bool, anc_level) -> 
 
 def _fresh_ancilla(batch: PairBatch, config: ProtocolConfig, level) -> PairBatch:
     """Replace every imaged (level-definite) ancilla by a fresh one at level."""
-    data = batch.psi.sum(axis=3)  # one anc level is empty: the data's state
-    batch.psi = data[..., None] * np.eye(2)[int(level)]
+    fresh, other = batch.psi[..., int(level)], batch.psi[..., 1 - int(level)]
+    fresh += other  # one anc level is empty: the sum is the data's state
+    other[...] = 0.0
     batch.anc_lost = batch.rng.random(batch.size) < config.ancilla_absent_prob
     return batch
 
@@ -291,22 +297,6 @@ def _evolve_data(batch: PairBatch, pulse: PulseSpec, config: ProtocolConfig) -> 
 
 # ---------------------------------------------------------------------------
 # circuit blocks
-
-
-def cnot_block(batch: PairBatch, comp_phase=np.pi, local_z_phase: float = 0.0,
-               entangle: bool = True) -> PairBatch:
-    """Ancilla-flip block: Z_local(data), X^(1/2)(anc), CZ, X^(1/2)(anc, phase).
-
-    comp_phase = pi is the calibrated point of this gate set: it flips
-    the ancilla when the data atom is present (in the clock state) and
-    returns it unchanged when the data atom is absent. comp_phase may
-    hold one value per shot.
-    """
-    local_z(batch, "data", local_z_phase)
-    rotate(batch, "anc", 0.0, np.pi / 2)
-    if entangle:
-        apply_cz(batch)
-    return rotate(batch, "anc", comp_phase, np.pi / 2)
 
 
 def ideal_rsb_map(n_max: int) -> np.ndarray:

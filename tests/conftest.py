@@ -1,9 +1,11 @@
-"""Shared synthetic-spectrum generators and the sideband peak-ratio
-oracle for analysis, protocol and acceptance tests."""
+"""Shared synthetic-spectrum generators, the sideband peak-ratio oracle
+and the sequential ancilla-flip block for analysis, protocol, gate and
+acceptance tests."""
 
 import numpy as np
 
 from tweezersim.dynamics import sideband_rabi, spectroscopy_pi_duration
+from tweezersim.gates import apply_cz, local_z, rotate
 from tweezersim.protocols import DEFAULT_TRAP, SidebandSpectrum, detuned_transfer
 
 
@@ -118,3 +120,13 @@ def multistart_reference_fit(spectrum, double=False):
     if shots is not None:
         x = best_fit(1.0 / analysis._model_reweight(se, shots, model(f, *x)) ** 2, [x])
     return x
+
+
+def sequential_cnot_block(batch, comp_phase=np.pi, local_z_phase=0.0, entangle=True):
+    """Reference for gates.cnot_block: its four gates applied one by one,
+    local Z on the data, X^(1/2) on the ancilla, CZ, compensated X^(1/2)."""
+    local_z(batch, "data", local_z_phase)
+    rotate(batch, "anc", 0.0, np.pi / 2)
+    if entangle:
+        apply_cz(batch)
+    return rotate(batch, "anc", comp_phase, np.pi / 2)

@@ -750,6 +750,27 @@ class TestCsvIO:
         err = capsys.readouterr().err
         assert "fit.input_csv" in err and "must be finite" in err
 
+    @pytest.mark.parametrize("edit, row, reason", [
+        ({3: "-300"}, None, "shots must be integers >= 0"),
+        ({3: "0.5"}, None, "shots must be integers >= 0"),
+        ({2: "0", 3: "0"}, 17, "stderr must be positive"),
+    ], ids=["negative-shots", "fractional-shots", "zero-stderr"])
+    def test_fit_rejects_bad_spectrum_column(self, tmp_path, capsys, edit, row, reason):
+        # row None edits every data row; columns are detuning_hz, p_exc, stderr, shots
+        path = _write_config(tmp_path, seed=3)
+        assert main(["spectrum", "--config", path, "--out", str(tmp_path / "spec")]) == 0
+        lines = (tmp_path / "spec" / "spectrum.csv").read_text().splitlines()
+        for i in range(1, len(lines)) if row is None else [row]:
+            cells = lines[i].split(",")
+            for column, value in edit.items():
+                cells[column] = value
+            lines[i] = ",".join(cells)
+        (tmp_path / "spectrum.csv").write_text("\n".join(lines) + "\n")
+        fit = _write_config(tmp_path, name="fit.json", fit={"input_csv": "spectrum.csv"})
+        assert main(["fit", "--config", fit, "--out", str(tmp_path / "fit")]) == 2
+        err = capsys.readouterr().err
+        assert "fit.input_csv" in err and reason in err
+
     def test_detect_rejects_loss_detection_shots(self, tmp_path, capsys):
         # loss detection restarts shot numbers for every analyzer phase
         cfg = json.loads(open(cli._resolve_config_path("fig3")).read())

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import sequential_cnot_block
 
 from tweezersim.analysis import optimize_threshold, optimize_threshold_analytic
 from tweezersim.errors import TruncationError, ValidationError
@@ -9,6 +10,7 @@ from tweezersim.gates import (
     PairBatch,
     apply_cz,
     calibrate_imaging,
+    cnot_block,
     expose_to_imaging,
     heating_jump,
     image_ancilla,
@@ -225,6 +227,53 @@ class TestCNOTSandwich:
         b = _batch(data_lost=True)
         self._block(b, np.pi)
         assert b.populations("anc")[0, 1] == pytest.approx(1.0, abs=1e-10)
+
+
+def _mixed_batch(seed, errors, shots=60):
+    """Entangled pairs, with lost data atoms and lost ancillas; a lost
+    atom's axis holds a definite basis state."""
+    rng = np.random.default_rng(seed)
+    data_lost = np.arange(shots) % 5 == 1
+    anc_lost = np.arange(shots) % 7 == 2
+    data = np.eye(2 * M)[rng.integers(0, 2 * M, shots)].reshape(shots, 2, M).astype(complex)
+    anc = np.eye(2)[rng.integers(0, 2, shots)].astype(complex)
+    data[~data_lost] = _random_rows(rng, shots)[~data_lost, :, :, 0]
+    anc[~anc_lost] = rng.normal(size=(shots, 2))[~anc_lost] + 1j
+    psi = data[..., None] * anc[:, None, None, :]
+    both = ~(data_lost | anc_lost)
+    psi[both] = _random_rows(rng, shots)[both]
+    psi /= np.linalg.norm(psi.reshape(shots, -1), axis=1)[:, None, None, None]
+    jitter = None
+    if errors is not None and not errors.per_gate_jitter:
+        jitter = rng.normal(0.0, errors.sq_over_rotation_sigma, shots)
+    return PairBatch(psi, data_lost, anc_lost, rng=np.random.default_rng(seed + 1),
+                     errors=errors, jitter=jitter)
+
+
+class TestFusedCNOTBlock:
+    """cnot_block against its four gates applied one by one."""
+
+    @pytest.mark.parametrize("comp", ["scalar", "per_shot"])
+    @pytest.mark.parametrize("entangle", [True, False])
+    @pytest.mark.parametrize("per_gate_jitter", [False, True])
+    @pytest.mark.parametrize("probs", [None, (0.006, 0.002), (0.3, 0.2)],
+                             ids=["ideal", "default", "forced"])
+    def test_matches_sequential_gates(self, probs, per_gate_jitter, entangle, comp):
+        # probs: (cz_phase_error_prob, cz_loss_prob), None for ideal gates
+        errors = None if probs is None else GateErrorSpec(*probs, per_gate_jitter=per_gate_jitter)
+        for seed in (1, 2, 3):
+            fused, ref = _mixed_batch(seed, errors), _mixed_batch(seed, errors)
+            phase = np.pi if comp == "scalar" else np.linspace(0, 2 * np.pi, fused.size)
+            cnot_block(fused, phase, 0.7, entangle=entangle)
+            sequential_cnot_block(ref, phase, 0.7, entangle=entangle)
+            np.testing.assert_allclose(fused.psi, ref.psi, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(fused.data_lost, ref.data_lost)
+            np.testing.assert_array_equal(fused.anc_lost, ref.anc_lost)
+            assert fused.events == ref.events
+            assert fused.rng.bit_generator.state == ref.rng.bit_generator.state
+            if probs == (0.3, 0.2) and entangle:  # every error branch fired
+                kinds = ("cz_leakage_data", "cz_leakage_anc", "cz_z_error_data", "cz_z_error_anc")
+                assert all(fused.events[k] for k in kinds)
 
 
 class TestImaging:

@@ -12,6 +12,8 @@ from tweezersim.gates import (
     ImagingSpec,
     PairBatch,
     apply_data_unitary,
+    heating_jump,
+    image_ancilla,
     rotation_matrix,
 )
 from tweezersim.protocols import (
@@ -20,8 +22,11 @@ from tweezersim.protocols import (
     CHUNK_SHOTS,
     DEFAULT_TRAP,
     ProtocolConfig,
+    _fresh_ancilla,
     _initial_n,
+    _new_pairs,
     calibrate_phase,
+    cnot_block,
     cooling_gates,
     ideal_rsb_map,
     run_algorithmic_cooling,
@@ -30,6 +35,7 @@ from tweezersim.protocols import (
     simulate_sideband_spectrum,
 )
 from tweezersim.states import (
+    ElectronicLevel,
     ThermalSpec,
     remove_one_quantum,
     thermal_distribution,
@@ -353,6 +359,32 @@ class TestChunkDeterminism:
                              workers=2)
         run_loss_detection(cfg, analyzer_phases=[0.0, 1.0, 2.0])
         assert len(pools) == 1  # 2 scenarios x 3 phases x 2 chunks share it
+
+
+class TestReadoutInPlace:
+    def test_psi_kept_and_rows_normalized_every_round(self):
+        # a 2-round readout chunk with gate errors on: every step updates
+        # the same psi array, and every row stays normalized
+        errors = GateErrorSpec(cz_phase_error_prob=0.1, cz_loss_prob=0.05)
+        imaging = ImagingSpec(bright_mean=3.0, data_heating_quanta_per_round=0.3)
+        cfg = _ideal_config("repeated_readout", n_cyc=2, gate_errors=errors,
+                            imaging=imaging, ancilla_absent_prob=0.1)
+        batch = _new_pairs(cfg, np.random.default_rng(8), np.arange(300), True,
+                           ElectronicLevel.UP)
+        psi = batch.psi
+        for rnd in range(cfg.n_cyc):
+            steps = [lambda: cnot_block(batch, cfg.comp_phase, cfg.local_z_phase),
+                     lambda: image_ancilla(batch, imaging),
+                     lambda: heating_jump(batch, imaging.data_heating_quanta_per_round)]
+            if rnd:
+                steps.insert(0, lambda: _fresh_ancilla(batch, cfg, ElectronicLevel.UP))
+            for step in steps:
+                step()
+                assert batch.psi is psi
+            norms = np.linalg.norm(batch.psi.reshape(batch.size, -1), axis=1)
+            np.testing.assert_allclose(norms, 1.0, rtol=0, atol=1e-12)
+        assert batch.events["cz_leakage_data"] + batch.events["cz_leakage_anc"] > 0
+        assert batch.events["heating_jump"] > 0
 
 
 class TestLossDetectionJointOracle:
