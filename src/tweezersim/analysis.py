@@ -7,13 +7,13 @@ is a nuisance parameter re-minimized at every a1, and the 1-sigma
 interval is the Delta-chi2 <= 1 region. Both Gaussian models are
 linear in their heights and offset, so the Gaussian fits start from the
 best node of a (center, width) grid where those are solved in closed
-form (variable projection), then polish it with one bounded
-trust-region least-squares run (scipy.optimize.least_squares) on the
-weighted residuals with analytic Jacobians; their covariance is the
-Gauss-Newton (J^T W J)^-1. The cooling-peak model is linear in a1, so
-the profile chi2 is an exact parabola and the interval endpoints are
-its closed-form roots. Weights use binomial standard errors with an
-Agresti-Coull floor so p = 0 or 1 points keep finite weight.
+form (variable projection), then polish it with a projected
+Levenberg-Marquardt loop on the weighted residuals with analytic
+Jacobians; their covariance is the Gauss-Newton (J^T W J)^-1. The
+cooling-peak model is linear in a1, so the profile chi2 is an exact
+parabola and the interval endpoints are its closed-form roots. Weights
+use binomial standard errors with an Agresti-Coull floor so p = 0 or 1
+points keep finite weight.
 
 Detection fidelity follows F = P1*F1 + (1-P1)*F0 with the threshold
 optimized against F, either on samples (candidates at sample midpoints)
@@ -27,7 +27,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 from scipy.special import ndtr
 
 from .errors import (
@@ -36,7 +35,7 @@ from .errors import (
     ValidationError,
 )
 
-MAX_FIT_ITERATIONS = 4000
+MAX_POLISH_STEPS = 100  # Levenberg-Marquardt trial steps per polish
 GRID_NODES = 15  # per axis of the (center, width) start grid
 
 
@@ -154,28 +153,16 @@ def binomial_stderr(p, shots):
 
 
 def _spectrum_arrays(spectrum):
-    """Coerce a SidebandSpectrum-like object or array tuple to arrays.
-
-    Returns (f, p, stderr, shots); shots is None when per-point counts
-    are unavailable, in which case the supplied stderr is used as-is.
-    """
-    shots = None
-    if hasattr(spectrum, "detuning_hz"):
-        f = np.asarray(spectrum.detuning_hz, dtype=float)
-        p = np.asarray(spectrum.p_exc, dtype=float)
-        raw = getattr(spectrum, "shots", None)
-        if raw is not None and np.all(np.asarray(raw) > 0):
-            shots = np.asarray(raw, dtype=float)
-            se = agresti_coull_stderr(p, shots)
-        else:
-            se = np.asarray(spectrum.stderr, dtype=float)
-    else:
-        f, p, se = (np.asarray(a, dtype=float) for a in spectrum)
-    if not (f.shape == p.shape == se.shape) or f.ndim != 1:
+    """(f, p, stderr, shots) of a SidebandSpectrum. With counts on every
+    point, stderr is their Agresti-Coull error; otherwise shots is None
+    and the spectrum's stderr is used as-is."""
+    f, p, se = spectrum.detuning_hz, spectrum.p_exc, spectrum.stderr
+    if not (f.shape == p.shape == se.shape == spectrum.shots.shape) or f.ndim != 1:
         raise ValidationError("spectrum arrays must be 1-d with matching shapes")
-    if np.any(se <= 0):
-        raise ValidationError("standard errors must be positive")
-    return f, p, se, shots
+    if not np.all(spectrum.shots > 0):
+        return f, p, se, None
+    shots = spectrum.shots.astype(float)
+    return f, p, agresti_coull_stderr(p, shots), shots
 
 
 def _model_reweight(se, shots, p_model):
@@ -232,6 +219,38 @@ def _sorted_points(spectrum, f_min=-math.inf):
     return f[keep], p[keep], se[keep], None if shots is None else shots[keep]
 
 
+def _polish(model, jac, f, p, sw, x, lo, hi):
+    """Projected Levenberg-Marquardt fit of model(f, *x) to p at weights
+    sw = 1 / stderr, from x inside the box [lo, hi].
+
+    Each trial solves (J^T J + lam diag J^T J) dx = -J^T r on the weighted
+    residuals r for the parameters not pinned at a bound by an outward
+    gradient and clips x + dx to the box; lam falls tenfold when the cost
+    falls and rises tenfold otherwise. Stops once a step or cost change is
+    below 1e-12 relative, far below the statistical errors. Returns
+    (x, chi2, weighted J at x).
+    """
+    r, J, lam = sw * (model(f, *x) - p), sw[:, None] * jac(f, *x), 1e-3
+    for _ in range(MAX_POLISH_STEPS):
+        g = J.T @ r
+        free = ~((x <= lo) & (g > 0) | (x >= hi) & (g < 0))
+        A = J[:, free].T @ J[:, free]
+        d = np.maximum(A.diagonal(), 1e-12 * A.diagonal().max(initial=1e-300))
+        step = np.zeros_like(x)
+        step[free] = np.linalg.solve(A + lam * np.diag(d), -g[free])
+        trial = np.clip(x + step, lo, hi)
+        r_trial = sw * (model(f, *trial) - p)
+        cost, cost_trial = r @ r, r_trial @ r_trial
+        small_step = np.linalg.norm(trial - x) <= 1e-12 * np.linalg.norm(x)
+        if cost_trial <= cost:
+            x, r, J, lam = trial, r_trial, sw[:, None] * jac(f, *trial), lam / 10.0
+        else:
+            lam *= 10.0
+        if small_step or 0.0 <= cost - cost_trial <= 1e-12 * cost:
+            return x, r @ r, J
+    raise FitConvergenceError(f"fit polish did not converge within {MAX_POLISH_STEPS} steps")
+
+
 def _fit_peaks(model, jac, f, p, se, shots, lin, bounds):
     """Bounded weighted least-squares fit of model(f, *x) to points sorted by f.
 
@@ -239,9 +258,9 @@ def _fit_peaks(model, jac, f, p, se, shots, lin, bounds):
     the other two parameters are center and width. Coherent sidelobes
     under a Gaussian model make local minima, so the fit starts from the
     best node of a grid over (center, width), where x[lin] is solved in
-    closed form and clipped to its bounds. One least_squares run polishes
-    it; with shot counts, one more runs at weights re-evaluated at the
-    model. Returns (x, chi2, covariance, stderr); the covariance is
+    closed form and clipped to its bounds. _polish refines it; with shot
+    counts, it runs once more at weights re-evaluated at the model.
+    Returns (x, chi2, covariance, stderr); the covariance is
     (J^T W J)^-1 times the n/(n-k) small-sample factor that compensates
     the data-estimated weights.
     """
@@ -259,35 +278,20 @@ def _fit_peaks(model, jac, f, p, se, shots, lin, bounds):
     basis = np.stack(basis, axis=-1)
     heights = np.clip(np.linalg.pinv(basis) @ (sw * p), lo[lin], hi[lin])
     best = np.argmin(np.sum((np.einsum("gnl,gl->gn", basis, heights) - sw * p) ** 2, axis=1))
-    x0 = grid[best]
-    x0[lin] = heights[best]
-
-    def polish(x0, sw):
-        res = least_squares(
-            lambda x: sw * (model(f, *x) - p),
-            x0,
-            jac=lambda x: sw[:, None] * jac(f, *x),
-            bounds=(lo, hi),
-            max_nfev=MAX_FIT_ITERATIONS,
-            ftol=1e-12, xtol=1e-12, gtol=1e-12,  # far below the statistical errors
-        )
-        if res.status <= 0:
-            raise FitConvergenceError(
-                f"least squares did not converge within {MAX_FIT_ITERATIONS} evaluations"
-            )
-        return res
-
-    res = polish(x0, sw)
+    x = grid[best]
+    x[lin] = heights[best]
+    x, chi2, J = _polish(model, jac, f, p, sw, x, lo, hi)
     if shots is not None:  # reweight at the model, refit
-        res = polish(res.x, 1.0 / _model_reweight(se, shots, model(f, *res.x)))
+        sw = 1.0 / _model_reweight(se, shots, model(f, *x))
+        x, chi2, J = _polish(model, jac, f, p, sw, x, lo, hi)
     spacing = _spacing(f)
-    if res.x[i_width] < spacing:
+    if x[i_width] < spacing:
         raise DegenerateWidthError(
-            f"fitted width {res.x[i_width]:.3g} Hz below the grid spacing {spacing:.3g} Hz"
+            f"fitted width {x[i_width]:.3g} Hz below the grid spacing {spacing:.3g} Hz"
         )
-    n, k = res.jac.shape
-    cov = np.linalg.pinv(res.jac.T @ res.jac) * n / max(n - k, 1)
-    return res.x, 2.0 * res.cost, cov, np.sqrt(np.clip(np.diag(cov), 0, None))
+    n, k = J.shape
+    cov = np.linalg.pinv(J.T @ J) * n / max(n - k, 1)
+    return x, chi2, cov, np.sqrt(np.clip(np.diag(cov), 0, None))
 
 
 # ---------------------------------------------------------------------------
@@ -298,12 +302,12 @@ def fit_heating_sideband(spectrum) -> GaussianPeakFit:
     """Weighted least-squares Gaussian fit of the heating (blue) peak.
 
     Fits the positive-detuning points from a (center, width) grid start
-    with one bounded trust-region refinement and one model-based
+    with one bounded Levenberg-Marquardt polish and one model-based
     reweighting pass (binomial errors re-evaluated at the fitted curve)
     to remove the low bias of measured-count weights; see _fit_peaks.
     Raises DegenerateWidthError when no peak stands above the noise or
     the width collapses below the grid spacing, FitConvergenceError past
-    the iteration cap.
+    the polish step cap.
     """
     f, p, se, shots = _sorted_points(spectrum, f_min=0.0)
     if np.unique(f).size < 5:
@@ -428,13 +432,8 @@ def fit_double_gaussian_with_offset(spectrum) -> DoubleGaussianFit:
     if np.max(p[f > 0]) - np.min(p) < 3.0 * float(np.median(se)):
         raise DegenerateWidthError("no heating peak resolvable above the noise floor")
     spacing = _spacing(f)
-    bounds = [
-        (0.0, 2.0),
-        (0.0, 2.0),
-        (spacing, float(f[-1])),
-        (spacing / 4.0, float(f[-1] - f[0])),
-        (0.0, 1.0),
-    ]
+    bounds = [(0.0, 2.0), (0.0, 2.0), (spacing, float(f[-1])),
+              (spacing / 4.0, float(f[-1] - f[0])), (0.0, 1.0)]
     x, chi2, cov, stderr = _fit_peaks(
         _double_gaussian, _double_gaussian_jac, f, p, se, shots, [0, 1, 4], bounds
     )

@@ -534,6 +534,9 @@ def build_parser():
     return parser
 
 
+PARSER = build_parser()  # built once; main() parses every call with it
+
+
 def _resolve_config_path(name):
     if os.path.exists(name):
         return name
@@ -564,13 +567,12 @@ def _int_override(flag, value, env, minimum):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     if args.dump_config:
         print(dump_default_config())
         return 0
     if not args.command:
-        parser.print_usage()
+        PARSER.print_usage()
         return 2
     try:
         if not args.config:

@@ -393,7 +393,11 @@ def _scatter(batch: PairBatch, which: str, loss_prob: float, event: str) -> np.n
     present = ~batch.lost(which)
     bright = present & (project_level(batch, which, present) == 0)
     gone = bright & (batch.rng.random(batch.size) < loss_prob)
-    lose(batch, which, gone)
+    if which == "data":
+        lose(batch, which, gone)  # the environment also measures n
+    elif gone.any():  # level already projected; draw what lose's projection would
+        batch.rng.random(batch.size)
+        batch.anc_lost[gone] = True
     batch.events[event] += int(np.count_nonzero(gone))
     return bright
 

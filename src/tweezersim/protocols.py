@@ -528,12 +528,13 @@ def calibrate_phase(config: ProtocolConfig, phases=None):
 # sideband spectroscopy (semi-analytic ladder model)
 
 
-def detuned_transfer(omega: float, delta: float, duration: float) -> float:
-    """Two-level transfer probability at coupling omega and detuning delta."""
-    w_eff = math.sqrt(omega * omega + delta * delta)
-    if w_eff == 0.0:
-        return 0.0
-    return (omega / w_eff) ** 2 * math.sin(w_eff * duration / 2.0) ** 2
+def detuned_transfer(omega, delta, duration):
+    """Two-level transfer probability at coupling omega and detuning delta
+    (scalars or arrays); 0 where both vanish."""
+    w_eff = np.sqrt(np.multiply(omega, omega) + np.multiply(delta, delta))
+    ratio = omega / np.where(w_eff == 0.0, 1.0, w_eff)  # w_eff = 0: omega = 0, the sine too
+    # float_power squares through pow(), as Python's ** does
+    return np.float_power(ratio, 2) * np.float_power(np.sin(w_eff * duration / 2.0), 2)
 
 
 def simulate_sideband_spectrum(
@@ -575,24 +576,20 @@ def simulate_sideband_spectrum(
     red = np.array([sideband_rabi(n, n - 1, trap.eta, rabi) for n in range(1, n_max + 1)])
     carrier = np.array([sideband_rabi(n, n, trap.eta, rabi) for n in range(n_max + 1)])
 
+    d_blue = 2 * np.pi * (detunings_hz - f_trap)
+    d_red = 2 * np.pi * (detunings_hz + f_trap)
+    d_car = 2 * np.pi * detunings_hz
     p_exc = np.zeros(detunings_hz.size)
-    for i, f in enumerate(detunings_hz):
-        total = 0.0
-        d_blue = 2 * np.pi * (f - f_trap)
-        d_red = 2 * np.pi * (f + f_trap)
-        d_car = 2 * np.pi * f
-        for n in range(n_max + 1):
-            if dist[n] == 0.0:
-                continue
-            t = 0.0
-            if n < n_max:
-                t += detuned_transfer(blue[n], d_blue, duration)
-            if n >= 1:
-                t += detuned_transfer(red[n - 1], d_red, duration)
-            if include_carrier:
-                t += detuned_transfer(carrier[n], d_car, duration)
-            total += dist[n] * min(t, 1.0)
-        p_exc[i] = min(total, 1.0)
+    for n in np.flatnonzero(dist):  # summed in n order, for every detuning at once
+        t = np.zeros(detunings_hz.size)
+        if n < n_max:
+            t += detuned_transfer(blue[n], d_blue, duration)
+        if n >= 1:
+            t += detuned_transfer(red[n - 1], d_red, duration)
+        if include_carrier:
+            t += detuned_transfer(carrier[n], d_car, duration)
+        p_exc += dist[n] * np.minimum(t, 1.0)
+    p_exc = np.minimum(p_exc, 1.0)
     p_exc = (1.0 - wrong_state_fraction) * p_exc + wrong_state_fraction
 
     if shots_per_point is None:

@@ -1,6 +1,9 @@
-"""Shared synthetic-spectrum generators, the sideband peak-ratio oracle
-and the sequential ancilla-flip block for analysis, protocol, gate and
-acceptance tests."""
+"""Shared synthetic-spectrum generators, the sideband peak-ratio oracle,
+the scalar sideband-ladder loop, the least-squares fit references and the
+sequential ancilla-flip block for analysis, protocol, gate and acceptance
+tests."""
+
+import math
 
 import numpy as np
 
@@ -69,6 +72,55 @@ def sideband_peak_ratio(dist, trap=None, rabi=2 * np.pi * 2e3, duration=None):
         for n in range(n_max)
     )
     return float(e_red / e_blue)
+
+
+def scalar_sideband_p_exc(dist, detunings_hz, trap=None, rabi=2 * np.pi * 2e3, duration=None,
+                          include_carrier=False, wrong_state_fraction=0.0):
+    """Reference for simulate_sideband_spectrum's exact curve: one scalar
+    detuned-Rabi transfer per (detuning, n, sideband), summed in n order."""
+    if trap is None:
+        trap = DEFAULT_TRAP
+    dist = np.asarray(dist, dtype=float)
+    if duration is None:
+        duration = spectroscopy_pi_duration(trap.eta, rabi)
+    n_max = dist.size - 1
+    f_trap = trap.omega_t / (2 * np.pi)
+
+    def transfer(omega, delta):
+        w_eff = math.sqrt(omega * omega + delta * delta)
+        if w_eff == 0.0:
+            return 0.0
+        return (omega / w_eff) ** 2 * math.sin(w_eff * duration / 2.0) ** 2
+
+    p_exc = np.zeros(len(detunings_hz))
+    for i, f in enumerate(detunings_hz):
+        total = 0.0
+        for n in range(n_max + 1):
+            if dist[n] == 0.0:
+                continue
+            t = 0.0
+            if n < n_max:
+                t += transfer(sideband_rabi(n, n + 1, trap.eta, rabi), 2 * np.pi * (f - f_trap))
+            if n >= 1:
+                t += transfer(sideband_rabi(n, n - 1, trap.eta, rabi), 2 * np.pi * (f + f_trap))
+            if include_carrier:
+                t += transfer(sideband_rabi(n, n, trap.eta, rabi), 2 * np.pi * f)
+            total += dist[n] * min(t, 1.0)
+        p_exc[i] = min(total, 1.0)
+    return (1.0 - wrong_state_fraction) * p_exc + wrong_state_fraction
+
+
+def least_squares_polish(model, jac, f, p, sw, x, lo, hi):
+    """Reference for analysis._polish, with its signature and return value:
+    one bounded trust-region run of scipy's least_squares on the weighted
+    residuals, at tolerances far below the statistical errors."""
+    from scipy.optimize import least_squares
+
+    res = least_squares(lambda x: sw * (model(f, *x) - p), x,
+                        jac=lambda x: sw[:, None] * jac(f, *x), bounds=(lo, hi),
+                        max_nfev=4000, ftol=1e-12, xtol=1e-12, gtol=1e-12)
+    assert res.status > 0
+    return res.x, 2.0 * res.cost, res.jac
 
 
 def multistart_reference_fit(spectrum, double=False):

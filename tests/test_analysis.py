@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
-from conftest import gaussian_model, make_gaussian_spectrum, multistart_reference_fit
+from conftest import (
+    gaussian_model,
+    least_squares_polish,
+    make_gaussian_spectrum,
+    multistart_reference_fit,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +29,7 @@ from tweezersim.analysis import (
     ratio_from_nbar,
     temperature_from_spectrum,
 )
-from tweezersim.errors import DegenerateWidthError, ValidationError
+from tweezersim.errors import DegenerateWidthError, FitConvergenceError, ValidationError
 from tweezersim.dynamics import sideband_rabi
 from tweezersim.protocols import DEFAULT_TRAP, SidebandSpectrum, simulate_sideband_spectrum
 from tweezersim.states import ThermalSpec, remove_one_quantum, thermal_distribution
@@ -43,18 +48,20 @@ def _noiseless_spectrum(a_blue=0.8, a_red=0.0, center=35e3, width=2e3, offset=0.
     )
 
 
-def _simulated_spectrum(nbar, cooled, half_span_hz, points_per_side, rng):
+def _simulated_spectrum(nbar, cooled, half_span_hz, points_per_side, rng,
+                        wrong_state_fraction=0.0):
     """Binomially sampled spectrum of a thermal (or one-quantum-removed)
     distribution at the CLI's default drive, on a grid centered on the
-    trap frequency."""
+    trap frequency; rng None gives the exact curve (stderr 1e-6)."""
     dist = thermal_distribution(ThermalSpec(nbar=nbar, n_max=20))
     if cooled:
         dist = remove_one_quantum(dist)
     f_trap = DEFAULT_TRAP.omega_t / (2 * np.pi)
     side = np.linspace(f_trap - half_span_hz, f_trap + half_span_hz, points_per_side)
     return simulate_sideband_spectrum(
-        dist, np.concatenate([-side[::-1], side]), rabi=2 * np.pi * 2e3, shots_per_point=300,
-        rng=rng,
+        dist, np.concatenate([-side[::-1], side]), rabi=2 * np.pi * 2e3,
+        shots_per_point=None if rng is None else 300, rng=rng,
+        wrong_state_fraction=wrong_state_fraction,
     )
 
 
@@ -205,23 +212,70 @@ class TestGridStart:
         for fit in (fit_heating_sideband, fit_double_gaussian_with_offset):
             assert fit(spec).center_hz == pytest.approx(35e3, rel=1e-6)
 
-    def test_each_fit_runs_least_squares_at_most_twice(self, monkeypatch):
-        calls = []
 
-        def counted(*args, fn=analysis.least_squares, **kwargs):
-            calls.append(1)
-            return fn(*args, **kwargs)
+def _fit_params(fit):
+    if isinstance(fit, analysis.GaussianPeakFit):
+        return np.array([fit.height, fit.center_hz, fit.width_hz])
+    return np.array([fit.a_blue, fit.a_red, fit.center_hz, fit.width_hz, fit.offset])
 
-        monkeypatch.setattr(analysis, "least_squares", counted)
+
+def _least_squares_fit(monkeypatch, fit, spec):
+    """fit(spec) with scipy's bounded least_squares run as the polish."""
+    with monkeypatch.context() as m:
+        m.setattr(analysis, "_polish", least_squares_polish)
+        return fit(spec)
+
+
+FITS = (fit_heating_sideband, fit_double_gaussian_with_offset)
+
+
+class TestPolish:
+    """The projected Levenberg-Marquardt polish against scipy's bounded
+    trust-region least_squares, from the same grid start."""
+
+    def test_matches_least_squares_on_finite_shot_spectra(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        specs = [make_gaussian_spectrum(nbar, rng) for nbar in (0.0, 0.002, 0.05, 0.3) * 2]
+        specs += [make_gaussian_spectrum(0.3, rng, shots_per_point=400, offset=0.073)
+                  for _ in range(2)]
+        specs += [_simulated_spectrum(nbar, cooled, 1.75 * OMEGA01_HZ, 11, rng, w)
+                  for nbar in (0.05, 0.5) for cooled in (False, True) for w in (0.0, 0.02, 0.04)]
+        for spec in specs:
+            for fit in FITS:
+                got, ref = fit(spec), _least_squares_fit(monkeypatch, fit, spec)
+                assert np.all(np.abs(_fit_params(got) - _fit_params(ref)) <= 1e-3 * ref.stderr)
+                np.testing.assert_allclose(got.stderr, ref.stderr, rtol=1e-3)
+
+    @pytest.mark.parametrize("nbar", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("cooled", [False, True])
+    def test_matches_least_squares_on_infinite_shot_spectra(self, monkeypatch, nbar, cooled):
+        # stderr 1e-6: the fits' own errors are far below any statistical
+        # tolerance, so compare relative values; the double fit's offset
+        # sits on its zero bound here, where only an absolute difference holds
+        spec = _simulated_spectrum(nbar, cooled, 1.75 * OMEGA01_HZ, 11, None)
+        for fit in FITS:
+            got, ref = fit(spec), _least_squares_fit(monkeypatch, fit, spec)
+            np.testing.assert_allclose(_fit_params(got), _fit_params(ref), rtol=1e-6, atol=1e-12)
+
+    @pytest.mark.parametrize("a_red", [0.0, 0.2])
+    @pytest.mark.parametrize("stderr", [1e-3, 1e-6])
+    def test_bound_active_parameters(self, monkeypatch, a_red, stderr):
+        # noiseless spectra with zero offset (and zero red height): the
+        # polish may land on the bound exactly, never outside it
+        spec = _noiseless_spectrum(a_blue=0.8, a_red=a_red, stderr=stderr)
+        for fit in FITS:
+            got, ref = fit(spec), _least_squares_fit(monkeypatch, fit, spec)
+            assert np.all(np.abs(_fit_params(got) - _fit_params(ref)) <= 1e-3 * ref.stderr)
+        both = fit_double_gaussian_with_offset(spec)
+        assert both.offset >= 0.0 and both.a_red >= 0.0
+        assert both.offset == pytest.approx(0.0, abs=1e-9)
+
+    def test_step_cap_raises_fit_convergence_error(self, monkeypatch):
+        monkeypatch.setattr(analysis, "MAX_POLISH_STEPS", 1)
         spec = make_gaussian_spectrum(0.3, np.random.default_rng(2))
-        for fit, spectrum, runs in (
-            (fit_heating_sideband, spec, 2),  # grid start, then the reweighted refit
-            (fit_double_gaussian_with_offset, spec, 2),
-            (fit_heating_sideband, _noiseless_spectrum(), 1),  # no counts: no reweighting
-        ):
-            calls.clear()
-            fit(spectrum)
-            assert len(calls) == runs
+        for fit in FITS:
+            with pytest.raises(FitConvergenceError, match="within 1 steps"):
+                fit(spec)
 
 
 class TestProfileLikelihood:

@@ -136,6 +136,17 @@ class TestConfigValidation:
         )
 
 
+@pytest.fixture(scope="module")
+def cli_import_modules():
+    """Modules a fresh interpreter holds after `import tweezersim.cli`."""
+    src = os.path.dirname(os.path.dirname(tweezersim.__file__))
+    code = "import sys, tweezersim.cli; print(' '.join(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    return set(out.stdout.split())
+
+
 class TestCliRuns:
     def test_dump_config(self, capsys):
         assert main(["--dump-config"]) == 0
@@ -406,14 +417,42 @@ class TestCliRuns:
         assert float(first[0]) == 0.0
         assert float(first[1]) == pytest.approx(1.0 / w**2, rel=1e-12)
 
-    def test_import_leaves_scipy_stats_unloaded(self):
-        # scipy.stats dominates start-up; a fresh interpreter shows what the CLI loads
-        src = os.path.dirname(os.path.dirname(tweezersim.__file__))
-        code = "import sys, tweezersim.cli; print('scipy.stats' in sys.modules)"
-        env = {**os.environ, "PYTHONPATH": src}
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True, timeout=120)
-        assert out.stdout.strip() == "False"
+    @pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize", "scipy.linalg"])
+    def test_import_leaves_module_unloaded(self, cli_import_modules, module):
+        # each of these adds ~0.15 s or more to the start-up of every run
+        assert module not in cli_import_modules
+
+    def test_main_reuses_one_parser(self, tmp_path, monkeypatch):
+        # two commands in one process each parse their own flags
+        monkeypatch.setattr(cli, "build_parser", None)  # main must not rebuild it
+        spec_cfg = _write_config(tmp_path, seed=1, spectrum={"nbar": 0.3})
+        spec_out = tmp_path / "spec"
+        assert main(["spectrum", "--config", spec_cfg, "--seed", "4", "--out", str(spec_out)]) == 0
+        fit_cfg = _write_config(
+            tmp_path, name="fitcfg.json", seed=11,
+            fit={"input_csv": str(spec_out / "spectrum.csv")},
+        )
+        fit_out = tmp_path / "fit"
+        assert main(["fit", "--config", fit_cfg, "--out", str(fit_out)]) == 0
+        spec_report = json.loads((spec_out / "report.json").read_text())
+        fit_report = json.loads((fit_out / "report.json").read_text())
+        assert (spec_report["command"], spec_report["seed"]) == ("spectrum", 4)
+        assert (fit_report["command"], fit_report["seed"]) == ("fit", 11)
+        assert (fit_out / "fit.json").exists() and not (spec_out / "fit.json").exists()
+
+    def test_fit_step_cap_exits_3(self, tmp_path, monkeypatch, capsys):
+        path = _write_config(tmp_path, seed=8, spectrum={"nbar": 0.3, "shots_per_point": 400})
+        out = tmp_path / "spec"
+        assert main(["spectrum", "--config", path, "--out", str(out)]) == 0
+        monkeypatch.setattr(analysis, "MAX_POLISH_STEPS", 1)
+        for mode in ("baseline", "cooled"):
+            fit_cfg = _write_config(
+                tmp_path, name=f"{mode}.json",
+                fit={"input_csv": str(out / "spectrum.csv"), "mode": mode},
+            )
+            capsys.readouterr()
+            assert main(["fit", "--config", fit_cfg, "--out", str(tmp_path / mode)]) == 3
+            assert "did not converge within 1 steps" in capsys.readouterr().err
 
     def test_spectrum_fit_roundtrip(self, tmp_path):
         path = _write_config(

@@ -17,6 +17,7 @@ from tweezersim.gates import (
     local_z,
     lose,
     measure_data,
+    project_level,
     pushout,
     rotate,
     rotation_matrix,
@@ -278,6 +279,30 @@ class TestFusedCNOTBlock:
 
 class TestImaging:
     SPEC = ImagingSpec(bright_mean=4.0, dark_mean=0.0, bright_loss_prob=0.0)
+
+    def test_imaging_loss_matches_projection_then_lose(self):
+        # a scattered ancilla is marked lost without a second projection of
+        # its already projected level; the stream keeps that projection's draw
+        spec = ImagingSpec(bright_mean=4.0, dark_mean=0.0, bright_loss_prob=0.5)
+        for seed in (1, 2, 3):
+            b, ref = _mixed_batch(seed, None), _mixed_batch(seed, None)
+            signals, _ = image_ancilla(b, spec)
+            present = ~ref.anc_lost
+            bright = present & (project_level(ref, "anc", present) == 0)
+            gone = bright & (ref.rng.random(ref.size) < spec.bright_loss_prob)
+            lose(ref, "anc", gone)
+            z = ref.rng.standard_normal(ref.size)
+            assert gone.any()
+            np.testing.assert_array_equal(
+                signals,
+                np.where(bright, spec.bright_mean + spec.bright_std * z,
+                         spec.dark_mean + spec.dark_std * z),
+            )
+            np.testing.assert_allclose(b.psi, ref.psi, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(b.anc_lost, ref.anc_lost)
+            np.testing.assert_array_equal(b.data_lost, ref.data_lost)
+            assert b.events["imaging_loss"] == np.count_nonzero(gone)
+            assert b.rng.bit_generator.state == ref.rng.bit_generator.state
 
     def test_absent_atom_draws_dark(self):
         b = _batch(shots=4000, anc_lost=True, rng=np.random.default_rng(2))

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import sideband_peak_ratio
+from conftest import scalar_sideband_p_exc, sideband_peak_ratio
 from scipy.linalg import expm
 
 from tweezersim.cli import main
@@ -502,6 +502,35 @@ class TestSidebandSpectrum:
         assert spec.p_exc[0] == pytest.approx(tail, abs=1e-10)
         assert spec.p_exc[0] < 1e-4
         assert spec.p_exc[1] == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("include_carrier", [False, True])
+    @pytest.mark.parametrize("cooled", [False, True])
+    @pytest.mark.parametrize("nbar", [0.0, 0.002, 0.3, 1.0])
+    def test_matches_scalar_ladder(self, nbar, cooled, include_carrier):
+        # nbar = 0 and the cooled distributions carry zero entries
+        dist = thermal_distribution(ThermalSpec(nbar=nbar, n_max=20))
+        if cooled:
+            dist = remove_one_quantum(dist)
+        f_trap = DEFAULT_TRAP.omega_t / (2 * np.pi)
+        det = np.concatenate([[-f_trap, 0.0, f_trap], np.linspace(-1.3, 1.3, 53) * f_trap])
+        spec = simulate_sideband_spectrum(dist, det, include_carrier=include_carrier)
+        ref = scalar_sideband_p_exc(dist, det, include_carrier=include_carrier)
+        np.testing.assert_array_equal(spec.p_exc, ref)  # same arithmetic in the same order
+
+    def test_matches_scalar_ladder_with_gaps_and_offset(self):
+        dist = np.zeros(N_MAX + 1)
+        dist[[1, 2, 5]] = 0.25, 0.5, 0.25
+        f_trap = DEFAULT_TRAP.omega_t / (2 * np.pi)
+        det = np.arange(-24, 25) / 20 * f_trap  # passes exactly through +/- f_trap
+        assert {-f_trap, f_trap} <= set(det)
+        for include_carrier in (False, True):
+            spec = simulate_sideband_spectrum(
+                dist, det, include_carrier=include_carrier, wrong_state_fraction=0.03
+            )
+            ref = scalar_sideband_p_exc(
+                dist, det, include_carrier=include_carrier, wrong_state_fraction=0.03
+            )
+            np.testing.assert_array_equal(spec.p_exc, ref)  # same arithmetic in the same order
 
     def test_post_cooling_ratio_against_ladder_oracle(self):
         # exact ladder sum with independently computed matrix elements
