@@ -37,6 +37,7 @@ from .errors import (
 
 MAX_POLISH_STEPS = 100  # Levenberg-Marquardt trial steps per polish
 GRID_NODES = 15  # per axis of the (center, width) start grid
+PINV_RCOND = 1e-15  # numpy's pinv default: relative singular-value cutoff
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +252,22 @@ def _polish(model, jac, f, p, sw, x, lo, hi):
     raise FitConvergenceError(f"fit polish did not converge within {MAX_POLISH_STEPS} steps")
 
 
+def _node_heights(basis, y):
+    """Least-squares coefficients of basis (columns, nodes, points) for y
+    at every node, from the normal equations: a ratio for one column, a
+    3x3 solve for three. A column that numpy's pinv would drop (norm below
+    PINV_RCOND of the node's largest, a Gaussian ~0 at every point) gets
+    0, pinv's minimum-norm answer."""
+    gram = np.einsum("lgn,mgn->glm", basis, basis)
+    diag = np.diagonal(gram, axis1=1, axis2=2)
+    drop = diag <= PINV_RCOND**2 * diag.max(axis=1, keepdims=True)
+    gram *= ~(drop[:, :, None] | drop[:, None, :])
+    cols = np.arange(len(basis))
+    gram[:, cols, cols] += drop  # unit pivot, zero right-hand side
+    rhs = np.where(drop, 0.0, np.einsum("lgn,n->gl", basis, y))
+    return np.linalg.solve(gram, rhs[..., None])[..., 0]
+
+
 def _fit_peaks(model, jac, f, p, se, shots, lin, bounds):
     """Bounded weighted least-squares fit of model(f, *x) to points sorted by f.
 
@@ -275,9 +292,9 @@ def _fit_peaks(model, jac, f, p, se, shots, lin, bounds):
         x = [float(i == j) for i in range(lo.size)]
         x[i_center], x[i_width] = grid[:, i_center, None], grid[:, i_width, None]
         basis.append(np.broadcast_to(model(f, *x), (grid.shape[0], f.size)) * sw)
-    basis = np.stack(basis, axis=-1)
-    heights = np.clip(np.linalg.pinv(basis) @ (sw * p), lo[lin], hi[lin])
-    best = np.argmin(np.sum((np.einsum("gnl,gl->gn", basis, heights) - sw * p) ** 2, axis=1))
+    basis = np.stack(basis)
+    heights = np.clip(_node_heights(basis, sw * p), lo[lin], hi[lin])
+    best = np.argmin(np.sum((np.einsum("lgn,gl->gn", basis, heights) - sw * p) ** 2, axis=1))
     x = grid[best]
     x[lin] = heights[best]
     x, chi2, J = _polish(model, jac, f, p, sw, x, lo, hi)

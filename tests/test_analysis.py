@@ -174,16 +174,24 @@ class TestHeatingFit:
             fit_heating_sideband(spec)
 
 
+def _grid_start_spectra():
+    rng = np.random.default_rng(5)
+    specs = [make_gaussian_spectrum(nbar, rng) for nbar in (0.0, 0.002, 0.05, 0.3) * 3]
+    specs += [make_gaussian_spectrum(0.3, rng, shots_per_point=400, offset=0.073)
+              for _ in range(3)]
+    specs += [_simulated_spectrum(0.5, cooled, 1.75 * OMEGA01_HZ, 11, rng)
+              for cooled in (False, True) * 3]  # the CLI's default grid
+    return specs
+
+
+def _pinv_heights(basis, y):
+    return np.linalg.pinv(basis.transpose(1, 2, 0)) @ y
+
+
 class TestGridStart:
     def test_matches_multistart_reference(self):
         # the grid start reaches the width-scan multistart's optimum
-        rng = np.random.default_rng(5)
-        specs = [make_gaussian_spectrum(nbar, rng) for nbar in (0.0, 0.002, 0.05, 0.3) * 3]
-        specs += [make_gaussian_spectrum(0.3, rng, shots_per_point=400, offset=0.073)
-                  for _ in range(3)]
-        specs += [_simulated_spectrum(0.5, cooled, 1.75 * OMEGA01_HZ, 11, rng)
-                  for cooled in (False, True) * 3]  # the CLI's default grid
-        for spec in specs:
+        for spec in _grid_start_spectra():
             blue = fit_heating_sideband(spec)
             both = fit_double_gaussian_with_offset(spec)
             for x, ref, stderr in (
@@ -193,6 +201,48 @@ class TestGridStart:
                  multistart_reference_fit(spec, double=True), both.stderr),
             ):
                 assert np.all(np.abs(np.array(x) - ref) <= 1e-3 * stderr)
+
+    def test_node_heights_match_pinv(self, monkeypatch):
+        # the normal equations pick pinv's best node, at pinv's heights
+        def grid_start(fit, spec, heights):
+            starts = []
+
+            def first_polish(model, jac, f, p, sw, x, lo, hi):
+                starts.append(x.copy())
+                raise StopIteration
+
+            with monkeypatch.context() as m:
+                m.setattr(analysis, "_polish", first_polish)
+                m.setattr(analysis, "_node_heights", heights)
+                with pytest.raises(StopIteration):
+                    fit(spec)
+            return starts[0]
+
+        specs = _grid_start_spectra() + [
+            _simulated_spectrum(0.002, True, 5 * MAIN_LOBE_HZ / 2, 41, None),  # exact curve
+            _noiseless_spectrum(a_blue=0.8, a_red=0.2, offset=0.05),
+        ]
+        for spec in specs:
+            for fit, lin in ((fit_heating_sideband, [0]), (fit_double_gaussian_with_offset, [0, 1, 4])):
+                x = grid_start(fit, spec, analysis._node_heights)
+                ref = grid_start(fit, spec, _pinv_heights)
+                other = np.setdiff1d(np.arange(x.size), lin)
+                np.testing.assert_array_equal(x[other], ref[other])  # the same node
+                np.testing.assert_allclose(x[lin], ref[lin], rtol=1e-10, atol=0)
+
+    def test_node_heights_drop_vanishing_columns_like_pinv(self):
+        rng = np.random.default_rng(2)
+        basis = rng.normal(size=(3, 6, 11))
+        basis[:2, 1] = 0.0  # both Gaussians 0 at every point: rank 1
+        basis[0, 2] = 0.0
+        basis[1, 3] *= 1e-200  # far below pinv's cutoff
+        basis[2, 4] *= 1e-12  # small, but above it
+        y = rng.normal(size=11)
+        heights = analysis._node_heights(basis, y)
+        np.testing.assert_allclose(heights, _pinv_heights(basis, y), rtol=1e-10, atol=1e-14)
+        assert heights[1, 0] == heights[1, 1] == heights[2, 0] == heights[3, 1] == 0.0
+        single = analysis._node_heights(basis[:1], y)  # one column: a ratio, 0 where it vanishes
+        np.testing.assert_allclose(single, _pinv_heights(basis[:1], y), rtol=1e-12)
 
     @pytest.mark.parametrize("lobes, points", [(4, 31), (5, 41)])
     @pytest.mark.parametrize("nbar", [0.002, 0.3])

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -829,3 +830,134 @@ class TestCsvIO:
         spectrum = read_spectrum_csv(str(path))
         np.testing.assert_array_equal(spectrum.detuning_hz, [-1.5, 1.5])
         np.testing.assert_array_equal(spectrum.shots, [0.0, 0.0])
+
+    @pytest.mark.parametrize("writer", ["csv", "json"])
+    def test_writer_over_longer_file_leaves_exactly_the_new_bytes(self, tmp_path, writer):
+        path = tmp_path / "out"
+        path.write_bytes(b"a stale and much longer output\n" * 500)
+        if writer == "csv":
+            rows = [(0.5, 1, "up"), (1.5, 2, "down")]
+            cli.write_csv(path, ["x", "n", "label"], zip(*rows))
+            expected = _reference_csv(["x", "n", "label"], rows)
+        else:
+            payload = {"b": [1.5, None], "a": "x"}
+            cli.write_json(path, payload)
+            expected = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+        assert path.read_bytes() == expected
+
+    def test_failed_write_leaves_only_the_written_prefix(self, tmp_path, monkeypatch):
+        class Unprintable:
+            def __str__(self):
+                raise RuntimeError("cell cannot be formatted")
+
+        monkeypatch.setattr(cli, "WRITE_BLOCK_ROWS", 2)
+        rows = [(0.5, "a"), (1.5, "b"), (2.5, Unprintable()), (3.5, "d")]
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"stale\n" * 1000)
+        with pytest.raises(RuntimeError, match="cannot be formatted"):
+            cli.write_csv(path, ["x", "label"], [np.array([r[0] for r in rows]),
+                                                 np.array([r[1] for r in rows], dtype=object)])
+        assert path.read_bytes() == _reference_csv(["x", "label"], rows[:2])  # first block only
+
+    @pytest.mark.parametrize("output", ["shots.csv", "report.json"])
+    def test_directory_in_an_outputs_place_exits_4(self, tmp_path, capsys, output):
+        out = tmp_path / "o"
+        (out / output).mkdir(parents=True)
+        path = _write_config(tmp_path, protocol={"kind": "repeated_readout", "shots": 5, "n_cyc": 1})
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error:") and output in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", ["dev-null", "fifo"])
+    def test_output_that_cannot_be_cut_is_written(self, tmp_path, kind):
+        out = tmp_path / "o"
+        out.mkdir()
+        target, read = out / "shots.csv", []
+        if kind == "dev-null":
+            target.symlink_to(os.devnull)
+        else:  # a named pipe with a reader, as a consumer streaming the output would
+            os.mkfifo(target)
+            reader = threading.Thread(target=lambda: read.append(target.read_bytes()), daemon=True)
+            reader.start()
+        path = _write_config(tmp_path, protocol={"kind": "repeated_readout", "shots": 5, "n_cyc": 1})
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["outputs"] == ["shots.csv"]
+        if kind == "fifo":
+            reader.join(timeout=60)
+            assert not reader.is_alive() and read[0].startswith(b"scenario,shot,round,")
+
+
+def _preset(name, **protocol):
+    with open(os.path.join(os.path.dirname(cli.__file__), "presets", name + ".json")) as fh:
+        cfg = json.load(fh)
+    cfg["protocol"].update(protocol)
+    return cfg
+
+
+_READOUT = {"protocol": {"kind": "repeated_readout", "shots": 40, "n_cyc": 2}}
+
+#: command, config, and the (command, config) run first into in/ for its input
+_OVERWRITE_RUNS = {
+    "simulate-fig2": ("simulate", _preset("fig2", shots=40), None),
+    "simulate-fig3": ("simulate", _preset("fig3", shots=8), None),
+    "simulate-fig4": ("simulate", _preset("fig4", shots=40), None),
+    "spectrum": ("spectrum", {"spectrum": {"points_per_side": 7}}, None),
+    "fit": ("fit", {"fit": {"input_csv": "in/spectrum.csv"}}, ("spectrum", {})),
+    "detect": ("detect", {"detect": {"input_csv": "in/shots.csv", "n_cyc_list": [1, 2]}},
+               ("simulate", _READOUT)),
+    "cool": ("cool", _preset("fig4", shots=40), None),
+    "response": ("response", {"response": {"points": 20}}, None),
+}
+
+
+class TestOutputsOverwrittenInPlace:
+    """Every command rewrites its outputs in place: over a directory that
+    holds longer files under the same names it leaves the bytes of a run
+    into a fresh directory, and it never opens an output with O_TRUNC or
+    mode "w" (which truncates to zero first; see cli._overwrite)."""
+
+    @staticmethod
+    def _run(tmp_path, monkeypatch, command, cfg, out, seed=5):
+        path = _write_config(tmp_path, name=f"{command}.json", **cfg)
+        opened = []  # (file, flags or mode) of every open from tweezersim.cli
+        os_open = os.open
+
+        def record_os_open(file, flags, *args, **kwargs):
+            if sys._getframe(1).f_globals.get("__name__") == "tweezersim.cli":
+                opened.append((file, flags))
+            return os_open(file, flags, *args, **kwargs)
+
+        def record_open(file, mode="r", *args, **kwargs):
+            opened.append((file, mode))
+            return open(file, mode, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(os, "open", record_os_open)
+            m.setattr(cli, "open", record_open, raising=False)
+            assert main([command, "--config", path, "--seed", str(seed), "--out", str(out)]) == 0
+        return opened
+
+    @pytest.mark.parametrize("run", list(_OVERWRITE_RUNS))
+    def test_rewrite_matches_fresh_run_without_truncating_open(self, tmp_path, monkeypatch, run):
+        command, cfg, inputs = _OVERWRITE_RUNS[run]
+        if inputs is not None:
+            self._run(tmp_path, monkeypatch, *inputs, tmp_path / "in")
+        fresh, other, rewritten = (tmp_path / name for name in ("fresh", "other", "rewritten"))
+        self._run(tmp_path, monkeypatch, command, cfg, fresh)
+        self._run(tmp_path, monkeypatch, command, cfg, other, seed=6)
+        names = sorted(os.listdir(fresh))
+        rewritten.mkdir()
+        for name in names:  # another run's outputs, made longer than this run's
+            (rewritten / name).write_bytes((other / name).read_bytes() + b"stale\n" * 2000)
+        opened = self._run(tmp_path, monkeypatch, command, cfg, rewritten)
+        assert sorted(os.listdir(rewritten)) == names
+        for name in names:
+            new, old = (rewritten / name).read_bytes(), (fresh / name).read_bytes()
+            if name == "report.json":  # holds the run's wall time
+                new, old = (json.loads(b) | {"wall_time_s": 0} for b in (new, old))
+            assert new == old, name
+        writes = [(f, flags) for f, flags in opened if isinstance(flags, int)]
+        assert sorted(os.path.basename(f) for f, _ in writes) == names
+        assert not any(flags & os.O_TRUNC for _, flags in writes)
+        assert all(isinstance(f, int) or "w" not in mode for f, mode in opened
+                   if isinstance(mode, str))

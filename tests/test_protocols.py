@@ -1,3 +1,4 @@
+import functools
 import json
 
 import numpy as np
@@ -479,10 +480,18 @@ class TestCalibratePhase:
         )
 
 
-def _oracle_transfer(n_from, n_to, eta, rabi, delta, duration, dim=60):
-    """Independent ladder oracle built from displacement-operator elements."""
+@functools.lru_cache(maxsize=None)
+def _displacement(eta, dim=60):
+    """exp(i eta (a + a^dagger)) on dim Fock levels; cached and read-only."""
     a = np.diag(np.sqrt(np.arange(1, dim)), k=1)
     d = expm(1j * eta * (a + a.T))
+    d.flags.writeable = False
+    return d
+
+
+def _oracle_transfer(n_from, n_to, eta, rabi, delta, duration, dim=60):
+    """Independent ladder oracle built from displacement-operator elements."""
+    d = _displacement(eta, dim)
     omega = rabi * abs(d[n_to, n_from])
     w_eff = np.sqrt(omega**2 + delta**2)
     return (omega / w_eff) ** 2 * np.sin(w_eff * duration / 2) ** 2 if w_eff else 0.0
@@ -605,5 +614,4 @@ class TestSidebandSpectrum:
 
 
 def abs_d01(eta, dim=60):
-    a = np.diag(np.sqrt(np.arange(1, dim)), k=1)
-    return abs(expm(1j * eta * (a + a.T))[1, 0])
+    return abs(_displacement(eta, dim)[1, 0])
