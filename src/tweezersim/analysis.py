@@ -27,7 +27,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import (
     DegenerateWidthError,
@@ -558,9 +557,8 @@ def optimize_threshold_analytic(
     cands = sorted(set(float(r) for r in roots if lo <= r <= hi) | {lo, hi})
 
     def fidelity(x):
-        # ndtr is what norm.cdf evaluates, without its per-call overhead
-        f1 = 1.0 - ndtr((x - bright_mean) / bright_std)
-        f0 = ndtr((x - dark_mean) / dark_std)
+        f1 = 1.0 - _ndtr((x - bright_mean) / bright_std)
+        f0 = _ndtr((x - dark_mean) / dark_std)
         return p1 * f1 + (1 - p1) * f0, f1, f0
 
     best_x, (best_f, best_f1, best_f0) = cands[0], fidelity(cands[0])
@@ -607,5 +605,64 @@ def aggregate_signals(signals, n: int, mode: str = "sum", imaging=None) -> np.nd
 
 
 def _norm_logpdf(x, mean, std):
-    """scipy.stats.norm.logpdf, without importing that slow-to-load module."""
+    """Log density of the normal distribution N(mean, std^2) at x."""
     return -(((x - mean) / std) ** 2) / 2.0 - math.log(math.sqrt(2.0 * math.pi)) - math.log(std)
+
+
+# ---------------------------------------------------------------------------
+# standard normal CDF
+#
+# The Cephes ndtr/erf/erfc (S. L. Moshier) on Python floats: the same
+# coefficients, branches and operation order, so each value carries the
+# bits of the C routine that numerical libraries (scipy's ndtr among them)
+# compile. The polynomial evaluations are written out in Horner form.
+
+_SQRT1_2 = math.sqrt(0.5)
+_MAXLOG = 7.09782712893383996843e2  # log of the largest double
+
+
+def _ndtr(a: float) -> float:
+    """Standard normal CDF of a float: 0.5 + 0.5 erf(a / sqrt 2) near 0,
+    else from erfc(|a| / sqrt 2), which is 1 - erf below 1, exp(-x^2)
+    P(x) / Q(x) below 8 and exp(-x^2) R(x) / S(x) above."""
+    x = a * _SQRT1_2
+    z = abs(x)
+    if z < _SQRT1_2:
+        return 0.5 + 0.5 * _erf(x)
+    if z < 1.0:
+        y = 0.5 * (1.0 - _erf(z))
+    elif z * z > _MAXLOG:
+        y = 0.0  # erfc underflows
+    else:
+        e = math.exp(-z * z)
+        if z < 8.0:
+            p = ((((((((2.46196981473530512524e-10 * z + 5.64189564831068821794e-1) * z
+                       + 7.46321056442269912687e0) * z + 4.86371970985681366614e1) * z
+                     + 1.96520832956077098242e2) * z + 5.26445194995477358631e2) * z
+                   + 9.34528527171957607540e2) * z + 1.02755188689515710272e3) * z
+                 + 5.57535335369399327526e2)
+            q = ((((((((z + 1.32281951154744992508e1) * z + 8.67072140885989742329e1) * z
+                      + 3.54937778887819891062e2) * z + 9.75708501743205489753e2) * z
+                    + 1.82390916687909736289e3) * z + 2.24633760818710981792e3) * z
+                  + 1.65666309194161350182e3) * z + 5.57535340817727675546e2)
+        else:
+            p = (((((5.64189583547755073984e-1 * z + 1.27536670759978104416e0) * z
+                    + 5.01905042251180477414e0) * z + 6.16021097993053585195e0) * z
+                  + 7.40974269950448939160e0) * z + 2.97886665372100240670e0)
+            q = ((((((z + 2.26052863220117276590e0) * z + 9.39603524938001434673e0) * z
+                    + 1.20489539808096656605e1) * z + 1.70814450747565897222e1) * z
+                  + 9.60896809063285878198e0) * z + 3.36907645100081516050e0)
+        y = 0.5 * (e * p / q)
+    return 1.0 - y if x > 0 else y
+
+
+def _erf(x: float) -> float:
+    """erf(x) for |x| <= 1: x T(x^2) / U(x^2)."""
+    z = x * x
+    t = ((((9.60497373987051638749e0 * z + 9.00260197203842689217e1) * z
+           + 2.23200534594684319226e3) * z + 7.00332514112805075473e3) * z
+         + 5.55923013010394962768e4)
+    u = (((((z + 3.35617141647503099647e1) * z + 5.21357949780152679795e2) * z
+           + 4.59432382970980127987e3) * z + 2.26290000613890934246e4) * z
+         + 4.92673942608635921086e4)
+    return x * t / u

@@ -311,9 +311,12 @@ def build_imaging(config: dict) -> ImagingSpec:
                                   "bright_std")}
     if sec["bright_mean"] is not None:
         return ImagingSpec(bright_mean=sec["bright_mean"], **common)
-    return calibrate_imaging(
-        target_fidelity=sec["target_single_round_fidelity"], p1=0.5, **common
-    )
+    try:
+        return calibrate_imaging(
+            target_fidelity=sec["target_single_round_fidelity"], p1=0.5, **common
+        )
+    except ValidationError as exc:
+        raise ValidationError(f"imaging.target_single_round_fidelity: {exc}") from None
 
 
 def build_protocol(config: dict, base_dir: str = ".", workers: int = 1) -> ProtocolConfig:

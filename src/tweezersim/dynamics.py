@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_genlaguerre
 
 from . import kernels
 from .errors import (
@@ -257,6 +256,39 @@ def sample_noise(model: NoiseModel, duration: float, dt: float, seed) -> NoiseRe
     return NoiseRealization(dt=dt, trap_frequency=trap, laser_frequency=freq, laser_amplitude=amp, seed=seed)
 
 
+def _laguerre_ladder(n_top: int, alpha: int, x: float) -> list:
+    """Generalized Laguerre values L^alpha_n(x) for n = 0..n_top, alpha 0 or 1.
+
+    The integer-n recurrence in the order scipy's eval_genlaguerre runs it,
+    so each value carries the same bits: d = -x/(alpha+1), p = d + 1, then
+    d = -x/(k+alpha+1) p + k/(k+alpha+1) d and p += d for k = 1..n-1, and a
+    closing factor binom(n+alpha, n), which is 1 or n + 1. The iterates for
+    n are a prefix of those for n_top, so the ladder is one O(n_top) pass.
+    """
+    out = [1.0, -x + alpha + 1][: n_top + 1]
+    d = -x / (alpha + 1)
+    p = d + 1
+    for k in range(1, n_top):
+        d = -x / (k + alpha + 1) * p + (k / (k + alpha + 1)) * d
+        p = p + d
+        out.append(p if alpha == 0 else (k + 2) * p)
+    return out
+
+
+def sideband_ladder(n_max: int, eta: float, rabi: float) -> tuple:
+    """Carrier (n <-> n, n = 0..n_max) and sideband (n <-> n + 1,
+    n = 0..n_max - 1) angular Rabi frequencies, as lists whose entries
+    equal sideband_rabi's; the n <-> n - 1 coupling is the sideband entry
+    n - 1."""
+    x = eta * eta
+    base = rabi * math.exp(-x / 2.0)
+    carrier = [base * lag for lag in _laguerre_ladder(n_max, 0, x)]
+    # sqrt(n_<! / n_>!) = 1 / sqrt(n + 1) for n <-> n + 1
+    side = [base * eta * (1.0 / math.sqrt(n + 1)) * lag
+            for n, lag in enumerate(_laguerre_ladder(n_max - 1, 1, x))]
+    return carrier, side
+
+
 def sideband_rabi(n_from: int, n_to: int, eta: float, rabi: float) -> float:
     """Effective angular Rabi frequency of the (n_from <-> n_to) coupling.
 
@@ -269,10 +301,7 @@ def sideband_rabi(n_from: int, n_to: int, eta: float, rabi: float) -> float:
     if dn > 1:
         raise ValidationError(f"|n_to - n_from| must be 0 or 1, got {dn}")
     lo = min(n_from, n_to)
-    x = eta * eta
-    # sqrt(n_<!/n_>!) = 1/sqrt(n_>) for dn = 1, 1 for dn = 0
-    root = 1.0 if dn == 0 else 1.0 / math.sqrt(lo + 1)
-    return rabi * math.exp(-x / 2.0) * eta**dn * root * float(eval_genlaguerre(lo, dn, x))
+    return sideband_ladder(lo + dn, eta, rabi)[dn][lo]
 
 
 def spectroscopy_pi_duration(eta: float, rabi: float) -> float:
@@ -303,6 +332,7 @@ def _pair_tables(pulse: PulseSpec, eta: float, n_max: int, mode: str):
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
     m = n_max + 1
     pairs_g, pairs_e, coup = [], [], []
+    carrier, side = sideband_ladder(n_max, eta, pulse.rabi)
     if pulse.kind is PulseKind.FREE:
         pass
     elif mode == "two-level":
@@ -315,17 +345,17 @@ def _pair_tables(pulse: PulseSpec, eta: float, n_max: int, mode: str):
         for n in range(m):
             pairs_g.append(_index(0, n, m))
             pairs_e.append(_index(1, n, m))
-            coup.append(np.exp(1j * pulse.phase) * sideband_rabi(n, n, eta, pulse.rabi) / 2.0)
+            coup.append(np.exp(1j * pulse.phase) * carrier[n] / 2.0)
     elif pulse.kind is PulseKind.BLUE_SIDEBAND:
         for n in range(m - 1):
             pairs_g.append(_index(0, n, m))
             pairs_e.append(_index(1, n + 1, m))
-            coup.append(1j * np.exp(1j * pulse.phase) * sideband_rabi(n, n + 1, eta, pulse.rabi) / 2.0)
+            coup.append(1j * np.exp(1j * pulse.phase) * side[n] / 2.0)
     elif pulse.kind is PulseKind.RED_SIDEBAND:
         for n in range(1, m):
             pairs_g.append(_index(0, n, m))
             pairs_e.append(_index(1, n - 1, m))
-            coup.append(1j * np.exp(1j * pulse.phase) * sideband_rabi(n, n - 1, eta, pulse.rabi) / 2.0)
+            coup.append(1j * np.exp(1j * pulse.phase) * side[n - 1] / 2.0)
     paired = set(pairs_g) | set(pairs_e)
     singles = np.array([i for i in range(2 * m) if i not in paired], dtype=np.int64)
     return _read_only(

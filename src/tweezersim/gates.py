@@ -25,6 +25,8 @@ detection fidelity.
 
 from __future__ import annotations
 
+import functools
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -462,6 +464,79 @@ def heating_jump(batch: PairBatch, probability: float) -> PairBatch:
 # calibration
 
 
+#: Root-finder tolerances: a step below (XTOL + RTOL |x|) / 2 ends the
+#: search; RTOL = 4 eps is the smallest relative tolerance Brent's test
+#: can meet.
+XTOL = 1e-12
+RTOL = 4 * sys.float_info.epsilon
+
+
+def _brentq(f, xa: float, xb: float, maxiter: int = 100) -> float:
+    """Root of f in [xa, xb] by Brent's (1973) method.
+
+    The loop of scipy's brentq, step for step, with the same tolerances
+    and iteration cap, so it returns the same float. The end values must
+    differ in sign (ValidationError otherwise); a loop that has not met
+    the tolerance after maxiter steps raises NumericsError.
+    """
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValidationError(f"f has one sign over [{xa:g}, {xb:g}]: {fpre:g} and {fcur:g}")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (XTOL + RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis  # bisect
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise NumericsError(f"root finding did not converge within {maxiter} steps")
+
+
+@functools.lru_cache(maxsize=256)
+def _imaging_separation(target_fidelity: float, p1: float, dark_mean: float,
+                        dark_std: float, bright_std: float) -> float:
+    """Bright/dark separation at which the threshold-optimized fidelity at
+    prior p1 equals target_fidelity; cached on its five float inputs."""
+
+    def fidelity(sep):
+        return optimize_threshold_analytic(dark_mean + sep, bright_std, dark_mean, dark_std, p1).fidelity
+
+    lo, hi = 1e-6, 40.0 * max(dark_std, bright_std)
+    try:
+        return _brentq(lambda sep: fidelity(sep) - target_fidelity, lo, hi)
+    except ValidationError:
+        raise ValidationError(
+            f"target fidelity {target_fidelity:g} is out of reach at these signal widths: "
+            f"separations {lo:g} to {hi:g} give fidelities {fidelity(lo):.6g} to {fidelity(hi):.6g}"
+        ) from None
+
+
 def calibrate_imaging(
     target_fidelity: float = 0.90,
     p1: float = 0.5,
@@ -473,18 +548,9 @@ def calibrate_imaging(
     """ImagingSpec whose threshold-optimized single-round detection
     fidelity at prior p1 equals target_fidelity (root-finding on the
     bright/dark separation)."""
-    from scipy.optimize import brentq
-
     if not 0.5 < target_fidelity < 1.0:
         raise ValidationError("target_fidelity must be in (0.5, 1)")
-
-    def gap(sep):
-        res = optimize_threshold_analytic(
-            dark_mean + sep, bright_std, dark_mean, dark_std, p1
-        )
-        return res.fidelity - target_fidelity
-
-    sep = brentq(gap, 1e-6, 40.0 * max(dark_std, bright_std), xtol=1e-12)
+    sep = _imaging_separation(*map(float, (target_fidelity, p1, dark_mean, dark_std, bright_std)))
     return ImagingSpec(
         bright_mean=dark_mean + sep,
         dark_mean=dark_mean,

@@ -36,6 +36,7 @@ from .dynamics import (
     PulseKind,
     PulseSpec,
     evolve_rows,
+    sideband_ladder,
     sideband_rabi,
     spectroscopy_pi_duration,
 )
@@ -572,9 +573,7 @@ def simulate_sideband_spectrum(
     n_max = dist.size - 1
     f_trap = trap.omega_t / (2 * np.pi)
 
-    blue = np.array([sideband_rabi(n, n + 1, trap.eta, rabi) for n in range(n_max)])
-    red = np.array([sideband_rabi(n, n - 1, trap.eta, rabi) for n in range(1, n_max + 1)])
-    carrier = np.array([sideband_rabi(n, n, trap.eta, rabi) for n in range(n_max + 1)])
+    carrier, side = map(np.array, sideband_ladder(n_max, trap.eta, rabi))
 
     d_blue = 2 * np.pi * (detunings_hz - f_trap)
     d_red = 2 * np.pi * (detunings_hz + f_trap)
@@ -583,9 +582,9 @@ def simulate_sideband_spectrum(
     for n in np.flatnonzero(dist):  # summed in n order, for every detuning at once
         t = np.zeros(detunings_hz.size)
         if n < n_max:
-            t += detuned_transfer(blue[n], d_blue, duration)
+            t += detuned_transfer(side[n], d_blue, duration)
         if n >= 1:
-            t += detuned_transfer(red[n - 1], d_red, duration)
+            t += detuned_transfer(side[n - 1], d_red, duration)  # n <-> n - 1
         if include_carrier:
             t += detuned_transfer(carrier[n], d_car, duration)
         p_exc += dist[n] * np.minimum(t, 1.0)

@@ -8,12 +8,15 @@ harmonic-oscillator Fock ladder.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import hbar
 
 from .errors import TruncationError, ValidationError
+
+#: Reduced Planck constant in J s, from the exact SI value of h.
+hbar = 6.62607015e-34 / (2 * math.pi)
 
 NORM_TOL = 1e-10
 #: Default Fock truncation. Boltzmann ratios q <= 0.7 keep the discarded

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from conftest import (
@@ -515,8 +517,26 @@ class TestThresholds:
         assert res.threshold == pytest.approx(2.0, abs=1e-9)
         assert res.fidelity == pytest.approx(0.977249868, abs=1e-6)
 
+    def test_ndtr_is_bit_identical_to_scipy(self):
+        from scipy.special import ndtr
+
+        rng = np.random.default_rng(17)
+        edges = []  # each branch edge of |a| / sqrt 2: 1 / sqrt 2, 1, 8, sqrt(MAXLOG)
+        for e in (1.0, math.sqrt(2.0), 8 * math.sqrt(2.0), math.sqrt(2 * analysis._MAXLOG)):
+            edges += [s * (e + k * math.ulp(e)) for k in range(-4, 5) for s in (1, -1)]
+        pts = np.concatenate([
+            rng.normal(size=50_000),
+            rng.normal(scale=10.0, size=30_000),
+            np.linspace(-40.0, 40.0, 40_001),
+            edges,
+            [0.0, -0.0, 40.0, -40.0, 1e-300, -1e-300, 5e-324, 1e300, -1e300, np.inf, -np.inf],
+        ]).tolist()
+        got = np.array([analysis._ndtr(a) for a in pts])
+        np.testing.assert_array_equal(got, ndtr(np.array(pts)))
+        assert math.isnan(analysis._ndtr(math.nan))
+
     def test_analytic_cdf_is_bit_identical_to_norm_cdf(self):
-        # the closed-form normal CDF (scipy.special.ndtr) returns exactly
+        # the closed-form normal CDF (the Cephes ndtr port) returns exactly
         # the bits of scipy.stats.norm.cdf at every threshold it picks
         from scipy.stats import norm
 

@@ -162,6 +162,18 @@ class TestCliRuns:
         path = _write_config(tmp_path, nonsense={"a": 1})
         assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2
 
+    def test_unreachable_imaging_target_exit_2(self, tmp_path, capsys):
+        # unequal widths: zero separation already beats F = 0.6
+        path = _write_config(
+            tmp_path,
+            imaging={"bright_std": 10, "target_single_round_fidelity": 0.6},
+            protocol={"kind": "repeated_readout", "shots": 5, "n_cyc": 1},
+        )
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: imaging.target_single_round_fidelity:")
+        assert "out of reach" in err and "Traceback" not in err
+
     def test_missing_config_exit_4(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 4
 
@@ -418,10 +430,40 @@ class TestCliRuns:
         assert float(first[0]) == 0.0
         assert float(first[1]) == pytest.approx(1.0 / w**2, rel=1e-12)
 
-    @pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize", "scipy.linalg"])
+    @pytest.mark.parametrize("module", ["scipy", "scipy.stats", "scipy.optimize", "scipy.linalg"])
     def test_import_leaves_module_unloaded(self, cli_import_modules, module):
         # each of these adds ~0.15 s or more to the start-up of every run
         assert module not in cli_import_modules
+
+    def test_commands_leave_scipy_unloaded(self, tmp_path):
+        # a fresh interpreter runs every subcommand (simulate calibrates the
+        # imaging, which root-finds) and still holds no scipy module
+        runs = [
+            ("simulate", "sim", _preset("fig2", shots=8)),
+            ("spectrum", "spec", {"spectrum": {"points_per_side": 7}}),
+            ("fit", "fit", {"fit": {"input_csv": "spec/spectrum.csv"}}),
+            ("detect", "det", {"detect": {"input_csv": "sim/shots.csv", "n_cyc_list": [1, 2]}}),
+            ("cool", "cool", _preset("fig4", shots=8)),
+            ("response", "resp", {"response": {"points": 20}}),
+        ]
+        argvs = [
+            [command, "--config", _write_config(tmp_path, f"{out}.json", **cfg),
+             "--seed", "5", "--out", str(tmp_path / out)]
+            for command, out, cfg in runs
+        ]
+        code = (
+            "import sys\n"
+            "from tweezersim.cli import main\n"
+            f"for argv in {argvs!r}:\n"
+            "    assert main(argv) == 0, argv\n"
+            "print('loaded:', *sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = os.path.dirname(os.path.dirname(tweezersim.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=300, cwd=tmp_path)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[-1] == "loaded:"
 
     def test_main_reuses_one_parser(self, tmp_path, monkeypatch):
         # two commands in one process each parse their own flags

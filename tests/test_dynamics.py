@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,9 +21,11 @@ from tweezersim.dynamics import (
     propagator,
     sample_noise,
     sample_noise_rows,
+    sideband_ladder,
     sideband_rabi,
     spectroscopy_pi_duration,
     _amp_factor,
+    _laguerre_ladder,
     _psd_basis,
     _run_kernel,
 )
@@ -101,6 +105,44 @@ class TestSidebandRabi:
     def test_rejects_second_order(self):
         with pytest.raises(ValidationError):
             sideband_rabi(0, 2, ETA, RABI)
+
+
+#: x = eta^2 values for the Laguerre oracle, the preset eta among them.
+LAGUERRE_X = [0.36**2, 0.0, 1e-8, *np.linspace(0.01, 3.0, 40)]
+
+
+class TestLaguerreOracle:
+    """The one-pass ladder against scipy's eval_genlaguerre, bit for bit."""
+
+    @pytest.mark.parametrize("alpha", [0, 1])
+    def test_ladder_is_bit_identical_to_eval_genlaguerre(self, alpha):
+        from scipy.special import eval_genlaguerre
+
+        for x in map(float, LAGUERRE_X):
+            got = _laguerre_ladder(400, alpha, x)
+            want = [float(eval_genlaguerre(n, alpha, x)) for n in range(401)]
+            assert got == want, x
+
+    @pytest.mark.parametrize("n_top", [0, 1, 2, 3])
+    def test_short_ladders(self, n_top):
+        assert _laguerre_ladder(n_top, 1, 0.2) == _laguerre_ladder(5, 1, 0.2)[: n_top + 1]
+
+    @pytest.mark.parametrize("eta", [0.36, 0.05, 0.9])
+    def test_sideband_rabi_is_bit_identical_to_scipy_formula(self, eta):
+        from scipy.special import eval_genlaguerre
+
+        x = eta * eta
+        for lo in range(401):
+            for dn in (0, 1):
+                root = 1.0 if dn == 0 else 1.0 / math.sqrt(lo + 1)
+                want = RABI * math.exp(-x / 2.0) * eta**dn * root * float(eval_genlaguerre(lo, dn, x))
+                assert sideband_rabi(lo, lo + dn, eta, RABI) == want, (lo, dn)
+
+    def test_ladder_entries_equal_sideband_rabi(self):
+        carrier, side = sideband_ladder(60, ETA, RABI)
+        assert carrier == [sideband_rabi(n, n, ETA, RABI) for n in range(61)]
+        assert side == [sideband_rabi(n + 1, n, ETA, RABI) for n in range(60)]
+        assert sideband_ladder(0, ETA, RABI) == ([RABI * math.exp(-(ETA * ETA) / 2.0)], [])
 
 
 class TestSampleNoise:

@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 from conftest import sequential_cnot_block
 
 from tweezersim.analysis import optimize_threshold, optimize_threshold_analytic
-from tweezersim.errors import TruncationError, ValidationError
+from tweezersim import gates
+from tweezersim.errors import NumericsError, TruncationError, ValidationError
 from tweezersim.gates import (
     GateErrorSpec,
     ImagingSpec,
@@ -344,6 +347,39 @@ class TestImaging:
         dark = rng.normal(spec.dark_mean, spec.dark_std, n)
         res = optimize_threshold(bright, dark, p1=0.5)
         assert res.fidelity == pytest.approx(0.90, abs=0.005)
+
+    @pytest.mark.parametrize("target", [0.55, 0.7, 0.9, 0.99, 0.999])
+    def test_root_finder_is_bit_identical_to_scipy_brentq(self, target):
+        from scipy.optimize import brentq
+
+        for p1, dark_std, bright_std in itertools.product(
+            (0.1, 0.3, 0.5, 0.9), (0.5, 1.0, 2.0), (0.7, 1.0, 1.5, 3.0)
+        ):
+            def gap(sep):
+                res = optimize_threshold_analytic(sep, bright_std, 0.0, dark_std, p1)
+                return res.fidelity - target
+
+            hi = 40.0 * max(dark_std, bright_std)
+            try:
+                want = brentq(gap, 1e-6, hi, xtol=1e-12)
+            except ValueError:  # no sign change: an unreachable target
+                with pytest.raises(ValidationError, match="out of reach"):
+                    calibrate_imaging(target, p1, dark_std=dark_std, bright_std=bright_std)
+                continue
+            assert gates._brentq(gap, 1e-6, hi) == want
+            spec = calibrate_imaging(target, p1, dark_std=dark_std, bright_std=bright_std)
+            assert spec.bright_mean == want
+
+    def test_root_finder_step_cap(self):
+        with pytest.raises(NumericsError, match="within 2 steps"):
+            gates._brentq(lambda x: x**3 - 2.0, 0.0, 40.0, maxiter=2)
+
+    def test_separation_is_cached(self):
+        calibrate_imaging(target_fidelity=0.93, p1=0.5)
+        hits = gates._imaging_separation.cache_info().hits
+        spec = calibrate_imaging(target_fidelity=0.93, p1=0.5, bright_loss_prob=0.0)
+        assert gates._imaging_separation.cache_info().hits == hits + 1
+        assert spec.bright_loss_prob == 0.0
 
     def test_midpoint_threshold_closed_form(self):
         # symmetric distributions: F at the midpoint equals Phi(separation/2)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tweezersim import states
 from tweezersim.errors import TruncationError, ValidationError
 from tweezersim.states import (
     ElectronicLevel,
@@ -123,6 +124,11 @@ class TestLambDicke:
 
     def test_zero_wavenumber(self):
         assert lamb_dicke(0.0, 1e-25, 1e5) == 0.0
+
+    def test_hbar_is_bit_identical_to_scipy_constants(self):
+        from scipy.constants import hbar
+
+        assert states.hbar == hbar
 
     @given(
         st.floats(1e5, 1e8),
