@@ -256,15 +256,24 @@ def _node_heights(basis, y):
     at every node, from the normal equations: a ratio for one column, a
     3x3 solve for three. A column that numpy's pinv would drop (norm below
     PINV_RCOND of the node's largest, a Gaussian ~0 at every point) gets
-    0, pinv's minimum-norm answer."""
+    0, pinv's minimum-norm answer. A node whose Gram matrix the solve
+    cannot factor (a narrow node that sees one isolated point, so its
+    blue and red columns are parallel) gets the minimum-norm answer too."""
     gram = np.einsum("lgn,mgn->glm", basis, basis)
     diag = np.diagonal(gram, axis1=1, axis2=2)
     drop = diag <= PINV_RCOND**2 * diag.max(axis=1, keepdims=True)
     gram *= ~(drop[:, :, None] | drop[:, None, :])
     cols = np.arange(len(basis))
     gram[:, cols, cols] += drop  # unit pivot, zero right-hand side
-    rhs = np.where(drop, 0.0, np.einsum("lgn,n->gl", basis, y))
-    return np.linalg.solve(gram, rhs[..., None])[..., 0]
+    rhs = np.where(drop, 0.0, np.einsum("lgn,n->gl", basis, y))[..., None]
+    try:
+        return np.linalg.solve(gram, rhs)[..., 0]
+    except np.linalg.LinAlgError:
+        ok = np.linalg.slogdet(gram)[0] != 0  # the LU factorization the solve uses has no zero pivot
+        heights = np.empty(rhs.shape[:-1])
+        heights[ok] = np.linalg.solve(gram[ok], rhs[ok])[..., 0]
+        heights[~ok] = (np.linalg.pinv(gram[~ok], hermitian=True) @ rhs[~ok])[..., 0]
+        return heights
 
 
 def _fit_peaks(model, jac, f, p, se, shots, lin, bounds):

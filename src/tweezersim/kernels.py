@@ -14,15 +14,25 @@ SU(2) parts of all steps are computed at once and multiplied in time
 order by a pairwise tree, log2(steps) levels deep; the phases commute
 and are applied once as exp(-i dt sum a). Singletons only pick up
 exp(-i dt sum d). There is no Python loop over time steps.
+
+A chunk's arrays are views into a workspace per thread (a threading.local)
+that later calls reuse, so a warm call faults in no fresh memory. It grows
+to the largest chunk the thread has run, 64-75 B x max(_CHUNK_ELEMENTS,
+n_steps * n_pairs), and a pool thread's workspace goes when it exits.
 """
+
+import threading
 
 import numpy as np
 
 __all__ = ["evolve_blocks_batch"]
 
 #: Trajectories are processed in chunks of at most this many
-#: (trajectory, step, pair) elements, which caps the temporaries.
+#: (trajectory, step, pair) elements, which caps the workspace.
 _CHUNK_ELEMENTS = 1 << 15
+
+#: Per thread: ws, the complex workspace, and floats, its float64 view.
+_local = threading.local()
 
 
 def _propagate(amps0, pair_g, pair_e, coup, singles, static_diag, nvec, zvec, trap, freq, ampf, dt):
@@ -35,41 +45,56 @@ def _propagate(amps0, pair_g, pair_e, coup, singles, static_diag, nvec, zvec, tr
     (dim, k) for k initial states at once (the columns); the propagation
     is linear, so the columns share every per-step factor.
     """
-    n_steps = trap.shape[1]
+    rows, n_steps = trap.shape
     g, e = pair_g, pair_e
-    # half-difference h of each pair's diagonal; updates run in place (and
-    # del drops buffers early) to keep the chunk's temporaries few
-    h = trap[:, :, None] * (0.5 * (nvec[e] - nvec[g]))
-    h += freq[:, :, None] * (0.25 * (zvec[e] - zvec[g]))
+    # alpha and beta, then four slots of q complex elements, each 16-byte
+    # aligned: first the floats h, r, sinc and a temporary, then the tree's
+    # two half-size levels and two temporaries
+    m = rows * n_steps * g.size
+    q = rows * ((n_steps + 1) // 2) * g.size if n_steps > 1 else (m + 1) // 2
+    if getattr(_local, "ws", np.empty(0)).size < 2 * m + 4 * q:  # grow, else reuse
+        _local.ws = np.empty(2 * m + 4 * q, dtype=np.complex128)
+        _local.floats = _local.ws.view(np.float64)
+    ws, floats = _local.ws, _local.floats
+
+    def view(x, n):  # the first (rows, n, pairs) elements of flat buffer x
+        return x[: rows * n * g.size].reshape(rows, n, g.size)
+
+    alpha, beta = ws[: 2 * m].reshape(2, rows, n_steps, g.size)
+    h, r, sinc, tmp = floats[4 * m : 4 * m + 8 * q].reshape(4, 2 * q)[:, :m].reshape(4, rows, n_steps, g.size)
+    # half-difference h of each pair's diagonal
+    np.multiply(trap[:, :, None], 0.5 * (nvec[e] - nvec[g]), out=h)
+    h += np.multiply(freq[:, :, None], 0.25 * (zvec[e] - zvec[g]), out=tmp)
     h += 0.5 * (static_diag[e] - static_diag[g])
-    r = ampf[:, :, None] ** 2 * (coup.real**2 + coup.imag**2)
-    r += h * h
+    np.multiply(ampf[:, :, None] ** 2, coup.real**2 + coup.imag**2, out=r)
+    r += np.multiply(h, h, out=tmp)
     np.sqrt(r, out=r)
-    sinc = r * dt  # one buffer: r dt, then sin(r dt), then sin(r dt) / r
-    alpha = np.empty(r.shape, dtype=np.complex128)
+    np.multiply(r, dt, out=sinc)  # r dt, then sin(r dt), then sin(r dt) / r
     np.cos(sinc, out=alpha.real)
     np.sin(sinc, out=sinc)
     np.divide(sinc, r, out=sinc, where=r > 0.0)  # r = 0 leaves sin(0) = 0
-    del r
     np.multiply(h, sinc, out=alpha.imag)
-    del h
     sinc *= ampf[:, :, None]
-    beta = sinc * (-1j * coup)
-    del sinc
+    np.multiply(sinc, -1j * coup, out=beta)
     # time-ordered product, later @ earlier, over neighbouring steps per
-    # level; an odd last step passes through (a product with the identity)
+    # level; an odd last step passes through (a product with the identity).
+    # Levels ping-pong between alpha, beta and the first two slots.
+    slots = ws[2 * m : 2 * m + 4 * q].reshape(4, q)
+    dst, src = slots[:2], ws[: 2 * m].reshape(2, m)
     while alpha.shape[1] > 1:
-        n_even = alpha.shape[1] - alpha.shape[1] % 2
-        a1, b1 = alpha[:, 1:n_even:2], beta[:, 1:n_even:2]  # later
-        a2, b2 = alpha[:, 0:n_even:2], beta[:, 0:n_even:2]  # earlier
-        a = a1 * a2
-        a -= b1.conj() * b2
-        b = b1 * a2
-        b += a1.conj() * b2
-        if n_even < alpha.shape[1]:
-            a = np.concatenate([a, alpha[:, -1:]], axis=1)
-            b = np.concatenate([b, beta[:, -1:]], axis=1)
-        alpha, beta = a, b
+        n = alpha.shape[1] // 2
+        a1, b1 = alpha[:, 1 : 2 * n : 2], beta[:, 1 : 2 * n : 2]  # later
+        a2, b2 = alpha[:, 0 : 2 * n : 2], beta[:, 0 : 2 * n : 2]  # earlier
+        next_a, next_b = view(dst[0], alpha.shape[1] - n), view(dst[1], alpha.shape[1] - n)
+        a, b, t, u = next_a[:, :n], next_b[:, :n], view(slots[2], n), view(slots[3], n)
+        np.multiply(a1, a2, out=a)
+        a -= np.multiply(np.conjugate(b1, out=t), b2, out=u)
+        np.multiply(b1, a2, out=b)
+        b += np.multiply(np.conjugate(a1, out=t), b2, out=u)
+        if alpha.shape[1] % 2:
+            next_a[:, -1], next_b[:, -1] = alpha[:, -1], beta[:, -1]
+        alpha, beta = next_a, next_b
+        dst, src = src, dst
     alpha, beta = alpha[:, 0], beta[:, 0]
 
     trap_sum = trap.sum(axis=1)[:, None]

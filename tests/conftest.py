@@ -1,12 +1,13 @@
 """Shared synthetic-spectrum generators, the sideband peak-ratio oracle,
-the scalar sideband-ladder loop, the least-squares fit references and the
-sequential ancilla-flip block for analysis, protocol, gate and acceptance
-tests."""
+the scalar sideband-ladder loop, the least-squares fit references, the
+sequential ancilla-flip block and the allocating block-propagation
+reference for analysis, protocol, gate, kernel and acceptance tests."""
 
 import math
 
 import numpy as np
 
+from tweezersim import kernels
 from tweezersim.dynamics import sideband_rabi, spectroscopy_pi_duration
 from tweezersim.gates import apply_cz, local_z, rotate
 from tweezersim.protocols import DEFAULT_TRAP, SidebandSpectrum, detuned_transfer
@@ -182,3 +183,68 @@ def sequential_cnot_block(batch, comp_phase=np.pi, local_z_phase=0.0, entangle=T
     if entangle:
         apply_cz(batch)
     return rotate(batch, "anc", comp_phase, np.pi / 2)
+
+
+def propagate_reference(amps0, pair_g, pair_e, coup, singles, static_diag, nvec, zvec, trap, freq, ampf, dt):
+    """Reference for kernels._propagate: the same operations in the same
+    order, on arrays allocated afresh for every temporary and every tree
+    level, with an odd tail joined by np.concatenate."""
+    n_steps = trap.shape[1]
+    g, e = pair_g, pair_e
+    h = trap[:, :, None] * (0.5 * (nvec[e] - nvec[g]))
+    h += freq[:, :, None] * (0.25 * (zvec[e] - zvec[g]))
+    h += 0.5 * (static_diag[e] - static_diag[g])
+    r = ampf[:, :, None] ** 2 * (coup.real**2 + coup.imag**2)
+    r += h * h
+    np.sqrt(r, out=r)
+    sinc = r * dt
+    alpha = np.empty(r.shape, dtype=np.complex128)
+    np.cos(sinc, out=alpha.real)
+    np.sin(sinc, out=sinc)
+    np.divide(sinc, r, out=sinc, where=r > 0.0)
+    np.multiply(h, sinc, out=alpha.imag)
+    sinc *= ampf[:, :, None]
+    beta = sinc * (-1j * coup)
+    while alpha.shape[1] > 1:
+        n_even = alpha.shape[1] - alpha.shape[1] % 2
+        a1, b1 = alpha[:, 1:n_even:2], beta[:, 1:n_even:2]
+        a2, b2 = alpha[:, 0:n_even:2], beta[:, 0:n_even:2]
+        a = a1 * a2
+        a -= b1.conj() * b2
+        b = b1 * a2
+        b += a1.conj() * b2
+        if n_even < alpha.shape[1]:
+            a = np.concatenate([a, alpha[:, -1:]], axis=1)
+            b = np.concatenate([b, beta[:, -1:]], axis=1)
+        alpha, beta = a, b
+    alpha, beta = alpha[:, 0], beta[:, 0]
+
+    trap_sum = trap.sum(axis=1)[:, None]
+    half_freq_sum = 0.5 * freq.sum(axis=1)[:, None]
+    a_sum = (
+        n_steps * 0.5 * (static_diag[g] + static_diag[e])
+        + trap_sum * 0.5 * (nvec[g] + nvec[e])
+        + half_freq_sum * 0.5 * (zvec[g] + zvec[e])
+    )
+    phase = np.exp(-1j * dt * a_sum)
+    d_sum = n_steps * static_diag[singles] + trap_sum * nvec[singles] + half_freq_sum * zvec[singles]
+    single_phase = np.exp(-1j * dt * d_sum)
+    out = amps0.astype(np.complex128, order="C")
+    alpha, beta, phase, single_phase = (x[..., None] for x in (alpha, beta, phase, single_phase))
+    pg, pe = out[:, g], out[:, e]
+    out[:, g] = phase * (alpha * pg - beta.conj() * pe)
+    out[:, e] = phase * (beta * pg + alpha.conj() * pe)
+    out[:, singles] *= single_phase
+    return out
+
+
+def evolve_blocks_reference(amps0, pair_g, pair_e, coup, singles, static_diag, nvec, zvec, trap, freq, ampf, dt):
+    """Reference for kernels.evolve_blocks_batch: propagate_reference over
+    the same chunks of rows."""
+    blocks = (pair_g, pair_e, coup, singles, static_diag, nvec, zvec)
+    chunk = kernels._rows_per_chunk(trap.shape[1], pair_g.size)
+    return np.concatenate([
+        propagate_reference(amps0[s : s + chunk], *blocks, trap[s : s + chunk], freq[s : s + chunk],
+                            ampf[s : s + chunk], dt)
+        for s in range(0, trap.shape[0], chunk)
+    ])

@@ -246,6 +246,20 @@ class TestGridStart:
         single = analysis._node_heights(basis[:1], y)  # one column: a ratio, 0 where it vanishes
         np.testing.assert_allclose(single, _pinv_heights(basis[:1], y), rtol=1e-12)
 
+    def test_node_heights_solve_parallel_columns_by_minimum_norm(self):
+        # node 2's blue and red columns are non-zero at one and the same
+        # point (a narrow node seeing one isolated point): its Gram matrix
+        # is exactly singular, so np.linalg.solve raised for the whole grid
+        rng = np.random.default_rng(3)
+        basis = rng.normal(size=(3, 5, 11))
+        basis[:2, 2] = 0.0
+        basis[0, 2, 6], basis[1, 2, 6], basis[2, 2, 6] = 1.0, 0.5, 0.25
+        y = rng.normal(size=11)
+        heights = analysis._node_heights(basis, y)
+        np.testing.assert_allclose(heights, _pinv_heights(basis, y), rtol=1e-10, atol=1e-14)
+        regular = np.arange(5) != 2  # solved as before, bit for bit
+        np.testing.assert_array_equal(heights[regular], analysis._node_heights(basis[:, regular], y))
+
     @pytest.mark.parametrize("lobes, points", [(4, 31), (5, 41)])
     @pytest.mark.parametrize("nbar", [0.002, 0.3])
     @pytest.mark.parametrize("cooled", [False, True])

@@ -832,6 +832,23 @@ class TestCsvIO:
         err = capsys.readouterr().err
         assert "fit.input_csv" in err and "must be finite" in err
 
+    @pytest.mark.parametrize("detuning", ["0.5", "-1", "2", "-0"])
+    def test_fit_cooled_with_isolated_mid_spectrum_point(self, tmp_path, detuning):
+        # one point moved between the sidebands, far from every other: the
+        # grid start's narrow nodes see only it, so their blue and red
+        # columns are parallel and the normal equations singular there
+        path = _write_config(tmp_path, seed=5, spectrum={"nbar": 0.3})
+        assert main(["spectrum", "--config", path, "--out", str(tmp_path / "spec")]) == 0
+        lines = (tmp_path / "spec" / "spectrum.csv").read_text().splitlines()
+        cells = lines[12].split(",")
+        cells[0] = detuning
+        lines[12] = ",".join(cells)
+        (tmp_path / "spectrum.csv").write_text("\n".join(lines) + "\n")
+        fit = _write_config(tmp_path, name="fit.json", fit={"input_csv": "spectrum.csv", "mode": "cooled"})
+        assert main(["fit", "--config", fit, "--out", str(tmp_path / "fit")]) == 0
+        result = json.loads((tmp_path / "fit" / "fit.json").read_text())
+        assert 0.0 <= result["ground_state_fraction"] <= 1.0
+
     @pytest.mark.parametrize("edit, row, reason", [
         ({3: "-300"}, None, "shots must be integers >= 0"),
         ({3: "0.5"}, None, "shots must be integers >= 0"),

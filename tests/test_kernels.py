@@ -1,27 +1,43 @@
-"""The vectorized block-propagation kernel against a scalar reference.
+"""The vectorized block-propagation kernel against two references.
 
-The oracle is the original step-by-step loop: each step applies the
-exact 2x2 exponential per pair in time order. The kernel reorders the
-arithmetic (a pairwise product tree and summed phases), so agreement is
-required to atol 1e-12 rather than bit for bit.
+The physics oracle is the original step-by-step loop: each step applies
+the exact 2x2 exponential per pair in time order. The kernel reorders the
+arithmetic (a pairwise product tree and summed phases), so agreement with
+it is required to atol 1e-12 rather than bit for bit. The kernel's
+per-thread workspace changes where its arrays live but not one operation,
+so against conftest's allocate-per-level reference it must agree bit for
+bit, on any thread, whatever shapes the thread ran before.
 """
+
+import os
+import subprocess
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from conftest import evolve_blocks_reference
 
+import tweezersim
 from tweezersim import kernels
 from tweezersim.dynamics import (
+    NoiseModel,
     PulseKind,
     PulseSpec,
+    SpectralDensity,
     _amp_factor,
     _pair_tables,
     _static_vectors,
+    evolve_rows,
 )
+from tweezersim.states import TrapSpec, prepare_state
 
 ETA = 0.36
 RABI = 2 * np.pi * 2e3
 T_PI = np.pi / (ETA * RABI)
 ATOL = 1e-12
+TRAP = TrapSpec(omega_t=2 * np.pi * 35e3, mass=88 * 1.66053906892e-27, k=2 * np.pi / 698e-9, eta=ETA)
 
 
 def evolve_blocks_scalar(
@@ -223,3 +239,142 @@ def test_pair_tables_are_cached_read_only():
     for a in first:
         with pytest.raises(ValueError):
             a[...] = 0
+
+
+def _bit_case(kind, mode, n_max, n_steps, n_traj, k, quiet=False, seed=0):
+    """Kernel arguments less `out`: a detuned, phase-shifted pulse's tables,
+    per-row initial states (n_traj, dim, k) and noisy series. n_traj None
+    means two full chunks and a partial one. quiet makes a zero-Rabi,
+    zero-detuning carrier with a quiet laser, so r = 0 on every pair and
+    step while trap noise still turns the phases."""
+    rng = np.random.default_rng([seed, n_steps, n_max, k])
+    if quiet:
+        pulse = PulseSpec(PulseKind.CARRIER, rabi=0.0, duration=T_PI)
+    else:
+        pulse = PulseSpec(kind, rabi=RABI, duration=T_PI, detuning=0.3 * ETA * RABI, phase=0.7)
+    pg, pe, coup, singles = _pair_tables(pulse, ETA, n_max, mode)
+    if n_traj is None:
+        n_traj = 2 * kernels._rows_per_chunk(n_steps, pg.size) + 3
+    trap, freq, ampf = _series(rng, n_traj, n_steps)
+    if quiet:
+        freq[:] = 0.0
+    amps0 = _random_rows(rng, n_traj, 2 * (n_max + 1), k)
+    return amps0, (pg, pe, coup, singles, *_static_vectors(pulse, n_max)), trap, freq, ampf, T_PI / n_steps
+
+
+def _kernel(case):
+    amps0, tables, trap, freq, ampf, dt = case
+    return kernels.evolve_blocks_batch(amps0, *tables, trap, freq, ampf, dt, np.empty_like(amps0))
+
+
+BLUE, RED = PulseKind.BLUE_SIDEBAND, PulseKind.RED_SIDEBAND
+BIT_CASES = [
+    pytest.param(BLUE, "rwa-ladder", 12, 2000, 4, 1, False, id="pulse-ensemble-2000"),
+    pytest.param(BLUE, "rwa-ladder", 9, 1999, 2, 2, False, id="odd-1999-k2"),
+    pytest.param(RED, "rwa-ladder", 20, 333, 3, 3, False, id="red-333-k3"),
+    pytest.param(PulseKind.CARRIER, "rwa-ladder", 6, 7, 5, 2, False, id="carrier-7"),
+    pytest.param(PulseKind.FREE, "rwa-ladder", 6, 2, 3, 2, False, id="free-2"),
+    pytest.param(BLUE, "rwa-ladder", 6, 1, 4, 2, False, id="one-step"),
+    pytest.param(BLUE, "two-level", 6, 999, 3, 2, False, id="two-level-999"),
+    pytest.param(BLUE, "two-level", 3, 2, 1, 2, False, id="two-level-2"),
+    pytest.param(BLUE, "two-level", 6, 5, 1, 2, False, id="two-level-5"),
+    pytest.param(BLUE, "rwa-ladder", 6, 501, None, 2, False, id="chunks-501"),
+    pytest.param(RED, "rwa-ladder", 6, 500, None, 1, False, id="chunks-500"),
+    pytest.param(BLUE, "rwa-ladder", 12, 1, None, 1, False, id="chunks-one-step"),
+    pytest.param(None, "rwa-ladder", 3, 7, 3, 2, True, id="zero-coupling-7"),
+    pytest.param(None, "rwa-ladder", 3, 2000, 2, 1, True, id="zero-coupling-2000"),
+]
+
+
+@pytest.mark.parametrize("kind, mode, n_max, n_steps, n_traj, k, quiet", BIT_CASES)
+def test_kernel_is_bit_identical_to_allocating_reference(kind, mode, n_max, n_steps, n_traj, k, quiet):
+    case = _bit_case(kind, mode, n_max, n_steps, n_traj, k, quiet)
+    amps0, tables, trap, freq, ampf, dt = case
+    if quiet:
+        assert not np.any(tables[2]) and not np.any(freq)
+    assert np.array_equal(_kernel(case), evolve_blocks_reference(amps0, *tables, trap, freq, ampf, dt))
+
+
+def _in_fresh_thread(fn):
+    """fn() on a new thread, whose workspace starts empty."""
+    result = []
+    thread = threading.Thread(target=lambda: result.append(fn()))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive() and result
+    return result[0]
+
+
+def test_workspace_reuse_across_shapes_matches_fresh_threads():
+    large = _bit_case(BLUE, "rwa-ladder", 12, 2000, 4, 1)
+    small = _bit_case(RED, "rwa-ladder", 3, 7, 2, 2, seed=1)
+    for case in (large, small, large):
+        np.testing.assert_array_equal(_kernel(case), _in_fresh_thread(lambda: _kernel(case)))
+        kernels._local.ws[:] = np.nan  # stale values must never reach a later result
+
+
+def test_concurrent_evolve_rows_match_sequential_runs():
+    # more threads than cores evolve two shapes through the kernel at once,
+    # switching often; each thread has its own workspace, so every run
+    # matches the same run on this thread
+    pulse = PulseSpec.bsb_pi(ETA, RABI)
+    model = NoiseModel(laser_frequency=SpectralDensity(np.array([0.0, 5e3]), np.array([2e3, 2e3])))
+
+    def run(job):
+        n_max, n_rows, steps = job
+        rows = np.zeros((n_rows, 2 * (n_max + 1), 2), dtype=complex)
+        for i in range(n_rows):
+            rows[i, :, i % 2] = prepare_state(np.array([0.6, 0.8j]), i % 3, n_max=n_max).amps.reshape(-1)
+        return evolve_rows(rows, pulse, TRAP, model, steps, np.random.default_rng(n_rows))
+
+    jobs = [(12, 6, 2000), (4, 40, 301)] * 2
+    want = [run(job) for job in jobs]
+    barrier = threading.Barrier(len(jobs))
+
+    def repeat(job):
+        barrier.wait(timeout=60)
+        return [run(job) for _ in range(3)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
+            futures = [pool.submit(repeat, job) for job in jobs]
+            got = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for runs, ref in zip(got, want):
+        for out in runs:
+            np.testing.assert_array_equal(out, ref)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads minor faults from Linux getrusage")
+def test_warm_call_faults_in_no_fresh_memory():
+    # a fresh interpreter starts from the allocator state a CLI run sees;
+    # temporaries above its mmap threshold were mapped and faulted in anew
+    # on every call (~1,500 minor faults at pulse_ensemble's size)
+    code = """
+import resource
+import numpy as np
+from tweezersim import kernels
+from tweezersim.dynamics import PulseSpec, _pair_tables, _static_vectors
+pulse = PulseSpec.bsb_pi(0.36, 2 * np.pi * 2e3)
+tables = (*_pair_tables(pulse, 0.36, 12, "rwa-ladder"), *_static_vectors(pulse, 12))
+assert tables[0].size == 12
+rng = np.random.default_rng(1)
+trap, freq = rng.normal(size=(2, 4, 2000)) * 100.0
+ampf = np.ones((4, 2000))
+amps0 = np.zeros((4, 26, 1), dtype=complex)
+amps0[:, 0] = 1.0
+out = np.empty_like(amps0)
+args = (amps0, *tables, trap, freq, ampf, pulse.duration / 2000, out)
+kernels.evolve_blocks_batch(*args)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+kernels.evolve_blocks_batch(*args)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+    src = os.path.dirname(os.path.dirname(tweezersim.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout) < 50
