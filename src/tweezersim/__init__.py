@@ -36,8 +36,6 @@ from .gates import (
     apply_cz,
     calibrate_imaging,
     image_ancilla,
-    local_z,
-    pushout,
     rotate,
 )
 from .protocols import (

@@ -585,14 +585,8 @@ def optimize_threshold_analytic(
     )
 
 
-def aggregate_signals(signals, n: int, mode: str = "sum", imaging=None) -> np.ndarray:
-    """Aggregate per-round signals over the first n rounds of each shot.
-
-    mode="sum" is the unweighted cumulative sum; mode="llr" (off by
-    default elsewhere) sums per-round log-likelihood ratios under the
-    normal signal model of ``imaging`` (an object with bright_mean,
-    bright_std, dark_mean, dark_std).
-    """
+def aggregate_signals(signals, n: int) -> np.ndarray:
+    """Per shot, the sum of the signals of its first n rounds."""
     arr = np.asarray(signals, dtype=float)
     if arr.ndim != 2:
         raise ValidationError("signals must be a 2-d (shots, rounds) array")
@@ -600,22 +594,7 @@ def aggregate_signals(signals, n: int, mode: str = "sum", imaging=None) -> np.nd
         raise ValidationError(
             f"n = {n} outside the recorded round count {arr.shape[1]}"
         )
-    if mode == "sum":
-        return arr[:, :n].sum(axis=1)
-    if mode != "llr":
-        raise ValidationError(f"mode must be 'sum' or 'llr', got {mode!r}")
-    if imaging is None:
-        raise ValidationError("llr aggregation needs the imaging signal model")
-    s = arr[:, :n]
-    llr = _norm_logpdf(s, imaging.bright_mean, imaging.bright_std) - _norm_logpdf(
-        s, imaging.dark_mean, imaging.dark_std
-    )
-    return llr.sum(axis=1)
-
-
-def _norm_logpdf(x, mean, std):
-    """Log density of the normal distribution N(mean, std^2) at x."""
-    return -(((x - mean) / std) ** 2) / 2.0 - math.log(math.sqrt(2.0 * math.pi)) - math.log(std)
+    return arr[:, :n].sum(axis=1)
 
 
 # ---------------------------------------------------------------------------

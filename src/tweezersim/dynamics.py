@@ -166,7 +166,6 @@ class NoiseRealization:
     trap_frequency: np.ndarray
     laser_frequency: np.ndarray
     laser_amplitude: np.ndarray
-    seed: object = None
 
     @property
     def n_steps(self) -> int:
@@ -253,7 +252,7 @@ def sample_noise_rows(model: NoiseModel, duration: float, dt: float, rows: int, 
 def sample_noise(model: NoiseModel, duration: float, dt: float, seed) -> NoiseRealization:
     """One noise realization: the one-row case of sample_noise_rows."""
     trap, freq, amp = (s[0] for s in sample_noise_rows(model, duration, dt, 1, seed))
-    return NoiseRealization(dt=dt, trap_frequency=trap, laser_frequency=freq, laser_amplitude=amp, seed=seed)
+    return NoiseRealization(dt=dt, trap_frequency=trap, laser_frequency=freq, laser_amplitude=amp)
 
 
 def _laguerre_ladder(n_top: int, alpha: int, x: float) -> list:

@@ -1,4 +1,4 @@
-"""Ideal gate set with parameterized error channels, imaging, and pushout.
+"""Ideal gate set with parameterized error channels and fast imaging.
 
 Gates act on the electronic subspace and are the identity on motion.
 Single-qubit rotations follow R(theta, phi) = exp(-i theta/2 (cos(phi)
@@ -10,11 +10,11 @@ held as one complex array psi[shot, data_level, data_n, anc_level] plus
 a loss mask per atom. The ancilla has no motional axis: it is always
 prepared at n = 0 and no operation touches its motion. Operations
 update psi in place: a gate mixes one atom's two level slices with
-coefficients per shot (``cnot_block`` fuses its four gates into one
-pass), and a measurement projects and renormalizes. Losing an atom
-follows one rule: the environment projectively measures the lost atom
-(data: level and n; ancilla: level), the partner keeps its conditional
-state, and the mask flips.
+coefficients per shot (``cnot_block`` fuses its local-Z phase, two
+rotations and CZ into one pass), and a measurement projects and
+renormalizes. Losing an atom follows one rule: the environment
+projectively measures the lost atom (data: level and n; ancilla:
+level), the partner keeps its conditional state, and the mask flips.
 
 Measurement signals are normal-distributed (bright for a ground-state
 atom, dark for clock-state, lost, or absent atoms); the distributions
@@ -229,13 +229,6 @@ def _mix(psi: np.ndarray, which: str, m) -> None:
     a1 += t
 
 
-def apply_data_unitary(batch: PairBatch, u4: np.ndarray) -> PairBatch:
-    """Apply a (level, n) unitary of shape (2, M, 2, M) to every present data atom."""
-    on = ~batch.data_lost
-    batch.psi[on] = np.einsum("xyln,blnk->bxyk", u4, batch.psi[on])
-    return batch
-
-
 def _rotation(batch: PairBatch, which: str, phase, angle) -> np.ndarray:
     """R(angle + jitter, phase) per shot, shape (2, 2, shots); angle 0 where lost."""
     errors = batch.errors
@@ -253,15 +246,6 @@ def rotate(batch: PairBatch, which: str, phase, angle) -> PairBatch:
     fresh draw per gate with per_gate_jitter.
     """
     _mix(batch.psi, which, _rotation(batch, which, phase, angle)[..., None, None])
-    return batch
-
-
-def local_z(batch: PairBatch, which: str, phi) -> PairBatch:
-    """Multiply one atom's up-level amplitudes by exp(i phi), phi a scalar
-    or one value per shot; exact and error-free."""
-    up = np.where(batch.lost(which), 1.0, np.exp(1j * np.asarray(phi, dtype=float)))
-    up_level = batch.psi[:, 1] if which == "data" else batch.psi[..., 1]
-    up_level *= up[:, None, None]
     return batch
 
 
@@ -432,13 +416,6 @@ def expose_to_imaging(batch: PairBatch, spec: ImagingSpec) -> PairBatch:
     survives with its motional coherence intact.
     """
     _scatter(batch, "data", spec.unshelved_loss_prob, "unshelved_loss")
-    return batch
-
-
-def pushout(batch: PairBatch, which: str = "data") -> PairBatch:
-    """Resonant removal of ground-state population: Born-rule branch to
-    loss for the ground state, survival collapsed to the clock manifold."""
-    _scatter(batch, which, 1.0, "pushout_loss")
     return batch
 
 

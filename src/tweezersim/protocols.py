@@ -46,7 +46,6 @@ from .gates import (
     ImagingSpec,
     PairBatch,
     apply_cz,
-    apply_data_unitary,
     calibrate_imaging,
     cnot_block,
     expose_to_imaging,
@@ -111,7 +110,6 @@ class SidebandSpectrum:
     duration: float = None
     rabi: float = None
     eta: float = None
-    side: str = "both"
 
     def __post_init__(self):
         self.detuning_hz = np.asarray(self.detuning_hz, dtype=float)
@@ -174,10 +172,12 @@ class ProtocolConfig:
             self.data_psi = {"loss_detection": "plus", "algorithmic_cooling": "down"}.get(
                 self.kind, "up"
             )
+        if self.kind == "algorithmic_cooling" and self.data_psi != "down":
+            raise ValidationError(
+                f"protocol.data_psi must be 'down' or null for algorithmic cooling, got {self.data_psi!r}"
+            )
         if self.workers < 1:
             raise ValidationError("workers must be >= 1")
-
-
 
 
 @dataclass
@@ -300,17 +300,16 @@ def _evolve_data(batch: PairBatch, pulse: PulseSpec, config: ProtocolConfig) -> 
 # circuit blocks
 
 
-def ideal_rsb_map(n_max: int) -> np.ndarray:
-    """Perfect red-sideband pi unitary on (level, n): removes one quantum
-    from every excited Fock level, leaves (down, 0) untouched."""
-    m = n_max + 1
-    u = np.zeros((2, m, 2, m), dtype=np.complex128)
-    u[0, 0, 0, 0] = 1.0
-    for n in range(1, m):
-        u[1, n - 1, 0, n] = 1.0
-        u[0, n, 1, n - 1] = -1.0
-    u[1, m - 1, 1, m - 1] = 1.0  # uncoupled at this truncation
-    return u
+def _ideal_rsb(batch: PairBatch) -> PairBatch:
+    """Perfect red-sideband pi pulse on every present data atom, a signed
+    shift of the Fock ladder: (down, n) -> (up, n - 1) and (up, n - 1) ->
+    -(down, n) for n >= 1. (down, 0) and, at this truncation, (up, n_max)
+    are uncoupled and keep their amplitudes."""
+    on = ~batch.data_lost
+    down = batch.psi[on, 0, 1:]
+    batch.psi[on, 0, 1:] = -batch.psi[on, 1, :-1]
+    batch.psi[on, 1, :-1] = down
+    return batch
 
 
 def cooling_gates(batch: PairBatch) -> PairBatch:
@@ -451,7 +450,6 @@ def run_algorithmic_cooling(config: ProtocolConfig):
     ancilla label is 'plus'/'minus' by the ancilla's overlap with
     ANC_PLUS after the data readout.
     """
-    rsb_map = ideal_rsb_map(config.n_max) if config.ideal_cooling_rsb else None
     omega10 = sideband_rabi(1, 0, config.trap.eta, config.rabi)
     rsb_pulse = PulseSpec(PulseKind.RED_SIDEBAND, rabi=config.rabi, duration=np.pi / omega10)
 
@@ -464,8 +462,8 @@ def run_algorithmic_cooling(config: ProtocolConfig):
             rng=rng,
             errors=config.gate_errors,
         )
-        if rsb_map is not None:
-            apply_data_unitary(batch, rsb_map)
+        if config.ideal_cooling_rsb:
+            _ideal_rsb(batch)
         else:
             _evolve_data(batch, rsb_pulse, config)
         cooling_gates(batch)
@@ -558,7 +556,7 @@ def simulate_sideband_spectrum(
     shots_per_point the curve is binomially sampled, otherwise exact
     values with zero stderr are returned (infinite-shots mode). A
     nonzero wrong_state_fraction w rescales the curve to (1-w) p + w,
-    modeling population removed by the pre-thermometry pushout.
+    modeling population that resonant light removes before thermometry.
     """
     if trap is None:
         trap = DEFAULT_TRAP
@@ -610,5 +608,4 @@ def simulate_sideband_spectrum(
         duration=duration,
         rabi=rabi,
         eta=trap.eta,
-        side="both",
     )

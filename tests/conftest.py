@@ -1,16 +1,28 @@
-"""Shared synthetic-spectrum generators, the sideband peak-ratio oracle,
-the scalar sideband-ladder loop, the least-squares fit references, the
-sequential ancilla-flip block and the allocating block-propagation
-reference for analysis, protocol, gate, kernel and acceptance tests."""
+"""The CLI preset loader, shared synthetic-spectrum generators, the
+sideband peak-ratio oracle, the scalar sideband-ladder loop, the
+least-squares fit references, the local Z gate and the sequential
+ancilla-flip block built on it, the dense ideal red-sideband map and its
+einsum application, and the allocating block-propagation reference for
+analysis, protocol, gate, kernel, CLI and acceptance tests."""
 
+import json
 import math
+import os
 
 import numpy as np
 
-from tweezersim import kernels
+from tweezersim import cli, kernels
 from tweezersim.dynamics import sideband_rabi, spectroscopy_pi_duration
-from tweezersim.gates import apply_cz, local_z, rotate
+from tweezersim.gates import apply_cz, rotate
 from tweezersim.protocols import DEFAULT_TRAP, SidebandSpectrum, detuned_transfer
+
+
+def preset_config(name, **protocol):
+    """The named CLI preset as a config dict, its protocol keys overridden."""
+    with open(os.path.join(os.path.dirname(cli.__file__), "presets", name + ".json")) as fh:
+        cfg = json.load(fh)
+    cfg["protocol"].update(protocol)
+    return cfg
 
 
 def gaussian_model(f, a_blue, a_red, center, width, offset):
@@ -173,6 +185,37 @@ def multistart_reference_fit(spectrum, double=False):
     if shots is not None:
         x = best_fit(1.0 / analysis._model_reweight(se, shots, model(f, *x)) ** 2, [x])
     return x
+
+
+def local_z(batch, which, phi):
+    """Multiply one atom's up-level amplitudes by exp(i phi), phi a scalar
+    or one value per shot; exact and error-free. gates.cnot_block folds
+    this gate into its pass as local_z_phase."""
+    up = np.where(batch.lost(which), 1.0, np.exp(1j * np.asarray(phi, dtype=float)))
+    up_level = batch.psi[:, 1] if which == "data" else batch.psi[..., 1]
+    up_level *= up[:, None, None]
+    return batch
+
+
+def ideal_rsb_map(n_max):
+    """Perfect red-sideband pi unitary on (level, n) as a dense array of
+    shape (2, M, 2, M): removes one quantum from every excited Fock level,
+    leaves (down, 0) untouched. Reference for protocols._ideal_rsb."""
+    m = n_max + 1
+    u = np.zeros((2, m, 2, m), dtype=np.complex128)
+    u[0, 0, 0, 0] = 1.0
+    for n in range(1, m):
+        u[1, n - 1, 0, n] = 1.0
+        u[0, n, 1, n - 1] = -1.0
+    u[1, m - 1, 1, m - 1] = 1.0  # uncoupled at this truncation
+    return u
+
+
+def apply_data_unitary(batch, u4):
+    """Apply a (level, n) unitary of shape (2, M, 2, M) to every present data atom."""
+    on = ~batch.data_lost
+    batch.psi[on] = np.einsum("xyln,blnk->bxyk", u4, batch.psi[on])
+    return batch
 
 
 def sequential_cnot_block(batch, comp_phase=np.pi, local_z_phase=0.0, entangle=True):

@@ -618,20 +618,6 @@ class TestAggregation:
         v4 = aggregate_signals(sig, 4).var()
         assert v4 == pytest.approx(4.0, rel=0.05)
 
-    def test_llr_mode_orders_like_sum_for_equal_widths(self):
-        class Spec:
-            bright_mean, bright_std, dark_mean, dark_std = 3.0, 1.0, 0.0, 1.0
-
-        rng = np.random.default_rng(9)
-        sig = rng.normal(1.5, 1.0, size=(50, 3))
-        llr = aggregate_signals(sig, 3, mode="llr", imaging=Spec)
-        total = aggregate_signals(sig, 3)
-        assert np.all(np.argsort(llr) == np.argsort(total))
-        from scipy.stats import norm
-
-        ref = norm.logpdf(sig, 3.0, 1.0) - norm.logpdf(sig, 0.0, 1.0)
-        np.testing.assert_allclose(llr, ref.sum(axis=1), rtol=1e-12)
-
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
             aggregate_signals(np.zeros((3, 2)), 3)

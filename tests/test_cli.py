@@ -7,6 +7,7 @@ import threading
 
 import numpy as np
 import pytest
+from conftest import preset_config
 
 import tweezersim
 from tweezersim import analysis, cli, config
@@ -439,11 +440,11 @@ class TestCliRuns:
         # a fresh interpreter runs every subcommand (simulate calibrates the
         # imaging, which root-finds) and still holds no scipy module
         runs = [
-            ("simulate", "sim", _preset("fig2", shots=8)),
+            ("simulate", "sim", preset_config("fig2", shots=8)),
             ("spectrum", "spec", {"spectrum": {"points_per_side": 7}}),
             ("fit", "fit", {"fit": {"input_csv": "spec/spectrum.csv"}}),
             ("detect", "det", {"detect": {"input_csv": "sim/shots.csv", "n_cyc_list": [1, 2]}}),
-            ("cool", "cool", _preset("fig4", shots=8)),
+            ("cool", "cool", preset_config("fig4", shots=8)),
             ("response", "resp", {"response": {"points": 20}}),
         ]
         argvs = [
@@ -597,6 +598,17 @@ class TestCliRuns:
         assert lines[0].startswith("nbar_init,p0_init,p0_ideal,p0_measured")
         ideal = [float(line.split(",")[2]) for line in lines[1:]]
         np.testing.assert_allclose(ideal, [0.51, 0.75, 0.91, 0.99], atol=1e-3)
+
+    @pytest.mark.parametrize("command", ["cool", "simulate"])
+    @pytest.mark.parametrize("data_psi", ["up", "plus"])
+    def test_cooling_start_state_other_than_down_exits_2(self, tmp_path, capsys, command, data_psi):
+        # the circuit starts the data atom in down; a null data_psi means down
+        path = _write_config(tmp_path, protocol={
+            "kind": "algorithmic_cooling", "shots": 200, "data_psi": data_psi, "p0_list": [0.5],
+        })
+        assert main([command, "--config", path, "--seed", "5", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "protocol.data_psi" in err and "Traceback" not in err
 
     def test_phase_calibration_command(self, tmp_path):
         path = _write_config(
@@ -946,25 +958,18 @@ class TestCsvIO:
             assert not reader.is_alive() and read[0].startswith(b"scenario,shot,round,")
 
 
-def _preset(name, **protocol):
-    with open(os.path.join(os.path.dirname(cli.__file__), "presets", name + ".json")) as fh:
-        cfg = json.load(fh)
-    cfg["protocol"].update(protocol)
-    return cfg
-
-
 _READOUT = {"protocol": {"kind": "repeated_readout", "shots": 40, "n_cyc": 2}}
 
 #: command, config, and the (command, config) run first into in/ for its input
 _OVERWRITE_RUNS = {
-    "simulate-fig2": ("simulate", _preset("fig2", shots=40), None),
-    "simulate-fig3": ("simulate", _preset("fig3", shots=8), None),
-    "simulate-fig4": ("simulate", _preset("fig4", shots=40), None),
+    "simulate-fig2": ("simulate", preset_config("fig2", shots=40), None),
+    "simulate-fig3": ("simulate", preset_config("fig3", shots=8), None),
+    "simulate-fig4": ("simulate", preset_config("fig4", shots=40), None),
     "spectrum": ("spectrum", {"spectrum": {"points_per_side": 7}}, None),
     "fit": ("fit", {"fit": {"input_csv": "in/spectrum.csv"}}, ("spectrum", {})),
     "detect": ("detect", {"detect": {"input_csv": "in/shots.csv", "n_cyc_list": [1, 2]}},
                ("simulate", _READOUT)),
-    "cool": ("cool", _preset("fig4", shots=40), None),
+    "cool": ("cool", preset_config("fig4", shots=40), None),
     "response": ("response", {"response": {"points": 20}}, None),
 }
 

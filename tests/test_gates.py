@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import sequential_cnot_block
+from conftest import local_z, sequential_cnot_block
 
 from tweezersim.analysis import optimize_threshold, optimize_threshold_analytic
 from tweezersim import gates
@@ -17,11 +17,9 @@ from tweezersim.gates import (
     expose_to_imaging,
     heating_jump,
     image_ancilla,
-    local_z,
     lose,
     measure_data,
     project_level,
-    pushout,
     rotate,
     rotation_matrix,
 )
@@ -442,24 +440,6 @@ class TestLossRule:
 
 
 class TestChannels:
-    def test_pushout_removes_down(self):
-        b = _batch(data=DOWN, rng=np.random.default_rng(6))
-        pushout(b)
-        assert b.data_lost[0]
-
-    def test_pushout_keeps_up(self):
-        b = _batch(data=UP, motional=2, rng=np.random.default_rng(6))
-        pushout(b)
-        assert not b.data_lost[0]
-        assert abs(b.psi[0, 1, 2, 1]) == pytest.approx(1.0)
-
-    def test_pushout_born_statistics(self):
-        shots = 100_000
-        b = _batch(data=PLUS, shots=shots, rng=np.random.default_rng(7))
-        pushout(b)
-        sigma = np.sqrt(0.25 / shots)
-        assert np.mean(~b.data_lost) == pytest.approx(0.5, abs=3 * sigma)
-
     def test_expose_removes_unshelved_population(self):
         spec = ImagingSpec(bright_mean=4.0, unshelved_loss_prob=1.0)
         shots = 5000

@@ -1,0 +1,89 @@
+"""Byte-level guard on the CLI outputs of every preset path.
+
+Each path runs in-process at seed 5 with its shots cut to at most 2,048
+per scenario, more than one chunk of protocols.CHUNK_SHOTS, and the
+sha256 of every CSV and of fit.json must equal the digest recorded here.
+The digests were taken with numpy 2.4.6 on x86-64; a change that is
+meant to move output bytes says why in CHANGES.md and records the new
+digests.
+"""
+
+import hashlib
+import json
+import os
+
+import pytest
+from conftest import preset_config
+
+from tweezersim.cli import main
+from tweezersim.protocols import CHUNK_SHOTS
+
+
+SHOTS = 2048  # two full chunks per scenario
+FIG3_SHOTS = CHUNK_SHOTS + 76  # fig3 runs 13 analyzer phases per scenario
+
+#: path -> [(command, config)], run in order into one out/ directory
+#: next to the configs, so a later command reads an earlier one's output
+RUNS = {
+    "simulate-fig2": [("simulate", preset_config("fig2", shots=SHOTS))],
+    "simulate-fig3": [("simulate", preset_config("fig3", shots=FIG3_SHOTS))],
+    "simulate-fig4": [("simulate", preset_config("fig4", shots=SHOTS))],
+    "cool-fig4": [("cool", preset_config("fig4", shots=SHOTS))],
+    "fit-baseline": [("spectrum", {}), ("fit", {"fit": {"input_csv": "out/spectrum.csv"}})],
+    "fit-cooled": [
+        ("spectrum", {"spectrum": {"after_cooling": True}}),
+        ("fit", {"fit": {"input_csv": "out/spectrum.csv", "mode": "cooled"}}),
+    ],
+    "detect": [
+        ("simulate", preset_config("fig2", shots=SHOTS)),
+        ("detect", {"detect": {"input_csv": "out/shots.csv", "n_cyc_list": [1, 2, 3, 4]}}),
+    ],
+}
+
+DIGESTS = {
+    "simulate-fig2": {
+        "shots.csv": "e79191ef420854d03ac254e323efe0c391d12e1feb3ddb8ecfe44f85eb4e39d9",
+    },
+    "simulate-fig3": {
+        "fringe.csv": "9899ba99ec1369e39b2810769369a32bf677ed2d031f83c29b3f76b2e70d5249",
+        "shots.csv": "07af548ba49f46bc870b9cadeaa4a6c24deffb939c5ced368f2daeebf79d4c6f",
+    },
+    "simulate-fig4": {
+        "shots.csv": "b91b574ea0db1056dcc227b2a6ad0d83d8a52355829624f51503aeb166c90f74",
+    },
+    "cool-fig4": {
+        "cool.csv": "e92bab74a4968d183218af2ba554ad0415d4fafed78694cf8a1833ed6893c722",
+    },
+    "fit-baseline": {
+        "fit.json": "c4e469ae727d8c586aaf7da4f1d61d9f6cadc6ddb9f69f1530878cb1e357461f",
+        "spectrum.csv": "7bb3f8f655e524422dd28606976ccdc730cf1102e1f3a87a92ab9a9226e2498b",
+    },
+    "fit-cooled": {
+        "fit.json": "54e35ef29262277275d680e04cce78ab0d42951a5e320821f141c12329fde0e9",
+        "spectrum.csv": "4966b8f0d42c8bd1c99601a76d055d7eb361625034009bd0525b4361d4299ac7",
+    },
+    "detect": {
+        "detect.csv": "43d5061cf2d05603fddea210862e3c518668fe8070088bbcea5267a0155e2c17",
+        "shots.csv": "e79191ef420854d03ac254e323efe0c391d12e1feb3ddb8ecfe44f85eb4e39d9",
+    },
+}
+
+
+def _digests(out):
+    return {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in sorted(os.listdir(out))
+        if name.endswith(".csv") or name == "fit.json"
+    }
+
+
+@pytest.mark.parametrize("path", list(RUNS))
+def test_seed5_outputs_keep_their_bytes(tmp_path, path):
+    for i, (command, cfg) in enumerate(RUNS[path]):
+        config_path = tmp_path / f"{i}-{command}.json"
+        config_path.write_text(json.dumps(cfg))
+        assert main([command, "--config", str(config_path), "--seed", "5", "--out", str(tmp_path / "out")]) == 0
+    got = _digests(tmp_path / "out")
+    assert sorted(got) == sorted(DIGESTS[path])
+    changed = [name for name, digest in got.items() if digest != DIGESTS[path][name]]
+    assert not changed, f"{path}: the bytes of {', '.join(changed)} changed"

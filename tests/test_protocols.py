@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import scalar_sideband_p_exc, sideband_peak_ratio
+from conftest import apply_data_unitary, ideal_rsb_map, scalar_sideband_p_exc, sideband_peak_ratio
 from scipy.linalg import expm
 
 from tweezersim.cli import main
@@ -12,7 +12,6 @@ from tweezersim.gates import (
     GateErrorSpec,
     ImagingSpec,
     PairBatch,
-    apply_data_unitary,
     heating_jump,
     image_ancilla,
     rotation_matrix,
@@ -24,12 +23,12 @@ from tweezersim.protocols import (
     DEFAULT_TRAP,
     ProtocolConfig,
     _fresh_ancilla,
+    _ideal_rsb,
     _initial_n,
     _new_pairs,
     calibrate_phase,
     cnot_block,
     cooling_gates,
-    ideal_rsb_map,
     run_algorithmic_cooling,
     run_loss_detection,
     run_repeated_readout,
@@ -185,8 +184,24 @@ class TestAlgorithmicCooling:
         data = np.zeros((1, 2, N_MAX + 1))
         data[0, 0, n_init] = 1.0
         batch = PairBatch.prepare(data, np.array([1.0, 0.0]))
-        apply_data_unitary(batch, ideal_rsb_map(N_MAX))
-        return cooling_gates(batch)
+        return cooling_gates(_ideal_rsb(batch))
+
+    @pytest.mark.parametrize("n_max", [2, 12, 20])
+    def test_ladder_shift_equals_dense_map(self, n_max):
+        # the in-place shift against the dense (2, M, 2, M) map applied by
+        # einsum, on random states where some data atoms are lost
+        rng = np.random.default_rng(n_max)
+        shots = 64
+        psi = rng.normal(size=(shots, 2, n_max + 1, 2)) + 1j * rng.normal(size=(shots, 2, n_max + 1, 2))
+        psi /= np.linalg.norm(psi.reshape(shots, -1), axis=1)[:, None, None, None]
+        lost = rng.random(shots) < 0.3
+        assert 0 < lost.sum() < shots
+        got = _ideal_rsb(PairBatch(psi.copy(), lost.copy(), np.zeros(shots, bool)))
+        want = apply_data_unitary(PairBatch(psi.copy(), lost.copy(), np.zeros(shots, bool)),
+                                  ideal_rsb_map(n_max))
+        assert np.array_equal(got.psi, want.psi)
+        assert np.array_equal(got.psi[lost], psi[lost])
+        assert np.array_equal(got.data_lost, lost)
 
     def test_hot_atom_cooled_one_quantum(self):
         batch = self._cooled_pair(1)
