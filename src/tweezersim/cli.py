@@ -141,6 +141,7 @@ class RunReport:
 
 SHOT_HEADER = ["scenario", "shot", "round", "signal", "ancilla_label", "data_label", "data_n",
                "data_lost", "aux"]
+DETECT_HEADER = ["p1", "n_cyc", "threshold", "fidelity", "f1", "f0"]
 
 
 def shot_columns(table):
@@ -202,25 +203,26 @@ def cmd_simulate(config, out_dir, workers, report):
     report.payload["results"] = results
 
 
+def _detection_table(present, absent, priors, rounds):
+    """DETECT_HEADER rows, priors outer, each thresholding the per-shot sums of the
+    first n rounds' signals. Only `detect` can ask for more rounds than were recorded."""
+    try:
+        sums = {n: (aggregate_signals(present, n), aggregate_signals(absent, n)) for n in rounds}
+    except ValidationError as exc:
+        raise ValidationError(f"detect.n_cyc_list: {exc}") from None
+    results = [(p1, n, optimize_threshold(*sums[n], p1, n_cyc=n)) for p1 in priors for n in rounds]
+    return [(p1, n, r.threshold, r.fidelity, r.f1, r.f0) for p1, n, r in results]
+
+
 def _readout_summary(table, pconf):
     out = {"protocol": "repeated_readout", "shots": pconf.shots, "n_cyc": pconf.n_cyc}
     present = table.signals[table.scenario == "present"]
     absent = table.signals[table.scenario == "absent"]
     if present.size and absent.size:
         fids = {}
-        for p1 in pconf.p1_priors:
-            per_n = {}
-            for n in range(1, pconf.n_cyc + 1):
-                res = optimize_threshold(
-                    aggregate_signals(present, n), aggregate_signals(absent, n), p1, n_cyc=n
-                )
-                per_n[str(n)] = {
-                    "fidelity": res.fidelity,
-                    "f1": res.f1,
-                    "f0": res.f0,
-                    "threshold": res.threshold,
-                }
-            fids[str(p1)] = per_n
+        rows = _detection_table(present, absent, pconf.p1_priors, range(1, pconf.n_cyc + 1))
+        for p1, n, *values in rows:
+            fids.setdefault(str(p1), {})[str(n)] = dict(zip(DETECT_HEADER[2:], values))
         out["detection"] = fids
     return out
 
@@ -256,7 +258,7 @@ def cmd_response(config, out_dir, workers, report):
         channel=sec["channel"],
         duration=sec["duration_s"],
     )
-    rf = response_function(query, method=sec["method"])
+    rf = response_function(query)
     noise = build_noise(config, config.get("_base_dir", "."))
     channel_spec = noise.channel(sec["channel"])
     columns = [rf.frequencies_hz, rf.values]
@@ -480,20 +482,10 @@ def cmd_detect(config, out_dir, workers, report):
     matrices = read_shots_csv(_input_csv(config, "detect"))
     if "present" not in matrices or "absent" not in matrices:
         raise ValidationError("detect.input_csv must hold present and absent scenarios")
-    try:
-        sums = {
-            n: [aggregate_signals(matrices[s], n) for s in ("present", "absent")]
-            for n in sec["n_cyc_list"]
-        }
-    except ValidationError as exc:
-        raise ValidationError(f"detect.n_cyc_list: {exc}") from None
-    rows = []
-    for p1 in config["protocol"]["p1_priors"]:
-        for n in sec["n_cyc_list"]:
-            res = optimize_threshold(*sums[n], p1, n_cyc=n)
-            rows.append((p1, n, res.threshold, res.fidelity, res.f1, res.f0))
+    rows = _detection_table(matrices["present"], matrices["absent"],
+                            config["protocol"]["p1_priors"], sec["n_cyc_list"])
     path = os.path.join(out_dir, "detect.csv")
-    write_csv(path, ["p1", "n_cyc", "threshold", "fidelity", "f1", "f0"], zip(*rows))
+    write_csv(path, DETECT_HEADER, zip(*rows))
     report.add_output(path)
     report.payload["results"] = {"rows": len(rows)}
 

@@ -79,7 +79,6 @@ _KEYS = {
     "protocol.ancilla_absent_prob": (0.0, "[0, 1]"),
     "protocol.ideal_cooling_rsb": (True, bool),
     "response.channel": ("trap_frequency", CHANNELS),
-    "response.method": ("closed-form", ("closed-form", "numeric")),
     "response.grid_kind": ("log", ("log", "linear")),
     "response.f_min_hz": (10.0, "[0, inf)"),
     "response.f_max_hz": (10e3, "(0, inf)"),
@@ -321,9 +320,6 @@ def build_imaging(config: dict) -> ImagingSpec:
 
 def build_protocol(config: dict, base_dir: str = ".", workers: int = 1) -> ProtocolConfig:
     sec = config["protocol"]
-    noise = build_noise(config, base_dir)
-    if all(noise.channel(c) is None for c in CHANNELS):
-        noise = None
     analyzer = sec["analyzer_phases_rad"]
     same_name = ("kind", "shots", "n_cyc", "n_max", "data_psi", "data_nbar", "steps_per_pulse",
                  "shelving_transfer_fidelity", "ancilla_absent_prob", "ideal_cooling_rsb")
@@ -336,7 +332,7 @@ def build_protocol(config: dict, base_dir: str = ".", workers: int = 1) -> Proto
         imaging=build_imaging(config),
         trap=build_trap(config),
         rabi=TWO_PI * config["pulse"]["rabi_hz"],
-        noise=noise,
+        noise=build_noise(config, base_dir),
         comp_phase=sec["comp_phase_rad"],
         local_z_phase=sec["local_z_phase_rad"],
         workers=workers,

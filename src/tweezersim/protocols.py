@@ -61,6 +61,7 @@ from .states import (
     ElectronicLevel,
     ThermalSpec,
     TrapSpec,
+    _check_probability_vector,
     thermal_distribution,
 )
 
@@ -138,7 +139,7 @@ class ProtocolConfig:
     p1_priors: tuple = (0.5, 0.9)
     scenarios: tuple = SCENARIOS
     n_max: int = DEFAULT_N_MAX
-    data_psi: str = None  # "up" | "down" | "plus"; default depends on kind
+    data_psi: str = None  # "up" | "down" | "plus"; default and allowed per kind
     data_nbar: float = 0.0
     gate_errors: GateErrorSpec = field(default_factory=GateErrorSpec)
     imaging: ImagingSpec = None
@@ -168,13 +169,17 @@ class ProtocolConfig:
             self.trap = DEFAULT_TRAP
         if self.imaging is None:
             self.imaging = calibrate_imaging(target_fidelity=0.90, p1=0.5)
+        # (default, allowed) data start states; cooling and the phase scan are built for one each
+        default, allowed = {
+            "loss_detection": ("plus", _ELECTRONIC), "algorithmic_cooling": ("down", ("down",)),
+            "phase_calibration": ("up", ("up",)),
+        }.get(self.kind, ("up", _ELECTRONIC))
         if self.data_psi is None:
-            self.data_psi = {"loss_detection": "plus", "algorithmic_cooling": "down"}.get(
-                self.kind, "up"
-            )
-        if self.kind == "algorithmic_cooling" and self.data_psi != "down":
+            self.data_psi = default
+        if self.data_psi not in allowed:
             raise ValidationError(
-                f"protocol.data_psi must be 'down' or null for algorithmic cooling, got {self.data_psi!r}"
+                f"protocol.data_psi must be {' or '.join(allowed)} or null for {self.kind}, "
+                f"got {self.data_psi!r}"
             )
         if self.workers < 1:
             raise ValidationError("workers must be >= 1")
@@ -253,25 +258,21 @@ def _initial_n(config: ProtocolConfig, rng, size: int) -> np.ndarray:
     return np.zeros(size, dtype=np.intp)
 
 
-def _new_pairs(config: ProtocolConfig, rng, shots, present: bool, anc_level) -> PairBatch:
-    """Fresh pairs: the configured data state (an absent data atom sits in
-    (up, 0), masked) and a ground-state-motion ancilla at anc_level that
-    is absent with ancilla_absent_prob."""
-    if present:
-        electronic = _ELECTRONIC.get(config.data_psi)
-        if electronic is None:
-            raise ValidationError(f"unknown data_psi {config.data_psi!r}")
-        data = _data_amps(electronic, _initial_n(config, rng, shots.size), config.n_max)
-    else:
-        data = _data_amps(_ELECTRONIC["up"], np.zeros(shots.size, dtype=np.intp), config.n_max)
-    return PairBatch.prepare(
-        data,
+def _new_pairs(config: ProtocolConfig, rng, shots, present: bool, anc_level) -> tuple:
+    """Fresh pairs and the data atoms' initial Fock numbers: the
+    configured data state at a thermal Fock number (an absent data atom
+    sits in (up, 0), masked) and a ground-state-motion ancilla at
+    anc_level that is absent with ancilla_absent_prob."""
+    n = _initial_n(config, rng, shots.size) if present else np.zeros(shots.size, dtype=np.intp)
+    batch = PairBatch.prepare(
+        _data_amps(_ELECTRONIC[config.data_psi if present else "up"], n, config.n_max),
         np.eye(2)[int(anc_level)],
         data_lost=not present,
         anc_lost=rng.random(shots.size) < config.ancilla_absent_prob,
         rng=rng,
         errors=config.gate_errors,
     )
+    return batch, n
 
 
 def _fresh_ancilla(batch: PairBatch, config: ProtocolConfig, level) -> PairBatch:
@@ -363,7 +364,7 @@ def run_repeated_readout(config: ProtocolConfig) -> ShotTable:
     imaging = config.imaging
 
     def chunk(rng, shots, scenario):
-        batch = _new_pairs(config, rng, shots, scenario == "present", ElectronicLevel.UP)
+        batch, _ = _new_pairs(config, rng, shots, scenario == "present", ElectronicLevel.UP)
         signals = np.empty((shots.size, config.n_cyc))
         labels = np.empty((shots.size, config.n_cyc), dtype="<U5")
         for rnd in range(config.n_cyc):
@@ -407,7 +408,7 @@ def run_loss_detection(config: ProtocolConfig, analyzer_phases=None, reference: 
     unshelve = replace(shelve, phase=shelve.phase + np.pi)
 
     def chunk(rng, shots, scenario, phi):
-        batch = _new_pairs(config, rng, shots, scenario == "present", ElectronicLevel.UP)
+        batch, _ = _new_pairs(config, rng, shots, scenario == "present", ElectronicLevel.UP)
         _evolve_data(batch, shelve, config)
         cnot_block(batch, config.comp_phase, config.local_z_phase, entangle=not reference)
         if reference:
@@ -454,14 +455,7 @@ def run_algorithmic_cooling(config: ProtocolConfig):
     rsb_pulse = PulseSpec(PulseKind.RED_SIDEBAND, rabi=config.rabi, duration=np.pi / omega10)
 
     def chunk(rng, shots):
-        n_init = _initial_n(config, rng, shots.size)
-        batch = PairBatch.prepare(
-            _data_amps(_ELECTRONIC["down"], n_init, config.n_max),
-            _ELECTRONIC["down"],
-            anc_lost=rng.random(shots.size) < config.ancilla_absent_prob,
-            rng=rng,
-            errors=config.gate_errors,
-        )
+        batch, n_init = _new_pairs(config, rng, shots, True, ElectronicLevel.DOWN)
         if config.ideal_cooling_rsb:
             _ideal_rsb(batch)
         else:
@@ -510,7 +504,7 @@ def calibrate_phase(config: ProtocolConfig, phases=None):
     if phases is None:
         phases = config.analyzer_phases
     phases = np.asarray(phases, dtype=float)
-    data = _data_amps(_ELECTRONIC["up"], np.zeros(phases.size, dtype=np.intp), config.n_max)
+    data = _data_amps(_ELECTRONIC[config.data_psi], np.zeros(phases.size, dtype=np.intp), config.n_max)
     p_down = {}
     data_dev = 0.0
     for scenario in config.scenarios:
@@ -560,9 +554,7 @@ def simulate_sideband_spectrum(
     """
     if trap is None:
         trap = DEFAULT_TRAP
-    dist = np.asarray(initial_dist, dtype=float)
-    if abs(dist.sum() - 1.0) > 1e-9 or np.any(dist < -1e-12):
-        raise ValidationError("initial_dist must be a probability vector")
+    dist = _check_probability_vector(initial_dist)
     if not 0.0 <= wrong_state_fraction < 1.0:
         raise ValidationError("wrong_state_fraction must be in [0, 1)")
     if duration is None:

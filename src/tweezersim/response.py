@@ -24,10 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import QuasiStatic, SpectralDensity
+from .dynamics import CHANNELS, QuasiStatic, SpectralDensity
 from .errors import GridMismatchError, QuadratureError, ValidationError
 
-RESPONSE_CHANNELS = ("trap_frequency", "laser_frequency", "laser_amplitude")
 #: Quadrature density: panels per oscillation period of the fastest scale.
 PANELS_PER_PERIOD = 400
 
@@ -49,8 +48,8 @@ class ResponseQuery:
         object.__setattr__(self, "frequencies_hz", f)
         if self.eta <= 0 or self.rabi <= 0:
             raise ValidationError("eta and rabi must be positive")
-        if self.channel not in RESPONSE_CHANNELS:
-            raise ValidationError(f"channel must be one of {RESPONSE_CHANNELS}")
+        if self.channel not in CHANNELS:
+            raise ValidationError(f"channel must be one of {CHANNELS}")
         if self.duration is None:
             object.__setattr__(self, "duration", math.pi / (self.eta * self.rabi))
         elif self.duration < 0:
@@ -177,22 +176,19 @@ def response_numeric(query: ResponseQuery, n_panels: int = None) -> ResponseFunc
     )
 
 
-def response_function(query: ResponseQuery, method: str = "closed-form") -> ResponseFunction:
-    """Evaluate I(f) over the query grid by the chosen method."""
-    if method == "numeric":
-        return response_numeric(query)
-    if method != "closed-form":
-        raise ValidationError(f"method must be 'closed-form' or 'numeric', got {method!r}")
+def response_function(query: ResponseQuery) -> ResponseFunction:
+    """I(f) over the query grid, in closed form where one exists: the
+    amplitude channel at any duration, the frequency channels at the
+    pi-pulse duration. Any other duration takes Simpson quadrature
+    (response_numeric). The result's `method` says which one ran."""
     if query.channel == "laser_amplitude":
         vals = amplitude_response_closed_form(
             query.frequencies_hz, query.eta, query.rabi, query.duration
         )
-    else:
-        if abs(query.duration - math.pi / (query.eta * query.rabi)) > 1e-12 * query.duration:
-            raise ValidationError(
-                "the closed form for this channel is specific to the pi-pulse duration"
-            )
+    elif abs(query.duration - math.pi / (query.eta * query.rabi)) <= 1e-12 * query.duration:
         vals = response_closed_form(query.frequencies_hz, query.eta, query.rabi)
+    else:
+        return response_numeric(query)
     return ResponseFunction(
         frequencies_hz=query.frequencies_hz.copy(),
         values=np.atleast_1d(vals),

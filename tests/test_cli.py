@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -25,6 +26,7 @@ from tweezersim.config import (
 )
 from tweezersim.errors import ValidationError
 from tweezersim.protocols import ShotTable
+from tweezersim.response import ResponseQuery, amplitude_response_closed_form, response_numeric
 
 
 def _write_config(tmp_path, name="cfg.json", **overrides):
@@ -309,6 +311,7 @@ class TestCliRuns:
             ("protocol.scenarios", ["both"]),
             ("protocol.analyzer_phases_rad", []),
             ("protocol.data_psi", "sideways"),
+            ("response.method", "numeric"),  # removed: the inputs pick the method
             ("response.f_min_hz", -1),
             ("response.points", 0),
             ("spectrum.points_per_side", 0),
@@ -430,6 +433,24 @@ class TestCliRuns:
         w = 0.36 * 2 * np.pi * 2000.0
         assert float(first[0]) == 0.0
         assert float(first[1]) == pytest.approx(1.0 / w**2, rel=1e-12)
+
+    @pytest.mark.parametrize("channel, method", [("trap_frequency", "numeric"),
+                                                 ("laser_amplitude", "closed-form")])
+    def test_response_method_follows_from_duration(self, tmp_path, channel, method):
+        # the frequency channels have a closed form at the pi time only, so
+        # at another duration their response is integrated numerically
+        path = _write_config(tmp_path, response={"channel": channel, "duration_s": 0.0005,
+                                                 "f_max_hz": 2000.0, "points": 9})
+        out = tmp_path / "resp"
+        assert main(["response", "--config", path, "--out", str(out)]) == 0
+        assert json.loads((out / "budget.json").read_text())["method"] == method
+        freqs, values = np.loadtxt(out / "response.csv", delimiter=",", skiprows=1).T
+        eta, rabi = build_trap(validate_config({})).eta, config.TWO_PI * 2000.0
+        if method == "numeric":
+            want = response_numeric(ResponseQuery(eta, rabi, freqs, channel, 0.0005)).values
+        else:
+            want = amplitude_response_closed_form(freqs, eta, rabi, 0.0005)
+        np.testing.assert_array_equal(values, want)
 
     @pytest.mark.parametrize("module", ["scipy", "scipy.stats", "scipy.optimize", "scipy.linalg"])
     def test_import_leaves_module_unloaded(self, cli_import_modules, module):
@@ -609,6 +630,23 @@ class TestCliRuns:
         assert main([command, "--config", path, "--seed", "5", "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "protocol.data_psi" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("data_psi", ["down", "plus"])
+    def test_phase_calibration_start_state_other_than_up_exits_2(self, tmp_path, capsys, data_psi):
+        # the scan is built for a data atom in up; a null data_psi means up
+        path = _write_config(tmp_path, protocol={"kind": "phase_calibration", "data_psi": data_psi})
+        assert main(["simulate", "--config", path, "--seed", "5", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "protocol.data_psi" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("data_psi", ["up", None])
+    def test_phase_calibration_up_or_null_keeps_its_bytes(self, tmp_path, data_psi):
+        path = _write_config(tmp_path, protocol={"kind": "phase_calibration", "data_psi": data_psi},
+                             gates={"enabled": False})
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", path, "--seed", "5", "--out", str(out)]) == 0
+        digest = hashlib.sha256((out / "phase_calibration.csv").read_bytes()).hexdigest()
+        assert digest == "04b7452de9a184e9b47894b3bcce68539e292b0d84f09ac42f24983302cdc54b"
 
     def test_phase_calibration_command(self, tmp_path):
         path = _write_config(

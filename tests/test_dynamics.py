@@ -562,8 +562,8 @@ class TestEvolveBatchGuards:
     @pytest.mark.parametrize("scale", [1.001, np.nan])
     def test_norm_drift_guard(self, monkeypatch, scale):
         # a kernel that scales every amplitude (or overflows to NaN) trips
-        # the output norm check of evolve_batch and of both evolve_rows
-        # branches
+        # the output norm check of evolve_batch and of evolve_rows, quiet
+        # or noisy
         real = kernels.evolve_blocks_batch
 
         def leaky(*args):
@@ -696,6 +696,32 @@ class TestEvolveRows:
             np.testing.assert_allclose(out[k, :, anc[k]], ref, rtol=0, atol=1e-12)
             assert np.all(out[k, :, 1 - anc[k]] == 0)
         assert rng_after.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize(
+        "kind, mode",
+        [
+            (PulseKind.CARRIER, "rwa-ladder"),
+            (PulseKind.RED_SIDEBAND, "rwa-ladder"),
+            (PulseKind.BLUE_SIDEBAND, "rwa-ladder"),
+            (PulseKind.FREE, "rwa-ladder"),
+            (PulseKind.BLUE_SIDEBAND, "two-level"),
+        ],
+    )
+    def test_noiseless_rows_match_dense_propagator(self, kind, mode, k):
+        # noise None runs the quiet model through the kernel: one exact
+        # step per row, no draw, equal to the dense propagator's product
+        pulse = PulseSpec(kind, rabi=RABI, duration=0.7 * T_PI, detuning=0.2 * ETA * RABI, phase=0.3)
+        rng = np.random.default_rng(23)
+        shape = (7, 2, self.N_MAX + 1, k)
+        rows = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        rows[:, :, self.N_MAX - 1:] = 0.0  # nothing reaches the truncation edge
+        rows = rows.reshape(7, -1, k) / np.linalg.norm(rows.reshape(7, -1), axis=1)[:, None, None]
+        before = rng.bit_generator.state
+        out = evolve_rows(rows, pulse, TRAP, None, rng=rng, mode=mode)
+        assert rng.bit_generator.state == before
+        ref = propagator(pulse, TRAP, None, mode, self.N_MAX) @ rows
+        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-14)
 
     def test_rejects_unnormalized_row(self):
         pulse = PulseSpec.bsb_pi(ETA, RABI)

@@ -2,7 +2,8 @@
 
 Each path runs in-process at seed 5 with its shots cut to at most 2,048
 per scenario, more than one chunk of protocols.CHUNK_SHOTS, and the
-sha256 of every CSV and of fit.json must equal the digest recorded here.
+sha256 of every CSV, of fit.json and of budget.json must equal the
+digest recorded here.
 The digests were taken with numpy 2.4.6 on x86-64; a change that is
 meant to move output bytes says why in CHANGES.md and records the new
 digests.
@@ -29,6 +30,12 @@ RUNS = {
     "simulate-fig3": [("simulate", preset_config("fig3", shots=FIG3_SHOTS))],
     "simulate-fig4": [("simulate", preset_config("fig4", shots=SHOTS))],
     "cool-fig4": [("cool", preset_config("fig4", shots=SHOTS))],
+    "simulate-phase-calibration": [("simulate", {"protocol": {"kind": "phase_calibration"}})],
+    "response": [("response", {})],
+    "response-amplitude": [("response", {
+        "response": {"channel": "laser_amplitude"},
+        "noise": {"laser_amplitude": {"kind": "quasi_static", "sigma_hz": 50.0}},
+    })],
     "fit-baseline": [("spectrum", {}), ("fit", {"fit": {"input_csv": "out/spectrum.csv"}})],
     "fit-cooled": [
         ("spectrum", {"spectrum": {"after_cooling": True}}),
@@ -54,6 +61,17 @@ DIGESTS = {
     "cool-fig4": {
         "cool.csv": "e92bab74a4968d183218af2ba554ad0415d4fafed78694cf8a1833ed6893c722",
     },
+    "simulate-phase-calibration": {
+        "phase_calibration.csv": "04b7452de9a184e9b47894b3bcce68539e292b0d84f09ac42f24983302cdc54b",
+    },
+    "response": {
+        "budget.json": "94fd6c154b95c29911adc39bcfa517ef839b6fc775b3d74eff2a01e04faf39a6",
+        "response.csv": "4be64ccabea2faf4d74e0850b046bc8829f8bdd0f0913ff1f6f92df7f3a39262",
+    },
+    "response-amplitude": {
+        "budget.json": "d0cb4b451ff071a909e8aedbfdcfe3d415bf2aa8999da6d9654720697c6e04b3",
+        "response.csv": "28f2e20e8a73db532841a28fd98a682fd31b7f36f9d974295bad60fd29ab9016",
+    },
     "fit-baseline": {
         "fit.json": "c4e469ae727d8c586aaf7da4f1d61d9f6cadc6ddb9f69f1530878cb1e357461f",
         "spectrum.csv": "7bb3f8f655e524422dd28606976ccdc730cf1102e1f3a87a92ab9a9226e2498b",
@@ -73,7 +91,7 @@ def _digests(out):
     return {
         name: hashlib.sha256((out / name).read_bytes()).hexdigest()
         for name in sorted(os.listdir(out))
-        if name.endswith(".csv") or name == "fit.json"
+        if name.endswith(".csv") or name in ("fit.json", "budget.json")
     }
 
 

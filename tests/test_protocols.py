@@ -385,8 +385,8 @@ class TestReadoutInPlace:
         imaging = ImagingSpec(bright_mean=3.0, data_heating_quanta_per_round=0.3)
         cfg = _ideal_config("repeated_readout", n_cyc=2, gate_errors=errors,
                             imaging=imaging, ancilla_absent_prob=0.1)
-        batch = _new_pairs(cfg, np.random.default_rng(8), np.arange(300), True,
-                           ElectronicLevel.UP)
+        batch, _ = _new_pairs(cfg, np.random.default_rng(8), np.arange(300), True,
+                              ElectronicLevel.UP)
         psi = batch.psi
         for rnd in range(cfg.n_cyc):
             steps = [lambda: cnot_block(batch, cfg.comp_phase, cfg.local_z_phase),
