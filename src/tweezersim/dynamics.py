@@ -554,17 +554,21 @@ def evolve_rows(
 
     amps has shape (rows, 2 * (n_max + 1), k): flat (level, n)
     amplitudes with k spectator columns (a partner atom's levels) that
-    the pulse does not touch; each row has norm 1. noise None is the
-    quiet NoiseModel(). The rows run through the kernel a chunk at a
-    time, and each chunk draws its rows' realizations from rng with one
-    sample_noise_rows call, in row order; a quiet model draws nothing.
-    Without a SpectralDensity channel each row's H is constant over the
-    pulse, so its realization has one exact step and `steps` is not
-    used; with one, it has `steps` steps. The step-size, truncation and
-    norm guards apply per row.
+    the pulse does not touch; each row has norm 1. With noise None or a
+    model with no channel the pulse is noiseless: every row shares one
+    exact step, applied as the dense propagator, and nothing is drawn.
+    Otherwise the rows run through the kernel a chunk at a time, and each
+    chunk draws its rows' realizations from rng with one
+    sample_noise_rows call, in row order. Without a SpectralDensity
+    channel each row's H is constant over the pulse, so its realization
+    has one exact step and `steps` is not used; with one, it has `steps`
+    steps. The step-size, truncation and norm guards apply per row.
     """
     n_max = amps.shape[1] // 2 - 1
-    noise = noise or NoiseModel()
+    if noise is None or all(noise.channel(c) is None for c in CHANNELS):
+        out = propagator(pulse, trap, None, mode, n_max) @ amps
+        _check_guards(amps, out, pulse, n_max, mode)
+        return out
     if noise.f_max() == 0:  # no SpectralDensity channel: H is constant
         steps = 1
     dt = pulse.duration / steps

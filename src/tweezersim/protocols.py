@@ -494,7 +494,7 @@ def run_algorithmic_cooling(config: ProtocolConfig):
 
 
 def calibrate_phase(config: ProtocolConfig, phases=None):
-    """Deterministic phase scan of the compensated ancilla rotation.
+    """Deterministic phase scan of the compensated ancilla rotation, data atom in up.
 
     Returns a dict with the scanned phases, the ancilla ground-state
     population per scenario, and the largest deviation of the data-atom
@@ -504,7 +504,7 @@ def calibrate_phase(config: ProtocolConfig, phases=None):
     if phases is None:
         phases = config.analyzer_phases
     phases = np.asarray(phases, dtype=float)
-    data = _data_amps(_ELECTRONIC[config.data_psi], np.zeros(phases.size, dtype=np.intp), config.n_max)
+    data = _data_amps(_ELECTRONIC["up"], np.zeros(phases.size, dtype=np.intp), config.n_max)
     p_down = {}
     data_dev = 0.0
     for scenario in config.scenarios:

@@ -201,17 +201,18 @@ def response_function(query: ResponseQuery) -> ResponseFunction:
 
 
 def response_at_zero(response: ResponseFunction) -> float:
-    """I(0) for the response's channel and parameters."""
-    if response.channel == "laser_amplitude":
-        return float(amplitude_response_closed_form(0.0, response.eta, response.rabi, response.duration))
-    return float(response_closed_form(0.0, response.eta, response.rabi))
+    """I(0) for the response's channel, parameters and duration, by the
+    method response_function picks for them."""
+    query = ResponseQuery(response.eta, response.rabi, [0.0], response.channel, response.duration)
+    return float(response_function(query).values[0])
 
 
 def infidelity(channel_spec, response: ResponseFunction) -> float:
     """PSD-weighted infidelity chi for one noise channel.
 
     QuasiStatic channels bypass the integral: chi = sigma^2 * I(0), which
-    for the trap/laser-frequency channels equals (sigma / (eta*rabi))^2.
+    for the trap/laser-frequency channels at the pi time equals
+    (sigma / (eta*rabi))^2.
     Tabulated PSDs are integrated by the trapezoid rule over the common
     grid; a warning is raised when the PSD support extends beyond the
     response grid.

@@ -452,6 +452,22 @@ class TestCliRuns:
             want = amplitude_response_closed_form(freqs, eta, rabi, 0.0005)
         np.testing.assert_array_equal(values, want)
 
+    def test_quasi_static_chi_uses_the_response_duration(self, tmp_path):
+        # off the pi time chi is sigma^2 I(0) at the configured duration,
+        # not the pi-time 1/(eta rabi)^2
+        path = _write_config(tmp_path,
+                             noise={"trap_frequency": {"kind": "quasi_static", "sigma_hz": 50.0}},
+                             response={"duration_s": 0.0005, "points": 9})
+        out = tmp_path / "resp"
+        assert main(["response", "--config", path, "--out", str(out)]) == 0
+        budget = json.loads((out / "budget.json").read_text())
+        assert budget["method"] == "numeric"
+        eta, rabi = build_trap(validate_config({})).eta, config.TWO_PI * 2000.0
+        i0 = response_numeric(ResponseQuery(eta, rabi, [0.0], "trap_frequency", 0.0005)).values[0]
+        assert budget["contributions"]["trap_frequency"] == (config.TWO_PI * 50.0) ** 2 * i0
+        w = eta * rabi
+        assert i0 == pytest.approx(0.25 * ((1 - math.cos(w * 0.0005)) / w) ** 2, rel=1e-9)
+
     @pytest.mark.parametrize("module", ["scipy", "scipy.stats", "scipy.optimize", "scipy.linalg"])
     def test_import_leaves_module_unloaded(self, cli_import_modules, module):
         # each of these adds ~0.15 s or more to the start-up of every run

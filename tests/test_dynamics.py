@@ -709,8 +709,9 @@ class TestEvolveRows:
         ],
     )
     def test_noiseless_rows_match_dense_propagator(self, kind, mode, k):
-        # noise None runs the quiet model through the kernel: one exact
-        # step per row, no draw, equal to the dense propagator's product
+        # noise None and a model with no channel both apply the dense
+        # propagator, draw nothing, and agree with the per-row kernel run
+        # on zero series
         pulse = PulseSpec(kind, rabi=RABI, duration=0.7 * T_PI, detuning=0.2 * ETA * RABI, phase=0.3)
         rng = np.random.default_rng(23)
         shape = (7, 2, self.N_MAX + 1, k)
@@ -718,10 +719,15 @@ class TestEvolveRows:
         rows[:, :, self.N_MAX - 1:] = 0.0  # nothing reaches the truncation edge
         rows = rows.reshape(7, -1, k) / np.linalg.norm(rows.reshape(7, -1), axis=1)[:, None, None]
         before = rng.bit_generator.state
-        out = evolve_rows(rows, pulse, TRAP, None, rng=rng, mode=mode)
+        dense = evolve_rows(rows, pulse, TRAP, None, rng=rng, mode=mode)
+        quiet = evolve_rows(rows, pulse, TRAP, NoiseModel(), rng=rng, mode=mode)
         assert rng.bit_generator.state == before
-        ref = propagator(pulse, TRAP, None, mode, self.N_MAX) @ rows
-        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(dense, propagator(pulse, TRAP, None, mode, self.N_MAX) @ rows)
+        np.testing.assert_array_equal(quiet, dense)
+        zeros = np.zeros((7, 1))
+        per_row = dynamics._run_kernel(rows, pulse, TRAP, zeros, zeros, zeros + 1.0,
+                                       pulse.duration, mode, self.N_MAX)
+        np.testing.assert_allclose(dense, per_row, rtol=0, atol=1e-14)
 
     def test_rejects_unnormalized_row(self):
         pulse = PulseSpec.bsb_pi(ETA, RABI)
