@@ -258,9 +258,19 @@ def cmd_response(config, out_dir, workers, report):
         channel=sec["channel"],
         duration=sec["duration_s"],
     )
-    rf = response_function(query)
+    try:
+        rf = response_function(query)
+    except ValidationError as exc:
+        pi_time = " (null: the pi time at pulse.rabi_hz)" if sec["duration_s"] is None else ""
+        raise ValidationError(f"response.duration_s{pi_time}: {exc}") from None
     noise = build_noise(config, config.get("_base_dir", "."))
     channel_spec = noise.channel(sec["channel"])
+    try:
+        b = budget(noise, {sec["channel"]: rf})
+    except ValidationError as exc:
+        if isinstance(channel_spec, SpectralDensity):
+            raise
+        raise ValidationError(f"noise.{sec['channel']}.sigma_hz: {exc}") from None
     columns = [rf.frequencies_hz, rf.values]
     header = ["frequency_hz", "response_s2"]
     if isinstance(channel_spec, SpectralDensity):
@@ -273,7 +283,6 @@ def cmd_response(config, out_dir, workers, report):
     path = os.path.join(out_dir, "response.csv")
     write_csv(path, header, columns)
     report.add_output(path)
-    b = budget(noise, {sec["channel"]: rf})
     payload = {
         "channel": sec["channel"],
         "method": rf.method,

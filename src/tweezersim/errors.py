@@ -30,10 +30,6 @@ class StepSizeError(NumericsError):
     """Time step too coarse for the requested evolution."""
 
 
-class QuadratureError(NumericsError):
-    """Quadrature resolution below the required panel density."""
-
-
 class FitError(TweezersimError):
     """Base class for fitting failures."""
 

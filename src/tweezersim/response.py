@@ -13,7 +13,9 @@ form is
     I(f) = [ w * cos(pi f T) / (w^2 - (2 pi f)^2) ]^2,  w = eta * rabi,
 
 with T = pi / w, continued analytically through the removable
-singularity at f = w / (2 pi) where I = (T / 4)^2.
+singularity at f = w / (2 pi) where I = (T / 4)^2. Off the pi time a
+Simpson rule integrates it; each channel's correlator has rank one, so its
+double sum is one weighted sum per frequency (response_numeric).
 """
 
 from __future__ import annotations
@@ -25,10 +27,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import CHANNELS, QuasiStatic, SpectralDensity
-from .errors import GridMismatchError, QuadratureError, ValidationError
+from .errors import GridMismatchError, ValidationError
 
 #: Quadrature density: panels per oscillation period of the fastest scale.
 PANELS_PER_PERIOD = 400
+#: Most Simpson panels a numeric response may take (~0.3 GB of time vectors).
+MAX_PANELS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -123,57 +127,40 @@ def amplitude_response_closed_form(f, eta: float, rabi: float, duration: float =
     return float(val) if val.ndim == 0 else val
 
 
-def _correlator(channel: str, eta: float, rabi: float):
-    """Connected Heisenberg-picture correlator C(t, tau) of the channel."""
-    w = eta * rabi
-    if channel in ("trap_frequency", "laser_frequency"):
-        return lambda t, tau: 0.25 * np.sin(w * t) * np.sin(w * tau)
-    if channel == "laser_amplitude":
-        return lambda t, tau: (eta / 2.0) ** 2 * np.ones(np.broadcast(t, tau).shape)
-    raise ValidationError(f"unknown channel {channel!r}")
-
-
 def required_panels(query: ResponseQuery) -> int:
-    """Smallest even Simpson panel count meeting the density criterion."""
+    """Smallest even Simpson panel count meeting the density criterion. One
+    past MAX_PANELS, or infinite, raises ValidationError before any allocation."""
     f_osc = max(float(np.max(query.frequencies_hz)), query.eta * query.rabi / (2.0 * np.pi))
-    n = max(PANELS_PER_PERIOD, int(math.ceil(PANELS_PER_PERIOD * query.duration * f_osc)))
+    need = PANELS_PER_PERIOD * query.duration * f_osc
+    if not need <= MAX_PANELS:
+        raise ValidationError(
+            f"{query.duration:g} s up to {f_osc:g} Hz needs {need:.3g} Simpson panels, "
+            f"more than the cap of {MAX_PANELS:,}"
+        )
+    n = max(PANELS_PER_PERIOD, math.ceil(need))
     return n + (n % 2)
 
 
-def response_numeric(query: ResponseQuery, n_panels: int = None) -> ResponseFunction:
-    """I(f) by composite-Simpson evaluation of the double time integral.
-
-    I(f) = int_0^T dt int_0^T dtau cos(2 pi f (t - tau)) C(t, tau).
-    """
-    need = required_panels(query)
-    if n_panels is None:
-        n_panels = need
-    elif n_panels < need or n_panels % 2:
-        raise QuadratureError(
-            f"n_panels = {n_panels} below the required even panel count {need}"
-        )
+def response_numeric(query: ResponseQuery) -> ResponseFunction:
+    """I(f) = int_0^T dt int_0^T dtau cos(2 pi f (t - tau)) C(t, tau) by
+    composite Simpson. C has rank one, C(t, tau) = g(t) g(tau) with
+    g = sin(w t) / 2 for the frequency channels and eta / 2 for the
+    amplitude channel, so with v = (Simpson weights) * g(t) the double sum
+    is (sum_i v_i cos 2 pi f t_i)^2 + (sum_i v_i sin 2 pi f t_i)^2: one
+    weighted sum per frequency, in memory O(panels)."""
+    n_panels = required_panels(query)
     t = np.linspace(0.0, query.duration, n_panels + 1)
-    h = query.duration / n_panels
-    wts = np.full(n_panels + 1, 2.0)
-    wts[1::2] = 4.0
-    wts[0] = wts[-1] = 1.0
-    wts *= h / 3.0
-    corr = _correlator(query.channel, query.eta, query.rabi)(t[:, None], t[None, :])
+    v = np.full(n_panels + 1, 2.0)
+    v[1::2] = 4.0
+    v[0] = v[-1] = 1.0
+    v *= query.duration / n_panels / 3.0
+    amplitude = query.channel == "laser_amplitude"
+    v *= query.eta / 2.0 if amplitude else 0.5 * np.sin(query.eta * query.rabi * t)
     vals = np.empty(query.frequencies_hz.size)
     for i, f in enumerate(query.frequencies_hz):
-        cc = wts * np.cos(2.0 * np.pi * f * t)
-        ss = wts * np.sin(2.0 * np.pi * f * t)
-        vals[i] = cc @ (corr @ cc) + ss @ (corr @ ss)
-    vals = np.maximum(vals, 0.0)
-    return ResponseFunction(
-        frequencies_hz=query.frequencies_hz.copy(),
-        values=vals,
-        channel=query.channel,
-        method="numeric",
-        eta=query.eta,
-        rabi=query.rabi,
-        duration=query.duration,
-    )
+        phase = 2.0 * np.pi * f * t
+        vals[i] = (v @ np.cos(phase)) ** 2 + (v @ np.sin(phase)) ** 2
+    return _result(query, vals, "numeric")
 
 
 def response_function(query: ResponseQuery) -> ResponseFunction:
@@ -189,15 +176,12 @@ def response_function(query: ResponseQuery) -> ResponseFunction:
         vals = response_closed_form(query.frequencies_hz, query.eta, query.rabi)
     else:
         return response_numeric(query)
-    return ResponseFunction(
-        frequencies_hz=query.frequencies_hz.copy(),
-        values=np.atleast_1d(vals),
-        channel=query.channel,
-        method="closed-form",
-        eta=query.eta,
-        rabi=query.rabi,
-        duration=query.duration,
-    )
+    return _result(query, vals, "closed-form")
+
+
+def _result(query: ResponseQuery, values, method: str) -> ResponseFunction:
+    return ResponseFunction(query.frequencies_hz.copy(), np.atleast_1d(values), query.channel,
+                            method, query.eta, query.rabi, query.duration)
 
 
 def response_at_zero(response: ResponseFunction) -> float:
@@ -220,7 +204,13 @@ def infidelity(channel_spec, response: ResponseFunction) -> float:
     if channel_spec is None:
         return 0.0
     if isinstance(channel_spec, QuasiStatic):
-        return channel_spec.sigma**2 * response_at_zero(response)
+        try:
+            chi = channel_spec.sigma**2 * response_at_zero(response)
+        except OverflowError:
+            chi = math.inf
+        if chi == math.inf:
+            raise ValidationError(f"sigma^2 I(0) overflows at sigma = {channel_spec.sigma:g} rad/s")
+        return chi
     if not isinstance(channel_spec, SpectralDensity):
         raise ValidationError(f"unsupported channel spec {type(channel_spec).__name__}")
     rf, rv = response.frequencies_hz, response.values

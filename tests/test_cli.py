@@ -468,6 +468,29 @@ class TestCliRuns:
         w = eta * rabi
         assert i0 == pytest.approx(0.25 * ((1 - math.cos(w * 0.0005)) / w) ** 2, rel=1e-9)
 
+    @pytest.mark.parametrize("channel", ["trap_frequency", "laser_amplitude"])
+    @pytest.mark.parametrize("value", [5e-324, 1e-300, 1e-9, 0.999999, 1, 1e6, 1e300])
+    @pytest.mark.parametrize("key", ["response.duration_s", "response.f_min_hz",
+                                     "response.f_max_hz", "pulse.rabi_hz",
+                                     "noise.trap_frequency.sigma_hz",
+                                     "noise.laser_amplitude.sigma_hz"])
+    def test_response_input_extremes_exit_cleanly(self, tmp_path, capsys, key, value, channel):
+        # a value the config table accepts either runs, or exits 2 naming its
+        # key, or 3; never with a traceback
+        cfg = {"response": {"points": 3, "channel": channel}}
+        *sections, name = key.split(".")
+        node = cfg
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[name] = value
+        path = _write_config(tmp_path, **cfg)
+        code = main(["response", "--config", path, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3), err
+        assert "Traceback" not in err
+        if code == 2:
+            assert key in err
+
     @pytest.mark.parametrize("module", ["scipy", "scipy.stats", "scipy.optimize", "scipy.linalg"])
     def test_import_leaves_module_unloaded(self, cli_import_modules, module):
         # each of these adds ~0.15 s or more to the start-up of every run

@@ -32,6 +32,7 @@ RUNS = {
     "cool-fig4": [("cool", preset_config("fig4", shots=SHOTS))],
     "simulate-phase-calibration": [("simulate", {"protocol": {"kind": "phase_calibration"}})],
     "response": [("response", {})],
+    "response-numeric": [("response", {"response": {"duration_s": 0.0005}})],
     "response-amplitude": [("response", {
         "response": {"channel": "laser_amplitude"},
         "noise": {"laser_amplitude": {"kind": "quasi_static", "sigma_hz": 50.0}},
@@ -67,6 +68,10 @@ DIGESTS = {
     "response": {
         "budget.json": "94fd6c154b95c29911adc39bcfa517ef839b6fc775b3d74eff2a01e04faf39a6",
         "response.csv": "4be64ccabea2faf4d74e0850b046bc8829f8bdd0f0913ff1f6f92df7f3a39262",
+    },
+    "response-numeric": {
+        "budget.json": "1355f17c188434bb8c840fdd82e571d7d988be02596f2ff647d0e7e28f55aaf6",
+        "response.csv": "5efdeff513a8fca96d1865db01d3a680b9ab88990a2180188432166ce72ea6b5",
     },
     "response-amplitude": {
         "budget.json": "d0cb4b451ff071a909e8aedbfdcfe3d415bf2aa8999da6d9654720697c6e04b3",

@@ -1,9 +1,18 @@
+import math
+import os
+import subprocess
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import tweezersim
 from tweezersim.dynamics import QuasiStatic, SpectralDensity
-from tweezersim.errors import GridMismatchError, QuadratureError, ValidationError
+from tweezersim.errors import GridMismatchError, ValidationError
 from tweezersim.response import (
+    MAX_PANELS,
+    PANELS_PER_PERIOD,
     InfidelityBudget,
     ResponseQuery,
     amplitude_response_closed_form,
@@ -11,6 +20,7 @@ from tweezersim.response import (
     infidelity,
     response_closed_form,
     response_function,
+    required_panels,
     response_numeric,
 )
 
@@ -92,9 +102,58 @@ class TestNumeric:
         scaled = response_numeric(ResponseQuery(ETA, c * RABI, c * freqs))
         np.testing.assert_allclose(scaled.values, base.values / c**2, rtol=1e-9)
 
-    def test_panel_criterion_enforced(self):
-        with pytest.raises(QuadratureError):
-            response_numeric(ResponseQuery(ETA, RABI, np.array([1e4])), n_panels=100)
+    @pytest.mark.parametrize("channel", ["trap_frequency", "laser_amplitude"])
+    def test_matches_the_dense_double_sum(self, channel):
+        # the Simpson double sum of cos(2 pi f (t - tau)) C(t, tau), written out
+        query = ResponseQuery(ETA, RABI, np.linspace(0.0, 2e3, 9), channel, 0.0005)
+        n = required_panels(query)
+        t = np.linspace(0.0, query.duration, n + 1)
+        wts = np.where(np.arange(n + 1) % 2, 4.0, 2.0)
+        wts[0] = wts[-1] = 1.0
+        wts *= query.duration / n / 3.0
+        g = np.full(n + 1, ETA / 2) if channel == "laser_amplitude" else 0.5 * np.sin(W * t)
+        corr = np.outer(g, g)
+        want = [wts @ (np.cos(2 * np.pi * f * (t[:, None] - t[None, :])) * corr) @ wts
+                for f in query.frequencies_hz]
+        got = response_numeric(query).values
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * max(want))
+
+    def test_panel_cap_is_inclusive(self):
+        at_cap = MAX_PANELS / (PANELS_PER_PERIOD * 1e4)
+        assert required_panels(ResponseQuery(ETA, RABI, np.array([1e4]), duration=at_cap)) == MAX_PANELS
+
+    @pytest.mark.parametrize("duration", [1.01 * MAX_PANELS / (PANELS_PER_PERIOD * 1e4), math.inf])
+    def test_past_the_panel_cap_raises_before_allocating(self, duration):
+        query = ResponseQuery(ETA, RABI, np.array([1e4]), duration=duration)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="cap of 10,000,000"):
+                response_numeric(query)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
+    def test_numeric_response_memory_grows_with_panels_only(self, tmp_path):
+        # 20,000 panels; an (n+1) x (n+1) correlator matrix of them took 3.1 GB.
+        # The child reads its own peak RSS, VmHWM: its ru_maxrss starts from
+        # the peak of the test process it was forked from.
+        code = """
+import json
+from tweezersim.cli import main
+with open("cfg.json", "w") as fh:
+    json.dump({"response": {"duration_s": 0.005}}, fh)
+assert main(["response", "--config", "cfg.json", "--out", "out"]) == 0
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+"""
+        src = os.path.dirname(os.path.dirname(tweezersim.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert int(out.stdout.split()[-1]) < 100_000
 
 
 class TestInfidelity:
