@@ -261,8 +261,10 @@ def cmd_response(config, out_dir, workers, report):
     try:
         rf = response_function(query)
     except ValidationError as exc:
-        pi_time = " (null: the pi time at pulse.rabi_hz)" if sec["duration_s"] is None else ""
-        raise ValidationError(f"response.duration_s{pi_time}: {exc}") from None
+        key = "response.duration_s"
+        if sec["duration_s"] is None:
+            key += " (null: the pi time at trap.eta and pulse.rabi_hz)"
+        raise ValidationError(f"{key}: {exc}") from None
     noise = build_noise(config, config.get("_base_dir", "."))
     channel_spec = noise.channel(sec["channel"])
     try:

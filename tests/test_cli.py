@@ -476,7 +476,7 @@ class TestCliRuns:
                                      "noise.laser_amplitude.sigma_hz"])
     def test_response_input_extremes_exit_cleanly(self, tmp_path, capsys, key, value, channel):
         # a value the config table accepts either runs, or exits 2 naming its
-        # key, or 3; never with a traceback
+        # key and writing nothing, or 3; never with a traceback
         cfg = {"response": {"points": 3, "channel": channel}}
         *sections, name = key.split(".")
         node = cfg
@@ -490,6 +490,7 @@ class TestCliRuns:
         assert "Traceback" not in err
         if code == 2:
             assert key in err
+            assert not (tmp_path / "o" / "response.csv").exists()
 
     @pytest.mark.parametrize("module", ["scipy", "scipy.stats", "scipy.optimize", "scipy.linalg"])
     def test_import_leaves_module_unloaded(self, cli_import_modules, module):
