@@ -251,13 +251,18 @@ def cmd_response(config, out_dir, workers, report):
         grid = np.logspace(math.log10(sec["f_min_hz"]), math.log10(sec["f_max_hz"]), sec["points"])
     else:
         grid = np.linspace(sec["f_min_hz"], sec["f_max_hz"], sec["points"])
-    query = ResponseQuery(
-        eta=trap.eta,
-        rabi=rabi,
-        frequencies_hz=grid,
-        channel=sec["channel"],
-        duration=sec["duration_s"],
-    )
+    try:
+        query = ResponseQuery(
+            eta=trap.eta,
+            rabi=rabi,
+            frequencies_hz=grid,
+            channel=sec["channel"],
+            duration=sec["duration_s"],
+        )
+    except ValidationError as exc:
+        eta = "trap.eta" if config["trap"]["eta"] is not None else (
+            "trap.eta (null: from trap.frequency_hz, trap.mass_amu and trap.wavelength_nm)")
+        raise ValidationError(f"{eta}, pulse.rabi_hz or the response.f_* grid: {exc}") from None
     try:
         rf = response_function(query)
     except ValidationError as exc:

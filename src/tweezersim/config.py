@@ -53,10 +53,12 @@ _KEYS = {
     "gates.sq_over_rotation_sigma_rad": (0.02, "[0, inf)"),
     "gates.per_gate_jitter": (False, bool),
     "imaging.target_single_round_fidelity": (0.90, "(0.5, 1)"),
-    "imaging.bright_mean": (None, "(-inf, inf)"),  # calibrated from the target when omitted
-    "imaging.dark_mean": (0.0, "(-inf, inf)"),
-    "imaging.bright_std": (1.0, "(0, inf)"),
-    "imaging.dark_std": (1.0, "(0, inf)"),
+    # signal units are arbitrary; within these bounds the threshold
+    # quadratic's terms (mean / std^2 squared) stay finite
+    "imaging.bright_mean": (None, "[-1e30, 1e30]"),  # calibrated from the target when omitted
+    "imaging.dark_mean": (0.0, "[-1e30, 1e30]"),
+    "imaging.bright_std": (1.0, "[1e-30, 1e30]"),
+    "imaging.dark_std": (1.0, "[1e-30, 1e30]"),
     "imaging.bright_loss_prob": (0.5, "[0, 1]"),
     "imaging.unshelved_loss_prob": (0.9, "[0, 1]"),
     "imaging.data_heating_quanta_per_round": (0.008, "[0, 1]"),
@@ -250,13 +252,25 @@ def dump_default_config() -> str:
 
 
 def build_trap(config: dict) -> TrapSpec:
+    """The trap; values whose SI forms underflow to 0, or that derive an
+    eta of 0 or inf, are rejected naming the three trap keys."""
     sec = config["trap"]
-    return TrapSpec(
-        omega_t=TWO_PI * sec["frequency_hz"],
-        mass=sec["mass_amu"] * 1.66053906892e-27,
-        k=TWO_PI / (sec["wavelength_nm"] * 1e-9),
-        eta=sec["eta"],
-    )
+    try:
+        trap = TrapSpec(
+            omega_t=TWO_PI * sec["frequency_hz"],
+            mass=sec["mass_amu"] * 1.66053906892e-27,
+            k=TWO_PI / (sec["wavelength_nm"] * 1e-9),
+            eta=sec["eta"],
+        )
+        problem = f"they derive eta = {trap.eta:g}"
+    except (ValidationError, ZeroDivisionError):
+        trap, problem = None, "one of them underflows to 0 in SI units"
+    if trap is None or not 0 < trap.eta < math.inf:
+        raise ValidationError(
+            f"trap.frequency_hz, trap.mass_amu and trap.wavelength_nm must give a positive "
+            f"finite Lamb-Dicke parameter; {problem}"
+        )
+    return trap
 
 
 def _build_channel(sec, name, base_dir):

@@ -6,8 +6,10 @@ sigma_x + sin(phi) sigma_y)); the CZ applies the phase -1 on the joint
 (up, up) electronic component.
 
 Every operation acts on a PairBatch: a chunk of data + ancilla pairs
-held as one complex array psi[shot, data_level, data_n, anc_level] plus
-a loss mask per atom. The ancilla has no motional axis: it is always
+held as one complex array psi[shot, data_level, slot, anc_level] plus
+a loss mask per atom. Slot s is the data's Fock level n0[shot] + s: a
+window of the W levels its circuit reaches, outside which the ladder
+0..n_max holds nothing. The ancilla has no motional axis: it is always
 prepared at n = 0 and no operation touches its motion. Operations
 update psi in place: a gate mixes one atom's two level slices with
 coefficients per shot (``cnot_block`` fuses its local-Z phase, two
@@ -103,13 +105,14 @@ class ImagingSpec:
 class PairBatch:
     """A chunk of data + ancilla pairs.
 
-    ``psi`` has shape (shots, 2, n_max + 1, 2), indexed (shot,
-    data_level, data_n, anc_level) with levels ordered (DOWN, UP); each
-    row is normalized. ``data_lost`` and ``anc_lost`` mark lost or
-    absent atoms, whose axes hold a definite basis state that no
-    operation touches. ``rng`` drives every stochastic branch;
-    ``errors`` is None for ideal gates, and ``jitter`` holds each shot's
-    constant rotation jitter.
+    ``psi`` has shape (shots, 2, W, 2), indexed (shot, data_level, slot,
+    anc_level) with levels ordered (DOWN, UP); each row is normalized.
+    Slot s is the data's Fock level n0[shot] + s, with 0 <= n0 and
+    n0 + W - 1 <= n_max; n0 and n_max default to the full ladder, 0 and
+    W - 1. ``data_lost`` and ``anc_lost`` mark lost or absent atoms,
+    whose axes hold a definite basis state that no operation touches.
+    ``rng`` drives every stochastic branch; ``errors`` is None for ideal
+    gates, and ``jitter`` holds each shot's constant rotation jitter.
     """
 
     psi: np.ndarray
@@ -119,21 +122,27 @@ class PairBatch:
     errors: GateErrorSpec = None
     jitter: np.ndarray = None
     events: Counter = field(default_factory=Counter)
+    n0: np.ndarray = None
+    n_max: int = None
+
+    def __post_init__(self):  # the full ladder by default
+        self.n0 = np.zeros(self.size, dtype=np.intp) if self.n0 is None else self.n0
+        self.n_max = self.psi.shape[2] - 1 if self.n_max is None else self.n_max
 
     @classmethod
     def prepare(cls, data, anc, data_lost=False, anc_lost=False, rng=None, errors=None):
-        """Product pairs from data amplitudes (shots, 2, n_max + 1) and
-        ancilla (down, up) amplitudes, shared (2,) or per shot (shots, 2)."""
+        """Product pairs from data amplitudes (shots, 2, n_max + 1), n0 = 0,
+        and ancilla (down, up) amplitudes, shared (2,) or per shot (shots, 2)."""
         data = np.asarray(data, dtype=np.complex128)
         shots = data.shape[0]
-        anc = np.broadcast_to(np.asarray(anc, dtype=np.complex128), (shots, 2))
+        anc = np.asarray(anc, dtype=np.complex128)
         jitter = None
         if errors is not None and errors.sq_over_rotation_sigma > 0 and not errors.per_gate_jitter:
             jitter = rng.normal(0.0, errors.sq_over_rotation_sigma, shots)
         return cls(
-            psi=data[..., None] * anc[:, None, None, :],
-            data_lost=np.array(np.broadcast_to(data_lost, shots)),
-            anc_lost=np.array(np.broadcast_to(anc_lost, shots)),
+            psi=data[..., None] * anc[..., None, None, :],
+            data_lost=np.full(shots, data_lost),
+            anc_lost=np.full(shots, anc_lost),
             rng=rng,
             errors=errors,
             jitter=jitter,
@@ -142,10 +151,6 @@ class PairBatch:
     @property
     def size(self) -> int:
         return self.psi.shape[0]
-
-    @property
-    def n_max(self) -> int:
-        return self.psi.shape[2] - 1
 
     def lost(self, which: str) -> np.ndarray:
         """The loss mask of one atom ('data' or 'anc'), writable in place."""
@@ -343,15 +348,17 @@ def measure_data(batch: PairBatch, rows=None):
     pairs (default: every pair with a data atom).
 
     The ancilla keeps its conditional state. Returns (level, n) per shot;
-    entries of unselected shots are meaningless.
+    entries of unselected shots are meaningless. Only zeros lie outside
+    the window, so one uniform picks the same (level, n) as on the ladder.
     """
     if rows is None:
         rows = ~batch.data_lost
-    probs = _norm2(batch.psi, (batch.size, 2 * (batch.n_max + 1), 4), "bi")
+    w = batch.psi.shape[2]
+    probs = _norm2(batch.psi, (batch.size, 2 * w, 4), "bi")
     index = _sample(probs, batch.rng)
-    _project(batch, rows, index, probs, (batch.size, 2, batch.n_max + 1, 1))
-    level, n = np.divmod(index, batch.n_max + 1)
-    return level, n
+    _project(batch, rows, index, probs, (batch.size, 2, w, 1))
+    level, slot = np.divmod(index, w)
+    return level, batch.n0 + slot
 
 
 def lose(batch: PairBatch, which: str, rows) -> PairBatch:
@@ -421,18 +428,20 @@ def expose_to_imaging(batch: PairBatch, spec: ImagingSpec) -> PairBatch:
 
 def heating_jump(batch: PairBatch, probability: float) -> PairBatch:
     """Phenomenological per-round heating: each present data atom moves
-    one quantum up with the given probability."""
+    one quantum up with the given probability: its window moves up, or,
+    where the window ends at n_max, its amplitudes shift up one slot."""
     if probability <= 0.0:
         return batch
     jump = np.flatnonzero(~batch.data_lost & (batch.rng.random(batch.size) < probability))
-    if not jump.size:
-        return batch
-    top = _norm2(batch.psi[jump, :, -1], (jump.size, 1, 8), "b")
-    if np.max(top) > 1e-6:
+    at_top = batch.n0[jump] + batch.psi.shape[2] > batch.n_max
+    rows = jump[at_top]
+    top = _norm2(batch.psi[rows, :, -1], (rows.size, 1, 8), "b")
+    if np.any(top > 1e-6):
         raise TruncationError("heating jump would push population past n_max")
-    batch.psi[jump, :, 1:] = batch.psi[jump, :, :-1]
-    batch.psi[jump, :, 0] = 0.0
-    batch.psi[jump] /= np.sqrt(1.0 - top)[:, None, None, None]
+    batch.n0[jump[~at_top]] += 1
+    batch.psi[rows, :, 1:] = batch.psi[rows, :, :-1]
+    batch.psi[rows, :, 0] = 0.0
+    batch.psi[rows] /= np.sqrt(1.0 - top)[:, None, None, None]
     batch.events["heating_jump"] += int(jump.size)
     return batch
 

@@ -75,7 +75,7 @@ PROTOCOL_KINDS = (
 )
 
 #: Shots per chunk. A constant, so that no output depends on the worker
-#: count; one chunk's arrays stay near a megabyte at the default n_max.
+#: count; one chunk's pair state is 64 W bytes per shot (see WINDOW).
 CHUNK_SHOTS = 1024
 RNG_SCHEME = (
     "PCG64(SeedSequence(seed, spawn_key=(scenario, [phase,] chunk))), "
@@ -92,6 +92,11 @@ _ELECTRONIC = {
     "down": np.array([1.0, 0.0]),
     "plus": np.array([1.0, 1.0]) / np.sqrt(2.0),
 }
+
+#: Fock levels W per shot that each circuit reaches (its PairBatch window):
+#: readout drives no motion, the red sideband couples n to n - 1, and the
+#: blue sideband n to n - 1 and n + 1.
+WINDOW = {"repeated_readout": 1, "algorithmic_cooling": 2, "loss_detection": 3}
 
 DEFAULT_TRAP = TrapSpec(
     omega_t=2 * np.pi * 35e3,
@@ -183,6 +188,9 @@ class ProtocolConfig:
             )
         if self.workers < 1:
             raise ValidationError("workers must be >= 1")
+        if not self.data_nbar / (self.data_nbar + 1.0) < 1.0:  # else no thermal distribution
+            raise ValidationError(f"protocol.data_nbar (cool: each nbar_list or p0_list entry) "
+                                  f"must stay below 9e15, got {self.data_nbar:g}")
 
 
 @dataclass
@@ -243,13 +251,6 @@ def _run_chunks(config: ProtocolConfig, jobs) -> list:
     return [ShotTable.concat(tables[j : j + n_chunks]) for j in range(0, len(tables), n_chunks)]
 
 
-def _data_amps(electronic, n, n_max: int) -> np.ndarray:
-    """Data amplitudes (shots, 2, n_max + 1): one electronic state in Fock state n per shot."""
-    amps = np.zeros((n.size, 2, n_max + 1), dtype=np.complex128)
-    amps[np.arange(n.size), :, n] = electronic
-    return amps
-
-
 def _initial_n(config: ProtocolConfig, rng, size: int) -> np.ndarray:
     """Fock numbers drawn from the thermal distribution at data_nbar."""
     if config.data_nbar > 0:
@@ -262,16 +263,22 @@ def _new_pairs(config: ProtocolConfig, rng, shots, present: bool, anc_level) -> 
     """Fresh pairs and the data atoms' initial Fock numbers: the
     configured data state at a thermal Fock number (an absent data atom
     sits in (up, 0), masked) and a ground-state-motion ancilla at
-    anc_level that is absent with ancilla_absent_prob."""
+    anc_level that is absent with ancilla_absent_prob. The pairs hold the
+    window of config.kind (see WINDOW), n0 = n - 1 where W > 1, clipped."""
     n = _initial_n(config, rng, shots.size) if present else np.zeros(shots.size, dtype=np.intp)
+    w = min(WINDOW[config.kind], config.n_max + 1)
+    n0 = np.minimum(np.maximum(n - (w > 1), 0), config.n_max + 1 - w)
+    amps = np.zeros((n.size, 2, w), dtype=np.complex128)
+    amps[np.arange(n.size), :, n - n0] = _ELECTRONIC[config.data_psi if present else "up"]
     batch = PairBatch.prepare(
-        _data_amps(_ELECTRONIC[config.data_psi if present else "up"], n, config.n_max),
+        amps,
         np.eye(2)[int(anc_level)],
         data_lost=not present,
         anc_lost=rng.random(shots.size) < config.ancilla_absent_prob,
         rng=rng,
         errors=config.gate_errors,
     )
+    batch.n0, batch.n_max = n0, config.n_max
     return batch, n
 
 
@@ -286,14 +293,18 @@ def _fresh_ancilla(batch: PairBatch, config: ProtocolConfig, level) -> PairBatch
 
 def _evolve_data(batch: PairBatch, pulse: PulseSpec, config: ProtocolConfig) -> PairBatch:
     """Drive every present data atom through a pulse, each under its own
-    noise realization; the ancilla levels are spectators."""
-    on = ~batch.data_lost
-    if on.any():
-        amps = batch.psi[on].reshape(-1, 2 * (config.n_max + 1), 2)
-        out = evolve_rows(
-            amps, pulse, config.trap, config.noise, config.steps_per_pulse, batch.rng
-        )
-        batch.psi[on] = out.reshape(-1, 2, config.n_max + 1, 2)
+    noise realization; the ancilla levels are spectators. evolve_rows and
+    its guards run on the full ladder, into which the windows scatter."""
+    on = np.flatnonzero(~batch.data_lost)
+    if on.size:
+        m = 2 * (batch.n_max + 1)  # (n, anc level) entries per data level on the ladder
+        slots = np.arange(2)[:, None] * m + np.arange(2 * batch.psi.shape[2])  # [level, slot, anc]
+        at = (np.arange(on.size) * 2 * m + 2 * batch.n0[on])[:, None, None] + slots
+        ladder = np.zeros((on.size, m, 2), dtype=np.complex128)
+        ladder.reshape(-1)[at] = batch.psi[on].reshape(at.shape)
+        out = evolve_rows(ladder, pulse, config.trap, config.noise, config.steps_per_pulse,
+                          batch.rng)
+        batch.psi[on] = out.reshape(-1)[at].reshape(-1, *batch.psi.shape[1:])
     return batch
 
 
@@ -303,9 +314,10 @@ def _evolve_data(batch: PairBatch, pulse: PulseSpec, config: ProtocolConfig) -> 
 
 def _ideal_rsb(batch: PairBatch) -> PairBatch:
     """Perfect red-sideband pi pulse on every present data atom, a signed
-    shift of the Fock ladder: (down, n) -> (up, n - 1) and (up, n - 1) ->
-    -(down, n) for n >= 1. (down, 0) and, at this truncation, (up, n_max)
-    are uncoupled and keep their amplitudes."""
+    shift of the window's slots: (down, s) -> (up, s - 1) and (up, s - 1)
+    -> -(down, s) for s >= 1. (down, 0) and (up, W - 1) keep their
+    amplitudes: on the full ladder they are uncoupled (n = 0, and n_max at
+    this truncation), and a cooling window starts with neither occupied."""
     on = ~batch.data_lost
     down = batch.psi[on, 0, 1:]
     batch.psi[on, 0, 1:] = -batch.psi[on, 1, :-1]
@@ -504,7 +516,7 @@ def calibrate_phase(config: ProtocolConfig, phases=None):
     if phases is None:
         phases = config.analyzer_phases
     phases = np.asarray(phases, dtype=float)
-    data = _data_amps(_ELECTRONIC["up"], np.zeros(phases.size, dtype=np.intp), config.n_max)
+    data = np.broadcast_to(_ELECTRONIC["up"][:, None], (phases.size, 2, 1))  # motion stays at n = 0
     p_down = {}
     data_dev = 0.0
     for scenario in config.scenarios:

@@ -52,6 +52,11 @@ class ResponseQuery:
         object.__setattr__(self, "frequencies_hz", f)
         if self.eta <= 0 or self.rabi <= 0:
             raise ValidationError("eta and rabi must be positive")
+        if not (self.eta <= 1e150 and 1e-150 <= self.eta * self.rabi <= 1e150):
+            raise ValidationError(  # the closed forms square eta, w and 1 / w
+                f"eta = {self.eta:g} and w = eta * rabi = {self.eta * self.rabi:g} rad/s "
+                f"must stay within 1e150, and w above 1e-150"
+            )
         if self.channel not in CHANNELS:
             raise ValidationError(f"channel must be one of {CHANNELS}")
         if self.duration is None:

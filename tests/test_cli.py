@@ -246,6 +246,7 @@ class TestCliRuns:
             ("steps_per_pulse", 0),
             ("shots", True),
             ("n_max", 1),
+            ("data_nbar", 1e300),  # nbar / (nbar + 1) rounds to 1
         ],
     )
     def test_bad_protocol_value_exit_2(self, tmp_path, capsys, key, value):
@@ -269,12 +270,18 @@ class TestCliRuns:
             ("imaging.dark_mean", None),
             ("imaging.bright_std", 0),
             ("imaging.dark_std", "1"),
+            # past these the threshold quadratic divides by 0 or overflows
+            ("imaging.bright_std", 5e-324),
+            ("imaging.dark_std", 1e300),
+            ("imaging.dark_mean", 1e300),
             ("imaging.bright_loss_prob", 1.5),
             ("imaging.unshelved_loss_prob", True),
             ("imaging.data_heating_quanta_per_round", -0.01),
             ("trap.frequency_hz", 0),
             ("trap.mass_amu", "88"),
             ("trap.wavelength_nm", -698.0),
+            ("trap.frequency_hz", 5e-324),  # 2 m omega underflows to 0 in SI units
+            ("trap.wavelength_nm", 5e-324),
             ("trap.eta", "x"),
             ("trap.eta", 0.0),
             ("pulse.rabi_hz", "x"),
@@ -473,7 +480,8 @@ class TestCliRuns:
     @pytest.mark.parametrize("key", ["response.duration_s", "response.f_min_hz",
                                      "response.f_max_hz", "pulse.rabi_hz",
                                      "noise.trap_frequency.sigma_hz",
-                                     "noise.laser_amplitude.sigma_hz"])
+                                     "noise.laser_amplitude.sigma_hz",
+                                     "trap.frequency_hz", "trap.eta"])
     def test_response_input_extremes_exit_cleanly(self, tmp_path, capsys, key, value, channel):
         # a value the config table accepts either runs, or exits 2 naming its
         # key and writing nothing, or 3; never with a traceback

@@ -464,6 +464,17 @@ class TestChannels:
         with pytest.raises(TruncationError):
             heating_jump(b, probability=1.0)
 
+    def test_heating_jump_moves_a_window_up_to_the_ladder_top(self):
+        psi = np.zeros((1, 2, 1, 2), dtype=complex)
+        psi[0, 1, 0, 1] = 1.0
+        b = PairBatch(psi.copy(), np.zeros(1, bool), np.zeros(1, bool),
+                      rng=np.random.default_rng(10), n0=np.array([N_MAX - 1]), n_max=N_MAX)
+        heating_jump(b, probability=1.0)
+        assert b.n0[0] == N_MAX
+        np.testing.assert_array_equal(b.psi, psi)
+        with pytest.raises(TruncationError):  # n0 = n_max: the window is the ladder's top
+            heating_jump(b, probability=1.0)
+
     def test_projective_measure_collapses(self):
         b = _batch(data=PLUS, motional=np.array([1, 1, 0, 0, 0]) / np.sqrt(2),
                    rng=np.random.default_rng(12))

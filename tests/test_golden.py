@@ -30,6 +30,11 @@ RUNS = {
     "simulate-fig3": [("simulate", preset_config("fig3", shots=FIG3_SHOTS))],
     "simulate-fig4": [("simulate", preset_config("fig4", shots=SHOTS))],
     "cool-fig4": [("cool", preset_config("fig4", shots=SHOTS))],
+    "cool-fig4-pulsed-rsb": [("cool", preset_config("fig4", shots=SHOTS, ideal_cooling_rsb=False))],
+    "simulate-fig3-thermal-noisy": [("simulate", {
+        **preset_config("fig3", shots=FIG3_SHOTS, data_nbar=0.5),
+        "noise": {"trap_frequency": {"kind": "quasi_static", "sigma_hz": 175.0}},
+    })],
     "simulate-phase-calibration": [("simulate", {"protocol": {"kind": "phase_calibration"}})],
     "response": [("response", {})],
     "response-numeric": [("response", {"response": {"duration_s": 0.0005}})],
@@ -61,6 +66,14 @@ DIGESTS = {
     },
     "cool-fig4": {
         "cool.csv": "e92bab74a4968d183218af2ba554ad0415d4fafed78694cf8a1833ed6893c722",
+    },
+    # the red-sideband pulse leaves the p0 columns of the ideal map
+    "cool-fig4-pulsed-rsb": {
+        "cool.csv": "e92bab74a4968d183218af2ba554ad0415d4fafed78694cf8a1833ed6893c722",
+    },
+    "simulate-fig3-thermal-noisy": {
+        "fringe.csv": "03222ed51e838f49a49f61faf567e1b61d53a52554643baa4cdd34d01a33b7b2",
+        "shots.csv": "d35fd8ef64e8e58b2e8baa81abc486b9cfdd92ea6ae4184265578785921bd4fd",
     },
     "simulate-phase-calibration": {
         "phase_calibration.csv": "04b7452de9a184e9b47894b3bcce68539e292b0d84f09ac42f24983302cdc54b",

@@ -3,9 +3,16 @@ import json
 
 import numpy as np
 import pytest
-from conftest import apply_data_unitary, ideal_rsb_map, scalar_sideband_p_exc, sideband_peak_ratio
+from conftest import (
+    apply_data_unitary,
+    ideal_rsb_map,
+    preset_config,
+    scalar_sideband_p_exc,
+    sideband_peak_ratio,
+)
 from scipy.linalg import expm
 
+from tweezersim import protocols
 from tweezersim.cli import main
 from tweezersim.dynamics import NoiseModel, QuasiStatic, SpectralDensity, sideband_rabi
 from tweezersim.gates import (
@@ -342,15 +349,20 @@ class TestChunkDeterminism:
         _assert_tables_equal(*runs)
 
 
-    def test_loss_detection_psd_cli_bytes_independent_of_threads(self, tmp_path):
+    @pytest.mark.parametrize("cfg", [
         # two chunks per (scenario, phase) unit, each drawing its rows'
         # PSD realizations with one synthesis call per kernel chunk
-        cfg = {
+        pytest.param({
             "noise": {"laser_frequency": {"kind": "psd", "frequencies_hz": [0.0, 100.0],
                                           "values": [2e3, 2e3]}},
             "protocol": {"kind": "loss_detection", "shots": CHUNK_SHOTS + 6, "n_max": N_MAX,
                          "steps_per_pulse": 50, "analyzer_phases_rad": [0.0, 1.0]},
-        }
+        }, id="psd_laser"),
+        # the fig3 preset, its thermal windows placed per shot
+        pytest.param(preset_config("fig3", shots=CHUNK_SHOTS + 6, data_nbar=0.5),
+                     id="fig3-thermal"),
+    ])
+    def test_loss_detection_cli_bytes_independent_of_threads(self, tmp_path, cfg):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         outs = [tmp_path / f"threads{n}" for n in (1, 2)]
@@ -375,6 +387,51 @@ class TestChunkDeterminism:
                              workers=2)
         run_loss_detection(cfg, analyzer_phases=[0.0, 1.0, 2.0])
         assert len(pools) == 1  # 2 scenarios x 3 phases x 2 chunks share it
+
+
+class TestWindow:
+    """Each protocol's Fock window against the full ladder (W = n_max + 1,
+    n0 = 0): the same outcomes, events and final state of every chunk's
+    random stream."""
+
+    @pytest.mark.parametrize("kind, extra", [
+        pytest.param("repeated_readout",
+                     {"imaging": ImagingSpec(bright_mean=3.0, data_heating_quanta_per_round=0.5)},
+                     id="readout-heating"),
+        pytest.param("algorithmic_cooling", {"data_nbar": 0.5}, id="cooling-ideal_rsb"),
+        pytest.param("algorithmic_cooling", {"data_nbar": 0.5, "ideal_cooling_rsb": False},
+                     id="cooling-pulsed_rsb"),
+        pytest.param("loss_detection",
+                     {"data_nbar": 0.5, "analyzer_phases": (0.0, 1.0), "n_max": 12,
+                      "noise": NoiseModel(trap_frequency=QuasiStatic(2 * np.pi * 175.0))},
+                     id="loss_detection-thermal-quasi_static_trap"),
+    ])
+    def test_matches_the_full_ladder(self, monkeypatch, kind, extra):
+        run = {"repeated_readout": run_repeated_readout,
+               "algorithmic_cooling": lambda cfg: run_algorithmic_cooling(cfg)[0],
+               "loss_detection": lambda cfg: run_loss_detection(cfg)[0]}[kind]
+        cfg = ProtocolConfig(**{"kind": kind, "shots": CHUNK_SHOTS + 37, "seed": 23, "n_max": N_MAX,
+                                "n_cyc": 3, "ancilla_absent_prob": 0.1, **extra})
+        tables, streams, widths = [], [], []
+        windowed = protocols.WINDOW
+        for window in (windowed, dict.fromkeys(windowed, cfg.n_max + 1)):
+            batches = []
+
+            class Recorded(PairBatch):
+                def __post_init__(self):
+                    super().__post_init__()
+                    batches.append(self)
+
+            monkeypatch.setattr(protocols, "WINDOW", window)
+            monkeypatch.setattr(protocols, "PairBatch", Recorded)
+            tables.append(run(cfg))
+            streams.append([b.rng.bit_generator.state for b in batches])
+            widths.append({b.psi.shape[2] for b in batches})
+        assert widths == [{windowed[kind]}, {cfg.n_max + 1}]
+        _assert_tables_equal(*tables)
+        assert len(streams[0]) > 1 and streams[0] == streams[1]
+        if kind == "repeated_readout":
+            assert tables[0].events["heating_jump"] > CHUNK_SHOTS
 
 
 class TestReadoutInPlace:
