@@ -52,7 +52,7 @@ from .config import (
     load_config,
 )
 from .dynamics import SpectralDensity, sideband_rabi
-from .errors import NumericsError, StepSizeError, TweezersimError, ValidationError
+from .errors import NumericsError, StepSizeError, TruncationError, TweezersimError, ValidationError
 from .gates import EVENT_KINDS
 from .protocols import (
     RNG_SCHEME,
@@ -630,6 +630,8 @@ def main(argv=None) -> int:
         if isinstance(exc, StepSizeError):  # noisy pulses take dt from this key
             steps = config["protocol"]["steps_per_pulse"]
             hint = f"; increase protocol.steps_per_pulse (now {steps})"
+        elif isinstance(exc, TruncationError):  # the Fock ladder ends at this key
+            hint = f"; increase protocol.n_max (now {config['protocol']['n_max']})"
         print(
             f"numerical error ({type(exc).__name__} in {module}): {exc}{hint}", file=sys.stderr
         )

@@ -197,6 +197,16 @@ def validate_config(raw: dict) -> dict:
         raise ValidationError("gates.cz_phase_error_prob + gates.cz_loss_prob must be <= 1")
     if imaging["bright_mean"] is not None and imaging["bright_mean"] <= imaging["dark_mean"]:
         raise ValidationError("imaging.bright_mean must exceed imaging.dark_mean")
+    if imaging["bright_mean"] is None:
+        # calibrated: the analytic threshold loses a bright peak narrower than
+        # 1e-6 dark widths, and a dark mean past 1e9 widths rounds the
+        # separation away in dark_mean + separation
+        if imaging["bright_std"] < 1e-6 * imaging["dark_std"]:
+            raise ValidationError("imaging.bright_std must be >= 1e-6 x imaging.dark_std to calibrate "
+                                  "imaging.bright_mean")
+        if abs(imaging["dark_mean"]) > 1e9 * min(imaging["bright_std"], imaging["dark_std"]):
+            raise ValidationError("|imaging.dark_mean| must be <= 1e9 x the smaller of imaging.bright_std "
+                                  "and imaging.dark_std to calibrate imaging.bright_mean")
     if response["grid_kind"] == "log" and response["f_min_hz"] <= 0:
         raise ValidationError("response.f_min_hz must be > 0 on a log grid")
     if response["f_min_hz"] >= response["f_max_hz"]:

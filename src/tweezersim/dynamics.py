@@ -483,14 +483,14 @@ def _check_guards(before, after, pulse, n_max, mode):
     if edge_pop > TRUNCATION_LEAK_TOL:
         raise TruncationError(
             f"population {edge_pop:.3e} at the truncation edge would couple "
-            f"past n_max = {n_max}; increase n_max"
+            f"past n_max = {n_max}"
         )
     top = [n_max, 2 * n_max + 1]
     leak = float(np.max(pop(after, top) - pop(before, top)))
     if leak > TRUNCATION_LEAK_TOL:
         raise TruncationError(
             f"pulse moved {leak:.3e} population into the top "
-            f"Fock level n = {n_max}; increase n_max"
+            f"Fock level n = {n_max}"
         )
     drift = float(np.max(np.abs(pop(after, slice(None)) - 1.0)))
     if not drift <= NORM_TOL:  # a NaN drift fails too

@@ -505,13 +505,14 @@ def _brentq(f, xa: float, xb: float, maxiter: int = 100) -> float:
 
 
 @functools.lru_cache(maxsize=256)
-def _imaging_separation(target_fidelity: float, p1: float, dark_mean: float,
-                        dark_std: float, bright_std: float) -> float:
+def _imaging_separation(target_fidelity: float, p1: float, dark_std: float, bright_std: float) -> float:
     """Bright/dark separation at which the threshold-optimized fidelity at
-    prior p1 equals target_fidelity; cached on its five float inputs."""
+    prior p1 equals target_fidelity; cached on its four float inputs. The
+    fidelity depends on the separation alone, so the dark mean is put at 0,
+    where no large mean cancels the threshold quadratic's terms."""
 
     def fidelity(sep):
-        return optimize_threshold_analytic(dark_mean + sep, bright_std, dark_mean, dark_std, p1).fidelity
+        return optimize_threshold_analytic(sep, bright_std, 0.0, dark_std, p1).fidelity
 
     lo, hi = 1e-6, 40.0 * max(dark_std, bright_std)
     try:
@@ -536,7 +537,7 @@ def calibrate_imaging(
     bright/dark separation)."""
     if not 0.5 < target_fidelity < 1.0:
         raise ValidationError("target_fidelity must be in (0.5, 1)")
-    sep = _imaging_separation(*map(float, (target_fidelity, p1, dark_mean, dark_std, bright_std)))
+    sep = _imaging_separation(*map(float, (target_fidelity, p1, dark_std, bright_std)))
     return ImagingSpec(
         bright_mean=dark_mean + sep,
         dark_mean=dark_mean,

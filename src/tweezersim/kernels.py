@@ -15,10 +15,13 @@ order by a pairwise tree, log2(steps) levels deep; the phases commute
 and are applied once as exp(-i dt sum a). Singletons only pick up
 exp(-i dt sum d). There is no Python loop over time steps.
 
-A chunk's arrays are views into a workspace per thread (a threading.local)
-that later calls reuse, so a warm call faults in no fresh memory. It grows
-to the largest chunk the thread has run, 64-75 B x max(_CHUNK_ELEMENTS,
-n_steps * n_pairs), and a pool thread's workspace goes when it exits.
+Per-step arrays are (rows, pairs, steps), the step axis innermost: the
+series broadcast as (rows, 1, steps) against (pairs, 1) coefficients, and
+a tree level takes later and earlier steps as stride-2 slices of one run.
+They are views, carved once per chunk shape, into a workspace per thread
+(a threading.local) that later calls reuse, so a warm call faults in no
+fresh memory. It grows to the largest chunk the thread has run, 64-75 B x
+max(_CHUNK_ELEMENTS, n_steps * n_pairs), and goes when its thread exits.
 """
 
 import threading
@@ -28,11 +31,41 @@ import numpy as np
 __all__ = ["evolve_blocks_batch"]
 
 #: Trajectories are processed in chunks of at most this many
-#: (trajectory, step, pair) elements, which caps the workspace.
+#: (trajectory, pair, step) elements, which caps the workspace.
 _CHUNK_ELEMENTS = 1 << 15
 
-#: Per thread: ws, the complex workspace, and floats, its float64 view.
+#: Per thread: ws, the complex workspace, and views, its views per chunk shape.
 _local = threading.local()
+
+
+def _views(rows, n_steps, n_pairs):
+    """This thread's views of its workspace for one chunk shape (up to 64 kept)."""
+    key = (rows, n_steps, n_pairs)
+    if key in getattr(_local, "views", ()):
+        return _local.views[key]
+    # alpha and beta, then four slots of q complex elements, each 16-byte
+    # aligned: first the floats h, r, sinc and a temporary, then two half-size
+    # tree levels (levels ping-pong between these and alpha, beta), two temporaries
+    m = rows * n_pairs * n_steps
+    q = rows * n_pairs * ((n_steps + 1) // 2) if n_steps > 1 else (m + 1) // 2
+    if getattr(_local, "ws", np.empty(0)).size < 2 * m + 4 * q:  # grow, else reuse
+        _local.ws, _local.views = np.empty(2 * m + 4 * q, dtype=np.complex128), {}
+    elif len(_local.views) >= 64:
+        _local.views.clear()
+    ws = _local.ws
+    ab = ws[: 2 * m].reshape(2, rows, n_pairs, n_steps)  # alpha and beta
+    floats = ws.view(np.float64)[4 * m : 4 * m + 8 * q].reshape(4, 2 * q)[:, :m].reshape(4, rows, n_pairs, n_steps)
+    slots = ws[2 * m : 2 * m + 4 * q].reshape(4, q)
+    levels, ab_in, pingpong = [], ab, (slots[:2], ws[: 2 * m].reshape(2, m))
+    while ab_in.shape[3] > 1:
+        n, odd = divmod(ab_in.shape[3], 2)
+        ab_out = pingpong[len(levels) % 2][:, : rows * n_pairs * (n + odd)].reshape(2, rows, n_pairs, n + odd)
+        temps = slots[2:, : rows * n_pairs * n].reshape(2, rows, n_pairs, n)
+        tail = [(ab_out[..., -1], ab_in[..., -1])] if odd else []
+        levels.append((*ab_in[..., 1 : 2 * n : 2], *ab_in[..., 0 : 2 * n : 2], *ab_out[..., :n], *temps, tail))
+        ab_in = ab_out
+    _local.views[key] = (*ab, *floats, levels, *ab_in[..., 0])
+    return _local.views[key]
 
 
 def _propagate(amps0, pair_g, pair_e, coup, singles, static_diag, nvec, zvec, trap, freq, ampf, dt):
@@ -47,26 +80,12 @@ def _propagate(amps0, pair_g, pair_e, coup, singles, static_diag, nvec, zvec, tr
     """
     rows, n_steps = trap.shape
     g, e = pair_g, pair_e
-    # alpha and beta, then four slots of q complex elements, each 16-byte
-    # aligned: first the floats h, r, sinc and a temporary, then the tree's
-    # two half-size levels and two temporaries
-    m = rows * n_steps * g.size
-    q = rows * ((n_steps + 1) // 2) * g.size if n_steps > 1 else (m + 1) // 2
-    if getattr(_local, "ws", np.empty(0)).size < 2 * m + 4 * q:  # grow, else reuse
-        _local.ws = np.empty(2 * m + 4 * q, dtype=np.complex128)
-        _local.floats = _local.ws.view(np.float64)
-    ws, floats = _local.ws, _local.floats
-
-    def view(x, n):  # the first (rows, n, pairs) elements of flat buffer x
-        return x[: rows * n * g.size].reshape(rows, n, g.size)
-
-    alpha, beta = ws[: 2 * m].reshape(2, rows, n_steps, g.size)
-    h, r, sinc, tmp = floats[4 * m : 4 * m + 8 * q].reshape(4, 2 * q)[:, :m].reshape(4, rows, n_steps, g.size)
+    alpha, beta, h, r, sinc, tmp, levels, alpha_end, beta_end = _views(rows, n_steps, g.size)
     # half-difference h of each pair's diagonal
-    np.multiply(trap[:, :, None], 0.5 * (nvec[e] - nvec[g]), out=h)
-    h += np.multiply(freq[:, :, None], 0.25 * (zvec[e] - zvec[g]), out=tmp)
-    h += 0.5 * (static_diag[e] - static_diag[g])
-    np.multiply(ampf[:, :, None] ** 2, coup.real**2 + coup.imag**2, out=r)
+    np.multiply(trap[:, None], (0.5 * (nvec[e] - nvec[g]))[:, None], out=h)
+    h += np.multiply(freq[:, None], (0.25 * (zvec[e] - zvec[g]))[:, None], out=tmp)
+    h += (0.5 * (static_diag[e] - static_diag[g]))[:, None]
+    np.multiply(ampf[:, None] ** 2, (coup.real**2 + coup.imag**2)[:, None], out=r)
     r += np.multiply(h, h, out=tmp)
     np.sqrt(r, out=r)
     np.multiply(r, dt, out=sinc)  # r dt, then sin(r dt), then sin(r dt) / r
@@ -74,28 +93,17 @@ def _propagate(amps0, pair_g, pair_e, coup, singles, static_diag, nvec, zvec, tr
     np.sin(sinc, out=sinc)
     np.divide(sinc, r, out=sinc, where=r > 0.0)  # r = 0 leaves sin(0) = 0
     np.multiply(h, sinc, out=alpha.imag)
-    sinc *= ampf[:, :, None]
-    np.multiply(sinc, -1j * coup, out=beta)
-    # time-ordered product, later @ earlier, over neighbouring steps per
-    # level; an odd last step passes through (a product with the identity).
-    # Levels ping-pong between alpha, beta and the first two slots.
-    slots = ws[2 * m : 2 * m + 4 * q].reshape(4, q)
-    dst, src = slots[:2], ws[: 2 * m].reshape(2, m)
-    while alpha.shape[1] > 1:
-        n = alpha.shape[1] // 2
-        a1, b1 = alpha[:, 1 : 2 * n : 2], beta[:, 1 : 2 * n : 2]  # later
-        a2, b2 = alpha[:, 0 : 2 * n : 2], beta[:, 0 : 2 * n : 2]  # earlier
-        next_a, next_b = view(dst[0], alpha.shape[1] - n), view(dst[1], alpha.shape[1] - n)
-        a, b, t, u = next_a[:, :n], next_b[:, :n], view(slots[2], n), view(slots[3], n)
+    sinc *= ampf[:, None]
+    np.multiply(sinc, (-1j * coup)[:, None], out=beta)
+    # time-ordered product, later @ earlier, of neighbouring steps per
+    # level; an odd last step passes through (a product with the identity)
+    for a1, b1, a2, b2, a, b, t, u, tail in levels:
         np.multiply(a1, a2, out=a)
         a -= np.multiply(np.conjugate(b1, out=t), b2, out=u)
         np.multiply(b1, a2, out=b)
         b += np.multiply(np.conjugate(a1, out=t), b2, out=u)
-        if alpha.shape[1] % 2:
-            next_a[:, -1], next_b[:, -1] = alpha[:, -1], beta[:, -1]
-        alpha, beta = next_a, next_b
-        dst, src = src, dst
-    alpha, beta = alpha[:, 0], beta[:, 0]
+        for dst, src in tail:
+            dst[...] = src
 
     trap_sum = trap.sum(axis=1)[:, None]
     half_freq_sum = 0.5 * freq.sum(axis=1)[:, None]
@@ -108,7 +116,7 @@ def _propagate(amps0, pair_g, pair_e, coup, singles, static_diag, nvec, zvec, tr
     d_sum = n_steps * static_diag[singles] + trap_sum * nvec[singles] + half_freq_sum * zvec[singles]
     single_phase = np.exp(-1j * dt * d_sum)
     out = amps0.astype(np.complex128, order="C")
-    alpha, beta, phase, single_phase = (x[..., None] for x in (alpha, beta, phase, single_phase))
+    alpha, beta, phase, single_phase = (x[..., None] for x in (alpha_end, beta_end, phase, single_phase))
     pg, pe = out[:, g], out[:, e]
     out[:, g] = phase * (alpha * pg - beta.conj() * pe)
     out[:, e] = phase * (beta * pg + alpha.conj() * pe)
@@ -117,7 +125,7 @@ def _propagate(amps0, pair_g, pair_e, coup, singles, static_diag, nvec, zvec, tr
 
 
 def _rows_per_chunk(n_steps, n_pairs):
-    """Trajectories per chunk of at most _CHUNK_ELEMENTS (trajectory, step, pair) elements."""
+    """Trajectories per chunk of at most _CHUNK_ELEMENTS (trajectory, pair, step) elements."""
     return max(1, _CHUNK_ELEMENTS // max(1, n_steps * n_pairs))
 
 

@@ -229,9 +229,11 @@ def sequential_cnot_block(batch, comp_phase=np.pi, local_z_phase=0.0, entangle=T
 
 
 def propagate_reference(amps0, pair_g, pair_e, coup, singles, static_diag, nvec, zvec, trap, freq, ampf, dt):
-    """Reference for kernels._propagate: the same operations in the same
-    order, on arrays allocated afresh for every temporary and every tree
-    level, with an odd tail joined by np.concatenate."""
+    """Bit oracle for kernels._propagate: the same operations on every
+    element, on arrays allocated afresh for every temporary and every tree
+    level, with an odd tail joined by np.concatenate. It keeps the old
+    (trajectory, step, pair) order, the pair axis innermost, so a kernel
+    in the step-innermost layout must match it bit for bit."""
     n_steps = trap.shape[1]
     g, e = pair_g, pair_e
     h = trap[:, :, None] * (0.5 * (nvec[e] - nvec[g]))

@@ -274,6 +274,11 @@ class TestCliRuns:
             ("imaging.bright_std", 5e-324),
             ("imaging.dark_std", 1e300),
             ("imaging.dark_mean", 1e300),
+            # inside their rules, but the calibrated bright mean cannot be
+            # resolved: a bright peak this narrow, a separation that rounds away
+            ("imaging.bright_std", 1e-30),
+            ("imaging.dark_std", 1e30),
+            ("imaging.dark_mean", 1e30),
             ("imaging.bright_loss_prob", 1.5),
             ("imaging.unshelved_loss_prob", True),
             ("imaging.data_heating_quanta_per_round", -0.01),
@@ -792,6 +797,16 @@ class TestCliRuns:
         err = capsys.readouterr().err
         assert "StepSizeError" in err
         assert "increase protocol.steps_per_pulse (now 3)" in err
+
+    def test_truncation_error_names_config_key(self, tmp_path, capsys):
+        # a data atom this hot sits at the top of the Fock ladder, so the
+        # shelving pulse would couple its population past n_max
+        path = _write_config(tmp_path, **preset_config("fig3", shots=16, data_nbar=1e6))
+        code = main(["simulate", "--config", path, "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "TruncationError" in err
+        assert err.rstrip().endswith("; increase protocol.n_max (now 12)")
 
     def test_read_shots_csv_roundtrip(self, tmp_path):
         path = _write_config(

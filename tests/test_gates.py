@@ -368,6 +368,14 @@ class TestImaging:
             spec = calibrate_imaging(target, p1, dark_std=dark_std, bright_std=bright_std)
             assert spec.bright_mean == want
 
+    def test_separation_does_not_depend_on_dark_mean(self):
+        # the fidelity depends on the separation alone; with the dark mean
+        # inside the threshold quadratic, large means cancelled its terms
+        base = calibrate_imaging(0.9, 0.5, dark_std=1e-3, bright_std=1.0).bright_mean
+        for dark_mean in (1e4, -1e6):
+            spec = calibrate_imaging(0.9, 0.5, dark_mean=dark_mean, dark_std=1e-3, bright_std=1.0)
+            assert spec.bright_mean == dark_mean + base
+
     def test_root_finder_step_cap(self):
         with pytest.raises(NumericsError, match="within 2 steps"):
             gates._brentq(lambda x: x**3 - 2.0, 0.0, 40.0, maxiter=2)

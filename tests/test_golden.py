@@ -35,6 +35,12 @@ RUNS = {
         **preset_config("fig3", shots=FIG3_SHOTS, data_nbar=0.5),
         "noise": {"trap_frequency": {"kind": "quasi_static", "sigma_hz": 175.0}},
     })],
+    # a laser PSD keeps H time-dependent: every noisy pulse runs the
+    # multi-step kernel, its tree and its odd-step tails
+    "simulate-fig3-psd": [("simulate", {
+        **preset_config("fig3", shots=16),
+        "noise": {"laser_frequency": {"kind": "psd", "frequencies_hz": [0, 5000], "values": [2000, 2000]}},
+    })],
     "simulate-phase-calibration": [("simulate", {"protocol": {"kind": "phase_calibration"}})],
     "response": [("response", {})],
     "response-numeric": [("response", {"response": {"duration_s": 0.0005}})],
@@ -74,6 +80,10 @@ DIGESTS = {
     "simulate-fig3-thermal-noisy": {
         "fringe.csv": "03222ed51e838f49a49f61faf567e1b61d53a52554643baa4cdd34d01a33b7b2",
         "shots.csv": "d35fd8ef64e8e58b2e8baa81abc486b9cfdd92ea6ae4184265578785921bd4fd",
+    },
+    "simulate-fig3-psd": {
+        "fringe.csv": "bd1589142997f475b99053c1b9fb508230e4929108b1c7b0c7d2a50de4a8e1f9",
+        "shots.csv": "0f04c9ea2d8a906cfebb1a58639e12d8f0e4e5849ef101f6f0396166d0e25efc",
     },
     "simulate-phase-calibration": {
         "phase_calibration.csv": "04b7452de9a184e9b47894b3bcce68539e292b0d84f09ac42f24983302cdc54b",
