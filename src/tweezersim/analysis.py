@@ -8,8 +8,10 @@ interval is the Delta-chi2 <= 1 region. Both Gaussian models are
 linear in their heights and offset, so the Gaussian fits start from the
 best node of a (center, width) grid where those are solved in closed
 form (variable projection), then polish it with a projected
-Levenberg-Marquardt loop on the weighted residuals with analytic
-Jacobians; their covariance is the Gauss-Newton (J^T W J)^-1. The
+Levenberg-Marquardt loop: one model call per trial gives the weighted
+residuals and analytic Jacobian, and a Cholesky on Python floats solves
+the damped step, Gauss-Newton first, then with the analytic full Hessian
+once the cost settles. The covariance is the Gauss-Newton (J^T W J)^-1. The
 cooling-peak model is linear in a1, so the profile chi2 is an exact
 parabola and the interval endpoints are its closed-form roots. Weights
 use binomial standard errors with an Agresti-Coull floor so p = 0 or 1
@@ -28,11 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateWidthError,
-    FitConvergenceError,
-    ValidationError,
-)
+from .errors import DegenerateWidthError, FitConvergenceError, ValidationError
 
 MAX_POLISH_STEPS = 100  # Levenberg-Marquardt trial steps per polish
 GRID_NODES = 15  # per axis of the (center, width) start grid
@@ -127,9 +125,7 @@ class DetectionResult:
     def __post_init__(self):
         expected = self.p1 * self.f1 + (1 - self.p1) * self.f0
         if not abs(self.fidelity - expected) < 1e-12:
-            raise ValidationError(
-                f"fidelity {self.fidelity!r} != P1*F1 + (1-P1)*F0 = {expected!r}"
-            )
+            raise ValidationError(f"fidelity {self.fidelity!r} != P1*F1 + (1-P1)*F0 = {expected!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -182,33 +178,44 @@ def _model_reweight(se, shots, p_model):
     return np.sqrt(p_eff * (1.0 - p_eff) / shots)
 
 
-def _gaussian(f, height, center, width):
-    return height * np.exp(-((f - center) ** 2) / (2.0 * width**2))
+def _gaussian(f, x, jac=None, c=None):
+    """height * exp(-(f - center)^2 / (2 width^2)) at x = (height, center,
+    width), entries that may broadcast against f; with jac, an (n, 3) array,
+    also d/dx there, from the same exp. With weights c, it returns instead
+    sum_i c_i d2/dx2 at f_i (nested lists), from sum_i c_i shape_i u_i^j."""
+    height, center, width = x
+    d = f - center
+    shape = np.exp(d * d * (-0.5 / width**2), out=None if jac is None else jac[:, 0])
+    if c is not None:
+        t0, t1, t2, t3, t4 = ((c * shape) @ ((d / width)[:, None] ** np.arange(5.0))).tolist()
+        hc, hw, b = t1 / width, t2 / width, height / width**2
+        cc, cw, ww = b * (t2 - t0), b * (t3 - 2.0 * t1), b * (t4 - 3.0 * t2)
+        return [[0.0, hc, hw], [hc, cc, cw], [hw, cw, ww]]
+    if jac is not None:
+        np.multiply(shape, d * (height / width**2), out=jac[:, 1])
+        np.multiply(jac[:, 1], d / width, out=jac[:, 2])
+    return height * shape
 
 
-def _gaussian_jac(f, height, center, width):
-    """Columns d/d(height, center, width) of _gaussian."""
-    shape = np.exp(-((f - center) ** 2) / (2.0 * width**2))
-    slope = height * shape * (f - center) / width**2
-    return np.column_stack([shape, slope, slope * (f - center) / width])
-
-
-def _double_gaussian(f, a_blue, a_red, center, width, offset):
-    return _gaussian(f, a_blue, center, width) + _gaussian(f, a_red, -center, width) + offset
-
-
-def _double_gaussian_jac(f, a_blue, a_red, center, width, offset):
-    """Columns d/d(a_blue, a_red, center, width, offset) of _double_gaussian."""
-    blue = _gaussian_jac(f, a_blue, center, width)
-    red = _gaussian_jac(f, a_red, -center, width)
-    return np.column_stack(
-        [blue[:, 0], red[:, 0], blue[:, 1] - red[:, 1], blue[:, 2] + red[:, 2], np.ones_like(f)]
-    )
-
-
-def _spacing(f):
-    """Smallest gap between distinct detunings (a detuning may repeat)."""
-    return float(np.min(np.diff(np.unique(f))))
+def _double_gaussian(f, x, jac=None, c=None):
+    """a_blue and a_red Gaussians at +/- center of one width plus offset at
+    x = (a_blue, a_red, center, width, offset); jac (n, 5) and c as for _gaussian."""
+    a_blue, a_red, center, width, offset = x
+    if c is not None:
+        (_, bc, bw), (_, bcc, bcw), (_, _, bww) = _gaussian(f, (a_blue, center, width), c=c)
+        (_, rc, rw), (_, rcc, rcw), (_, _, rww) = _gaussian(f, (a_red, -center, width), c=c)
+        cc, cw, ww = bcc + rcc, bcw - rcw, bww + rww  # red sits at -center: odd in d/dcenter
+        return [[0.0, 0.0, bc, bw, 0.0], [0.0, 0.0, -rc, rw, 0.0], [bc, -rc, cc, cw, 0.0],
+                [bw, rw, cw, ww, 0.0], [0.0] * 5]
+    red = None if jac is None else np.empty((f.size, 3))
+    value = _gaussian(f, (a_blue, center, width), None if jac is None else jac[:, 1:4])
+    value += _gaussian(f, (a_red, -center, width), red) + offset
+    if jac is not None:  # blue's columns went to 1, 2, 3
+        jac[:, 0], jac[:, 1] = jac[:, 1], red[:, 0]
+        jac[:, 2] -= red[:, 1]
+        jac[:, 3] += red[:, 2]
+        jac[:, 4] = 1.0
+    return value
 
 
 def _sorted_points(spectrum, f_min=-math.inf):
@@ -219,46 +226,74 @@ def _sorted_points(spectrum, f_min=-math.inf):
     return f[keep], p[keep], se[keep], None if shots is None else shots[keep]
 
 
-def _polish(model, jac, f, p, sw, x, lo, hi):
-    """Projected Levenberg-Marquardt fit of model(f, *x) to p at weights
-    sw = 1 / stderr, from x inside the box [lo, hi].
+def _spd_solve(a, b):
+    """x with a x = b for symmetric a (nested lists) by square-root-free
+    Cholesky on Python floats; None where a is not positive definite."""
+    n, rows = len(b), [row + [bi] for row, bi in zip(a, b)]
+    for j, top in enumerate(rows):
+        if not top[j] > 0.0:
+            return None
+        for row in rows[j + 1:]:
+            r = row[j] / top[j]
+            for m in range(j + 1, n + 1):
+                row[m] -= r * top[m]
+    x = [0.0] * n
+    for j in range(n - 1, -1, -1):
+        x[j] = (rows[j][n] - sum(rows[j][m] * x[m] for m in range(j + 1, n))) / rows[j][j]
+    return x
 
-    Each trial solves (J^T J + lam diag J^T J) dx = -J^T r on the weighted
-    residuals r for the parameters not pinned at a bound by an outward
-    gradient and clips x + dx to the box; lam falls tenfold when the cost
-    falls and rises tenfold otherwise. Stops once a step or cost change is
-    below 1e-12 relative, far below the statistical errors. Returns
-    (x, chi2, weighted J at x).
-    """
-    r, J, lam = sw * (model(f, *x) - p), sw[:, None] * jac(f, *x), 1e-3
+
+def _polish(model, f, p, sw, x, lo, hi):
+    """Projected Levenberg-Marquardt fit of model(f, x) to p at weights
+    sw = 1 / stderr from the list x in the box [lo, hi]: one model call per
+    trial, the Gram matrix of the weighted [J | r] read as Python floats. A
+    step solves (H + lam diag J^T J) dx = -J^T r for the parameters not
+    pinned at a bound by an outward gradient, clipped to the box. H is J^T J
+    until an accepted step lowers the cost by less than 1e-3 relative, then
+    the full Hessian J^T J + sum r_i d2r_i. lam falls tenfold on a lower
+    cost, else (or where the system is not positive definite) rises tenfold.
+    Stops at a step or cost change below 1e-12 relative; returns (x, chi2,
+    weighted J at x)."""
+    k = len(x)
+
+    def evaluate(x):
+        jr = np.empty((f.size, k + 1), order="F")
+        jr[:, k] = model(f, x, jr[:, :k]) - p
+        jr *= sw[:, None]
+        return x, jr, (jr.T @ jr).tolist()
+
+    (x, jr, gram), lam, full = evaluate(x), 1e-3, None
     for _ in range(MAX_POLISH_STEPS):
-        g = J.T @ r
-        free = ~((x <= lo) & (g > 0) | (x >= hi) & (g < 0))
-        A = J[:, free].T @ J[:, free]
-        d = np.maximum(A.diagonal(), 1e-12 * A.diagonal().max(initial=1e-300))
-        step = np.zeros_like(x)
-        step[free] = np.linalg.solve(A + lam * np.diag(d), -g[free])
-        trial = np.clip(x + step, lo, hi)
-        r_trial = sw * (model(f, *trial) - p)
-        cost, cost_trial = r @ r, r_trial @ r_trial
-        small_step = np.linalg.norm(trial - x) <= 1e-12 * np.linalg.norm(x)
-        if cost_trial <= cost:
-            x, r, J, lam = trial, r_trial, sw[:, None] * jac(f, *trial), lam / 10.0
+        g, cost, h = gram[k], gram[k][k], full or gram
+        free = [i for i in range(k) if not (x[i] <= lo[i] and g[i] > 0 or x[i] >= hi[i] and g[i] < 0)]
+        floor = 1e-12 * max((gram[i][i] for i in free), default=1e-300)
+        step = _spd_solve([[h[i][j] + (lam * max(gram[i][i], floor) if i == j else 0.0) for j in free]
+                           for i in free], [-g[i] for i in free])
+        if step is None:
+            lam *= 10.0
+            continue
+        move = dict(zip(free, step))
+        new = evaluate([min(max(v + move.get(i, 0.0), lo[i]), hi[i]) for i, v in enumerate(x)])
+        drop = cost - new[2][k][k]
+        done = (sum((t - v) ** 2 for t, v in zip(new[0], x)) <= 1e-24 * sum(v * v for v in x)
+                or 0.0 <= drop <= 1e-12 * cost)
+        if drop >= 0.0:
+            (x, jr, gram), lam = new, lam / 10.0
+            if full or drop < 1e-3 * cost:
+                full = [[u + v for u, v in zip(*rows)] for rows in zip(gram, model(f, x, c=sw * jr[:, k]))]
         else:
             lam *= 10.0
-        if small_step or 0.0 <= cost - cost_trial <= 1e-12 * cost:
-            return x, r @ r, J
+        if done:
+            return x, gram[k][k], jr[:, :k]
     raise FitConvergenceError(f"fit polish did not converge within {MAX_POLISH_STEPS} steps")
 
 
 def _node_heights(basis, y):
-    """Least-squares coefficients of basis (columns, nodes, points) for y
-    at every node, from the normal equations: a ratio for one column, a
-    3x3 solve for three. A column that numpy's pinv would drop (norm below
-    PINV_RCOND of the node's largest, a Gaussian ~0 at every point) gets
-    0, pinv's minimum-norm answer. A node whose Gram matrix the solve
-    cannot factor (a narrow node that sees one isolated point, so its
-    blue and red columns are parallel) gets the minimum-norm answer too."""
+    """Least-squares coefficients of basis (columns, nodes, points) for y at
+    every node, by one batched solve of the normal equations. A column that
+    numpy's pinv would drop (norm below PINV_RCOND of the node's largest) gets
+    0, pinv's minimum-norm answer; so does a node whose Gram matrix the solve
+    cannot factor (a narrow node seeing one isolated point: blue and red parallel)."""
     gram = np.einsum("lgn,mgn->glm", basis, basis)
     diag = np.diagonal(gram, axis1=1, axis2=2)
     drop = diag <= PINV_RCOND**2 * diag.max(axis=1, keepdims=True)
@@ -276,44 +311,39 @@ def _node_heights(basis, y):
         return heights
 
 
-def _fit_peaks(model, jac, f, p, se, shots, lin, bounds):
-    """Bounded weighted least-squares fit of model(f, *x) to points sorted by f.
+def _fit_peaks(model, f, p, se, shots, lin, bounds, spacing):
+    """Bounded weighted least-squares fit of model(f, x) to points sorted by f.
 
-    model is linear in x[lin] (heights and offset) with no other term;
-    the other two parameters are center and width. Coherent sidelobes
-    under a Gaussian model make local minima, so the fit starts from the
-    best node of a grid over (center, width), where x[lin] is solved in
-    closed form and clipped to its bounds. _polish refines it; with shot
-    counts, it runs once more at weights re-evaluated at the model.
-    Returns (x, chi2, covariance, stderr); the covariance is
-    (J^T W J)^-1 times the n/(n-k) small-sample factor that compensates
-    the data-estimated weights.
-    """
-    lo, hi = np.array(bounds, dtype=float).T
-    i_center, i_width = np.setdiff1d(np.arange(lo.size), lin)
-    grid = np.zeros((GRID_NODES**2, lo.size))
-    grid[:, i_center] = np.repeat(np.linspace(lo[i_center], hi[i_center], GRID_NODES), GRID_NODES)
-    grid[:, i_width] = np.tile(np.geomspace(lo[i_width], hi[i_width], GRID_NODES), GRID_NODES)
+    model is linear in x[lin] (heights and offset) with no other term.
+    Sidelobes make local minima, so the fit starts from the best node of a
+    grid over the other two (center, width), x[lin] solved in closed form
+    there and clipped to its bounds. _polish refines it; with shot counts, once more at weights
+    re-evaluated at the model. Returns (x, chi2, covariance, stderr); the
+    covariance is (J^T W J)^-1 times the n/(n-k) small-sample factor that
+    compensates the data-estimated weights."""
+    lo, hi = ([float(v) for v in b] for b in zip(*bounds))
+    i_center, i_width = (i for i in range(len(bounds)) if i not in lin)
+    centers = np.linspace(lo[i_center], hi[i_center], GRID_NODES)
+    widths = np.geomspace(lo[i_width], hi[i_width], GRID_NODES)
     sw = 1.0 / se
-    basis = []  # (nodes, points) model columns at unit height, weighted
+    basis = []  # (columns, nodes, points), weighted; node = center index * GRID_NODES + width index
     for j in lin:
-        x = [float(i == j) for i in range(lo.size)]
-        x[i_center], x[i_width] = grid[:, i_center, None], grid[:, i_width, None]
-        basis.append(np.broadcast_to(model(f, *x), (grid.shape[0], f.size)) * sw)
+        x = [float(i == j) for i in range(len(bounds))]
+        x[i_center], x[i_width] = centers[:, None, None], widths[:, None]
+        basis.append(model(f, x).reshape(-1, f.size) * sw)
     basis = np.stack(basis)
-    heights = np.clip(_node_heights(basis, sw * p), lo[lin], hi[lin])
-    best = np.argmin(np.sum((np.einsum("lgn,gl->gn", basis, heights) - sw * p) ** 2, axis=1))
-    x = grid[best]
-    x[lin] = heights[best]
-    x, chi2, J = _polish(model, jac, f, p, sw, x, lo, hi)
+    heights = np.clip(_node_heights(basis, sw * p), [lo[j] for j in lin], [hi[j] for j in lin])
+    best = int(np.argmin(np.sum((np.einsum("lgn,gl->gn", basis, heights) - sw * p) ** 2, axis=1)))
+    x[i_center], x[i_width] = float(centers[best // GRID_NODES]), float(widths[best % GRID_NODES])
+    for j, height in zip(lin, heights[best].tolist()):
+        x[j] = height
+    x, chi2, J = _polish(model, f, p, sw, x, lo, hi)
     if shots is not None:  # reweight at the model, refit
-        sw = 1.0 / _model_reweight(se, shots, model(f, *x))
-        x, chi2, J = _polish(model, jac, f, p, sw, x, lo, hi)
-    spacing = _spacing(f)
+        sw = 1.0 / _model_reweight(se, shots, model(f, x))
+        x, chi2, J = _polish(model, f, p, sw, x, lo, hi)
     if x[i_width] < spacing:
-        raise DegenerateWidthError(
-            f"fitted width {x[i_width]:.3g} Hz below the grid spacing {spacing:.3g} Hz"
-        )
+        raise DegenerateWidthError(f"fitted width {x[i_width]:.3g} Hz below the grid spacing "
+                                   f"{spacing:.3g} Hz")
     n, k = J.shape
     cov = np.linalg.pinv(J.T @ J) * n / max(n - k, 1)
     return x, chi2, cov, np.sqrt(np.clip(np.diag(cov), 0, None))
@@ -335,14 +365,15 @@ def fit_heating_sideband(spectrum) -> GaussianPeakFit:
     the polish step cap.
     """
     f, p, se, shots = _sorted_points(spectrum, f_min=0.0)
-    if np.unique(f).size < 5:
+    gaps = np.diff(np.unique(f))  # a detuning may repeat
+    if gaps.size < 4:
         raise ValidationError("need at least 5 detunings spanning the heating peak")
     if np.max(p) - np.min(p) < 3.0 * float(np.median(se)):
         raise DegenerateWidthError("no peak resolvable above the noise floor")
-    spacing = _spacing(f)
+    spacing = float(gaps.min())
     bounds = [(0.0, 2.0), (f[0], f[-1]), (spacing / 4.0, 2.0 * float(f[-1] - f[0]))]
-    x, chi2, cov, stderr = _fit_peaks(_gaussian, _gaussian_jac, f, p, se, shots, [0], bounds)
-    return GaussianPeakFit(*x.tolist(), float(chi2), cov, stderr)  # x in field order
+    x, chi2, cov, stderr = _fit_peaks(_gaussian, f, p, se, shots, [0], bounds, spacing)
+    return GaussianPeakFit(*x, chi2, cov, stderr)  # x in field order
 
 
 def profile_likelihood_cooling_peak(spectrum, blue_fit: GaussianPeakFit) -> ProfileLikelihoodResult:
@@ -359,8 +390,8 @@ def profile_likelihood_cooling_peak(spectrum, blue_fit: GaussianPeakFit) -> Prof
     unbounded above (ci_hi = inf) when the upper root is >= 1.
     """
     f, p, se, shots = _spectrum_arrays(spectrum)
-    g_red = _gaussian(f, 1.0, -blue_fit.center_hz, blue_fit.width_hz)
-    blue_curve = _gaussian(f, blue_fit.height, blue_fit.center_hz, blue_fit.width_hz)
+    g_red = _gaussian(f, (1.0, -blue_fit.center_hz, blue_fit.width_hz))
+    blue_curve = _gaussian(f, (blue_fit.height, blue_fit.center_hz, blue_fit.width_hz))
     resid = p - blue_curve
 
     def profile(w):
@@ -398,9 +429,7 @@ def profile_likelihood_cooling_peak(spectrum, blue_fit: GaussianPeakFit) -> Prof
 def nbar_from_ratio(r: float) -> float:
     """Thermal conversion nbar = r / (1 - r) for the sideband ratio r."""
     if not 0.0 <= r < 1.0:
-        raise ValidationError(
-            f"sideband ratio {r} outside [0, 1): not a thermal signal"
-        )
+        raise ValidationError(f"sideband ratio {r} outside [0, 1): not a thermal signal")
     return r / (1.0 - r)
 
 
@@ -456,13 +485,11 @@ def fit_double_gaussian_with_offset(spectrum) -> DoubleGaussianFit:
         raise ValidationError("spectrum must span both sidebands")
     if np.max(p[f > 0]) - np.min(p) < 3.0 * float(np.median(se)):
         raise DegenerateWidthError("no heating peak resolvable above the noise floor")
-    spacing = _spacing(f)
+    spacing = float(np.min(np.diff(np.unique(f))))  # a detuning may repeat
     bounds = [(0.0, 2.0), (0.0, 2.0), (spacing, float(f[-1])),
               (spacing / 4.0, float(f[-1] - f[0])), (0.0, 1.0)]
-    x, chi2, cov, stderr = _fit_peaks(
-        _double_gaussian, _double_gaussian_jac, f, p, se, shots, [0, 1, 4], bounds
-    )
-    return DoubleGaussianFit(*x.tolist(), float(chi2), cov, stderr)  # x in field order
+    x, chi2, cov, stderr = _fit_peaks(_double_gaussian, f, p, se, shots, [0, 1, 4], bounds, spacing)
+    return DoubleGaussianFit(*x, chi2, cov, stderr)  # x in field order
 
 
 def nonthermal_correction(r_est: float, t12: float) -> float:
@@ -499,10 +526,7 @@ def optimize_threshold(signals_present, signals_absent, p1: float, n_cyc: int = 
     if sp.size == 0 or sa.size == 0:
         raise ValidationError("need at least one sample per class")
     if p1 in (0.0, 1.0):
-        warnings.warn(
-            "degenerate prior: classifying everything as the prior class is optimal",
-            stacklevel=2,
-        )
+        warnings.warn("degenerate prior: classifying everything as the prior class is optimal", stacklevel=2)
     present_higher = np.mean(sp) >= np.mean(sa)
     pooled = np.unique(np.concatenate([sp, sa]))
     span = max(pooled[-1] - pooled[0], 1.0)
@@ -511,31 +535,15 @@ def optimize_threshold(signals_present, signals_absent, p1: float, n_cyc: int = 
     # P(signal > x) per class, vectorized over candidates
     above_p = 1.0 - np.searchsorted(sp, cands, side="right") / sp.size
     above_a = 1.0 - np.searchsorted(sa, cands, side="right") / sa.size
-    if present_higher:
-        f1, f0 = above_p, 1.0 - above_a
-    else:
-        f1, f0 = 1.0 - above_p, above_a
+    f1, f0 = (above_p, 1.0 - above_a) if present_higher else (1.0 - above_p, above_a)
     f = p1 * f1 + (1 - p1) * f0
     best = int(np.argmax(f))  # first max = lowest threshold
-    return DetectionResult(
-        threshold=float(cands[best]),
-        fidelity=float(f[best]),
-        f1=float(f1[best]),
-        f0=float(f0[best]),
-        p1=p1,
-        n_cyc=n_cyc,
-        orientation=1 if present_higher else -1,
-    )
+    return DetectionResult(threshold=float(cands[best]), fidelity=float(f[best]), f1=float(f1[best]),
+                           f0=float(f0[best]), p1=p1, n_cyc=n_cyc, orientation=1 if present_higher else -1)
 
 
-def optimize_threshold_analytic(
-    bright_mean: float,
-    bright_std: float,
-    dark_mean: float,
-    dark_std: float,
-    p1: float,
-    n_cyc: int = None,
-) -> DetectionResult:
+def optimize_threshold_analytic(bright_mean: float, bright_std: float, dark_mean: float, dark_std: float,
+                                p1: float, n_cyc: int = None) -> DetectionResult:
     """Threshold from the density-crossing condition for normal signals.
 
     Solves p1 * pdf_bright(x) = (1 - p1) * pdf_dark(x) and returns the
@@ -548,19 +556,19 @@ def optimize_threshold_analytic(
     if p1 in (0.0, 1.0):
         warnings.warn("degenerate prior: threshold is unconstrained", stacklevel=2)
     # quadratic a x^2 + b x + c = 0 from equating log densities
+    log_ratio = math.log(max(p1, 1e-300) / max(1 - p1, 1e-300)) + math.log(dark_std / bright_std)
     a = 0.5 / dark_std**2 - 0.5 / bright_std**2
     b = bright_mean / bright_std**2 - dark_mean / dark_std**2
-    c = (
-        0.5 * dark_mean**2 / dark_std**2
-        - 0.5 * bright_mean**2 / bright_std**2
-        + math.log(max(p1, 1e-300) / max(1 - p1, 1e-300))
-        + math.log(dark_std / bright_std)
-    )
+    c = 0.5 * dark_mean**2 / dark_std**2 - 0.5 * bright_mean**2 / bright_std**2 + log_ratio
+    # b^2 - 4ac written so that no terms cancel at any width ratio
+    disc = ((bright_mean - dark_mean) / (bright_std * dark_std)) ** 2 - 4 * a * log_ratio
     if abs(a) < 1e-300:
         roots = [-c / b] if b != 0 else []
-    else:
-        disc = b * b - 4 * a * c
-        roots = [] if disc < 0 else [(-b + s * math.sqrt(disc)) / (2 * a) for s in (-1, 1)]
+    elif disc < 0:
+        roots = []
+    else:  # the root pair q / a, c / q takes no difference of b and sqrt(disc)
+        q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+        roots = [q / a] + ([c / q] if q != 0 else [])
     lo = min(dark_mean, bright_mean) - 20 * max(dark_std, bright_std)
     hi = max(dark_mean, bright_mean) + 20 * max(dark_std, bright_std)
     cands = sorted(set(float(r) for r in roots if lo <= r <= hi) | {lo, hi})
@@ -575,14 +583,8 @@ def optimize_threshold_analytic(
         fx = fidelity(x)
         if fx[0] > best_f + 1e-15:
             best_x, (best_f, best_f1, best_f0) = x, fx
-    return DetectionResult(
-        threshold=float(best_x),
-        fidelity=float(best_f),
-        f1=float(best_f1),
-        f0=float(best_f0),
-        p1=p1,
-        n_cyc=n_cyc,
-    )
+    return DetectionResult(threshold=float(best_x), fidelity=float(best_f), f1=float(best_f1),
+                           f0=float(best_f0), p1=p1, n_cyc=n_cyc)
 
 
 def aggregate_signals(signals, n: int) -> np.ndarray:
@@ -591,9 +593,7 @@ def aggregate_signals(signals, n: int) -> np.ndarray:
     if arr.ndim != 2:
         raise ValidationError("signals must be a 2-d (shots, rounds) array")
     if not 1 <= n <= arr.shape[1]:
-        raise ValidationError(
-            f"n = {n} outside the recorded round count {arr.shape[1]}"
-        )
+        raise ValidationError(f"n = {n} outside the recorded round count {arr.shape[1]}")
     return arr[:, :n].sum(axis=1)
 
 

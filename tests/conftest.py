@@ -1,9 +1,10 @@
 """The CLI preset loader, shared synthetic-spectrum generators, the
 sideband peak-ratio oracle, the scalar sideband-ladder loop, the
-least-squares fit references, the local Z gate and the sequential
-ancilla-flip block built on it, the dense ideal red-sideband map and its
-einsum application, and the allocating block-propagation reference for
-analysis, protocol, gate, kernel, CLI and acceptance tests."""
+least-squares fit references and the Gauss-Newton polish oracle, the
+local Z gate and the sequential ancilla-flip block built on it, the dense
+ideal red-sideband map and its einsum application, and the allocating
+block-propagation reference for analysis, protocol, gate, kernel, CLI and
+acceptance tests."""
 
 import json
 import math
@@ -123,17 +124,59 @@ def scalar_sideband_p_exc(dist, detunings_hz, trap=None, rabi=2 * np.pi * 2e3, d
     return (1.0 - wrong_state_fraction) * p_exc + wrong_state_fraction
 
 
-def least_squares_polish(model, jac, f, p, sw, x, lo, hi):
+def jacobian(model, f, x):
+    """The (n, k) Jacobian that model(f, x, jac) writes."""
+    jac = np.empty((f.size, len(x)))
+    model(f, x, jac)
+    return jac
+
+
+def least_squares_polish(model, f, p, sw, x, lo, hi):
     """Reference for analysis._polish, with its signature and return value:
     one bounded trust-region run of scipy's least_squares on the weighted
     residuals, at tolerances far below the statistical errors."""
     from scipy.optimize import least_squares
 
-    res = least_squares(lambda x: sw * (model(f, *x) - p), x,
-                        jac=lambda x: sw[:, None] * jac(f, *x), bounds=(lo, hi),
+    res = least_squares(lambda x: sw * (model(f, x) - p), x,
+                        jac=lambda x: sw[:, None] * jacobian(model, f, x), bounds=(lo, hi),
                         max_nfev=4000, ftol=1e-12, xtol=1e-12, gtol=1e-12)
     assert res.status > 0
-    return res.x, 2.0 * res.cost, res.jac
+    return res.x.tolist(), 2.0 * res.cost, res.jac
+
+
+def gauss_newton_polish(model, f, p, sw, x, lo, hi):
+    """Oracle for analysis._polish, with its signature and return value:
+    the projected Levenberg-Marquardt loop on numpy arrays that it
+    replaced, Gauss-Newton steps only.
+
+    Each trial solves (J^T J + lam diag J^T J) dx = -J^T r on the weighted
+    residuals r for the parameters not pinned at a bound by an outward
+    gradient and clips x + dx to the box; lam falls tenfold when the cost
+    falls and rises tenfold otherwise. Stops once a step or cost change is
+    below 1e-12 relative."""
+    from tweezersim.analysis import MAX_POLISH_STEPS
+    from tweezersim.errors import FitConvergenceError
+
+    x, lo, hi = (np.array(v, dtype=float) for v in (x, lo, hi))
+    r, J, lam = sw * (model(f, x) - p), sw[:, None] * jacobian(model, f, x), 1e-3
+    for _ in range(MAX_POLISH_STEPS):
+        g = J.T @ r
+        free = ~((x <= lo) & (g > 0) | (x >= hi) & (g < 0))
+        A = J[:, free].T @ J[:, free]
+        d = np.maximum(A.diagonal(), 1e-12 * A.diagonal().max(initial=1e-300))
+        step = np.zeros_like(x)
+        step[free] = np.linalg.solve(A + lam * np.diag(d), -g[free])
+        trial = np.clip(x + step, lo, hi)
+        r_trial = sw * (model(f, trial) - p)
+        cost, cost_trial = r @ r, r_trial @ r_trial
+        small_step = np.linalg.norm(trial - x) <= 1e-12 * np.linalg.norm(x)
+        if cost_trial <= cost:
+            x, r, J, lam = trial, r_trial, sw[:, None] * jacobian(model, f, trial), lam / 10.0
+        else:
+            lam *= 10.0
+        if small_step or 0.0 <= cost - cost_trial <= 1e-12 * cost:
+            return x.tolist(), r @ r, J
+    raise FitConvergenceError(f"fit polish did not converge within {MAX_POLISH_STEPS} steps")
 
 
 def multistart_reference_fit(spectrum, double=False):
@@ -162,20 +205,20 @@ def multistart_reference_fit(spectrum, double=False):
     sig0 = min(max(max(f[right] - f[left], spacing) / 2.355, spacing / 2.0), span)
     widths = (sig0, max(sig0 / 2, spacing / 2), min(2 * sig0, span))
     if double:
-        model, jac = analysis._double_gaussian, analysis._double_gaussian_jac
+        model = analysis._double_gaussian
         bounds = [(0, 2), (0, 2), (spacing, f[-1]), (spacing / 4, span), (0, 1)]
         hr0 = max(np.max(p[~pos]) - base, 0.0)
         starts = [[p[i_pk] - base, hr0, f[i_pk], s0, base] for s0 in widths]
     else:
-        model, jac = analysis._gaussian, analysis._gaussian_jac
+        model = analysis._gaussian
         bounds = [(0, 2), (f[0], f[-1]), (spacing / 4, 2 * span)]
         starts = [[p[i_pk] - base, f[i_pk], s0] for s0 in widths]
     lo, hi = np.array(bounds, dtype=float).T
 
     def best_fit(w, starts):
         fits = [
-            least_squares(lambda x: np.sqrt(w) * (model(f, *x) - p), np.clip(x0, lo, hi),
-                          jac=lambda x: np.sqrt(w)[:, None] * jac(f, *x), bounds=(lo, hi),
+            least_squares(lambda x: np.sqrt(w) * (model(f, x) - p), np.clip(x0, lo, hi),
+                          jac=lambda x: np.sqrt(w)[:, None] * jacobian(model, f, x), bounds=(lo, hi),
                           max_nfev=4000, ftol=1e-12, xtol=1e-12, gtol=1e-12)
             for x0 in starts
         ]
@@ -183,7 +226,7 @@ def multistart_reference_fit(spectrum, double=False):
 
     x = best_fit(1.0 / se**2, starts)
     if shots is not None:
-        x = best_fit(1.0 / analysis._model_reweight(se, shots, model(f, *x)) ** 2, [x])
+        x = best_fit(1.0 / analysis._model_reweight(se, shots, model(f, x)) ** 2, [x])
     return x
 
 

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 from conftest import (
+    gauss_newton_polish,
     gaussian_model,
+    jacobian,
     least_squares_polish,
     make_gaussian_spectrum,
     multistart_reference_fit,
@@ -15,9 +17,7 @@ from tweezersim import analysis
 from tweezersim.analysis import (
     DetectionResult,
     _double_gaussian,
-    _double_gaussian_jac,
     _gaussian,
-    _gaussian_jac,
     agresti_coull_stderr,
     aggregate_signals,
     binomial_stderr,
@@ -102,6 +102,25 @@ def _assert_jacobian_matches_central_differences(fun, jac, x, rel_step=1e-6):
     np.testing.assert_allclose(jac(*x) / scale, fd / scale, rtol=1e-6, atol=1e-8)
 
 
+def _assert_hessian_matches_central_differences(model, f, x, c, rel_step=1e-5):
+    # sum_i c_i d2m_i from central differences of c^T J, J the analytic Jacobian
+    rows = []
+    for i in range(x.size):
+        h = rel_step * max(abs(x[i]), 1.0)
+        up, down = x.copy(), x.copy()
+        up[i] += h
+        down[i] -= h
+        rows.append(c @ (jacobian(model, f, up) - jacobian(model, f, down)) / (2 * h))
+    fd = np.array(rows)
+    scale = np.abs(fd).max()
+    np.testing.assert_allclose(np.array(model(f, x, c=c)) / scale, fd / scale, rtol=1e-6, atol=1e-7)
+
+
+def _double_gaussian_point(rng):
+    return np.array([rng.uniform(0.1, 2.0), rng.uniform(0.0, 2.0), rng.uniform(30e3, 40e3),
+                     rng.uniform(1e3, 4e3), rng.uniform(0.0, 1.0)])
+
+
 class TestAnalyticJacobians:
     @pytest.mark.parametrize("seed", range(5))
     def test_gaussian_jacobian_matches_central_differences(self, seed):
@@ -109,7 +128,7 @@ class TestAnalyticJacobians:
         f = np.linspace(28e3, 42e3, 15)
         x = np.array([rng.uniform(0.1, 2.0), rng.uniform(30e3, 40e3), rng.uniform(1e3, 4e3)])
         _assert_jacobian_matches_central_differences(
-            lambda *q: _gaussian(f, *q), lambda *q: _gaussian_jac(f, *q), x
+            lambda *q: _gaussian(f, q), lambda *q: jacobian(_gaussian, f, q), x
         )
 
     @pytest.mark.parametrize("seed", range(5))
@@ -117,18 +136,27 @@ class TestAnalyticJacobians:
         rng = np.random.default_rng(seed)
         side = np.linspace(28e3, 42e3, 15)
         f = np.concatenate([-side[::-1], side])
-        x = np.array(
-            [
-                rng.uniform(0.1, 2.0),
-                rng.uniform(0.0, 2.0),
-                rng.uniform(30e3, 40e3),
-                rng.uniform(1e3, 4e3),
-                rng.uniform(0.0, 1.0),
-            ]
-        )
         _assert_jacobian_matches_central_differences(
-            lambda *q: _double_gaussian(f, *q), lambda *q: _double_gaussian_jac(f, *q), x
+            lambda *q: _double_gaussian(f, q), lambda *q: jacobian(_double_gaussian, f, q),
+            _double_gaussian_point(rng),
         )
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_gaussian_hessian_matches_central_differences(self, seed):
+        rng = np.random.default_rng(seed)
+        f = np.linspace(28e3, 42e3, 15)
+        x = np.array([rng.uniform(0.1, 2.0), rng.uniform(30e3, 40e3), rng.uniform(1e3, 4e3)])
+        _assert_hessian_matches_central_differences(_gaussian, f, x, rng.normal(size=f.size))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_double_gaussian_hessian_matches_central_differences(self, seed):
+        # the peaks overlap at small centers, so cross terms of blue and red count too
+        rng = np.random.default_rng(seed)
+        f = np.linspace(-42e3, 42e3, 30)
+        x = _double_gaussian_point(rng)
+        if seed % 2:
+            x[2] = rng.uniform(0.0, 3e3)
+        _assert_hessian_matches_central_differences(_double_gaussian, f, x, rng.normal(size=f.size))
 
 
 class TestHeatingFit:
@@ -209,8 +237,8 @@ class TestGridStart:
         def grid_start(fit, spec, heights):
             starts = []
 
-            def first_polish(model, jac, f, p, sw, x, lo, hi):
-                starts.append(x.copy())
+            def first_polish(model, f, p, sw, x, lo, hi):
+                starts.append(np.array(x))
                 raise StopIteration
 
             with monkeypatch.context() as m:
@@ -295,18 +323,73 @@ def _least_squares_fit(monkeypatch, fit, spec):
 FITS = (fit_heating_sideband, fit_double_gaussian_with_offset)
 
 
+def _finite_shot_spectra():
+    rng = np.random.default_rng(11)
+    specs = [make_gaussian_spectrum(nbar, rng) for nbar in (0.0, 0.002, 0.05, 0.3) * 2]
+    specs += [make_gaussian_spectrum(0.3, rng, shots_per_point=400, offset=0.073)
+              for _ in range(2)]
+    specs += [_simulated_spectrum(nbar, cooled, 1.75 * OMEGA01_HZ, 11, rng, w)
+              for nbar in (0.05, 0.5) for cooled in (False, True) for w in (0.0, 0.02, 0.04)]
+    return specs
+
+
+def _polish_spectra():
+    """Every spectrum of TestPolish: finite-shot, infinite-shot (stderr
+    1e-6) and noiseless ones whose offset and red height sit on a bound."""
+    return (_finite_shot_spectra()
+            + [_simulated_spectrum(nbar, cooled, 1.75 * OMEGA01_HZ, 11, None)
+               for nbar in (0.0, 0.3, 1.0) for cooled in (False, True)]
+            + [_noiseless_spectrum(a_blue=0.8, a_red=a_red, stderr=stderr)
+               for a_red in (0.0, 0.2) for stderr in (1e-3, 1e-6)])
+
+
 class TestPolish:
     """The projected Levenberg-Marquardt polish against scipy's bounded
-    trust-region least_squares, from the same grid start."""
+    trust-region least_squares, from the same grid start, and against the
+    Gauss-Newton loop it replaced, from the same inputs."""
+
+    def test_matches_gauss_newton_oracle(self, monkeypatch):
+        # every polish of every fit, both passes, rerun by the oracle. The
+        # standard error is scaled by sqrt(chi2 / (n - k)) where that
+        # exceeds 1: on the infinite-shot spectra, and in heating fits of
+        # the offset spectra, model misfit and not noise sets chi2. The
+        # oracle's own stopping error is what remains: the new polish
+        # lies closer to a tightly converged least_squares optimum
+        polish, calls = analysis._polish, []
+        monkeypatch.setattr(analysis, "_polish", lambda *args: calls.append(args) or polish(*args))
+        for spec in _polish_spectra():
+            for fit in FITS:
+                fit(spec)
+        trials = {polish: 0, gauss_newton_polish: 0}
+        for model, *args in calls:
+            results = {}
+            for run in trials:
+                def counted(f, x, jac=None, c=None):
+                    trials[run] += c is None and (run is polish or jac is None)
+                    return model(f, x, jac, c)
+
+                results[run] = run(counted, *args)
+                trials[run] -= 1  # the start's evaluation
+            (x, chi2, _), (x_ref, chi2_ref, jac) = results.values()
+            n, k = jac.shape
+            cov = np.linalg.pinv(jac.T @ jac) * n / (n - k) * max(chi2_ref / (n - k), 1.0)
+            assert np.all(np.abs(np.subtract(x, x_ref)) <= 1e-6 * np.sqrt(np.diag(cov)))
+            assert abs(chi2 - chi2_ref) <= 1e-12 * max(chi2_ref, 1.0)
+        assert trials[polish] < trials[gauss_newton_polish]  # the full-Hessian tail saves steps
+
+    def test_spd_solve_matches_numpy_and_rejects_indefinite_systems(self):
+        rng = np.random.default_rng(4)
+        for k in range(1, 6):
+            a = rng.normal(size=(k + 3, k))
+            m, b = a.T @ a + 1e-3 * np.eye(k), rng.normal(size=k)
+            np.testing.assert_allclose(analysis._spd_solve(m.tolist(), b.tolist()), np.linalg.solve(m, b),
+                                       rtol=1e-9)
+        assert analysis._spd_solve([], []) == []  # every parameter pinned at a bound
+        assert analysis._spd_solve([[1.0, 2.0], [2.0, 1.0]], [1.0, 1.0]) is None  # eigenvalues 3, -1
+        assert analysis._spd_solve([[1.0, 1.0], [1.0, 1.0]], [1.0, 1.0]) is None  # singular
 
     def test_matches_least_squares_on_finite_shot_spectra(self, monkeypatch):
-        rng = np.random.default_rng(11)
-        specs = [make_gaussian_spectrum(nbar, rng) for nbar in (0.0, 0.002, 0.05, 0.3) * 2]
-        specs += [make_gaussian_spectrum(0.3, rng, shots_per_point=400, offset=0.073)
-                  for _ in range(2)]
-        specs += [_simulated_spectrum(nbar, cooled, 1.75 * OMEGA01_HZ, 11, rng, w)
-                  for nbar in (0.05, 0.5) for cooled in (False, True) for w in (0.0, 0.02, 0.04)]
-        for spec in specs:
+        for spec in _finite_shot_spectra():
             for fit in FITS:
                 got, ref = fit(spec), _least_squares_fit(monkeypatch, fit, spec)
                 assert np.all(np.abs(_fit_params(got) - _fit_params(ref)) <= 1e-3 * ref.stderr)

@@ -376,6 +376,16 @@ class TestImaging:
             spec = calibrate_imaging(0.9, 0.5, dark_mean=dark_mean, dark_std=1e-3, bright_std=1.0)
             assert spec.bright_mean == dark_mean + base
 
+    @pytest.mark.parametrize("dark_std, bright_std", [(1.0, 1e-9), (1e-9, 1.0)])
+    def test_width_ratio_of_a_billion_keeps_the_target(self, dark_std, bright_std):
+        # one width ~0: F = 0.5 + 0.5 Phi(separation) at a threshold next
+        # to the narrow class, so the separation tends to Phi^-1(0.8). The
+        # discriminant b^2 - 4ac cancelled here: bright_mean 28.92 at F = 1
+        spec = calibrate_imaging(0.9, 0.5, dark_std=dark_std, bright_std=bright_std)
+        assert spec.bright_mean == pytest.approx(0.8416212335729143, abs=1e-7)
+        res = optimize_threshold_analytic(spec.bright_mean, bright_std, 0.0, dark_std, 0.5)
+        assert res.fidelity == pytest.approx(0.9, abs=1e-12)
+
     def test_root_finder_step_cap(self):
         with pytest.raises(NumericsError, match="within 2 steps"):
             gates._brentq(lambda x: x**3 - 2.0, 0.0, 40.0, maxiter=2)

@@ -29,6 +29,10 @@ RUNS = {
     "simulate-fig2": [("simulate", preset_config("fig2", shots=SHOTS))],
     "simulate-fig3": [("simulate", preset_config("fig3", shots=FIG3_SHOTS))],
     "simulate-fig4": [("simulate", preset_config("fig4", shots=SHOTS))],
+    # a thermal data atom reaches n >= 2, where the two red-sideband modes differ
+    "simulate-fig4-thermal": [("simulate", preset_config("fig4", shots=SHOTS, data_nbar=1.0))],
+    "simulate-fig4-thermal-pulsed-rsb": [("simulate", preset_config(
+        "fig4", shots=SHOTS, data_nbar=1.0, ideal_cooling_rsb=False))],
     "cool-fig4": [("cool", preset_config("fig4", shots=SHOTS))],
     "cool-fig4-pulsed-rsb": [("cool", preset_config("fig4", shots=SHOTS, ideal_cooling_rsb=False))],
     "simulate-fig3-thermal-noisy": [("simulate", {
@@ -70,6 +74,12 @@ DIGESTS = {
     "simulate-fig4": {
         "shots.csv": "b91b574ea0db1056dcc227b2a6ad0d83d8a52355829624f51503aeb166c90f74",
     },
+    "simulate-fig4-thermal": {
+        "shots.csv": "a4a624798b0f55f777fbd491cd68cb96a062ccb1447679446c7bb82e23c8a331",
+    },
+    "simulate-fig4-thermal-pulsed-rsb": {
+        "shots.csv": "e01980c35bb285e0cd89106db81f98314d7255cadd24e8f6e501df0c19a84160",
+    },
     "cool-fig4": {
         "cool.csv": "e92bab74a4968d183218af2ba554ad0415d4fafed78694cf8a1833ed6893c722",
     },
@@ -101,11 +111,11 @@ DIGESTS = {
         "response.csv": "28f2e20e8a73db532841a28fd98a682fd31b7f36f9d974295bad60fd29ab9016",
     },
     "fit-baseline": {
-        "fit.json": "c4e469ae727d8c586aaf7da4f1d61d9f6cadc6ddb9f69f1530878cb1e357461f",
+        "fit.json": "14919359c45bdaecfd253648c24cc800de1e6e7c9049df56c5c94b97a9e2fe79",
         "spectrum.csv": "7bb3f8f655e524422dd28606976ccdc730cf1102e1f3a87a92ab9a9226e2498b",
     },
     "fit-cooled": {
-        "fit.json": "54e35ef29262277275d680e04cce78ab0d42951a5e320821f141c12329fde0e9",
+        "fit.json": "61afe964a724dda7c2f871fec3e11879259004a3d944d64797b73f7e73db5595",
         "spectrum.csv": "4966b8f0d42c8bd1c99601a76d055d7eb361625034009bd0525b4361d4299ac7",
     },
     "detect": {
