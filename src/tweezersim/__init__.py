@@ -54,7 +54,6 @@ from .response import (
     ResponseQuery,
     infidelity,
     response_closed_form,
-    response_numeric,
 )
 from .states import (
     ElectronicLevel,

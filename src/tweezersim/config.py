@@ -82,16 +82,18 @@ _KEYS = {
     "protocol.ideal_cooling_rsb": (True, bool),
     "response.channel": ("trap_frequency", CHANNELS),
     "response.grid_kind": ("log", ("log", "linear")),
-    "response.f_min_hz": (10.0, "[0, inf)"),
-    "response.f_max_hz": (10e3, "(0, inf)"),
+    # with eta <= 1e150 and eta * rabi in [1e-150, 1e150] (response.ResponseQuery)
+    # the closed-form responses stay finite on these grids and durations
+    "response.f_min_hz": (10.0, "[0, 1e12]"),
+    "response.f_max_hz": (10e3, "(0, 1e12]"),
     "response.points": (50, ("int", 1)),
-    "response.duration_s": (None, "(0, inf)"),
-    "spectrum.nbar": (0.5, "[0, inf)"),
+    "response.duration_s": (None, "(0, 1e3]"),
+    "spectrum.nbar": (0.5, "[0, 1e15]"),  # below 9e15, where nbar / (nbar + 1) rounds to 1
     "spectrum.after_cooling": (False, bool),
     # null -> the scan covers the main lobe of the pi-pulse line,
     # 1.75 * Omega_01 / (2 pi); staying inside the first coherent
     # sidelobe keeps the Gaussian peak model faithful
-    "spectrum.detuning_span_hz": (None, "(0, inf)"),
+    "spectrum.detuning_span_hz": (None, "(0, 1e9]"),
     "spectrum.points_per_side": (11, ("int", 1)),
     "spectrum.shots_per_point": (300, ("int", 1)),
     "spectrum.wrong_state_fraction": (0.0, "[0, 1]"),

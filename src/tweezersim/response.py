@@ -1,21 +1,18 @@
 """Fidelity response functions and PSD-weighted infidelity budgets.
 
-A square blue-sideband pi pulse of carrier Rabi frequency rabi and
-Lamb-Dicke parameter eta filters stationary noise of one-sided PSD S(f)
-into an operation infidelity
+A square blue-sideband pulse of carrier Rabi frequency rabi, Lamb-Dicke
+parameter eta and duration T (by default the pi time pi / w, w = eta * rabi)
+filters stationary noise of one-sided PSD S(f) into an operation infidelity
 
     chi = integral S(f) * I(f) df,
 
-with S in (rad/s)^2/Hz, I in s^2 and f in Hz. The trap-frequency and
-laser-frequency channels share the same response; for them the closed
-form is
-
-    I(f) = [ w * cos(pi f T) / (w^2 - (2 pi f)^2) ]^2,  w = eta * rabi,
-
-with T = pi / w, continued analytically through the removable
-singularity at f = w / (2 pi) where I = (T / 4)^2. Off the pi time a
-Simpson rule integrates it; each channel's correlator has rank one, so its
-double sum is one weighted sum per frequency (response_numeric).
+with S in (rad/s)^2/Hz, I in s^2 and f in Hz. Each channel's correlator
+has rank one, C(t, tau) = g(t) g(tau), so I(f) = |integral_0^T g(t)
+exp(2 pi i f t) dt|^2 is in closed form at every duration: g = sin(w t) / 2
+for the trap- and laser-frequency channels (response_closed_form) and
+g = eta / 2 for the laser-amplitude channel. At the pi time the frequency
+channels give I(f) = [w cos(pi f T) / (w^2 - (2 pi f)^2)]^2, continued
+through the removable singularity at f = w / (2 pi), where I = (T / 4)^2.
 """
 
 from __future__ import annotations
@@ -28,11 +25,6 @@ import numpy as np
 
 from .dynamics import CHANNELS, QuasiStatic, SpectralDensity
 from .errors import GridMismatchError, ValidationError
-
-#: Quadrature density: panels per oscillation period of the fastest scale.
-PANELS_PER_PERIOD = 400
-#: Most Simpson panels a numeric response may take (~0.3 GB of time vectors).
-MAX_PANELS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -72,7 +64,6 @@ class ResponseFunction:
     frequencies_hz: np.ndarray
     values: np.ndarray  # s^2
     channel: str
-    method: str  # "closed-form" or "numeric"
     eta: float
     rabi: float
     duration: float
@@ -100,12 +91,17 @@ class InfidelityBudget:
         return float(sum(self.contributions.values()))
 
 
-def response_closed_form(f, eta: float, rabi: float):
-    """Closed-form I(f) for the trap/laser-frequency channels (scalar or array).
+def response_closed_form(f, eta: float, rabi: float, duration: float = None):
+    """Closed-form I(f) for the trap/laser-frequency channels (scalar or
+    array) at duration T, by default the pi time.
 
-    Evaluated in the numerically stable form
-        I = w^2 (pi/(2w))^2 sinc^2((w - x)/(2w)) / (w + x)^2,  x = 2 pi f,
-    which is exact and continuous through x = w.
+    With w = eta * rabi, a = w T / 2, b = pi f T, u = a - b, v = a + b and
+    S(z) = sin(z) / z,
+        I = (T/4)^2 [(sin a (S(u) + S(v)))^2 + (cos a (S(u) - S(v)))^2].
+    Off f = w / (2 pi) the sum and difference take the product forms
+    2 (a sin a cos b - b cos a sin b) / (uv) and 2 (b sin a cos b -
+    a cos a sin b) / (uv), free of cancellation in the pi-time f^-4 tail;
+    near it (|u| < 1/2) the sincs add directly. I(0) = ((1 - cos wT) / (2w))^2.
     """
     if eta <= 0 or rabi <= 0:
         raise ValidationError("eta and rabi must be positive")
@@ -113,8 +109,18 @@ def response_closed_form(f, eta: float, rabi: float):
     if np.any(f < 0):
         raise ValidationError("f must be >= 0")
     w = eta * rabi
-    x = 2.0 * np.pi * f
-    val = w**2 * (np.pi / (2.0 * w)) ** 2 * np.sinc((w - x) / (2.0 * w)) ** 2 / (w + x) ** 2
+    duration = math.pi / w if duration is None else duration
+    a, b = 0.5 * w * duration, np.pi * f * duration
+    u, v = a - b, a + b
+    near = np.abs(u) < 0.5
+    # divided one factor at a time, as u * v may overflow; v > 0 off `near`
+    u_off, v_off = np.where(near, 1.0, u), np.where(near, 1.0, v)
+    sin_a, cos_a, sin_b, cos_b = math.sin(a), math.cos(a), np.sin(b), np.cos(b)
+    s_u, s_v = np.sinc(u / np.pi), np.sinc(v / np.pi)
+    total = np.where(near, s_u + s_v, 2.0 * (a * sin_a * cos_b - b * cos_a * sin_b) / u_off / v_off)
+    diff = np.where(near, s_u - s_v, 2.0 * (b * sin_a * cos_b - a * cos_a * sin_b) / u_off / v_off)
+    quarter = duration / 4.0
+    val = (quarter * sin_a * total) ** 2 + (quarter * cos_a * diff) ** 2
     return float(val) if val.ndim == 0 else val
 
 
@@ -132,68 +138,21 @@ def amplitude_response_closed_form(f, eta: float, rabi: float, duration: float =
     return float(val) if val.ndim == 0 else val
 
 
-def required_panels(query: ResponseQuery) -> int:
-    """Smallest even Simpson panel count meeting the density criterion. One
-    past MAX_PANELS, or infinite, raises ValidationError before any allocation."""
-    f_osc = max(float(np.max(query.frequencies_hz)), query.eta * query.rabi / (2.0 * np.pi))
-    need = PANELS_PER_PERIOD * query.duration * f_osc
-    if not need <= MAX_PANELS:
-        raise ValidationError(
-            f"{query.duration:g} s up to {f_osc:g} Hz needs {need:.3g} Simpson panels, "
-            f"more than the cap of {MAX_PANELS:,}"
-        )
-    n = max(PANELS_PER_PERIOD, math.ceil(need))
-    return n + (n % 2)
-
-
-def response_numeric(query: ResponseQuery) -> ResponseFunction:
-    """I(f) = int_0^T dt int_0^T dtau cos(2 pi f (t - tau)) C(t, tau) by
-    composite Simpson. C has rank one, C(t, tau) = g(t) g(tau) with
-    g = sin(w t) / 2 for the frequency channels and eta / 2 for the
-    amplitude channel, so with v = (Simpson weights) * g(t) the double sum
-    is (sum_i v_i cos 2 pi f t_i)^2 + (sum_i v_i sin 2 pi f t_i)^2: one
-    weighted sum per frequency, in memory O(panels)."""
-    n_panels = required_panels(query)
-    t = np.linspace(0.0, query.duration, n_panels + 1)
-    v = np.full(n_panels + 1, 2.0)
-    v[1::2] = 4.0
-    v[0] = v[-1] = 1.0
-    v *= query.duration / n_panels / 3.0
-    amplitude = query.channel == "laser_amplitude"
-    v *= query.eta / 2.0 if amplitude else 0.5 * np.sin(query.eta * query.rabi * t)
-    vals = np.empty(query.frequencies_hz.size)
-    for i, f in enumerate(query.frequencies_hz):
-        phase = 2.0 * np.pi * f * t
-        vals[i] = (v @ np.cos(phase)) ** 2 + (v @ np.sin(phase)) ** 2
-    return _result(query, vals, "numeric")
+def _closed_form(channel: str):
+    return amplitude_response_closed_form if channel == "laser_amplitude" else response_closed_form
 
 
 def response_function(query: ResponseQuery) -> ResponseFunction:
-    """I(f) over the query grid, in closed form where one exists: the
-    amplitude channel at any duration, the frequency channels at the
-    pi-pulse duration. Any other duration takes Simpson quadrature
-    (response_numeric). The result's `method` says which one ran."""
-    if query.channel == "laser_amplitude":
-        vals = amplitude_response_closed_form(
-            query.frequencies_hz, query.eta, query.rabi, query.duration
-        )
-    elif abs(query.duration - math.pi / (query.eta * query.rabi)) <= 1e-12 * query.duration:
-        vals = response_closed_form(query.frequencies_hz, query.eta, query.rabi)
-    else:
-        return response_numeric(query)
-    return _result(query, vals, "closed-form")
-
-
-def _result(query: ResponseQuery, values, method: str) -> ResponseFunction:
-    return ResponseFunction(query.frequencies_hz.copy(), np.atleast_1d(values), query.channel,
-                            method, query.eta, query.rabi, query.duration)
+    """I(f) over the query grid, in closed form for every channel and duration."""
+    vals = _closed_form(query.channel)(query.frequencies_hz, query.eta, query.rabi, query.duration)
+    return ResponseFunction(query.frequencies_hz.copy(), np.atleast_1d(vals), query.channel,
+                            query.eta, query.rabi, query.duration)
 
 
 def response_at_zero(response: ResponseFunction) -> float:
-    """I(0) for the response's channel, parameters and duration, by the
-    method response_function picks for them."""
-    query = ResponseQuery(response.eta, response.rabi, [0.0], response.channel, response.duration)
-    return float(response_function(query).values[0])
+    """I(0) for the response's channel, parameters and duration."""
+    form = _closed_form(response.channel)
+    return float(form(0.0, response.eta, response.rabi, response.duration))
 
 
 def infidelity(channel_spec, response: ResponseFunction) -> float:

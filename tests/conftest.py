@@ -1,10 +1,10 @@
-"""The CLI preset loader, shared synthetic-spectrum generators, the
-sideband peak-ratio oracle, the scalar sideband-ladder loop, the
-least-squares fit references and the Gauss-Newton polish oracle, the
-local Z gate and the sequential ancilla-flip block built on it, the dense
-ideal red-sideband map and its einsum application, and the allocating
-block-propagation reference for analysis, protocol, gate, kernel, CLI and
-acceptance tests."""
+"""The CLI preset loader, the Simpson response oracle, shared
+synthetic-spectrum generators, the sideband peak-ratio oracle, the scalar
+sideband-ladder loop, the least-squares fit references and the
+Gauss-Newton polish oracle, the local Z gate and the sequential
+ancilla-flip block built on it, the dense ideal red-sideband map and its
+einsum application, and the allocating block-propagation reference for
+response, analysis, protocol, gate, kernel, CLI and acceptance tests."""
 
 import json
 import math
@@ -24,6 +24,41 @@ def preset_config(name, **protocol):
         cfg = json.load(fh)
     cfg["protocol"].update(protocol)
     return cfg
+
+
+#: Simpson density of the response oracle: panels per oscillation period
+#: of the fastest scale.
+PANELS_PER_PERIOD = 400
+
+
+def simpson_panels(query):
+    """Smallest even Simpson panel count with PANELS_PER_PERIOD panels per
+    period of the faster of the grid's top frequency and w / (2 pi)."""
+    f_osc = max(float(np.max(query.frequencies_hz)), query.eta * query.rabi / (2.0 * np.pi))
+    n = max(PANELS_PER_PERIOD, math.ceil(PANELS_PER_PERIOD * query.duration * f_osc))
+    return n + (n % 2)
+
+
+def simpson_response(query):
+    """Quadrature oracle for response.response_function: the values of
+    I(f) = int_0^T dt int_0^T dtau cos(2 pi f (t - tau)) C(t, tau) by
+    composite Simpson. C has rank one, C(t, tau) = g(t) g(tau) with
+    g = sin(w t) / 2 for the frequency channels and eta / 2 for the
+    amplitude channel, so with v = (Simpson weights) * g(t) the double sum
+    is (sum_i v_i cos 2 pi f t_i)^2 + (sum_i v_i sin 2 pi f t_i)^2."""
+    n_panels = simpson_panels(query)
+    t = np.linspace(0.0, query.duration, n_panels + 1)
+    v = np.full(n_panels + 1, 2.0)
+    v[1::2] = 4.0
+    v[0] = v[-1] = 1.0
+    v *= query.duration / n_panels / 3.0
+    amplitude = query.channel == "laser_amplitude"
+    v *= query.eta / 2.0 if amplitude else 0.5 * np.sin(query.eta * query.rabi * t)
+    vals = np.empty(query.frequencies_hz.size)
+    for i, f in enumerate(query.frequencies_hz):
+        phase = 2.0 * np.pi * f * t
+        vals[i] = (v @ np.cos(phase)) ** 2 + (v @ np.sin(phase)) ** 2
+    return vals
 
 
 def gaussian_model(f, a_blue, a_red, center, width, offset):

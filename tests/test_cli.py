@@ -26,7 +26,7 @@ from tweezersim.config import (
 )
 from tweezersim.errors import ValidationError
 from tweezersim.protocols import ShotTable
-from tweezersim.response import ResponseQuery, amplitude_response_closed_form, response_numeric
+from tweezersim.response import amplitude_response_closed_form, response_closed_form
 
 
 def _write_config(tmp_path, name="cfg.json", **overrides):
@@ -323,7 +323,7 @@ class TestCliRuns:
             ("protocol.scenarios", ["both"]),
             ("protocol.analyzer_phases_rad", []),
             ("protocol.data_psi", "sideways"),
-            ("response.method", "numeric"),  # removed: the inputs pick the method
+            ("response.method", "numeric"),  # removed: one closed form serves every duration
             ("response.f_min_hz", -1),
             ("response.points", 0),
             ("spectrum.points_per_side", 0),
@@ -338,6 +338,11 @@ class TestCliRuns:
             # input CSVs of the wrong shape, written by the test
             ("detect.input_csv", "no_scenario.csv"),
             ("fit.input_csv", "shots.csv"),
+            # past these the thermal populations or the detuned transfers are nan
+            ("spectrum.nbar", 1e16),
+            ("spectrum.nbar", 1e300),
+            ("spectrum.detuning_span_hz", 1e300),
+            ("spectrum.detuning_span_hz", 1e308),
             *_TABLE_CASES,
         ],
     )
@@ -358,7 +363,7 @@ class TestCliRuns:
         command = sections[0] if sections and sections[0] in ("fit", "detect") else "simulate"
         assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
         assert key in capsys.readouterr().err
-        if key.startswith("noise."):
+        if key.startswith(("noise.", "spectrum.")):
             assert main(["spectrum", "--config", path, "--out", str(tmp_path / "s")]) == 2
             assert key in capsys.readouterr().err
 
@@ -446,23 +451,17 @@ class TestCliRuns:
         assert float(first[0]) == 0.0
         assert float(first[1]) == pytest.approx(1.0 / w**2, rel=1e-12)
 
-    @pytest.mark.parametrize("channel, method", [("trap_frequency", "numeric"),
-                                                 ("laser_amplitude", "closed-form")])
-    def test_response_method_follows_from_duration(self, tmp_path, channel, method):
-        # the frequency channels have a closed form at the pi time only, so
-        # at another duration their response is integrated numerically
+    @pytest.mark.parametrize("channel", ["trap_frequency", "laser_amplitude"])
+    def test_response_off_the_pi_time_is_the_closed_form(self, tmp_path, channel):
         path = _write_config(tmp_path, response={"channel": channel, "duration_s": 0.0005,
                                                  "f_max_hz": 2000.0, "points": 9})
         out = tmp_path / "resp"
         assert main(["response", "--config", path, "--out", str(out)]) == 0
-        assert json.loads((out / "budget.json").read_text())["method"] == method
+        assert "method" not in json.loads((out / "budget.json").read_text())
         freqs, values = np.loadtxt(out / "response.csv", delimiter=",", skiprows=1).T
         eta, rabi = build_trap(validate_config({})).eta, config.TWO_PI * 2000.0
-        if method == "numeric":
-            want = response_numeric(ResponseQuery(eta, rabi, freqs, channel, 0.0005)).values
-        else:
-            want = amplitude_response_closed_form(freqs, eta, rabi, 0.0005)
-        np.testing.assert_array_equal(values, want)
+        form = amplitude_response_closed_form if channel == "laser_amplitude" else response_closed_form
+        np.testing.assert_array_equal(values, form(freqs, eta, rabi, 0.0005))
 
     def test_quasi_static_chi_uses_the_response_duration(self, tmp_path):
         # off the pi time chi is sigma^2 I(0) at the configured duration,
@@ -473,23 +472,24 @@ class TestCliRuns:
         out = tmp_path / "resp"
         assert main(["response", "--config", path, "--out", str(out)]) == 0
         budget = json.loads((out / "budget.json").read_text())
-        assert budget["method"] == "numeric"
         eta, rabi = build_trap(validate_config({})).eta, config.TWO_PI * 2000.0
-        i0 = response_numeric(ResponseQuery(eta, rabi, [0.0], "trap_frequency", 0.0005)).values[0]
+        i0 = response_closed_form(0.0, eta, rabi, 0.0005)
         assert budget["contributions"]["trap_frequency"] == (config.TWO_PI * 50.0) ** 2 * i0
         w = eta * rabi
         assert i0 == pytest.approx(0.25 * ((1 - math.cos(w * 0.0005)) / w) ** 2, rel=1e-9)
 
     @pytest.mark.parametrize("channel", ["trap_frequency", "laser_amplitude"])
-    @pytest.mark.parametrize("value", [5e-324, 1e-300, 1e-9, 0.999999, 1, 1e6, 1e300])
+    # 0, 1e3 and 1e12 are the edges of the response.* intervals
+    @pytest.mark.parametrize("value", [0, 5e-324, 1e-300, 1e-9, 0.999999, 1, 1e3, 1e6, 1e12,
+                                       1e300, 1e308])
     @pytest.mark.parametrize("key", ["response.duration_s", "response.f_min_hz",
                                      "response.f_max_hz", "pulse.rabi_hz",
                                      "noise.trap_frequency.sigma_hz",
                                      "noise.laser_amplitude.sigma_hz",
                                      "trap.frequency_hz", "trap.eta"])
     def test_response_input_extremes_exit_cleanly(self, tmp_path, capsys, key, value, channel):
-        # a value the config table accepts either runs, or exits 2 naming its
-        # key and writing nothing, or 3; never with a traceback
+        # a value either runs and writes only finite numbers, or exits 2
+        # naming its key and writing nothing, or 3; never with a traceback
         cfg = {"response": {"points": 3, "channel": channel}}
         *sections, name = key.split(".")
         node = cfg
@@ -503,7 +503,15 @@ class TestCliRuns:
         assert "Traceback" not in err
         if code == 2:
             assert key in err
+            if key == "response.duration_s":
+                assert "grid" not in err
             assert not (tmp_path / "o" / "response.csv").exists()
+        if code == 0:
+            table = np.loadtxt(tmp_path / "o" / "response.csv", delimiter=",", skiprows=1)
+            assert np.isfinite(table).all()
+            # json writes inf and nan as the constants Infinity and NaN
+            json.loads((tmp_path / "o" / "budget.json").read_text(),
+                       parse_constant=lambda name: pytest.fail(f"budget.json holds {name}"))
 
     @pytest.mark.parametrize("module", ["scipy", "scipy.stats", "scipy.optimize", "scipy.linalg"])
     def test_import_leaves_module_unloaded(self, cli_import_modules, module):

@@ -99,15 +99,15 @@ DIGESTS = {
         "phase_calibration.csv": "04b7452de9a184e9b47894b3bcce68539e292b0d84f09ac42f24983302cdc54b",
     },
     "response": {
-        "budget.json": "94fd6c154b95c29911adc39bcfa517ef839b6fc775b3d74eff2a01e04faf39a6",
-        "response.csv": "4be64ccabea2faf4d74e0850b046bc8829f8bdd0f0913ff1f6f92df7f3a39262",
+        "budget.json": "104aaa352799d242b0fe8d62e0fe953ed22a677447cd41e6d787f8ce72d78602",
+        "response.csv": "e2db8bb709624bc33f39ba5b5c493968a004a3822a9c255d33ed0ea38d3587b2",
     },
     "response-numeric": {
-        "budget.json": "1355f17c188434bb8c840fdd82e571d7d988be02596f2ff647d0e7e28f55aaf6",
-        "response.csv": "5efdeff513a8fca96d1865db01d3a680b9ab88990a2180188432166ce72ea6b5",
+        "budget.json": "cfb464f4250c5d8fb9c34d776cd298ce6451059d9a3a46643e1efd3c2f945af0",
+        "response.csv": "4fa21d5d4a8db4a3807d74efd23b3a070682f795362202eb5b9a1516a5c7d22c",
     },
     "response-amplitude": {
-        "budget.json": "d0cb4b451ff071a909e8aedbfdcfe3d415bf2aa8999da6d9654720697c6e04b3",
+        "budget.json": "a45409f73e22f5333b95d71064c07d4015b16ab854fcb8546a2f7c95185aad53",
         "response.csv": "28f2e20e8a73db532841a28fd98a682fd31b7f36f9d974295bad60fd29ab9016",
     },
     "fit-baseline": {
