@@ -12,7 +12,6 @@ from .analysis import (
     nonthermal_correction,
     optimize_threshold,
     profile_likelihood_cooling_peak,
-    ratio_from_nbar,
     temperature_from_spectrum,
 )
 from .dynamics import (

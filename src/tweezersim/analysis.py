@@ -433,13 +433,6 @@ def nbar_from_ratio(r: float) -> float:
     return r / (1.0 - r)
 
 
-def ratio_from_nbar(nbar: float) -> float:
-    """Inverse conversion r = nbar / (nbar + 1)."""
-    if nbar < 0:
-        raise ValidationError(f"nbar must be >= 0, got {nbar}")
-    return nbar / (nbar + 1.0)
-
-
 def temperature_from_spectrum(spectrum) -> TemperatureEstimate:
     """Full thermometry pipeline: blue-peak fit, cooling-peak profile, nbar.
 

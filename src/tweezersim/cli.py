@@ -51,7 +51,7 @@ from .config import (
     dump_default_config,
     load_config,
 )
-from .dynamics import SpectralDensity, sideband_rabi
+from .dynamics import SpectralDensity, omega_01, sideband_rabi
 from .errors import NumericsError, StepSizeError, TruncationError, TweezersimError, ValidationError
 from .gates import EVENT_KINDS
 from .protocols import (
@@ -305,8 +305,7 @@ def _spectrum_grid(config, trap):
     span = sec["detuning_span_hz"]
     if span is None:
         # main lobe of the pi-pulse line at the configured drive
-        omega01 = sideband_rabi(0, 1, trap.eta, TWO_PI * config["pulse"]["rabi_hz"])
-        span = 1.75 * omega01 / TWO_PI
+        span = 1.75 * omega_01(trap, TWO_PI * config["pulse"]["rabi_hz"]) / TWO_PI
     side = np.linspace(f_trap - span, f_trap + span, sec["points_per_side"])
     return np.concatenate([-side[::-1], side])
 
@@ -398,9 +397,7 @@ def cmd_fit(config, out_dir, workers, report):
     spectrum = read_spectrum_csv(_input_csv(config, "fit"))
     trap = build_trap(config)
     rabi = TWO_PI * config["pulse"]["rabi_hz"]
-    t12 = math.sin(
-        sideband_rabi(1, 2, trap.eta, rabi) / sideband_rabi(0, 1, trap.eta, rabi) * math.pi / 2
-    ) ** 2
+    t12 = math.sin(sideband_rabi(1, 2, trap.eta, rabi) / omega_01(trap, rabi) * math.pi / 2) ** 2
     payload = {"input_csv": sec["input_csv"], "mode": sec["mode"],
                "stderr_model": "agresti-coull floor, one model-reweight pass",
                "t12": t12}

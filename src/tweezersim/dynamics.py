@@ -11,10 +11,8 @@ as
 
 where dwt is trap-frequency noise, fdot laser-frequency noise (the time
 derivative of laser phase) and the drive detuning appears as an energy
-offset of the up manifold. Two evolution modes exist: ``rwa-ladder``
-(full Fock ladder, default) and ``two-level`` (restricted to the
-{(down,0), (up,1)} blue-sideband pair with coupling eta*rabi/2 and no
-Debye-Waller factor, the form used by the response module).
+offset of the up manifold. Every pulse evolves on the full Fock ladder
+up to n_max.
 
 Phase convention: a noiseless resonant blue-sideband pi pulse maps
 (down,0) -> +(up,1), i.e. the documented global phase is zero; sideband
@@ -303,16 +301,24 @@ def sideband_rabi(n_from: int, n_to: int, eta: float, rabi: float) -> float:
     return sideband_ladder(lo + dn, eta, rabi)[dn][lo]
 
 
-def spectroscopy_pi_duration(eta: float, rabi: float) -> float:
+def omega_01(trap: TrapSpec, rabi: float) -> float:
+    """sideband_rabi(0, 1, trap.eta, rabi), which times sideband pi pulses and
+    spectra. ValidationError unless it is >= 1e-150 and rabi, omega_t <= 1e150
+    (rad/s), which keeps the pi time, squared couplings and detunings and their
+    products with the pi time finite."""
+    w = sideband_rabi(0, 1, trap.eta, rabi)
+    if not (w >= 1e-150 and rabi <= 1e150 and trap.omega_t <= 1e150):
+        raise ValidationError(
+            f"trap.frequency_hz, trap.mass_amu, trap.wavelength_nm, trap.eta and pulse.rabi_hz give "
+            f"Omega_01 = {w:g}, rabi = {rabi:g}, omega_t = {trap.omega_t:g} rad/s; the sideband model "
+            f"needs Omega_01 >= 1e-150 and rabi, omega_t <= 1e150"
+        )
+    return w
+
+
+def spectroscopy_pi_duration(trap: TrapSpec, rabi: float) -> float:
     """Duration making the 0<->1 sideband transfer a pi pulse (t01 = 1)."""
-    return math.pi / sideband_rabi(0, 1, eta, rabi)
-
-
-MODES = ("rwa-ladder", "two-level")
-
-
-def _index(level: int, n: int, n_levels_m: int) -> int:
-    return level * n_levels_m + n
+    return math.pi / omega_01(trap, rabi)
 
 
 def _read_only(*arrays):
@@ -322,38 +328,29 @@ def _read_only(*arrays):
 
 
 @functools.lru_cache(maxsize=256)
-def _pair_tables(pulse: PulseSpec, eta: float, n_max: int, mode: str):
+def _pair_tables(pulse: PulseSpec, eta: float, n_max: int):
     """Coupled-pair indices, couplings, and the uncoupled single states.
 
-    Computed once per (pulse, eta, n_max, mode); the arrays are read-only.
+    Flat index level * (n_max + 1) + n. Computed once per (pulse, eta,
+    n_max); the arrays are read-only.
     """
-    if mode not in MODES:
-        raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
     m = n_max + 1
     pairs_g, pairs_e, coup = [], [], []
     carrier, side = sideband_ladder(n_max, eta, pulse.rabi)
-    if pulse.kind is PulseKind.FREE:
-        pass
-    elif mode == "two-level":
-        if pulse.kind is not PulseKind.BLUE_SIDEBAND:
-            raise ValidationError("two-level mode is defined for the blue sideband")
-        pairs_g.append(_index(0, 0, m))
-        pairs_e.append(_index(1, 1, m))
-        coup.append(1j * np.exp(1j * pulse.phase) * eta * pulse.rabi / 2.0)
-    elif pulse.kind is PulseKind.CARRIER:
+    if pulse.kind is PulseKind.CARRIER:
         for n in range(m):
-            pairs_g.append(_index(0, n, m))
-            pairs_e.append(_index(1, n, m))
+            pairs_g.append(n)
+            pairs_e.append(m + n)
             coup.append(np.exp(1j * pulse.phase) * carrier[n] / 2.0)
     elif pulse.kind is PulseKind.BLUE_SIDEBAND:
         for n in range(m - 1):
-            pairs_g.append(_index(0, n, m))
-            pairs_e.append(_index(1, n + 1, m))
+            pairs_g.append(n)
+            pairs_e.append(m + n + 1)
             coup.append(1j * np.exp(1j * pulse.phase) * side[n] / 2.0)
     elif pulse.kind is PulseKind.RED_SIDEBAND:
         for n in range(1, m):
-            pairs_g.append(_index(0, n, m))
-            pairs_e.append(_index(1, n - 1, m))
+            pairs_g.append(n)
+            pairs_e.append(m + n - 1)
             coup.append(1j * np.exp(1j * pulse.phase) * side[n - 1] / 2.0)
     paired = set(pairs_g) | set(pairs_e)
     singles = np.array([i for i in range(2 * m) if i not in paired], dtype=np.int64)
@@ -365,12 +362,12 @@ def _pair_tables(pulse: PulseSpec, eta: float, n_max: int, mode: str):
     )
 
 
-def _edges(pulse: PulseSpec, n_max: int, mode: str) -> list:
+def _edges(pulse: PulseSpec, n_max: int) -> list:
     """Flat indices of the states the drive would couple past n_max."""
-    if mode == "rwa-ladder" and pulse.kind is PulseKind.BLUE_SIDEBAND:
-        return [_index(0, n_max, n_max + 1)]  # (down, n_max)
-    if mode == "rwa-ladder" and pulse.kind is PulseKind.RED_SIDEBAND:
-        return [_index(1, n_max, n_max + 1)]  # (up, n_max)
+    if pulse.kind is PulseKind.BLUE_SIDEBAND:
+        return [n_max]  # (down, n_max)
+    if pulse.kind is PulseKind.RED_SIDEBAND:
+        return [2 * n_max + 1]  # (up, n_max)
     return []
 
 
@@ -398,7 +395,6 @@ def build_hamiltonian(
     trap: TrapSpec,
     realization: NoiseRealization,
     t: float,
-    mode: str = "rwa-ladder",
     n_max: int = DEFAULT_N_MAX,
 ) -> np.ndarray:
     """Dense Hermitian operator at time t (hbar = 1 units).
@@ -408,7 +404,7 @@ def build_hamiltonian(
     """
     if t < 0 or t > realization.duration * (1 + 1e-12):
         raise ValidationError(f"t = {t} outside [0, {realization.duration}]")
-    pg, pe, coup, _ = _pair_tables(pulse, trap.eta, n_max, mode)
+    pg, pe, coup, _ = _pair_tables(pulse, trap.eta, n_max)
     static, nvec, zvec = _static_vectors(pulse, n_max)
     i = min(int(t / realization.dt), realization.n_steps - 1)
     diag = (
@@ -424,9 +420,7 @@ def build_hamiltonian(
     return h
 
 
-def _run_kernel(
-    amps0, pulse, trap, trap_series, freq_series, ampf_series, dt, mode, n_max, guards=True
-):
+def _run_kernel(amps0, pulse, trap, trap_series, freq_series, ampf_series, dt, n_max, guards=True):
     """Guarded kernel call: propagate rows of flat amplitudes through a pulse.
 
     The series have shape (rows, n_steps), one noise realization per
@@ -437,7 +431,7 @@ def _run_kernel(
     in any row of more than one step; with guards on, applies
     _check_guards.
     """
-    pg, pe, coup, singles = _pair_tables(pulse, trap.eta, n_max, mode)
+    pg, pe, coup, singles = _pair_tables(pulse, trap.eta, n_max)
     static, nvec, zvec = _static_vectors(pulse, n_max)
 
     if trap_series.shape[1] > 1:
@@ -458,11 +452,11 @@ def _run_kernel(
         trap_series, freq_series, ampf_series, dt, out,
     )
     if guards:
-        _check_guards(amps0, out, pulse, n_max, mode)
+        _check_guards(amps0, out, pulse, n_max)
     return out
 
 
-def _check_guards(before, after, pulse, n_max, mode):
+def _check_guards(before, after, pulse, n_max):
     """Norm and truncation guards on rows of states before and after a pulse.
 
     before and after have shape (rows, dim, k), k columns per row (a
@@ -479,7 +473,7 @@ def _check_guards(before, after, pulse, n_max, mode):
 
     if np.any(np.abs(pop(before, slice(None)) - 1.0) > NORM_TOL):
         raise ValidationError("every row must have norm 1")
-    edge_pop = float(np.max(pop(before, _edges(pulse, n_max, mode)), initial=0.0))
+    edge_pop = float(np.max(pop(before, _edges(pulse, n_max)), initial=0.0))
     if edge_pop > TRUNCATION_LEAK_TOL:
         raise TruncationError(
             f"population {edge_pop:.3e} at the truncation edge would couple "
@@ -501,14 +495,14 @@ def propagator(
     pulse: PulseSpec,
     trap: TrapSpec,
     realization: NoiseRealization = None,
-    mode: str = "rwa-ladder",
     n_max: int = DEFAULT_N_MAX,
 ) -> np.ndarray:
-    """Full (2(n_max+1))^2 propagator matrix, for tests and diagnostics."""
+    """Full (2(n_max+1))^2 propagator matrix: evolve_rows applies it to every
+    row of a noiseless pulse; tests and diagnostics use it too."""
     r = realization if realization is not None else NoiseRealization.zeros(pulse.duration)
     identity = np.eye(2 * (n_max + 1), dtype=np.complex128)[None]
     series = (x[None] for x in (r.trap_frequency, r.laser_frequency, _amp_factor(pulse, r.laser_amplitude)))
-    return _run_kernel(identity, pulse, trap, *series, r.dt, mode, n_max, guards=False)[0]
+    return _run_kernel(identity, pulse, trap, *series, r.dt, n_max, guards=False)[0]
 
 
 def evolve_batch(
@@ -519,7 +513,6 @@ def evolve_batch(
     realizations_freq: np.ndarray,
     realizations_ampf: np.ndarray,
     dt: float,
-    mode: str = "rwa-ladder",
 ) -> np.ndarray:
     """Evolve one initial state under many noise series (rows) at once.
 
@@ -527,17 +520,8 @@ def evolve_batch(
     multiplicative factor (rabi + d_rabi) / rabi. Returns final flat
     amplitudes of shape (n_traj, 2 * (n_max + 1)).
     """
-    out = _run_kernel(
-        state.amps.reshape(1, -1, 1),
-        pulse,
-        trap,
-        realizations_trap,
-        realizations_freq,
-        realizations_ampf,
-        dt,
-        mode,
-        state.amps.shape[1] - 1,
-    )
+    out = _run_kernel(state.amps.reshape(1, -1, 1), pulse, trap, realizations_trap, realizations_freq,
+                      realizations_ampf, dt, state.amps.shape[1] - 1)
     return out.reshape(out.shape[:2])
 
 
@@ -548,7 +532,6 @@ def evolve_rows(
     noise: NoiseModel = None,
     steps: int = DEFAULT_STEPS_PER_PULSE,
     rng=None,
-    mode: str = "rwa-ladder",
 ) -> np.ndarray:
     """Evolve one state per row, each under its own noise realization.
 
@@ -566,21 +549,21 @@ def evolve_rows(
     """
     n_max = amps.shape[1] // 2 - 1
     if noise is None or all(noise.channel(c) is None for c in CHANNELS):
-        out = propagator(pulse, trap, None, mode, n_max) @ amps
-        _check_guards(amps, out, pulse, n_max, mode)
+        out = propagator(pulse, trap, None, n_max) @ amps
+        _check_guards(amps, out, pulse, n_max)
         return out
     if noise.f_max() == 0:  # no SpectralDensity channel: H is constant
         steps = 1
     dt = pulse.duration / steps
     out = np.empty(amps.shape, dtype=np.complex128)
-    n_pairs = _pair_tables(pulse, trap.eta, n_max, mode)[0].size
+    n_pairs = _pair_tables(pulse, trap.eta, n_max)[0].size
     per_call = kernels._rows_per_chunk(steps, n_pairs)
     rng = np.random.default_rng(rng)
     for start in range(0, amps.shape[0], per_call):
         rows = amps[start:start + per_call]
         trap_2d, freq_2d, amp_2d = sample_noise_rows(noise, pulse.duration, dt, rows.shape[0], rng)
         out[start:start + per_call] = _run_kernel(
-            rows, pulse, trap, trap_2d, freq_2d, _amp_factor(pulse, amp_2d), dt, mode, n_max
+            rows, pulse, trap, trap_2d, freq_2d, _amp_factor(pulse, amp_2d), dt, n_max
         )
     return out
 

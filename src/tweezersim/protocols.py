@@ -36,8 +36,8 @@ from .dynamics import (
     PulseKind,
     PulseSpec,
     evolve_rows,
+    omega_01,
     sideband_ladder,
-    sideband_rabi,
     spectroscopy_pi_duration,
 )
 from .errors import ValidationError
@@ -349,7 +349,7 @@ def _shelving_pulse(config: ProtocolConfig) -> PulseSpec:
     A full pi pulse by default; when shelving_transfer_fidelity t is set
     the duration is shortened so the pair transfer equals t exactly.
     """
-    omega01 = sideband_rabi(0, 1, config.trap.eta, config.rabi)
+    omega01 = omega_01(config.trap, config.rabi)
     if config.shelving_transfer_fidelity is None:
         duration = np.pi / omega01
     else:
@@ -463,8 +463,9 @@ def run_algorithmic_cooling(config: ProtocolConfig):
     ancilla label is 'plus'/'minus' by the ancilla's overlap with
     ANC_PLUS after the data readout.
     """
-    omega10 = sideband_rabi(1, 0, config.trap.eta, config.rabi)
-    rsb_pulse = PulseSpec(PulseKind.RED_SIDEBAND, rabi=config.rabi, duration=np.pi / omega10)
+    # the 1 -> 0 red-sideband Rabi frequency equals the 0 -> 1 blue one
+    rsb_pulse = PulseSpec(PulseKind.RED_SIDEBAND, rabi=config.rabi,
+                          duration=np.pi / omega_01(config.trap, config.rabi))
 
     def chunk(rng, shots):
         batch, n_init = _new_pairs(config, rng, shots, True, ElectronicLevel.DOWN)
@@ -570,7 +571,7 @@ def simulate_sideband_spectrum(
     if not 0.0 <= wrong_state_fraction < 1.0:
         raise ValidationError("wrong_state_fraction must be in [0, 1)")
     if duration is None:
-        duration = spectroscopy_pi_duration(trap.eta, rabi)
+        duration = spectroscopy_pi_duration(trap, rabi)
     detunings_hz = np.asarray(detunings_hz, dtype=float)
     n_max = dist.size - 1
     f_trap = trap.omega_t / (2 * np.pi)

@@ -3,8 +3,9 @@ synthetic-spectrum generators, the sideband peak-ratio oracle, the scalar
 sideband-ladder loop, the least-squares fit references and the
 Gauss-Newton polish oracle, the local Z gate and the sequential
 ancilla-flip block built on it, the dense ideal red-sideband map and its
-einsum application, and the allocating block-propagation reference for
-response, analysis, protocol, gate, kernel, CLI and acceptance tests."""
+einsum application, the two-level pair tables and their kernel run, and
+the allocating block-propagation reference for response, analysis,
+protocol, gate, kernel, dynamics, CLI and acceptance tests."""
 
 import json
 import math
@@ -13,7 +14,7 @@ import os
 import numpy as np
 
 from tweezersim import cli, kernels
-from tweezersim.dynamics import sideband_rabi, spectroscopy_pi_duration
+from tweezersim.dynamics import PulseKind, _static_vectors, sideband_rabi, spectroscopy_pi_duration
 from tweezersim.gates import apply_cz, rotate
 from tweezersim.protocols import DEFAULT_TRAP, SidebandSpectrum, detuned_transfer
 
@@ -111,7 +112,7 @@ def sideband_peak_ratio(dist, trap=None, rabi=2 * np.pi * 2e3, duration=None):
     dist = np.asarray(dist, dtype=float)
     n_max = dist.size - 1
     if duration is None:
-        duration = spectroscopy_pi_duration(trap.eta, rabi)
+        duration = spectroscopy_pi_duration(trap, rabi)
     e_red = sum(
         dist[n] * detuned_transfer(sideband_rabi(n, n - 1, trap.eta, rabi), 0.0, duration)
         for n in range(1, n_max + 1)
@@ -131,7 +132,7 @@ def scalar_sideband_p_exc(dist, detunings_hz, trap=None, rabi=2 * np.pi * 2e3, d
         trap = DEFAULT_TRAP
     dist = np.asarray(dist, dtype=float)
     if duration is None:
-        duration = spectroscopy_pi_duration(trap.eta, rabi)
+        duration = spectroscopy_pi_duration(trap, rabi)
     n_max = dist.size - 1
     f_trap = trap.omega_t / (2 * np.pi)
 
@@ -304,6 +305,38 @@ def sequential_cnot_block(batch, comp_phase=np.pi, local_z_phase=0.0, entangle=T
     if entangle:
         apply_cz(batch)
     return rotate(batch, "anc", comp_phase, np.pi / 2)
+
+
+def two_level_tables(pulse, eta, n_max):
+    """The seven kernel tables of the two-level model: a blue-sideband
+    pulse couples only (down, 0) <-> (up, 1), with coupling
+    i exp(i phase) eta rabi / 2 (no Debye-Waller factor), which is the form
+    the response module analyzes; a free pulse couples nothing. Every other
+    state of the (level, n) ladder up to n_max is a single. The pulses that
+    the library runs drive the full ladder with generalized-Laguerre
+    couplings instead (dynamics._pair_tables)."""
+    if pulse.kind not in (PulseKind.BLUE_SIDEBAND, PulseKind.FREE):
+        raise ValueError("the two-level tables are defined for the blue sideband and free evolution")
+    m = n_max + 1
+    pairs_g, pairs_e, coup = [], [], []
+    if pulse.kind is PulseKind.BLUE_SIDEBAND:
+        pairs_g, pairs_e = [0], [m + 1]
+        coup = [1j * np.exp(1j * pulse.phase) * eta * pulse.rabi / 2.0]
+    singles = [i for i in range(2 * m) if i not in pairs_g + pairs_e]
+    return (np.array(pairs_g, dtype=np.int64), np.array(pairs_e, dtype=np.int64),
+            np.array(coup, dtype=np.complex128), np.array(singles, dtype=np.int64),
+            *_static_vectors(pulse, n_max))
+
+
+def two_level_evolve(amps0, pulse, eta, trap, freq, ampf, dt):
+    """Rows (rows, 2 (n_max + 1), k) of flat amplitudes, or one shared row
+    (1, 2 (n_max + 1), k), evolved under the two_level_tables of the pulse
+    by kernels.evolve_blocks_batch, one noise series row per output row.
+    No step-size, norm or truncation guard applies."""
+    shape = (trap.shape[0],) + amps0.shape[1:]
+    out = np.empty(shape, dtype=np.complex128)
+    tables = two_level_tables(pulse, eta, amps0.shape[1] // 2 - 1)
+    return kernels.evolve_blocks_batch(np.broadcast_to(amps0, shape), *tables, trap, freq, ampf, dt, out)
 
 
 def propagate_reference(amps0, pair_g, pair_e, coup, singles, static_diag, nvec, zvec, trap, freq, ampf, dt):

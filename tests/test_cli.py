@@ -513,6 +513,35 @@ class TestCliRuns:
             json.loads((tmp_path / "o" / "budget.json").read_text(),
                        parse_constant=lambda name: pytest.fail(f"budget.json holds {name}"))
 
+    @pytest.mark.parametrize(
+        "key, value, command",
+        [
+            *[("trap.eta", value, command) for value in (1e6, 1e300)
+              for command in ("spectrum", "simulate", "cool", "fit")],
+            *[(key, value, "spectrum") for key, values in (
+                ("trap.frequency_hz", (1e-9, 0.999999, 1, 1e300)),
+                ("trap.mass_amu", (1e-9,)),
+                ("trap.wavelength_nm", (1e-9, 0.999999, 1)),
+                ("trap.eta", (5e-324,)),
+                ("pulse.rabi_hz", (5e-324, 1e300)),
+            ) for value in values],
+        ],
+    )
+    def test_sideband_rabi_extremes_exit_2(self, tmp_path, capsys, key, value, command):
+        # a trap or drive whose Omega_01 underflows to 0, or whose pi time,
+        # couplings or sideband detunings overflow, exits 2 naming the key
+        cfg = {"simulate": preset_config("fig3", shots=16), "cool": preset_config("fig4", shots=16),
+               "spectrum": {"spectrum": {"shots_per_point": 16}}}.get(command, {})
+        section, name = key.split(".")
+        cfg.setdefault(section, {})[name] = value
+        if command == "fit":
+            (tmp_path / "spectrum.csv").write_text("detuning_hz,p_exc,stderr,shots\n35000,0.5,0.1,16\n")
+            cfg["fit"] = {"input_csv": "spectrum.csv"}
+        path = _write_config(tmp_path, **cfg)
+        assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+
     @pytest.mark.parametrize("module", ["scipy", "scipy.stats", "scipy.optimize", "scipy.linalg"])
     def test_import_leaves_module_unloaded(self, cli_import_modules, module):
         # each of these adds ~0.15 s or more to the start-up of every run

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import two_level_evolve
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
@@ -41,15 +42,18 @@ ETA = 0.36
 RABI = 2 * np.pi * 2e3
 TRAP = TrapSpec(omega_t=2 * np.pi * 35e3, mass=88 * 1.66053906892e-27, k=2 * np.pi / 698e-9, eta=ETA)
 T_PI = np.pi / (ETA * RABI)
+#: The 0 <-> 1 sideband Rabi frequency of the ladder, which plays the role
+#: of eta * rabi in the two-level formulas
+OMEGA_01 = sideband_rabi(0, 1, ETA, RABI)
 
 
-def evolve_one(state, pulse, trap, realization=None, mode="rwa-ladder"):
+def evolve_one(state, pulse, trap, realization=None):
     """Final (2, n_max + 1) amplitudes of one state under one realization
     (noiseless in one exact step when None), as one row of evolve_batch."""
     r = realization if realization is not None else NoiseRealization.zeros(pulse.duration)
     ampf = _amp_factor(pulse, r.laser_amplitude)
     series = (x[None] for x in (r.trap_frequency, r.laser_frequency, ampf))
-    return evolve_batch(state, pulse, trap, *series, r.dt, mode)[0].reshape(2, -1)
+    return evolve_batch(state, pulse, trap, *series, r.dt)[0].reshape(2, -1)
 
 
 def harmonic_synthesis(psd, duration, n_steps, rng):
@@ -265,16 +269,16 @@ class TestBuildHamiltonian:
     def test_noiseless_bsb_two_level_structure(self):
         pulse = PulseSpec.bsb_pi(ETA, RABI)
         r = NoiseRealization.zeros(pulse.duration)
-        h = build_hamiltonian(pulse, TRAP, r, t=0.0, mode="two-level", n_max=4)
+        h = build_hamiltonian(pulse, TRAP, r, t=0.0, n_max=4)
         m = 5
         g = 0  # (down, 0)
         e = m + 1  # (up, 1)
-        # (rabi * eta / 2) * sigma_y on the pair
-        assert h[e, g] == pytest.approx(1j * ETA * RABI / 2)
-        assert h[g, e] == pytest.approx(-1j * ETA * RABI / 2)
+        # (Omega_01 / 2) * sigma_y on the pair
+        assert h[e, g] == pytest.approx(1j * OMEGA_01 / 2)
+        assert h[g, e] == pytest.approx(-1j * OMEGA_01 / 2)
         block = h[np.ix_([g, e], [g, e])]
         np.testing.assert_allclose(
-            np.sort(np.linalg.eigvalsh(block)), [-ETA * RABI / 2, ETA * RABI / 2], rtol=1e-12
+            np.sort(np.linalg.eigvalsh(block)), [-OMEGA_01 / 2, OMEGA_01 / 2], rtol=1e-12
         )
 
     def test_free_pulse_without_noise_is_zero(self):
@@ -293,8 +297,8 @@ class TestBuildHamiltonian:
             laser_frequency=np.zeros(1),
             laser_amplitude=np.zeros(1),
         )
-        h0 = build_hamiltonian(pulse, TRAP, r, 0.0, mode="two-level", n_max=4)
-        h1 = build_hamiltonian(pulse, TRAP, rn, 0.0, mode="two-level", n_max=4)
+        h0 = build_hamiltonian(pulse, TRAP, r, 0.0, n_max=4)
+        h1 = build_hamiltonian(pulse, TRAP, rn, 0.0, n_max=4)
         m = 5
         diff = h1 - h0
         assert diff[m + 1, m + 1] == pytest.approx(c)  # (up, 1) gains c
@@ -310,7 +314,8 @@ class TestBuildHamiltonian:
 class TestEvolve:
     def test_noiseless_bsb_pi_two_level(self):
         state = prepare_state(ElectronicLevel.DOWN, 0, n_max=4)
-        out = evolve_one(state, PulseSpec.bsb_pi(ETA, RABI), TRAP, mode="two-level")
+        pulse = PulseSpec(PulseKind.BLUE_SIDEBAND, rabi=RABI, duration=np.pi / OMEGA_01)
+        out = evolve_one(state, pulse, TRAP)
         assert population(out, ElectronicLevel.UP, 1) == pytest.approx(1.0, abs=1e-9)
         # documented global phase: (down,0) -> +(up,1)
         assert out[1, 1] == pytest.approx(1.0, abs=1e-9)
@@ -318,14 +323,14 @@ class TestEvolve:
     @pytest.mark.parametrize("delta_frac", [-1.5, -0.4, 0.0, 0.3, 0.8, 2.0])
     @pytest.mark.parametrize("dur_frac", [0.31, 1.0, 2.7])
     def test_detuned_rabi_formula_two_level(self, delta_frac, dur_frac):
-        w = ETA * RABI
+        w = OMEGA_01
         delta = delta_frac * w
-        duration = dur_frac * T_PI
+        duration = dur_frac * np.pi / w
         pulse = PulseSpec(
             PulseKind.BLUE_SIDEBAND, rabi=RABI, duration=duration, detuning=delta
         )
         state = prepare_state(ElectronicLevel.DOWN, 0, n_max=4)
-        out = evolve_one(state, pulse, TRAP, mode="two-level")
+        out = evolve_one(state, pulse, TRAP)
         w_eff = np.sqrt(w**2 + delta**2)
         expected = w**2 / w_eff**2 * np.sin(w_eff * duration / 2) ** 2
         assert population(out, ElectronicLevel.UP, 1) == pytest.approx(expected, abs=1e-8)
@@ -364,7 +369,7 @@ class TestEvolve:
         )
         r = sample_noise(model, T_PI, T_PI / 2000, seed=3)
         pulse = PulseSpec.bsb_pi(ETA, RABI)
-        u = propagator(pulse, TRAP, r, mode="rwa-ladder", n_max=6)
+        u = propagator(pulse, TRAP, r, n_max=6)
         np.testing.assert_allclose(u.conj().T @ u, np.eye(14), atol=1e-9)
 
     def test_propagator_matches_per_column_construction(self):
@@ -378,15 +383,14 @@ class TestEvolve:
         pulse = PulseSpec.bsb_pi(ETA, RABI)
         ampf = _amp_factor(pulse, r.laser_amplitude)
         series = (r.trap_frequency[None], r.laser_frequency[None], ampf[None], r.dt)
-        for mode in ("rwa-ladder", "two-level"):
-            u = propagator(pulse, TRAP, r, mode=mode, n_max=6)
-            cols = np.column_stack(
-                [
-                    _run_kernel(basis[None, :, None], pulse, TRAP, *series, mode, 6, guards=False)[0, :, 0]
-                    for basis in np.eye(14, dtype=np.complex128)
-                ]
-            )
-            np.testing.assert_allclose(u, cols, rtol=0, atol=1e-12)
+        u = propagator(pulse, TRAP, r, n_max=6)
+        cols = np.column_stack(
+            [
+                _run_kernel(basis[None, :, None], pulse, TRAP, *series, 6, guards=False)[0, :, 0]
+                for basis in np.eye(14, dtype=np.complex128)
+            ]
+        )
+        np.testing.assert_allclose(u, cols, rtol=0, atol=1e-12)
 
     @given(
         st.floats(-2.0, 2.0),
@@ -447,7 +451,7 @@ class TestEvolve:
         assert abs(p1 - p2) < 1e-8
 
     def test_spectroscopy_pi_duration_saturates_transfer(self):
-        dur = spectroscopy_pi_duration(ETA, RABI)
+        dur = spectroscopy_pi_duration(TRAP, RABI)
         pulse = PulseSpec(PulseKind.BLUE_SIDEBAND, rabi=RABI, duration=dur)
         out = evolve_one(prepare_state(ElectronicLevel.DOWN, 0, n_max=6), pulse, TRAP)
         assert population(out, ElectronicLevel.UP, 1) == pytest.approx(1.0, abs=1e-10)
@@ -467,12 +471,12 @@ class TestPerturbativeConsistency:
         rng = np.random.default_rng(17)
         trap_series = rng.normal(0.0, sigma, size=(n_traj, 1))  # constant H: 1 exact step
         state = prepare_state(ElectronicLevel.DOWN, 0, n_max=4)
-        out = evolve_batch(
-            state, pulse, TRAP,
-            trap_series, np.zeros_like(trap_series), np.ones_like(trap_series),
-            dt=pulse.duration, mode="two-level",
+        # the two-level model the response describes
+        out = two_level_evolve(
+            state.amps.reshape(1, -1, 1), pulse, ETA,
+            trap_series, np.zeros_like(trap_series), np.ones_like(trap_series), pulse.duration,
         )
-        infid = 1.0 - np.abs(out[:, 5 + 1]) ** 2
+        infid = 1.0 - np.abs(out[:, 5 + 1, 0]) ** 2
         se = infid.std(ddof=1) / np.sqrt(n_traj)
         assert abs(infid.mean() - chi) <= 3 * se
 
@@ -521,10 +525,9 @@ class TestKernelsBackend:
             np.stack([r.laser_frequency for r in reals]),
             np.stack([1.0 + r.laser_amplitude / RABI for r in reals]),
             dt=pulse.duration / 50,
-            mode="two-level",
         )
         for i, r in enumerate(reals):
-            seq = evolve_one(state, pulse, TRAP, r, mode="two-level")
+            seq = evolve_one(state, pulse, TRAP, r)
             np.testing.assert_allclose(batch[i], seq.reshape(-1), atol=1e-12)
 
 
@@ -699,16 +702,9 @@ class TestEvolveRows:
 
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize(
-        "kind, mode",
-        [
-            (PulseKind.CARRIER, "rwa-ladder"),
-            (PulseKind.RED_SIDEBAND, "rwa-ladder"),
-            (PulseKind.BLUE_SIDEBAND, "rwa-ladder"),
-            (PulseKind.FREE, "rwa-ladder"),
-            (PulseKind.BLUE_SIDEBAND, "two-level"),
-        ],
+        "kind", [PulseKind.CARRIER, PulseKind.RED_SIDEBAND, PulseKind.BLUE_SIDEBAND, PulseKind.FREE]
     )
-    def test_noiseless_rows_match_dense_propagator(self, kind, mode, k):
+    def test_noiseless_rows_match_dense_propagator(self, kind, k):
         # noise None and a model with no channel both apply the dense
         # propagator, draw nothing, and agree with the per-row kernel run
         # on zero series
@@ -719,14 +715,14 @@ class TestEvolveRows:
         rows[:, :, self.N_MAX - 1:] = 0.0  # nothing reaches the truncation edge
         rows = rows.reshape(7, -1, k) / np.linalg.norm(rows.reshape(7, -1), axis=1)[:, None, None]
         before = rng.bit_generator.state
-        dense = evolve_rows(rows, pulse, TRAP, None, rng=rng, mode=mode)
-        quiet = evolve_rows(rows, pulse, TRAP, NoiseModel(), rng=rng, mode=mode)
+        dense = evolve_rows(rows, pulse, TRAP, None, rng=rng)
+        quiet = evolve_rows(rows, pulse, TRAP, NoiseModel(), rng=rng)
         assert rng.bit_generator.state == before
-        np.testing.assert_array_equal(dense, propagator(pulse, TRAP, None, mode, self.N_MAX) @ rows)
+        np.testing.assert_array_equal(dense, propagator(pulse, TRAP, None, self.N_MAX) @ rows)
         np.testing.assert_array_equal(quiet, dense)
         zeros = np.zeros((7, 1))
         per_row = dynamics._run_kernel(rows, pulse, TRAP, zeros, zeros, zeros + 1.0,
-                                       pulse.duration, mode, self.N_MAX)
+                                       pulse.duration, self.N_MAX)
         np.testing.assert_allclose(dense, per_row, rtol=0, atol=1e-14)
 
     def test_rejects_unnormalized_row(self):

@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from conftest import evolve_blocks_reference
+from conftest import evolve_blocks_reference, two_level_tables
 
 import tweezersim
 from tweezersim import kernels
@@ -82,11 +82,18 @@ def _random_state(rng, dim):
     return amps / np.linalg.norm(amps)
 
 
-def _tables(kind, mode, n_max=6):
+def _pulse_tables(pulse, n_max, table):
+    """The seven kernel block tables of a pulse: the ladder's
+    ("rwa-ladder") or conftest's two-level oracle's ("two-level")."""
+    if table == "two-level":
+        return two_level_tables(pulse, ETA, n_max)
+    return (*_pair_tables(pulse, ETA, n_max), *_static_vectors(pulse, n_max))
+
+
+def _tables(kind, table, n_max=6):
     """Kernel block tables of a detuned, phase-shifted pulse."""
     pulse = PulseSpec(kind, rabi=RABI, duration=T_PI, detuning=0.3 * ETA * RABI, phase=0.7)
-    pg, pe, coup, singles = _pair_tables(pulse, ETA, n_max, mode)
-    return (pg, pe, coup, singles, *_static_vectors(pulse, n_max))
+    return _pulse_tables(pulse, n_max, table)
 
 
 def _series(rng, n_traj, n_steps):
@@ -110,7 +117,8 @@ def _batch(amps0, tables, trap, freq, ampf, dt):
     return kernels.evolve_blocks_batch(rows, *tables, trap, freq, ampf, dt, out)[:, :, 0]
 
 
-# two-level mode is defined for the blue sideband and free evolution only
+# the two-level oracle tables are defined for the blue sideband and free
+# evolution only
 PULSE_CASES = [
     (PulseKind.CARRIER, "rwa-ladder"),
     (PulseKind.RED_SIDEBAND, "rwa-ladder"),
@@ -121,11 +129,11 @@ PULSE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("kind, mode", PULSE_CASES)
+@pytest.mark.parametrize("kind, table", PULSE_CASES)
 @pytest.mark.parametrize("n_steps", [1, 3, 2001])
-def test_single_trajectory_matches_oracle(kind, mode, n_steps):
-    rng = np.random.default_rng([n_steps, PULSE_CASES.index((kind, mode))])
-    tables = _tables(kind, mode)
+def test_single_trajectory_matches_oracle(kind, table, n_steps):
+    rng = np.random.default_rng([n_steps, PULSE_CASES.index((kind, table))])
+    tables = _tables(kind, table)
     amps = _random_state(rng, 14)
     trap, freq, ampf = _series(rng, 1, n_steps)
     dt = T_PI / n_steps
@@ -135,10 +143,10 @@ def test_single_trajectory_matches_oracle(kind, mode, n_steps):
     assert np.linalg.norm(got) == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("kind, mode", PULSE_CASES)
-def test_batch_matches_oracle(kind, mode):
+@pytest.mark.parametrize("kind, table", PULSE_CASES)
+def test_batch_matches_oracle(kind, table):
     rng = np.random.default_rng(5)
-    tables = _tables(kind, mode)
+    tables = _tables(kind, table)
     amps0 = _random_state(rng, 14)
     trap, freq, ampf = _series(rng, 5, 200)
     dt = T_PI / 200
@@ -156,9 +164,8 @@ def test_zero_coupling_block_takes_phase_only_branch():
     # still rotates the pair's phase
     rng = np.random.default_rng(8)
     pulse = PulseSpec(PulseKind.CARRIER, rabi=0.0, duration=T_PI)
-    pg, pe, coup, singles = _pair_tables(pulse, ETA, 3, "rwa-ladder")
-    assert not np.any(coup)
-    tables = (pg, pe, coup, singles, *_static_vectors(pulse, 3))
+    tables = _pulse_tables(pulse, 3, "rwa-ladder")
+    assert not np.any(tables[2])
     amps = _random_state(rng, 8)
     n_steps = 7
     trap = rng.normal(size=n_steps) * 100.0
@@ -195,10 +202,10 @@ def _random_rows(rng, n_traj, dim, k=2):
     return np.stack([np.stack([_random_state(rng, dim) for _ in range(k)], axis=1) for _ in range(n_traj)])
 
 
-@pytest.mark.parametrize("kind, mode", PULSE_CASES)
-def test_per_row_initial_states_match_oracle(kind, mode):
-    rng = np.random.default_rng([9, PULSE_CASES.index((kind, mode))])
-    tables = _tables(kind, mode)
+@pytest.mark.parametrize("kind, table", PULSE_CASES)
+def test_per_row_initial_states_match_oracle(kind, table):
+    rng = np.random.default_rng([9, PULSE_CASES.index((kind, table))])
+    tables = _tables(kind, table)
     amps0 = _random_rows(rng, 5, 14)
     trap, freq, ampf = _series(rng, 5, 200)
     dt = T_PI / 200
@@ -233,15 +240,15 @@ def test_per_row_batch_spanning_several_chunks_matches_oracle_and_single_calls()
 
 def test_pair_tables_are_cached_read_only():
     pulse = PulseSpec(PulseKind.BLUE_SIDEBAND, rabi=RABI, duration=T_PI, phase=0.7)
-    first = (*_pair_tables(pulse, ETA, 6, "rwa-ladder"), *_static_vectors(pulse, 6))
-    again = (*_pair_tables(pulse, ETA, 6, "rwa-ladder"), *_static_vectors(pulse, 6))
+    first = _pulse_tables(pulse, 6, "rwa-ladder")
+    again = _pulse_tables(pulse, 6, "rwa-ladder")
     assert all(a is b for a, b in zip(first, again))
     for a in first:
         with pytest.raises(ValueError):
             a[...] = 0
 
 
-def _bit_case(kind, mode, n_max, n_steps, n_traj, k, quiet=False, seed=0):
+def _bit_case(kind, table, n_max, n_steps, n_traj, k, quiet=False, seed=0):
     """Kernel arguments less `out`: a detuned, phase-shifted pulse's tables,
     per-row initial states (n_traj, dim, k) and noisy series. n_traj None
     means two full chunks and a partial one. quiet makes a zero-Rabi,
@@ -252,14 +259,14 @@ def _bit_case(kind, mode, n_max, n_steps, n_traj, k, quiet=False, seed=0):
         pulse = PulseSpec(PulseKind.CARRIER, rabi=0.0, duration=T_PI)
     else:
         pulse = PulseSpec(kind, rabi=RABI, duration=T_PI, detuning=0.3 * ETA * RABI, phase=0.7)
-    pg, pe, coup, singles = _pair_tables(pulse, ETA, n_max, mode)
+    tables = _pulse_tables(pulse, n_max, table)
     if n_traj is None:
-        n_traj = 2 * kernels._rows_per_chunk(n_steps, pg.size) + 3
+        n_traj = 2 * kernels._rows_per_chunk(n_steps, tables[0].size) + 3
     trap, freq, ampf = _series(rng, n_traj, n_steps)
     if quiet:
         freq[:] = 0.0
     amps0 = _random_rows(rng, n_traj, 2 * (n_max + 1), k)
-    return amps0, (pg, pe, coup, singles, *_static_vectors(pulse, n_max)), trap, freq, ampf, T_PI / n_steps
+    return amps0, tables, trap, freq, ampf, T_PI / n_steps
 
 
 def _kernel(case):
@@ -286,9 +293,9 @@ BIT_CASES = [
 ]
 
 
-@pytest.mark.parametrize("kind, mode, n_max, n_steps, n_traj, k, quiet", BIT_CASES)
-def test_kernel_is_bit_identical_to_allocating_reference(kind, mode, n_max, n_steps, n_traj, k, quiet):
-    case = _bit_case(kind, mode, n_max, n_steps, n_traj, k, quiet)
+@pytest.mark.parametrize("kind, table, n_max, n_steps, n_traj, k, quiet", BIT_CASES)
+def test_kernel_is_bit_identical_to_allocating_reference(kind, table, n_max, n_steps, n_traj, k, quiet):
+    case = _bit_case(kind, table, n_max, n_steps, n_traj, k, quiet)
     amps0, tables, trap, freq, ampf, dt = case
     if quiet:
         assert not np.any(tables[2]) and not np.any(freq)
@@ -359,7 +366,7 @@ import numpy as np
 from tweezersim import kernels
 from tweezersim.dynamics import PulseSpec, _pair_tables, _static_vectors
 pulse = PulseSpec.bsb_pi(0.36, 2 * np.pi * 2e3)
-tables = (*_pair_tables(pulse, 0.36, 12, "rwa-ladder"), *_static_vectors(pulse, 12))
+tables = (*_pair_tables(pulse, 0.36, 12), *_static_vectors(pulse, 12))
 assert tables[0].size == 12
 rng = np.random.default_rng(1)
 trap, freq = rng.normal(size=(2, 4, 2000)) * 100.0
