@@ -24,7 +24,6 @@ from .dynamics import (
     build_hamiltonian,
     evolve_rows,
     load_psd_csv,
-    propagator,
     sample_noise,
     sideband_rabi,
 )

@@ -11,8 +11,8 @@ as
 
 where dwt is trap-frequency noise, fdot laser-frequency noise (the time
 derivative of laser phase) and the drive detuning appears as an energy
-offset of the up manifold. Every pulse evolves on the full Fock ladder
-up to n_max.
+offset of the up manifold. Every pulse, noisy or noiseless, runs the
+kernel on per-row windows n0..n0 + W - 1 of the Fock ladder 0..n_max.
 
 Phase convention: a noiseless resonant blue-sideband pi pulse maps
 (down,0) -> +(up,1), i.e. the documented global phase is zero; sideband
@@ -77,7 +77,10 @@ class PulseSpec:
 
     @classmethod
     def bsb_pi(cls, eta: float, rabi: float, detuning: float = 0.0, phase: float = 0.0):
-        """Blue-sideband pi pulse with T_pi = pi / (eta * rabi)."""
+        """Blue-sideband pulse of the two-level pi time pi / (eta * rabi). The
+        ladder's (down,0) <-> (up,1) coupling is Omega_01 = eta exp(-eta^2/2)
+        rabi, so at eta = 0.36 it transfers 0.9903; the protocols time their
+        pulses with omega_01."""
         return cls(
             PulseKind.BLUE_SIDEBAND,
             rabi=rabi,
@@ -362,15 +365,6 @@ def _pair_tables(pulse: PulseSpec, eta: float, n_max: int):
     )
 
 
-def _edges(pulse: PulseSpec, n_max: int) -> list:
-    """Flat indices of the states the drive would couple past n_max."""
-    if pulse.kind is PulseKind.BLUE_SIDEBAND:
-        return [n_max]  # (down, n_max)
-    if pulse.kind is PulseKind.RED_SIDEBAND:
-        return [2 * n_max + 1]  # (up, n_max)
-    return []
-
-
 @functools.lru_cache(maxsize=256)
 def _static_vectors(pulse: PulseSpec, n_max: int):
     """Static diagonal (detuning), Fock-number and sigma_z weight vectors (read-only)."""
@@ -420,19 +414,26 @@ def build_hamiltonian(
     return h
 
 
-def _run_kernel(amps0, pulse, trap, trap_series, freq_series, ampf_series, dt, n_max, guards=True):
+def _run_kernel(amps0, pulse, trap, trap_series, freq_series, ampf_series, dt, n_max, n0=None, guards=True):
     """Guarded kernel call: propagate rows of flat amplitudes through a pulse.
 
     The series have shape (rows, n_steps), one noise realization per
-    row. amps0 has shape (rows, dim, k), row t evolving under
-    realization t, or (1, dim, k) for one state shared by every row; the
+    row. amps0 has shape (rows, 2 W, k), row t evolving under
+    realization t, or (1, 2 W, k) for one state shared by every row; the
     k columns are one state (the levels of a spectator partner atom).
-    Returns (rows, dim, k). Raises StepSizeError when dt * max|H| > 0.1
-    in any row of more than one step; with guards on, applies
-    _check_guards.
+    Slot s holds Fock level n0[t] + s: the pairs and singles are a W-level
+    ladder's, and row t's couplings and Fock numbers the n_max ladder's
+    at n0[t] + pair and n0[t] + slot (n0 None: the full ladder). Returns
+    (rows, 2 W, k). Raises StepSizeError when dt * max|H| > 0.1 (bounded
+    on the n_max ladder) in any row of more than one step; with guards
+    on, applies _check_guards.
     """
-    pg, pe, coup, singles = _pair_tables(pulse, trap.eta, n_max)
-    static, nvec, zvec = _static_vectors(pulse, n_max)
+    w = amps0.shape[1] // 2
+    pg, pe, coup, singles = _pair_tables(pulse, trap.eta, w - 1)
+    static, nvec, zvec = _static_vectors(pulse, w - 1)
+    ladder = _pair_tables(pulse, trap.eta, n_max)[2]
+    if n0 is not None:
+        coup, nvec = ladder[n0[:, None] + np.arange(coup.size)], n0[:, None] + nvec
 
     if trap_series.shape[1] > 1:
         # piecewise-constant approximation in play: enforce the step bound
@@ -440,7 +441,7 @@ def _run_kernel(amps0, pulse, trap, trap_series, freq_series, ampf_series, dt, n
             abs(pulse.detuning)
             + n_max * np.max(np.abs(trap_series), axis=1, initial=0.0)
             + 0.5 * np.max(np.abs(freq_series), axis=1, initial=0.0)
-            + np.max(np.abs(coup), initial=0.0) * np.max(np.abs(ampf_series), axis=1)
+            + np.max(np.abs(ladder), initial=0.0) * np.max(np.abs(ampf_series), axis=1)
         )
         worst = float(np.max(bound)) * dt
         if worst > 0.1:
@@ -452,57 +453,47 @@ def _run_kernel(amps0, pulse, trap, trap_series, freq_series, ampf_series, dt, n
         trap_series, freq_series, ampf_series, dt, out,
     )
     if guards:
-        _check_guards(amps0, out, pulse, n_max)
+        _check_guards(amps0, out, pulse, n_max, 0 if n0 is None else n0)
     return out
 
 
-def _check_guards(before, after, pulse, n_max):
+def _check_guards(before, after, pulse, n_max, n0):
     """Norm and truncation guards on rows of states before and after a pulse.
 
-    before and after have shape (rows, dim, k), k columns per row (a
-    partner atom's levels); before may have a single row shared by all.
+    before and after have shape (rows, 2 W, k), k columns per row (a
+    partner atom's levels), slot s of a row at Fock level n0 + s (n0 per
+    row, or one for all); before may have a single row shared by all.
     Raises ValidationError when a row enters without norm 1,
-    TruncationError when a row populates a truncation edge the drive
-    couples out of space or when a pulse moves more than
-    TRUNCATION_LEAK_TOL of a row's population into the top Fock level,
-    and NumericsError when a row leaves with its norm off by more than
-    NORM_TOL.
+    TruncationError when a row populates an edge slot, one whose drive
+    partner n +- 1 >= 0 lies outside its window (on the full ladder: past
+    n_max), or when a pulse moves more than TRUNCATION_LEAK_TOL of a
+    row's population into the top Fock level n_max, and NumericsError
+    when a row leaves with its norm off by more than NORM_TOL.
     """
-    def pop(a, idx):
-        return (np.abs(a[:, idx]) ** 2).sum(axis=(1, 2))
-
-    if np.any(np.abs(pop(before, slice(None)) - 1.0) > NORM_TOL):
+    w = before.shape[1] // 2
+    p_before, p_after = ((np.abs(a) ** 2).sum(axis=2).reshape(-1, 2, w) for a in (before, after))
+    if np.any(np.abs(p_before.sum(axis=(1, 2)) - 1.0) > NORM_TOL):
         raise ValidationError("every row must have norm 1")
-    edge_pop = float(np.max(pop(before, _edges(pulse, n_max)), initial=0.0))
+    n0, edge_pop = np.reshape(n0, -1), 0.0
+    if pulse.kind in (PulseKind.BLUE_SIDEBAND, PulseKind.RED_SIDEBAND):
+        # a sideband drives one level's last slot to n0 + W and the other's
+        # slot 0 to n0 - 1, which exists when n0 > 0
+        rise = int(pulse.kind is PulseKind.RED_SIDEBAND)  # the level driven to n + 1
+        edge_pop = float(np.max(p_before[:, rise, -1] + (n0 > 0) * p_before[:, 1 - rise, 0]))
     if edge_pop > TRUNCATION_LEAK_TOL:
         raise TruncationError(
             f"population {edge_pop:.3e} at the truncation edge would couple "
-            f"past n_max = {n_max}"
+            f"past n_max = {n_max} or its window"
         )
-    top = [n_max, 2 * n_max + 1]
-    leak = float(np.max(pop(after, top) - pop(before, top)))
+    leak = float(np.max((n0 + w - 1 == n_max) * (p_after - p_before)[:, :, -1].sum(axis=1)))
     if leak > TRUNCATION_LEAK_TOL:
         raise TruncationError(
             f"pulse moved {leak:.3e} population into the top "
             f"Fock level n = {n_max}"
         )
-    drift = float(np.max(np.abs(pop(after, slice(None)) - 1.0)))
+    drift = float(np.max(np.abs(p_after.sum(axis=(1, 2)) - 1.0)))
     if not drift <= NORM_TOL:  # a NaN drift fails too
         raise NumericsError(f"evolution norm drift {drift:.3e}")
-
-
-def propagator(
-    pulse: PulseSpec,
-    trap: TrapSpec,
-    realization: NoiseRealization = None,
-    n_max: int = DEFAULT_N_MAX,
-) -> np.ndarray:
-    """Full (2(n_max+1))^2 propagator matrix: evolve_rows applies it to every
-    row of a noiseless pulse; tests and diagnostics use it too."""
-    r = realization if realization is not None else NoiseRealization.zeros(pulse.duration)
-    identity = np.eye(2 * (n_max + 1), dtype=np.complex128)[None]
-    series = (x[None] for x in (r.trap_frequency, r.laser_frequency, _amp_factor(pulse, r.laser_amplitude)))
-    return _run_kernel(identity, pulse, trap, *series, r.dt, n_max, guards=False)[0]
 
 
 def evolve_batch(
@@ -532,39 +523,44 @@ def evolve_rows(
     noise: NoiseModel = None,
     steps: int = DEFAULT_STEPS_PER_PULSE,
     rng=None,
+    n0: np.ndarray = None,
+    n_max: int = None,
 ) -> np.ndarray:
     """Evolve one state per row, each under its own noise realization.
 
-    amps has shape (rows, 2 * (n_max + 1), k): flat (level, n)
-    amplitudes with k spectator columns (a partner atom's levels) that
-    the pulse does not touch; each row has norm 1. With noise None or a
-    model with no channel the pulse is noiseless: every row shares one
-    exact step, applied as the dense propagator, and nothing is drawn.
-    Otherwise the rows run through the kernel a chunk at a time, and each
+    amps has shape (rows, 2 W, k): each row's window of W Fock levels,
+    flat (level, slot) amplitudes with slot s at Fock level n0[row] + s
+    of the ladder 0..n_max, and k spectator columns (a partner atom's
+    levels) that the pulse does not touch; each row has norm 1. Without
+    n0 and n_max the window is the full ladder (n0 = 0, n_max = W - 1).
+    Every pulse runs the kernel on the windows, rows a chunk at a time.
+    With noise None or a model with no channel the pulse is noiseless:
+    zero series in one exact step, and nothing is drawn. Otherwise each
     chunk draws its rows' realizations from rng with one
     sample_noise_rows call, in row order. Without a SpectralDensity
     channel each row's H is constant over the pulse, so its realization
     has one exact step and `steps` is not used; with one, it has `steps`
     steps. The step-size, truncation and norm guards apply per row.
     """
-    n_max = amps.shape[1] // 2 - 1
-    if noise is None or all(noise.channel(c) is None for c in CHANNELS):
-        out = propagator(pulse, trap, None, n_max) @ amps
-        _check_guards(amps, out, pulse, n_max)
-        return out
-    if noise.f_max() == 0:  # no SpectralDensity channel: H is constant
+    w = amps.shape[1] // 2
+    if n0 is None:
+        n_max = w - 1
+    elif n_max is None or n0.size and (n0.min() < 0 or n0.max() + w - 1 > n_max):
+        raise ValidationError(f"n0 needs n_max, and every window must lie in the ladder 0..n_max = {n_max}")
+    quiet = noise is None or all(noise.channel(c) is None for c in CHANNELS)
+    if quiet or noise.f_max() == 0:  # H is constant over the pulse
         steps = 1
     dt = pulse.duration / steps
     out = np.empty(amps.shape, dtype=np.complex128)
-    n_pairs = _pair_tables(pulse, trap.eta, n_max)[0].size
-    per_call = kernels._rows_per_chunk(steps, n_pairs)
+    per_call = kernels._rows_per_chunk(steps, _pair_tables(pulse, trap.eta, w - 1)[0].size)
     rng = np.random.default_rng(rng)
     for start in range(0, amps.shape[0], per_call):
-        rows = amps[start:start + per_call]
-        trap_2d, freq_2d, amp_2d = sample_noise_rows(noise, pulse.duration, dt, rows.shape[0], rng)
-        out[start:start + per_call] = _run_kernel(
-            rows, pulse, trap, trap_2d, freq_2d, _amp_factor(pulse, amp_2d), dt, n_max
-        )
+        rows = slice(start, start + per_call)
+        n = amps[rows].shape[0]
+        trap_2d, freq_2d, amp_2d = (np.zeros((n, 1)),) * 3 if quiet else sample_noise_rows(
+            noise, pulse.duration, dt, n, rng)
+        out[rows] = _run_kernel(amps[rows], pulse, trap, trap_2d, freq_2d, _amp_factor(pulse, amp_2d), dt,
+                                n_max, None if n0 is None else n0[rows])
     return out
 
 

@@ -9,7 +9,8 @@ Every operation acts on a PairBatch: a chunk of data + ancilla pairs
 held as one complex array psi[shot, data_level, slot, anc_level] plus
 a loss mask per atom. Slot s is the data's Fock level n0[shot] + s: a
 window of the W levels its circuit reaches, outside which the ladder
-0..n_max holds nothing. The ancilla has no motional axis: it is always
+0..n_max holds nothing; sideband pulses (dynamics.evolve_rows) run on
+the window itself. The ancilla has no motional axis: it is always
 prepared at n = 0 and no operation touches its motion. Operations
 update psi in place: a gate mixes one atom's two level slices with
 coefficients per shot (``cnot_block`` fuses its local-Z phase, two

@@ -16,12 +16,13 @@ and are applied once as exp(-i dt sum a). Singletons only pick up
 exp(-i dt sum d). There is no Python loop over time steps.
 
 Per-step arrays are (rows, pairs, steps), the step axis innermost: the
-series broadcast as (rows, 1, steps) against (pairs, 1) coefficients, and
-a tree level takes later and earlier steps as stride-2 slices of one run.
-They are views, carved once per chunk shape, into a workspace per thread
-(a threading.local) that later calls reuse, so a warm call faults in no
-fresh memory. It grows to the largest chunk the thread has run, 64-75 B x
-max(_CHUNK_ELEMENTS, n_steps * n_pairs), and goes when its thread exits.
+series broadcast as (rows, 1, steps) against coefficients (pairs, 1), or
+(rows, pairs, 1) per row; a tree level takes later and earlier steps as
+stride-2 slices of one run. They are views, carved once per chunk shape,
+into a workspace per thread (a threading.local) that later calls reuse,
+so a warm call faults in no fresh memory. It grows to the largest chunk
+the thread has run, 64-75 B x max(_CHUNK_ELEMENTS, n_steps * n_pairs),
+and goes when its thread exits.
 """
 
 import threading
@@ -74,18 +75,20 @@ def _propagate(amps0, pair_g, pair_e, coup, singles, static_diag, nvec, zvec, tr
     Per step i the block Hamiltonian entries are
         diag(s) = static_diag[s] + trap[i] * nvec[s] + 0.5 * freq[i] * zvec[s]
         <e|H|g> = coup[p] * ampf[i]
-    Trajectory t starts from the flat amplitudes amps0[t], of shape
-    (dim, k) for k initial states at once (the columns); the propagation
-    is linear, so the columns share every per-step factor.
+    coup and nvec are (pairs,) and (dim,), or (n_traj, pairs) and
+    (n_traj, dim) per trajectory. Trajectory t starts from the flat
+    amplitudes amps0[t], of shape (dim, k) for k initial states at once
+    (the columns); the propagation is linear, so the columns share every
+    per-step factor.
     """
     rows, n_steps = trap.shape
     g, e = pair_g, pair_e
     alpha, beta, h, r, sinc, tmp, levels, alpha_end, beta_end = _views(rows, n_steps, g.size)
     # half-difference h of each pair's diagonal
-    np.multiply(trap[:, None], (0.5 * (nvec[e] - nvec[g]))[:, None], out=h)
+    np.multiply(trap[:, None], (0.5 * (nvec[..., e] - nvec[..., g]))[..., None], out=h)
     h += np.multiply(freq[:, None], (0.25 * (zvec[e] - zvec[g]))[:, None], out=tmp)
     h += (0.5 * (static_diag[e] - static_diag[g]))[:, None]
-    np.multiply(ampf[:, None] ** 2, (coup.real**2 + coup.imag**2)[:, None], out=r)
+    np.multiply(ampf[:, None] ** 2, (coup.real**2 + coup.imag**2)[..., None], out=r)
     r += np.multiply(h, h, out=tmp)
     np.sqrt(r, out=r)
     np.multiply(r, dt, out=sinc)  # r dt, then sin(r dt), then sin(r dt) / r
@@ -94,7 +97,7 @@ def _propagate(amps0, pair_g, pair_e, coup, singles, static_diag, nvec, zvec, tr
     np.divide(sinc, r, out=sinc, where=r > 0.0)  # r = 0 leaves sin(0) = 0
     np.multiply(h, sinc, out=alpha.imag)
     sinc *= ampf[:, None]
-    np.multiply(sinc, (-1j * coup)[:, None], out=beta)
+    np.multiply(sinc, (-1j * coup)[..., None], out=beta)
     # time-ordered product, later @ earlier, of neighbouring steps per
     # level; an odd last step passes through (a product with the identity)
     for a1, b1, a2, b2, a, b, t, u, tail in levels:
@@ -109,11 +112,11 @@ def _propagate(amps0, pair_g, pair_e, coup, singles, static_diag, nvec, zvec, tr
     half_freq_sum = 0.5 * freq.sum(axis=1)[:, None]
     a_sum = (
         n_steps * 0.5 * (static_diag[g] + static_diag[e])
-        + trap_sum * 0.5 * (nvec[g] + nvec[e])
+        + trap_sum * 0.5 * (nvec[..., g] + nvec[..., e])
         + half_freq_sum * 0.5 * (zvec[g] + zvec[e])
     )
     phase = np.exp(-1j * dt * a_sum)
-    d_sum = n_steps * static_diag[singles] + trap_sum * nvec[singles] + half_freq_sum * zvec[singles]
+    d_sum = n_steps * static_diag[singles] + trap_sum * nvec[..., singles] + half_freq_sum * zvec[singles]
     single_phase = np.exp(-1j * dt * d_sum)
     out = amps0.astype(np.complex128, order="C")
     alpha, beta, phase, single_phase = (x[..., None] for x in (alpha_end, beta_end, phase, single_phase))
@@ -135,11 +138,13 @@ def evolve_blocks_batch(
 ):
     """Evolve many noise realizations (rows), each from its own initial
     state: amps0[t] of shape (dim, k) for row t of the (rows, n_steps)
-    series. Rows that share a state pass a broadcast amps0."""
+    series. Rows that share a state pass a broadcast amps0; 2-D coup and
+    nvec tables (one row per series row) give each row its own."""
     blocks = (pair_g, pair_e, coup, singles, static_diag, nvec, zvec)
     n_traj, n_steps = trap_2d.shape
     chunk = _rows_per_chunk(n_steps, pair_g.shape[0])
     for start in range(0, n_traj, chunk):
         rows = slice(start, start + chunk)
-        out[rows] = _propagate(amps0[rows], *blocks, trap_2d[rows], freq_2d[rows], ampf_2d[rows], dt)
+        per_rows = [b[rows] if b.ndim == 2 else b for b in blocks]
+        out[rows] = _propagate(amps0[rows], *per_rows, trap_2d[rows], freq_2d[rows], ampf_2d[rows], dt)
     return out

@@ -8,7 +8,7 @@ updates at once, and it draws all its randomness from its own stream,
 PCG64(SeedSequence(seed, spawn_key=(scenario index, [phase index,]
 chunk index))). The chunk size is a constant, so results do not depend
 on the worker count or on the order in which the worker threads run
-the chunks.
+the chunks. A pulse drives each shot's Fock window (see WINDOW) itself.
 
 The ancilla-flip block (a CNOT up to calibrated phases) decomposes as
 local Z on the data, X^(1/2) on the ancilla, CZ, and a second X^(1/2)
@@ -294,17 +294,12 @@ def _fresh_ancilla(batch: PairBatch, config: ProtocolConfig, level) -> PairBatch
 def _evolve_data(batch: PairBatch, pulse: PulseSpec, config: ProtocolConfig) -> PairBatch:
     """Drive every present data atom through a pulse, each under its own
     noise realization; the ancilla levels are spectators. evolve_rows and
-    its guards run on the full ladder, into which the windows scatter."""
+    its guards run on each shot's window."""
     on = np.flatnonzero(~batch.data_lost)
     if on.size:
-        m = 2 * (batch.n_max + 1)  # (n, anc level) entries per data level on the ladder
-        slots = np.arange(2)[:, None] * m + np.arange(2 * batch.psi.shape[2])  # [level, slot, anc]
-        at = (np.arange(on.size) * 2 * m + 2 * batch.n0[on])[:, None, None] + slots
-        ladder = np.zeros((on.size, m, 2), dtype=np.complex128)
-        ladder.reshape(-1)[at] = batch.psi[on].reshape(at.shape)
-        out = evolve_rows(ladder, pulse, config.trap, config.noise, config.steps_per_pulse,
-                          batch.rng)
-        batch.psi[on] = out.reshape(-1)[at].reshape(-1, *batch.psi.shape[1:])
+        out = evolve_rows(batch.psi[on].reshape(on.size, -1, 2), pulse, config.trap, config.noise,
+                          config.steps_per_pulse, batch.rng, batch.n0[on], batch.n_max)
+        batch.psi[on] = out.reshape(-1, *batch.psi.shape[1:])
     return batch
 
 
@@ -570,8 +565,8 @@ def simulate_sideband_spectrum(
     dist = _check_probability_vector(initial_dist)
     if not 0.0 <= wrong_state_fraction < 1.0:
         raise ValidationError("wrong_state_fraction must be in [0, 1)")
-    if duration is None:
-        duration = spectroscopy_pi_duration(trap, rabi)
+    t_pi = spectroscopy_pi_duration(trap, rabi)  # checks Omega_01 whatever the duration
+    duration = t_pi if duration is None else duration
     detunings_hz = np.asarray(detunings_hz, dtype=float)
     n_max = dist.size - 1
     f_trap = trap.omega_t / (2 * np.pi)

@@ -3,9 +3,10 @@ synthetic-spectrum generators, the sideband peak-ratio oracle, the scalar
 sideband-ladder loop, the least-squares fit references and the
 Gauss-Newton polish oracle, the local Z gate and the sequential
 ancilla-flip block built on it, the dense ideal red-sideband map and its
-einsum application, the two-level pair tables and their kernel run, and
-the allocating block-propagation reference for response, analysis,
-protocol, gate, kernel, dynamics, CLI and acceptance tests."""
+einsum application, the two-level pair tables and their kernel run, the
+dense propagator matrix, and the allocating block-propagation reference
+for response, analysis, protocol, gate, kernel, dynamics, CLI and
+acceptance tests."""
 
 import json
 import math
@@ -14,9 +15,18 @@ import os
 import numpy as np
 
 from tweezersim import cli, kernels
-from tweezersim.dynamics import PulseKind, _static_vectors, sideband_rabi, spectroscopy_pi_duration
+from tweezersim.dynamics import (
+    NoiseRealization,
+    PulseKind,
+    _amp_factor,
+    _run_kernel,
+    _static_vectors,
+    sideband_rabi,
+    spectroscopy_pi_duration,
+)
 from tweezersim.gates import apply_cz, rotate
 from tweezersim.protocols import DEFAULT_TRAP, SidebandSpectrum, detuned_transfer
+from tweezersim.states import DEFAULT_N_MAX
 
 
 def preset_config(name, **protocol):
@@ -337,6 +347,17 @@ def two_level_evolve(amps0, pulse, eta, trap, freq, ampf, dt):
     out = np.empty(shape, dtype=np.complex128)
     tables = two_level_tables(pulse, eta, amps0.shape[1] // 2 - 1)
     return kernels.evolve_blocks_batch(np.broadcast_to(amps0, shape), *tables, trap, freq, ampf, dt, out)
+
+
+def propagator(pulse, trap, realization=None, n_max=DEFAULT_N_MAX):
+    """Dense oracle: the full (2 (n_max + 1))^2 propagator matrix of a pulse
+    under one realization (noiseless in one exact step when None), the
+    kernel run unguarded on the identity's columns. evolve_rows applies no
+    matrix; its rows must match this one's product with them."""
+    r = realization if realization is not None else NoiseRealization.zeros(pulse.duration)
+    identity = np.eye(2 * (n_max + 1), dtype=np.complex128)[None]
+    series = (x[None] for x in (r.trap_frequency, r.laser_frequency, _amp_factor(pulse, r.laser_amplitude)))
+    return _run_kernel(identity, pulse, trap, *series, r.dt, n_max, guards=False)[0]
 
 
 def propagate_reference(amps0, pair_g, pair_e, coup, singles, static_diag, nvec, zvec, trap, freq, ampf, dt):

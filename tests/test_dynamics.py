@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import two_level_evolve
+from conftest import propagator, two_level_evolve
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
@@ -19,7 +19,6 @@ from tweezersim.dynamics import (
     build_hamiltonian,
     evolve_batch,
     evolve_rows,
-    propagator,
     sample_noise,
     sample_noise_rows,
     sideband_ladder,
@@ -705,9 +704,9 @@ class TestEvolveRows:
         "kind", [PulseKind.CARRIER, PulseKind.RED_SIDEBAND, PulseKind.BLUE_SIDEBAND, PulseKind.FREE]
     )
     def test_noiseless_rows_match_dense_propagator(self, kind, k):
-        # noise None and a model with no channel both apply the dense
-        # propagator, draw nothing, and agree with the per-row kernel run
-        # on zero series
+        # noise None and a model with no channel both run the kernel on
+        # zero series in one exact step per row, draw nothing, and agree
+        # with the dense oracle's product with the rows
         pulse = PulseSpec(kind, rabi=RABI, duration=0.7 * T_PI, detuning=0.2 * ETA * RABI, phase=0.3)
         rng = np.random.default_rng(23)
         shape = (7, 2, self.N_MAX + 1, k)
@@ -715,18 +714,101 @@ class TestEvolveRows:
         rows[:, :, self.N_MAX - 1:] = 0.0  # nothing reaches the truncation edge
         rows = rows.reshape(7, -1, k) / np.linalg.norm(rows.reshape(7, -1), axis=1)[:, None, None]
         before = rng.bit_generator.state
-        dense = evolve_rows(rows, pulse, TRAP, None, rng=rng)
-        quiet = evolve_rows(rows, pulse, TRAP, NoiseModel(), rng=rng)
+        quiet = evolve_rows(rows, pulse, TRAP, None, rng=rng)
+        empty = evolve_rows(rows, pulse, TRAP, NoiseModel(), rng=rng)
         assert rng.bit_generator.state == before
-        np.testing.assert_array_equal(dense, propagator(pulse, TRAP, None, self.N_MAX) @ rows)
-        np.testing.assert_array_equal(quiet, dense)
         zeros = np.zeros((7, 1))
         per_row = dynamics._run_kernel(rows, pulse, TRAP, zeros, zeros, zeros + 1.0,
                                        pulse.duration, self.N_MAX)
-        np.testing.assert_allclose(dense, per_row, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(quiet, per_row)
+        np.testing.assert_array_equal(empty, quiet)
+        dense = propagator(pulse, TRAP, None, self.N_MAX) @ rows
+        np.testing.assert_allclose(quiet, dense, rtol=0, atol=1e-14)
 
     def test_rejects_unnormalized_row(self):
         pulse = PulseSpec.bsb_pi(ETA, RABI)
         rows = self._rows((prepare_state(ElectronicLevel.DOWN, 0, n_max=self.N_MAX), 0))
         with pytest.raises(ValidationError):
             evolve_rows(2 * rows, pulse, TRAP)
+
+
+class TestEvolveRowsWindow:
+    """evolve_rows on per-row Fock windows equals the full-ladder run of
+    the same rows, scattered into the ladder and gathered back."""
+
+    N_MAX = 4
+
+    @staticmethod
+    def _allowed(kind, w, n0, n_max):
+        """(2, W) mask of the window slots a test state may populate: no
+        slot whose drive partner n +- 1 >= 0 lies outside the window, and
+        none the pulse would empty into the top Fock level from below."""
+        shift = {PulseKind.BLUE_SIDEBAND: 1, PulseKind.RED_SIDEBAND: -1}.get(kind, 0)
+        slot = np.arange(w)
+        partner = slot + np.array([[shift], [-shift]])
+        inside = ((partner >= 0) & (partner < w)) | (n0 + partner < 0)
+        return inside & ((n0 + partner < n_max) | (n0 + slot == n_max))
+
+    def _windows(self, kind, w, k, rng):
+        """Two normalized random rows (2 W, k) per base n0 = 0..n_max + 1 - W."""
+        n0 = np.repeat(np.arange(self.N_MAX + 2 - w), 2)
+        rows = rng.normal(size=(n0.size, 2, w, k)) + 1j * rng.normal(size=(n0.size, 2, w, k))
+        for r, base in enumerate(n0):
+            rows[r] *= self._allowed(kind, w, base, self.N_MAX)[..., None]
+        rows = rows.reshape(n0.size, -1, k)
+        return rows / np.linalg.norm(rows, axis=(1, 2))[:, None, None], n0
+
+    def _scatter(self, rows, n0):
+        w, k = rows.shape[1] // 2, rows.shape[2]
+        ladder = np.zeros((rows.shape[0], 2, self.N_MAX + 1, k), dtype=complex)
+        for r, base in enumerate(n0):
+            ladder[r, :, base:base + w] = rows[r].reshape(2, w, k)
+        return ladder
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    @pytest.mark.parametrize("w", [2, 3])
+    @pytest.mark.parametrize(
+        "kind", [PulseKind.CARRIER, PulseKind.RED_SIDEBAND, PulseKind.BLUE_SIDEBAND, PulseKind.FREE]
+    )
+    def test_matches_scattered_ladder_run(self, kind, w, noisy):
+        pulse = PulseSpec(kind, rabi=RABI, duration=0.7 * T_PI, detuning=0.2 * ETA * RABI, phase=0.3)
+        model = NoiseModel(
+            trap_frequency=QuasiStatic(2 * np.pi * 175.0),
+            laser_frequency=QuasiStatic(2 * np.pi * 300.0),
+            laser_amplitude=QuasiStatic(0.05 * RABI),
+        ) if noisy else None
+        rows, n0 = self._windows(kind, w, 2, np.random.default_rng(31))
+        ladder = self._scatter(rows, n0)
+        rng_window, rng_ladder = np.random.default_rng(8), np.random.default_rng(8)
+        got = evolve_rows(rows, pulse, TRAP, model, 100, rng_window, n0, self.N_MAX)
+        want = evolve_rows(ladder.reshape(rows.shape[0], -1, 2), pulse, TRAP, model, 100, rng_ladder)
+        want = want.reshape(ladder.shape)
+        assert rng_window.bit_generator.state == rng_ladder.bit_generator.state
+        np.testing.assert_allclose(self._scatter(got, n0), want, rtol=0, atol=1e-12)
+
+    def test_window_edge_guard(self):
+        # a blue sideband couples (up, n0) to (down, n0 - 1), outside a
+        # window with n0 > 0; at n0 = 0 that partner does not exist
+        pulse = PulseSpec.bsb_pi(ETA, RABI)
+        rows = np.zeros((2, 6, 1), dtype=complex)
+        rows[:, 3] = 1.0  # (up, slot 0)
+        evolve_rows(rows, pulse, TRAP, n0=np.array([0, 0]), n_max=self.N_MAX)
+        with pytest.raises(TruncationError):
+            evolve_rows(rows, pulse, TRAP, n0=np.array([0, 1]), n_max=self.N_MAX)
+
+    def test_window_at_n_max_trips_top_level_leak(self):
+        # (down, n_max - 1) -> (up, n_max) in the window that ends at n_max
+        pulse = PulseSpec(PulseKind.BLUE_SIDEBAND, rabi=RABI,
+                          duration=np.pi / sideband_rabi(self.N_MAX - 1, self.N_MAX, ETA, RABI))
+        rows = np.zeros((1, 4, 1), dtype=complex)
+        rows[0, 0] = 1.0  # (down, slot 0)
+        evolve_rows(rows, pulse, TRAP, n0=np.array([self.N_MAX - 2]), n_max=self.N_MAX)
+        with pytest.raises(TruncationError, match="top Fock level"):
+            evolve_rows(rows, pulse, TRAP, n0=np.array([self.N_MAX - 1]), n_max=self.N_MAX)
+
+    @pytest.mark.parametrize("n0, n_max", [(-1, N_MAX), (N_MAX, N_MAX), (0, None)])
+    def test_rejects_window_outside_ladder(self, n0, n_max):
+        rows = np.zeros((1, 4, 1), dtype=complex)
+        rows[0, 0] = 1.0
+        with pytest.raises(ValidationError):
+            evolve_rows(rows, PulseSpec.bsb_pi(ETA, RABI), TRAP, n0=np.array([n0]), n_max=n_max)

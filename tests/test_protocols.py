@@ -7,6 +7,7 @@ from conftest import (
     apply_data_unitary,
     ideal_rsb_map,
     preset_config,
+    propagator,
     scalar_sideband_p_exc,
     sideband_peak_ratio,
 )
@@ -15,6 +16,7 @@ from scipy.linalg import expm
 from tweezersim import protocols
 from tweezersim.cli import main
 from tweezersim.dynamics import NoiseModel, QuasiStatic, SpectralDensity, sideband_rabi
+from tweezersim.errors import ValidationError
 from tweezersim.gates import (
     GateErrorSpec,
     ImagingSpec,
@@ -464,7 +466,7 @@ class TestLossDetectionJointOracle:
     def test_unitary_part_matches_kron_oracle(self):
         # shelve -> CNOT block on the joint space, against a direct
         # matrix product with independently built operators
-        from tweezersim.dynamics import PulseKind, PulseSpec, propagator
+        from tweezersim.dynamics import PulseKind, PulseSpec
         from tweezersim.protocols import _evolve_data, cnot_block
 
         n_max = 4
@@ -583,6 +585,15 @@ class TestSidebandSpectrum:
         assert spec.p_exc[0] == pytest.approx(tail, abs=1e-10)
         assert spec.p_exc[0] < 1e-4
         assert spec.p_exc[1] == pytest.approx(1.0, abs=1e-10)
+
+    def test_explicit_duration_still_checks_omega_01(self):
+        # at rabi 1e300 the squared couplings overflow; an explicit
+        # duration must not skip the Omega_01 check that rejects it
+        dist = np.zeros(N_MAX + 1)
+        dist[0] = 1.0
+        with pytest.raises(ValidationError, match="pulse.rabi_hz"):
+            simulate_sideband_spectrum(dist, np.array([0.0, 1e3]), rabi=1e300, duration=1e-3,
+                                       shots_per_point=10, rng=np.random.default_rng(1))
 
     @pytest.mark.parametrize("include_carrier", [False, True])
     @pytest.mark.parametrize("cooled", [False, True])
