@@ -576,17 +576,16 @@ def simulate_sideband_spectrum(
     d_blue = 2 * np.pi * (detunings_hz - f_trap)
     d_red = 2 * np.pi * (detunings_hz + f_trap)
     d_car = 2 * np.pi * detunings_hz
-    p_exc = np.zeros(detunings_hz.size)
-    for n in np.flatnonzero(dist):  # summed in n order, for every detuning at once
-        t = np.zeros(detunings_hz.size)
-        if n < n_max:
-            t += detuned_transfer(side[n], d_blue, duration)
-        if n >= 1:
-            t += detuned_transfer(side[n - 1], d_red, duration)  # n <-> n - 1
-        if include_carrier:
-            t += detuned_transfer(carrier[n], d_car, duration)
-        p_exc += dist[n] * np.minimum(t, 1.0)
-    p_exc = np.minimum(p_exc, 1.0)
+    # one row per populated n, one column per detuning
+    n = np.flatnonzero(dist)
+    t = np.zeros((n.size, detunings_hz.size))
+    up, down = n < n_max, n >= 1
+    t[up] += detuned_transfer(side[n[up], None], d_blue, duration)
+    t[down] += detuned_transfer(side[n[down] - 1, None], d_red, duration)  # n <-> n - 1
+    if include_carrier:
+        t += detuned_transfer(carrier[n, None], d_car, duration)
+    # a sequential sum in n order, not numpy's pairwise one
+    p_exc = np.minimum(np.cumsum(dist[n, None] * np.minimum(t, 1.0), axis=0)[-1], 1.0)
     p_exc = (1.0 - wrong_state_fraction) * p_exc + wrong_state_fraction
 
     if shots_per_point is None:

@@ -9,6 +9,8 @@ import threading
 import numpy as np
 import pytest
 from conftest import preset_config
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tweezersim
 from tweezersim import analysis, cli, config
@@ -50,6 +52,17 @@ def _bad_value(rule):
 _TABLE_CASES = [
     pytest.param(name, _bad_value(rule), id=f"{name}-rule")
     for name, rule in ((k.replace("*", "laser_frequency"), r) for k, (_, r) in config._KEYS.items())
+]
+
+
+#: Each key that `spectrum` reads with the edge values of its rule: an
+#: interval's for a float, small and large counts for an int.
+_SPECTRUM_EDGES = [
+    (key, value)
+    for key, (_, rule) in config._KEYS.items()
+    if key in ("seed", "protocol.n_max") or key.split(".")[0] in ("trap", "pulse", "spectrum")
+    for value in ((0, 5e-324, 1e-9, 1, 1e6, 1e300) if isinstance(rule, str)
+                  else (1, 2, 50) if isinstance(rule, tuple) and rule[0] == "int" else ())
 ]
 
 
@@ -541,6 +554,25 @@ class TestCliRuns:
         assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
+
+    @settings(max_examples=60, deadline=None)
+    @given(edge=st.sampled_from(_SPECTRUM_EDGES))
+    def test_spectrum_then_fit_at_rule_edges_never_traceback(self, tmp_path_factory, edge):
+        # an exception escaping main() would be exit 1 with a traceback
+        key, value = edge
+        tmp = tmp_path_factory.mktemp("edge")
+        cfg = {"spectrum": {"shots_per_point": 16}}
+        if "." in key:
+            section, name = key.split(".")
+            cfg.setdefault(section, {})[name] = value
+        else:
+            cfg[key] = value
+        path = _write_config(tmp, name="spectrum.json", **cfg)
+        code = main(["spectrum", "--config", path, "--out", str(tmp / "o")])
+        assert code in (0, 2, 3), key
+        if code == 0:
+            path = _write_config(tmp, name="fit.json", **cfg, fit={"input_csv": "o/spectrum.csv"})
+            assert main(["fit", "--config", path, "--out", str(tmp / "o")]) in (0, 2, 3), key
 
     @pytest.mark.parametrize("module", ["scipy", "scipy.stats", "scipy.optimize", "scipy.linalg"])
     def test_import_leaves_module_unloaded(self, cli_import_modules, module):
@@ -1051,7 +1083,7 @@ class TestCsvIO:
         else:
             payload = {"b": [1.5, None], "a": "x"}
             cli.write_json(path, payload)
-            expected = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+            expected = b'{"a":"x","b":[1.5,null]}\n'
         assert path.read_bytes() == expected
 
     def test_failed_write_leaves_only_the_written_prefix(self, tmp_path, monkeypatch):
@@ -1098,7 +1130,8 @@ class TestCsvIO:
 
 _READOUT = {"protocol": {"kind": "repeated_readout", "shots": 40, "n_cyc": 2}}
 
-#: command, config, and the (command, config) run first into in/ for its input
+#: command, config, and the (command, config) run first into in/ for its
+#: input; one small run of each command and preset
 _OVERWRITE_RUNS = {
     "simulate-fig2": ("simulate", preset_config("fig2", shots=40), None),
     "simulate-fig3": ("simulate", preset_config("fig3", shots=8), None),
@@ -1110,6 +1143,34 @@ _OVERWRITE_RUNS = {
     "cool": ("cool", preset_config("fig4", shots=40), None),
     "response": ("response", {"response": {"points": 20}}, None),
 }
+
+
+class TestEchoedConfig:
+    """README: re-running with report.json's echoed config and no flags
+    reproduces every output. The echo shares the loaded config's values,
+    so this also pins that no command changes its config."""
+
+    @pytest.mark.parametrize("run", list(_OVERWRITE_RUNS))
+    def test_rerun_from_the_echo_keeps_every_byte(self, tmp_path, run):
+        command, cfg, inputs = _OVERWRITE_RUNS[run]
+        if inputs is not None:
+            path = _write_config(tmp_path, name="in.json", **inputs[1])
+            assert main([inputs[0], "--config", path, "--seed", "5", "--out", str(tmp_path / "in")]) == 0
+        path = _write_config(tmp_path, name=f"{command}.json", **cfg)
+        first, rerun = tmp_path / "first", tmp_path / "rerun"
+        assert main([command, "--config", path, "--seed", "7", "--out", str(first)]) == 0
+        report = json.loads((first / "report.json").read_text())
+        echo = report["config"]
+        assert echo["seed"] == 7 and not [key for key in echo if key.startswith("_")]
+        path = _write_config(tmp_path, name="echo.json", **echo)  # next to the first config
+        assert main([command, "--config", path, "--out", str(rerun)]) == 0
+        names = sorted(os.listdir(first))
+        assert sorted(os.listdir(rerun)) == names
+        again = json.loads((rerun / "report.json").read_text())
+        assert again["results"] == report["results"] and again["config"] == echo
+        for name in names:
+            if name != "report.json":
+                assert (rerun / name).read_bytes() == (first / name).read_bytes(), name
 
 
 class TestOutputsOverwrittenInPlace:

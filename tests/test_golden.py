@@ -2,8 +2,9 @@
 
 Each path runs in-process at seed 5 with its shots cut to at most 2,048
 per scenario, more than one chunk of protocols.CHUNK_SHOTS, and the
-sha256 of every CSV, of fit.json and of budget.json must equal the
-digest recorded here.
+sha256 of every CSV, and of fit.json and budget.json re-encoded with
+indent=2 and sorted keys, must equal the digest recorded here. Every
+JSON output must also be written compact, with sorted keys.
 The digests were taken with numpy 2.4.6 on x86-64; a change that is
 meant to move output bytes says why in CHANGES.md and records the new
 digests.
@@ -125,9 +126,18 @@ DIGESTS = {
 }
 
 
+def _hashed_bytes(path):
+    """A CSV's bytes; a JSON output re-encoded in the layout its digest was
+    taken in, so the digest pins every key and value but not the whitespace."""
+    raw = path.read_bytes()
+    if path.suffix != ".json":
+        return raw
+    return (json.dumps(json.loads(raw), indent=2, sort_keys=True) + "\n").encode()
+
+
 def _digests(out):
     return {
-        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        name: hashlib.sha256(_hashed_bytes(out / name)).hexdigest()
         for name in sorted(os.listdir(out))
         if name.endswith(".csv") or name in ("fit.json", "budget.json")
     }
@@ -139,7 +149,13 @@ def test_seed5_outputs_keep_their_bytes(tmp_path, path):
         config_path = tmp_path / f"{i}-{command}.json"
         config_path.write_text(json.dumps(cfg))
         assert main([command, "--config", str(config_path), "--seed", "5", "--out", str(tmp_path / "out")]) == 0
-    got = _digests(tmp_path / "out")
+    out = tmp_path / "out"
+    got = _digests(out)
     assert sorted(got) == sorted(DIGESTS[path])
     changed = [name for name, digest in got.items() if digest != DIGESTS[path][name]]
     assert not changed, f"{path}: the bytes of {', '.join(changed)} changed"
+    for name in sorted(os.listdir(out)):
+        if name.endswith(".json"):  # report.json too: compact, sorted keys, one line
+            raw = (out / name).read_bytes()
+            compact = json.dumps(json.loads(raw), sort_keys=True, separators=(",", ":")) + "\n"
+            assert raw == compact.encode(), f"{path}: {name} is not compact sorted-key JSON"

@@ -624,6 +624,28 @@ class TestSidebandSpectrum:
             )
             np.testing.assert_array_equal(spec.p_exc, ref)  # same arithmetic in the same order
 
+    @pytest.mark.parametrize("include_carrier", [False, True])
+    # one level: n_max = 0 and no sideband; population only at n_max: no blue row
+    @pytest.mark.parametrize("dist", [[1.0], [0.0, 0.0, 1.0], [0.0] * N_MAX + [1.0],
+                                      [0.0] * N_MAX + [0.5, 0.5]],
+                             ids=["one-level", "top-of-three", "top", "top-two"])
+    def test_matches_scalar_ladder_at_the_ladder_ends(self, dist, include_carrier):
+        f_trap = DEFAULT_TRAP.omega_t / (2 * np.pi)
+        det = np.concatenate([[-f_trap, 0.0, f_trap], np.linspace(-1.3, 1.3, 27) * f_trap])
+        spec = simulate_sideband_spectrum(dist, det, include_carrier=include_carrier)
+        ref = scalar_sideband_p_exc(dist, det, include_carrier=include_carrier)
+        np.testing.assert_array_equal(spec.p_exc, ref)
+        if len(dist) == 1 and not include_carrier:
+            np.testing.assert_array_equal(spec.p_exc, 0.0)  # nothing to drive
+
+    @pytest.mark.parametrize("include_carrier", [False, True])
+    @pytest.mark.parametrize("dist", [[1.0], [0.0, 0.0, 1.0], [0.25, 0.5, 0.25]])
+    def test_empty_detuning_grid_gives_empty_curve(self, dist, include_carrier):
+        spec = simulate_sideband_spectrum(dist, np.array([]), include_carrier=include_carrier)
+        assert spec.p_exc.shape == spec.detuning_hz.shape == (0,)
+        ref = scalar_sideband_p_exc(dist, [], include_carrier=include_carrier)
+        np.testing.assert_array_equal(spec.p_exc, ref)
+
     def test_post_cooling_ratio_against_ladder_oracle(self):
         # exact ladder sum with independently computed matrix elements
         q = 0.5
