@@ -12,12 +12,13 @@ window of the W levels its circuit reaches, outside which the ladder
 0..n_max holds nothing; sideband pulses (dynamics.evolve_rows) run on
 the window itself. The ancilla has no motional axis: it is always
 prepared at n = 0 and no operation touches its motion. Operations
-update psi in place: a gate mixes one atom's two level slices with
-coefficients per shot (``cnot_block`` fuses its local-Z phase, two
-rotations and CZ into one pass), and a measurement projects and
-renormalizes. Losing an atom follows one rule: the environment
-projectively measures the lost atom (data: level and n; ancilla:
-level), the partner keeps its conditional state, and the mask flips.
+update psi in place: a rotation mixes one atom's two level slices with
+coefficients per shot, a CZ multiplies psi by diagonal factors per shot
+(``cnot_block`` folds its local-Z phase into them), and a measurement
+projects and renormalizes. Losing an atom follows one rule: the
+environment projectively measures the lost atom (data: level and n;
+ancilla: level), the partner keeps its conditional state, and the mask
+flips.
 
 Measurement signals are normal-distributed (bright for a ground-state
 atom, dark for clock-state, lost, or absent atoms); the distributions
@@ -224,34 +225,25 @@ def _sample(p, rng) -> np.ndarray:
 # gate operations
 
 
-def _mix(psi: np.ndarray, which: str, m) -> None:
-    """(a0, a1) <- (m00 a0 + m01 a1, m10 a0 + m11 a1) in place on one atom's
-    level slices of psi; each m[i, j] broadcasts against a slice."""
-    a0, a1 = (psi[:, 0], psi[:, 1]) if which == "data" else (psi[..., 0], psi[..., 1])
-    t = a0 * m[1, 0]
-    a0 *= m[0, 0]
-    a0 += a1 * m[0, 1]
-    a1 *= m[1, 1]
-    a1 += t
-
-
-def _rotation(batch: PairBatch, which: str, phase, angle) -> np.ndarray:
-    """R(angle + jitter, phase) per shot, shape (2, 2, shots); angle 0 where lost."""
-    errors = batch.errors
-    if errors is not None and errors.sq_over_rotation_sigma > 0:
-        angle = angle + (batch.rng.normal(0.0, errors.sq_over_rotation_sigma, batch.size)
-                         if errors.per_gate_jitter else batch.jitter)
-    return rotation_matrix(np.where(batch.lost(which), 0.0, angle), phase).transpose(1, 2, 0)
-
-
 def rotate(batch: PairBatch, which: str, phase, angle) -> PairBatch:
     """Electronic rotation R(angle, phase) of one atom, identity on motion.
 
     phase and angle are scalars or one value per shot. With gate errors
     the angle picks up Gaussian jitter: the shot-constant value, or a
-    fresh draw per gate with per_gate_jitter.
+    fresh draw per gate with per_gate_jitter. A lost atom is left alone.
     """
-    _mix(batch.psi, which, _rotation(batch, which, phase, angle)[..., None, None])
+    errors = batch.errors
+    if errors is not None and errors.sq_over_rotation_sigma > 0:
+        angle = angle + (batch.rng.normal(0.0, errors.sq_over_rotation_sigma, batch.size)
+                         if errors.per_gate_jitter else batch.jitter)
+    m = rotation_matrix(np.where(batch.lost(which), 0.0, angle), phase)[..., None, None]
+    psi = batch.psi  # (a0, a1) <- (m00 a0 + m01 a1, m10 a0 + m11 a1), m per shot
+    a0, a1 = (psi[:, 0], psi[:, 1]) if which == "data" else (psi[..., 0], psi[..., 1])
+    t = a0 * m[:, 1, 0]
+    a0 *= m[:, 0, 0]
+    a0 += a1 * m[:, 0, 1]
+    a1 *= m[:, 1, 1]
+    a1 += t
     return batch
 
 
@@ -281,6 +273,15 @@ def _cz_branches(batch: PairBatch, d: np.ndarray) -> dict:
     return leaks
 
 
+def _diagonal(batch: PairBatch, d: np.ndarray, leaks: dict) -> PairBatch:
+    """Multiply psi by the factors d[anc level, shot, data level], then
+    lose the atoms of the leaked rows per atom."""
+    batch.psi *= d.transpose(1, 2, 0)[:, :, None, :]
+    for which, rows in leaks.items():
+        lose(batch, which, rows)
+    return batch
+
+
 def apply_cz(batch: PairBatch) -> PairBatch:
     """CZ on every pair: phase -1 on (up, up), identity on motion.
 
@@ -290,11 +291,7 @@ def apply_cz(batch: PairBatch) -> PairBatch:
     the Rydberg label) with cz_loss_prob.
     """
     d = np.ones((2, batch.size, 2), dtype=np.complex128)
-    leaks = _cz_branches(batch, d)
-    batch.psi *= d.transpose(1, 2, 0)[:, :, None, :]
-    for which, rows in leaks.items():
-        lose(batch, which, rows)
-    return batch
+    return _diagonal(batch, d, _cz_branches(batch, d))
 
 
 def cnot_block(batch: PairBatch, comp_phase=np.pi, local_z_phase: float = 0.0,
@@ -304,26 +301,14 @@ def cnot_block(batch: PairBatch, comp_phase=np.pi, local_z_phase: float = 0.0,
     comp_phase = pi (the calibrated point) flips the ancilla when the data
     atom is present (in the clock state) and leaves it when the data atom
     is absent; it may hold one value per shot. entangle=False drops the CZ.
-    One pass over psi applies R2 diag(d[:, s, l]) R1 to the ancilla of
-    shot s at data level l; d holds the local Z, the CZ sign and the Z
-    errors. A pair that leaks gets diag(d) R1 first, then loses its atom.
+    The local Z commutes with the ancilla rotation, so it joins the CZ's
+    diagonal pass between the two rotations.
     """
-    psi, r1 = batch.psi, _rotation(batch, "anc", 0.0, np.pi / 2)  # r1[i, j, shot]
+    rotate(batch, "anc", 0.0, np.pi / 2)
     d = np.ones((2, batch.size, 2), dtype=np.complex128)  # [anc level, shot, data level]
     d[:, :, 1] = np.where(batch.data_lost, 1.0, np.exp(1j * local_z_phase))
-    leaks = _cz_branches(batch, d) if entangle else {}
-    half = r1[..., None] * d[:, None]  # diag(d) R1, [i, j, shot, data level]
-    if leaks and (rows := np.flatnonzero(leaks["data"] | leaks["anc"])).size:
-        sub = psi[rows]
-        _mix(sub, "anc", half[:, :, rows, :, None])
-        psi[rows] = sub
-        for which, mask in leaks.items():
-            lose(batch, which, mask)
-        half[:, :, rows] = np.eye(2)[:, :, None, None]
-    r2 = _rotation(batch, "anc", comp_phase, np.pi / 2)
-    full = r2[:, 0, None, :, None] * half[0] + r2[:, 1, None, :, None] * half[1]
-    _mix(psi, "anc", full[..., None])
-    return batch
+    _diagonal(batch, d, _cz_branches(batch, d) if entangle else {})
+    return rotate(batch, "anc", comp_phase, np.pi / 2)
 
 
 # ---------------------------------------------------------------------------

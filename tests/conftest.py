@@ -279,7 +279,7 @@ def multistart_reference_fit(spectrum, double=False):
 def local_z(batch, which, phi):
     """Multiply one atom's up-level amplitudes by exp(i phi), phi a scalar
     or one value per shot; exact and error-free. gates.cnot_block folds
-    this gate into its pass as local_z_phase."""
+    this gate into its CZ pass as local_z_phase."""
     up = np.where(batch.lost(which), 1.0, np.exp(1j * np.asarray(phi, dtype=float)))
     up_level = batch.psi[:, 1] if which == "data" else batch.psi[..., 1]
     up_level *= up[:, None, None]

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -63,6 +64,16 @@ _SPECTRUM_EDGES = [
     if key in ("seed", "protocol.n_max") or key.split(".")[0] in ("trap", "pulse", "spectrum")
     for value in ((0, 5e-324, 1e-9, 1, 1e6, 1e300) if isinstance(rule, str)
                   else (1, 2, 50) if isinstance(rule, tuple) and rule[0] == "int" else ())
+]
+
+_PROB_EDGES = (0, 5e-324, 1e-9, 0.5, 0.999999, 1)
+#: gate and ancilla keys at their edges; the two CZ branch probabilities
+#: must sum to at most 1, so the other one is held at 0
+_GATE_EDGES = [
+    *[(f"gates.{key}", value) for key in ("cz_phase_error_prob", "cz_loss_prob") for value in _PROB_EDGES],
+    *[("gates.sq_over_rotation_sigma_rad", value) for value in (0, 5e-324, 1e-9, 1, 1e6, 1e300)],
+    *[("gates.per_gate_jitter", value) for value in (False, True)],
+    *[("protocol.ancilla_absent_prob", value) for value in _PROB_EDGES],
 ]
 
 
@@ -573,6 +584,23 @@ class TestCliRuns:
         if code == 0:
             path = _write_config(tmp, name="fit.json", **cfg, fit={"input_csv": "o/spectrum.csv"})
             assert main(["fit", "--config", path, "--out", str(tmp / "o")]) in (0, 2, 3), key
+
+    @pytest.mark.parametrize("key, value", _GATE_EDGES)
+    def test_gate_keys_at_edges_never_traceback(self, tmp_path, capsys, key, value):
+        # at cz_loss_prob 1 every pair leaks in its first CZ; an exception
+        # escaping main() would be exit 1 with a traceback
+        section, name = key.split(".")
+        for (command, preset), rsb in itertools.product(
+                (("simulate", "fig2"), ("simulate", "fig3"), ("simulate", "fig4"), ("cool", "fig4")),
+                (True, False)):
+            cfg = preset_config(preset, shots=16, ideal_cooling_rsb=rsb)
+            if name.startswith("cz_"):
+                cfg["gates"] = {"cz_phase_error_prob": 0.0, "cz_loss_prob": 0.0}
+            cfg.setdefault(section, {})[name] = value
+            path = _write_config(tmp_path, **cfg)
+            code = main([command, "--config", path, "--out", str(tmp_path / "o")])
+            assert code in (0, 2, 3), (command, preset, rsb)
+            assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("module", ["scipy", "scipy.stats", "scipy.optimize", "scipy.linalg"])
     def test_import_leaves_module_unloaded(self, cli_import_modules, module):

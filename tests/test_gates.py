@@ -55,8 +55,8 @@ def _kron_cz():
     return np.diag(diag.reshape(-1))
 
 
-def _random_rows(rng, shots):
-    psi = rng.normal(size=(shots, 2, M, 2)) + 1j * rng.normal(size=(shots, 2, M, 2))
+def _random_rows(rng, shots, w=M):
+    psi = rng.normal(size=(shots, 2, w, 2)) + 1j * rng.normal(size=(shots, 2, w, 2))
     return psi / np.linalg.norm(psi.reshape(shots, -1), axis=1)[:, None, None, None]
 
 
@@ -196,9 +196,7 @@ class TestCNOTSandwich:
     """CZ sandwiched by compensated pi/2 rotations, against a 4x4 oracle."""
 
     def _block(self, b, phi):
-        rotate(b, "anc", 0.0, np.pi / 2)
-        apply_cz(b)
-        rotate(b, "anc", phi, np.pi / 2)
+        sequential_cnot_block(b, phi)
 
     def test_phase_scan_sinusoid(self):
         phis = np.linspace(0, 2 * np.pi, 25)
@@ -231,51 +229,57 @@ class TestCNOTSandwich:
         assert b.populations("anc")[0, 1] == pytest.approx(1.0, abs=1e-10)
 
 
-def _mixed_batch(seed, errors, shots=60):
+def _mixed_batch(seed, errors, w=M, n_max=N_MAX, shots=60):
     """Entangled pairs, with lost data atoms and lost ancillas; a lost
-    atom's axis holds a definite basis state."""
+    atom's axis holds a definite basis state. The data window holds w
+    slots from n0 = 0, 1, ..., n_max - w + 1 in turn; the defaults are
+    the full ladder."""
     rng = np.random.default_rng(seed)
     data_lost = np.arange(shots) % 5 == 1
     anc_lost = np.arange(shots) % 7 == 2
-    data = np.eye(2 * M)[rng.integers(0, 2 * M, shots)].reshape(shots, 2, M).astype(complex)
+    data = np.eye(2 * w)[rng.integers(0, 2 * w, shots)].reshape(shots, 2, w).astype(complex)
     anc = np.eye(2)[rng.integers(0, 2, shots)].astype(complex)
-    data[~data_lost] = _random_rows(rng, shots)[~data_lost, :, :, 0]
+    data[~data_lost] = _random_rows(rng, shots, w)[~data_lost, :, :, 0]
     anc[~anc_lost] = rng.normal(size=(shots, 2))[~anc_lost] + 1j
     psi = data[..., None] * anc[:, None, None, :]
     both = ~(data_lost | anc_lost)
-    psi[both] = _random_rows(rng, shots)[both]
+    psi[both] = _random_rows(rng, shots, w)[both]
     psi /= np.linalg.norm(psi.reshape(shots, -1), axis=1)[:, None, None, None]
     jitter = None
     if errors is not None and not errors.per_gate_jitter:
         jitter = rng.normal(0.0, errors.sq_over_rotation_sigma, shots)
     return PairBatch(psi, data_lost, anc_lost, rng=np.random.default_rng(seed + 1),
-                     errors=errors, jitter=jitter)
+                     errors=errors, jitter=jitter, n0=np.arange(shots) % (n_max - w + 2), n_max=n_max)
 
 
-class TestFusedCNOTBlock:
+class TestCNOTBlock:
     """cnot_block against its four gates applied one by one."""
 
+    @pytest.mark.parametrize("window", [(M, N_MAX), (1, N_MAX), (3, 7)],
+                             ids=["ladder", "w1", "w3"])
     @pytest.mark.parametrize("comp", ["scalar", "per_shot"])
     @pytest.mark.parametrize("entangle", [True, False])
     @pytest.mark.parametrize("per_gate_jitter", [False, True])
     @pytest.mark.parametrize("probs", [None, (0.006, 0.002), (0.3, 0.2)],
                              ids=["ideal", "default", "forced"])
-    def test_matches_sequential_gates(self, probs, per_gate_jitter, entangle, comp):
-        # probs: (cz_phase_error_prob, cz_loss_prob), None for ideal gates
+    def test_matches_sequential_gates(self, probs, per_gate_jitter, entangle, comp, window):
+        # probs: (cz_phase_error_prob, cz_loss_prob), None for ideal gates;
+        # window: (W, n_max) of the data's Fock window
         errors = None if probs is None else GateErrorSpec(*probs, per_gate_jitter=per_gate_jitter)
         for seed in (1, 2, 3):
-            fused, ref = _mixed_batch(seed, errors), _mixed_batch(seed, errors)
-            phase = np.pi if comp == "scalar" else np.linspace(0, 2 * np.pi, fused.size)
-            cnot_block(fused, phase, 0.7, entangle=entangle)
+            block, ref = _mixed_batch(seed, errors, *window), _mixed_batch(seed, errors, *window)
+            phase = np.pi if comp == "scalar" else np.linspace(0, 2 * np.pi, block.size)
+            cnot_block(block, phase, 0.7, entangle=entangle)
             sequential_cnot_block(ref, phase, 0.7, entangle=entangle)
-            np.testing.assert_allclose(fused.psi, ref.psi, rtol=0, atol=1e-12)
-            np.testing.assert_array_equal(fused.data_lost, ref.data_lost)
-            np.testing.assert_array_equal(fused.anc_lost, ref.anc_lost)
-            assert fused.events == ref.events
-            assert fused.rng.bit_generator.state == ref.rng.bit_generator.state
+            np.testing.assert_allclose(block.psi, ref.psi, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(block.data_lost, ref.data_lost)
+            np.testing.assert_array_equal(block.anc_lost, ref.anc_lost)
+            np.testing.assert_array_equal(block.n0, ref.n0)
+            assert block.events == ref.events
+            assert block.rng.bit_generator.state == ref.rng.bit_generator.state
             if probs == (0.3, 0.2) and entangle:  # every error branch fired
                 kinds = ("cz_leakage_data", "cz_leakage_anc", "cz_z_error_data", "cz_z_error_anc")
-                assert all(fused.events[k] for k in kinds)
+                assert all(block.events[k] for k in kinds)
 
 
 class TestImaging:

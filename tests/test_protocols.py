@@ -51,6 +51,7 @@ from tweezersim.states import (
 )
 
 N_MAX = 6
+FORCED_ERRORS = GateErrorSpec(0.3, 0.2, per_gate_jitter=True)
 IDEAL_IMAGING = ImagingSpec(
     bright_mean=100.0,
     bright_loss_prob=0.0,
@@ -331,6 +332,12 @@ class TestChunkDeterminism:
                          id="loss_detection-psd_laser"),
             pytest.param("algorithmic_cooling", {"ideal_cooling_rsb": False},
                          id="algorithmic_cooling-nonideal_rsb"),
+            # forced errors: leak splits and per-gate jitter draws in every chunk
+            pytest.param("repeated_readout", {"gate_errors": FORCED_ERRORS},
+                         id="repeated_readout-forced_errors"),
+            *[pytest.param("algorithmic_cooling", {"gate_errors": FORCED_ERRORS, "ideal_cooling_rsb": rsb},
+                           id=f"algorithmic_cooling-forced_errors-{mode}_rsb")
+              for rsb, mode in ((True, "ideal"), (False, "nonideal"))],
         ],
     )
     def test_one_and_three_workers_agree(self, kind, extra):
@@ -348,6 +355,8 @@ class TestChunkDeterminism:
             else:
                 runs.append(run_algorithmic_cooling(cfg)[0])
         assert len(set(runs[0].shot.tolist())) == shots
+        if "gate_errors" in extra:  # leak splits fired
+            assert runs[0].events["cz_leakage_data"] and runs[0].events["cz_leakage_anc"]
         _assert_tables_equal(*runs)
 
 
