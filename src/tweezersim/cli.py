@@ -30,8 +30,9 @@ import math
 import os
 import sys
 import time
+import warnings
 from collections import Counter
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 
@@ -70,7 +71,6 @@ from .states import ThermalSpec, remove_one_quantum, thermal_distribution
 
 FLOAT_FMT = "%.17g"
 WRITE_BLOCK_ROWS = 4096
-READ_BLOCK_BYTES = 1 << 20
 
 
 @contextlib.contextmanager
@@ -348,29 +348,23 @@ def cmd_spectrum(config, out_dir, workers, report):
 
 
 def _read_columns(path, types, optional=()):
-    """Columns of a CSV by header name, each converted by its type (int,
-    float or str) into an array; an optional name may be missing from the
-    header. Every line must hold one cell per header name."""
+    """Columns of a CSV by header name, each parsed as its dtype (np.int64,
+    float, or object for text, returned as str) into an array; an optional
+    name may be missing from the header. One np.loadtxt call reads every
+    row: each must hold one cell per header name, an integer cell must fit
+    in 64 bits, a cell starting with # is data, and empty lines are skipped."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split(",")
         missing = [name for name in types if name not in header and name not in optional]
         if missing:
             raise ValueError(f"no {', '.join(missing)} column in the header")
-        width = len(header)
-        wanted = {name: header.index(name) for name in types if name in header}
-        blocks = {name: [np.array([], dtype=types[name])] for name in wanted}
-        while lines := fh.readlines(READ_BLOCK_BYTES):
-            if set(map(str.count, lines, repeat(","))) != {width - 1}:
-                raise ValueError(f"a row does not have the header's {width} cells")
-            cells = "".join(lines).replace("\n", ",").split(",")
-            for name, j in wanted.items():
-                column = cells[j :: width][: len(lines)]
-                kind = types[name]
-                blocks[name].append(
-                    np.array(column) if kind is str
-                    else np.fromiter(map(kind, column), dtype=kind, count=len(column))
-                )
-    return {name: np.concatenate(parts) for name, parts in blocks.items()}
+        wanted = {header.index(name): name for name in types if name in header}
+        dtype = [(f"f{j}", types[wanted[j]] if j in wanted else "U1") for j in range(len(header))]
+        with warnings.catch_warnings():  # a file of no rows is an empty table
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            table = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    return {name: table[f"f{j}"].astype(str) if types[name] is object else table[f"f{j}"]
+            for j, name in wanted.items()}
 
 
 def _input_csv(config, section):
@@ -464,7 +458,8 @@ def read_shots_csv(path):
     must have exactly one row, so a loss-detection file, whose shot
     numbers restart for every analyzer phase, is rejected."""
     try:
-        cols = _read_columns(path, {"scenario": str, "shot": int, "round": int, "signal": float})
+        cols = _read_columns(path, {"scenario": object, "shot": np.int64, "round": np.int64,
+                                    "signal": float})
         names, code = np.unique(cols["scenario"], return_inverse=True)
         out = {}
         for k, name in enumerate(names.tolist()):

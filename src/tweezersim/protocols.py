@@ -122,14 +122,14 @@ class SidebandSpectrum:
         self.p_exc = np.asarray(self.p_exc, dtype=float)
         self.stderr = np.asarray(self.stderr, dtype=float)
         self.shots = np.asarray(self.shots)
-        columns = (self.detuning_hz, self.p_exc, self.stderr, self.shots)
-        if not all(np.all(np.isfinite(a)) for a in columns):
+        columns = np.array((self.detuning_hz, self.p_exc, self.stderr, self.shots), dtype=float)
+        if not np.isfinite(columns).all():
             raise ValidationError("detuning_hz, p_exc, stderr and shots must be finite")
-        if np.any(self.p_exc < 0) or np.any(self.p_exc > 1):
+        if not ((self.p_exc >= 0) & (self.p_exc <= 1)).all():
             raise ValidationError("excitation probabilities must lie in [0, 1]")
-        if not np.all(self.stderr > 0):
+        if not (self.stderr > 0).all():
             raise ValidationError("stderr must be positive on every row")
-        if not np.all((self.shots >= 0) & (self.shots == np.floor(self.shots))):
+        if not ((self.shots >= 0) & (self.shots == np.floor(self.shots))).all():
             raise ValidationError("shots must be integers >= 0")
 
 

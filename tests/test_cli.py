@@ -175,6 +175,24 @@ def cli_import_modules():
     return set(out.stdout.split())
 
 
+def _edit_row(lines, change, row=5):
+    """The CSV lines with one data row changed."""
+    return [*lines[:row], change(lines[row]), *lines[row + 1 :]]
+
+
+@pytest.fixture(scope="module")
+def csv_inputs(tmp_path_factory):
+    """The text of a spectrum.csv (for fit) and a fig2-style shots.csv (for detect)."""
+    tmp = tmp_path_factory.mktemp("csv_inputs")
+    spec = _write_config(tmp, name="spec.json", seed=3)
+    sim = _write_config(tmp, name="sim.json", seed=21,
+                        protocol={"kind": "repeated_readout", "shots": 40, "n_cyc": 2})
+    assert main(["spectrum", "--config", spec, "--out", str(tmp / "spec")]) == 0
+    assert main(["simulate", "--config", sim, "--out", str(tmp / "sim")]) == 0
+    return {"fit": (tmp / "spec" / "spectrum.csv").read_text(),
+            "detect": (tmp / "sim" / "shots.csv").read_text()}
+
+
 class TestCliRuns:
     def test_dump_config(self, capsys):
         assert main(["--dump-config"]) == 0
@@ -992,7 +1010,7 @@ class TestCsvIO:
         cli.write_csv(path, header, zip(*rows))
         assert path.read_bytes() == _reference_csv(header, rows)
 
-    def test_reader_inverts_writer_in_any_row_order(self, tmp_path, monkeypatch):
+    def test_reader_inverts_writer_in_any_row_order(self, tmp_path):
         table = _random_table(3, 1500, 3, None)
         table.signals[~np.isfinite(table.signals)] = 0.5  # the reader rejects non-finite ones
         path = tmp_path / "shots.csv"
@@ -1001,7 +1019,6 @@ class TestCsvIO:
         np.random.default_rng(4).shuffle(lines)
         shuffled = tmp_path / "shuffled.csv"
         shuffled.write_text(header + "".join(lines))
-        monkeypatch.setattr(cli, "READ_BLOCK_BYTES", 1000)  # many read blocks
         for source in (path, shuffled):
             matrices = read_shots_csv(str(source))
             assert sorted(matrices) == ["absent", "present"]
@@ -1011,12 +1028,17 @@ class TestCsvIO:
     @pytest.mark.parametrize(
         "rows, reason",
         [
-            (["present,1,0,1.5,up,up,0,0"], "a row does not have the header's 9 cells"),
+            (["present,1,0,1.5,up,up,0,0"], "requires 9 columns but 8 were found"),
             (["present,0,0,2.5,up,up,0,0,"], "not one per (scenario, shot, round)"),
             (["present,1,1,2.5,up,up,0,0,"], "not one per (scenario, shot, round)"),
             (["present,1,0,nan,up,up,0,0,"], "non-finite signal"),
+            (["present,99999999999999999999,0,1.5,up,up,0,0,"],
+             "could not convert string '99999999999999999999' to int64"),
+            (["present,1,99999999999999999999,1.5,up,up,0,0,"],
+             "could not convert string '99999999999999999999' to int64"),
         ],
-        ids=["ragged-row", "repeated-cell", "missing-round", "nan-signal"],
+        ids=["ragged-row", "repeated-cell", "missing-round", "nan-signal", "shot-overflow",
+             "round-overflow"],
     )
     def test_detect_rejects_malformed_shots_csv(self, tmp_path, capsys, rows, reason):
         lines = [",".join(cli.SHOT_HEADER), "present,0,0,1.5,up,up,0,0,",
@@ -1080,18 +1102,71 @@ class TestCsvIO:
         err = capsys.readouterr().err
         assert "fit.input_csv" in err and reason in err
 
-    def test_detect_rejects_loss_detection_shots(self, tmp_path, capsys):
+    @pytest.mark.parametrize("column, reason", [
+        (None, "not one per (scenario, shot, round)"),
+        (1, "could not convert string '99999999999999999999' to int64"),
+        (2, "could not convert string '99999999999999999999' to int64"),
+    ], ids=["as-written", "shot-overflow", "round-overflow"])
+    def test_detect_rejects_loss_detection_shots(self, tmp_path, capsys, column, reason):
         # loss detection restarts shot numbers for every analyzer phase
         cfg = json.loads(open(cli._resolve_config_path("fig3")).read())
         cfg["protocol"]["shots"] = 20
         sim = tmp_path / "fig3.json"
         sim.write_text(json.dumps(cfg))
         assert main(["simulate", "--config", str(sim), "--out", str(tmp_path / "sim")]) == 0
+        if column is not None:
+            lines = (tmp_path / "sim" / "shots.csv").read_text().splitlines()
+            cells = lines[1].split(",")
+            cells[column] = "99999999999999999999"
+            lines[1] = ",".join(cells)
+            (tmp_path / "sim" / "shots.csv").write_text("\n".join(lines) + "\n")
         det = _write_config(tmp_path, name="det.json",
                             detect={"input_csv": "sim/shots.csv", "n_cyc_list": [1]})
         assert main(["detect", "--config", det, "--out", str(tmp_path / "det")]) == 2
         err = capsys.readouterr().err
-        assert "detect.input_csv" in err and "not one per (scenario, shot, round)" in err
+        assert "detect.input_csv" in err and reason in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, edit, reason", [
+        ("fit", lambda lines: lines[:1], "no spectrum rows"),
+        ("fit", lambda lines: [], "no detuning_hz, p_exc, stderr column in the header"),
+        ("fit", lambda lines: _edit_row(lines, lambda row: row + ",0"),
+         "requires 4 columns but 5 were found"),
+        ("fit", lambda lines: _edit_row(lines, lambda row: row.rsplit(",", 1)[0]),
+         "requires 4 columns but 3 were found"),
+        ("detect", lambda lines: _edit_row(lines, lambda row: row + ",0"),
+         "requires 9 columns but 10 were found"),
+        ("detect", lambda lines: _edit_row(lines, lambda row: row.rsplit(",", 1)[0]),
+         "requires 9 columns but 8 were found"),
+        ("fit", lambda lines: _edit_row(lines, lambda row: "#" + row), "could not convert string '#"),
+        ("detect", lambda lines: _edit_row(lines, lambda row: row.replace(",", ",#", 1)),
+         "could not convert string '#"),
+        ("fit", lambda lines: _edit_row(lines, lambda row: row + "\n"), None),
+        ("detect", lambda lines: _edit_row(lines, lambda row: row + "\n"), None),
+    ], ids=["header-only", "empty", "spectrum-extra-cell", "spectrum-missing-cell",
+            "shots-extra-cell", "shots-missing-cell", "spectrum-hash-row", "shots-hash-cell",
+            "spectrum-blank-line", "shots-blank-line"])
+    def test_reader_edge_cases(self, tmp_path, capsys, csv_inputs, command, edit, reason):
+        # reason None: the edited file gives the unedited file's output bytes
+        name, output, section = {
+            "fit": ("spectrum.csv", "fit.json", {}),
+            "detect": ("shots.csv", "detect.csv", {"n_cyc_list": [1]}),
+        }[command]
+        lines = csv_inputs[command].splitlines()
+        codes = {}
+        for run, rows in (("edited", edit(lines)), ("clean", lines)):
+            (tmp_path / run).mkdir()
+            (tmp_path / run / name).write_text("".join(f"{row}\n" for row in rows))
+            cfg = _write_config(tmp_path / run, **{command: {"input_csv": name, **section}})
+            codes[run] = main([command, "--config", cfg, "--out", str(tmp_path / run / "out")])
+        err = capsys.readouterr().err
+        if reason is None:
+            assert codes["edited"] == 0 and not err
+            edited, clean = ((tmp_path / run / "out" / output).read_bytes() for run in ("edited", "clean"))
+            assert edited == clean
+        else:
+            assert codes["edited"] == 2
+            assert err.startswith(f"config error: {command}.input_csv: ") and err.count("\n") == 1
+            assert reason in err
 
     def test_spectrum_without_shots_column_reads_zeros(self, tmp_path):
         path = tmp_path / "spectrum.csv"
