@@ -266,7 +266,8 @@ def cmd_response(config, out_dir, workers, report):
     except ValidationError as exc:
         eta = "trap.eta" if config["trap"]["eta"] is not None else (
             "trap.eta (null: from trap.frequency_hz, trap.mass_amu and trap.wavelength_nm)")
-        raise ValidationError(f"{eta}, pulse.rabi_hz or the response.f_* grid: {exc}") from None
+        raise ValidationError(f"{eta}, pulse.rabi_hz, response.duration_s or the response.f_* grid: "
+                              f"{exc}") from None
     rf = response_function(query)
     noise = build_noise(config, config.get("_base_dir", "."))
     channel_spec = noise.channel(sec["channel"])
@@ -352,7 +353,8 @@ def _read_columns(path, types, optional=()):
     float, or object for text, returned as str) into an array; an optional
     name may be missing from the header. One np.loadtxt call reads every
     row: each must hold one cell per header name, an integer cell must fit
-    in 64 bits, a cell starting with # is data, and empty lines are skipped."""
+    in 64 bits, a cell starting with # is data, and empty lines are skipped.
+    A file it rejects raises ValueError naming the first bad line."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split(",")
         missing = [name for name in types if name not in header and name not in optional]
@@ -360,11 +362,39 @@ def _read_columns(path, types, optional=()):
             raise ValueError(f"no {', '.join(missing)} column in the header")
         wanted = {header.index(name): name for name in types if name in header}
         dtype = [(f"f{j}", types[wanted[j]] if j in wanted else "U1") for j in range(len(header))]
-        with warnings.catch_warnings():  # a file of no rows is an empty table
+        read = functools.partial(np.loadtxt, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        with warnings.catch_warnings():  # a file (or a run of lines) of no rows is an empty table
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            table = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+            try:
+                table = read(fh)
+            except ValueError:
+                fh.seek(0)
+                raise ValueError(_first_bad_line(read, fh.readlines(), header)) from None
     return {name: table[f"f{j}"].astype(str) if types[name] is object else table[f"f{j}"]
             for j, name in wanted.items()}
+
+
+def _first_bad_line(read, lines, header) -> str:
+    """Why `read` rejects the first of the file's lines (the header is
+    line 1) that it rejects: the line by bisection, each read taking half
+    the lines still in question, then its cell one column at a time."""
+    lo, hi = 1, len(lines)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            read(lines[lo:mid])
+            lo = mid
+        except ValueError:
+            hi = mid
+    cells = lines[lo].rstrip("\n").split(",")
+    if len(cells) != len(header):
+        return f"line {lo + 1} has {len(cells)} cells, the header has {len(header)}"
+    for j, (_, kind) in enumerate(read.keywords["dtype"]):
+        try:
+            read(lines[lo : lo + 1], dtype=kind, usecols=j)
+        except ValueError:
+            what = "a 64-bit integer" if kind is np.int64 else "a number"
+            return f"line {lo + 1}, column {header[j]}: {cells[j]!r} is not {what}"
 
 
 def _input_csv(config, section):

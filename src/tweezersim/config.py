@@ -82,7 +82,8 @@ _KEYS = {
     "protocol.ideal_cooling_rsb": (True, bool),
     "response.channel": ("trap_frequency", CHANNELS),
     "response.grid_kind": ("log", ("log", "linear")),
-    # with eta <= 1e150 and eta * rabi in [1e-150, 1e150] (response.ResponseQuery)
+    # with eta <= 1e150, eta * rabi in [1e-150, 1e150] and eta * duration
+    # <= 1e150 (response.ResponseQuery)
     # the closed-form responses stay finite on these grids and durations
     "response.f_min_hz": (10.0, "[0, 1e12]"),
     "response.f_max_hz": (10e3, "(0, 1e12]"),

@@ -53,8 +53,9 @@ class ResponseQuery:
             raise ValidationError(f"channel must be one of {CHANNELS}")
         if self.duration is None:
             object.__setattr__(self, "duration", math.pi / (self.eta * self.rabi))
-        elif self.duration < 0:
-            raise ValidationError("duration must be >= 0")
+        if not (0 <= self.duration <= 1e151 and self.eta * self.duration <= 1e150):  # squared below
+            raise ValidationError(f"duration = {self.duration:g} s must lie in [0, 1e151] s and eta * "
+                                  f"duration = {self.eta * self.duration:g} s within 1e150 s")
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,13 @@
 """The CLI preset loader, the Simpson response oracle, shared
 synthetic-spectrum generators, the sideband peak-ratio oracle, the scalar
 sideband-ladder loop, the least-squares fit references and the
-Gauss-Newton polish oracle, the local Z gate and the sequential
-ancilla-flip block built on it, the dense ideal red-sideband map and its
-einsum application, the two-level pair tables and their kernel run, the
-dense propagator matrix, and the allocating block-propagation reference
-for response, analysis, protocol, gate, kernel, dynamics, CLI and
-acceptance tests."""
+Gauss-Newton polish oracle, the rotation matrix and the matrix rotation,
+two-outcome level draw and clamped k-column draw that the gate layer
+replaced, the local Z gate and the sequential ancilla-flip block built on
+it, the dense ideal red-sideband map and its einsum application, the
+two-level pair tables and their kernel run, the dense propagator matrix,
+and the allocating block-propagation reference for response, analysis,
+protocol, gate, kernel, dynamics, CLI and acceptance tests."""
 
 import json
 import math
@@ -24,7 +25,8 @@ from tweezersim.dynamics import (
     sideband_rabi,
     spectroscopy_pi_duration,
 )
-from tweezersim.gates import apply_cz, rotate
+from tweezersim.errors import NumericsError
+from tweezersim.gates import _norm2, apply_cz, rotate
 from tweezersim.protocols import DEFAULT_TRAP, SidebandSpectrum, detuned_transfer
 from tweezersim.states import DEFAULT_N_MAX
 
@@ -274,6 +276,77 @@ def multistart_reference_fit(spectrum, double=False):
     if shots is not None:
         x = best_fit(1.0 / analysis._model_reweight(se, shots, model(f, x)) ** 2, [x])
     return x
+
+
+def rotation_matrix(theta, phi):
+    """R(theta, phi) in the (down, up) ordering; shape (..., 2, 2) for
+    array arguments. gates.rotate builds no matrix; it computes these
+    entries per shot with the same expressions."""
+    half = np.multiply(theta, 0.5)
+    s = -1j * np.sin(half)
+    e = np.exp(1j * np.asarray(phi, dtype=float))
+    mat = np.empty(np.broadcast(s, e).shape + (2, 2), dtype=np.complex128)
+    mat[..., 0, 0] = mat[..., 1, 1] = np.cos(half)
+    mat[..., 0, 1] = s * e
+    mat[..., 1, 0] = s * e.conj()
+    return mat
+
+
+def matrix_rotate(batch, which, phase, angle):
+    """Bit oracle for gates.rotate: the same jitter draw, then the mix read
+    from rotation_matrix's (shots, 2, 2) array as four strided views."""
+    errors = batch.errors
+    if errors is not None and errors.sq_over_rotation_sigma > 0:
+        angle = angle + (batch.rng.normal(0.0, errors.sq_over_rotation_sigma, batch.size)
+                         if errors.per_gate_jitter else batch.jitter)
+    m = rotation_matrix(np.where(batch.lost(which), 0.0, angle), phase)[..., None, None]
+    psi = batch.psi
+    a0, a1 = (psi[:, 0], psi[:, 1]) if which == "data" else (psi[..., 0], psi[..., 1])
+    t = a0 * m[:, 1, 0]
+    a0 *= m[:, 0, 0]
+    a0 += a1 * m[:, 0, 1]
+    a1 *= m[:, 1, 1]
+    a1 += t
+    return batch
+
+
+def _project(batch, rows, outcome, probs, shape):
+    """Collapse the selected rows onto their outcome and renormalize."""
+    rows = np.flatnonzero(rows)
+    if not rows.size:
+        return
+    p = probs[rows, outcome[rows]]
+    if np.any(p <= 0):
+        raise NumericsError("a measurement emptied the state")
+    scale = np.ones_like(probs)
+    scale[rows] = 0.0
+    scale[rows, outcome[rows]] = 1.0 / np.sqrt(p)
+    batch.psi *= scale.reshape(shape)
+
+
+def two_outcome_project_level(batch, which, rows):
+    """Bit oracle for gates.project_level: its former two-outcome draw,
+    level 1 where u (p0 + p1) >= p0 for one uniform u per shot, then the
+    collapse."""
+    pops = batch.populations(which)
+    level = (batch.rng.random(batch.size) * pops.sum(axis=1) >= pops[:, 0]).astype(np.intp)
+    _project(batch, rows, level, pops, (batch.size, 2, 1, 1) if which == "data" else (batch.size, 1, 1, 2))
+    return level
+
+
+def clamped_measure_data(batch, rows=None):
+    """Bit oracle for gates.measure_data: its former k-column draw, the
+    count of cdf entries <= u clamped to k - 1, then the collapse."""
+    if rows is None:
+        rows = ~batch.data_lost
+    w = batch.psi.shape[2]
+    probs = _norm2(batch.psi, (batch.size, 2 * w, 4), "bi")
+    cdf = np.cumsum(probs, axis=1)
+    u = batch.rng.random(batch.size) * cdf[:, -1]
+    index = np.minimum(np.sum(cdf <= u[:, None], axis=1), 2 * w - 1)
+    _project(batch, rows, index, probs, (batch.size, 2, w, 1))
+    level, slot = np.divmod(index, w)
+    return level, batch.n0 + slot
 
 
 def local_z(batch, which, phi):

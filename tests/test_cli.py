@@ -555,6 +555,19 @@ class TestCliRuns:
             json.loads((tmp_path / "o" / "budget.json").read_text(),
                        parse_constant=lambda name: pytest.fail(f"budget.json holds {name}"))
 
+    def test_response_past_the_eta_times_duration_bound_exits_2(self, tmp_path, capsys):
+        # I(0) = (eta T / 2)^2 ~ 2.4e600 on the amplitude channel at eta
+        # 1e150 and the pi time of w ~ 1e-150: no float holds it, so the
+        # query is rejected before any closed form runs (and overflows)
+        path = _write_config(tmp_path, trap={"eta": 1e150}, pulse={"rabi_hz": 1.6e-301},
+                             response={"channel": "laser_amplitude", "grid_kind": "linear",
+                                       "f_min_hz": 0})
+        assert main(["response", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: trap.eta, pulse.rabi_hz, response.duration_s ")
+        assert "eta * duration" in err and err.count("\n") == 1
+        assert not (tmp_path / "o" / "response.csv").exists()
+
     @pytest.mark.parametrize(
         "key, value, command",
         [
@@ -1028,17 +1041,19 @@ class TestCsvIO:
     @pytest.mark.parametrize(
         "rows, reason",
         [
-            (["present,1,0,1.5,up,up,0,0"], "requires 9 columns but 8 were found"),
+            (["present,1,0,1.5,up,up,0,0"], "line 4 has 8 cells, the header has 9"),
             (["present,0,0,2.5,up,up,0,0,"], "not one per (scenario, shot, round)"),
             (["present,1,1,2.5,up,up,0,0,"], "not one per (scenario, shot, round)"),
             (["present,1,0,nan,up,up,0,0,"], "non-finite signal"),
             (["present,99999999999999999999,0,1.5,up,up,0,0,"],
-             "could not convert string '99999999999999999999' to int64"),
+             "line 4, column shot: '99999999999999999999' is not a 64-bit integer"),
             (["present,1,99999999999999999999,1.5,up,up,0,0,"],
-             "could not convert string '99999999999999999999' to int64"),
+             "line 4, column round: '99999999999999999999' is not a 64-bit integer"),
+            # a blank line is skipped but still counted
+            (["", "present,1,0,#1.5,up,up,0,0,"], "line 5, column signal: '#1.5' is not a number"),
         ],
         ids=["ragged-row", "repeated-cell", "missing-round", "nan-signal", "shot-overflow",
-             "round-overflow"],
+             "round-overflow", "blank-line-then-bad-cell"],
     )
     def test_detect_rejects_malformed_shots_csv(self, tmp_path, capsys, rows, reason):
         lines = [",".join(cli.SHOT_HEADER), "present,0,0,1.5,up,up,0,0,",
@@ -1104,8 +1119,8 @@ class TestCsvIO:
 
     @pytest.mark.parametrize("column, reason", [
         (None, "not one per (scenario, shot, round)"),
-        (1, "could not convert string '99999999999999999999' to int64"),
-        (2, "could not convert string '99999999999999999999' to int64"),
+        (1, "line 2, column shot: '99999999999999999999' is not a 64-bit integer"),
+        (2, "line 2, column round: '99999999999999999999' is not a 64-bit integer"),
     ], ids=["as-written", "shot-overflow", "round-overflow"])
     def test_detect_rejects_loss_detection_shots(self, tmp_path, capsys, column, reason):
         # loss detection restarts shot numbers for every analyzer phase
@@ -1130,16 +1145,16 @@ class TestCsvIO:
         ("fit", lambda lines: lines[:1], "no spectrum rows"),
         ("fit", lambda lines: [], "no detuning_hz, p_exc, stderr column in the header"),
         ("fit", lambda lines: _edit_row(lines, lambda row: row + ",0"),
-         "requires 4 columns but 5 were found"),
+         "line 6 has 5 cells, the header has 4"),
         ("fit", lambda lines: _edit_row(lines, lambda row: row.rsplit(",", 1)[0]),
-         "requires 4 columns but 3 were found"),
+         "line 6 has 3 cells, the header has 4"),
         ("detect", lambda lines: _edit_row(lines, lambda row: row + ",0"),
-         "requires 9 columns but 10 were found"),
+         "line 6 has 10 cells, the header has 9"),
         ("detect", lambda lines: _edit_row(lines, lambda row: row.rsplit(",", 1)[0]),
-         "requires 9 columns but 8 were found"),
-        ("fit", lambda lines: _edit_row(lines, lambda row: "#" + row), "could not convert string '#"),
+         "line 6 has 8 cells, the header has 9"),
+        ("fit", lambda lines: _edit_row(lines, lambda row: "#" + row), "line 6, column detuning_hz: '#"),
         ("detect", lambda lines: _edit_row(lines, lambda row: row.replace(",", ",#", 1)),
-         "could not convert string '#"),
+         "line 6, column shot: '#"),
         ("fit", lambda lines: _edit_row(lines, lambda row: row + "\n"), None),
         ("detect", lambda lines: _edit_row(lines, lambda row: row + "\n"), None),
     ], ids=["header-only", "empty", "spectrum-extra-cell", "spectrum-missing-cell",

@@ -2,7 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import local_z, sequential_cnot_block
+from conftest import (
+    clamped_measure_data,
+    local_z,
+    matrix_rotate,
+    rotation_matrix,
+    sequential_cnot_block,
+    two_outcome_project_level,
+)
 
 from tweezersim.analysis import optimize_threshold, optimize_threshold_analytic
 from tweezersim import gates
@@ -21,7 +28,6 @@ from tweezersim.gates import (
     measure_data,
     project_level,
     rotate,
-    rotation_matrix,
 )
 
 N_MAX = 4
@@ -280,6 +286,51 @@ class TestCNOTBlock:
             if probs == (0.3, 0.2) and entangle:  # every error branch fired
                 kinds = ("cz_leakage_data", "cz_leakage_anc", "cz_z_error_data", "cz_z_error_anc")
                 assert all(block.events[k] for k in kinds)
+
+
+def _zero_levels(batch, rows=8):
+    """Give the first pairs with both atoms present an exact 0 in one
+    level, in turn: the data's up level (so the top (level, n) columns
+    of measure_data are empty), the data's down level, the ancilla's up
+    level and the ancilla's down level."""
+    for k, row in enumerate(np.flatnonzero(~(batch.data_lost | batch.anc_lost))[:rows]):
+        psi = batch.psi[row]
+        (psi[1], psi[0], psi[..., 1], psi[..., 0])[k % 4][...] = 0.0
+        psi /= np.linalg.norm(psi)
+
+
+class TestGateOracles:
+    """rotate, project_level and measure_data against the matrix rotation
+    and the two-outcome and clamped k-column draws that their one
+    measurement rule replaced: psi bit for bit, the same outcomes and the
+    same random stream after every call."""
+
+    @pytest.mark.parametrize("window", [(1, N_MAX), (3, 7)], ids=["w1", "w3"])
+    @pytest.mark.parametrize("phase", ["scalar", "per_shot"])
+    @pytest.mark.parametrize("errors", [None, GateErrorSpec(), GateErrorSpec(per_gate_jitter=True)],
+                             ids=["ideal", "shot_jitter", "per_gate_jitter"])
+    def test_matches_matrix_and_draw_oracles(self, errors, phase, window):
+        # window: (W, n_max); _mixed_batch places n0 = 0, 1, ... per shot
+        for seed in (1, 2, 3):
+            batch, ref = _mixed_batch(seed, errors, *window), _mixed_batch(seed, errors, *window)
+            _zero_levels(batch)
+            _zero_levels(ref)
+            assert np.any(batch.n0 > 0) and batch.data_lost.any() and batch.anc_lost.any()
+            phi = 0.4 if phase == "scalar" else np.linspace(0.0, 2 * np.pi, batch.size)
+            calls = [
+                (measure_data, clamped_measure_data, ()),
+                (project_level, two_outcome_project_level, ("anc", ~batch.anc_lost)),
+                (rotate, matrix_rotate, ("data", phi, np.pi / 2)),
+                (rotate, matrix_rotate, ("anc", phi, 4.0)),  # cos(theta / 2) < 0
+                (project_level, two_outcome_project_level, ("data", ~batch.data_lost)),
+                (project_level, two_outcome_project_level, ("anc", np.ones(batch.size, bool))),
+            ]
+            for call, oracle, args in calls:
+                got, want = call(batch, *args), oracle(ref, *args)
+                if call is not rotate:
+                    np.testing.assert_array_equal(got, want)
+                assert batch.psi.tobytes() == ref.psi.tobytes()
+                assert batch.rng.bit_generator.state == ref.rng.bit_generator.state
 
 
 class TestImaging:

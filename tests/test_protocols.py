@@ -8,6 +8,7 @@ from conftest import (
     ideal_rsb_map,
     preset_config,
     propagator,
+    rotation_matrix,
     scalar_sideband_p_exc,
     sideband_peak_ratio,
 )
@@ -23,7 +24,6 @@ from tweezersim.gates import (
     PairBatch,
     heating_jump,
     image_ancilla,
-    rotation_matrix,
 )
 from tweezersim.protocols import (
     ANC_MINUS,
@@ -335,6 +335,8 @@ class TestChunkDeterminism:
             # forced errors: leak splits and per-gate jitter draws in every chunk
             pytest.param("repeated_readout", {"gate_errors": FORCED_ERRORS},
                          id="repeated_readout-forced_errors"),
+            pytest.param("loss_detection", {"gate_errors": FORCED_ERRORS},
+                         id="loss_detection-forced_errors"),
             *[pytest.param("algorithmic_cooling", {"gate_errors": FORCED_ERRORS, "ideal_cooling_rsb": rsb},
                            id=f"algorithmic_cooling-forced_errors-{mode}_rsb")
               for rsb, mode in ((True, "ideal"), (False, "nonideal"))],

@@ -108,6 +108,19 @@ class TestNumeric:
         want = simpson_response(query)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * want.max())
 
+    @pytest.mark.parametrize("eta, duration", [(1.0, 1e150), (1e-10, 1e151)], ids=["eta_t", "t"])
+    def test_duration_bounds_keep_every_channel_finite(self, eta, duration):
+        # at the bound on eta * T (then T) every closed form is finite on a
+        # grid through f = 0, warnings being errors; one ulp past it, or
+        # below T = 0, the query is rejected
+        freqs = np.array([0.0, 1.0, 1e12])
+        for channel in ("trap_frequency", "laser_frequency", "laser_amplitude"):
+            values = response_function(ResponseQuery(eta, 1.0, freqs, channel, duration)).values
+            assert np.all(np.isfinite(values))
+            for bad in (np.nextafter(duration, np.inf), -5e-324):
+                with pytest.raises(ValidationError, match=r"must lie in \[0, 1e151\] s and eta \* duration"):
+                    ResponseQuery(eta, 1.0, freqs, channel, bad)
+
     @pytest.mark.parametrize("channel", ["trap_frequency", "laser_amplitude"])
     def test_matches_the_dense_double_sum(self, channel):
         # the Simpson double sum of cos(2 pi f (t - tau)) C(t, tau), written out
