@@ -266,8 +266,10 @@ def cmd_response(config, out_dir, workers, report):
     except ValidationError as exc:
         eta = "trap.eta" if config["trap"]["eta"] is not None else (
             "trap.eta (null: from trap.frequency_hz, trap.mass_amu and trap.wavelength_nm)")
-        raise ValidationError(f"{eta}, pulse.rabi_hz, response.duration_s or the response.f_* grid: "
-                              f"{exc}") from None
+        keys = {"frequencies_hz": "response.f_min_hz, response.f_max_hz, response.points and response.grid_kind",
+                "channel": "response.channel", "duration": sec["duration_s"] is not None and "response.duration_s",
+                }.get(exc.field) or f"{eta} and pulse.rabi_hz"  # a null response.duration_s is the pi time
+        raise ValidationError(f"{keys}: {exc}") from None
     rf = response_function(query)
     noise = build_noise(config, config.get("_base_dir", "."))
     channel_spec = noise.channel(sec["channel"])

@@ -203,14 +203,15 @@ def sample_noise_rows(model: NoiseModel, duration: float, dt: float, rows: int, 
     """Trap-frequency, laser-frequency and laser-amplitude series of `rows`
     realizations, each (rows, n_steps), sampled at step midpoints.
 
-    rng is a Generator, drawn from, or a seed for a new one. Row r is what
-    the r-th of `rows` successive sample_noise calls on it returns: each
-    row draws its channels in CHANNELS order. QuasiStatic channels are
-    shot-constant Gaussian draws. A SpectralDensity uses random-phase
-    harmonic synthesis: bins of width df = 1 / (PSD_OVERSAMPLE * duration)
-    at midpoint frequencies get amplitudes sqrt(2 S df) and uniform phases,
-    so the ensemble periodogram converges to S(f). With the cached basis a
-    channel's rows are one matrix product.
+    rng is a Generator, drawn from, a seed for a new one, or a list of one
+    Generator per row. Row r is what the r-th of successive sample_noise
+    calls on its Generator returns: each row draws its channels in
+    CHANNELS order. QuasiStatic channels are shot-constant Gaussian draws.
+    A SpectralDensity uses random-phase harmonic synthesis: bins of width
+    df = 1 / (PSD_OVERSAMPLE * duration) at midpoint frequencies get
+    amplitudes sqrt(2 S df) and uniform phases, so the ensemble periodogram
+    converges to S(f). With the cached basis a channel's rows are one
+    matrix product, whose bits depend on its row count.
     """
     if duration <= 0:
         raise ValidationError(f"duration must be > 0, got {duration}")
@@ -224,20 +225,20 @@ def sample_noise_rows(model: NoiseModel, duration: float, dt: float, rows: int, 
         raise ValidationError(
             f"dt = {dt} too coarse for PSD content up to {f_max} Hz; need dt <= {1.0 / (20.0 * f_max)}"
         )
-    rng = np.random.default_rng(rng)
+    rngs = rng if isinstance(rng, list) else [np.random.default_rng(rng)] * rows
     df = 1.0 / (PSD_OVERSAMPLE * duration)
     amps, draw = {}, {}
     for name in CHANNELS:
         ch = getattr(model, name)
         if isinstance(ch, QuasiStatic):
-            draw[name] = functools.partial(rng.normal, 0.0, ch.sigma, 1)
+            draw[name] = functools.partial(np.random.Generator.normal, loc=0.0, scale=ch.sigma, size=1)
         elif isinstance(ch, SpectralDensity):
             f_k = (np.arange(int(math.ceil(ch.f_max / df))) + 0.5) * df
             amps[name] = np.sqrt(2.0 * np.interp(f_k, ch.frequencies_hz, ch.values, left=0.0, right=0.0) * df)
-            draw[name] = functools.partial(rng.uniform, 0.0, 2.0 * np.pi, f_k.size)
+            draw[name] = functools.partial(np.random.Generator.uniform, low=0.0, high=2.0 * np.pi, size=f_k.size)
         elif ch is not None:
             raise ValidationError(f"unsupported channel spec {type(ch).__name__}")
-    per_row = [[d() for d in draw.values()] for _ in range(rows)]
+    per_row = [[d(g) for d in draw.values()] for g in rngs]
     series = {}
     for name, drawn in zip(draw, zip(*per_row)):
         drawn = np.stack(drawn)  # (rows, 1) values or (rows, n_bins) phases
@@ -535,12 +536,13 @@ def evolve_rows(
     n0 and n_max the window is the full ladder (n0 = 0, n_max = W - 1).
     Every pulse runs the kernel on the windows, rows a chunk at a time.
     With noise None or a model with no channel the pulse is noiseless:
-    zero series in one exact step, and nothing is drawn. Otherwise each
-    chunk draws its rows' realizations from rng with one
-    sample_noise_rows call, in row order. Without a SpectralDensity
-    channel each row's H is constant over the pulse, so its realization
-    has one exact step and `steps` is not used; with one, it has `steps`
-    steps. The step-size, truncation and norm guards apply per row.
+    zero series in one exact step, and nothing is drawn. Otherwise the
+    rows draw their realizations in row order from rng (as in
+    sample_noise_rows), each Generator's rows in the chunks it would draw
+    alone. Without a SpectralDensity channel each row's H is constant over
+    the pulse, so its realization has one exact step and `steps` is not
+    used; with one, it has `steps` steps. The step-size, truncation and
+    norm guards apply per row.
     """
     w = amps.shape[1] // 2
     if n0 is None:
@@ -553,12 +555,22 @@ def evolve_rows(
     dt = pulse.duration / steps
     out = np.empty(amps.shape, dtype=np.complex128)
     per_call = kernels._rows_per_chunk(steps, _pair_tables(pulse, trap.eta, w - 1)[0].size)
-    rng = np.random.default_rng(rng)
-    for start in range(0, amps.shape[0], per_call):
-        rows = slice(start, start + per_call)
-        n = amps[rows].shape[0]
-        trap_2d, freq_2d, amp_2d = (np.zeros((n, 1)),) * 3 if quiet else sample_noise_rows(
-            noise, pulse.duration, dt, n, rng)
+    n_rows = amps.shape[0]
+    rngs = rng if isinstance(rng, list) else [np.random.default_rng(rng)] * n_rows
+    # (start, stop) pieces of one Generator's rows, as it would draw them alone; a chunk packs them
+    chunks, start = [], 0
+    for stop in range(1, n_rows + 1):
+        if stop == n_rows or rngs[stop] is not rngs[start] or stop - start == per_call:
+            if chunks and stop - chunks[-1][0][0] <= per_call:
+                chunks[-1].append((start, stop))
+            else:
+                chunks.append([(start, stop)])
+            start = stop
+    for pieces in chunks:
+        rows = slice(pieces[0][0], pieces[-1][1])
+        trap_2d, freq_2d, amp_2d = (np.zeros((rows.stop - rows.start, 1)),) * 3 if quiet else (
+            np.concatenate(s) for s in zip(*(sample_noise_rows(noise, pulse.duration, dt, b - a, rngs[a:b])
+                                             for a, b in pieces)))
         out[rows] = _run_kernel(amps[rows], pulse, trap, trap_2d, freq_2d, _amp_factor(pulse, amp_2d), dt,
                                 n_max, None if n0 is None else n0[rows])
     return out

@@ -11,7 +11,11 @@ class TweezersimError(Exception):
 
 
 class ValidationError(TweezersimError):
-    """Invalid input, configuration value, or precondition violation."""
+    """Invalid input, configuration value, or precondition violation (``field``: the input at fault)."""
+
+    def __init__(self, *args, field: str = None):
+        super().__init__(*args)
+        self.field = field
 
 
 class GridMismatchError(ValidationError):

@@ -104,6 +104,35 @@ class ImagingSpec:
                 raise ValidationError(f"{name} must be in [0, 1], got {v}")
 
 
+class Streams:
+    """One Generator per contiguous segment of a batch's rows, `stops` holding
+    each segment's end row. A draw joins the segments' draws in row order, so
+    each Generator advances as over its rows alone; size is the row count.
+    With a row mask `where`, only the segments holding a selected row draw,
+    and the others read 0."""
+
+    def __init__(self, generators, stops):
+        self.generators, self.stops = list(generators), list(stops)
+
+    def _draw(self, method: str, where, *args) -> np.ndarray:
+        return np.concatenate([
+            getattr(g, method)(*args, b - a) if where is None or where[a:b].any() else np.zeros(b - a)
+            for g, a, b in zip(self.generators, [0] + self.stops, self.stops)])
+
+    def random(self, size: int, where=None) -> np.ndarray:
+        return self._draw("random", where)
+
+    def standard_normal(self, size: int) -> np.ndarray:
+        return self._draw("standard_normal", None)
+
+    def normal(self, loc: float, scale: float, size: int) -> np.ndarray:
+        return self._draw("normal", None, loc, scale)
+
+    def for_rows(self, rows) -> list:
+        """The Generator of each selected row (rows: ascending indices)."""
+        return [self.generators[i] for i in np.searchsorted(self.stops, rows, side="right")]
+
+
 @dataclass
 class PairBatch:
     """A chunk of data + ancilla pairs.
@@ -114,14 +143,15 @@ class PairBatch:
     n0 + W - 1 <= n_max; n0 and n_max default to the full ladder, 0 and
     W - 1. ``data_lost`` and ``anc_lost`` mark lost or absent atoms,
     whose axes hold a definite basis state that no operation touches.
-    ``rng`` drives every stochastic branch; ``errors`` is None for ideal
-    gates, and ``jitter`` holds each shot's constant rotation jitter.
+    ``rng``, a Streams (a bare Generator becomes one segment), drives every
+    stochastic branch; ``errors`` is None for ideal gates, and ``jitter``
+    holds each shot's constant rotation jitter.
     """
 
     psi: np.ndarray
     data_lost: np.ndarray
     anc_lost: np.ndarray
-    rng: np.random.Generator = None
+    rng: Streams = None
     errors: GateErrorSpec = None
     jitter: np.ndarray = None
     events: Counter = field(default_factory=Counter)
@@ -131,6 +161,8 @@ class PairBatch:
     def __post_init__(self):  # the full ladder by default
         self.n0 = np.zeros(self.size, dtype=np.intp) if self.n0 is None else self.n0
         self.n_max = self.psi.shape[2] - 1 if self.n_max is None else self.n_max
+        if not isinstance(self.rng, Streams):
+            self.rng = Streams([self.rng], [self.size])
 
     @classmethod
     def prepare(cls, data, anc, data_lost=False, anc_lost=False, rng=None, errors=None):
@@ -139,17 +171,21 @@ class PairBatch:
         data = np.asarray(data, dtype=np.complex128)
         shots = data.shape[0]
         anc = np.asarray(anc, dtype=np.complex128)
-        jitter = None
+        batch = cls(data[..., None] * anc[..., None, None, :], np.full(shots, data_lost), np.full(shots, anc_lost),
+                    rng, errors)
         if errors is not None and errors.sq_over_rotation_sigma > 0 and not errors.per_gate_jitter:
-            jitter = rng.normal(0.0, errors.sq_over_rotation_sigma, shots)
-        return cls(
-            psi=data[..., None] * anc[..., None, None, :],
-            data_lost=np.full(shots, data_lost),
-            anc_lost=np.full(shots, anc_lost),
-            rng=rng,
-            errors=errors,
-            jitter=jitter,
-        )
+            batch.jitter = batch.rng.normal(0.0, errors.sq_over_rotation_sigma, shots)
+        return batch
+
+    @classmethod
+    def join(cls, batches) -> "PairBatch":
+        """The batches' rows in order, each segment on its Generator; errors and n_max from the first."""
+        cat = lambda name: np.concatenate([getattr(b, name) for b in batches])
+        offsets = np.cumsum([0] + [b.size for b in batches])
+        rng = Streams([g for b in batches for g in b.rng.generators],
+                      [int(o + stop) for b, o in zip(batches, offsets) for stop in b.rng.stops])
+        return cls(cat("psi"), cat("data_lost"), cat("anc_lost"), rng, batches[0].errors,
+                   None if batches[0].jitter is None else cat("jitter"), n0=cat("n0"), n_max=batches[0].n_max)
 
     @property
     def size(self) -> int:
@@ -184,18 +220,18 @@ def _norm2(a: np.ndarray, shape, out: str) -> np.ndarray:
     return np.einsum(f"bij,bij->{out}", x, x)
 
 
-def _collapse(batch: PairBatch, rows, probs, shape) -> np.ndarray:
+def _collapse(batch: PairBatch, rows, probs, shape, where=None) -> np.ndarray:
     """Born-rule measurement: one outcome per shot, then the selected rows
     collapse onto theirs and renormalize. Returns the outcome per shot.
 
     probs (shots, k) holds each row's unnormalized outcome probabilities;
-    one uniform per shot picks an index into it. psi is multiplied by the
-    projector scaled by 1/sqrt(p), reshaped to `shape` to broadcast
-    against psi.
+    one uniform per shot (Streams.random with `where`) picks an index into
+    it. psi is multiplied by the projector scaled by 1/sqrt(p), reshaped
+    to `shape` to broadcast against psi.
     """
     # ufunc methods: np.cumsum's and ndarray.sum's Python wrappers cost ~2.5 us (2-vCPU x86-64)
     cdf = np.add.accumulate(probs, axis=1)
-    u = batch.rng.random(batch.size) * cdf[:, -1]
+    u = batch.rng.random(batch.size, where) * cdf[:, -1]
     outcome = np.add.reduce(cdf[:, :-1] <= u[:, None], axis=1)
     rows = np.flatnonzero(rows)
     if rows.size:
@@ -306,20 +342,20 @@ def cnot_block(batch: PairBatch, comp_phase=np.pi, local_z_phase: float = 0.0,
 # measurement and loss
 
 
-def project_level(batch: PairBatch, which: str, rows) -> np.ndarray:
+def project_level(batch: PairBatch, which: str, rows, where=None) -> np.ndarray:
     """Born-rule measurement of one atom's electronic level in the selected
-    pairs, collapsing onto it with motion untouched.
+    pairs, collapsing onto it with motion untouched; `where` as in _collapse.
 
     Returns the level per shot (0 down, 1 up); unselected shots keep
     their state and their entry is meaningless.
     """
     shape = (batch.size, 2, 1, 1) if which == "data" else (batch.size, 1, 1, 2)
-    return _collapse(batch, rows, batch.populations(which), shape)
+    return _collapse(batch, rows, batch.populations(which), shape, where)
 
 
-def measure_data(batch: PairBatch, rows=None):
+def measure_data(batch: PairBatch, rows=None, where=None):
     """Projective (level, n) measurement of the data atom in the selected
-    pairs (default: every pair with a data atom).
+    pairs (default: every pair with a data atom); `where` as in _collapse.
 
     The ancilla keeps its conditional state. Returns (level, n) per shot;
     entries of unselected shots are meaningless. Only zeros lie outside
@@ -329,7 +365,7 @@ def measure_data(batch: PairBatch, rows=None):
         rows = ~batch.data_lost
     w = batch.psi.shape[2]
     probs = _norm2(batch.psi, (batch.size, 2 * w, 4), "bi")
-    level, slot = np.divmod(_collapse(batch, rows, probs, (batch.size, 2, w, 1)), w)
+    level, slot = np.divmod(_collapse(batch, rows, probs, (batch.size, 2, w, 1), where), w)
     return level, batch.n0 + slot
 
 
@@ -338,16 +374,15 @@ def lose(batch: PairBatch, which: str, rows) -> PairBatch:
 
     The environment projectively measures the lost atom (data: level and
     n; ancilla: level), the partner keeps its conditional state, and the
-    atom's mask flips. Atoms already lost are left alone.
+    atom's mask flips. Atoms already lost are left alone; only the
+    segments of rows holding a selected pair draw (see Streams).
     """
     mask = batch.lost(which)
     rows = rows & ~mask
-    if not rows.any():
-        return batch
     if which == "data":
-        measure_data(batch, rows)
+        measure_data(batch, rows, where=rows)
     else:
-        project_level(batch, "anc", rows)
+        project_level(batch, "anc", rows, where=rows)
     mask[rows] = True
     return batch
 
@@ -361,7 +396,7 @@ def _scatter(batch: PairBatch, which: str, loss_prob: float, event: str) -> np.n
     if which == "data":
         lose(batch, which, gone)  # the environment also measures n
     elif gone.any():  # level already projected; draw what lose's projection would
-        batch.rng.random(batch.size)
+        batch.rng.random(batch.size, where=gone)
         batch.anc_lost[gone] = True
     batch.events[event] += int(np.count_nonzero(gone))
     return bright

@@ -2,13 +2,13 @@
 
 Three protocols run over the gate layer: repeated ancilla-based
 readout, coherence-preserving loss detection with motional shelving,
-and algorithmic cooling. Shots run in chunks of CHUNK_SHOTS. A chunk is
-one PairBatch (see gates.py) that every gate, measurement and pulse
-updates at once, and it draws all its randomness from its own stream,
-PCG64(SeedSequence(seed, spawn_key=(scenario index, [phase index,]
-chunk index))). The chunk size is a constant, so results do not depend
-on the worker count or on the order in which the worker threads run
-the chunks. A pulse drives each shot's Fock window (see WINDOW) itself.
+and algorithmic cooling. Each job (a scenario, and for loss detection a
+phase) runs its shots in chunks of CHUNK_SHOTS, chunk c on its own stream
+PCG64(SeedSequence(seed, spawn_key=(scenario index, [phase index,] c))).
+Chunk c of every job runs in lockstep: one PairBatch (see gates.py) that
+every gate, measurement and pulse updates at once. The chunk size is a
+constant, so results do not depend on the worker count or thread order.
+A pulse drives each shot's Fock window (see WINDOW) itself.
 
 The ancilla-flip block (a CNOT up to calibrated phases) decomposes as
 local Z on the data, X^(1/2) on the ancilla, CZ, and a second X^(1/2)
@@ -215,40 +215,46 @@ class ShotTable:
     events: Counter = field(default_factory=Counter)
 
     @classmethod
-    def concat(cls, tables) -> "ShotTable":
-        if len(tables) == 1:
-            return tables[0]
-        cols = {
-            f.name: None if tables[0].aux is None and f.name == "aux"
-            else np.concatenate([getattr(t, f.name) for t in tables])
-            for f in fields(cls)
-            if f.name != "events"
-        }
-        return cls(**cols, events=sum((t.events for t in tables), Counter()))
+    def concat(cls, tables, order=slice(None)) -> "ShotTable":
+        """The tables' rows joined, then taken in `order`."""
+        return cls(**{f.name: None if tables[0].aux is None and f.name == "aux"
+                      else np.concatenate([getattr(t, f.name) for t in tables])[order] for f in fields(cls)
+                      if f.name != "events"}, events=sum((t.events for t in tables), Counter()))
 
 
-def _run_chunks(config: ProtocolConfig, jobs) -> list:
-    """One ShotTable per job of (chunk, key), its chunks joined in shot order.
-
-    chunk(rng, shots) -> ShotTable runs one chunk of config.shots shots
-    with its own stream keyed by (*key, chunk index). Every (job, chunk)
-    unit runs on one pool of config.workers threads.
+def _run_chunks(config: ProtocolConfig, jobs, anc_level, circuit) -> ShotTable:
+    """config.shots shots of each (key, scenario) job as one ShotTable,
+    job-major, each job's shots in order. Chunk c of a job starts as
+    _new_pairs(config, stream, shots, scenario == "present", anc_level) on
+    its own stream PCG64(SeedSequence(config.seed, spawn_key=(*key, c))).
+    The chunks c of all jobs join job-major into one PairBatch (its rng
+    holds their streams; see gates.Streams), and circuit(batch, job, n)
+    runs them in lockstep, given each row's job index and initial Fock
+    number, returning (signals, ancilla_labels, data level, data n, aux).
+    Each row draws what it would alone. config.workers threads run the
+    chunk indices.
     """
     n_chunks = -(-config.shots // CHUNK_SHOTS)
-    units = [(chunk, key, c) for chunk, key in jobs for c in range(n_chunks)]
+    scenarios = np.array([scenario for _, scenario in jobs])
 
-    def run(unit):
-        chunk, key, c = unit
-        ss = np.random.SeedSequence(config.seed, spawn_key=(*key, c))
+    def run(c):
         shots = np.arange(c * CHUNK_SHOTS, min((c + 1) * CHUNK_SHOTS, config.shots))
-        return chunk(np.random.Generator(np.random.PCG64(ss)), shots)
+        starts = [_new_pairs(config, np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(*k, c))),
+                             shots, scenario == "present", anc_level) for k, scenario in jobs]
+        batch = PairBatch.join([b for b, _ in starts])
+        job = np.repeat(np.arange(len(jobs)), shots.size)
+        signals, labels, level, n, aux = circuit(batch, job, np.concatenate([n for _, n in starts]))
+        lost = batch.data_lost
+        return job, ShotTable(scenarios[job], np.tile(shots, len(jobs)), signals, labels,
+                              level_labels(level, lost), np.where(lost, -1, n), lost, aux, batch.events)
 
-    if config.workers <= 1 or len(units) == 1:
-        tables = [run(u) for u in units]
+    if config.workers <= 1 or n_chunks == 1:
+        runs = [run(c) for c in range(n_chunks)]
     else:
-        with ThreadPoolExecutor(max_workers=min(config.workers, len(units))) as ex:
-            tables = list(ex.map(run, units))
-    return [ShotTable.concat(tables[j : j + n_chunks]) for j in range(0, len(tables), n_chunks)]
+        with ThreadPoolExecutor(max_workers=min(config.workers, n_chunks)) as ex:
+            runs = list(ex.map(run, range(n_chunks)))
+    job_major = np.argsort(np.concatenate([job for job, _ in runs]), kind="stable")
+    return ShotTable.concat([t for _, t in runs], job_major)
 
 
 def _initial_n(config: ProtocolConfig, rng, size: int) -> np.ndarray:
@@ -298,7 +304,7 @@ def _evolve_data(batch: PairBatch, pulse: PulseSpec, config: ProtocolConfig) -> 
     on = np.flatnonzero(~batch.data_lost)
     if on.size:
         out = evolve_rows(batch.psi[on].reshape(on.size, -1, 2), pulse, config.trap, config.noise,
-                          config.steps_per_pulse, batch.rng, batch.n0[on], batch.n_max)
+                          config.steps_per_pulse, batch.rng.for_rows(on), batch.n0[on], batch.n_max)
         batch.psi[on] = out.reshape(-1, *batch.psi.shape[1:])
     return batch
 
@@ -370,27 +376,18 @@ def run_repeated_readout(config: ProtocolConfig) -> ShotTable:
     """
     imaging = config.imaging
 
-    def chunk(rng, shots, scenario):
-        batch, _ = _new_pairs(config, rng, shots, scenario == "present", ElectronicLevel.UP)
-        signals = np.empty((shots.size, config.n_cyc))
-        labels = np.empty((shots.size, config.n_cyc), dtype="<U5")
+    def circuit(batch, job, n_init):
+        signals = np.empty((batch.size, config.n_cyc))
+        labels = np.empty((batch.size, config.n_cyc), dtype="<U5")
         for rnd in range(config.n_cyc):
             if rnd:
                 _fresh_ancilla(batch, config, ElectronicLevel.UP)
             cnot_block(batch, config.comp_phase, config.local_z_phase)
             signals[:, rnd], labels[:, rnd] = image_ancilla(batch, imaging)
             heating_jump(batch, imaging.data_heating_quanta_per_round)
-        level, n = measure_data(batch)
-        return ShotTable(
-            np.full(shots.size, scenario), shots, signals, labels,
-            level_labels(level, batch.data_lost), np.where(batch.data_lost, -1, n),
-            batch.data_lost, events=batch.events,
-        )
+        return signals, labels, *measure_data(batch), None
 
-    return ShotTable.concat(_run_chunks(config, [
-        (lambda rng, shots, s=s: chunk(rng, shots, s), (SCENARIOS.index(s),))
-        for s in config.scenarios
-    ]))
+    return _run_chunks(config, [((SCENARIOS.index(s),), s) for s in config.scenarios], ElectronicLevel.UP, circuit)
 
 
 def run_loss_detection(config: ProtocolConfig, analyzer_phases=None, reference: bool = False):
@@ -414,12 +411,16 @@ def run_loss_detection(config: ProtocolConfig, analyzer_phases=None, reference: 
     shelve = _shelving_pulse(config)
     unshelve = replace(shelve, phase=shelve.phase + np.pi)
 
-    def chunk(rng, shots, scenario, phi):
-        batch, _ = _new_pairs(config, rng, shots, scenario == "present", ElectronicLevel.UP)
+    jobs = [((SCENARIOS.index(scenario), k), scenario)
+            for scenario in config.scenarios for k in range(analyzer_phases.size)]
+    job_phase = np.tile(analyzer_phases, len(config.scenarios))
+
+    def circuit(batch, job, n_init):
+        phi = job_phase[job]
         _evolve_data(batch, shelve, config)
         cnot_block(batch, config.comp_phase, config.local_z_phase, entangle=not reference)
         if reference:
-            signals = np.full(shots.size, np.nan)
+            signals = np.full(batch.size, np.nan)
             anc_up = batch.populations("anc")[:, 0] <= 0.5
             labels = level_labels(anc_up.astype(int), batch.anc_lost)
         else:
@@ -427,25 +428,13 @@ def run_loss_detection(config: ProtocolConfig, analyzer_phases=None, reference: 
             expose_to_imaging(batch, config.imaging)
         _evolve_data(batch, unshelve, config)
         rotate(batch, "data", phi, np.pi / 2)
-        level = project_level(batch, "data", ~batch.data_lost)
-        return ShotTable(
-            np.full(shots.size, scenario), shots, signals[:, None], labels[:, None],
-            level_labels(level, batch.data_lost), np.full(shots.size, -1),
-            batch.data_lost, np.full(shots.size, phi), batch.events,
-        )
+        return signals[:, None], labels[:, None], project_level(batch, "data", ~batch.data_lost), -1, phi
 
-    tables = _run_chunks(config, [
-        (lambda rng, shots, s=scenario, p=phi: chunk(rng, shots, s, p), (SCENARIOS.index(scenario), k))
-        for scenario in config.scenarios
-        for k, phi in enumerate(analyzer_phases)
-    ])
-    fringe = {}
-    for i, scenario in enumerate(config.scenarios):
-        per_phase = tables[i * analyzer_phases.size : (i + 1) * analyzer_phases.size]
-        up_fraction = np.array([np.mean(t.data_label == "up") for t in per_phase])
-        stderr = binomial_stderr(up_fraction, config.shots)
-        fringe[scenario] = (analyzer_phases.copy(), up_fraction, stderr)
-    return ShotTable.concat(tables), fringe
+    table = _run_chunks(config, jobs, ElectronicLevel.UP, circuit)
+    # up-fractions per (scenario, phase); the sums are exact, so any summation order gives their bits
+    up = (table.data_label == "up").reshape(len(config.scenarios), analyzer_phases.size, -1).mean(axis=2)
+    return table, {scenario: (analyzer_phases.copy(), u, binomial_stderr(u, config.shots))
+                   for scenario, u in zip(config.scenarios, up)}
 
 
 def run_algorithmic_cooling(config: ProtocolConfig):
@@ -462,8 +451,7 @@ def run_algorithmic_cooling(config: ProtocolConfig):
     rsb_pulse = PulseSpec(PulseKind.RED_SIDEBAND, rabi=config.rabi,
                           duration=np.pi / omega_01(config.trap, config.rabi))
 
-    def chunk(rng, shots):
-        batch, n_init = _new_pairs(config, rng, shots, True, ElectronicLevel.DOWN)
+    def circuit(batch, job, n_init):
         if config.ideal_cooling_rsb:
             _ideal_rsb(batch)
         else:
@@ -473,13 +461,9 @@ def run_algorithmic_cooling(config: ProtocolConfig):
         anc = batch.psi.sum(axis=(1, 2))  # the data is in one basis state now
         plus = np.abs(anc @ np.conjugate(ANC_PLUS)) ** 2 > 0.5
         anc_labels = np.where(batch.anc_lost, "lost", np.where(plus, "plus", "minus"))
-        return ShotTable(
-            np.full(shots.size, "present"), shots, np.full((shots.size, 1), np.nan),
-            anc_labels[:, None], level_labels(level, batch.data_lost),
-            np.where(batch.data_lost, -1, n), batch.data_lost, n_init, batch.events,
-        )
+        return np.full((batch.size, 1), np.nan), anc_labels[:, None], level, n, n_init
 
-    (table,) = _run_chunks(config, [(chunk, (0,))])
+    table = _run_chunks(config, [((0,), "present")], ElectronicLevel.DOWN, circuit)
     kept = ~table.data_lost
     n_kept = int(np.count_nonzero(kept))
     up = kept & (table.data_label == "up")

@@ -29,7 +29,8 @@ from .errors import GridMismatchError, ValidationError
 
 @dataclass(frozen=True)
 class ResponseQuery:
-    """Inputs for a response-function evaluation."""
+    """Inputs for a response-function evaluation. A rejection names its input
+    in ValidationError.field: frequencies_hz, rabi (with eta), channel or duration."""
 
     eta: float
     rabi: float  # carrier angular Rabi frequency, rad/s
@@ -39,23 +40,24 @@ class ResponseQuery:
 
     def __post_init__(self):
         f = np.atleast_1d(np.asarray(self.frequencies_hz, dtype=float))
-        if np.any(f < 0) or (f.size > 1 and np.any(np.diff(f) <= 0)):
-            raise ValidationError("frequency grid must be >= 0 and strictly increasing")
+        if not np.isfinite(f).all() or np.any(f < 0) or (f.size > 1 and np.any(np.diff(f) <= 0)):
+            raise ValidationError("frequency grid must be finite, >= 0 and strictly increasing",
+                                  field="frequencies_hz")
         object.__setattr__(self, "frequencies_hz", f)
         if self.eta <= 0 or self.rabi <= 0:
-            raise ValidationError("eta and rabi must be positive")
+            raise ValidationError("eta and rabi must be positive", field="rabi")
         if not (self.eta <= 1e150 and 1e-150 <= self.eta * self.rabi <= 1e150):
             raise ValidationError(  # the closed forms square eta, w and 1 / w
                 f"eta = {self.eta:g} and w = eta * rabi = {self.eta * self.rabi:g} rad/s "
-                f"must stay within 1e150, and w above 1e-150"
+                f"must stay within 1e150, and w above 1e-150", field="rabi"
             )
         if self.channel not in CHANNELS:
-            raise ValidationError(f"channel must be one of {CHANNELS}")
+            raise ValidationError(f"channel must be one of {CHANNELS}", field="channel")
         if self.duration is None:
             object.__setattr__(self, "duration", math.pi / (self.eta * self.rabi))
         if not (0 <= self.duration <= 1e151 and self.eta * self.duration <= 1e150):  # squared below
             raise ValidationError(f"duration = {self.duration:g} s must lie in [0, 1e151] s and eta * "
-                                  f"duration = {self.eta * self.duration:g} s within 1e150 s")
+                                  f"duration = {self.eta * self.duration:g} s within 1e150 s", field="duration")
 
 
 @dataclass(frozen=True)

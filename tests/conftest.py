@@ -5,17 +5,19 @@ Gauss-Newton polish oracle, the rotation matrix and the matrix rotation,
 two-outcome level draw and clamped k-column draw that the gate layer
 replaced, the local Z gate and the sequential ancilla-flip block built on
 it, the dense ideal red-sideband map and its einsum application, the
-two-level pair tables and their kernel run, the dense propagator matrix,
-and the allocating block-propagation reference for response, analysis,
-protocol, gate, kernel, dynamics, CLI and acceptance tests."""
+per-job chunk runner that the lockstep one replaced, the two-level pair
+tables and their kernel run, the dense propagator matrix, and the
+allocating block-propagation reference for response, analysis, protocol,
+gate, kernel, dynamics, CLI and acceptance tests."""
 
 import json
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from tweezersim import cli, kernels
+from tweezersim import cli, kernels, protocols
 from tweezersim.dynamics import (
     NoiseRealization,
     PulseKind,
@@ -26,7 +28,7 @@ from tweezersim.dynamics import (
     spectroscopy_pi_duration,
 )
 from tweezersim.errors import NumericsError
-from tweezersim.gates import _norm2, apply_cz, rotate
+from tweezersim.gates import _norm2, apply_cz, level_labels, rotate
 from tweezersim.protocols import DEFAULT_TRAP, SidebandSpectrum, detuned_transfer
 from tweezersim.states import DEFAULT_N_MAX
 
@@ -388,6 +390,34 @@ def sequential_cnot_block(batch, comp_phase=np.pi, local_z_phase=0.0, entangle=T
     if entangle:
         apply_cz(batch)
     return rotate(batch, "anc", comp_phase, np.pi / 2)
+
+
+def per_job_run_chunks(config, jobs, anc_level, circuit):
+    """Oracle for protocols._run_chunks, with its signature and return
+    value: the per-job engine it replaced. Every (job, chunk) unit runs the
+    circuit on a PairBatch of its own, drawn from its own stream, and the
+    units run on one pool of config.workers threads; the job tables join
+    job-major, each job's chunks in shot order."""
+    n_chunks = -(-config.shots // protocols.CHUNK_SHOTS)
+    units = [(j, c) for j in range(len(jobs)) for c in range(n_chunks)]
+
+    def run(unit):
+        j, c = unit
+        key, scenario = jobs[j]
+        stream = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed, spawn_key=(*key, c))))
+        shots = np.arange(c * protocols.CHUNK_SHOTS, min((c + 1) * protocols.CHUNK_SHOTS, config.shots))
+        batch, n = protocols._new_pairs(config, stream, shots, scenario == "present", anc_level)
+        signals, labels, level, n, aux = circuit(batch, np.full(shots.size, j), n)
+        lost = batch.data_lost
+        return protocols.ShotTable(np.full(shots.size, scenario), shots, signals, labels,
+                                   level_labels(level, lost), np.where(lost, -1, n), lost, aux, batch.events)
+
+    if config.workers <= 1 or len(units) == 1:
+        tables = [run(u) for u in units]
+    else:
+        with ThreadPoolExecutor(max_workers=min(config.workers, len(units))) as ex:
+            tables = list(ex.map(run, units))
+    return protocols.ShotTable.concat(tables)
 
 
 def two_level_tables(pulse, eta, n_max):

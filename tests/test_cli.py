@@ -564,8 +564,24 @@ class TestCliRuns:
                                        "f_min_hz": 0})
         assert main(["response", "--config", path, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: trap.eta, pulse.rabi_hz, response.duration_s ")
+        assert err.startswith("config error: trap.eta and pulse.rabi_hz: duration = ")  # the pi time
         assert "eta * duration" in err and err.count("\n") == 1
+        assert not (tmp_path / "o" / "response.csv").exists()
+
+    @pytest.mark.parametrize("cfg, keys", [
+        # linspace repeats a frequency between adjacent floats
+        ({"response": {"grid_kind": "linear", "f_min_hz": 1.0, "f_max_hz": 1.0000000000000002, "points": 50}},
+         "response.f_min_hz, response.f_max_hz, response.points and response.grid_kind: frequency grid"),
+        ({"trap": {"eta": 0.36}, "pulse": {"rabi_hz": 1e-300}}, "trap.eta and pulse.rabi_hz: eta = "),
+        # eta * duration = 1e153 s
+        ({"trap": {"eta": 1e150}, "pulse": {"rabi_hz": 1e-151}, "response": {"duration_s": 1e3}},
+         "response.duration_s: duration = "),
+    ], ids=["grid", "eta_rabi", "duration"])
+    def test_response_query_error_names_the_keys_at_fault(self, tmp_path, capsys, cfg, keys):
+        path = _write_config(tmp_path, **cfg)
+        assert main(["response", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {keys}") and err.count("\n") == 1
         assert not (tmp_path / "o" / "response.csv").exists()
 
     @pytest.mark.parametrize(

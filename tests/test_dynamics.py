@@ -243,6 +243,25 @@ class TestSampleNoise:
             np.testing.assert_array_equal(amp[row], np.full(400, ref.normal(0.0, 30.0)))
         assert rng.bit_generator.state == ref.bit_generator.state
 
+    def test_rows_of_their_own_generators_match_one_call_per_row(self):
+        # a list of Generators, one per row; a Generator that holds two
+        # rows draws them in row order
+        psd = SpectralDensity(np.array([0.0, 5e3]), np.array([2e3, 2e3]))
+        model = NoiseModel(trap_frequency=QuasiStatic(100.0), laser_frequency=psd,
+                           laser_amplitude=QuasiStatic(30.0))
+        a, b = np.random.default_rng(5), np.random.default_rng(6)
+        trap, freq, amp = sample_noise_rows(model, T_PI, T_PI / 400, 3, [a, b, b])
+        ref_a, ref_b = np.random.default_rng(5), np.random.default_rng(6)
+        for row, ref in enumerate((ref_a, ref_b, ref_b)):
+            r = sample_noise(model, T_PI, T_PI / 400, ref)
+            np.testing.assert_array_equal(trap[row], r.trap_frequency)
+            np.testing.assert_array_equal(amp[row], r.laser_amplitude)
+            # one product for all rows: BLAS may round a row unlike one row's own product
+            scale = np.max(np.abs(r.laser_frequency))
+            np.testing.assert_allclose(freq[row], r.laser_frequency, rtol=0, atol=1e-12 * scale)
+        assert a.bit_generator.state == ref_a.bit_generator.state
+        assert b.bit_generator.state == ref_b.bit_generator.state
+
     def test_basis_is_read_only_and_cache_bounded(self):
         psd = SpectralDensity(np.array([0.0, 5e3]), np.array([1.0, 1.0]))
         for n_steps in range(100, 140):
@@ -698,6 +717,42 @@ class TestEvolveRows:
             np.testing.assert_allclose(out[k, :, anc[k]], ref, rtol=0, atol=1e-12)
             assert np.all(out[k, :, 1 - anc[k]] == 0)
         assert rng_after.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_rows_of_several_generators_match_their_own_runs(self, monkeypatch):
+        # each Generator's rows draw their noise in the pieces they would
+        # alone (a synthesis product's bits depend on its row count); a
+        # kernel chunk packs whole pieces
+        pulse = PulseSpec.bsb_pi(ETA, RABI)
+        model = NoiseModel(
+            trap_frequency=QuasiStatic(2 * np.pi * 175.0),
+            laser_frequency=SpectralDensity(np.array([0.0, 2e3]), np.array([2e3, 2e3])),
+        )
+        steps = 400
+        chunk = kernels._CHUNK_ELEMENTS // (steps * self.N_MAX)  # N_MAX blue-sideband pairs
+        rng = np.random.default_rng(8)
+        states = [prepare_state(np.exp(1j * rng.uniform(0, 2 * np.pi, 2)) * [0.6, 0.8], rng.integers(0, 3),
+                                n_max=self.N_MAX) for _ in range(chunk + 5)]
+        rows = self._rows(*zip(states, rng.integers(0, 2, len(states))))
+        sizes = (chunk + 3, 2)
+        calls, kernel_rows = [], []
+
+        def counted(model, duration, dt, n, rng):
+            calls.append(n)
+            return sample_noise_rows(model, duration, dt, n, rng)
+
+        run_kernel = dynamics._run_kernel
+        monkeypatch.setattr(dynamics, "sample_noise_rows", counted)
+        monkeypatch.setattr(dynamics, "_run_kernel",
+                            lambda amps, *args: kernel_rows.append(amps.shape[0]) or run_kernel(amps, *args))
+        gens = [np.random.default_rng(s) for s in (1, 2)]
+        out = evolve_rows(rows, pulse, TRAP, model, steps, [gens[0]] * sizes[0] + [gens[1]] * sizes[1])
+        assert calls == [chunk, 3, 2] and kernel_rows == [chunk, 5]
+        monkeypatch.undo()
+        refs = [np.random.default_rng(s) for s in (1, 2)]
+        want = np.concatenate([evolve_rows(rows[:sizes[0]], pulse, TRAP, model, steps, refs[0]),
+                               evolve_rows(rows[sizes[0]:], pulse, TRAP, model, steps, refs[1])])
+        assert out.tobytes() == want.tobytes()
+        assert [g.bit_generator.state for g in gens] == [g.bit_generator.state for g in refs]
 
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize(

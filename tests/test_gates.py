@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from tweezersim.gates import (
     GateErrorSpec,
     ImagingSpec,
     PairBatch,
+    Streams,
     apply_cz,
     calibrate_imaging,
     cnot_block,
@@ -258,6 +260,11 @@ def _mixed_batch(seed, errors, w=M, n_max=N_MAX, shots=60):
                      errors=errors, jitter=jitter, n0=np.arange(shots) % (n_max - w + 2), n_max=n_max)
 
 
+def _states(batch):
+    """The state of every segment's Generator in the batch's Streams."""
+    return [g.bit_generator.state for g in batch.rng.generators]
+
+
 class TestCNOTBlock:
     """cnot_block against its four gates applied one by one."""
 
@@ -282,7 +289,7 @@ class TestCNOTBlock:
             np.testing.assert_array_equal(block.anc_lost, ref.anc_lost)
             np.testing.assert_array_equal(block.n0, ref.n0)
             assert block.events == ref.events
-            assert block.rng.bit_generator.state == ref.rng.bit_generator.state
+            assert _states(block) == _states(ref)
             if probs == (0.3, 0.2) and entangle:  # every error branch fired
                 kinds = ("cz_leakage_data", "cz_leakage_anc", "cz_z_error_data", "cz_z_error_anc")
                 assert all(block.events[k] for k in kinds)
@@ -330,7 +337,7 @@ class TestGateOracles:
                 if call is not rotate:
                     np.testing.assert_array_equal(got, want)
                 assert batch.psi.tobytes() == ref.psi.tobytes()
-                assert batch.rng.bit_generator.state == ref.rng.bit_generator.state
+                assert _states(batch) == _states(ref)
 
 
 class TestImaging:
@@ -358,7 +365,7 @@ class TestImaging:
             np.testing.assert_array_equal(b.anc_lost, ref.anc_lost)
             np.testing.assert_array_equal(b.data_lost, ref.data_lost)
             assert b.events["imaging_loss"] == np.count_nonzero(gone)
-            assert b.rng.bit_generator.state == ref.rng.bit_generator.state
+            assert _states(b) == _states(ref)
 
     def test_absent_atom_draws_dark(self):
         b = _batch(shots=4000, anc_lost=True, rng=np.random.default_rng(2))
@@ -510,6 +517,80 @@ class TestLossRule:
         for row, k in zip(b.psi, pops.argmax(axis=1)):
             cond = psi[0][..., k]
             assert abs(np.vdot(cond / np.linalg.norm(cond), row[..., k])) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestStreams:
+    """One Generator per segment of rows: each segment draws what its own
+    Generator would over its rows alone."""
+
+    STOPS = [2, 5, 9]
+
+    def _streams(self):
+        return Streams([np.random.default_rng(s) for s in (1, 2, 3)], self.STOPS), \
+            [np.random.default_rng(s) for s in (1, 2, 3)]
+
+    def test_each_segment_draws_from_its_own_generator(self):
+        streams, refs = self._streams()
+        sizes = np.diff([0] + self.STOPS)
+        draws = [streams.random(9), streams.standard_normal(9), streams.normal(0.5, 2.0, 9), streams.random(9)]
+        want = [
+            np.concatenate([g.random(n) for g, n in zip(refs, sizes)]),
+            np.concatenate([g.standard_normal(n) for g, n in zip(refs, sizes)]),
+            np.concatenate([g.normal(0.5, 2.0, n) for g, n in zip(refs, sizes)]),
+            np.concatenate([g.random(n) for g, n in zip(refs, sizes)]),
+        ]
+        for got, ref in zip(draws, want):
+            assert got.tobytes() == ref.tobytes()
+        assert [g.bit_generator.state for g in streams.generators] == [g.bit_generator.state for g in refs]
+
+    def test_where_skips_segments_without_a_selected_row(self):
+        streams, refs = self._streams()
+        untouched = [g.bit_generator.state for g in refs]
+        where = np.zeros(9, bool)
+        where[3] = True  # a row of segment 1 only
+        got = streams.random(9, where=where)
+        assert got[2:5].tobytes() == refs[1].random(3).tobytes()
+        assert not got[:2].any() and not got[5:].any()
+        states = [g.bit_generator.state for g in streams.generators]
+        assert states[0] == untouched[0] and states[2] == untouched[2]
+        assert states[1] == refs[1].bit_generator.state
+
+    def test_for_rows_names_each_rows_generator(self):
+        streams, _ = self._streams()
+        g = streams.generators
+        assert streams.for_rows(np.array([0, 1, 2, 4, 5, 8])) == [g[0], g[0], g[1], g[1], g[2], g[2]]
+        assert streams.for_rows(np.array([], dtype=int)) == []
+
+    def test_a_bare_generator_is_one_segment(self):
+        rng = np.random.default_rng(4)
+        b = _batch(shots=3, rng=rng)
+        assert isinstance(b.rng, Streams) and b.rng.generators == [rng] and b.rng.stops == [3]
+
+    def test_joined_batches_match_each_batch_alone(self):
+        # forced errors: lose's projection and _scatter's ancilla draw are
+        # drawn only by the segments holding a selected row
+        errors = GateErrorSpec(0.3, 0.2, per_gate_jitter=True)
+        spec = ImagingSpec(bright_mean=4.0, bright_loss_prob=0.5, unshelved_loss_prob=0.9)
+        sizes = ((1, 1), (2, 1), (3, 40), (4, 1), (5, 7))
+
+        def circuit(b):
+            cnot_block(b, np.pi, 0.3)
+            signals, labels = image_ancilla(b, spec)
+            expose_to_imaging(b, spec)
+            rotate(b, "data", 0.4, np.pi / 2)
+            return (signals, labels, *measure_data(b))
+
+        alone = [_mixed_batch(seed, errors, 3, 7, shots) for seed, shots in sizes]
+        joined = PairBatch.join([_mixed_batch(seed, errors, 3, 7, shots) for seed, shots in sizes])
+        assert joined.rng.stops == list(np.cumsum([shots for _, shots in sizes]))
+        outs = [circuit(b) for b in alone]
+        for got, parts in zip(circuit(joined), zip(*outs)):
+            np.testing.assert_array_equal(got, np.concatenate(parts))
+        assert joined.psi.tobytes() == np.concatenate([b.psi for b in alone]).tobytes()
+        np.testing.assert_array_equal(joined.n0, np.concatenate([b.n0 for b in alone]))
+        assert _states(joined) == [s for b in alone for s in _states(b)]
+        assert joined.events == sum((b.events for b in alone), Counter())
+        assert joined.events["cz_leakage_data"] and joined.events["imaging_loss"]
 
 
 class TestChannels:

@@ -23,6 +23,8 @@ from tweezersim.protocols import CHUNK_SHOTS
 
 SHOTS = 2048  # two full chunks per scenario
 FIG3_SHOTS = CHUNK_SHOTS + 76  # fig3 runs 13 analyzer phases per scenario
+FORCED_ERRORS = {"cz_phase_error_prob": 0.3, "cz_loss_prob": 0.25, "sq_over_rotation_sigma_rad": 0.1,
+                 "per_gate_jitter": True}
 
 #: path -> [(command, config)], run in order into one out/ directory
 #: next to the configs, so a later command reads an earlier one's output
@@ -45,6 +47,15 @@ RUNS = {
     "simulate-fig3-psd": [("simulate", {
         **preset_config("fig3", shots=16),
         "noise": {"laser_frequency": {"kind": "psd", "frequencies_hz": [0, 5000], "values": [2000, 2000]}},
+    })],
+    # error rates high enough that lose's projection and _scatter's ancilla
+    # draw, both drawn only when a row is selected, fire in most chunks
+    "simulate-fig3-forced-errors": [("simulate", {
+        **preset_config("fig3", shots=FIG3_SHOTS, ancilla_absent_prob=0.3), "gates": FORCED_ERRORS,
+    })],
+    "simulate-fig2-forced-errors": [("simulate", {
+        **preset_config("fig2", shots=SHOTS, ancilla_absent_prob=0.3), "gates": FORCED_ERRORS,
+        "imaging": {"target_single_round_fidelity": 0.90, "data_heating_quanta_per_round": 0.4},
     })],
     "simulate-phase-calibration": [("simulate", {"protocol": {"kind": "phase_calibration"}})],
     "response": [("response", {})],
@@ -95,6 +106,13 @@ DIGESTS = {
     "simulate-fig3-psd": {
         "fringe.csv": "bd1589142997f475b99053c1b9fb508230e4929108b1c7b0c7d2a50de4a8e1f9",
         "shots.csv": "0f04c9ea2d8a906cfebb1a58639e12d8f0e4e5849ef101f6f0396166d0e25efc",
+    },
+    "simulate-fig3-forced-errors": {
+        "fringe.csv": "7cd1699010f40446968582401c82c61d1ec1da16414d67d183a8518ed9111c24",
+        "shots.csv": "06c0ecfd0173aaa491329d8a57108abc68efd701d45b414b605aa87a5e542b2a",
+    },
+    "simulate-fig2-forced-errors": {
+        "shots.csv": "ece63f4c59d2f5e33ac6c4a6e6587358a0a02105886761545c89ef3cc46cd0f4",
     },
     "simulate-phase-calibration": {
         "phase_calibration.csv": "04b7452de9a184e9b47894b3bcce68539e292b0d84f09ac42f24983302cdc54b",

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 
@@ -6,6 +7,7 @@ import pytest
 from conftest import (
     apply_data_unitary,
     ideal_rsb_map,
+    per_job_run_chunks,
     preset_config,
     propagator,
     rotation_matrix,
@@ -402,6 +404,71 @@ class TestChunkDeterminism:
         assert len(pools) == 1  # 2 scenarios x 3 phases x 2 chunks share it
 
 
+class TestLockstepOracle:
+    """The lockstep chunk runner against the per-job engine it replaced:
+    every ShotTable column, the summed events, and the final state of
+    every (job, chunk) stream."""
+
+    QUASI_STATIC = NoiseModel(trap_frequency=QuasiStatic(2 * np.pi * 175.0))
+    PSD = NoiseModel(laser_frequency=SpectralDensity(np.array([0.0, 100.0]), np.array([2e3, 2e3])))
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("kind, extra, reference", [
+        pytest.param("repeated_readout",
+                     {"imaging": ImagingSpec(bright_mean=3.0, data_heating_quanta_per_round=0.4)},
+                     False, id="readout-heating"),
+        pytest.param("loss_detection", {"noise": QUASI_STATIC}, False, id="loss_detection-quasi_static"),
+        pytest.param("loss_detection", {"noise": QUASI_STATIC, "data_nbar": 0.5, "n_max": 12}, True,
+                     id="loss_detection-reference-thermal"),
+        pytest.param("loss_detection", {"noise": PSD, "steps_per_pulse": 50}, False, id="loss_detection-psd"),
+        pytest.param("algorithmic_cooling", {"data_nbar": 1.0}, False, id="cooling-ideal_rsb"),
+        pytest.param("algorithmic_cooling", {"data_nbar": 1.0, "ideal_cooling_rsb": False, "noise": QUASI_STATIC},
+                     False, id="cooling-pulsed_rsb"),
+    ])
+    def test_matches_the_per_job_engine(self, monkeypatch, kind, extra, reference, workers):
+        cfg = ProtocolConfig(**{"kind": kind, "shots": 2 * CHUNK_SHOTS + 37, "seed": 41, "n_max": N_MAX,
+                                "n_cyc": 3, "gate_errors": FORCED_ERRORS, "ancilla_absent_prob": 0.3,
+                                "workers": workers, **extra})
+        run = {"repeated_readout": run_repeated_readout,
+               "algorithmic_cooling": lambda cfg: run_algorithmic_cooling(cfg)[0],
+               "loss_detection": lambda cfg: run_loss_detection(cfg, [0.0, 1.0, 2.5], reference)[0]}[kind]
+        tables, states = [], []
+        for run_chunks in (protocols._run_chunks, per_job_run_chunks):
+            streams = {}
+
+            def recorded(config, rng, *args):
+                streams[rng.bit_generator.seed_seq.spawn_key] = rng
+                return _new_pairs(config, rng, *args)
+
+            monkeypatch.setattr(protocols, "_run_chunks", run_chunks)
+            monkeypatch.setattr(protocols, "_new_pairs", recorded)
+            tables.append(run(cfg))
+            states.append({key: g.bit_generator.state for key, g in streams.items()})
+        jobs = {"repeated_readout": 2, "algorithmic_cooling": 1, "loss_detection": 6}[kind]
+        assert len(states[0]) == 3 * jobs and states[0] == states[1]
+        for f in dataclasses.fields(protocols.ShotTable):
+            got, want = (getattr(t, f.name) for t in tables)
+            if f.name == "events":
+                assert got == want
+                assert reference or got["cz_leakage_data"] and got["cz_leakage_anc"]  # leaks fired
+            else:
+                np.testing.assert_array_equal(got, want)
+                assert got is None or got.dtype == want.dtype
+
+    def test_one_kernel_call_per_pulse(self, monkeypatch):
+        # one shot of 2 scenarios x 2 phases: the present jobs' rows share
+        # each shelving pulse's kernel call
+        from tweezersim import kernels
+
+        calls = []
+        propagate = kernels._propagate
+        monkeypatch.setattr(kernels, "_propagate", lambda *args: calls.append(1) or propagate(*args))
+        for noise in (None, self.QUASI_STATIC):
+            calls.clear()
+            run_loss_detection(ProtocolConfig(kind="loss_detection", shots=1, noise=noise), [0.0, 1.0])
+            assert len(calls) == 2
+
+
 class TestWindow:
     """Each protocol's Fock window against the full ladder (W = n_max + 1,
     n0 = 0): the same outcomes, events and final state of every chunk's
@@ -438,7 +505,7 @@ class TestWindow:
             monkeypatch.setattr(protocols, "WINDOW", window)
             monkeypatch.setattr(protocols, "PairBatch", Recorded)
             tables.append(run(cfg))
-            streams.append([b.rng.bit_generator.state for b in batches])
+            streams.append([g.bit_generator.state for b in batches for g in b.rng.generators])
             widths.append({b.psi.shape[2] for b in batches})
         assert widths == [{windowed[kind]}, {cfg.n_max + 1}]
         _assert_tables_equal(*tables)

@@ -61,6 +61,14 @@ class TestClosedForm:
         with pytest.raises(ValidationError):
             response_closed_form(-1.0, ETA, RABI)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("channel", ["trap_frequency", "laser_amplitude"])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_query_rejects_non_finite_frequencies(self, channel, bad):
+        with pytest.raises(ValidationError, match="must be finite") as info:
+            ResponseQuery(ETA, RABI, [0.0, bad], channel)
+        assert info.value.field == "frequencies_hz"
+
 
 class TestNumeric:
     def test_matches_closed_form_on_log_grid(self):
