@@ -116,6 +116,8 @@ class SpectralDensity:
         s = np.asarray(self.values, dtype=float)
         if f.ndim != 1 or f.shape != s.shape or f.size < 2:
             raise ValidationError("PSD needs matching 1-d arrays with >= 2 points")
+        if not (np.isfinite(f).all() and np.isfinite(s).all()):
+            raise ValidationError("PSD frequencies and values must be finite")
         if np.any(np.diff(f) <= 0):
             raise ValidationError("PSD frequency grid must be strictly increasing")
         if f[0] < 0:

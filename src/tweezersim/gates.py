@@ -166,8 +166,8 @@ class PairBatch:
 
     @classmethod
     def prepare(cls, data, anc, data_lost=False, anc_lost=False, rng=None, errors=None):
-        """Product pairs from data amplitudes (shots, 2, n_max + 1), n0 = 0,
-        and ancilla (down, up) amplitudes, shared (2,) or per shot (shots, 2)."""
+        """Product pairs from data amplitudes (shots, 2, n_max + 1), n0 = 0, and
+        ancilla (down, up) amplitudes and loss masks, each shared or per shot."""
         data = np.asarray(data, dtype=np.complex128)
         shots = data.shape[0]
         anc = np.asarray(anc, dtype=np.complex128)
@@ -176,16 +176,6 @@ class PairBatch:
         if errors is not None and errors.sq_over_rotation_sigma > 0 and not errors.per_gate_jitter:
             batch.jitter = batch.rng.normal(0.0, errors.sq_over_rotation_sigma, shots)
         return batch
-
-    @classmethod
-    def join(cls, batches) -> "PairBatch":
-        """The batches' rows in order, each segment on its Generator; errors and n_max from the first."""
-        cat = lambda name: np.concatenate([getattr(b, name) for b in batches])
-        offsets = np.cumsum([0] + [b.size for b in batches])
-        rng = Streams([g for b in batches for g in b.rng.generators],
-                      [int(o + stop) for b, o in zip(batches, offsets) for stop in b.rng.stops])
-        return cls(cat("psi"), cat("data_lost"), cat("anc_lost"), rng, batches[0].errors,
-                   None if batches[0].jitter is None else cat("jitter"), n0=cat("n0"), n_max=batches[0].n_max)
 
     @property
     def size(self) -> int:

@@ -45,6 +45,7 @@ from .gates import (
     GateErrorSpec,
     ImagingSpec,
     PairBatch,
+    Streams,
     apply_cz,
     calibrate_imaging,
     cnot_block,
@@ -224,26 +225,25 @@ class ShotTable:
 
 def _run_chunks(config: ProtocolConfig, jobs, anc_level, circuit) -> ShotTable:
     """config.shots shots of each (key, scenario) job as one ShotTable,
-    job-major, each job's shots in order. Chunk c of a job starts as
-    _new_pairs(config, stream, shots, scenario == "present", anc_level) on
-    its own stream PCG64(SeedSequence(config.seed, spawn_key=(*key, c))).
-    The chunks c of all jobs join job-major into one PairBatch (its rng
-    holds their streams; see gates.Streams), and circuit(batch, job, n)
-    runs them in lockstep, given each row's job index and initial Fock
-    number, returning (signals, ancilla_labels, data level, data n, aux).
-    Each row draws what it would alone. config.workers threads run the
-    chunk indices.
+    job-major, each job's shots in order. Chunk c of every job starts as
+    one _new_pairs batch, job-major, whose rng (a gates.Streams) gives
+    each job's segment its own stream PCG64(SeedSequence(config.seed,
+    spawn_key=(*key, c))). circuit(batch, job, n) runs the jobs in
+    lockstep, given each row's job index and initial Fock number,
+    returning (signals, ancilla_labels, data level, data n, aux). Each row
+    draws what it would alone. config.workers threads run the chunk
+    indices.
     """
     n_chunks = -(-config.shots // CHUNK_SHOTS)
     scenarios = np.array([scenario for _, scenario in jobs])
 
     def run(c):
         shots = np.arange(c * CHUNK_SHOTS, min((c + 1) * CHUNK_SHOTS, config.shots))
-        starts = [_new_pairs(config, np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(*k, c))),
-                             shots, scenario == "present", anc_level) for k, scenario in jobs]
-        batch = PairBatch.join([b for b, _ in starts])
+        rng = Streams([np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(*k, c)))
+                       for k, _ in jobs], [shots.size * (j + 1) for j in range(len(jobs))])
         job = np.repeat(np.arange(len(jobs)), shots.size)
-        signals, labels, level, n, aux = circuit(batch, job, np.concatenate([n for _, n in starts]))
+        batch, n = _new_pairs(config, rng, scenarios[job] == "present", anc_level)
+        signals, labels, level, n, aux = circuit(batch, job, n)
         lost = batch.data_lost
         return job, ShotTable(scenarios[job], np.tile(shots, len(jobs)), signals, labels,
                               level_labels(level, lost), np.where(lost, -1, n), lost, aux, batch.events)
@@ -257,30 +257,28 @@ def _run_chunks(config: ProtocolConfig, jobs, anc_level, circuit) -> ShotTable:
     return ShotTable.concat([t for _, t in runs], job_major)
 
 
-def _initial_n(config: ProtocolConfig, rng, size: int) -> np.ndarray:
-    """Fock numbers drawn from the thermal distribution at data_nbar."""
+def _new_pairs(config: ProtocolConfig, rng: Streams, present, anc_level) -> tuple:
+    """Fresh pairs, one per row of rng, and the data atoms' initial Fock
+    numbers: where present (a row mask), the configured data state at a
+    Fock number drawn from the thermal distribution at data_nbar (an
+    absent data atom sits in (up, 0), masked), and a ground-state-motion
+    ancilla at anc_level that is absent with ancilla_absent_prob. The
+    pairs hold the window of config.kind (see WINDOW), n0 = n - 1 where
+    W > 1, clipped. Each segment of rng draws as Generator.choice would
+    over its rows alone: one uniform per row into the normalized CDF."""
+    n = np.zeros(present.size, dtype=np.intp)
     if config.data_nbar > 0:
-        p = thermal_distribution(ThermalSpec(nbar=config.data_nbar, n_max=config.n_max))
-        return rng.choice(config.n_max + 1, p=p, size=size)
-    return np.zeros(size, dtype=np.intp)
-
-
-def _new_pairs(config: ProtocolConfig, rng, shots, present: bool, anc_level) -> tuple:
-    """Fresh pairs and the data atoms' initial Fock numbers: the
-    configured data state at a thermal Fock number (an absent data atom
-    sits in (up, 0), masked) and a ground-state-motion ancilla at
-    anc_level that is absent with ancilla_absent_prob. The pairs hold the
-    window of config.kind (see WINDOW), n0 = n - 1 where W > 1, clipped."""
-    n = _initial_n(config, rng, shots.size) if present else np.zeros(shots.size, dtype=np.intp)
+        cdf = np.cumsum(thermal_distribution(ThermalSpec(nbar=config.data_nbar, n_max=config.n_max)))
+        n[present] = (cdf / cdf[-1]).searchsorted(rng.random(n.size, where=present), side="right")[present]
     w = min(WINDOW[config.kind], config.n_max + 1)
     n0 = np.minimum(np.maximum(n - (w > 1), 0), config.n_max + 1 - w)
     amps = np.zeros((n.size, 2, w), dtype=np.complex128)
-    amps[np.arange(n.size), :, n - n0] = _ELECTRONIC[config.data_psi if present else "up"]
+    amps[np.arange(n.size), :, n - n0] = np.where(present[:, None], _ELECTRONIC[config.data_psi], _ELECTRONIC["up"])
     batch = PairBatch.prepare(
         amps,
         np.eye(2)[int(anc_level)],
-        data_lost=not present,
-        anc_lost=rng.random(shots.size) < config.ancilla_absent_prob,
+        data_lost=~present,
+        anc_lost=rng.random(n.size) < config.ancilla_absent_prob,
         rng=rng,
         errors=config.gate_errors,
     )
@@ -390,14 +388,15 @@ def run_repeated_readout(config: ProtocolConfig) -> ShotTable:
     return _run_chunks(config, [((SCENARIOS.index(s),), s) for s in config.scenarios], ElectronicLevel.UP, circuit)
 
 
-def run_loss_detection(config: ProtocolConfig, analyzer_phases=None, reference: bool = False):
+def run_loss_detection(config: ProtocolConfig, reference: bool = False):
     """Coherence-preserving loss detection via motional shelving.
 
     Sequence per shot: shelve the data superposition into the motional
     manifold (blue sideband through the dynamics engine), CNOT block,
     image the ancilla (the data atom is exposed to the imaging light:
     unshelved ground-state population is removed), unshelve, analyzer
-    pi/2 pulse of the scanned phase, projective readout of the data.
+    pi/2 pulse of each phase of config.analyzer_phases, projective readout
+    of the data.
 
     With reference=True the entangling gate and the imaging exposure are
     skipped (drive blocked), giving the idle-sequence fringe.
@@ -405,9 +404,7 @@ def run_loss_detection(config: ProtocolConfig, analyzer_phases=None, reference: 
     Returns (table, fringe) where fringe maps scenario -> (phases,
     up-fraction, stderr).
     """
-    if analyzer_phases is None:
-        analyzer_phases = config.analyzer_phases
-    analyzer_phases = np.asarray(analyzer_phases, dtype=float)
+    analyzer_phases = np.asarray(config.analyzer_phases, dtype=float)
     shelve = _shelving_pulse(config)
     unshelve = replace(shelve, phase=shelve.phase + np.pi)
 
@@ -485,17 +482,16 @@ def run_algorithmic_cooling(config: ProtocolConfig):
     return table, summary
 
 
-def calibrate_phase(config: ProtocolConfig, phases=None):
-    """Deterministic phase scan of the compensated ancilla rotation, data atom in up.
+def calibrate_phase(config: ProtocolConfig):
+    """Deterministic scan of the compensated ancilla rotation over
+    config.analyzer_phases, data atom in up.
 
     Returns a dict with the scanned phases, the ancilla ground-state
     population per scenario, and the largest deviation of the data-atom
     reduced state across the scan (zero for an ideal local-Z
     implementation).
     """
-    if phases is None:
-        phases = config.analyzer_phases
-    phases = np.asarray(phases, dtype=float)
+    phases = np.asarray(config.analyzer_phases, dtype=float)
     data = np.broadcast_to(_ELECTRONIC["up"][:, None], (phases.size, 2, 1))  # motion stays at n = 0
     p_down = {}
     data_dev = 0.0

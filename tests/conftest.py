@@ -5,7 +5,8 @@ Gauss-Newton polish oracle, the rotation matrix and the matrix rotation,
 two-outcome level draw and clamped k-column draw that the gate layer
 replaced, the local Z gate and the sequential ancilla-flip block built on
 it, the dense ideal red-sideband map and its einsum application, the
-per-job chunk runner that the lockstep one replaced, the two-level pair
+per-job chunk runner and chunk start that the lockstep ones replaced,
+the two-level pair
 tables and their kernel run, the dense propagator matrix, and the
 allocating block-propagation reference for response, analysis, protocol,
 gate, kernel, dynamics, CLI and acceptance tests."""
@@ -28,9 +29,9 @@ from tweezersim.dynamics import (
     spectroscopy_pi_duration,
 )
 from tweezersim.errors import NumericsError
-from tweezersim.gates import _norm2, apply_cz, level_labels, rotate
+from tweezersim.gates import PairBatch, _norm2, apply_cz, level_labels, rotate
 from tweezersim.protocols import DEFAULT_TRAP, SidebandSpectrum, detuned_transfer
-from tweezersim.states import DEFAULT_N_MAX
+from tweezersim.states import DEFAULT_N_MAX, ThermalSpec, thermal_distribution
 
 
 def preset_config(name, **protocol):
@@ -392,10 +393,30 @@ def sequential_cnot_block(batch, comp_phase=np.pi, local_z_phase=0.0, entangle=T
     return rotate(batch, "anc", comp_phase, np.pi / 2)
 
 
+def per_job_new_pairs(config, rng, size, present, anc_level):
+    """Oracle for protocols._new_pairs on one job's chunk of size shots:
+    the per-job start it replaced, on one Generator rng, which draws the
+    Fock numbers with Generator.choice."""
+    n = np.zeros(size, dtype=np.intp)
+    if present and config.data_nbar > 0:
+        p = thermal_distribution(ThermalSpec(nbar=config.data_nbar, n_max=config.n_max))
+        n = rng.choice(config.n_max + 1, p=p, size=size)
+    w = min(protocols.WINDOW[config.kind], config.n_max + 1)
+    n0 = np.minimum(np.maximum(n - (w > 1), 0), config.n_max + 1 - w)
+    amps = np.zeros((size, 2, w), dtype=np.complex128)
+    amps[np.arange(size), :, n - n0] = protocols._ELECTRONIC[config.data_psi if present else "up"]
+    batch = PairBatch.prepare(amps, np.eye(2)[int(anc_level)], data_lost=not present,
+                              anc_lost=rng.random(size) < config.ancilla_absent_prob, rng=rng,
+                              errors=config.gate_errors)
+    batch.n0, batch.n_max = n0, config.n_max
+    return batch, n
+
+
 def per_job_run_chunks(config, jobs, anc_level, circuit):
     """Oracle for protocols._run_chunks, with its signature and return
     value: the per-job engine it replaced. Every (job, chunk) unit runs the
-    circuit on a PairBatch of its own, drawn from its own stream, and the
+    circuit on a PairBatch of its own from per_job_new_pairs, drawn from
+    its own stream, and the
     units run on one pool of config.workers threads; the job tables join
     job-major, each job's chunks in shot order."""
     n_chunks = -(-config.shots // protocols.CHUNK_SHOTS)
@@ -406,7 +427,7 @@ def per_job_run_chunks(config, jobs, anc_level, circuit):
         key, scenario = jobs[j]
         stream = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed, spawn_key=(*key, c))))
         shots = np.arange(c * protocols.CHUNK_SHOTS, min((c + 1) * protocols.CHUNK_SHOTS, config.shots))
-        batch, n = protocols._new_pairs(config, stream, shots, scenario == "present", anc_level)
+        batch, n = per_job_new_pairs(config, stream, shots.size, scenario == "present", anc_level)
         signals, labels, level, n, aux = circuit(batch, np.full(shots.size, j), n)
         lost = batch.data_lost
         return protocols.ShotTable(np.full(shots.size, scenario), shots, signals, labels,

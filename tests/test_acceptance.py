@@ -233,8 +233,9 @@ def test_08_loss_detection_histogram_structure():
         seed=800,
         data_psi="down",  # full transduction exercised: every atom must shelve
         shelving_transfer_fidelity=0.92,
+        analyzer_phases=(0.0,),
     )
-    table, _ = run_loss_detection(cfg, analyzer_phases=[0.0])
+    table, _ = run_loss_detection(cfg)
     present = table.scenario == "present"
     sub_peak = float(np.mean(table.ancilla_labels[present, 0] != "down"))
     res = optimize_threshold(table.signals[present, 0], table.signals[~present, 0], 0.5)

@@ -229,6 +229,19 @@ class TestCliRuns:
         assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 4
         assert "noise.laser_frequency.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["response", "simulate"])
+    @pytest.mark.parametrize("rows", [
+        ("nan,1e3", "5000,1e3"), ("0,1e3", "inf,1e3"), ("0,1e3", "5000,nan"), ("0,inf", "5000,1e3"),
+    ], ids=["nan_frequency", "inf_frequency", "nan_value", "inf_value"])
+    def test_non_finite_psd_csv_exit_2_names_key(self, tmp_path, capsys, command, rows):
+        (tmp_path / "psd.csv").write_text("\n".join(rows) + "\n")
+        path = _write_config(tmp_path, noise={"laser_frequency": {"kind": "psd", "csv": "psd.csv"}},
+                             protocol={"kind": "loss_detection", "shots": 4})
+        out = tmp_path / "o"
+        assert main([command, "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: noise.laser_frequency.csv: ")
+        assert not any(("NaN" in f.read_text() or "Infinity" in f.read_text()) for f in tmp_path.rglob("*.json"))
+
     def test_simulate_writes_outputs_and_report(self, tmp_path):
         path = _write_config(
             tmp_path,

@@ -581,7 +581,11 @@ class TestStreams:
             return (signals, labels, *measure_data(b))
 
         alone = [_mixed_batch(seed, errors, 3, 7, shots) for seed, shots in sizes]
-        joined = PairBatch.join([_mixed_batch(seed, errors, 3, 7, shots) for seed, shots in sizes])
+        # the same rows as one batch whose Streams holds each batch's Generator
+        segments = [_mixed_batch(seed, errors, 3, 7, shots) for seed, shots in sizes]
+        cat = lambda name: np.concatenate([getattr(b, name) for b in segments])
+        rng = Streams([b.rng.generators[0] for b in segments], list(np.cumsum([shots for _, shots in sizes])))
+        joined = PairBatch(cat("psi"), cat("data_lost"), cat("anc_lost"), rng, errors, n0=cat("n0"), n_max=7)
         assert joined.rng.stops == list(np.cumsum([shots for _, shots in sizes]))
         outs = [circuit(b) for b in alone]
         for got, parts in zip(circuit(joined), zip(*outs)):

@@ -2,11 +2,13 @@ import dataclasses
 import functools
 import json
 
+import conftest
 import numpy as np
 import pytest
 from conftest import (
     apply_data_unitary,
     ideal_rsb_map,
+    per_job_new_pairs,
     per_job_run_chunks,
     preset_config,
     propagator,
@@ -24,6 +26,7 @@ from tweezersim.gates import (
     GateErrorSpec,
     ImagingSpec,
     PairBatch,
+    Streams,
     heating_jump,
     image_ancilla,
 )
@@ -35,7 +38,6 @@ from tweezersim.protocols import (
     ProtocolConfig,
     _fresh_ancilla,
     _ideal_rsb,
-    _initial_n,
     _new_pairs,
     calibrate_phase,
     cnot_block,
@@ -128,16 +130,16 @@ class TestRepeatedReadout:
 
 class TestLossDetection:
     def test_ideal_plus_state_full_fidelity(self):
-        cfg = _ideal_config("loss_detection", shots=60, data_psi="plus")
-        table, fringe = run_loss_detection(cfg, analyzer_phases=[0.0, np.pi / 2])
+        cfg = _ideal_config("loss_detection", shots=60, data_psi="plus", analyzer_phases=(0.0, np.pi / 2))
+        table, fringe = run_loss_detection(cfg)
         present = table.scenario == "present"
         assert set(table.ancilla_labels[present, 0]) == {"down"}
         assert set(table.ancilla_labels[~present, 0]) == {"up"}
 
     def test_ideal_fringe_contrast_one(self):
-        cfg = _ideal_config("loss_detection", shots=400, data_psi="plus")
         phases = np.linspace(0, 2 * np.pi, 9)
-        _, fringe = run_loss_detection(cfg, analyzer_phases=phases)
+        cfg = _ideal_config("loss_detection", shots=400, data_psi="plus", analyzer_phases=tuple(phases))
+        _, fringe = run_loss_detection(cfg)
         phis, up, _ = fringe["present"]
         expected = (1 - np.sin(phis)) / 2
         np.testing.assert_allclose(up, expected, atol=0.09)
@@ -154,8 +156,9 @@ class TestLossDetection:
                 unshelved_loss_prob=1.0,
                 data_heating_quanta_per_round=0.0,
             ),
+            analyzer_phases=(0.0,),
         )
-        table, _ = run_loss_detection(cfg, analyzer_phases=[0.0])
+        table, _ = run_loss_detection(cfg)
         present = table.scenario == "present"
         n_present = np.count_nonzero(present)
         dark_frac = np.mean(table.ancilla_labels[present, 0] == "up")
@@ -167,6 +170,7 @@ class TestLossDetection:
         assert table.events["unshelved_loss"] == lost
 
     def test_reference_fringe_has_larger_offset(self):
+        phases = np.linspace(0, 2 * np.pi, 9)
         kw = dict(
             shots=300,
             data_psi="plus",
@@ -174,12 +178,10 @@ class TestLossDetection:
             imaging=ImagingSpec(bright_mean=100.0, bright_loss_prob=0.0,
                                 unshelved_loss_prob=1.0, data_heating_quanta_per_round=0.0),
             scenarios=("present",),
+            analyzer_phases=tuple(phases),
         )
-        phases = np.linspace(0, 2 * np.pi, 9)
-        _, full = run_loss_detection(_ideal_config("loss_detection", **kw), analyzer_phases=phases)
-        _, ref = run_loss_detection(
-            _ideal_config("loss_detection", **kw), analyzer_phases=phases, reference=True
-        )
+        _, full = run_loss_detection(_ideal_config("loss_detection", **kw))
+        _, ref = run_loss_detection(_ideal_config("loss_detection", **kw), reference=True)
         offset_full = full["present"][1].mean()
         offset_ref = ref["present"][1].mean()
         assert offset_ref > offset_full
@@ -308,9 +310,46 @@ class TestInitialN:
         config = ProtocolConfig(kind="algorithmic_cooling", n_max=12, data_nbar=1.0)
         p0_expected = thermal_distribution(ThermalSpec(nbar=1.0, n_max=12))[0]
         shots = 100_000
-        hits = np.count_nonzero(_initial_n(config, np.random.default_rng(7), shots) == 0)
+        _, n = _new_pairs(config, Streams([np.random.default_rng(7)], [shots]), np.ones(shots, bool),
+                          ElectronicLevel.DOWN)
+        hits = np.count_nonzero(n == 0)
         sigma = np.sqrt(p0_expected * (1 - p0_expected) / shots)
         assert hits / shots == pytest.approx(p0_expected, abs=3 * sigma)
+
+
+class TestNewPairs:
+    """_new_pairs on a multi-segment Streams against the per-job start it
+    replaced: one call per job on that job's Generator alone, drawing the
+    Fock numbers with Generator.choice."""
+
+    @pytest.mark.parametrize("size", [1, CHUNK_SHOTS])
+    @pytest.mark.parametrize("data_nbar", [0.0, 0.7])
+    @pytest.mark.parametrize("kind, data_psi, anc_level", [
+        ("repeated_readout", "plus", ElectronicLevel.UP),
+        ("loss_detection", "plus", ElectronicLevel.UP),
+        ("algorithmic_cooling", "down", ElectronicLevel.DOWN),
+    ])
+    def test_matches_one_generator_per_job(self, kind, data_psi, anc_level, data_nbar, size):
+        cfg = ProtocolConfig(kind=kind, n_max=N_MAX, data_psi=data_psi, data_nbar=data_nbar,
+                             ancilla_absent_prob=0.3, gate_errors=GateErrorSpec(sq_over_rotation_sigma=0.05))
+        present = [True, False, True, False, True]  # one entry per job
+
+        def generators():
+            return [np.random.default_rng(np.random.SeedSequence(17, spawn_key=(j,))) for j in range(len(present))]
+
+        rng = Streams(generators(), [size * (j + 1) for j in range(len(present))])
+        batch, n = _new_pairs(cfg, rng, np.repeat(present, size), anc_level)
+        alone = [per_job_new_pairs(cfg, g, size, p, anc_level) for g, p in zip(generators(), present)]
+        assert n.dtype == alone[0][1].dtype
+        assert n.tobytes() == np.concatenate([m for _, m in alone]).tobytes()
+        for name in ("psi", "data_lost", "anc_lost", "jitter", "n0"):
+            got, want = getattr(batch, name), np.concatenate([getattr(b, name) for b, _ in alone])
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        assert batch.n_max == cfg.n_max
+        assert [g.bit_generator.state for g in rng.generators] == \
+            [b.rng.generators[0].bit_generator.state for b, _ in alone]
+        if size > 1:  # every draw fired
+            assert batch.anc_lost.any() and (n > 0).any() == (data_nbar > 0)
 
 
 class TestChunkDeterminism:
@@ -355,7 +394,7 @@ class TestChunkDeterminism:
             if kind == "repeated_readout":
                 runs.append(run_repeated_readout(cfg))
             elif kind == "loss_detection":
-                runs.append(run_loss_detection(cfg, analyzer_phases=[0.0, 1.0])[0])
+                runs.append(run_loss_detection(dataclasses.replace(cfg, analyzer_phases=(0.0, 1.0)))[0])
             else:
                 runs.append(run_algorithmic_cooling(cfg)[0])
         assert len(set(runs[0].shot.tolist())) == shots
@@ -399,8 +438,8 @@ class TestChunkDeterminism:
 
         monkeypatch.setattr(protocols, "ThreadPoolExecutor", CountingPool)
         cfg = ProtocolConfig(kind="loss_detection", shots=CHUNK_SHOTS + 5, seed=4, n_max=N_MAX,
-                             workers=2)
-        run_loss_detection(cfg, analyzer_phases=[0.0, 1.0, 2.0])
+                             workers=2, analyzer_phases=(0.0, 1.0, 2.0))
+        run_loss_detection(cfg)
         assert len(pools) == 1  # 2 scenarios x 3 phases x 2 chunks share it
 
 
@@ -417,6 +456,7 @@ class TestLockstepOracle:
         pytest.param("repeated_readout",
                      {"imaging": ImagingSpec(bright_mean=3.0, data_heating_quanta_per_round=0.4)},
                      False, id="readout-heating"),
+        pytest.param("repeated_readout", {"data_nbar": 0.5}, False, id="readout-thermal"),
         pytest.param("loss_detection", {"noise": QUASI_STATIC}, False, id="loss_detection-quasi_static"),
         pytest.param("loss_detection", {"noise": QUASI_STATIC, "data_nbar": 0.5, "n_max": 12}, True,
                      id="loss_detection-reference-thermal"),
@@ -431,21 +471,31 @@ class TestLockstepOracle:
                                 "workers": workers, **extra})
         run = {"repeated_readout": run_repeated_readout,
                "algorithmic_cooling": lambda cfg: run_algorithmic_cooling(cfg)[0],
-               "loss_detection": lambda cfg: run_loss_detection(cfg, [0.0, 1.0, 2.5], reference)[0]}[kind]
-        tables, states = [], []
+               "loss_detection": lambda cfg: run_loss_detection(
+                   dataclasses.replace(cfg, analyzer_phases=(0.0, 1.0, 2.5)), reference)[0]}[kind]
+        tables, states, starts = [], [], []
         for run_chunks in (protocols._run_chunks, per_job_run_chunks):
-            streams = {}
+            streams, calls = {}, []
 
-            def recorded(config, rng, *args):
-                streams[rng.bit_generator.seed_seq.spawn_key] = rng
+            def recorded(config, rng, *args):  # the lockstep start: one Streams per chunk index
+                calls.append(rng)
+                streams.update((g.bit_generator.seed_seq.spawn_key, g) for g in rng.generators)
                 return _new_pairs(config, rng, *args)
+
+            def recorded_alone(config, rng, *args):  # the per-job start: one Generator per unit
+                calls.append(rng)
+                streams[rng.bit_generator.seed_seq.spawn_key] = rng
+                return per_job_new_pairs(config, rng, *args)
 
             monkeypatch.setattr(protocols, "_run_chunks", run_chunks)
             monkeypatch.setattr(protocols, "_new_pairs", recorded)
+            monkeypatch.setattr(conftest, "per_job_new_pairs", recorded_alone)
             tables.append(run(cfg))
             states.append({key: g.bit_generator.state for key, g in streams.items()})
+            starts.append(len(calls))
         jobs = {"repeated_readout": 2, "algorithmic_cooling": 1, "loss_detection": 6}[kind]
         assert len(states[0]) == 3 * jobs and states[0] == states[1]
+        assert starts == [3, 3 * jobs]  # _new_pairs runs once per chunk index
         for f in dataclasses.fields(protocols.ShotTable):
             got, want = (getattr(t, f.name) for t in tables)
             if f.name == "events":
@@ -465,7 +515,8 @@ class TestLockstepOracle:
         monkeypatch.setattr(kernels, "_propagate", lambda *args: calls.append(1) or propagate(*args))
         for noise in (None, self.QUASI_STATIC):
             calls.clear()
-            run_loss_detection(ProtocolConfig(kind="loss_detection", shots=1, noise=noise), [0.0, 1.0])
+            run_loss_detection(ProtocolConfig(kind="loss_detection", shots=1, noise=noise,
+                                              analyzer_phases=(0.0, 1.0)))
             assert len(calls) == 2
 
 
@@ -522,7 +573,7 @@ class TestReadoutInPlace:
         imaging = ImagingSpec(bright_mean=3.0, data_heating_quanta_per_round=0.3)
         cfg = _ideal_config("repeated_readout", n_cyc=2, gate_errors=errors,
                             imaging=imaging, ancilla_absent_prob=0.1)
-        batch, _ = _new_pairs(cfg, np.random.default_rng(8), np.arange(300), True,
+        batch, _ = _new_pairs(cfg, Streams([np.random.default_rng(8)], [300]), np.ones(300, bool),
                               ElectronicLevel.UP)
         psi = batch.psi
         for rnd in range(cfg.n_cyc):
@@ -615,9 +666,8 @@ class TestCooledSpectrumPipeline:
 
 class TestCalibratePhase:
     def test_antiphase_sinusoids_and_data_invariance(self):
-        cfg = _ideal_config("phase_calibration", shots=1)
         phases = np.linspace(0, 2 * np.pi, 17)
-        table = calibrate_phase(cfg, phases)
+        table = calibrate_phase(_ideal_config("phase_calibration", shots=1, analyzer_phases=tuple(phases)))
         present = table["p_down"]["present"]
         absent = table["p_down"]["absent"]
         np.testing.assert_allclose(present, np.sin(phases / 2) ** 2, atol=1e-10)
@@ -625,8 +675,7 @@ class TestCalibratePhase:
         assert table["data_state_deviation"] < 1e-10
 
     def test_half_period_swaps_extremes(self):
-        cfg = _ideal_config("phase_calibration", shots=1)
-        table = calibrate_phase(cfg, [0.0, np.pi])
+        table = calibrate_phase(_ideal_config("phase_calibration", shots=1, analyzer_phases=(0.0, np.pi)))
         assert table["p_down"]["present"][0] == pytest.approx(
             table["p_down"]["absent"][1], abs=1e-12
         )
