@@ -37,6 +37,7 @@ from .errors import (
     TruncationError,
     ValidationError,
 )
+from .gates import Streams
 from .states import DEFAULT_N_MAX, NORM_TOL, HybridAtomState, TrapSpec
 
 #: Default number of piecewise-constant steps for a noisy pulse.
@@ -181,11 +182,6 @@ class NoiseRealization:
     def times(self) -> np.ndarray:
         return (np.arange(self.n_steps) + 0.5) * self.dt
 
-    @classmethod
-    def zeros(cls, duration: float, n_steps: int = 1) -> "NoiseRealization":
-        z = np.zeros(n_steps)
-        return cls(dt=duration / n_steps, trap_frequency=z, laser_frequency=z.copy(), laser_amplitude=z.copy())
-
 
 @functools.lru_cache(maxsize=4)
 def _psd_basis(n_steps: int, n_bins: int) -> np.ndarray:
@@ -205,14 +201,13 @@ def sample_noise_rows(model: NoiseModel, duration: float, dt: float, rows: int, 
     """Trap-frequency, laser-frequency and laser-amplitude series of `rows`
     realizations, each (rows, n_steps), sampled at step midpoints.
 
-    rng is a Generator, drawn from, a seed for a new one, or a list of one
-    Generator per row. Row r is what the r-th of successive sample_noise
-    calls on its Generator returns: each row draws its channels in
-    CHANNELS order. QuasiStatic channels are shot-constant Gaussian draws.
-    A SpectralDensity uses random-phase harmonic synthesis: bins of width
-    df = 1 / (PSD_OVERSAMPLE * duration) at midpoint frequencies get
-    amplitudes sqrt(2 S df) and uniform phases, so the ensemble periodogram
-    converges to S(f). With the cached basis a channel's rows are one
+    rng is a Generator, drawn from, or a seed for a new one. Row r is what
+    the r-th of successive sample_noise calls on it returns: each row draws
+    its channels in CHANNELS order. QuasiStatic channels are shot-constant
+    Gaussian draws. A SpectralDensity uses random-phase harmonic synthesis:
+    bins of width df = 1 / (PSD_OVERSAMPLE * duration) at midpoint
+    frequencies get amplitudes sqrt(2 S df) and uniform phases, so the
+    ensemble periodogram converges to S(f). With the cached basis a channel's rows are one
     matrix product, whose bits depend on its row count.
     """
     if duration <= 0:
@@ -227,7 +222,7 @@ def sample_noise_rows(model: NoiseModel, duration: float, dt: float, rows: int, 
         raise ValidationError(
             f"dt = {dt} too coarse for PSD content up to {f_max} Hz; need dt <= {1.0 / (20.0 * f_max)}"
         )
-    rngs = rng if isinstance(rng, list) else [np.random.default_rng(rng)] * rows
+    rng = np.random.default_rng(rng)
     df = 1.0 / (PSD_OVERSAMPLE * duration)
     amps, draw = {}, {}
     for name in CHANNELS:
@@ -240,7 +235,7 @@ def sample_noise_rows(model: NoiseModel, duration: float, dt: float, rows: int, 
             draw[name] = functools.partial(np.random.Generator.uniform, low=0.0, high=2.0 * np.pi, size=f_k.size)
         elif ch is not None:
             raise ValidationError(f"unsupported channel spec {type(ch).__name__}")
-    per_row = [[d(g) for d in draw.values()] for g in rngs]
+    per_row = [[d(rng) for d in draw.values()] for _ in range(rows)]
     series = {}
     for name, drawn in zip(draw, zip(*per_row)):
         drawn = np.stack(drawn)  # (rows, 1) values or (rows, n_bins) phases
@@ -417,26 +412,26 @@ def build_hamiltonian(
     return h
 
 
-def _run_kernel(amps0, pulse, trap, trap_series, freq_series, ampf_series, dt, n_max, n0=None, guards=True):
+def _run_kernel(amps0, pulse, trap, trap_series, freq_series, ampf_series, dt, n_max, n0):
     """Guarded kernel call: propagate rows of flat amplitudes through a pulse.
 
     The series have shape (rows, n_steps), one noise realization per
     row. amps0 has shape (rows, 2 W, k), row t evolving under
     realization t, or (1, 2 W, k) for one state shared by every row; the
     k columns are one state (the levels of a spectator partner atom).
-    Slot s holds Fock level n0[t] + s: the pairs and singles are a W-level
-    ladder's, and row t's couplings and Fock numbers the n_max ladder's
-    at n0[t] + pair and n0[t] + slot (n0 None: the full ladder). Returns
+    Slot s holds Fock level n0[t] + s (n0 has one entry per row; the full
+    ladder is the window n0 = 0, W = n_max + 1): the pairs and singles
+    are a W-level ladder's, and row t's couplings and Fock numbers the
+    n_max ladder's at n0[t] + pair and n0[t] + slot. Returns
     (rows, 2 W, k). Raises StepSizeError when dt * max|H| > 0.1 (bounded
-    on the n_max ladder) in any row of more than one step; with guards
-    on, applies _check_guards.
+    on the n_max ladder) in any row of more than one step, then applies
+    _check_guards.
     """
     w = amps0.shape[1] // 2
     pg, pe, coup, singles = _pair_tables(pulse, trap.eta, w - 1)
     static, nvec, zvec = _static_vectors(pulse, w - 1)
     ladder = _pair_tables(pulse, trap.eta, n_max)[2]
-    if n0 is not None:
-        coup, nvec = ladder[n0[:, None] + np.arange(coup.size)], n0[:, None] + nvec
+    coup, nvec = ladder[n0[:, None] + np.arange(coup.size)], n0[:, None] + nvec
 
     if trap_series.shape[1] > 1:
         # piecewise-constant approximation in play: enforce the step bound
@@ -455,8 +450,7 @@ def _run_kernel(amps0, pulse, trap, trap_series, freq_series, ampf_series, dt, n
         np.broadcast_to(amps0, shape), pg, pe, coup, singles, static, nvec, zvec,
         trap_series, freq_series, ampf_series, dt, out,
     )
-    if guards:
-        _check_guards(amps0, out, pulse, n_max, 0 if n0 is None else n0)
+    _check_guards(amps0, out, pulse, n_max, n0)
     return out
 
 
@@ -464,8 +458,8 @@ def _check_guards(before, after, pulse, n_max, n0):
     """Norm and truncation guards on rows of states before and after a pulse.
 
     before and after have shape (rows, 2 W, k), k columns per row (a
-    partner atom's levels), slot s of a row at Fock level n0 + s (n0 per
-    row, or one for all); before may have a single row shared by all.
+    partner atom's levels), slot s of row t at Fock level n0[t] + s;
+    before may have a single row shared by all.
     Raises ValidationError when a row enters without norm 1,
     TruncationError when a row populates an edge slot, one whose drive
     partner n +- 1 >= 0 lies outside its window (on the full ladder: past
@@ -477,7 +471,7 @@ def _check_guards(before, after, pulse, n_max, n0):
     p_before, p_after = ((np.abs(a) ** 2).sum(axis=2).reshape(-1, 2, w) for a in (before, after))
     if np.any(np.abs(p_before.sum(axis=(1, 2)) - 1.0) > NORM_TOL):
         raise ValidationError("every row must have norm 1")
-    n0, edge_pop = np.reshape(n0, -1), 0.0
+    edge_pop = 0.0
     if pulse.kind in (PulseKind.BLUE_SIDEBAND, PulseKind.RED_SIDEBAND):
         # a sideband drives one level's last slot to n0 + W and the other's
         # slot 0 to n0 - 1, which exists when n0 > 0
@@ -515,7 +509,7 @@ def evolve_batch(
     amplitudes of shape (n_traj, 2 * (n_max + 1)).
     """
     out = _run_kernel(state.amps.reshape(1, -1, 1), pulse, trap, realizations_trap, realizations_freq,
-                      realizations_ampf, dt, state.amps.shape[1] - 1)
+                      realizations_ampf, dt, state.amps.shape[1] - 1, np.zeros(len(realizations_trap), int))
     return out.reshape(out.shape[:2])
 
 
@@ -539,16 +533,18 @@ def evolve_rows(
     Every pulse runs the kernel on the windows, rows a chunk at a time.
     With noise None or a model with no channel the pulse is noiseless:
     zero series in one exact step, and nothing is drawn. Otherwise the
-    rows draw their realizations in row order from rng (as in
-    sample_noise_rows), each Generator's rows in the chunks it would draw
-    alone. Without a SpectralDensity channel each row's H is constant over
-    the pulse, so its realization has one exact step and `steps` is not
-    used; with one, it has `steps` steps. The step-size, truncation and
-    norm guards apply per row.
+    rows draw their realizations in row order (as in sample_noise_rows)
+    from rng: a Generator or a seed, one segment of all rows, or a
+    gates.Streams, each segment drawing from its own Generator in runs of
+    at most one kernel chunk's rows, as it would alone; a chunk packs
+    consecutive runs. Without a SpectralDensity channel each row's H is
+    constant over the pulse, so its realization has one exact step and
+    `steps` is not used; with one, it has `steps` steps. The step-size,
+    truncation and norm guards apply per row.
     """
     w = amps.shape[1] // 2
     if n0 is None:
-        n_max = w - 1
+        n0, n_max = np.zeros(amps.shape[0], dtype=np.intp), w - 1
     elif n_max is None or n0.size and (n0.min() < 0 or n0.max() + w - 1 > n_max):
         raise ValidationError(f"n0 needs n_max, and every window must lie in the ladder 0..n_max = {n_max}")
     quiet = noise is None or all(noise.channel(c) is None for c in CHANNELS)
@@ -557,24 +553,24 @@ def evolve_rows(
     dt = pulse.duration / steps
     out = np.empty(amps.shape, dtype=np.complex128)
     per_call = kernels._rows_per_chunk(steps, _pair_tables(pulse, trap.eta, w - 1)[0].size)
-    n_rows = amps.shape[0]
-    rngs = rng if isinstance(rng, list) else [np.random.default_rng(rng)] * n_rows
-    # (start, stop) pieces of one Generator's rows, as it would draw them alone; a chunk packs them
-    chunks, start = [], 0
-    for stop in range(1, n_rows + 1):
-        if stop == n_rows or rngs[stop] is not rngs[start] or stop - start == per_call:
-            if chunks and stop - chunks[-1][0][0] <= per_call:
-                chunks[-1].append((start, stop))
+    if not isinstance(rng, Streams):
+        rng = Streams([np.random.default_rng(rng)], [amps.shape[0]])
+    # (Generator, start, stop) runs of each segment's rows; a chunk packs consecutive runs
+    chunks = []
+    for g, a, b in zip(rng.generators, [0] + rng.stops, rng.stops):
+        for start in range(a, b, per_call):
+            run = (g, start, min(start + per_call, b))
+            if chunks and run[2] - chunks[-1][0][1] <= per_call:
+                chunks[-1].append(run)
             else:
-                chunks.append([(start, stop)])
-            start = stop
-    for pieces in chunks:
-        rows = slice(pieces[0][0], pieces[-1][1])
+                chunks.append([run])
+    for runs in chunks:
+        rows = slice(runs[0][1], runs[-1][2])
         trap_2d, freq_2d, amp_2d = (np.zeros((rows.stop - rows.start, 1)),) * 3 if quiet else (
-            np.concatenate(s) for s in zip(*(sample_noise_rows(noise, pulse.duration, dt, b - a, rngs[a:b])
-                                             for a, b in pieces)))
+            np.concatenate(s) for s in zip(*(sample_noise_rows(noise, pulse.duration, dt, b - a, g)
+                                             for g, a, b in runs)))
         out[rows] = _run_kernel(amps[rows], pulse, trap, trap_2d, freq_2d, _amp_factor(pulse, amp_2d), dt,
-                                n_max, None if n0 is None else n0[rows])
+                                n_max, n0[rows])
     return out
 
 

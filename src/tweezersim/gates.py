@@ -109,7 +109,8 @@ class Streams:
     each segment's end row. A draw joins the segments' draws in row order, so
     each Generator advances as over its rows alone; size is the row count.
     With a row mask `where`, only the segments holding a selected row draw,
-    and the others read 0."""
+    and the others read 0. dynamics.evolve_rows draws each segment's noise
+    from its Generator; an empty segment draws nothing."""
 
     def __init__(self, generators, stops):
         self.generators, self.stops = list(generators), list(stops)
@@ -127,10 +128,6 @@ class Streams:
 
     def normal(self, loc: float, scale: float, size: int) -> np.ndarray:
         return self._draw("normal", None, loc, scale)
-
-    def for_rows(self, rows) -> list:
-        """The Generator of each selected row (rows: ascending indices)."""
-        return [self.generators[i] for i in np.searchsorted(self.stops, rows, side="right")]
 
 
 @dataclass

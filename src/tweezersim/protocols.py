@@ -168,9 +168,9 @@ class ProtocolConfig:
             raise ValidationError(f"shots must be >= 1, got {self.shots}")
         if self.kind == "repeated_readout" and self.n_cyc < 1:
             raise ValidationError("n_cyc must be >= 1 for repeated readout")
-        for s in self.scenarios:
-            if s not in SCENARIOS:
-                raise ValidationError(f"unknown scenario {s!r}")
+        for i, s in enumerate(self.scenarios):  # a repeated scenario's jobs would share one seed
+            if s not in SCENARIOS or s in self.scenarios[:i]:
+                raise ValidationError(f"protocol.scenarios must be distinct entries of {SCENARIOS}, got {s!r}")
         if self.trap is None:
             self.trap = DEFAULT_TRAP
         if self.imaging is None:
@@ -298,11 +298,13 @@ def _fresh_ancilla(batch: PairBatch, config: ProtocolConfig, level) -> PairBatch
 def _evolve_data(batch: PairBatch, pulse: PulseSpec, config: ProtocolConfig) -> PairBatch:
     """Drive every present data atom through a pulse, each under its own
     noise realization; the ancilla levels are spectators. evolve_rows and
-    its guards run on each shot's window."""
+    its guards run on each shot's window, and each job segment of the
+    batch's Streams draws its present rows' noise from its Generator."""
     on = np.flatnonzero(~batch.data_lost)
     if on.size:
+        rng = Streams(batch.rng.generators, np.searchsorted(on, batch.rng.stops).tolist())
         out = evolve_rows(batch.psi[on].reshape(on.size, -1, 2), pulse, config.trap, config.noise,
-                          config.steps_per_pulse, batch.rng.for_rows(on), batch.n0[on], batch.n_max)
+                          config.steps_per_pulse, rng, batch.n0[on], batch.n_max)
         batch.psi[on] = out.reshape(-1, *batch.psi.shape[1:])
     return batch
 

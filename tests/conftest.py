@@ -6,10 +6,11 @@ two-outcome level draw and clamped k-column draw that the gate layer
 replaced, the local Z gate and the sequential ancilla-flip block built on
 it, the dense ideal red-sideband map and its einsum application, the
 per-job chunk runner and chunk start that the lockstep ones replaced,
-the two-level pair
-tables and their kernel run, the dense propagator matrix, and the
-allocating block-propagation reference for response, analysis, protocol,
-gate, kernel, dynamics, CLI and acceptance tests."""
+the two-level pair tables and their kernel run, the noiseless
+realization, the unguarded full-ladder kernel run and the dense
+propagator matrix built on it, and the allocating block-propagation
+reference for response, analysis, protocol, gate, kernel, dynamics, CLI
+and acceptance tests."""
 
 import json
 import math
@@ -23,7 +24,7 @@ from tweezersim.dynamics import (
     NoiseRealization,
     PulseKind,
     _amp_factor,
-    _run_kernel,
+    _pair_tables,
     _static_vectors,
     sideband_rabi,
     spectroscopy_pi_duration,
@@ -473,15 +474,32 @@ def two_level_evolve(amps0, pulse, eta, trap, freq, ampf, dt):
     return kernels.evolve_blocks_batch(np.broadcast_to(amps0, shape), *tables, trap, freq, ampf, dt, out)
 
 
+def zero_realization(duration, n_steps=1):
+    """A noiseless realization of a pulse: zero series on n_steps steps."""
+    z = np.zeros(n_steps)
+    return NoiseRealization(dt=duration / n_steps, trap_frequency=z, laser_frequency=z.copy(),
+                            laser_amplitude=z.copy())
+
+
+def ladder_evolve(amps0, pulse, trap, realization=None):
+    """One row (1, 2 (n_max + 1), k) of flat amplitudes on the full ladder,
+    evolved under one realization (zero_realization in one exact step when
+    None) by kernels.evolve_blocks_batch on dynamics._pair_tables and
+    _static_vectors. No step-size, norm or truncation guard applies."""
+    n_max = amps0.shape[1] // 2 - 1
+    r = realization if realization is not None else zero_realization(pulse.duration)
+    series = (x[None] for x in (r.trap_frequency, r.laser_frequency, _amp_factor(pulse, r.laser_amplitude)))
+    tables = (*_pair_tables(pulse, trap.eta, n_max), *_static_vectors(pulse, n_max))
+    out = np.empty(amps0.shape, dtype=np.complex128)
+    return kernels.evolve_blocks_batch(amps0, *tables, *series, r.dt, out)
+
+
 def propagator(pulse, trap, realization=None, n_max=DEFAULT_N_MAX):
     """Dense oracle: the full (2 (n_max + 1))^2 propagator matrix of a pulse
     under one realization (noiseless in one exact step when None), the
-    kernel run unguarded on the identity's columns. evolve_rows applies no
-    matrix; its rows must match this one's product with them."""
-    r = realization if realization is not None else NoiseRealization.zeros(pulse.duration)
-    identity = np.eye(2 * (n_max + 1), dtype=np.complex128)[None]
-    series = (x[None] for x in (r.trap_frequency, r.laser_frequency, _amp_factor(pulse, r.laser_amplitude)))
-    return _run_kernel(identity, pulse, trap, *series, r.dt, n_max, guards=False)[0]
+    unguarded ladder_evolve of the identity's columns. evolve_rows applies
+    no matrix; its rows must match this one's product with them."""
+    return ladder_evolve(np.eye(2 * (n_max + 1), dtype=np.complex128)[None], pulse, trap, realization)[0]
 
 
 def propagate_reference(amps0, pair_g, pair_e, coup, singles, static_diag, nvec, zvec, trap, freq, ampf, dt):

@@ -376,6 +376,7 @@ class TestCliRuns:
             ("protocol.ideal_cooling_rsb", "x"),
             ("protocol.scenarios", []),
             ("protocol.scenarios", ["both"]),
+            ("protocol.scenarios", ["present", "present"]),  # the jobs would share one seed
             ("protocol.analyzer_phases_rad", []),
             ("protocol.data_psi", "sideways"),
             ("response.method", "numeric"),  # removed: one closed form serves every duration

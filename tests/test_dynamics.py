@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import propagator, two_level_evolve
+from conftest import ladder_evolve, propagator, two_level_evolve, zero_realization
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
@@ -27,7 +27,6 @@ from tweezersim.dynamics import (
     _amp_factor,
     _laguerre_ladder,
     _psd_basis,
-    _run_kernel,
 )
 from tweezersim.errors import (
     NumericsError,
@@ -35,6 +34,7 @@ from tweezersim.errors import (
     TruncationError,
     ValidationError,
 )
+from tweezersim.gates import Streams
 from tweezersim.states import ElectronicLevel, TrapSpec, prepare_state
 
 ETA = 0.36
@@ -49,7 +49,7 @@ OMEGA_01 = sideband_rabi(0, 1, ETA, RABI)
 def evolve_one(state, pulse, trap, realization=None):
     """Final (2, n_max + 1) amplitudes of one state under one realization
     (noiseless in one exact step when None), as one row of evolve_batch."""
-    r = realization if realization is not None else NoiseRealization.zeros(pulse.duration)
+    r = realization if realization is not None else zero_realization(pulse.duration)
     ampf = _amp_factor(pulse, r.laser_amplitude)
     series = (x[None] for x in (r.trap_frequency, r.laser_frequency, ampf))
     return evolve_batch(state, pulse, trap, *series, r.dt)[0].reshape(2, -1)
@@ -243,25 +243,6 @@ class TestSampleNoise:
             np.testing.assert_array_equal(amp[row], np.full(400, ref.normal(0.0, 30.0)))
         assert rng.bit_generator.state == ref.bit_generator.state
 
-    def test_rows_of_their_own_generators_match_one_call_per_row(self):
-        # a list of Generators, one per row; a Generator that holds two
-        # rows draws them in row order
-        psd = SpectralDensity(np.array([0.0, 5e3]), np.array([2e3, 2e3]))
-        model = NoiseModel(trap_frequency=QuasiStatic(100.0), laser_frequency=psd,
-                           laser_amplitude=QuasiStatic(30.0))
-        a, b = np.random.default_rng(5), np.random.default_rng(6)
-        trap, freq, amp = sample_noise_rows(model, T_PI, T_PI / 400, 3, [a, b, b])
-        ref_a, ref_b = np.random.default_rng(5), np.random.default_rng(6)
-        for row, ref in enumerate((ref_a, ref_b, ref_b)):
-            r = sample_noise(model, T_PI, T_PI / 400, ref)
-            np.testing.assert_array_equal(trap[row], r.trap_frequency)
-            np.testing.assert_array_equal(amp[row], r.laser_amplitude)
-            # one product for all rows: BLAS may round a row unlike one row's own product
-            scale = np.max(np.abs(r.laser_frequency))
-            np.testing.assert_allclose(freq[row], r.laser_frequency, rtol=0, atol=1e-12 * scale)
-        assert a.bit_generator.state == ref_a.bit_generator.state
-        assert b.bit_generator.state == ref_b.bit_generator.state
-
     def test_basis_is_read_only_and_cache_bounded(self):
         psd = SpectralDensity(np.array([0.0, 5e3]), np.array([1.0, 1.0]))
         for n_steps in range(100, 140):
@@ -286,7 +267,7 @@ class TestSampleNoise:
 class TestBuildHamiltonian:
     def test_noiseless_bsb_two_level_structure(self):
         pulse = PulseSpec.bsb_pi(ETA, RABI)
-        r = NoiseRealization.zeros(pulse.duration)
+        r = zero_realization(pulse.duration)
         h = build_hamiltonian(pulse, TRAP, r, t=0.0, n_max=4)
         m = 5
         g = 0  # (down, 0)
@@ -301,14 +282,14 @@ class TestBuildHamiltonian:
 
     def test_free_pulse_without_noise_is_zero(self):
         pulse = PulseSpec(PulseKind.FREE, rabi=0.0, duration=1e-3)
-        r = NoiseRealization.zeros(pulse.duration)
+        r = zero_realization(pulse.duration)
         h = build_hamiltonian(pulse, TRAP, r, t=0.0, n_max=4)
         assert np.all(h == 0)
 
     def test_constant_trap_noise_adds_excited_projector(self):
         pulse = PulseSpec.bsb_pi(ETA, RABI)
         c = 123.0
-        r = NoiseRealization.zeros(pulse.duration)
+        r = zero_realization(pulse.duration)
         rn = NoiseRealization(
             dt=r.dt,
             trap_frequency=np.full(1, c),
@@ -324,7 +305,7 @@ class TestBuildHamiltonian:
 
     def test_hermitian(self):
         pulse = PulseSpec(PulseKind.CARRIER, rabi=RABI, duration=1e-4, detuning=500.0, phase=0.3)
-        r = NoiseRealization.zeros(pulse.duration)
+        r = zero_realization(pulse.duration)
         h = build_hamiltonian(pulse, TRAP, r, 0.0, n_max=6)
         np.testing.assert_allclose(h, h.conj().T, atol=1e-12)
 
@@ -399,15 +380,9 @@ class TestEvolve:
         )
         r = sample_noise(model, T_PI, T_PI / 2001, seed=4)
         pulse = PulseSpec.bsb_pi(ETA, RABI)
-        ampf = _amp_factor(pulse, r.laser_amplitude)
-        series = (r.trap_frequency[None], r.laser_frequency[None], ampf[None], r.dt)
         u = propagator(pulse, TRAP, r, n_max=6)
-        cols = np.column_stack(
-            [
-                _run_kernel(basis[None, :, None], pulse, TRAP, *series, 6, guards=False)[0, :, 0]
-                for basis in np.eye(14, dtype=np.complex128)
-            ]
-        )
+        basis = np.eye(14, dtype=np.complex128)
+        cols = np.column_stack([ladder_evolve(b[None, :, None], pulse, TRAP, r)[0, :, 0] for b in basis])
         np.testing.assert_allclose(u, cols, rtol=0, atol=1e-12)
 
     @given(
@@ -718,10 +693,18 @@ class TestEvolveRows:
             assert np.all(out[k, :, 1 - anc[k]] == 0)
         assert rng_after.bit_generator.state == ref_rng.bit_generator.state
 
-    def test_rows_of_several_generators_match_their_own_runs(self, monkeypatch):
-        # each Generator's rows draw their noise in the pieces they would
-        # alone (a synthesis product's bits depend on its row count); a
-        # kernel chunk packs whole pieces
+    # segment sizes, then the expected noise pieces and kernel row counts,
+    # as functions of the kernel chunk c
+    @pytest.mark.parametrize("sizes, pieces, kernel_rows", [
+        (lambda c: (c + 3, 2), lambda c: [c, 3, 2], lambda c: [c, 5]),
+        # an empty segment (an absent job's) draws nothing
+        (lambda c: (c + 3, 0, 2), lambda c: [c, 3, 2], lambda c: [c, 5]),
+        (lambda c: (2, 2 * c + 1, 3), lambda c: [2, c, c, 1, 3], lambda c: [2, c, c, 4]),
+    ], ids=["two-segments", "empty-segment", "long-segment-split"])
+    def test_rows_of_several_generators_match_their_own_runs(self, monkeypatch, sizes, pieces, kernel_rows):
+        # each segment of a Streams draws its rows' noise from its own
+        # Generator in the pieces it would alone (a synthesis product's
+        # bits depend on its row count); a kernel chunk packs whole pieces
         pulse = PulseSpec.bsb_pi(ETA, RABI)
         model = NoiseModel(
             trap_frequency=QuasiStatic(2 * np.pi * 175.0),
@@ -729,12 +712,13 @@ class TestEvolveRows:
         )
         steps = 400
         chunk = kernels._CHUNK_ELEMENTS // (steps * self.N_MAX)  # N_MAX blue-sideband pairs
+        sizes = sizes(chunk)
+        stops = np.cumsum(sizes).tolist()
         rng = np.random.default_rng(8)
         states = [prepare_state(np.exp(1j * rng.uniform(0, 2 * np.pi, 2)) * [0.6, 0.8], rng.integers(0, 3),
-                                n_max=self.N_MAX) for _ in range(chunk + 5)]
+                                n_max=self.N_MAX) for _ in range(stops[-1])]
         rows = self._rows(*zip(states, rng.integers(0, 2, len(states))))
-        sizes = (chunk + 3, 2)
-        calls, kernel_rows = [], []
+        calls, run_rows = [], []
 
         def counted(model, duration, dt, n, rng):
             calls.append(n)
@@ -743,14 +727,16 @@ class TestEvolveRows:
         run_kernel = dynamics._run_kernel
         monkeypatch.setattr(dynamics, "sample_noise_rows", counted)
         monkeypatch.setattr(dynamics, "_run_kernel",
-                            lambda amps, *args: kernel_rows.append(amps.shape[0]) or run_kernel(amps, *args))
-        gens = [np.random.default_rng(s) for s in (1, 2)]
-        out = evolve_rows(rows, pulse, TRAP, model, steps, [gens[0]] * sizes[0] + [gens[1]] * sizes[1])
-        assert calls == [chunk, 3, 2] and kernel_rows == [chunk, 5]
+                            lambda amps, *args: run_rows.append(amps.shape[0]) or run_kernel(amps, *args))
+        gens = [np.random.default_rng(s) for s in range(len(sizes))]
+        out = evolve_rows(rows, pulse, TRAP, model, steps, Streams(gens, stops))
+        assert calls == pieces(chunk) and run_rows == kernel_rows(chunk)
+        refs = [np.random.default_rng(s) for s in range(len(sizes))]
+        calls.clear()
+        want = np.concatenate([evolve_rows(rows[a:b], pulse, TRAP, model, steps, g)
+                               for g, a, b in zip(refs, [0] + stops, stops)])
         monkeypatch.undo()
-        refs = [np.random.default_rng(s) for s in (1, 2)]
-        want = np.concatenate([evolve_rows(rows[:sizes[0]], pulse, TRAP, model, steps, refs[0]),
-                               evolve_rows(rows[sizes[0]:], pulse, TRAP, model, steps, refs[1])])
+        assert calls == pieces(chunk)  # one evolve_rows call per segment draws the same pieces
         assert out.tobytes() == want.tobytes()
         assert [g.bit_generator.state for g in gens] == [g.bit_generator.state for g in refs]
 
@@ -774,7 +760,7 @@ class TestEvolveRows:
         assert rng.bit_generator.state == before
         zeros = np.zeros((7, 1))
         per_row = dynamics._run_kernel(rows, pulse, TRAP, zeros, zeros, zeros + 1.0,
-                                       pulse.duration, self.N_MAX)
+                                       pulse.duration, self.N_MAX, np.zeros(7, int))
         np.testing.assert_array_equal(quiet, per_row)
         np.testing.assert_array_equal(empty, quiet)
         dense = propagator(pulse, TRAP, None, self.N_MAX) @ rows

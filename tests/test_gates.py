@@ -555,12 +555,6 @@ class TestStreams:
         assert states[0] == untouched[0] and states[2] == untouched[2]
         assert states[1] == refs[1].bit_generator.state
 
-    def test_for_rows_names_each_rows_generator(self):
-        streams, _ = self._streams()
-        g = streams.generators
-        assert streams.for_rows(np.array([0, 1, 2, 4, 5, 8])) == [g[0], g[0], g[1], g[1], g[2], g[2]]
-        assert streams.for_rows(np.array([], dtype=int)) == []
-
     def test_a_bare_generator_is_one_segment(self):
         rng = np.random.default_rng(4)
         b = _batch(shots=3, rng=rng)

@@ -129,6 +129,17 @@ class TestRepeatedReadout:
 
 
 class TestLossDetection:
+    @pytest.mark.parametrize("kind, scenarios", [
+        ("loss_detection", ("absent", "present", "absent")),
+        ("repeated_readout", ("present", "present")),
+        ("phase_calibration", ("present", "present")),
+    ])
+    def test_repeated_scenario_is_rejected(self, kind, scenarios):
+        # a repeated scenario's jobs would share one key, so one seed and
+        # the same shots, and the fringe would keep one of them
+        with pytest.raises(ValidationError, match="protocol.scenarios"):
+            _ideal_config(kind, scenarios=scenarios)
+
     def test_ideal_plus_state_full_fidelity(self):
         cfg = _ideal_config("loss_detection", shots=60, data_psi="plus", analyzer_phases=(0.0, np.pi / 2))
         table, fringe = run_loss_detection(cfg)
