@@ -31,12 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import (
-    NumericsError,
-    StepSizeError,
-    TruncationError,
-    ValidationError,
-)
+from .errors import NumericsError, StepSizeError, TruncationError, ValidationError
 from .gates import Streams
 from .states import DEFAULT_N_MAX, NORM_TOL, HybridAtomState, TrapSpec
 
@@ -468,7 +463,9 @@ def _check_guards(before, after, pulse, n_max, n0):
     when a row leaves with its norm off by more than NORM_TOL.
     """
     w = before.shape[1] // 2
-    p_before, p_after = ((np.abs(a) ** 2).sum(axis=2).reshape(-1, 2, w) for a in (before, after))
+    # |a|^2 over the columns as re^2 + im^2 of the float view (np.abs goes through hypot)
+    f_before, f_after = (np.ascontiguousarray(a, dtype=np.complex128).view(np.float64) for a in (before, after))
+    p_before, p_after = (np.einsum("rsk,rsk->rs", f, f).reshape(-1, 2, w) for f in (f_before, f_after))
     if np.any(np.abs(p_before.sum(axis=(1, 2)) - 1.0) > NORM_TOL):
         raise ValidationError("every row must have norm 1")
     edge_pop = 0.0
@@ -580,26 +577,28 @@ def load_psd_csv(path, convention: str = "frequency") -> SpectralDensity:
     convention="frequency": values are already (rad/s)^2/Hz.
     convention="phase": values are rad^2/Hz of laser phase and are
     converted with the (2 pi f)^2 weight to frequency-noise units.
-    Lines that do not parse as two floats (headers, comments) are skipped.
+    Blank lines and # lines are skipped, as are header lines (no field
+    starting like a number) before the first row; any other line that is
+    not two numbers raises ValidationError naming its 1-based line.
     """
     if convention not in ("frequency", "phase"):
         raise ValidationError(f"convention must be 'frequency' or 'phase', got {convention!r}")
-    freqs, vals = [], []
+    rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             parts = line.replace(",", " ").split()
-            if len(parts) < 2:
+            if not parts or line.lstrip().startswith("#"):
                 continue
             try:
-                f, s = float(parts[0]), float(parts[1])
+                f, s = map(float, parts)  # exactly two fields
             except ValueError:
-                continue
-            freqs.append(f)
-            vals.append(s)
-    if len(freqs) < 2:
+                if not rows and not any(p.lstrip("+-.")[:1].isdigit() for p in parts):
+                    continue  # a header line
+                raise ValidationError(f"line {number} is not two numbers (frequency, value): {line.strip()!r}")
+            rows.append((f, s))
+    if len(rows) < 2:
         raise ValidationError(f"PSD file {path} has fewer than 2 numeric rows")
-    f = np.asarray(freqs)
-    s = np.asarray(vals)
+    f, s = np.array(rows).T
     if convention == "phase":
         s = (2.0 * np.pi * f) ** 2 * s
     return SpectralDensity(f, s)

@@ -9,8 +9,14 @@ singletons. Per step a pair's exact propagator is
     alpha = cos(r dt) + i h sinc,  beta = -i c sinc,  sinc = sin(r dt) / r,
 
 with a and h the mean and half-difference of the pair's diagonal, c the
-coupling <e|H|g> and r = sqrt(|c|^2 + h^2) (sinc = 0 when r = 0). The
-SU(2) parts of all steps are computed at once and multiplied in time
+coupling <e|H|g> and r = sqrt(|c|^2 + h^2) (sinc = 0 when r = 0). A
+drive couples every n to n + delta with one delta, so all pairs share
+the half-differences of Fock number, sigma_z and static diagonal (also
+on per-row windows, as (n0 + a) - (n0 + b) is exact): h is one
+(rows, 1, steps) series, squared once and broadcast over the pairs. An
+amplitude factor of exactly 1 is not multiplied in, and r is floored at
+5e-324 for a plain divide (sin(0) / 5e-324 = 0); no bit moves for either.
+The SU(2) parts of all steps are computed at once and multiplied in time
 order by a pairwise tree, log2(steps) levels deep; the phases commute
 and are applied once as exp(-i dt sum a). Singletons only pick up
 exp(-i dt sum d). There is no Python loop over time steps.
@@ -76,27 +82,32 @@ def _propagate(amps0, pair_g, pair_e, coup, singles, static_diag, nvec, zvec, tr
         diag(s) = static_diag[s] + trap[i] * nvec[s] + 0.5 * freq[i] * zvec[s]
         <e|H|g> = coup[p] * ampf[i]
     coup and nvec are (pairs,) and (dim,), or (n_traj, pairs) and
-    (n_traj, dim) per trajectory. Trajectory t starts from the flat
-    amplitudes amps0[t], of shape (dim, k) for k initial states at once
-    (the columns); the propagation is linear, so the columns share every
-    per-step factor.
+    (n_traj, dim) per trajectory; every pair must have the first's
+    half-differences of nvec, zvec and static_diag (module docstring).
+    Trajectory t starts from amps0[t], of shape (dim, k): k states (the
+    columns) that share every per-step factor.
     """
     rows, n_steps = trap.shape
     g, e = pair_g, pair_e
     alpha, beta, h, r, sinc, tmp, levels, alpha_end, beta_end = _views(rows, n_steps, g.size)
-    # half-difference h of each pair's diagonal
-    np.multiply(trap[:, None], (0.5 * (nvec[..., e] - nvec[..., g]))[..., None], out=h)
-    h += np.multiply(freq[:, None], (0.25 * (zvec[e] - zvec[g]))[:, None], out=tmp)
-    h += (0.5 * (static_diag[e] - static_diag[g]))[:, None]
-    np.multiply(ampf[:, None] ** 2, (coup.real**2 + coup.imag**2)[..., None], out=r)
-    r += np.multiply(h, h, out=tmp)
+    # one (rows, 1, steps) series h, shared by every pair: each has the first's coefficients
+    g1, e1, h, hh = g[:1], e[:1], h[:, :1], tmp[:, :1]
+    np.multiply(trap[:, None], (0.5 * (nvec[..., e1] - nvec[..., g1]))[..., None], out=h)
+    h += np.multiply(freq[:, None], (0.25 * (zvec[e1] - zvec[g1]))[:, None], out=hh)
+    h += (0.5 * (static_diag[e1] - static_diag[g1]))[:, None]
+    np.multiply(h, h, out=hh)
+    unit = (ampf == 1.0).all()  # a quiet amplitude channel: skip the products with 1
+    c2 = (coup.real**2 + coup.imag**2)[..., None]
+    np.add(c2 if unit else np.multiply(ampf[:, None] ** 2, c2, out=r), hh, out=r)
     np.sqrt(r, out=r)
     np.multiply(r, dt, out=sinc)  # r dt, then sin(r dt), then sin(r dt) / r
+    np.maximum(r, 5e-324, out=r)  # r = 0 gives sin(0) / 5e-324 = 0; r > 0 stays
     np.cos(sinc, out=alpha.real)
     np.sin(sinc, out=sinc)
-    np.divide(sinc, r, out=sinc, where=r > 0.0)  # r = 0 leaves sin(0) = 0
+    np.divide(sinc, r, out=sinc)
     np.multiply(h, sinc, out=alpha.imag)
-    sinc *= ampf[:, None]
+    if not unit:
+        sinc *= ampf[:, None]
     np.multiply(sinc, (-1j * coup)[..., None], out=beta)
     # time-ordered product, later @ earlier, of neighbouring steps per
     # level; an odd last step passes through (a product with the identity)

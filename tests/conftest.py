@@ -507,13 +507,17 @@ def propagate_reference(amps0, pair_g, pair_e, coup, singles, static_diag, nvec,
     element, on arrays allocated afresh for every temporary and every tree
     level, with an odd tail joined by np.concatenate. It keeps the old
     (trajectory, step, pair) order, the pair axis innermost, so a kernel
-    in the step-innermost layout must match it bit for bit."""
+    in the step-innermost layout must match it bit for bit. Every pair
+    gets its own diagonal half-difference h and its own ampf products,
+    whatever the values. coup and nvec may be (trajectory, pairs) and
+    (trajectory, dim) tables, one row per trajectory, as _run_kernel's
+    windows pass them."""
     n_steps = trap.shape[1]
     g, e = pair_g, pair_e
-    h = trap[:, :, None] * (0.5 * (nvec[e] - nvec[g]))
+    h = trap[:, :, None] * (0.5 * (nvec[..., e] - nvec[..., g]))[..., None, :]
     h += freq[:, :, None] * (0.25 * (zvec[e] - zvec[g]))
     h += 0.5 * (static_diag[e] - static_diag[g])
-    r = ampf[:, :, None] ** 2 * (coup.real**2 + coup.imag**2)
+    r = ampf[:, :, None] ** 2 * (coup.real**2 + coup.imag**2)[..., None, :]
     r += h * h
     np.sqrt(r, out=r)
     sinc = r * dt
@@ -523,7 +527,7 @@ def propagate_reference(amps0, pair_g, pair_e, coup, singles, static_diag, nvec,
     np.divide(sinc, r, out=sinc, where=r > 0.0)
     np.multiply(h, sinc, out=alpha.imag)
     sinc *= ampf[:, :, None]
-    beta = sinc * (-1j * coup)
+    beta = sinc * (-1j * coup)[..., None, :]
     while alpha.shape[1] > 1:
         n_even = alpha.shape[1] - alpha.shape[1] % 2
         a1, b1 = alpha[:, 1:n_even:2], beta[:, 1:n_even:2]
@@ -542,11 +546,11 @@ def propagate_reference(amps0, pair_g, pair_e, coup, singles, static_diag, nvec,
     half_freq_sum = 0.5 * freq.sum(axis=1)[:, None]
     a_sum = (
         n_steps * 0.5 * (static_diag[g] + static_diag[e])
-        + trap_sum * 0.5 * (nvec[g] + nvec[e])
+        + trap_sum * 0.5 * (nvec[..., g] + nvec[..., e])
         + half_freq_sum * 0.5 * (zvec[g] + zvec[e])
     )
     phase = np.exp(-1j * dt * a_sum)
-    d_sum = n_steps * static_diag[singles] + trap_sum * nvec[singles] + half_freq_sum * zvec[singles]
+    d_sum = n_steps * static_diag[singles] + trap_sum * nvec[..., singles] + half_freq_sum * zvec[singles]
     single_phase = np.exp(-1j * dt * d_sum)
     out = amps0.astype(np.complex128, order="C")
     alpha, beta, phase, single_phase = (x[..., None] for x in (alpha, beta, phase, single_phase))
@@ -559,11 +563,11 @@ def propagate_reference(amps0, pair_g, pair_e, coup, singles, static_diag, nvec,
 
 def evolve_blocks_reference(amps0, pair_g, pair_e, coup, singles, static_diag, nvec, zvec, trap, freq, ampf, dt):
     """Reference for kernels.evolve_blocks_batch: propagate_reference over
-    the same chunks of rows."""
+    the same chunks of rows (and of the rows of 2-D coup and nvec)."""
     blocks = (pair_g, pair_e, coup, singles, static_diag, nvec, zvec)
     chunk = kernels._rows_per_chunk(trap.shape[1], pair_g.size)
     return np.concatenate([
-        propagate_reference(amps0[s : s + chunk], *blocks, trap[s : s + chunk], freq[s : s + chunk],
-                            ampf[s : s + chunk], dt)
+        propagate_reference(amps0[s : s + chunk], *(b[s : s + chunk] if b.ndim == 2 else b for b in blocks),
+                            trap[s : s + chunk], freq[s : s + chunk], ampf[s : s + chunk], dt)
         for s in range(0, trap.shape[0], chunk)
     ])

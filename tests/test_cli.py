@@ -242,6 +242,29 @@ class TestCliRuns:
         assert capsys.readouterr().err.startswith("config error: noise.laser_frequency.csv: ")
         assert not any(("NaN" in f.read_text() or "Infinity" in f.read_text()) for f in tmp_path.rglob("*.json"))
 
+    @pytest.mark.parametrize("command", ["response", "simulate"])
+    def test_unparsable_psd_row_exit_2_names_key_and_line(self, tmp_path, capsys, command):
+        # a letter O for a zero: the row was dropped without a word, and the run exited 0
+        (tmp_path / "psd.csv").write_text("frequency_hz,value\n0,2000\n2500,2O00\n5000,2000\n")
+        path = _write_config(tmp_path, noise={"laser_frequency": {"kind": "psd", "csv": "psd.csv"}},
+                             protocol={"kind": "loss_detection", "shots": 4})
+        assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: noise.laser_frequency.csv: line 3 is not two numbers")
+        assert "2O00" in err and "Traceback" not in err
+
+    def test_simulate_sideband_scan_is_the_spectrum_command(self, tmp_path):
+        # simulate routes protocol.kind sideband_scan to spectrum: same bytes, same results
+        path = _write_config(tmp_path, **preset_config("fig4", kind="sideband_scan"))
+        runs = {"spectrum": ["spectrum", "--config", "fig4"], "simulate": ["simulate", "--config", path]}
+        for name, args in runs.items():
+            assert main([*args, "--seed", "11", "--out", str(tmp_path / name)]) == 0
+        spectrum, simulate = (tmp_path / "spectrum", tmp_path / "simulate")
+        assert (simulate / "spectrum.csv").read_bytes() == (spectrum / "spectrum.csv").read_bytes()
+        assert sorted(p.name for p in simulate.iterdir()) == sorted(p.name for p in spectrum.iterdir())
+        results = [json.loads((d / "report.json").read_text())["results"] for d in (spectrum, simulate)]
+        assert results[0] == results[1] and results[0]["points"] > 0
+
     def test_simulate_writes_outputs_and_report(self, tmp_path):
         path = _write_config(
             tmp_path,

@@ -502,6 +502,31 @@ class TestPsdCsv:
         with pytest.raises(ValidationError):
             load_psd_csv(str(path))
 
+    def test_skips_blank_and_comment_lines_anywhere(self, tmp_path):
+        from tweezersim.dynamics import load_psd_csv
+
+        path = tmp_path / "psd.csv"
+        path.write_text("\n# f, S\nf (Hz), S\n10,1.5\n\n  # mid comment\n20 , 2.5\n\n")
+        psd = load_psd_csv(str(path))
+        np.testing.assert_array_equal(psd.frequencies_hz, [10.0, 20.0])
+        np.testing.assert_array_equal(psd.values, [1.5, 2.5])
+
+    @pytest.mark.parametrize("text, line", [
+        ("0,2000\n2500,2O00\n5000,2000\n", 2),  # a letter O among the data rows
+        ("f,S\n0,2O00\n2500,2000\n5000,2000\n", 2),  # in the first row, after a header
+        ("0,2000\nf,S\n5000,2000\n", 2),  # a header line after the first row
+        ("0,2000\n2500\n5000,2000\n", 2),  # one field
+        ("0,2000\n2500,2000,1\n5000,2000\n", 2),  # three fields
+        ("0,2000\n\n# ok\n5000,2000\n7000;2000\n", 5),
+    ], ids=["letter", "first-row", "late-header", "one-field", "three-fields", "semicolon"])
+    def test_rejects_a_line_that_is_not_two_numbers(self, tmp_path, text, line):
+        from tweezersim.dynamics import load_psd_csv
+
+        path = tmp_path / "psd.csv"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=f"^line {line} is not two numbers"):
+            load_psd_csv(str(path))
+
 
 class TestKernelsBackend:
     def test_batch_matches_sequential(self):

@@ -248,24 +248,35 @@ def test_pair_tables_are_cached_read_only():
             a[...] = 0
 
 
-def _bit_case(kind, table, n_max, n_steps, n_traj, k, quiet=False, seed=0):
+def _bit_case(kind, table, n_max, n_steps, n_traj, k, variant="", seed=0):
     """Kernel arguments less `out`: a detuned, phase-shifted pulse's tables,
     per-row initial states (n_traj, dim, k) and noisy series. n_traj None
-    means two full chunks and a partial one. quiet makes a zero-Rabi,
-    zero-detuning carrier with a quiet laser, so r = 0 on every pair and
-    step while trap noise still turns the phases."""
+    means two full chunks and a partial one. The variant words:
+    "quiet" makes a zero-Rabi, zero-detuning carrier with a quiet laser,
+    so r = 0 on every pair and step while trap noise still turns the
+    phases; "unit" sets every amplitude factor to exactly 1, as a quiet
+    amplitude channel does; "windows" gives the rows W = 3 windows of
+    the n_max ladder at n0 = 0..n_max - 2 in turn, with 2-D coup and nvec
+    tables as _run_kernel passes them."""
     rng = np.random.default_rng([seed, n_steps, n_max, k])
-    if quiet:
+    if "quiet" in variant:
         pulse = PulseSpec(PulseKind.CARRIER, rabi=0.0, duration=T_PI)
     else:
         pulse = PulseSpec(kind, rabi=RABI, duration=T_PI, detuning=0.3 * ETA * RABI, phase=0.7)
-    tables = _pulse_tables(pulse, n_max, table)
+    tables = _pulse_tables(pulse, 2 if "windows" in variant else n_max, table)
     if n_traj is None:
         n_traj = 2 * kernels._rows_per_chunk(n_steps, tables[0].size) + 3
+    if "windows" in variant:
+        pg, pe, coup, singles, static, nvec, zvec = tables
+        n0 = np.arange(n_traj) % (n_max - 1)
+        ladder = _pulse_tables(pulse, n_max, table)[2]
+        tables = (pg, pe, ladder[n0[:, None] + np.arange(coup.size)], singles, static, n0[:, None] + nvec, zvec)
     trap, freq, ampf = _series(rng, n_traj, n_steps)
-    if quiet:
+    if "quiet" in variant:
         freq[:] = 0.0
-    amps0 = _random_rows(rng, n_traj, 2 * (n_max + 1), k)
+    if "unit" in variant:
+        ampf[:] = 1.0
+    amps0 = _random_rows(rng, n_traj, tables[4].size, k)
     return amps0, tables, trap, freq, ampf, T_PI / n_steps
 
 
@@ -276,30 +287,57 @@ def _kernel(case):
 
 BLUE, RED = PulseKind.BLUE_SIDEBAND, PulseKind.RED_SIDEBAND
 BIT_CASES = [
-    pytest.param(BLUE, "rwa-ladder", 12, 2000, 4, 1, False, id="pulse-ensemble-2000"),
-    pytest.param(BLUE, "rwa-ladder", 9, 1999, 2, 2, False, id="odd-1999-k2"),
-    pytest.param(RED, "rwa-ladder", 20, 333, 3, 3, False, id="red-333-k3"),
-    pytest.param(PulseKind.CARRIER, "rwa-ladder", 6, 7, 5, 2, False, id="carrier-7"),
-    pytest.param(PulseKind.FREE, "rwa-ladder", 6, 2, 3, 2, False, id="free-2"),
-    pytest.param(BLUE, "rwa-ladder", 6, 1, 4, 2, False, id="one-step"),
-    pytest.param(BLUE, "two-level", 6, 999, 3, 2, False, id="two-level-999"),
-    pytest.param(BLUE, "two-level", 3, 2, 1, 2, False, id="two-level-2"),
-    pytest.param(BLUE, "two-level", 6, 5, 1, 2, False, id="two-level-5"),
-    pytest.param(BLUE, "rwa-ladder", 6, 501, None, 2, False, id="chunks-501"),
-    pytest.param(RED, "rwa-ladder", 6, 500, None, 1, False, id="chunks-500"),
-    pytest.param(BLUE, "rwa-ladder", 12, 1, None, 1, False, id="chunks-one-step"),
-    pytest.param(None, "rwa-ladder", 3, 7, 3, 2, True, id="zero-coupling-7"),
-    pytest.param(None, "rwa-ladder", 3, 2000, 2, 1, True, id="zero-coupling-2000"),
+    pytest.param(BLUE, "rwa-ladder", 12, 2000, 4, 1, "", id="pulse-ensemble-2000"),
+    pytest.param(BLUE, "rwa-ladder", 9, 1999, 2, 2, "", id="odd-1999-k2"),
+    pytest.param(RED, "rwa-ladder", 20, 333, 3, 3, "", id="red-333-k3"),
+    pytest.param(PulseKind.CARRIER, "rwa-ladder", 6, 7, 5, 2, "", id="carrier-7"),
+    pytest.param(PulseKind.FREE, "rwa-ladder", 6, 2, 3, 2, "", id="free-2"),
+    pytest.param(BLUE, "rwa-ladder", 6, 1, 4, 2, "", id="one-step"),
+    pytest.param(BLUE, "two-level", 6, 999, 3, 2, "", id="two-level-999"),
+    pytest.param(BLUE, "two-level", 3, 2, 1, 2, "", id="two-level-2"),
+    pytest.param(BLUE, "two-level", 6, 5, 1, 2, "", id="two-level-5"),
+    pytest.param(BLUE, "rwa-ladder", 6, 501, None, 2, "", id="chunks-501"),
+    pytest.param(RED, "rwa-ladder", 6, 500, None, 1, "", id="chunks-500"),
+    pytest.param(BLUE, "rwa-ladder", 12, 1, None, 1, "", id="chunks-one-step"),
+    pytest.param(None, "rwa-ladder", 3, 7, 3, 2, "quiet", id="zero-coupling-7"),
+    pytest.param(None, "rwa-ladder", 3, 2000, 2, 1, "quiet", id="zero-coupling-2000"),
+    pytest.param(BLUE, "rwa-ladder", 12, 2000, 4, 1, "unit", id="unit-pulse-ensemble-2000"),
+    pytest.param(BLUE, "rwa-ladder", 9, 1999, 2, 2, "unit", id="unit-odd-1999-k2"),
+    pytest.param(BLUE, "two-level", 6, 999, 3, 2, "unit", id="unit-two-level-999"),
+    pytest.param(None, "rwa-ladder", 3, 7, 3, 2, "quiet unit", id="unit-zero-coupling-7"),
+    pytest.param(BLUE, "rwa-ladder", 6, 3001, None, 2, "windows", id="windows-3001"),
+    pytest.param(RED, "rwa-ladder", 6, 1, 5, 2, "windows unit", id="windows-unit-one-step"),
+    pytest.param(BLUE, "rwa-ladder", 6, 2000, 5, 1, "windows unit", id="windows-unit-2000"),
 ]
 
 
-@pytest.mark.parametrize("kind, table, n_max, n_steps, n_traj, k, quiet", BIT_CASES)
-def test_kernel_is_bit_identical_to_allocating_reference(kind, table, n_max, n_steps, n_traj, k, quiet):
-    case = _bit_case(kind, table, n_max, n_steps, n_traj, k, quiet)
+@pytest.mark.parametrize("kind, table, n_max, n_steps, n_traj, k, variant", BIT_CASES)
+def test_kernel_is_bit_identical_to_allocating_reference(kind, table, n_max, n_steps, n_traj, k, variant):
+    case = _bit_case(kind, table, n_max, n_steps, n_traj, k, variant)
     amps0, tables, trap, freq, ampf, dt = case
-    if quiet:
+    if "quiet" in variant:
         assert not np.any(tables[2]) and not np.any(freq)
+    assert np.all(ampf == 1.0) == ("unit" in variant)
+    assert (tables[2].ndim == tables[5].ndim == 2) == ("windows" in variant)
     assert np.array_equal(_kernel(case), evolve_blocks_reference(amps0, *tables, trap, freq, ampf, dt))
+
+
+@pytest.mark.parametrize("kind", list(PulseKind))
+def test_every_pair_shares_its_diagonal_half_differences(kind):
+    # the kernel builds h from the first pair's coefficients alone and
+    # broadcasts it over the pairs, so each half-difference must take one
+    # value per table (or none, without pairs), on every window as well
+    pulse = PulseSpec(kind, rabi=RABI, duration=T_PI, detuning=0.3 * ETA * RABI, phase=0.7)
+    for n_max in range(21):
+        cases = [_pulse_tables(pulse, n_max, "rwa-ladder")]
+        if kind in (BLUE, PulseKind.FREE) and n_max > 0:  # the two-level pair needs (up, 1)
+            cases.append(_pulse_tables(pulse, n_max, "two-level"))
+        for pg, pe, _, _, static, nvec, zvec in cases:
+            windows = np.arange(n_max + 1)[:, None] + nvec  # n0 + slot, as _run_kernel builds them
+            for vec in (static, nvec, zvec, *windows):
+                assert np.unique(0.5 * (vec[pe] - vec[pg])).size <= 1, (n_max, vec)
+        if kind is not PulseKind.FREE and n_max > 0:
+            assert cases[0][0].size > 0
 
 
 def _in_fresh_thread(fn):
