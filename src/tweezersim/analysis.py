@@ -504,23 +504,24 @@ def nonthermal_correction(r_est: float, t12: float) -> float:
 # detection statistics
 
 
-def optimize_threshold(signals_present, signals_absent, p1: float, n_cyc: int = None) -> DetectionResult:
-    """Empirical threshold maximizing F = P1*F1 + (1-P1)*F0.
+def optimize_thresholds(signals_present, signals_absent, priors, n_cyc: int = None) -> list:
+    """Empirical thresholds maximizing F = P1*F1 + (1-P1)*F0, one
+    DetectionResult per prior, in the order of `priors`.
 
     Candidate thresholds sit at the midpoints of adjacent pooled samples
     (plus sentinels outside the data range), which realize every value
     the piecewise-constant objective can take; ties break toward the
-    lower threshold.
+    lower threshold. One sort and one candidate scan serve every prior,
+    which then costs one F curve and its first maximum.
     """
     sp = np.sort(np.asarray(signals_present, dtype=float))
     sa = np.sort(np.asarray(signals_absent, dtype=float))
-    if not 0.0 <= p1 <= 1.0:
-        raise ValidationError(f"p1 must be in [0, 1], got {p1}")
+    for p1 in priors:
+        if not 0.0 <= p1 <= 1.0:
+            raise ValidationError(f"p1 must be in [0, 1], got {p1}")
     if sp.size == 0 or sa.size == 0:
         raise ValidationError("need at least one sample per class")
-    if p1 in (0.0, 1.0):
-        warnings.warn("degenerate prior: classifying everything as the prior class is optimal", stacklevel=2)
-    present_higher = np.mean(sp) >= np.mean(sa)
+    orientation = 1 if np.mean(sp) >= np.mean(sa) else -1  # +1: present signals lie higher
     pooled = np.unique(np.concatenate([sp, sa]))
     span = max(pooled[-1] - pooled[0], 1.0)
     mids = (pooled[:-1] + pooled[1:]) / 2.0
@@ -528,11 +529,21 @@ def optimize_threshold(signals_present, signals_absent, p1: float, n_cyc: int = 
     # P(signal > x) per class, vectorized over candidates
     above_p = 1.0 - np.searchsorted(sp, cands, side="right") / sp.size
     above_a = 1.0 - np.searchsorted(sa, cands, side="right") / sa.size
-    f1, f0 = (above_p, 1.0 - above_a) if present_higher else (1.0 - above_p, above_a)
-    f = p1 * f1 + (1 - p1) * f0
-    best = int(np.argmax(f))  # first max = lowest threshold
-    return DetectionResult(threshold=float(cands[best]), fidelity=float(f[best]), f1=float(f1[best]),
-                           f0=float(f0[best]), p1=p1, n_cyc=n_cyc, orientation=1 if present_higher else -1)
+    f1, f0 = (above_p, 1.0 - above_a) if orientation == 1 else (1.0 - above_p, above_a)
+    results = []
+    for p1 in priors:
+        if p1 in (0.0, 1.0):
+            warnings.warn("degenerate prior: classifying everything as the prior class is optimal", stacklevel=2)
+        f = p1 * f1 + (1 - p1) * f0
+        best = int(np.argmax(f))  # first max = lowest threshold
+        results.append(DetectionResult(threshold=float(cands[best]), fidelity=float(f[best]), f1=float(f1[best]),
+                                       f0=float(f0[best]), p1=p1, n_cyc=n_cyc, orientation=orientation))
+    return results
+
+
+def optimize_threshold(signals_present, signals_absent, p1: float, n_cyc: int = None) -> DetectionResult:
+    """optimize_thresholds at the one prior p1."""
+    return optimize_thresholds(signals_present, signals_absent, [p1], n_cyc)[0]
 
 
 def optimize_threshold_analytic(bright_mean: float, bright_std: float, dark_mean: float, dark_std: float,

@@ -43,6 +43,7 @@ from .analysis import (
     fit_double_gaussian_with_offset,
     nonthermal_correction,
     optimize_threshold,
+    optimize_thresholds,
     temperature_from_spectrum,
 )
 from .config import (
@@ -154,12 +155,11 @@ def shot_columns(table):
     cooling, and `data_n` is empty where no Fock number was read out."""
     shots, rounds = table.signals.shape
     data_n = np.where(table.data_n < 0, "", table.data_n.astype(str))
-    aux = np.full(shots, "") if table.aux is None else table.aux
     per_row = functools.partial(np.repeat, repeats=rounds)
     return [
         per_row(table.scenario), per_row(table.shot), np.tile(np.arange(rounds), shots),
         table.signals.ravel(), table.ancilla_labels.ravel(), per_row(table.data_label),
-        per_row(data_n), per_row(table.data_lost), per_row(aux),
+        per_row(data_n), per_row(table.data_lost), per_row(table.aux),
     ]
 
 
@@ -214,8 +214,9 @@ def _detection_table(present, absent, priors, rounds):
         sums = {n: (aggregate_signals(present, n), aggregate_signals(absent, n)) for n in rounds}
     except ValidationError as exc:
         raise ValidationError(f"detect.n_cyc_list: {exc}") from None
-    results = [(p1, n, optimize_threshold(*sums[n], p1, n_cyc=n)) for p1 in priors for n in rounds]
-    return [(p1, n, r.threshold, r.fidelity, r.f1, r.f0) for p1, n, r in results]
+    results = {n: optimize_thresholds(*sums[n], priors, n_cyc=n) for n in sums}  # one scan per round count
+    by_prior = zip(*map(results.get, rounds))  # priors outer, then rounds
+    return [(r.p1, r.n_cyc, r.threshold, r.fidelity, r.f1, r.f0) for row in by_prior for r in row]
 
 
 def _readout_summary(table, pconf):
@@ -352,7 +353,7 @@ def cmd_spectrum(config, out_dir, workers, report):
 
 def _read_columns(path, types, optional=()):
     """Columns of a CSV by header name, each parsed as its dtype (np.int64,
-    float, or object for text, returned as str) into an array; an optional
+    float, or object for text, kept as Python str) into an array; an optional
     name may be missing from the header. One np.loadtxt call reads every
     row: each must hold one cell per header name, an integer cell must fit
     in 64 bits, a cell starting with # is data, and empty lines are skipped.
@@ -372,8 +373,7 @@ def _read_columns(path, types, optional=()):
             except ValueError:
                 fh.seek(0)
                 raise ValueError(_first_bad_line(read, fh.readlines(), header)) from None
-    return {name: table[f"f{j}"].astype(str) if types[name] is object else table[f"f{j}"]
-            for j, name in wanted.items()}
+    return {name: table[f"f{j}"] for j, name in wanted.items()}
 
 
 def _first_bad_line(read, lines, header) -> str:
@@ -486,22 +486,26 @@ def cmd_fit(config, out_dir, workers, report):
 
 def read_shots_csv(path):
     """Signals per scenario from a shots.csv written by simulate, as a
-    (shots, rounds) matrix in shot order. Every (scenario, shot, round)
+    (shots, rounds) matrix in shot order, keyed by the scenario cells as
+    written, in code-point order. Every (scenario, shot, round)
     must have exactly one row, so a loss-detection file, whose shot
     numbers restart for every analyzer phase, is rejected."""
     try:
         cols = _read_columns(path, {"scenario": object, "shot": np.int64, "round": np.int64,
                                     "signal": float})
-        names, code = np.unique(cols["scenario"], return_inverse=True)
+        scenario = cols["scenario"].tolist()
+        names = sorted(set(scenario))
+        code = np.fromiter(map({name: k for k, name in enumerate(names)}.__getitem__, scenario), np.intp)
         out = {}
-        for k, name in enumerate(names.tolist()):
+        for k, name in enumerate(names):
             mine = code == k
             shots, shot_index = np.unique(cols["shot"][mine], return_inverse=True)
             rnd = cols["round"][mine]
             n_rounds = int(rnd.max()) + 1
-            cell = shot_index * n_rounds + rnd
-            if rnd.min() < 0 or cell.size != shots.size * n_rounds or np.bincount(cell).max() > 1:
-                raise ValueError(f"scenario {name} has {cell.size} rows for {shots.size} shots "
+            # the sizes are compared as Python ints before any cell index is formed
+            if rnd.min() < 0 or rnd.size != shots.size * n_rounds or np.bincount(
+                    cell := shot_index * n_rounds + rnd).max() > 1:
+                raise ValueError(f"scenario {name} has {rnd.size} rows for {shots.size} shots "
                                  f"x {n_rounds} rounds, not one per (scenario, shot, round)")
             if not np.all(np.isfinite(cols["signal"][mine])):
                 raise ValueError(f"scenario {name} has a non-finite signal")

@@ -201,8 +201,8 @@ class ShotTable:
     ``signals`` and ``ancilla_labels`` have one column per imaging round
     (NaN signals where nothing was imaged); ``data_n`` is -1 where no
     Fock number was read out. ``aux`` is the analyzer phase (loss
-    detection), the initial Fock number (cooling) or None; ``events``
-    counts the stochastic events by kind (gates.EVENT_KINDS).
+    detection), the initial Fock number (cooling) or "" (readout);
+    ``events`` counts the stochastic events by kind (gates.EVENT_KINDS).
     """
 
     scenario: np.ndarray
@@ -212,14 +212,13 @@ class ShotTable:
     data_label: np.ndarray
     data_n: np.ndarray
     data_lost: np.ndarray
-    aux: np.ndarray = None
+    aux: np.ndarray
     events: Counter = field(default_factory=Counter)
 
     @classmethod
     def concat(cls, tables, order=slice(None)) -> "ShotTable":
         """The tables' rows joined, then taken in `order`."""
-        return cls(**{f.name: None if tables[0].aux is None and f.name == "aux"
-                      else np.concatenate([getattr(t, f.name) for t in tables])[order] for f in fields(cls)
+        return cls(**{f.name: np.concatenate([getattr(t, f.name) for t in tables])[order] for f in fields(cls)
                       if f.name != "events"}, events=sum((t.events for t in tables), Counter()))
 
 
@@ -385,7 +384,7 @@ def run_repeated_readout(config: ProtocolConfig) -> ShotTable:
             cnot_block(batch, config.comp_phase, config.local_z_phase)
             signals[:, rnd], labels[:, rnd] = image_ancilla(batch, imaging)
             heating_jump(batch, imaging.data_heating_quanta_per_round)
-        return signals, labels, *measure_data(batch), None
+        return signals, labels, *measure_data(batch), np.full(batch.size, "")
 
     return _run_chunks(config, [((SCENARIOS.index(s),), s) for s in config.scenarios], ElectronicLevel.UP, circuit)
 

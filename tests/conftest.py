@@ -1,7 +1,9 @@
 """The CLI preset loader, the Simpson response oracle, shared
 synthetic-spectrum generators, the sideband peak-ratio oracle, the scalar
 sideband-ladder loop, the least-squares fit references and the
-Gauss-Newton polish oracle, the rotation matrix and the matrix rotation,
+Gauss-Newton polish oracle, the per-prior threshold scan and the
+string-sorting shots.csv reader that the shared scan and the scenario
+keying replaced, the rotation matrix and the matrix rotation,
 two-outcome level draw and clamped k-column draw that the gate layer
 replaced, the local Z gate and the sequential ancilla-flip block built on
 it, the dense ideal red-sideband map and its einsum application, the
@@ -15,11 +17,13 @@ and acceptance tests."""
 import json
 import math
 import os
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from tweezersim import cli, kernels, protocols
+from tweezersim.analysis import DetectionResult
 from tweezersim.dynamics import (
     NoiseRealization,
     PulseKind,
@@ -280,6 +284,44 @@ def multistart_reference_fit(spectrum, double=False):
     if shots is not None:
         x = best_fit(1.0 / analysis._model_reweight(se, shots, model(f, x)) ** 2, [x])
     return x
+
+
+def per_prior_threshold(signals_present, signals_absent, p1, n_cyc=None):
+    """analysis.optimize_threshold as one scan per prior: it sorts both
+    classes and builds the candidates and exceedance curves for every call."""
+    sp = np.sort(np.asarray(signals_present, dtype=float))
+    sa = np.sort(np.asarray(signals_absent, dtype=float))
+    if p1 in (0.0, 1.0):
+        warnings.warn("degenerate prior: classifying everything as the prior class is optimal", stacklevel=2)
+    present_higher = np.mean(sp) >= np.mean(sa)
+    pooled = np.unique(np.concatenate([sp, sa]))
+    span = max(pooled[-1] - pooled[0], 1.0)
+    mids = (pooled[:-1] + pooled[1:]) / 2.0
+    cands = np.concatenate([[pooled[0] - 0.5 * span], mids, [pooled[-1] + 0.5 * span]])
+    above_p = 1.0 - np.searchsorted(sp, cands, side="right") / sp.size
+    above_a = 1.0 - np.searchsorted(sa, cands, side="right") / sa.size
+    f1, f0 = (above_p, 1.0 - above_a) if present_higher else (1.0 - above_p, above_a)
+    f = p1 * f1 + (1 - p1) * f0
+    best = int(np.argmax(f))
+    return DetectionResult(threshold=float(cands[best]), fidelity=float(f[best]), f1=float(f1[best]),
+                           f0=float(f0[best]), p1=p1, n_cyc=n_cyc, orientation=1 if present_higher else -1)
+
+
+def string_sorted_read_shots(path):
+    """cli.read_shots_csv with the scenario column turned into a numpy
+    string array (which drops trailing NULs) and keyed by np.unique."""
+    cols = cli._read_columns(path, {"scenario": object, "shot": np.int64, "round": np.int64, "signal": float})
+    names, code = np.unique(cols["scenario"].astype(str), return_inverse=True)
+    out = {}
+    for k, name in enumerate(names.tolist()):
+        mine = code == k
+        shots, shot_index = np.unique(cols["shot"][mine], return_inverse=True)
+        rnd = cols["round"][mine]
+        n_rounds = int(rnd.max()) + 1
+        matrix = np.empty(rnd.size)
+        matrix[shot_index * n_rounds + rnd] = cols["signal"][mine]
+        out[name] = matrix.reshape(shots.size, n_rounds)
+    return out
 
 
 def rotation_matrix(theta, phi):

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from conftest import (
     least_squares_polish,
     make_gaussian_spectrum,
     multistart_reference_fit,
+    per_prior_threshold,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +30,7 @@ from tweezersim.analysis import (
     nonthermal_correction,
     optimize_threshold,
     optimize_threshold_analytic,
+    optimize_thresholds,
     profile_likelihood_cooling_peak,
     temperature_from_spectrum,
 )
@@ -682,6 +686,53 @@ class TestThresholds:
     def test_tie_breaks_toward_lower_threshold(self):
         res = optimize_threshold(np.array([2.0, 3.0]), np.array([0.0, 1.0]), p1=0.5)
         assert res.threshold < 2.0
+
+    @staticmethod
+    def _threshold_case(rng, kind):
+        n_p, n_a = rng.integers(1, 80, 2)
+        if kind == "ties":  # few distinct values, so samples tie within and across classes
+            return rng.integers(2, 7, n_p).astype(float), rng.integers(0, 5, n_a).astype(float)
+        if kind == "reversed":  # present below absent: orientation -1
+            return rng.normal(0.0, 1.0, n_p), rng.normal(2.0, 1.0, n_a)
+        if kind == "identical":
+            same = rng.normal(0.0, 1.0, n_p)
+            return same, same.copy()
+        return rng.normal(2.0, 1.5, n_p) * 10.0 ** rng.integers(-3, 4), rng.normal(0.0, 1.0, n_a)
+
+    @pytest.mark.parametrize("kind", ["ties", "reversed", "identical", "normal"])
+    def test_shared_scan_matches_per_prior_scans(self, kind):
+        rng = np.random.default_rng(["ties", "reversed", "identical", "normal"].index(kind))
+        orientations = set()
+        for case in range(150):
+            present, absent = self._threshold_case(rng, kind)
+            priors = [0.0, 1.0, 0.5, 0.5, *rng.random(3).tolist()]
+            priors = [priors[i] for i in rng.permutation(len(priors))]
+            n_cyc = int(rng.integers(1, 5))
+            with warnings.catch_warnings(record=True) as shared_warnings:
+                warnings.simplefilter("always")
+                shared = optimize_thresholds(present, absent, priors, n_cyc=n_cyc)
+            with warnings.catch_warnings(record=True) as one_warnings:
+                warnings.simplefilter("always")
+                one = [optimize_threshold(present, absent, p1, n_cyc=n_cyc) for p1 in priors]
+            with warnings.catch_warnings(record=True) as reference_warnings:
+                warnings.simplefilter("always")
+                reference = [per_prior_threshold(present, absent, p1, n_cyc=n_cyc) for p1 in priors]
+            assert len(shared_warnings) == len(one_warnings) == len(reference_warnings) == 2
+            for results in (shared, one):  # repr keeps every bit, -0.0 included
+                assert [repr(dataclasses.astuple(r)) for r in results] == [
+                    repr(dataclasses.astuple(r)) for r in reference], (kind, case)
+            orientations.add(shared[0].orientation)
+            if kind == "identical":  # every threshold is as good as any other
+                assert all(r.fidelity == max(r.p1, 1 - r.p1) for r in shared)
+        if kind == "reversed":
+            assert -1 in orientations
+
+    def test_shared_scan_validates_every_prior_first(self):
+        with pytest.raises(ValidationError, match="got 1.5"):
+            optimize_thresholds([1.0], [0.0], [0.5, 1.5])
+        with pytest.raises(ValidationError, match="one sample per class"):
+            optimize_thresholds([], [0.0], [0.5])
+        assert optimize_thresholds([1.0], [0.0], []) == []
 
 
 class TestAggregation:

@@ -9,7 +9,7 @@ import threading
 
 import numpy as np
 import pytest
-from conftest import preset_config
+from conftest import per_prior_threshold, preset_config, string_sorted_read_shots
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -191,6 +191,23 @@ def csv_inputs(tmp_path_factory):
     assert main(["simulate", "--config", sim, "--out", str(tmp / "sim")]) == 0
     return {"fit": (tmp / "spec" / "spectrum.csv").read_text(),
             "detect": (tmp / "sim" / "shots.csv").read_text()}
+
+
+@pytest.fixture(scope="module")
+def fig2_shots(tmp_path_factory):
+    """The text of the shots.csv of a 12-shot fig2 run (4 rounds)."""
+    tmp = tmp_path_factory.mktemp("fig2_shots")
+    sim = _write_config(tmp, **preset_config("fig2", shots=12))
+    assert main(["simulate", "--config", sim, "--seed", "5", "--out", str(tmp / "sim")]) == 0
+    return (tmp / "sim" / "shots.csv").read_text()
+
+
+def _detect_exit(tmp_path, shots_text):
+    """detect's exit code on a shots.csv holding shots_text, fig2's detect section."""
+    (tmp_path / "shots.csv").write_text(shots_text)
+    cfg = preset_config("fig2")
+    cfg["detect"]["input_csv"] = "shots.csv"
+    return main(["detect", "--config", _write_config(tmp_path, **cfg), "--out", str(tmp_path / "o")])
 
 
 class TestCliRuns:
@@ -1019,12 +1036,11 @@ def _reference_csv(header, rows) -> bytes:
 
 def _reference_shot_rows(table):
     """One row per shot per round, as the row-at-a-time writer built them."""
-    aux = [""] * len(table.shot) if table.aux is None else table.aux.tolist()
     data_n = [None if n < 0 else n for n in table.data_n.tolist()]
     rows = zip(
         table.scenario.tolist(), table.shot.tolist(), table.signals.tolist(),
         table.ancilla_labels.tolist(), table.data_label.tolist(), data_n,
-        table.data_lost.tolist(), aux,
+        table.data_lost.tolist(), table.aux.tolist(),
     )
     for scenario, shot, sig, lab, data_label, n, lost, extra in rows:
         for rnd, (signal, label) in enumerate(zip(sig, lab)):
@@ -1038,7 +1054,7 @@ def _random_table(seed, shots, rounds, aux_kind):
     signals.flat[:3] = [0.1, -0.0, np.inf][: signals.size]
     data_n = rng.integers(-1, 15, shots)
     aux = {
-        None: None,
+        "empty": np.full(shots, ""),
         "float": rng.choice([0.0, np.pi / 2, 1e-300, -2.5], shots),
         "int": rng.integers(0, 30, shots),
     }[aux_kind]
@@ -1055,7 +1071,7 @@ def _random_table(seed, shots, rounds, aux_kind):
 
 
 class TestCsvIO:
-    @pytest.mark.parametrize("aux_kind", [None, "float", "int"])
+    @pytest.mark.parametrize("aux_kind", ["empty", "float", "int"])
     @pytest.mark.parametrize("shots, rounds", [(0, 2), (7, 1), (1500, 3)])
     def test_shot_csv_matches_row_writer(self, tmp_path, shots, rounds, aux_kind):
         table = _random_table(shots + rounds, shots, rounds, aux_kind)
@@ -1077,7 +1093,7 @@ class TestCsvIO:
         assert path.read_bytes() == _reference_csv(header, rows)
 
     def test_reader_inverts_writer_in_any_row_order(self, tmp_path):
-        table = _random_table(3, 1500, 3, None)
+        table = _random_table(3, 1500, 3, "empty")
         table.signals[~np.isfinite(table.signals)] = 0.5  # the reader rejects non-finite ones
         path = tmp_path / "shots.csv"
         cli.write_csv(path, cli.SHOT_HEADER, cli.shot_columns(table))
@@ -1091,6 +1107,63 @@ class TestCsvIO:
             for name, matrix in matrices.items():
                 np.testing.assert_array_equal(matrix, table.signals[table.scenario == name])
 
+    def test_reader_keys_scenarios_as_the_string_sort_did(self, tmp_path):
+        # a third name and names that sort apart from ASCII order, rows in a random order
+        table = _random_table(5, 900, 3, "empty")
+        table.signals[~np.isfinite(table.signals)] = 0.5
+        table.scenario = np.random.default_rng(6).choice(["present", "absent", "Zeta", "\u03c9mega"], 900)
+        path = tmp_path / "shots.csv"
+        cli.write_csv(path, cli.SHOT_HEADER, cli.shot_columns(table))
+        header, *lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        np.random.default_rng(7).shuffle(lines)
+        path.write_text(header + "".join(lines), encoding="utf-8")
+        got, want = read_shots_csv(str(path)), string_sorted_read_shots(str(path))
+        assert list(got) == list(want) == ["Zeta", "absent", "present", "\u03c9mega"]
+        for name, matrix in got.items():
+            assert matrix.dtype == want[name].dtype and matrix.shape == want[name].shape
+            np.testing.assert_array_equal(matrix, want[name])
+            np.testing.assert_array_equal(matrix, table.signals[table.scenario == name])
+
+    def test_detection_table_shares_one_scan_per_round_count(self, monkeypatch):
+        rng = np.random.default_rng(38)
+        present = rng.poisson(3.0, (300, 4)).astype(float)  # integer signals: many ties
+        absent = rng.poisson(0.5, (250, 4)).astype(float)
+        priors, rounds = [0.9, 0.5, 0.9], [4, 1, 4]
+        want = []
+        for p1 in priors:  # priors outer, each (p1, n) scanned alone
+            for n in rounds:
+                r = per_prior_threshold(analysis.aggregate_signals(present, n),
+                                        analysis.aggregate_signals(absent, n), p1, n)
+                want.append((p1, n, r.threshold, r.fidelity, r.f1, r.f0))
+        scans = []
+        shared = analysis.optimize_thresholds
+        monkeypatch.setattr(cli, "optimize_thresholds",
+                            lambda *args, **kw: scans.append(kw["n_cyc"]) or shared(*args, **kw))
+        assert repr(cli._detection_table(present, absent, priors, rounds)) == repr(want)
+        assert scans == [4, 1]
+
+    @pytest.mark.parametrize("value", [str(2**63 - 1), str(-(2**63 - 1)), str(-(2**63)), str(2**64), "",
+                                       "nan", "inf", "1e400", "x", "1,2"],
+                             ids=["int64-max", "minus-int64-max", "int64-min", "2**64", "empty", "nan",
+                                  "inf", "1e400", "letter", "extra-comma"])
+    @pytest.mark.parametrize("column", ["scenario", "shot", "round", "signal"])
+    @pytest.mark.parametrize("row", [3, 60], ids=["present-row", "absent-row"])
+    def test_detect_corrupted_cell_exits_0_or_2(self, tmp_path, capsys, fig2_shots, row, column, value):
+        # an exception that escapes main is the console script's exit 1 with a traceback
+        lines = fig2_shots.splitlines()
+        cells = lines[row].split(",")
+        cells[cli.SHOT_HEADER.index(column)] = value
+        lines[row] = ",".join(cells)
+        code = _detect_exit(tmp_path, "".join(f"{line}\n" for line in lines))
+        err = capsys.readouterr().err
+        assert code in (0, 2) and "Traceback" not in err
+        assert (code == 2) == bool(err)
+
+    def test_detect_compares_scenario_cells_as_written(self, tmp_path, capsys, fig2_shots):
+        # a trailing NUL makes another name: no present rows are left
+        assert _detect_exit(tmp_path, fig2_shots.replace("\npresent,", "\npresent\0,")) == 2
+        assert "detect.input_csv must hold present and absent scenarios" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "rows, reason",
         [
@@ -1102,11 +1175,14 @@ class TestCsvIO:
              "line 4, column shot: '99999999999999999999' is not a 64-bit integer"),
             (["present,1,99999999999999999999,1.5,up,up,0,0,"],
              "line 4, column round: '99999999999999999999' is not a 64-bit integer"),
+            # shots x rounds is compared as Python ints before any int64 cell index is formed
+            (["present,0,9223372036854775807,1.0,down,up,0,0,"],
+             "scenario present has 2 rows for 1 shots x 9223372036854775808 rounds"),
             # a blank line is skipped but still counted
             (["", "present,1,0,#1.5,up,up,0,0,"], "line 5, column signal: '#1.5' is not a number"),
         ],
         ids=["ragged-row", "repeated-cell", "missing-round", "nan-signal", "shot-overflow",
-             "round-overflow", "blank-line-then-bad-cell"],
+             "round-overflow", "round-int64-max", "blank-line-then-bad-cell"],
     )
     def test_detect_rejects_malformed_shots_csv(self, tmp_path, capsys, rows, reason):
         lines = [",".join(cli.SHOT_HEADER), "present,0,0,1.5,up,up,0,0,",

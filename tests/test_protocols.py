@@ -79,9 +79,8 @@ def _ideal_config(kind, **kw):
 
 def _columns(table):
     """Every column of a shot table, for exact comparisons."""
-    cols = [table.scenario, table.shot, table.signals, table.ancilla_labels,
-            table.data_label, table.data_n, table.data_lost]
-    return cols + ([] if table.aux is None else [table.aux])
+    return [table.scenario, table.shot, table.signals, table.ancilla_labels,
+            table.data_label, table.data_n, table.data_lost, table.aux]
 
 
 def _assert_tables_equal(a, b):
@@ -514,7 +513,7 @@ class TestLockstepOracle:
                 assert reference or got["cz_leakage_data"] and got["cz_leakage_anc"]  # leaks fired
             else:
                 np.testing.assert_array_equal(got, want)
-                assert got is None or got.dtype == want.dtype
+                assert got.dtype == want.dtype
 
     def test_one_kernel_call_per_pulse(self, monkeypatch):
         # one shot of 2 scenarios x 2 phases: the present jobs' rows share
