@@ -1,11 +1,14 @@
 """Config-driven command-line entry point.
 
-Subcommands: simulate, response, spectrum, fit, detect, cool. Every run
-writes machine-readable outputs (CSV with a fixed documented column
-order, floats at 17 significant digits) plus a report.json echoing the
-validated config so the run can be reproduced bit-exactly. The JSON
-outputs (report.json, fit.json, budget.json) are compact, one line with
-sorted keys; `python -m json.tool FILE` pretty-prints one.
+Subcommands: simulate, response, spectrum, fit, detect, cool, each a
+`cmd_*(config, report) -> results` that writes its outputs through the
+run's RunReport and returns the results report.json records, next to the
+run's warnings. Every run writes machine-readable outputs (CSV with a
+fixed documented column order, floats at 17 significant digits) plus a
+report.json echoing the validated config so the run can be reproduced
+bit-exactly. The JSON outputs (report.json, fit.json, budget.json) are
+compact, one line with sorted keys; `python -m json.tool FILE`
+pretty-prints one.
 
 Flags: --config PATH, --seed U64, --threads N, --out DIR, --dump-config.
 Environment overrides (lower precedence than flags): TWEEZERSIM_SEED,
@@ -117,8 +120,12 @@ def write_json(path, payload):
 
 
 class RunReport:
-    def __init__(self, command, config, seed, workers):
-        self.t0 = time.time()
+    """One run's report.json payload, and the writer of its outputs: `csv`
+    and `json` write a file into out_dir and list its name in `outputs`."""
+
+    def __init__(self, command, config, seed, out_dir, workers):
+        self.t0 = time.perf_counter()
+        self.out_dir, self.workers = out_dir, workers
         self.payload = {
             "artifact": "tweezersim",
             "version": __version__,
@@ -127,18 +134,19 @@ class RunReport:
             "workers": workers,
             "config": config,
             "outputs": [],
-            "results": {},
-            "warnings": [],
         }
 
-    def add_output(self, path):
-        self.payload["outputs"].append(os.path.basename(path))
+    def csv(self, name, header, columns):
+        write_csv(os.path.join(self.out_dir, name), header, columns)
+        self.payload["outputs"].append(name)
 
-    def write(self, out_dir):
-        self.payload["wall_time_s"] = time.time() - self.t0
-        path = os.path.join(out_dir, "report.json")
-        write_json(path, self.payload)
-        return path
+    def json(self, name, payload):
+        write_json(os.path.join(self.out_dir, name), payload)
+        self.payload["outputs"].append(name)
+
+    def write(self):
+        self.payload["wall_time_s"] = time.perf_counter() - self.t0
+        write_json(os.path.join(self.out_dir, "report.json"), self.payload)
 
 
 # ---------------------------------------------------------------------------
@@ -171,12 +179,9 @@ def _event_counts(events):
 # subcommands
 
 
-def cmd_simulate(config, out_dir, workers, report):
+def cmd_simulate(config, report):
     kind = config["protocol"]["kind"]
-    base_dir = config.get("_base_dir", ".")
-    if kind == "sideband_scan":
-        return cmd_spectrum(config, out_dir, workers, report)
-    pconf = build_protocol(config, base_dir, workers)
+    pconf = build_protocol(config, report.workers)
     if kind == "repeated_readout":
         table = run_repeated_readout(pconf)
         results = _readout_summary(table, pconf)
@@ -185,26 +190,17 @@ def cmd_simulate(config, out_dir, workers, report):
         results = _loss_summary(table, fringe, pconf)
         phis, up, err = (np.concatenate(c) for c in zip(*fringe.values()))
         scenarios = np.repeat(list(fringe), [v[0].size for v in fringe.values()])
-        fpath = os.path.join(out_dir, "fringe.csv")
-        write_csv(fpath, ["scenario", "phase_rad", "p_up", "stderr", "shots"],
-                  [scenarios, phis, up, err, np.full(phis.size, pconf.shots)])
-        report.add_output(fpath)
+        report.csv("fringe.csv", ["scenario", "phase_rad", "p_up", "stderr", "shots"],
+                   [scenarios, phis, up, err, np.full(phis.size, pconf.shots)])
     elif kind == "algorithmic_cooling":
         table, results = run_algorithmic_cooling(pconf)
     else:  # phase_calibration
         table = calibrate_phase(pconf)
-        path = os.path.join(out_dir, "phase_calibration.csv")
-        write_csv(path, ["phase_rad"] + [f"p_down_{s}" for s in pconf.scenarios],
-                  [table["phases"]] + [table["p_down"][s] for s in pconf.scenarios])
-        report.add_output(path)
-        report.payload["results"] = {"data_state_deviation": table["data_state_deviation"]}
-        return
-    path = os.path.join(out_dir, "shots.csv")
-    write_csv(path, SHOT_HEADER, shot_columns(table))
-    report.add_output(path)
-    results["events"] = _event_counts(table.events)
-    results["rng_scheme"] = RNG_SCHEME
-    report.payload["results"] = results
+        report.csv("phase_calibration.csv", ["phase_rad"] + [f"p_down_{s}" for s in pconf.scenarios],
+                   [table["phases"]] + [table["p_down"][s] for s in pconf.scenarios])
+        return {"data_state_deviation": table["data_state_deviation"]}
+    report.csv("shots.csv", SHOT_HEADER, shot_columns(table))
+    return results | {"events": _event_counts(table.events), "rng_scheme": RNG_SCHEME}
 
 
 def _detection_table(present, absent, priors, rounds):
@@ -247,8 +243,7 @@ def _loss_summary(table, fringe, pconf):
     return out
 
 
-def cmd_response(config, out_dir, workers, report):
-    del workers
+def cmd_response(config, report):
     sec = config["response"]
     trap = build_trap(config)
     rabi = TWO_PI * config["pulse"]["rabi_hz"]
@@ -272,7 +267,7 @@ def cmd_response(config, out_dir, workers, report):
                 }.get(exc.field) or f"{eta} and pulse.rabi_hz"  # a null response.duration_s is the pi time
         raise ValidationError(f"{keys}: {exc}") from None
     rf = response_function(query)
-    noise = build_noise(config, config.get("_base_dir", "."))
+    noise = build_noise(config)
     channel_spec = noise.channel(sec["channel"])
     try:
         b = budget(noise, {sec["channel"]: rf})
@@ -289,10 +284,8 @@ def cmd_response(config, out_dir, workers, report):
         )
         columns += [s_interp, s_interp * rf.values]
         header += ["psd", "psd_times_response"]
-    path = os.path.join(out_dir, "response.csv")
-    write_csv(path, header, columns)
-    report.add_output(path)
-    payload = {
+    report.csv("response.csv", header, columns)
+    report.json("budget.json", {
         "channel": sec["channel"],
         "eta": trap.eta,
         "rabi_hz": config["pulse"]["rabi_hz"],
@@ -300,11 +293,8 @@ def cmd_response(config, out_dir, workers, report):
         "contributions": b.contributions,
         "provenance": b.provenance,
         "total": b.total,
-    }
-    bpath = os.path.join(out_dir, "budget.json")
-    write_json(bpath, payload)
-    report.add_output(bpath)
-    report.payload["results"] = {"chi_total": b.total}
+    })
+    return {"chi_total": b.total}
 
 
 def _spectrum_grid(config, trap):
@@ -321,8 +311,7 @@ def _spectrum_grid(config, trap):
 SPECTRUM_HEADER = ["detuning_hz", "p_exc", "stderr", "shots"]
 
 
-def cmd_spectrum(config, out_dir, workers, report):
-    del workers
+def cmd_spectrum(config, report):
     sec = config["spectrum"]
     trap = build_trap(config)
     n_max = config["protocol"]["n_max"]
@@ -340,15 +329,10 @@ def cmd_spectrum(config, out_dir, workers, report):
         include_carrier=sec["include_carrier"],
         wrong_state_fraction=sec["wrong_state_fraction"],
     )
-    path = os.path.join(out_dir, "spectrum.csv")
-    write_csv(path, SPECTRUM_HEADER,
-              [spectrum.detuning_hz, spectrum.p_exc, spectrum.stderr, spectrum.shots])
-    report.add_output(path)
-    report.payload["results"] = {
-        "nbar": sec["nbar"],
-        "after_cooling": sec["after_cooling"],
-        "points": int(spectrum.detuning_hz.size),
-    }
+    report.csv("spectrum.csv", SPECTRUM_HEADER,
+               [spectrum.detuning_hz, spectrum.p_exc, spectrum.stderr, spectrum.shots])
+    return {"nbar": sec["nbar"], "after_cooling": sec["after_cooling"],
+            "points": int(spectrum.detuning_hz.size)}
 
 
 def _read_columns(path, types, optional=()):
@@ -421,8 +405,7 @@ def read_spectrum_csv(path) -> SidebandSpectrum:
         raise ValidationError(f"fit.input_csv: {path} is not a spectrum CSV: {exc}") from None
 
 
-def cmd_fit(config, out_dir, workers, report):
-    del workers
+def cmd_fit(config, report):
     sec = config["fit"]
     spectrum = read_spectrum_csv(_input_csv(config, "fit"))
     trap = build_trap(config)
@@ -478,10 +461,8 @@ def cmd_fit(config, out_dir, workers, report):
                 ),
             }
         )
-    fpath = os.path.join(out_dir, "fit.json")
-    write_json(fpath, payload)
-    report.add_output(fpath)
-    report.payload["results"] = {"mode": sec["mode"]}
+    report.json("fit.json", payload)
+    return {"mode": sec["mode"]}
 
 
 def read_shots_csv(path):
@@ -517,23 +498,20 @@ def read_shots_csv(path):
         raise ValidationError(f"detect.input_csv: {path} is not a shots CSV: {exc}") from None
 
 
-def cmd_detect(config, out_dir, workers, report):
-    del workers
+def cmd_detect(config, report):
     sec = config["detect"]
     matrices = read_shots_csv(_input_csv(config, "detect"))
     if "present" not in matrices or "absent" not in matrices:
         raise ValidationError("detect.input_csv must hold present and absent scenarios")
     rows = _detection_table(matrices["present"], matrices["absent"],
                             config["protocol"]["p1_priors"], sec["n_cyc_list"])
-    path = os.path.join(out_dir, "detect.csv")
-    write_csv(path, DETECT_HEADER, zip(*rows))
-    report.add_output(path)
-    report.payload["results"] = {"rows": len(rows)}
+    report.csv("detect.csv", DETECT_HEADER, zip(*rows))
+    return {"rows": len(rows)}
 
 
-def cmd_cool(config, out_dir, workers, report):
+def cmd_cool(config, report):
     pconf = dataclasses.replace(
-        build_protocol(config, config.get("_base_dir", "."), workers),
+        build_protocol(config, report.workers),
         kind="algorithmic_cooling",
         data_psi=config["protocol"]["data_psi"],  # null: the cooling default
     )
@@ -552,15 +530,11 @@ def cmd_cool(config, out_dir, workers, report):
     # that the truncation cannot shift it: equals 1 - q^2
     ideal = [remove_one_quantum(thermal_distribution(ThermalSpec(nbar=v, n_max=400)))[0]
              for v in nbar.tolist()]
-    path = os.path.join(out_dir, "cool.csv")
     header = ["nbar_init", "p0_init", "p0_ideal", "p0_measured", "p0_measured_correct_state",
               "wrong_state_fraction", "shots", "stderr"]
-    write_csv(path, header, [nbar, 1.0 - nbar / (nbar + 1.0), ideal, meas, correct, wrong,
-                             shots, binomial_stderr(meas, shots)])
-    report.add_output(path)
-    report.payload["results"] = {
-        "points": int(nbar.size), "events": _event_counts(events), "rng_scheme": RNG_SCHEME,
-    }
+    report.csv("cool.csv", header, [nbar, 1.0 - nbar / (nbar + 1.0), ideal, meas, correct, wrong,
+                                    shots, binomial_stderr(meas, shots)])
+    return {"points": int(nbar.size), "events": _event_counts(events), "rng_scheme": RNG_SCHEME}
 
 
 COMMANDS = {
@@ -643,10 +617,14 @@ def main(argv=None) -> int:
         os.makedirs(out_dir, exist_ok=True)
         # the echo shares the config's values: nothing changes the config after this
         echo = {k: v for k, v in config.items() if not k.startswith("_")}
-        report = RunReport(args.command, echo, config["seed"], workers)
-        COMMANDS[args.command](config, out_dir, workers, report)
-        rpath = report.write(out_dir)
-        print(f"wrote {', '.join(report.payload['outputs'] + [os.path.basename(rpath)])} to {out_dir}")
+        report = RunReport(args.command, echo, config["seed"], out_dir, workers)
+        with warnings.catch_warnings(record=True) as caught:  # the filters stay as they are
+            report.payload["results"] = COMMANDS[args.command](config, report)
+        report.payload["warnings"] = list(dict.fromkeys(str(w.message) for w in caught))
+        for message in report.payload["warnings"]:
+            print(f"warning: {message}", file=sys.stderr)
+        report.write()
+        print(f"wrote {', '.join(report.payload['outputs'] + ['report.json'])} to {out_dir}")
         return 0
     except ValidationError as exc:
         print(f"config error: {exc}", file=sys.stderr)

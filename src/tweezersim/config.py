@@ -345,7 +345,7 @@ def build_imaging(config: dict) -> ImagingSpec:
         raise ValidationError(f"imaging.target_single_round_fidelity: {exc}") from None
 
 
-def build_protocol(config: dict, base_dir: str = ".", workers: int = 1) -> ProtocolConfig:
+def build_protocol(config: dict, workers: int = 1) -> ProtocolConfig:
     sec = config["protocol"]
     analyzer = sec["analyzer_phases_rad"]
     same_name = ("kind", "shots", "n_cyc", "n_max", "data_psi", "data_nbar", "steps_per_pulse",
@@ -359,7 +359,7 @@ def build_protocol(config: dict, base_dir: str = ".", workers: int = 1) -> Proto
         imaging=build_imaging(config),
         trap=build_trap(config),
         rabi=TWO_PI * config["pulse"]["rabi_hz"],
-        noise=build_noise(config, base_dir),
+        noise=build_noise(config),
         comp_phase=sec["comp_phase_rad"],
         local_z_phase=sec["local_z_phase_rad"],
         workers=workers,

@@ -72,7 +72,6 @@ PROTOCOL_KINDS = (
     "loss_detection",
     "algorithmic_cooling",
     "phase_calibration",
-    "sideband_scan",
 )
 
 #: Shots per chunk. A constant, so that no output depends on the worker

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -270,18 +271,6 @@ class TestCliRuns:
         assert err.startswith("config error: noise.laser_frequency.csv: line 3 is not two numbers")
         assert "2O00" in err and "Traceback" not in err
 
-    def test_simulate_sideband_scan_is_the_spectrum_command(self, tmp_path):
-        # simulate routes protocol.kind sideband_scan to spectrum: same bytes, same results
-        path = _write_config(tmp_path, **preset_config("fig4", kind="sideband_scan"))
-        runs = {"spectrum": ["spectrum", "--config", "fig4"], "simulate": ["simulate", "--config", path]}
-        for name, args in runs.items():
-            assert main([*args, "--seed", "11", "--out", str(tmp_path / name)]) == 0
-        spectrum, simulate = (tmp_path / "spectrum", tmp_path / "simulate")
-        assert (simulate / "spectrum.csv").read_bytes() == (spectrum / "spectrum.csv").read_bytes()
-        assert sorted(p.name for p in simulate.iterdir()) == sorted(p.name for p in spectrum.iterdir())
-        results = [json.loads((d / "report.json").read_text())["results"] for d in (spectrum, simulate)]
-        assert results[0] == results[1] and results[0]["points"] > 0
-
     def test_simulate_writes_outputs_and_report(self, tmp_path):
         path = _write_config(
             tmp_path,
@@ -419,6 +408,7 @@ class TestCliRuns:
             ("protocol.scenarios", ["present", "present"]),  # the jobs would share one seed
             ("protocol.analyzer_phases_rad", []),
             ("protocol.data_psi", "sideways"),
+            ("protocol.kind", "sideband_scan"),  # a sideband scan is the spectrum command
             ("response.method", "numeric"),  # removed: one closed form serves every duration
             ("response.f_min_hz", -1),
             ("response.points", 0),
@@ -1377,18 +1367,28 @@ class TestCsvIO:
 
 _READOUT = {"protocol": {"kind": "repeated_readout", "shots": 40, "n_cyc": 2}}
 
-#: command, config, and the (command, config) run first into in/ for its
-#: input; one small run of each command and preset
+_FIG2_SHOTS = ("simulate", preset_config("fig2", shots=12))
+_PHASE_CALIBRATION = {"protocol": {"kind": "phase_calibration", "analyzer_phases_rad": [0.0, math.pi]},
+                      "gates": {"enabled": False}}
+
+#: command, config, the (command, config) run first into in/ for its
+#: input, and the outputs it writes, in write order; one small run of
+#: each way in: each command, preset and simulate kind, and each fit mode
 _OVERWRITE_RUNS = {
-    "simulate-fig2": ("simulate", preset_config("fig2", shots=40), None),
-    "simulate-fig3": ("simulate", preset_config("fig3", shots=8), None),
-    "simulate-fig4": ("simulate", preset_config("fig4", shots=40), None),
-    "spectrum": ("spectrum", {"spectrum": {"points_per_side": 7}}, None),
-    "fit": ("fit", {"fit": {"input_csv": "in/spectrum.csv"}}, ("spectrum", {})),
+    "simulate-fig2": ("simulate", preset_config("fig2", shots=40), None, ["shots.csv"]),
+    "simulate-fig3": ("simulate", preset_config("fig3", shots=8), None, ["fringe.csv", "shots.csv"]),
+    "simulate-fig4": ("simulate", preset_config("fig4", shots=40), None, ["shots.csv"]),
+    "simulate-phase-calibration": ("simulate", _PHASE_CALIBRATION, None, ["phase_calibration.csv"]),
+    "spectrum": ("spectrum", {"spectrum": {"points_per_side": 7}}, None, ["spectrum.csv"]),
+    "fit": ("fit", {"fit": {"input_csv": "in/spectrum.csv"}}, ("spectrum", {}), ["fit.json"]),
+    "fit-cooled": ("fit", {"fit": {"input_csv": "in/spectrum.csv", "mode": "cooled"}},
+                   ("spectrum", {"spectrum": {"after_cooling": True}}), ["fit.json"]),
     "detect": ("detect", {"detect": {"input_csv": "in/shots.csv", "n_cyc_list": [1, 2]}},
-               ("simulate", _READOUT)),
-    "cool": ("cool", preset_config("fig4", shots=40), None),
-    "response": ("response", {"response": {"points": 20}}, None),
+               ("simulate", _READOUT), ["detect.csv"]),
+    "detect-fig2": ("detect", {**preset_config("fig2"), "detect": {"input_csv": "in/shots.csv"}},
+                    _FIG2_SHOTS, ["detect.csv"]),
+    "cool": ("cool", preset_config("fig4", shots=40), None, ["cool.csv"]),
+    "response": ("response", {"response": {"points": 20}}, None, ["response.csv", "budget.json"]),
 }
 
 
@@ -1399,7 +1399,7 @@ class TestEchoedConfig:
 
     @pytest.mark.parametrize("run", list(_OVERWRITE_RUNS))
     def test_rerun_from_the_echo_keeps_every_byte(self, tmp_path, run):
-        command, cfg, inputs = _OVERWRITE_RUNS[run]
+        command, cfg, inputs, _ = _OVERWRITE_RUNS[run]
         if inputs is not None:
             path = _write_config(tmp_path, name="in.json", **inputs[1])
             assert main([inputs[0], "--config", path, "--seed", "5", "--out", str(tmp_path / "in")]) == 0
@@ -1449,7 +1449,7 @@ class TestOutputsOverwrittenInPlace:
 
     @pytest.mark.parametrize("run", list(_OVERWRITE_RUNS))
     def test_rewrite_matches_fresh_run_without_truncating_open(self, tmp_path, monkeypatch, run):
-        command, cfg, inputs = _OVERWRITE_RUNS[run]
+        command, cfg, inputs, _ = _OVERWRITE_RUNS[run]
         if inputs is not None:
             self._run(tmp_path, monkeypatch, *inputs, tmp_path / "in")
         fresh, other, rewritten = (tmp_path / name for name in ("fresh", "other", "rewritten"))
@@ -1471,3 +1471,73 @@ class TestOutputsOverwrittenInPlace:
         assert not any(flags & os.O_TRUNC for _, flags in writes)
         assert all(isinstance(f, int) or "w" not in mode for f, mode in opened
                    if isinstance(mode, str))
+
+
+_DEGENERATE_PRIOR = "degenerate prior: classifying everything as the prior class is optimal"
+_PSD_PAST_GRID = {"noise": {"laser_frequency": {"kind": "psd", "frequencies_hz": [0.0, 1e6],
+                                                "values": [1.0, 1.0]}},
+                  "response": {"channel": "laser_frequency", "points": 20}}
+
+#: command, config, input run (as in _OVERWRITE_RUNS) and the warnings its report lists
+_WARNING_RUNS = {
+    "simulate-degenerate-prior": ("simulate", preset_config("fig2", shots=12, p1_priors=[0, 0.5, 1]),
+                                  None, [_DEGENERATE_PRIOR]),
+    "detect-degenerate-prior": ("detect", {**preset_config("fig2", p1_priors=[0, 0.5, 1]),
+                                           "detect": {"input_csv": "in/shots.csv"}},
+                                _FIG2_SHOTS, [_DEGENERATE_PRIOR]),
+    "response-psd-past-grid": ("response", _PSD_PAST_GRID, None,
+                               ["PSD support extends beyond the response grid; the excess is ignored"]),
+    "simulate-fig2": ("simulate", preset_config("fig2", shots=12), None, []),
+}
+
+
+class TestRunReport:
+    """report.json lists the outputs a run wrote, in write order, as its
+    `wrote` line does, and each distinct warning the run raised once."""
+
+    @staticmethod
+    def _inputs(tmp_path, capsys, inputs):
+        if inputs is not None:
+            path = _write_config(tmp_path, name="in.json", **inputs[1])
+            assert main([inputs[0], "--config", path, "--seed", "5", "--out", str(tmp_path / "in")]) == 0
+            capsys.readouterr()
+
+    @staticmethod
+    def _run(tmp_path, capsys, command, cfg):
+        out = tmp_path / "out"
+        assert main([command, "--config", _write_config(tmp_path, **cfg), "--seed", "11",
+                     "--out", str(out)]) == 0
+        return out, json.loads((out / "report.json").read_text()), capsys.readouterr()
+
+    @pytest.mark.parametrize("run", list(_OVERWRITE_RUNS))
+    def test_outputs_are_the_files_written_in_order(self, tmp_path, monkeypatch, capsys, run):
+        command, cfg, inputs, expected = _OVERWRITE_RUNS[run]
+        self._inputs(tmp_path, capsys, inputs)
+        written, overwrite = [], cli._overwrite
+        monkeypatch.setattr(cli, "_overwrite", lambda path: written.append(os.path.basename(path))
+                            or overwrite(path))
+        out, report, captured = self._run(tmp_path, capsys, command, cfg)
+        assert written == [*expected, "report.json"]
+        assert sorted(os.listdir(out)) == sorted(written)
+        assert report["outputs"] == expected
+        assert captured.out == f"wrote {', '.join(written)} to {out}\n"
+
+    @pytest.mark.parametrize("run", list(_WARNING_RUNS))
+    def test_warnings_are_listed_once(self, tmp_path, capsys, run):
+        command, cfg, inputs, expected = _WARNING_RUNS[run]
+        self._inputs(tmp_path, capsys, inputs)
+        _, report, captured = self._run(tmp_path, capsys, command, cfg)
+        assert report["warnings"] == expected
+        assert captured.err == "".join(f"warning: {message}\n" for message in expected)
+
+    @pytest.mark.parametrize("action", ["always", "error"])
+    def test_warning_filters_stay_the_callers(self, tmp_path, capsys, action):
+        # a warning shown every time is still listed once; one made an error still raises
+        command, cfg, _, expected = _WARNING_RUNS["simulate-degenerate-prior"]
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            if action == "error":
+                with pytest.raises(UserWarning, match=_DEGENERATE_PRIOR):
+                    self._run(tmp_path, capsys, command, cfg)
+            else:
+                assert self._run(tmp_path, capsys, command, cfg)[1]["warnings"] == expected
