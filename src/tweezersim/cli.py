@@ -35,7 +35,7 @@ import sys
 import time
 import warnings
 from collections import Counter
-from itertools import chain
+from itertools import chain, groupby
 
 import numpy as np
 
@@ -75,6 +75,7 @@ from .states import ThermalSpec, remove_one_quantum, thermal_distribution
 
 FLOAT_FMT = "%.17g"
 WRITE_BLOCK_ROWS = 4096
+_CELL_FORMATS = {"f": FLOAT_FMT, "b": "%d", "i": "%d", "u": "%d"}  # by dtype kind; any other is %s
 
 
 @contextlib.contextmanager
@@ -95,21 +96,50 @@ def _overwrite(path):
 
 
 def write_csv(path, header, columns):
-    """A CSV of equal-length columns of float, int, bool or str: floats at
-    17 significant digits (nan as `nan`), bools as 0/1. Rows are formatted
-    and written in blocks, so memory does not grow with the table."""
+    """A CSV of columns of float, int, bool or str: floats at 17
+    significant digits (nan as `nan`), bools as 0/1. Every column has one
+    entry per record: 1-D, one cell, or 2-D (records, k), k cells that go
+    on the record's k lines, one each. All 2-D columns share k; a 1-D
+    cell repeats on each of its record's lines, and each run of adjacent
+    1-D columns is formatted once per record. Lines are formatted and
+    written in blocks of about WRITE_BLOCK_ROWS lines (whole records), so
+    memory does not grow with the table and a failed write leaves whole
+    records of the earlier blocks."""
     columns = [np.asarray(c) for c in columns]
-    n_rows = len(columns[0]) if columns else 0
-    if any(len(c) != n_rows for c in columns):
-        raise ValueError(f"write_csv: columns of unequal length for {path}")
-    kinds = [c.dtype.kind for c in columns]
-    row = ",".join(FLOAT_FMT if k == "f" else "%d" if k in "biu" else "%s" for k in kinds) + "\n"
+    n = len(columns[0]) if columns else 0
+    wide = {c.shape for c in columns} - {(n,)}  # {(n, k)} if there are 2-D columns
+    k = max(wide)[-1] if wide else 1
+    if wide and wide != {(n, k)}:
+        raise ValueError(f"write_csv: columns of unequal length or width for {path}")
+    fmts = [_CELL_FORMATS.get(c.dtype.kind, "%s") for c in columns]
     with _overwrite(path) as fh:
         fh.write(",".join(header) + "\n")
-        for lo in range(0, n_rows, WRITE_BLOCK_ROWS):
-            block = [c[lo : lo + WRITE_BLOCK_ROWS].tolist() for c in columns]
-            cells = tuple(chain.from_iterable(zip(*block)))  # row by row
-            fh.write((row * len(block[0])) % cells)
+        if k == 1:  # one line per record
+            row = ",".join(fmts) + "\n"
+            columns = [c.reshape(n) for c in columns] if wide else columns
+            for lo in range(0, n, WRITE_BLOCK_ROWS):
+                block = [c[lo : lo + WRITE_BLOCK_ROWS].tolist() for c in columns]
+                cells = tuple(chain.from_iterable(zip(*block)))  # row by row
+                fh.write((row * len(block[0])) % cells)
+            return
+        # runs of adjacent 2-D columns, a cell each on every line, and of adjacent
+        # 1-D columns, formatted once per record into one text cell
+        runs = []
+        for ndim, run in groupby(zip(columns, fmts), key=lambda cf: cf[0].ndim):
+            run_columns, run_fmts = zip(*run)
+            runs.append((ndim, run_columns, ",".join(run_fmts)))
+        row = ",".join(fmt if ndim == 2 else "%s" for ndim, _, fmt in runs) + "\n"
+        records = max(1, WRITE_BLOCK_ROWS // max(k, 1))  # per block: about WRITE_BLOCK_ROWS lines
+        for lo in range(0, n, records):
+            block = []
+            for ndim, run_columns, fmt in runs:
+                if ndim == 2:
+                    block += (c[lo : lo + records].ravel().tolist() for c in run_columns)
+                else:
+                    texts = list(map(fmt.__mod__, zip(*(c[lo : lo + records].tolist() for c in run_columns))))
+                    block.append(chain.from_iterable(zip(*[texts] * k)))  # each text on k lines
+            cells = tuple(chain.from_iterable(zip(*block)))  # line by line
+            fh.write((row * (min(records, n - lo) * k)) % cells)
 
 
 def write_json(path, payload):
@@ -158,16 +188,18 @@ DETECT_HEADER = ["p1", "n_cyc", "threshold", "fidelity", "f1", "f0"]
 
 
 def shot_columns(table):
-    """The SHOT_HEADER columns, one row per shot per round; `aux` carries
-    the analyzer phase for loss detection and the initial Fock number for
-    cooling, and `data_n` is empty where no Fock number was read out."""
+    """The SHOT_HEADER columns for write_csv, one record per shot: the
+    table's own per-shot arrays, and (shots, rounds) `round` (a broadcast
+    index), `signal` and `ancilla_label`, so a shot's rounds go on one line
+    each. `aux` carries the analyzer phase for loss detection and the
+    initial Fock number for cooling, and `data_n` is empty where no Fock
+    number was read out."""
     shots, rounds = table.signals.shape
-    data_n = np.where(table.data_n < 0, "", table.data_n.astype(str))
-    per_row = functools.partial(np.repeat, repeats=rounds)
+    data_n = table.data_n.astype(object)
+    data_n[table.data_n < 0] = ""
     return [
-        per_row(table.scenario), per_row(table.shot), np.tile(np.arange(rounds), shots),
-        table.signals.ravel(), table.ancilla_labels.ravel(), per_row(table.data_label),
-        per_row(data_n), per_row(table.data_lost), per_row(table.aux),
+        table.scenario, table.shot, np.broadcast_to(np.arange(rounds), (shots, rounds)),
+        table.signals, table.ancilla_labels, table.data_label, data_n, table.data_lost, table.aux,
     ]
 
 

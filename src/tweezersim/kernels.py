@@ -61,7 +61,10 @@ def _views(rows, n_steps, n_pairs):
         _local.views.clear()
     ws = _local.ws
     ab = ws[: 2 * m].reshape(2, rows, n_pairs, n_steps)  # alpha and beta
-    floats = ws.view(np.float64)[4 * m : 4 * m + 8 * q].reshape(4, 2 * q)[:, :m].reshape(4, rows, n_pairs, n_steps)
+    floats = ws.view(np.float64)[4 * m : 4 * m + 8 * q].reshape(4, 2 * q)
+    one = min(n_pairs, 1)  # h and the temporary are (rows, 1, steps): one series for every pair
+    h, tmp = (f[: rows * one * n_steps].reshape(rows, one, n_steps) for f in floats[::3])
+    r, sinc = (f[:m].reshape(rows, n_pairs, n_steps) for f in floats[1:3])
     slots = ws[2 * m : 2 * m + 4 * q].reshape(4, q)
     levels, ab_in, pingpong = [], ab, (slots[:2], ws[: 2 * m].reshape(2, m))
     while ab_in.shape[3] > 1:
@@ -71,7 +74,7 @@ def _views(rows, n_steps, n_pairs):
         tail = [(ab_out[..., -1], ab_in[..., -1])] if odd else []
         levels.append((*ab_in[..., 1 : 2 * n : 2], *ab_in[..., 0 : 2 * n : 2], *ab_out[..., :n], *temps, tail))
         ab_in = ab_out
-    _local.views[key] = (*ab, *floats, levels, *ab_in[..., 0])
+    _local.views[key] = (*ab, h, r, sinc, tmp, levels, *ab_in[..., 0])
     return _local.views[key]
 
 
@@ -89,9 +92,9 @@ def _propagate(amps0, pair_g, pair_e, coup, singles, static_diag, nvec, zvec, tr
     """
     rows, n_steps = trap.shape
     g, e = pair_g, pair_e
-    alpha, beta, h, r, sinc, tmp, levels, alpha_end, beta_end = _views(rows, n_steps, g.size)
+    alpha, beta, h, r, sinc, hh, levels, alpha_end, beta_end = _views(rows, n_steps, g.size)
     # one (rows, 1, steps) series h, shared by every pair: each has the first's coefficients
-    g1, e1, h, hh = g[:1], e[:1], h[:, :1], tmp[:, :1]
+    g1, e1 = g[:1], e[:1]
     np.multiply(trap[:, None], (0.5 * (nvec[..., e1] - nvec[..., g1]))[..., None], out=h)
     h += np.multiply(freq[:, None], (0.25 * (zvec[e1] - zvec[g1]))[:, None], out=hh)
     h += (0.5 * (static_diag[e1] - static_diag[g1]))[:, None]

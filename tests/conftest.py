@@ -3,7 +3,8 @@ synthetic-spectrum generators, the sideband peak-ratio oracle, the scalar
 sideband-ladder loop, the least-squares fit references and the
 Gauss-Newton polish oracle, the per-prior threshold scan and the
 string-sorting shots.csv reader that the shared scan and the scenario
-keying replaced, the rotation matrix and the matrix rotation,
+keying replaced, the row-at-a-time CSV writer and the per-line shot
+columns that the record writer replaced, the rotation matrix and the matrix rotation,
 two-outcome level draw and clamped k-column draw that the gate layer
 replaced, the local Z gate and the sequential ancilla-flip block built on
 it, the dense ideal red-sideband map and its einsum application, the
@@ -14,11 +15,13 @@ propagator matrix built on it, and the allocating block-propagation
 reference for response, analysis, protocol, gate, kernel, dynamics, CLI
 and acceptance tests."""
 
+import functools
 import json
 import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from itertools import chain
 
 import numpy as np
 
@@ -322,6 +325,45 @@ def string_sorted_read_shots(path):
         matrix[shot_index * n_rounds + rnd] = cols["signal"][mine]
         out[name] = matrix.reshape(shots.size, n_rounds)
     return out
+
+
+def row_write_csv(path, header, columns):
+    """Oracle for cli.write_csv: the writer it replaced, which takes one
+    1-D column per CSV column and formats every cell of every line."""
+    columns = [np.asarray(c) for c in columns]
+    n_rows = len(columns[0]) if columns else 0
+    if any(len(c) != n_rows for c in columns):
+        raise ValueError(f"write_csv: columns of unequal length for {path}")
+    kinds = [c.dtype.kind for c in columns]
+    row = ",".join(cli.FLOAT_FMT if k == "f" else "%d" if k in "biu" else "%s" for k in kinds) + "\n"
+    with cli._overwrite(path) as fh:
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, n_rows, cli.WRITE_BLOCK_ROWS):
+            block = [c[lo : lo + cli.WRITE_BLOCK_ROWS].tolist() for c in columns]
+            cells = tuple(chain.from_iterable(zip(*block)))  # row by row
+            fh.write((row * len(block[0])) % cells)
+
+
+def repeated_shot_columns(table):
+    """Oracle for cli.shot_columns: the SHOT_HEADER columns expanded to one
+    entry per shot per round, as row_write_csv takes them."""
+    shots, rounds = table.signals.shape
+    data_n = np.where(table.data_n < 0, "", table.data_n.astype(str))
+    per_row = functools.partial(np.repeat, repeats=rounds)
+    return [
+        per_row(table.scenario), per_row(table.shot), np.tile(np.arange(rounds), shots),
+        table.signals.ravel(), table.ancilla_labels.ravel(), per_row(table.data_label),
+        per_row(data_n), per_row(table.data_lost), per_row(table.aux),
+    ]
+
+
+def per_line_columns(columns):
+    """cli.write_csv's record columns as row_write_csv's line columns: a
+    2-D column raveled, a 1-D column's entries each repeated on the k lines
+    of its record (k the 2-D columns' width, 1 without any)."""
+    columns = [np.asarray(c) for c in columns]
+    k = max((c.shape[1] for c in columns if c.ndim == 2), default=1)
+    return [c.ravel() if c.ndim == 2 else np.repeat(c, k) for c in columns]
 
 
 def rotation_matrix(theta, phi):

@@ -10,7 +10,14 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import per_prior_threshold, preset_config, string_sorted_read_shots
+from conftest import (
+    per_line_columns,
+    per_prior_threshold,
+    preset_config,
+    repeated_shot_columns,
+    row_write_csv,
+    string_sorted_read_shots,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,7 +36,13 @@ from tweezersim.config import (
     validate_config,
 )
 from tweezersim.errors import ValidationError
-from tweezersim.protocols import ShotTable
+from tweezersim.protocols import (
+    ProtocolConfig,
+    ShotTable,
+    run_algorithmic_cooling,
+    run_loss_detection,
+    run_repeated_readout,
+)
 from tweezersim.response import amplitude_response_closed_form, response_closed_form
 
 
@@ -1060,6 +1073,116 @@ def _random_table(seed, shots, rounds, aux_kind):
     )
 
 
+class _Unprintable:
+    def __str__(self):
+        raise RuntimeError("cell cannot be formatted")
+
+
+def _percent_table(shots, rounds, aux_kind):
+    """A random table whose text cells hold %, %s and %%, with nan and +-inf signals."""
+    table = _random_table(shots + 10 * rounds, shots, rounds, aux_kind)
+    rng = np.random.default_rng(shots)
+    table.scenario = rng.choice(["present", "100%", "%s", "a%%b"], shots)
+    table.ancilla_labels = rng.choice(["up", "%", "%s", "%%d"], (shots, rounds))
+    table.signals.flat[3:4] = -np.inf
+    return table
+
+
+def _same_bytes(tmp_path, header, columns, expected_columns):
+    """write_csv's bytes for columns, and the row writer's for expected_columns."""
+    new, old = tmp_path / "records.csv", tmp_path / "rows.csv"
+    cli.write_csv(new, header, columns)
+    row_write_csv(old, header, expected_columns)
+    return new.read_bytes(), old.read_bytes()
+
+
+class TestRecordCsv:
+    """write_csv against the row writer it replaced, which took one entry per line."""
+
+    @pytest.mark.parametrize("aux_kind", ["empty", "float", "int"])
+    @pytest.mark.parametrize("shots", [0, 1, 9])
+    @pytest.mark.parametrize("rounds", [1, 3, 4])
+    def test_shot_tables(self, tmp_path, shots, rounds, aux_kind):
+        table = _percent_table(shots, rounds, aux_kind)
+        got, want = _same_bytes(tmp_path, cli.SHOT_HEADER, cli.shot_columns(table), repeated_shot_columns(table))
+        assert got == want and got.count(b"\n") == 1 + shots * rounds
+
+    @pytest.mark.parametrize(
+        "header, columns",
+        [
+            pytest.param(["scenario", "phase_rad", "p_up", "stderr", "shots"],
+                         [np.array(["present", "absent", "%s"]), np.array([0.0, np.pi / 2, np.nan]),
+                          np.array([0.25, 1.0, -np.inf]), np.array([0.1, 0.0, np.inf]), np.full(3, 7)],
+                         id="fringe"),
+            pytest.param(cli.SPECTRUM_HEADER,
+                         [np.linspace(-2e4, 2e4, 5), np.array([0.0, 0.5, 1.0, np.nan, 1e-300]),
+                          np.full(5, 0.01), np.full(5, 100.0)],
+                         id="spectrum"),
+            pytest.param(cli.DETECT_HEADER,
+                         [np.array([0.5, 0.5, 0.9]), np.array([1, 2, 1]), np.array([3.5, -0.25, 1e17]),
+                          np.array([0.99, 0.5, 1.0]), np.array([1.0, 0.0, 0.5]), np.array([0.98, 1.0, 2 / 3])],
+                         id="detect"),
+            pytest.param(["label"], [np.array(["%", "%%", "%s", "100%"], dtype=object)], id="percent"),
+            pytest.param(["x"], [np.array([])], id="empty"),
+        ],
+    )
+    def test_one_d_tables(self, tmp_path, header, columns):
+        got, want = _same_bytes(tmp_path, header, columns, columns)
+        assert got == want
+
+    @pytest.mark.parametrize("layout", ["2 1 2", "1 2 1 2 1", "2 2", "1 2", "2 1"])
+    @pytest.mark.parametrize("k", [0, 1, 3, 4])
+    def test_column_orders(self, tmp_path, layout, k):
+        # 1-D and 2-D columns of float, int, bool and text in any order
+        rng = np.random.default_rng(k)
+        records = 11
+        kinds = itertools.cycle([
+            lambda shape: rng.normal(size=shape) * 1e5,
+            lambda shape: rng.integers(-5, 50, shape),
+            lambda shape: rng.random(shape) < 0.5,
+            lambda shape: rng.choice(["a", "%s", "", "b%%"], shape),
+        ])
+        columns = [next(kinds)((records, k) if d == "2" else records) for d in layout.split()]
+        header = [f"c{i}" for i in range(len(columns))]
+        got, want = _same_bytes(tmp_path, header, columns, per_line_columns(columns))
+        assert got == want and got.count(b"\n") == 1 + records * k
+
+    @pytest.mark.parametrize("kind", ["repeated_readout", "loss_detection", "algorithmic_cooling"])
+    def test_protocol_tables(self, tmp_path, kind):
+        cfg = ProtocolConfig(kind=kind, shots=6, seed=41, n_cyc=3, n_max=8, ancilla_absent_prob=0.2,
+                             data_nbar=1.0 if kind == "algorithmic_cooling" else 0.0,
+                             analyzer_phases=(0.0, np.pi / 2))
+        table = {"repeated_readout": run_repeated_readout, "loss_detection": lambda c: run_loss_detection(c)[0],
+                 "algorithmic_cooling": lambda c: run_algorithmic_cooling(c)[0]}[kind](cfg)
+        got, want = _same_bytes(tmp_path, cli.SHOT_HEADER, cli.shot_columns(table), repeated_shot_columns(table))
+        assert got == want
+
+    @pytest.mark.parametrize("k", [3, 4])
+    @pytest.mark.parametrize("per_k, lines", [(0, 1), (1, -1), (1, 0), (1, 1), (0, 4096)],
+                             ids=["1", "k-1", "k", "k+1", "4096"])
+    def test_block_size_moves_no_byte(self, tmp_path, monkeypatch, k, per_k, lines):
+        table = _percent_table(40, k, "float")
+        monkeypatch.setattr(cli, "WRITE_BLOCK_ROWS", per_k * k + lines)  # lines per block
+        got, want = _same_bytes(tmp_path, cli.SHOT_HEADER, cli.shot_columns(table), repeated_shot_columns(table))
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            pytest.param([np.zeros((4, 3)), np.zeros((4, 4))], id="two-widths"),
+            pytest.param([np.zeros(4), np.zeros(5)], id="1-D-length"),
+            pytest.param([np.zeros(4), np.zeros((5, 2))], id="2-D-records"),
+            pytest.param([np.zeros((4, 2)), np.zeros(3)], id="1-D-after-2-D"),
+            pytest.param([np.zeros(4), np.zeros((4, 2, 2))], id="3-D"),
+        ],
+    )
+    def test_mismatched_columns_raise_naming_the_file(self, tmp_path, columns):
+        path = tmp_path / "bad_table.csv"
+        with pytest.raises(ValueError, match="bad_table.csv"):
+            cli.write_csv(path, [f"c{i}" for i in range(len(columns))], columns)
+        assert not path.exists()
+
+
 class TestCsvIO:
     @pytest.mark.parametrize("aux_kind", ["empty", "float", "int"])
     @pytest.mark.parametrize("shots, rounds", [(0, 2), (7, 1), (1500, 3)])
@@ -1324,18 +1447,29 @@ class TestCsvIO:
         assert path.read_bytes() == expected
 
     def test_failed_write_leaves_only_the_written_prefix(self, tmp_path, monkeypatch):
-        class Unprintable:
-            def __str__(self):
-                raise RuntimeError("cell cannot be formatted")
-
         monkeypatch.setattr(cli, "WRITE_BLOCK_ROWS", 2)
-        rows = [(0.5, "a"), (1.5, "b"), (2.5, Unprintable()), (3.5, "d")]
+        rows = [(0.5, "a"), (1.5, "b"), (2.5, _Unprintable()), (3.5, "d")]
         path = tmp_path / "out.csv"
         path.write_bytes(b"stale\n" * 1000)
         with pytest.raises(RuntimeError, match="cannot be formatted"):
             cli.write_csv(path, ["x", "label"], [np.array([r[0] for r in rows]),
                                                  np.array([r[1] for r in rows], dtype=object)])
         assert path.read_bytes() == _reference_csv(["x", "label"], rows[:2])  # first block only
+
+    @pytest.mark.parametrize("bad_column", ["1-D", "2-D"])
+    def test_failed_record_write_leaves_whole_records_of_the_first_block(self, tmp_path, monkeypatch, bad_column):
+        # 5 lines per block, k = 2: blocks of 2 records (4 lines); the bad cell is in record 3
+        monkeypatch.setattr(cli, "WRITE_BLOCK_ROWS", 5)
+        x = np.array([0.5, 1.5, 2.5, 3.5, 4.5])
+        tag = np.array(["a", "b", "c", "d", "e"], dtype=object)
+        labels = np.array([["u0", "v0"], ["u1", "v1"], ["u2", "v2"], ["u3", "v3"], ["u4", "v4"]], dtype=object)
+        (tag if bad_column == "1-D" else labels)[2] = _Unprintable()
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"stale\n" * 1000)
+        with pytest.raises(RuntimeError, match="cannot be formatted"):
+            cli.write_csv(path, ["x", "tag", "label"], [x, tag, labels])
+        lines = [(x[i], tag[i], labels[i, j]) for i in range(2) for j in range(2)]
+        assert path.read_bytes() == _reference_csv(["x", "tag", "label"], lines)
 
     @pytest.mark.parametrize("output", ["shots.csv", "report.json"])
     def test_directory_in_an_outputs_place_exits_4(self, tmp_path, capsys, output):
