@@ -658,20 +658,17 @@ def main(argv=None) -> int:
         report.write()
         print(f"wrote {', '.join(report.payload['outputs'] + ['report.json'])} to {out_dir}")
         return 0
-    except ValidationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except NumericsError as exc:
-        module = _origin_module(exc)
+    except (ValidationError, NumericsError) as exc:
         hint = ""
-        if isinstance(exc, StepSizeError):  # noisy pulses take dt from this key
-            steps = config["protocol"]["steps_per_pulse"]
-            hint = f"; increase protocol.steps_per_pulse (now {steps})"
+        # noisy pulses take dt from this key: the step bound and a PSD's grid bound name it
+        if isinstance(exc, StepSizeError) or getattr(exc, "field", None) == "dt":
+            hint = f"; increase protocol.steps_per_pulse (now {config['protocol']['steps_per_pulse']})"
         elif isinstance(exc, TruncationError):  # the Fock ladder ends at this key
             hint = f"; increase protocol.n_max (now {config['protocol']['n_max']})"
-        print(
-            f"numerical error ({type(exc).__name__} in {module}): {exc}{hint}", file=sys.stderr
-        )
+        if isinstance(exc, ValidationError):
+            print(f"config error: {exc}{hint}", file=sys.stderr)
+            return 2
+        print(f"numerical error ({type(exc).__name__} in {_origin_module(exc)}): {exc}{hint}", file=sys.stderr)
         return 3
     except TweezersimError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -88,7 +88,7 @@ class PulseSpec:
 
 @dataclass(frozen=True)
 class QuasiStatic:
-    """Shot-constant Gaussian noise with standard deviation sigma (rad/s)."""
+    """Gaussian noise with standard deviation sigma (rad/s), constant over a pulse."""
 
     sigma: float
 
@@ -192,19 +192,16 @@ def _psd_basis(n_steps: int, n_bins: int) -> np.ndarray:
     return _read_only(np.concatenate([np.cos(theta), np.sin(theta)]))[0]
 
 
-def sample_noise_rows(model: NoiseModel, duration: float, dt: float, rows: int, rng) -> tuple:
-    """Trap-frequency, laser-frequency and laser-amplitude series of `rows`
-    realizations, each (rows, n_steps), sampled at step midpoints.
+def _draw_noise(model: NoiseModel, duration: float, dt: float, rows: int, rng) -> list:
+    """One coefficient block per channel (CHANNELS order) of `rows`
+    realizations, each row drawing its channels in that order from rng.
 
-    rng is a Generator, drawn from, or a seed for a new one. Row r is what
-    the r-th of successive sample_noise calls on it returns: each row draws
-    its channels in CHANNELS order. QuasiStatic channels are shot-constant
-    Gaussian draws. A SpectralDensity uses random-phase harmonic synthesis:
-    bins of width df = 1 / (PSD_OVERSAMPLE * duration) at midpoint
-    frequencies get amplitudes sqrt(2 S df) and uniform phases, so the
-    ensemble periodogram converges to S(f). With the cached basis a channel's rows are one
-    matrix product, whose bits depend on its row count.
-    """
+    A QuasiStatic block is a (rows, 1) column of pulse-constant Gaussian
+    values, a quiet channel's a column of zeros. A SpectralDensity uses
+    random-phase harmonic synthesis: bins of width df = 1 / (PSD_OVERSAMPLE
+    * duration) at midpoint frequencies get amplitudes a = sqrt(2 S df) and
+    uniform phases phi, so the ensemble periodogram converges to S(f); its
+    block holds a cos(phi), then -a sin(phi), (rows, 2 n_bins)."""
     if duration <= 0:
         raise ValidationError(f"duration must be > 0, got {duration}")
     if dt <= 0:
@@ -215,7 +212,8 @@ def sample_noise_rows(model: NoiseModel, duration: float, dt: float, rows: int, 
     f_max = model.f_max()
     if f_max > 0 and dt > 1.0 / (20.0 * f_max):
         raise ValidationError(
-            f"dt = {dt} too coarse for PSD content up to {f_max} Hz; need dt <= {1.0 / (20.0 * f_max)}"
+            f"dt = {dt} too coarse for PSD content up to {f_max} Hz; need dt <= {1.0 / (20.0 * f_max)} "
+            f"(at least {math.ceil(20.0 * f_max * duration)} steps)", field="dt"
         )
     rng = np.random.default_rng(rng)
     df = 1.0 / (PSD_OVERSAMPLE * duration)
@@ -231,16 +229,27 @@ def sample_noise_rows(model: NoiseModel, duration: float, dt: float, rows: int, 
         elif ch is not None:
             raise ValidationError(f"unsupported channel spec {type(ch).__name__}")
     per_row = [[d(rng) for d in draw.values()] for _ in range(rows)]
-    series = {}
+    coefs = dict.fromkeys(CHANNELS, np.zeros((rows, 1)))
     for name, drawn in zip(draw, zip(*per_row)):
         drawn = np.stack(drawn)  # (rows, 1) values or (rows, n_bins) phases
-        if name in amps:
-            a = amps[name]
-            coef = np.concatenate([a * np.cos(drawn), -a * np.sin(drawn)], axis=1)
-            series[name] = coef @ _psd_basis(n_steps, a.size)
-        else:
-            series[name] = np.repeat(drawn, n_steps, axis=1)
-    return tuple(series[name] if name in series else np.zeros((rows, n_steps)) for name in CHANNELS)
+        a = amps.get(name)
+        coefs[name] = drawn if a is None else np.concatenate([a * np.cos(drawn), -a * np.sin(drawn)], axis=1)
+    return list(coefs.values())
+
+
+def _synthesize(coefs: list, n_steps: int) -> list:
+    """(rows, n_steps) series of _draw_noise blocks: a column repeats over
+    the steps, and a PSD block meets the cached basis in one vector-matrix
+    product per row, so no other row of the call can move a row's bits."""
+    return [np.repeat(c, n_steps, axis=1) if c.shape[1] == 1
+            else np.matmul(c[:, None, :], _psd_basis(n_steps, c.shape[1] // 2))[:, 0] for c in coefs]
+
+
+def sample_noise_rows(model: NoiseModel, duration: float, dt: float, rows: int, rng) -> tuple:
+    """Trap-frequency, laser-frequency and laser-amplitude series, each (rows,
+    n_steps) at step midpoints. Row r holds the bits of the r-th of successive
+    sample_noise calls on rng (a Generator, or a seed), whatever the row count."""
+    return tuple(_synthesize(_draw_noise(model, duration, dt, rows, rng), int(round(duration / dt))))
 
 
 def sample_noise(model: NoiseModel, duration: float, dt: float, seed) -> NoiseRealization:
@@ -527,16 +536,15 @@ def evolve_rows(
     of the ladder 0..n_max, and k spectator columns (a partner atom's
     levels) that the pulse does not touch; each row has norm 1. Without
     n0 and n_max the window is the full ladder (n0 = 0, n_max = W - 1).
-    Every pulse runs the kernel on the windows, rows a chunk at a time.
     With noise None or a model with no channel the pulse is noiseless:
-    zero series in one exact step, and nothing is drawn. Otherwise the
-    rows draw their realizations in row order (as in sample_noise_rows)
-    from rng: a Generator or a seed, one segment of all rows, or a
-    gates.Streams, each segment drawing from its own Generator in runs of
-    at most one kernel chunk's rows, as it would alone; a chunk packs
-    consecutive runs. Without a SpectralDensity channel each row's H is
-    constant over the pulse, so its realization has one exact step and
-    `steps` is not used; with one, it has `steps` steps. The step-size,
+    zero series in one exact step, and nothing is drawn. Otherwise each
+    non-empty segment of rng (a Generator or a seed for all rows, or a
+    gates.Streams) draws its rows once, in row order, and the kernel runs
+    fixed blocks of kernels._rows_per_chunk rows, synthesizing each
+    block's series. A row's series are the bits sample_noise gives at the
+    same stream position, whatever the blocks, segments or workers.
+    Without a SpectralDensity channel H is constant over the pulse, so a
+    row has one exact step and `steps` is not used. The step-size,
     truncation and norm guards apply per row.
     """
     w = amps.shape[1] // 2
@@ -548,24 +556,14 @@ def evolve_rows(
     if quiet or noise.f_max() == 0:  # H is constant over the pulse
         steps = 1
     dt = pulse.duration / steps
+    segments = zip(rng.generators, [0] + rng.stops, rng.stops) if isinstance(rng, Streams) else [(rng, 0, len(amps))]
+    coefs = [np.zeros((len(amps), 1))] * 3 if quiet else [np.concatenate(c) for c in zip(*(
+        _draw_noise(noise, pulse.duration, dt, b - a, g) for g, a, b in segments if b > a))]
     out = np.empty(amps.shape, dtype=np.complex128)
     per_call = kernels._rows_per_chunk(steps, _pair_tables(pulse, trap.eta, w - 1)[0].size)
-    if not isinstance(rng, Streams):
-        rng = Streams([np.random.default_rng(rng)], [amps.shape[0]])
-    # (Generator, start, stop) runs of each segment's rows; a chunk packs consecutive runs
-    chunks = []
-    for g, a, b in zip(rng.generators, [0] + rng.stops, rng.stops):
-        for start in range(a, b, per_call):
-            run = (g, start, min(start + per_call, b))
-            if chunks and run[2] - chunks[-1][0][1] <= per_call:
-                chunks[-1].append(run)
-            else:
-                chunks.append([run])
-    for runs in chunks:
-        rows = slice(runs[0][1], runs[-1][2])
-        trap_2d, freq_2d, amp_2d = (np.zeros((rows.stop - rows.start, 1)),) * 3 if quiet else (
-            np.concatenate(s) for s in zip(*(sample_noise_rows(noise, pulse.duration, dt, b - a, g)
-                                             for g, a, b in runs)))
+    for start in range(0, amps.shape[0], per_call):
+        rows = slice(start, start + per_call)
+        trap_2d, freq_2d, amp_2d = _synthesize([c[rows] for c in coefs], steps)
         out[rows] = _run_kernel(amps[rows], pulse, trap, trap_2d, freq_2d, _amp_factor(pulse, amp_2d), dt,
                                 n_max, n0[rows])
     return out

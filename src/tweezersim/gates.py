@@ -109,8 +109,10 @@ class Streams:
     each segment's end row. A draw joins the segments' draws in row order, so
     each Generator advances as over its rows alone; size is the row count.
     With a row mask `where`, only the segments holding a selected row draw,
-    and the others read 0. dynamics.evolve_rows draws each segment's noise
-    from its Generator; an empty segment draws nothing."""
+    and the others read 0. dynamics.evolve_rows draws each non-empty
+    segment's noise once from its Generator, so a row's noise bits are
+    those sample_noise gives at its stream position, whatever the rows
+    beside it, the kernel chunking or the worker count."""
 
     def __init__(self, generators, stops):
         self.generators, self.stops = list(generators), list(stops)

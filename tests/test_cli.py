@@ -352,6 +352,23 @@ class TestCliRuns:
         assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2
         assert f"protocol.{key}" in capsys.readouterr().err
 
+    def test_step_too_coarse_for_psd_exit_2_names_key(self, tmp_path, capsys):
+        # a 5 kHz laser PSD needs dt <= 1e-5 s; fig3's pulses at 10 steps
+        # are coarser, and the message gives the fewest steps that pass
+        noise = {"laser_frequency": {"kind": "psd", "frequencies_hz": [0, 5000], "values": [2000, 2000]}}
+
+        def run(steps):
+            path = _write_config(tmp_path, **preset_config("fig3", shots=4, steps_per_pulse=steps), noise=noise)
+            return main(["simulate", "--config", path, "--out", str(tmp_path / "o")])
+
+        assert run(10) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: dt = ")
+        assert err.endswith("; increase protocol.steps_per_pulse (now 10)\n")
+        need = int(err.split("(at least ")[1].split(" steps)")[0])
+        assert run(need - 1) == 2 and f"(now {need - 1})" in capsys.readouterr().err
+        assert run(need) == 0
+
     @pytest.mark.parametrize(
         "key, value",
         [

@@ -235,13 +235,16 @@ class TestSampleNoise:
                            laser_amplitude=QuasiStatic(30.0))
         rng = np.random.default_rng(11)
         trap, freq, amp = sample_noise_rows(model, T_PI, T_PI / 400, 5, rng)
-        ref = np.random.default_rng(11)
+        ref, oracle = np.random.default_rng(11), np.random.default_rng(11)
         for row in range(5):
-            np.testing.assert_array_equal(trap[row], np.full(400, ref.normal(0.0, 100.0)))
-            want = harmonic_synthesis(psd, T_PI, 400, ref)
+            r = sample_noise(model, T_PI, T_PI / 400, ref)
+            for got, want in zip((trap, freq, amp), (r.trap_frequency, r.laser_frequency, r.laser_amplitude)):
+                np.testing.assert_array_equal(got[row], want)
+            np.testing.assert_array_equal(trap[row], np.full(400, oracle.normal(0.0, 100.0)))
+            want = harmonic_synthesis(psd, T_PI, 400, oracle)
             np.testing.assert_allclose(freq[row], want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
-            np.testing.assert_array_equal(amp[row], np.full(400, ref.normal(0.0, 30.0)))
-        assert rng.bit_generator.state == ref.bit_generator.state
+            np.testing.assert_array_equal(amp[row], np.full(400, oracle.normal(0.0, 30.0)))
+        assert rng.bit_generator.state == ref.bit_generator.state == oracle.bit_generator.state
 
     def test_basis_is_read_only_and_cache_bounded(self):
         psd = SpectralDensity(np.array([0.0, 5e3]), np.array([1.0, 1.0]))
@@ -683,8 +686,8 @@ class TestEvolveRows:
         assert states_after[0] == states_after[1] == states_after[2] == ref_rng.bit_generator.state
 
     def test_psd_rows_across_chunks_match_evolve_per_row(self, monkeypatch):
-        # a PSD channel keeps `steps` steps; the rows run a kernel chunk
-        # at a time, each from its own initial state
+        # a PSD channel keeps `steps` steps; the rows draw once and run a
+        # kernel chunk at a time, each from its own initial state
         pulse = PulseSpec.bsb_pi(ETA, RABI)
         model = NoiseModel(
             trap_frequency=QuasiStatic(2 * np.pi * 175.0),
@@ -699,17 +702,11 @@ class TestEvolveRows:
             for _ in range(2 * chunk + 5)
         ]
         anc = rng.integers(0, 2, len(states))
-        calls = []
-
-        def counted(model, duration, dt, rows, rng):
-            calls.append(rows)
-            return sample_noise_rows(model, duration, dt, rows, rng)
-
-        monkeypatch.setattr(dynamics, "sample_noise_rows", counted)
+        calls, run_rows = self._count_draws_and_kernel_rows(monkeypatch)
         rng_after = np.random.default_rng(4)
         out = evolve_rows(self._rows(*zip(states, anc)), pulse, TRAP, model, steps, rng_after)
         monkeypatch.undo()
-        assert calls == [chunk, chunk, 5]  # one draw of a chunk's rows per kernel call
+        assert calls == [2 * chunk + 5] and run_rows == [chunk, chunk, 5]  # one draw, fixed kernel blocks
         ref_rng = np.random.default_rng(4)
         for k, state in enumerate(states):
             r = sample_noise(model, pulse.duration, pulse.duration / steps, ref_rng)
@@ -718,18 +715,29 @@ class TestEvolveRows:
             assert np.all(out[k, :, 1 - anc[k]] == 0)
         assert rng_after.bit_generator.state == ref_rng.bit_generator.state
 
-    # segment sizes, then the expected noise pieces and kernel row counts,
-    # as functions of the kernel chunk c
-    @pytest.mark.parametrize("sizes, pieces, kernel_rows", [
-        (lambda c: (c + 3, 2), lambda c: [c, 3, 2], lambda c: [c, 5]),
+    @staticmethod
+    def _count_draws_and_kernel_rows(monkeypatch):
+        """Lists that record the rows of each noise draw and of each kernel call."""
+        calls, run_rows = [], []
+        draw, run_kernel = dynamics._draw_noise, dynamics._run_kernel
+        monkeypatch.setattr(dynamics, "_draw_noise",
+                            lambda model, duration, dt, n, rng: calls.append(n) or draw(model, duration, dt, n, rng))
+        monkeypatch.setattr(dynamics, "_run_kernel",
+                            lambda amps, *args: run_rows.append(amps.shape[0]) or run_kernel(amps, *args))
+        return calls, run_rows
+
+    # segment sizes, then the expected kernel row counts, as functions of
+    # the kernel chunk c
+    @pytest.mark.parametrize("sizes, kernel_rows", [
+        (lambda c: (c + 3, 2), lambda c: [c, 5]),
         # an empty segment (an absent job's) draws nothing
-        (lambda c: (c + 3, 0, 2), lambda c: [c, 3, 2], lambda c: [c, 5]),
-        (lambda c: (2, 2 * c + 1, 3), lambda c: [2, c, c, 1, 3], lambda c: [2, c, c, 4]),
+        (lambda c: (c + 3, 0, 2), lambda c: [c, 5]),
+        (lambda c: (2, 2 * c + 1, 3), lambda c: [c, c, 6]),
     ], ids=["two-segments", "empty-segment", "long-segment-split"])
-    def test_rows_of_several_generators_match_their_own_runs(self, monkeypatch, sizes, pieces, kernel_rows):
-        # each segment of a Streams draws its rows' noise from its own
-        # Generator in the pieces it would alone (a synthesis product's
-        # bits depend on its row count); a kernel chunk packs whole pieces
+    def test_rows_of_several_generators_match_their_own_runs(self, monkeypatch, sizes, kernel_rows):
+        # each non-empty segment of a Streams draws its rows' noise once
+        # from its own Generator, as it would alone; the kernel runs fixed
+        # chunks across the segments
         pulse = PulseSpec.bsb_pi(ETA, RABI)
         model = NoiseModel(
             trap_frequency=QuasiStatic(2 * np.pi * 175.0),
@@ -743,27 +751,45 @@ class TestEvolveRows:
         states = [prepare_state(np.exp(1j * rng.uniform(0, 2 * np.pi, 2)) * [0.6, 0.8], rng.integers(0, 3),
                                 n_max=self.N_MAX) for _ in range(stops[-1])]
         rows = self._rows(*zip(states, rng.integers(0, 2, len(states))))
-        calls, run_rows = [], []
-
-        def counted(model, duration, dt, n, rng):
-            calls.append(n)
-            return sample_noise_rows(model, duration, dt, n, rng)
-
-        run_kernel = dynamics._run_kernel
-        monkeypatch.setattr(dynamics, "sample_noise_rows", counted)
-        monkeypatch.setattr(dynamics, "_run_kernel",
-                            lambda amps, *args: run_rows.append(amps.shape[0]) or run_kernel(amps, *args))
+        calls, run_rows = self._count_draws_and_kernel_rows(monkeypatch)
         gens = [np.random.default_rng(s) for s in range(len(sizes))]
         out = evolve_rows(rows, pulse, TRAP, model, steps, Streams(gens, stops))
-        assert calls == pieces(chunk) and run_rows == kernel_rows(chunk)
+        drawn = [n for n in sizes if n]
+        assert calls == drawn and run_rows == kernel_rows(chunk)
         refs = [np.random.default_rng(s) for s in range(len(sizes))]
         calls.clear()
         want = np.concatenate([evolve_rows(rows[a:b], pulse, TRAP, model, steps, g)
                                for g, a, b in zip(refs, [0] + stops, stops)])
         monkeypatch.undo()
-        assert calls == pieces(chunk)  # one evolve_rows call per segment draws the same pieces
+        assert calls == drawn  # one evolve_rows call per segment draws the same rows
         assert out.tobytes() == want.tobytes()
         assert [g.bit_generator.state for g in gens] == [g.bit_generator.state for g in refs]
+
+    @pytest.mark.parametrize("sizes", [(70,), (9, 30, 31)], ids=["one-segment", "three-segments"])
+    def test_row_grouping_cannot_move_bits(self, monkeypatch, sizes):
+        # the same rows and Generators give the same bytes and Generator
+        # states whatever rows the kernel chunks hold; each segment draws once
+        pulse = PulseSpec.bsb_pi(ETA, RABI)
+        model = NoiseModel(
+            trap_frequency=QuasiStatic(2 * np.pi * 175.0),
+            laser_frequency=SpectralDensity(np.array([0.0, 2e3]), np.array([2e3, 2e3])),
+        )
+        stops = np.cumsum(sizes).tolist()
+        rng = np.random.default_rng(9)
+        states = [prepare_state(np.exp(1j * rng.uniform(0, 2 * np.pi, 2)) * [0.6, 0.8], rng.integers(0, 3),
+                                n_max=self.N_MAX) for _ in range(stops[-1])]
+        rows = self._rows(*zip(states, rng.integers(0, 2, len(states))))
+        runs = set()
+        for chunk in (1, 2, 7, 8, 65):
+            monkeypatch.setattr(kernels, "_rows_per_chunk", lambda n_steps, n_pairs: chunk)
+            calls, run_rows = self._count_draws_and_kernel_rows(monkeypatch)
+            gens = [np.random.default_rng(s) for s in range(len(sizes))]
+            out = evolve_rows(rows, pulse, TRAP, model, 400, Streams(gens, stops))
+            monkeypatch.undo()
+            assert calls == list(sizes)
+            assert run_rows == [min(chunk, stops[-1] - s) for s in range(0, stops[-1], chunk)]
+            runs.add((out.tobytes(), repr([g.bit_generator.state for g in gens])))
+        assert len(runs) == 1
 
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize(
