@@ -245,16 +245,12 @@ def _synthesize(coefs: list, n_steps: int) -> list:
             else np.matmul(c[:, None, :], _psd_basis(n_steps, c.shape[1] // 2))[:, 0] for c in coefs]
 
 
-def sample_noise_rows(model: NoiseModel, duration: float, dt: float, rows: int, rng) -> tuple:
-    """Trap-frequency, laser-frequency and laser-amplitude series, each (rows,
-    n_steps) at step midpoints. Row r holds the bits of the r-th of successive
-    sample_noise calls on rng (a Generator, or a seed), whatever the row count."""
-    return tuple(_synthesize(_draw_noise(model, duration, dt, rows, rng), int(round(duration / dt))))
-
-
 def sample_noise(model: NoiseModel, duration: float, dt: float, seed) -> NoiseRealization:
-    """One noise realization: the one-row case of sample_noise_rows."""
-    trap, freq, amp = (s[0] for s in sample_noise_rows(model, duration, dt, 1, seed))
+    """One noise realization from seed (or a Generator): trap-frequency,
+    laser-frequency and laser-amplitude series at step midpoints, the bits
+    a row of evolve_rows gets at the same stream position."""
+    coefs = _draw_noise(model, duration, dt, 1, seed)
+    trap, freq, amp = (s[0] for s in _synthesize(coefs, int(round(duration / dt))))
     return NoiseRealization(dt=dt, trap_frequency=trap, laser_frequency=freq, laser_amplitude=amp)
 
 
@@ -416,45 +412,43 @@ def build_hamiltonian(
     return h
 
 
-def _run_kernel(amps0, pulse, trap, trap_series, freq_series, ampf_series, dt, n_max, n0):
-    """Guarded kernel call: propagate rows of flat amplitudes through a pulse.
+def _evolve(amps, pulse, trap, dt, steps, n_max, n0, series):
+    """Guarded kernel run: propagate rows of flat amplitudes through a pulse.
 
-    The series have shape (rows, n_steps), one noise realization per
-    row. amps0 has shape (rows, 2 W, k), row t evolving under
-    realization t, or (1, 2 W, k) for one state shared by every row; the
-    k columns are one state (the levels of a spectator partner atom).
-    Slot s holds Fock level n0[t] + s (n0 has one entry per row; the full
-    ladder is the window n0 = 0, W = n_max + 1): the pairs and singles
-    are a W-level ladder's, and row t's couplings and Fock numbers the
-    n_max ladder's at n0[t] + pair and n0[t] + slot. Returns
-    (rows, 2 W, k). Raises StepSizeError when dt * max|H| > 0.1 (bounded
-    on the n_max ladder) in any row of more than one step, then applies
-    _check_guards.
+    amps has shape (rows, 2 W, k), row t evolving under realization t,
+    or (1, 2 W, k) for one state shared by every row; the k columns are
+    one state (the levels of a spectator partner atom). Slot s holds Fock
+    level n0[t] + s (n0 has one entry per row; the full ladder is the
+    window n0 = 0, W = n_max + 1): the pairs and singles are a W-level
+    ladder's, and row t's couplings and Fock numbers the n_max ladder's at
+    n0[t] + pair and n0[t] + slot. The kernel runs fixed blocks of
+    kernels._rows_per_chunk rows from row 0; series(rows), for a block's
+    slice, gives its (block rows, steps) trap, frequency and amplitude-
+    factor series. Returns (rows, 2 W, k). Raises StepSizeError when
+    dt * max|H| > 0.1 (bounded on the n_max ladder) in a block of more
+    than one step; then applies _check_guards once, to every row.
     """
-    w = amps0.shape[1] // 2
+    w = amps.shape[1] // 2
     pg, pe, coup, singles = _pair_tables(pulse, trap.eta, w - 1)
     static, nvec, zvec = _static_vectors(pulse, w - 1)
     ladder = _pair_tables(pulse, trap.eta, n_max)[2]
     coup, nvec = ladder[n0[:, None] + np.arange(coup.size)], n0[:, None] + nvec
-
-    if trap_series.shape[1] > 1:
-        # piecewise-constant approximation in play: enforce the step bound
-        bound = (
-            abs(pulse.detuning)
-            + n_max * np.max(np.abs(trap_series), axis=1, initial=0.0)
-            + 0.5 * np.max(np.abs(freq_series), axis=1, initial=0.0)
-            + np.max(np.abs(ladder), initial=0.0) * np.max(np.abs(ampf_series), axis=1)
-        )
-        worst = float(np.max(bound)) * dt
-        if worst > 0.1:
-            raise StepSizeError(f"dt * max|H| = {worst:.3f} rad exceeds 0.1; reduce dt")
-    shape = (trap_series.shape[0],) + amps0.shape[1:]
-    out = np.empty(shape, dtype=np.complex128)
-    kernels.evolve_blocks_batch(
-        np.broadcast_to(amps0, shape), pg, pe, coup, singles, static, nvec, zvec,
-        trap_series, freq_series, ampf_series, dt, out,
-    )
-    _check_guards(amps0, out, pulse, n_max, n0)
+    c_max = np.max(np.abs(ladder), initial=0.0)  # the step bound's largest coupling
+    amps0 = np.broadcast_to(amps, (n0.size,) + amps.shape[1:])
+    out = np.empty(amps0.shape, dtype=np.complex128)
+    per_block = kernels._rows_per_chunk(steps, pg.size)
+    for start in range(0, n0.size, per_block):
+        rows = slice(start, start + per_block)
+        trap_2d, freq_2d, ampf_2d = series(rows)
+        if steps > 1:  # piecewise-constant approximation in play: enforce the step bound
+            bound = (abs(pulse.detuning) + n_max * np.max(np.abs(trap_2d), axis=1, initial=0.0)
+                     + 0.5 * np.max(np.abs(freq_2d), axis=1, initial=0.0) + c_max * np.max(np.abs(ampf_2d), axis=1))
+            worst = float(np.max(bound)) * dt
+            if worst > 0.1:
+                raise StepSizeError(f"dt * max|H| = {worst:.3f} rad exceeds 0.1; reduce dt")
+        kernels.evolve_blocks_batch(amps0[rows], pg, pe, coup[rows], singles, static, nvec[rows], zvec,
+                                    trap_2d, freq_2d, ampf_2d, dt, out[rows])
+    _check_guards(amps, out, pulse, n_max, n0)
     return out
 
 
@@ -482,19 +476,19 @@ def _check_guards(before, after, pulse, n_max, n0):
         # a sideband drives one level's last slot to n0 + W and the other's
         # slot 0 to n0 - 1, which exists when n0 > 0
         rise = int(pulse.kind is PulseKind.RED_SIDEBAND)  # the level driven to n + 1
-        edge_pop = float(np.max(p_before[:, rise, -1] + (n0 > 0) * p_before[:, 1 - rise, 0]))
+        edge_pop = float(np.max(p_before[:, rise, -1] + (n0 > 0) * p_before[:, 1 - rise, 0], initial=0.0))
     if edge_pop > TRUNCATION_LEAK_TOL:
         raise TruncationError(
             f"population {edge_pop:.3e} at the truncation edge would couple "
             f"past n_max = {n_max} or its window"
         )
-    leak = float(np.max((n0 + w - 1 == n_max) * (p_after - p_before)[:, :, -1].sum(axis=1)))
+    leak = float(np.max((n0 + w - 1 == n_max) * (p_after - p_before)[:, :, -1].sum(axis=1), initial=0.0))
     if leak > TRUNCATION_LEAK_TOL:
         raise TruncationError(
             f"pulse moved {leak:.3e} population into the top "
             f"Fock level n = {n_max}"
         )
-    drift = float(np.max(np.abs(p_after.sum(axis=(1, 2)) - 1.0)))
+    drift = float(np.max(np.abs(p_after.sum(axis=(1, 2)) - 1.0), initial=0.0))
     if not drift <= NORM_TOL:  # a NaN drift fails too
         raise NumericsError(f"evolution norm drift {drift:.3e}")
 
@@ -514,8 +508,9 @@ def evolve_batch(
     multiplicative factor (rabi + d_rabi) / rabi. Returns final flat
     amplitudes of shape (n_traj, 2 * (n_max + 1)).
     """
-    out = _run_kernel(state.amps.reshape(1, -1, 1), pulse, trap, realizations_trap, realizations_freq,
-                      realizations_ampf, dt, state.amps.shape[1] - 1, np.zeros(len(realizations_trap), int))
+    series = (realizations_trap, realizations_freq, realizations_ampf)
+    out = _evolve(state.amps.reshape(1, -1, 1), pulse, trap, dt, realizations_trap.shape[1], state.amps.shape[1] - 1,
+                  np.zeros(len(realizations_trap), int), lambda rows: [x[rows] for x in series])
     return out.reshape(out.shape[:2])
 
 
@@ -544,9 +539,11 @@ def evolve_rows(
     block's series. A row's series are the bits sample_noise gives at the
     same stream position, whatever the blocks, segments or workers.
     Without a SpectralDensity channel H is constant over the pulse, so a
-    row has one exact step and `steps` is not used. The step-size,
-    truncation and norm guards apply per row.
+    row has one exact step and `steps` (an int >= 1) is not used. The
+    step-size, truncation and norm guards apply per row.
     """
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
+        raise ValidationError(f"steps must be an int >= 1, got {steps!r}", field="steps")
     w = amps.shape[1] // 2
     if n0 is None:
         n0, n_max = np.zeros(amps.shape[0], dtype=np.intp), w - 1
@@ -559,14 +556,12 @@ def evolve_rows(
     segments = zip(rng.generators, [0] + rng.stops, rng.stops) if isinstance(rng, Streams) else [(rng, 0, len(amps))]
     coefs = [np.zeros((len(amps), 1))] * 3 if quiet else [np.concatenate(c) for c in zip(*(
         _draw_noise(noise, pulse.duration, dt, b - a, g) for g, a, b in segments if b > a))]
-    out = np.empty(amps.shape, dtype=np.complex128)
-    per_call = kernels._rows_per_chunk(steps, _pair_tables(pulse, trap.eta, w - 1)[0].size)
-    for start in range(0, amps.shape[0], per_call):
-        rows = slice(start, start + per_call)
+
+    def series(rows):
         trap_2d, freq_2d, amp_2d = _synthesize([c[rows] for c in coefs], steps)
-        out[rows] = _run_kernel(amps[rows], pulse, trap, trap_2d, freq_2d, _amp_factor(pulse, amp_2d), dt,
-                                n_max, n0[rows])
-    return out
+        return trap_2d, freq_2d, _amp_factor(pulse, amp_2d)
+
+    return _evolve(amps, pulse, trap, dt, steps, n_max, n0, series)
 
 
 def load_psd_csv(path, convention: str = "frequency") -> SpectralDensity:

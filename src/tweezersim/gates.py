@@ -112,7 +112,7 @@ class Streams:
     and the others read 0. dynamics.evolve_rows draws each non-empty
     segment's noise once from its Generator, so a row's noise bits are
     those sample_noise gives at its stream position, whatever the rows
-    beside it, the kernel chunking or the worker count."""
+    beside it, the kernel blocks or the worker count."""
 
     def __init__(self, generators, stops):
         self.generators, self.stops = list(generators), list(stops)

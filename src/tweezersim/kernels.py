@@ -21,14 +21,16 @@ order by a pairwise tree, log2(steps) levels deep; the phases commute
 and are applied once as exp(-i dt sum a). Singletons only pick up
 exp(-i dt sum d). There is no Python loop over time steps.
 
-Per-step arrays are (rows, pairs, steps), the step axis innermost: the
-series broadcast as (rows, 1, steps) against coefficients (pairs, 1), or
-(rows, pairs, 1) per row; a tree level takes later and earlier steps as
-stride-2 slices of one run. They are views, carved once per chunk shape,
-into a workspace per thread (a threading.local) that later calls reuse,
-so a warm call faults in no fresh memory. It grows to the largest chunk
-the thread has run, 64-75 B x max(_CHUNK_ELEMENTS, n_steps * n_pairs),
-and goes when its thread exits.
+A call runs one block of rows; dynamics runs a pulse's rows in blocks of
+_rows_per_chunk. No operation mixes rows or depends on their count, so a
+row gets the bits it gets alone. Per-step arrays are (rows, pairs,
+steps), the step axis innermost: the series broadcast as (rows, 1, steps)
+against coefficients (pairs, 1), or (rows, pairs, 1) per row; a tree
+level takes later and earlier steps as stride-2 slices of one run. They
+are views, carved once per block shape, into a workspace per thread (a
+threading.local) that later calls reuse, so a warm call faults in no
+fresh memory. It grows to the largest block the thread has run, 64-75 B
+x max(_CHUNK_ELEMENTS, n_steps * n_pairs), and goes when its thread exits.
 """
 
 import threading
@@ -37,16 +39,15 @@ import numpy as np
 
 __all__ = ["evolve_blocks_batch"]
 
-#: Trajectories are processed in chunks of at most this many
-#: (trajectory, pair, step) elements, which caps the workspace.
+#: A block holds at most this many (row, pair, step) elements, which caps the workspace.
 _CHUNK_ELEMENTS = 1 << 15
 
-#: Per thread: ws, the complex workspace, and views, its views per chunk shape.
+#: Per thread: ws, the complex workspace, and views, its views per block shape.
 _local = threading.local()
 
 
 def _views(rows, n_steps, n_pairs):
-    """This thread's views of its workspace for one chunk shape (up to 64 kept)."""
+    """This thread's views of its workspace for one block shape (up to 64 kept)."""
     key = (rows, n_steps, n_pairs)
     if key in getattr(_local, "views", ()):
         return _local.views[key]
@@ -78,17 +79,23 @@ def _views(rows, n_steps, n_pairs):
     return _local.views[key]
 
 
-def _propagate(amps0, pair_g, pair_e, coup, singles, static_diag, nvec, zvec, trap, freq, ampf, dt):
-    """Final amplitudes (n_traj, dim, k) for series of shape (n_traj, n_steps).
+def _rows_per_chunk(n_steps, n_pairs):
+    """Rows per block of at most _CHUNK_ELEMENTS (row, pair, step) elements."""
+    return max(1, _CHUNK_ELEMENTS // max(1, n_steps * n_pairs))
+
+
+def evolve_blocks_batch(amps0, pair_g, pair_e, coup, singles, static_diag, nvec, zvec, trap, freq, ampf, dt, out):
+    """Final amplitudes of one block of rows, written to out (rows, dim, k)
+    and returned, for series of shape (rows, n_steps).
 
     Per step i the block Hamiltonian entries are
         diag(s) = static_diag[s] + trap[i] * nvec[s] + 0.5 * freq[i] * zvec[s]
         <e|H|g> = coup[p] * ampf[i]
-    coup and nvec are (pairs,) and (dim,), or (n_traj, pairs) and
-    (n_traj, dim) per trajectory; every pair must have the first's
-    half-differences of nvec, zvec and static_diag (module docstring).
-    Trajectory t starts from amps0[t], of shape (dim, k): k states (the
-    columns) that share every per-step factor.
+    coup and nvec are (pairs,) and (dim,), or (rows, pairs) and (rows, dim)
+    per row; every pair must have the first's half-differences of nvec,
+    zvec and static_diag (module docstring). Row t starts from amps0[t],
+    of shape (dim, k): k states (the columns) that share every per-step
+    factor; rows that share a state pass a broadcast amps0.
     """
     rows, n_steps = trap.shape
     g, e = pair_g, pair_e
@@ -132,33 +139,14 @@ def _propagate(amps0, pair_g, pair_e, coup, singles, static_diag, nvec, zvec, tr
     phase = np.exp(-1j * dt * a_sum)
     d_sum = n_steps * static_diag[singles] + trap_sum * nvec[..., singles] + half_freq_sum * zvec[singles]
     single_phase = np.exp(-1j * dt * d_sum)
-    out = amps0.astype(np.complex128, order="C")
+    out[...] = amps0
     alpha, beta, phase, single_phase = (x[..., None] for x in (alpha_end, beta_end, phase, single_phase))
     pg, pe = out[:, g], out[:, e]
-    out[:, g] = phase * (alpha * pg - beta.conj() * pe)
-    out[:, e] = phase * (beta * pg + alpha.conj() * pe)
+    # named, not temporaries: numpy would reuse a temporary of 256 KiB or more
+    # in place, and its in-place complex multiply rounds differently
+    alpha_c, beta_c = alpha.conj(), beta.conj()
+    new_g, new_e = alpha * pg - beta_c * pe, beta * pg + alpha_c * pe
+    out[:, g] = phase * new_g
+    out[:, e] = phase * new_e
     out[:, singles] *= single_phase
-    return out
-
-
-def _rows_per_chunk(n_steps, n_pairs):
-    """Trajectories per chunk of at most _CHUNK_ELEMENTS (trajectory, pair, step) elements."""
-    return max(1, _CHUNK_ELEMENTS // max(1, n_steps * n_pairs))
-
-
-def evolve_blocks_batch(
-    amps0, pair_g, pair_e, coup, singles, static_diag, nvec, zvec,
-    trap_2d, freq_2d, ampf_2d, dt, out,
-):
-    """Evolve many noise realizations (rows), each from its own initial
-    state: amps0[t] of shape (dim, k) for row t of the (rows, n_steps)
-    series. Rows that share a state pass a broadcast amps0; 2-D coup and
-    nvec tables (one row per series row) give each row its own."""
-    blocks = (pair_g, pair_e, coup, singles, static_diag, nvec, zvec)
-    n_traj, n_steps = trap_2d.shape
-    chunk = _rows_per_chunk(n_steps, pair_g.shape[0])
-    for start in range(0, n_traj, chunk):
-        rows = slice(start, start + chunk)
-        per_rows = [b[rows] if b.ndim == 2 else b for b in blocks]
-        out[rows] = _propagate(amps0[rows], *per_rows, trap_2d[rows], freq_2d[rows], ampf_2d[rows], dt)
     return out

@@ -587,15 +587,17 @@ def propagator(pulse, trap, realization=None, n_max=DEFAULT_N_MAX):
 
 
 def propagate_reference(amps0, pair_g, pair_e, coup, singles, static_diag, nvec, zvec, trap, freq, ampf, dt):
-    """Bit oracle for kernels._propagate: the same operations on every
-    element, on arrays allocated afresh for every temporary and every tree
-    level, with an odd tail joined by np.concatenate. It keeps the old
-    (trajectory, step, pair) order, the pair axis innermost, so a kernel
-    in the step-innermost layout must match it bit for bit. Every pair
+    """Bit oracle for kernels.evolve_blocks_batch: the same operations on
+    every element, on arrays allocated afresh for every temporary and every
+    tree level, with an odd tail joined by np.concatenate. Products take
+    named operands, never a temporary numpy may reuse in place, so no row
+    count moves a bit. It keeps the old (trajectory, step, pair) order, the
+    pair axis innermost, so a kernel in the step-innermost layout must
+    match it bit for bit. Every pair
     gets its own diagonal half-difference h and its own ampf products,
     whatever the values. coup and nvec may be (trajectory, pairs) and
-    (trajectory, dim) tables, one row per trajectory, as _run_kernel's
-    windows pass them."""
+    (trajectory, dim) tables, one row per trajectory, as dynamics' windows
+    pass them."""
     n_steps = trap.shape[1]
     g, e = pair_g, pair_e
     h = trap[:, :, None] * (0.5 * (nvec[..., e] - nvec[..., g]))[..., None, :]
@@ -616,10 +618,11 @@ def propagate_reference(amps0, pair_g, pair_e, coup, singles, static_diag, nvec,
         n_even = alpha.shape[1] - alpha.shape[1] % 2
         a1, b1 = alpha[:, 1:n_even:2], beta[:, 1:n_even:2]
         a2, b2 = alpha[:, 0:n_even:2], beta[:, 0:n_even:2]
+        a1_c, b1_c = a1.conj(), b1.conj()
         a = a1 * a2
-        a -= b1.conj() * b2
+        a -= b1_c * b2
         b = b1 * a2
-        b += a1.conj() * b2
+        b += a1_c * b2
         if n_even < alpha.shape[1]:
             a = np.concatenate([a, alpha[:, -1:]], axis=1)
             b = np.concatenate([b, beta[:, -1:]], axis=1)
@@ -639,19 +642,9 @@ def propagate_reference(amps0, pair_g, pair_e, coup, singles, static_diag, nvec,
     out = amps0.astype(np.complex128, order="C")
     alpha, beta, phase, single_phase = (x[..., None] for x in (alpha, beta, phase, single_phase))
     pg, pe = out[:, g], out[:, e]
-    out[:, g] = phase * (alpha * pg - beta.conj() * pe)
-    out[:, e] = phase * (beta * pg + alpha.conj() * pe)
+    alpha_c, beta_c = alpha.conj(), beta.conj()
+    new_g, new_e = alpha * pg - beta_c * pe, beta * pg + alpha_c * pe
+    out[:, g] = phase * new_g
+    out[:, e] = phase * new_e
     out[:, singles] *= single_phase
     return out
-
-
-def evolve_blocks_reference(amps0, pair_g, pair_e, coup, singles, static_diag, nvec, zvec, trap, freq, ampf, dt):
-    """Reference for kernels.evolve_blocks_batch: propagate_reference over
-    the same chunks of rows (and of the rows of 2-D coup and nvec)."""
-    blocks = (pair_g, pair_e, coup, singles, static_diag, nvec, zvec)
-    chunk = kernels._rows_per_chunk(trap.shape[1], pair_g.size)
-    return np.concatenate([
-        propagate_reference(amps0[s : s + chunk], *(b[s : s + chunk] if b.ndim == 2 else b for b in blocks),
-                            trap[s : s + chunk], freq[s : s + chunk], ampf[s : s + chunk], dt)
-        for s in range(0, trap.shape[0], chunk)
-    ])

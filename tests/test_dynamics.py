@@ -20,13 +20,14 @@ from tweezersim.dynamics import (
     evolve_batch,
     evolve_rows,
     sample_noise,
-    sample_noise_rows,
     sideband_ladder,
     sideband_rabi,
     spectroscopy_pi_duration,
     _amp_factor,
+    _draw_noise,
     _laguerre_ladder,
     _psd_basis,
+    _synthesize,
 )
 from tweezersim.errors import (
     NumericsError,
@@ -228,13 +229,14 @@ class TestSampleNoise:
         np.testing.assert_allclose(series, want, rtol=0, atol=1e-12 * scale)
 
     def test_rows_match_successive_draws(self):
-        # row r is the r-th of successive draws; each row draws its
-        # channels in the order trap, laser frequency, laser amplitude
+        # row r of one draw, synthesized, is the r-th of successive draws;
+        # each row draws its channels in the order trap, laser frequency,
+        # laser amplitude
         psd = SpectralDensity(np.array([0.0, 5e3]), np.array([2e3, 2e3]))
         model = NoiseModel(trap_frequency=QuasiStatic(100.0), laser_frequency=psd,
                            laser_amplitude=QuasiStatic(30.0))
         rng = np.random.default_rng(11)
-        trap, freq, amp = sample_noise_rows(model, T_PI, T_PI / 400, 5, rng)
+        trap, freq, amp = _synthesize(_draw_noise(model, T_PI, T_PI / 400, 5, rng), 400)
         ref, oracle = np.random.default_rng(11), np.random.default_rng(11)
         for row in range(5):
             r = sample_noise(model, T_PI, T_PI / 400, ref)
@@ -719,11 +721,11 @@ class TestEvolveRows:
     def _count_draws_and_kernel_rows(monkeypatch):
         """Lists that record the rows of each noise draw and of each kernel call."""
         calls, run_rows = [], []
-        draw, run_kernel = dynamics._draw_noise, dynamics._run_kernel
+        draw, kernel = dynamics._draw_noise, kernels.evolve_blocks_batch
         monkeypatch.setattr(dynamics, "_draw_noise",
                             lambda model, duration, dt, n, rng: calls.append(n) or draw(model, duration, dt, n, rng))
-        monkeypatch.setattr(dynamics, "_run_kernel",
-                            lambda amps, *args: run_rows.append(amps.shape[0]) or run_kernel(amps, *args))
+        monkeypatch.setattr(kernels, "evolve_blocks_batch",
+                            lambda amps, *args: run_rows.append(amps.shape[0]) or kernel(amps, *args))
         return calls, run_rows
 
     # segment sizes, then the expected kernel row counts, as functions of
@@ -795,7 +797,7 @@ class TestEvolveRows:
     @pytest.mark.parametrize(
         "kind", [PulseKind.CARRIER, PulseKind.RED_SIDEBAND, PulseKind.BLUE_SIDEBAND, PulseKind.FREE]
     )
-    def test_noiseless_rows_match_dense_propagator(self, kind, k):
+    def test_noiseless_rows_match_dense_propagator(self, monkeypatch, kind, k):
         # noise None and a model with no channel both run the kernel on
         # zero series in one exact step per row, draw nothing, and agree
         # with the dense oracle's product with the rows
@@ -806,12 +808,15 @@ class TestEvolveRows:
         rows[:, :, self.N_MAX - 1:] = 0.0  # nothing reaches the truncation edge
         rows = rows.reshape(7, -1, k) / np.linalg.norm(rows.reshape(7, -1), axis=1)[:, None, None]
         before = rng.bit_generator.state
+        calls, run_rows = self._count_draws_and_kernel_rows(monkeypatch)
         quiet = evolve_rows(rows, pulse, TRAP, None, rng=rng)
         empty = evolve_rows(rows, pulse, TRAP, NoiseModel(), rng=rng)
-        assert rng.bit_generator.state == before
+        monkeypatch.undo()
+        assert rng.bit_generator.state == before and calls == [] and run_rows == [7, 7]
         zeros = np.zeros((7, 1))
-        per_row = dynamics._run_kernel(rows, pulse, TRAP, zeros, zeros, zeros + 1.0,
-                                       pulse.duration, self.N_MAX, np.zeros(7, int))
+        tables = (*dynamics._pair_tables(pulse, ETA, self.N_MAX), *dynamics._static_vectors(pulse, self.N_MAX))
+        per_row = kernels.evolve_blocks_batch(rows, *tables, zeros, zeros, zeros + 1.0, pulse.duration,
+                                              np.empty(rows.shape, dtype=complex))
         np.testing.assert_array_equal(quiet, per_row)
         np.testing.assert_array_equal(empty, quiet)
         dense = propagator(pulse, TRAP, None, self.N_MAX) @ rows
@@ -822,6 +827,56 @@ class TestEvolveRows:
         rows = self._rows((prepare_state(ElectronicLevel.DOWN, 0, n_max=self.N_MAX), 0))
         with pytest.raises(ValidationError):
             evolve_rows(2 * rows, pulse, TRAP)
+
+    @pytest.mark.parametrize("steps", [0, -3, 2.0, True, "100", None])
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_rejects_steps_that_are_not_a_positive_int(self, steps, noisy):
+        pulse = PulseSpec.bsb_pi(ETA, RABI)
+        model = NoiseModel(laser_frequency=SpectralDensity(np.array([0.0, 2e3]), np.array([2e3, 2e3])))
+        rows = self._rows((prepare_state(ElectronicLevel.DOWN, 0, n_max=self.N_MAX), 0))
+        with pytest.raises(ValidationError, match="steps") as info:
+            evolve_rows(rows, pulse, TRAP, model if noisy else None, steps, np.random.default_rng(1))
+        assert info.value.field == "steps"
+
+    def test_zero_rows_return_an_empty_array(self):
+        pulse = PulseSpec.bsb_pi(ETA, RABI)
+        model = NoiseModel(trap_frequency=QuasiStatic(2 * np.pi * 175.0),
+                           laser_frequency=SpectralDensity(np.array([0.0, 2e3]), np.array([2e3, 2e3])))
+        rows = np.zeros((0, 2 * (self.N_MAX + 1), 2), dtype=complex)
+        empty_streams = Streams([np.random.default_rng(1), np.random.default_rng(2)], [0, 0])
+        for noise, rng in ((None, None), (model, np.random.default_rng(1)), (model, empty_streams)):
+            out = evolve_rows(rows, pulse, TRAP, noise, 400, rng)
+            assert out.shape == rows.shape and out.dtype == complex
+        state = prepare_state(ElectronicLevel.DOWN, 0, n_max=self.N_MAX)
+        series = np.zeros((0, 100))
+        out = evolve_batch(state, pulse, TRAP, series, series, series + 1.0, pulse.duration / 100)
+        assert out.shape == (0, 2 * (self.N_MAX + 1))
+
+    def test_one_guard_pass_covers_every_block(self, monkeypatch):
+        # three blocks of two rows: a truncation-edge row in the last block
+        # still trips the guard, and the guards run once per call
+        pulse = PulseSpec.bsb_pi(ETA, RABI)
+        model = NoiseModel(trap_frequency=QuasiStatic(2 * np.pi * 175.0),
+                           laser_frequency=SpectralDensity(np.array([0.0, 2e3]), np.array([2e3, 2e3])))
+        ok = prepare_state(ElectronicLevel.DOWN, 0, n_max=self.N_MAX)
+        edge = prepare_state(ElectronicLevel.DOWN, self.N_MAX, n_max=self.N_MAX)
+        guards, check = [], dynamics._check_guards
+        monkeypatch.setattr(kernels, "_rows_per_chunk", lambda n_steps, n_pairs: 2)
+        monkeypatch.setattr(dynamics, "_check_guards", lambda *args: guards.append(1) or check(*args))
+        calls, run_rows = self._count_draws_and_kernel_rows(monkeypatch)
+        for noise in (None, model):
+            with pytest.raises(TruncationError):
+                evolve_rows(self._rows(*[(ok, 0)] * 4, (edge, 1)), pulse, TRAP, noise, 400,
+                            np.random.default_rng(1))
+        assert run_rows == [2, 2, 1] * 2 and guards == [1, 1]
+        guards.clear()
+        evolve_rows(self._rows(*[(ok, 0)] * 5), pulse, TRAP, model, 400, np.random.default_rng(1))
+        series = np.zeros((5, 100))
+        evolve_batch(ok, pulse, TRAP, series, series, series + 1.0, pulse.duration / 100)
+        assert guards == [1, 1]
+        with pytest.raises(TruncationError):
+            evolve_batch(edge, pulse, TRAP, series, series, series + 1.0, pulse.duration / 100)
+        assert run_rows[-3:] == [2, 2, 1] and guards == [1, 1, 1]
 
 
 class TestEvolveRowsWindow:

@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from conftest import evolve_blocks_reference, two_level_tables
+from conftest import propagate_reference, two_level_tables
 
 import tweezersim
 from tweezersim import kernels
@@ -251,13 +251,13 @@ def test_pair_tables_are_cached_read_only():
 def _bit_case(kind, table, n_max, n_steps, n_traj, k, variant="", seed=0):
     """Kernel arguments less `out`: a detuned, phase-shifted pulse's tables,
     per-row initial states (n_traj, dim, k) and noisy series. n_traj None
-    means two full chunks and a partial one. The variant words:
-    "quiet" makes a zero-Rabi, zero-detuning carrier with a quiet laser,
-    so r = 0 on every pair and step while trap noise still turns the
-    phases; "unit" sets every amplitude factor to exactly 1, as a quiet
+    means two full dynamics blocks and a partial one, in one call. The
+    variant words: "quiet" makes a zero-Rabi, zero-detuning carrier with a
+    quiet laser, so r = 0 on every pair and step while trap noise still
+    turns the phases; "unit" sets every amplitude factor to exactly 1, as a quiet
     amplitude channel does; "windows" gives the rows W = 3 windows of
     the n_max ladder at n0 = 0..n_max - 2 in turn, with 2-D coup and nvec
-    tables as _run_kernel passes them."""
+    tables as dynamics passes them."""
     rng = np.random.default_rng([seed, n_steps, n_max, k])
     if "quiet" in variant:
         pulse = PulseSpec(PulseKind.CARRIER, rabi=0.0, duration=T_PI)
@@ -319,7 +319,20 @@ def test_kernel_is_bit_identical_to_allocating_reference(kind, table, n_max, n_s
         assert not np.any(tables[2]) and not np.any(freq)
     assert np.all(ampf == 1.0) == ("unit" in variant)
     assert (tables[2].ndim == tables[5].ndim == 2) == ("windows" in variant)
-    assert np.array_equal(_kernel(case), evolve_blocks_reference(amps0, *tables, trap, freq, ampf, dt))
+    assert np.array_equal(_kernel(case), propagate_reference(amps0, *tables, trap, freq, ampf, dt))
+
+
+def test_rows_get_their_bits_whatever_shares_the_call():
+    # 8,192 rows x 2 pairs in one step: the final update's temporaries reach
+    # the 256 KiB at which numpy reuses a temporary in place, and no row
+    # may get other bits than it gets alone
+    amps0, tables, trap, freq, ampf, dt = case = _bit_case(BLUE, "rwa-ladder", 2, 1, 8192, 1)
+    assert tables[0].size == 2
+    got = _kernel(case)
+    alone = np.concatenate([_kernel((amps0[t : t + 1], tables, trap[t : t + 1], freq[t : t + 1],
+                                     ampf[t : t + 1], dt)) for t in range(trap.shape[0])])
+    assert got.tobytes() == alone.tobytes()
+    assert got.tobytes() == propagate_reference(amps0, *tables, trap, freq, ampf, dt).tobytes()
 
 
 @pytest.mark.parametrize("kind", list(PulseKind))
@@ -333,7 +346,7 @@ def test_every_pair_shares_its_diagonal_half_differences(kind):
         if kind in (BLUE, PulseKind.FREE) and n_max > 0:  # the two-level pair needs (up, 1)
             cases.append(_pulse_tables(pulse, n_max, "two-level"))
         for pg, pe, _, _, static, nvec, zvec in cases:
-            windows = np.arange(n_max + 1)[:, None] + nvec  # n0 + slot, as _run_kernel builds them
+            windows = np.arange(n_max + 1)[:, None] + nvec  # n0 + slot, as dynamics builds them
             for vec in (static, nvec, zvec, *windows):
                 assert np.unique(0.5 * (vec[pe] - vec[pg])).size <= 1, (n_max, vec)
         if kind is not PulseKind.FREE and n_max > 0:

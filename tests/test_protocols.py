@@ -521,8 +521,8 @@ class TestLockstepOracle:
         from tweezersim import kernels
 
         calls = []
-        propagate = kernels._propagate
-        monkeypatch.setattr(kernels, "_propagate", lambda *args: calls.append(1) or propagate(*args))
+        evolve = kernels.evolve_blocks_batch
+        monkeypatch.setattr(kernels, "evolve_blocks_batch", lambda *args: calls.append(1) or evolve(*args))
         for noise in (None, self.QUASI_STATIC):
             calls.clear()
             run_loss_detection(ProtocolConfig(kind="loss_detection", shots=1, noise=noise,
